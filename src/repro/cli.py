@@ -849,9 +849,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="parallel evaluation workers, >= 1. "
                                "Default: the REPRO_PARALLEL environment "
                                "variable (0/unset = serial, 1/auto = one "
-                               "worker per CPU, N = exactly N); "
-                               "REPRO_PARALLEL_BACKEND selects "
-                               "process (default) or thread workers")
+                               "worker per CPU, N = exactly N). "
+                               "Workers are processes; a broken pool "
+                               "finishes the work in-process")
     p_advise.add_argument("--cache-dir", metavar="DIR", default=None,
                           help="persist evaluations under DIR and reuse "
                                "them across runs")

@@ -11,8 +11,9 @@ docs/resilience.md):
   bounded backoff and per-evaluation deadlines; exhausted candidates
   degrade to *infeasible-by-fault* and the search continues;
 * :mod:`~repro.resilience.checkpoint` — a :class:`CheckpointStore`
-  snapshotting search state atomically, so a killed search resumes to
-  an identical :class:`DesignResult`;
+  snapshotting search state atomically (through the one
+  ``save_search_state``/``load_search_state`` codec), so a killed
+  search resumes to an identical :class:`DesignResult`;
 * :mod:`~repro.resilience.breaker` — an error-rate
   :class:`CircuitBreaker` with a seeded probe schedule, used by the
   serving layer to fast-fail when the backend goes bad and to recover
@@ -20,7 +21,8 @@ docs/resilience.md):
 """
 
 from .breaker import CLOSED, OPEN, CircuitBreaker
-from .checkpoint import CheckpointStore
+from .checkpoint import (CheckpointStore, load_search_state,
+                         save_search_state)
 from .faults import (NULL_PLAN, RETRYABLE_CATEGORIES, FaultPlan, FaultRule,
                      active_fault_plan, classify, install_fault_plan)
 from .policy import RetryPolicy, note_suppressed
@@ -39,4 +41,6 @@ __all__ = [
     "RetryPolicy",
     "note_suppressed",
     "CheckpointStore",
+    "load_search_state",
+    "save_search_state",
 ]

@@ -15,9 +15,16 @@ full loop state through a :class:`CheckpointStore`:
 * **corruption-safe** — a torn or unreadable checkpoint loads as
   "no checkpoint" (counted on the ``checkpoint`` metrics) and the
   search starts fresh rather than crashing or resuming wrong state;
-* **complete** — the greedy snapshot includes the evaluator's in-memory
-  memo, so every cache-hit/derivation decision after resume matches the
-  uninterrupted run and the final :class:`DesignResult` is identical.
+* **complete** — a snapshot includes the evaluator's own snapshot (its
+  in-memory memo and what-if cost cache), so every cache-hit/derivation
+  decision after resume matches the uninterrupted run and the final
+  :class:`DesignResult` is identical.
+
+:func:`save_search_state` / :func:`load_search_state` are the one codec
+every checkpointing search goes through: they assemble and validate the
+envelope (algorithm, problem key, counters, ``evaluator.snapshot()``)
+around the search's own loop state, and own the "is there a store, is
+it this round's turn, are we resuming" decisions.
 
 Fault site ``checkpoint.write`` lets tests prove that a failed or torn
 checkpoint write (disk full, crash) degrades to "skip this checkpoint"
@@ -26,19 +33,21 @@ and never corrupts the search itself.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 from pathlib import Path
 
+from ..errors import CheckpointError
 from ..obs import NullTracer, Tracer, get_tracer
 from .faults import active_fault_plan
 from .policy import note_suppressed
 
-__all__ = ["CheckpointStore"]
+__all__ = ["CheckpointStore", "load_search_state", "save_search_state"]
 
 #: Bump when the snapshot layout changes; old checkpoints then fail the
 #: format check and are treated as absent instead of mis-unpickled.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: one "evaluator" snapshot, one memo
 
 _FILENAME = "search.ckpt"
 
@@ -111,3 +120,55 @@ class CheckpointStore:
         existed = self.path.exists()
         self.path.unlink(missing_ok=True)
         return existed
+
+
+def save_search_state(search, evaluator, **loop_state) -> None:
+    """Snapshot ``search`` at a round boundary, if it checkpoints and
+    ``loop_state["rounds"]`` falls on its ``checkpoint_every`` cadence.
+
+    ``search`` is a checkpointing search (``GreedySearch``,
+    ``NaiveGreedySearch``): its ``algorithm``, ``problem_key()``,
+    ``counters`` and ``evaluator.snapshot()`` form the envelope around
+    the loop state. Everything goes into one pickle, so references
+    shared between the loop state and the evaluator's stores (e.g.
+    greedy's ``rejected_here`` members aliasing ``pool`` members, which
+    the round loop compares by identity) survive the round-trip.
+    """
+    store, rounds = search.checkpoint, loop_state["rounds"]
+    if store is None or rounds % search.checkpoint_every:
+        return
+    state = {"algorithm": search.algorithm,
+             "problem_key": search.problem_key(),
+             "counters": dataclasses.asdict(search.counters),
+             "evaluator": evaluator.snapshot(), **loop_state}
+    if store.save(state):
+        search.counters.checkpoints_written += 1
+        search.tracer.event("checkpoint_saved", rounds=rounds)
+
+
+def load_search_state(search, evaluator) -> dict | None:
+    """The saved loop state of a resuming ``search``, with its counters
+    and ``evaluator`` put back where the snapshot left them; ``None``
+    when there is nothing to resume. A snapshot of another algorithm or
+    another problem raises :class:`~repro.errors.CheckpointError`.
+    """
+    store = search.checkpoint
+    state = store.load() if store is not None and search.resume else None
+    if state is None:
+        return None
+    if state.get("algorithm") != search.algorithm:
+        raise CheckpointError(
+            f"checkpoint at {store.path} belongs to a "
+            f"{state.get('algorithm')!r} search, not {search.algorithm}")
+    if state.get("problem_key") != search.problem_key():
+        raise CheckpointError(
+            f"checkpoint at {store.path} was written for a "
+            "different problem (workload, statistics, bound, base "
+            "mapping, or search settings changed)")
+    for name, value in state["counters"].items():
+        if hasattr(search.counters, name):
+            setattr(search.counters, name, value)
+    evaluator.restore(state["evaluator"])
+    search.tracer.event("checkpoint_resumed", rounds=state["rounds"])
+    search.tracer.metrics("checkpoint").incr("resumes")
+    return state

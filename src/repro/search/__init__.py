@@ -10,7 +10,7 @@ from .evaluator import (EvaluatedMapping, MappingEvaluator,
                         build_stats_only_database, mapping_digest)
 from .greedy import GreedySearch
 from .naive import NaiveGreedySearch
-from .parallel import EvaluationPool, parallel_backend, resolve_jobs
+from .parallel import EvaluationPool, resolve_jobs
 from .result import DesignResult, SearchCounters, Stopwatch
 from .twostep import TwoStepSearch
 from .updates import update_load_for
@@ -23,7 +23,6 @@ __all__ = [
     "problem_digest",
     "stats_digest",
     "workload_digest",
-    "parallel_backend",
     "resolve_jobs",
     "GreedySearch",
     "NaiveGreedySearch",

@@ -10,11 +10,19 @@ Evaluating a mapping (paper Fig. 2's loop body) means:
    recommended configuration, per-query estimated costs, and the object
    sets ``I(Q, M)``.
 
+There is one costing body, :meth:`MappingEvaluator.evaluate_uncached`,
+over one work unit ``(mapping, reuse, carried)``: ``reuse`` maps
+workload indices to already-known per-query costs (Section 4.8) and
+``carried`` the object sets they were derived with. An *exact*
+evaluation is the one with nothing reused; spans, metrics, and
+persistent entries are named ``exact``/``partial`` after whether
+``reuse`` is empty.
+
 Evaluations are memoized at three layers:
 
-* **in-memory memo** per evaluator, keyed by mapping signature — this
-  implements the paper's "carefully avoids searching duplicated
-  mappings" (*cold* cache hits);
+* **in-memory memo** per evaluator, keyed ``(mapping signature, reuse
+  key, carried key)`` — this implements the paper's "carefully avoids
+  searching duplicated mappings" (*cold* cache hits);
 * **persistent store** (:class:`repro.search.cache.EvaluationCache`,
   optional) keyed by ``(mapping digest, workload digest, stats digest,
   storage bound)`` — repeated runs of the same problem skip re-costing
@@ -23,6 +31,11 @@ Evaluations are memoized at three layers:
   invocations of one evaluator, so a partial evaluation followed by an
   exact re-check of the same mapping does not re-pay optimizer calls
   for unchanged (query, configuration) pairs.
+
+:meth:`MappingEvaluator.snapshot` / :meth:`~MappingEvaluator.restore`
+hand the memo and the what-if cost cache to the checkpoint codec
+(``repro.resilience.checkpoint``); nothing outside this module reads
+the stores directly.
 
 Independent candidates are costed concurrently by
 :meth:`MappingEvaluator.evaluate_many` /
@@ -49,8 +62,8 @@ from ..sqlast import Query
 from ..translate import Translator
 from ..workload import Workload
 from .cache import CacheKey, EvaluationCache, problem_digest
-from .parallel import (EvaluationPool, WorkerOutput, graft_spans,
-                       merge_metrics, resolve_jobs)
+from .parallel import (EvaluationPool, EvaluationTask, WorkerOutput,
+                       graft_spans, merge_metrics, resolve_jobs)
 from .result import SearchCounters
 
 
@@ -110,14 +123,32 @@ def build_stats_only_database(schema: MappedSchema,
     return db
 
 
-class _Deferred:
-    """Placeholder for a batch slot resolved after computation."""
+def translate_workload(workload: Workload, schema: MappedSchema
+                       ) -> list[tuple[Query, float]]:
+    """The workload's queries as weighted SQL against ``schema``."""
+    translator = Translator(schema)
+    return [(translator.translate(wq.query), wq.weight) for wq in workload]
 
-    __slots__ = ("kind", "key")
 
-    def __init__(self, kind: str, key: tuple):
-        self.kind = kind
-        self.key = key
+def check_rewrite(name: str, before: MappedSchema, after: MappedSchema,
+                  tracer: Tracer | NullTracer) -> None:
+    """Debug-mode assertion: the rewrite ``name`` kept the mapping lossless.
+
+    Both schemas are already derived, so the coverage comparison is pure
+    set arithmetic; a violation raises :class:`~repro.errors.CheckError`
+    and aborts the search loudly rather than letting a lossy mapping win
+    on a bogus cost.
+    """
+    from ..check import check_transform, checks_enabled, enforce
+
+    if checks_enabled():
+        enforce(check_transform(before, after, name), tracer,
+                context=f"transform:{name}")
+
+
+def _kind(reuse: dict[int, float]) -> str:
+    """What spans, metrics, and persistent entries call an evaluation."""
+    return "partial" if reuse else "exact"
 
 
 class MappingEvaluator:
@@ -141,8 +172,7 @@ class MappingEvaluator:
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.policy = policy if policy is not None else RetryPolicy.from_env()
-        self._cache: dict[tuple, EvaluatedMapping | None] = {}
-        self._partial_cache: dict[tuple, EvaluatedMapping | None] = {}
+        self._memo: dict[tuple, EvaluatedMapping | None] = {}
         # What-if cost cache shared across every advisor invocation of
         # this evaluator (keys carry the what-if database name, which is
         # derived from the mapping digest, so entries never collide
@@ -188,13 +218,29 @@ class MappingEvaluator:
                                            self.storage_bound)
         return self._problem
 
+    def snapshot(self) -> dict:
+        """The stores a checkpoint must carry: the memo and the what-if
+        cost cache, so every cache-hit (and thus derivation) decision
+        after :meth:`restore` matches the uninterrupted run.
+
+        The dicts are the live ones, not copies — pickled in one go with
+        the search's loop state, objects they share stay shared.
+        """
+        return {"memo": self._memo,
+                "advisor_costs": self._advisor_cost_cache}
+
+    def restore(self, state: dict) -> None:
+        """Adopt the stores of a :meth:`snapshot`."""
+        self._memo = state["memo"]
+        self._advisor_cost_cache = state["advisor_costs"]
+
     # ------------------------------------------------------------------
     # Single-mapping API
     # ------------------------------------------------------------------
     def evaluate(self, mapping: Mapping) -> EvaluatedMapping | None:
         """Cost a mapping; ``None`` when the workload cannot be
         translated under it (infeasible mapping)."""
-        return self._evaluate_batch([("exact", mapping, None, None)])[0]
+        return self.evaluate_many([mapping])[0]
 
     def evaluate_partial(self, mapping: Mapping,
                          reuse: dict[int, float],
@@ -208,16 +254,15 @@ class MappingEvaluator:
         evaluation the reused costs came from — its per-query reports
         supply the carried-over ``objects_used`` so the synthesized
         full-workload reports stay usable by a later derivation pass.
+        With nothing reused this *is* :meth:`evaluate`.
         """
-        carried = self._carried_objects(reuse, base)
-        return self._evaluate_batch(
-            [("partial", mapping, dict(reuse), carried)])[0]
+        return self.evaluate_partial_many([(mapping, reuse, base)])[0]
 
     def cached(self, mapping: Mapping) -> EvaluatedMapping | None:
         """An already-computed exact evaluation, if any (no work done)."""
         if not self.use_cache:
             return None
-        return self._cache.get(mapping.signature())
+        return self._memo.get(self._memo_key(mapping, {}, {}))
 
     # ------------------------------------------------------------------
     # Batch API (the parallel fan-out)
@@ -230,8 +275,8 @@ class MappingEvaluator:
         persistent) happen up front; only genuinely new mappings are
         evaluated — concurrently when ``jobs > 1``.
         """
-        return self._evaluate_batch(
-            [("exact", mapping, None, None) for mapping in mappings])
+        return self._evaluate_batch([(mapping, {}, {})
+                                     for mapping in mappings])
 
     def evaluate_partial_many(
             self, items: list[tuple[Mapping, dict[int, float],
@@ -239,53 +284,49 @@ class MappingEvaluator:
             ) -> list[EvaluatedMapping | None]:
         """Batch form of :meth:`evaluate_partial`."""
         return self._evaluate_batch(
-            [("partial", mapping, dict(reuse),
-              self._carried_objects(reuse, base))
+            [(mapping, dict(reuse), self._carried_objects(reuse, base))
              for mapping, reuse, base in items])
 
-    def _evaluate_batch(self, tasks: list[tuple]
+    def _evaluate_batch(self, tasks: list[EvaluationTask]
                         ) -> list[EvaluatedMapping | None]:
-        results: list = [None] * len(tasks)
-        pending: list[tuple[int, tuple]] = []
+        results: list[EvaluatedMapping | None] = [None] * len(tasks)
+        pending: list[tuple[int, EvaluationTask]] = []
         first_position: set[tuple] = set()
+        duplicates: list[tuple[int, str, tuple]] = []
         for position, task in enumerate(tasks):
-            kind, mapping, reuse, carried = task
             if not self.use_cache:
                 pending.append((position, task))
                 continue
-            key = self._memory_key(kind, mapping, reuse, carried)
-            store = self._store(kind)
-            if key in store:
-                results[position] = self._record_memory_hit(kind, store[key])
+            kind = _kind(task[1])
+            key = self._memo_key(*task)
+            if key in self._memo:
+                results[position] = self._record_memory_hit(
+                    kind, self._memo[key])
                 continue
-            found, value = self._persistent_get(kind, mapping, reuse, carried)
+            found, value = self._persistent_get(*task)
             if found:
-                store[key] = value
+                self._memo[key] = value
                 results[position] = value
                 continue
             if key in first_position:
                 # A duplicate inside the batch: costed once, counted as
                 # a cache hit — exactly what serial iteration does.
-                results[position] = _Deferred(kind, key)
+                duplicates.append((position, kind, key))
                 continue
             first_position.add(key)
             pending.append((position, task))
         if pending:
             self._compute(pending, results)
-        for position, value in enumerate(results):
-            if isinstance(value, _Deferred):
-                store = self._store(value.kind)
-                if value.key in store:
-                    results[position] = self._record_memory_hit(
-                        value.kind, store[value.key])
-                else:
-                    # The twin evaluation was dropped by a fault (and
-                    # deliberately not cached); this duplicate is
-                    # dropped the same way, without counting a hit.
-                    results[position] = None
+        for position, kind, key in duplicates:
+            # When the twin evaluation was dropped by a fault (and
+            # deliberately not cached), this duplicate is dropped the
+            # same way, without counting a hit.
+            if key in self._memo:
+                results[position] = self._record_memory_hit(
+                    kind, self._memo[key])
         return results
 
-    def _compute(self, pending: list[tuple[int, tuple]],
+    def _compute(self, pending: list[tuple[int, EvaluationTask]],
                  results: list) -> None:
         if self.jobs > 1 and len(pending) > 1:
             outputs = self._ensure_pool().run(
@@ -296,16 +337,15 @@ class MappingEvaluator:
                                                  output.fault)
             return
         for position, task in pending:
-            kind, mapping, reuse, carried = task
-            value, fault = self._execute_uncached(kind, mapping, reuse,
-                                                  carried)
+            value, fault = self.evaluate_uncached(*task)
             results[position] = self._finish(task, value, fault)
 
-    def _execute_uncached(self, kind: str, mapping: Mapping,
-                          reuse: dict[int, float] | None,
-                          carried: dict[int, frozenset] | None
+    def evaluate_uncached(self, mapping: Mapping,
+                          reuse: dict[int, float] | None = None,
+                          carried: dict[int, frozenset] | None = None
                           ) -> tuple[EvaluatedMapping | None, str | None]:
-        """One logical evaluation under the retry policy.
+        """One logical evaluation under the retry policy, no cache layer
+        consulted or filled — what pool workers run per work unit.
 
         Returns ``(result, fault_category)``. Retryable failures (an
         injected transient fault, an infrastructure hiccup) are retried
@@ -323,10 +363,7 @@ class MappingEvaluator:
             attempt += 1
             try:
                 active_fault_plan().maybe_raise("evaluate")
-                if kind == "partial":
-                    return self._evaluate_partial_uncached(
-                        mapping, reuse or {}, carried), None
-                return self._evaluate_uncached(mapping), None
+                return self._cost(mapping, reuse or {}, carried or {}), None
             except Exception as exc:
                 category = classify(exc)
                 if category not in RETRYABLE_CATEGORIES:
@@ -343,19 +380,18 @@ class MappingEvaluator:
                                   attempt=attempt)
                 time.sleep(policy.backoff_for(attempt))
 
-    def _finish(self, task: tuple, value: EvaluatedMapping | None,
-                fault: str | None = None) -> EvaluatedMapping | None:
+    def _finish(self, task: EvaluationTask, value: EvaluatedMapping | None,
+                fault: str | None) -> EvaluatedMapping | None:
         """Store a freshly computed result in both cache layers.
 
         A fault-caused ``None`` (retries exhausted, deadline fired) is
         *not* a fact about the mapping and is never cached — the
         candidate stays evaluable in later rounds and later runs.
         """
-        kind, mapping, reuse, carried = task
         if self.use_cache and fault is None:
-            key = self._memory_key(kind, mapping, reuse, carried)
-            self._store(kind)[key] = value
-            self._persistent_put(kind, mapping, reuse, carried, value)
+            self._memo[self._memo_key(*task)] = value
+            if self.cache is not None:
+                self.cache.put(self._persistent_key(*task), value)
         return value
 
     def _absorb(self, output: WorkerOutput) -> None:
@@ -370,18 +406,12 @@ class MappingEvaluator:
     # ------------------------------------------------------------------
     # Cache layers
     # ------------------------------------------------------------------
-    def _store(self, kind: str) -> dict:
-        return self._partial_cache if kind == "partial" else self._cache
-
-    def _memory_key(self, kind: str, mapping: Mapping,
-                    reuse: dict[int, float] | None,
-                    carried: dict[int, frozenset] | None) -> tuple:
-        if kind == "partial":
-            return (mapping.signature(),
-                    frozenset((i, round(cost, 6))
-                              for i, cost in (reuse or {}).items()),
-                    frozenset((carried or {}).items()))
-        return mapping.signature()
+    @staticmethod
+    def _memo_key(mapping: Mapping, reuse: dict[int, float],
+                  carried: dict[int, frozenset]) -> tuple:
+        return (mapping.signature(),
+                frozenset((i, round(cost, 6)) for i, cost in reuse.items()),
+                frozenset(carried.items()))
 
     def _record_memory_hit(self, kind: str,
                            value: EvaluatedMapping | None
@@ -399,42 +429,31 @@ class MappingEvaluator:
             self.tracer.event("cache_hit", kind=kind)
         return value
 
-    def _persistent_key(self, kind: str, mapping: Mapping,
-                        reuse: dict[int, float] | None,
-                        carried: dict[int, frozenset] | None) -> CacheKey:
+    def _persistent_key(self, mapping: Mapping, reuse: dict[int, float],
+                        carried: dict[int, frozenset]) -> CacheKey:
         extra = ""
-        if kind == "partial":
-            parts = [f"{i}:{cost!r}" for i, cost
-                     in sorted((reuse or {}).items())]
+        if reuse:
+            parts = [f"{i}:{cost!r}" for i, cost in sorted(reuse.items())]
             parts += [f"{i}:{','.join(sorted(objects))}"
-                      for i, objects in sorted((carried or {}).items())]
+                      for i, objects in sorted(carried.items())]
             extra = _digest("|".join(parts))
         return CacheKey(problem=self._problem_digest(),
                         mapping=mapping_digest(mapping),
-                        kind=kind, extra=extra)
+                        kind=_kind(reuse), extra=extra)
 
-    def _persistent_get(self, kind: str, mapping: Mapping,
-                        reuse: dict[int, float] | None,
-                        carried: dict[int, frozenset] | None
+    def _persistent_get(self, mapping: Mapping, reuse: dict[int, float],
+                        carried: dict[int, frozenset]
                         ) -> tuple[bool, EvaluatedMapping | None]:
         if self.cache is None:
             return False, None
         found, value = self.cache.get(
-            self._persistent_key(kind, mapping, reuse, carried))
+            self._persistent_key(mapping, reuse, carried))
         if found:
+            kind = _kind(reuse)
             self.counters.persistent_cache_hits += 1
             self._metrics.incr(f"persistent_hits_{kind}")
             self.tracer.event("cache_hit_persistent", kind=kind)
         return found, value  # type: ignore[return-value]
-
-    def _persistent_put(self, kind: str, mapping: Mapping,
-                        reuse: dict[int, float] | None,
-                        carried: dict[int, frozenset] | None,
-                        value: EvaluatedMapping | None) -> None:
-        if self.cache is None:
-            return
-        self.cache.put(self._persistent_key(kind, mapping, reuse, carried),
-                       value)
 
     # ------------------------------------------------------------------
     # Evaluation proper
@@ -456,50 +475,6 @@ class MappingEvaluator:
         from .updates import update_load_for
         return update_load_for(schema, self.collected, self.workload)
 
-    def translate_workload(self, schema: MappedSchema
-                           ) -> list[tuple[Query, float]]:
-        translator = Translator(schema)
-        return [(translator.translate(wq.query), wq.weight)
-                for wq in self.workload]
-
-    def _make_advisor(self, db: Database) -> IndexTuningAdvisor:
-        return IndexTuningAdvisor(db, tracer=self.tracer,
-                                  cost_cache=self._advisor_cost_cache)
-
-    def _evaluate_uncached(self, mapping: Mapping) -> EvaluatedMapping | None:
-        # ``mappings_evaluated`` is counted by ``_execute_uncached`` —
-        # once per logical evaluation, however many attempts it takes.
-        with self.tracer.span("evaluate.exact") as span:
-            schema = derive_schema(mapping)
-            self._check_schema(mapping, schema)
-            try:
-                sql_queries = self.translate_workload(schema)
-            except TranslationError:
-                span.set("outcome", "translation_failed")
-                self._metrics.incr("translation_failures")
-                return None
-            db = build_stats_only_database(
-                schema, self.collected,
-                name=f"whatif:{mapping_digest(mapping)}",
-                tracer=self.tracer)
-            advisor = self._make_advisor(db)
-            try:
-                tuning = advisor.tune(sql_queries, self.storage_bound,
-                                      update_load=self._update_load(schema))
-            except SearchError:
-                span.set("outcome", "tuning_failed")
-                self._metrics.incr("tuning_failures")
-                return None
-            self.counters.tuner_calls += 1
-            self.counters.optimizer_calls += tuning.optimizer_calls
-            span.set("outcome", "ok")
-            span.set("total_cost", tuning.total_cost)
-            span.set("database", db.name)
-            return EvaluatedMapping(mapping=mapping, schema=schema,
-                                    database=db, sql_queries=sql_queries,
-                                    tuning=tuning)
-
-    # ------------------------------------------------------------------
     @staticmethod
     def _carried_objects(reuse: dict[int, float],
                          base: EvaluatedMapping | None
@@ -510,17 +485,17 @@ class MappingEvaluator:
         return {i: base.tuning.reports[i].objects_used for i in reuse
                 if i < len(base.tuning.reports)}
 
-    def _evaluate_partial_uncached(self, mapping: Mapping,
-                                   reuse: dict[int, float],
-                                   carried: dict[int, frozenset] | None
-                                   ) -> EvaluatedMapping | None:
-        carried = carried or {}
-        with self.tracer.span("evaluate.partial",
-                              reused=len(reuse)) as span:
+    def _cost(self, mapping: Mapping, reuse: dict[int, float],
+              carried: dict[int, frozenset]) -> EvaluatedMapping | None:
+        # ``mappings_evaluated`` is counted by ``evaluate_uncached`` —
+        # once per logical evaluation, however many attempts it takes.
+        attributes = {"reused": len(reuse)} if reuse else {}
+        with self.tracer.span(f"evaluate.{_kind(reuse)}",
+                              **attributes) as span:
             schema = derive_schema(mapping)
             self._check_schema(mapping, schema)
             try:
-                sql_queries = self.translate_workload(schema)
+                sql_queries = translate_workload(self.workload, schema)
             except TranslationError:
                 span.set("outcome", "translation_failed")
                 self._metrics.incr("translation_failures")
@@ -531,8 +506,10 @@ class MappingEvaluator:
                 tracer=self.tracer)
             remaining = [(q, w) for i, (q, w) in enumerate(sql_queries)
                          if i not in reuse]
-            span.set("remaining", len(remaining))
-            advisor = self._make_advisor(db)
+            if reuse:
+                span.set("remaining", len(remaining))
+            advisor = IndexTuningAdvisor(
+                db, tracer=self.tracer, cost_cache=self._advisor_cost_cache)
             try:
                 tuning = advisor.tune(remaining, self.storage_bound,
                                       update_load=self._update_load(schema))
@@ -543,7 +520,7 @@ class MappingEvaluator:
             self.counters.tuner_calls += 1
             self.counters.optimizer_calls += tuning.optimizer_calls
             self.counters.derived_query_costs += len(reuse)
-            full = self._align_partial(tuning, sql_queries, reuse, carried)
+            full = self._align(tuning, sql_queries, reuse, carried)
             span.set("outcome", "ok")
             span.set("total_cost", full.total_cost)
             span.set("database", db.name)
@@ -551,11 +528,12 @@ class MappingEvaluator:
                                     database=db, sql_queries=sql_queries,
                                     tuning=full)
 
-    def _align_partial(self, tuning: TuningResult,
-                       sql_queries: list[tuple[Query, float]],
-                       reuse: dict[int, float],
-                       carried: dict[int, frozenset]) -> TuningResult:
-        """Rebuild a partial tuning result on full-workload positions.
+    @staticmethod
+    def _align(tuning: TuningResult,
+               sql_queries: list[tuple[Query, float]],
+               reuse: dict[int, float],
+               carried: dict[int, frozenset]) -> TuningResult:
+        """Rebuild a tuning result on full-workload positions.
 
         The advisor only saw the non-reused queries, so its ``reports``
         list is shorter than the workload and indexed by *remaining*
@@ -584,4 +562,3 @@ class MappingEvaluator:
             optimizer_calls=tuning.optimizer_calls,
             candidates_considered=tuning.candidates_considered,
         )
-

@@ -23,32 +23,30 @@ Ablation switches (used by the Fig. 7–9 experiments):
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
-from ..errors import CheckpointError, MappingError
+from ..errors import MappingError
 from ..mapping import (CollectedStats, Mapping, RepetitionMerge,
                        Transformation, UnionDistribute, UnionFactorize,
                        enumerate_transformations, hybrid_inlining)
 from ..obs import NullTracer, Tracer, get_tracer
-from ..resilience import CheckpointStore, note_suppressed
+from ..resilience import (CheckpointStore, load_search_state,
+                          note_suppressed, save_search_state)
 from ..workload import Workload
 from ..xsd import SchemaTree
 from .cache import EvaluationCache, problem_digest
 from .candidate_merging import CandidateMerger
 from .candidate_selection import CandidateSelector, CandidateSet, apply_splits
 from .cost_derivation import CostDerivation
-from .evaluator import EvaluatedMapping, MappingEvaluator, mapping_digest
-from .result import DesignResult, SearchCounters, Stopwatch
-
-
-def _counters_dict(counters: SearchCounters) -> dict:
-    return {f.name: getattr(counters, f.name)
-            for f in dataclasses.fields(counters)}
+from .evaluator import (EvaluatedMapping, MappingEvaluator, check_rewrite,
+                        mapping_digest)
+from .result import DesignResult, SearchCounters, timed_search
 
 
 class GreedySearch:
     """The paper's workload-driven joint logical+physical design search."""
+
+    algorithm = "greedy"
 
     def __init__(self, tree: SchemaTree, workload: Workload,
                  collected: CollectedStats,
@@ -92,18 +90,9 @@ class GreedySearch:
 
     # ------------------------------------------------------------------
     def run(self) -> DesignResult:
-        with Stopwatch(self.counters):
-            with self.tracer.span("greedy",
-                                  workload=self.workload.name,
-                                  queries=len(self.workload)) as span:
-                result = self._run(span)
-        if self.tracer.enabled:
-            span.set("rounds", result.rounds)
-            span.set("estimated_cost", result.estimated_cost)
-            result.trace = span
-        return result
+        return timed_search(self, self._run)
 
-    def _run(self, trace) -> DesignResult:
+    def _run(self) -> DesignResult:
         evaluator = MappingEvaluator(self.workload, self.collected,
                                      self.storage_bound,
                                      counters=self.counters,
@@ -116,7 +105,7 @@ class GreedySearch:
             evaluator.close()
 
     def _run_with(self, evaluator: MappingEvaluator) -> DesignResult:
-        resumed = self._restore(evaluator)
+        resumed = load_search_state(self, evaluator)
         if resumed is not None:
             rounds = resumed["rounds"]
             current = resumed["current"]
@@ -165,12 +154,11 @@ class GreedySearch:
         while rounds < self.max_rounds:
             # Snapshot at the round boundary: a kill anywhere inside the
             # round resumes from its start and replays it identically.
-            if rounds % self.checkpoint_every == 0:
-                self._save_checkpoint(
-                    evaluator, rounds=rounds, current=current,
-                    base_eval=base_eval, pool=pool,
-                    rejected_here=rejected_here, applied_log=applied_log,
-                    exact_rescue_used=exact_rescue_used)
+            save_search_state(
+                self, evaluator, rounds=rounds, current=current,
+                base_eval=base_eval, pool=pool,
+                rejected_here=rejected_here, applied_log=applied_log,
+                exact_rescue_used=exact_rescue_used)
             rounds += 1
             with self.tracer.span("round", index=rounds,
                                   pool=len(pool)) as round_span:
@@ -243,7 +231,7 @@ class GreedySearch:
             current = base_eval
             applied_log = ["(reverted to base mapping)"]
         return DesignResult(
-            algorithm="greedy",
+            algorithm=self.algorithm,
             workload=self.workload,
             mapping=current.mapping,
             schema=current.schema,
@@ -258,7 +246,7 @@ class GreedySearch:
     # ------------------------------------------------------------------
     # Checkpoint / resume
     # ------------------------------------------------------------------
-    def _problem_key(self) -> str:
+    def problem_key(self) -> str:
         """Everything that must match for a checkpoint to be resumable."""
         settings = (self.use_selection, self.include_subsumed, self.merging,
                     self.derivation.enabled, self.cmax, self.coverage,
@@ -266,55 +254,6 @@ class GreedySearch:
         return "|".join([
             problem_digest(self.workload, self.collected, self.storage_bound),
             mapping_digest(self.base_mapping), repr(settings)])
-
-    def _save_checkpoint(self, evaluator: MappingEvaluator, **loop_state
-                         ) -> None:
-        if self.checkpoint is None:
-            return
-        # One pickle for the whole snapshot: shared references (e.g.
-        # ``rejected_here`` members aliasing ``pool`` members, which the
-        # round loop compares by identity) survive the round-trip.
-        state = {
-            "algorithm": "greedy",
-            "problem_key": self._problem_key(),
-            "counters": _counters_dict(self.counters),
-            # The evaluator memo rides along so every cache-hit (and
-            # thus derivation) decision after resume matches the
-            # uninterrupted run.
-            "memo": evaluator._cache,
-            "partial_memo": evaluator._partial_cache,
-            "advisor_costs": evaluator._advisor_cost_cache,
-            **loop_state,
-        }
-        if self.checkpoint.save(state):
-            self.counters.checkpoints_written += 1
-            self.tracer.event("checkpoint_saved",
-                              rounds=loop_state["rounds"])
-
-    def _restore(self, evaluator: MappingEvaluator) -> dict | None:
-        if self.checkpoint is None or not self.resume:
-            return None
-        state = self.checkpoint.load()
-        if state is None:
-            return None
-        if state.get("algorithm") != "greedy":
-            raise CheckpointError(
-                f"checkpoint at {self.checkpoint.path} belongs to a "
-                f"{state.get('algorithm')!r} search, not greedy")
-        if state.get("problem_key") != self._problem_key():
-            raise CheckpointError(
-                f"checkpoint at {self.checkpoint.path} was written for a "
-                "different problem (workload, statistics, bound, base "
-                "mapping, or search settings changed)")
-        for name, value in state["counters"].items():
-            if hasattr(self.counters, name):
-                setattr(self.counters, name, value)
-        evaluator._cache = state["memo"]
-        evaluator._partial_cache = state["partial_memo"]
-        evaluator._advisor_cost_cache = state["advisor_costs"]
-        self.tracer.event("checkpoint_resumed", rounds=state["rounds"])
-        self.tracer.metrics("checkpoint").incr("resumes")
-        return state
 
     # ------------------------------------------------------------------
     def _select_candidates(self) -> CandidateSet:
@@ -454,19 +393,8 @@ class GreedySearch:
                            current: EvaluatedMapping,
                            evaluated: EvaluatedMapping | None
                            ) -> EvaluatedMapping | None:
-        """Debug-mode assertion: the rewrite kept the mapping lossless.
-
-        Both schemas are already derived, so the coverage comparison is
-        pure set arithmetic; a violation raises
-        :class:`~repro.errors.CheckError` and aborts the search loudly
-        rather than letting a lossy mapping win on a bogus cost.
-        """
-        if evaluated is None:
-            return None
-        from ..check import check_transform, checks_enabled, enforce
-
-        if checks_enabled():
-            enforce(check_transform(current.schema, evaluated.schema,
-                                    str(candidate)),
-                    self.tracer, context=f"transform:{candidate}")
+        """``evaluated``, once the debug-mode lossless check passed."""
+        if evaluated is not None:
+            check_rewrite(str(candidate), current.schema, evaluated.schema,
+                          self.tracer)
         return evaluated

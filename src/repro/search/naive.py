@@ -14,23 +14,26 @@ of-magnitude speed-up is measured (Figs. 5 and 6).
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
-from ..errors import CheckpointError, MappingError
+from ..errors import MappingError
 from ..mapping import (CollectedStats, Mapping, enumerate_transformations,
                        hybrid_inlining)
 from ..obs import NullTracer, Tracer, get_tracer
-from ..resilience import CheckpointStore, note_suppressed
+from ..resilience import (CheckpointStore, load_search_state,
+                          note_suppressed, save_search_state)
 from ..workload import Workload
 from ..xsd import SchemaTree
 from .cache import problem_digest
-from .evaluator import EvaluatedMapping, MappingEvaluator, mapping_digest
-from .result import DesignResult, SearchCounters, Stopwatch
+from .evaluator import (EvaluatedMapping, MappingEvaluator, check_rewrite,
+                        mapping_digest)
+from .result import DesignResult, SearchCounters, timed_search
 
 
 class NaiveGreedySearch:
     """Exhaustive-per-round greedy over the full transformation space."""
+
+    algorithm = "naive-greedy"
 
     def __init__(self, tree: SchemaTree, workload: Workload,
                  collected: CollectedStats,
@@ -65,26 +68,7 @@ class NaiveGreedySearch:
         self.counters = SearchCounters()
 
     def run(self) -> DesignResult:
-        with Stopwatch(self.counters):
-            with self.tracer.span("naive-greedy",
-                                  workload=self.workload.name,
-                                  queries=len(self.workload)) as span:
-                result = self._run()
-        if self.tracer.enabled:
-            span.set("rounds", result.rounds)
-            span.set("estimated_cost", result.estimated_cost)
-            result.trace = span
-        return result
-
-    def _check_transform(self, transformation, current: EvaluatedMapping,
-                         evaluated: EvaluatedMapping) -> None:
-        """Debug-mode assertion: the rewrite kept the mapping lossless."""
-        from ..check import check_transform, checks_enabled, enforce
-
-        if checks_enabled():
-            enforce(check_transform(current.schema, evaluated.schema,
-                                    str(transformation)),
-                    self.tracer, context=f"transform:{transformation}")
+        return timed_search(self, self._run)
 
     def _run(self) -> DesignResult:
         # Naive-Greedy does not deduplicate mappings: the cache is off.
@@ -97,60 +81,17 @@ class NaiveGreedySearch:
         finally:
             evaluator.close()
 
-    # ------------------------------------------------------------------
-    # Checkpoint / resume (mirrors GreedySearch; see docs/resilience.md)
-    # ------------------------------------------------------------------
-    def _problem_key(self) -> str:
+    def problem_key(self) -> str:
+        """Everything that must match for a checkpoint to be resumable
+        (see docs/resilience.md)."""
         settings = (self.default_split_count, self.max_rounds,
                     self.include_subsumed)
         return "|".join([
             problem_digest(self.workload, self.collected, self.storage_bound),
             mapping_digest(self.base_mapping), repr(settings)])
 
-    def _save_checkpoint(self, evaluator: MappingEvaluator, rounds: int,
-                         current: EvaluatedMapping,
-                         applied: list[str]) -> None:
-        if self.checkpoint is None:
-            return
-        state = {
-            "algorithm": "naive-greedy",
-            "problem_key": self._problem_key(),
-            "counters": {f.name: getattr(self.counters, f.name)
-                         for f in dataclasses.fields(self.counters)},
-            "advisor_costs": evaluator._advisor_cost_cache,
-            "rounds": rounds,
-            "current": current,
-            "applied": applied,
-        }
-        if self.checkpoint.save(state):
-            self.counters.checkpoints_written += 1
-            self.tracer.event("checkpoint_saved", rounds=rounds)
-
-    def _restore(self, evaluator: MappingEvaluator) -> dict | None:
-        if self.checkpoint is None or not self.resume:
-            return None
-        state = self.checkpoint.load()
-        if state is None:
-            return None
-        if state.get("algorithm") != "naive-greedy":
-            raise CheckpointError(
-                f"checkpoint at {self.checkpoint.path} belongs to a "
-                f"{state.get('algorithm')!r} search, not naive-greedy")
-        if state.get("problem_key") != self._problem_key():
-            raise CheckpointError(
-                f"checkpoint at {self.checkpoint.path} was written for a "
-                "different problem (workload, statistics, bound, base "
-                "mapping, or search settings changed)")
-        for name, value in state["counters"].items():
-            if hasattr(self.counters, name):
-                setattr(self.counters, name, value)
-        evaluator._advisor_cost_cache = state["advisor_costs"]
-        self.tracer.event("checkpoint_resumed", rounds=state["rounds"])
-        self.tracer.metrics("checkpoint").incr("resumes")
-        return state
-
     def _run_with(self, evaluator: MappingEvaluator) -> DesignResult:
-        resumed = self._restore(evaluator)
+        resumed = load_search_state(self, evaluator)
         if resumed is not None:
             rounds = resumed["rounds"]
             current = resumed["current"]
@@ -163,8 +104,8 @@ class NaiveGreedySearch:
             applied = []
             rounds = 0
         while rounds < self.max_rounds:
-            if rounds % self.checkpoint_every == 0:
-                self._save_checkpoint(evaluator, rounds, current, applied)
+            save_search_state(self, evaluator, rounds=rounds,
+                              current=current, applied=applied)
             rounds += 1
             with self.tracer.span("round", index=rounds) as round_span:
                 best: tuple[float, str, EvaluatedMapping] | None = None
@@ -188,7 +129,8 @@ class NaiveGreedySearch:
                 for (transformation, _), evaluated in zip(work, evaluations):
                     if evaluated is None:
                         continue
-                    self._check_transform(transformation, current, evaluated)
+                    check_rewrite(str(transformation), current.schema,
+                                  evaluated.schema, self.tracer)
                     if evaluated.total_cost < current.total_cost and \
                             (best is None or
                              evaluated.total_cost < best[0]):
@@ -205,7 +147,7 @@ class NaiveGreedySearch:
                 round_span.set("winner", name)
                 round_span.set("cost", evaluated.total_cost)
         return DesignResult(
-            algorithm="naive-greedy",
+            algorithm=self.algorithm,
             workload=self.workload,
             mapping=current.mapping,
             schema=current.schema,

@@ -4,16 +4,14 @@ Costing the candidates of one greedy round (or one naive enumeration
 pass) is embarrassingly parallel: every evaluation reads the immutable
 schema tree, the workload, and the collected statistics, and builds its
 own private stats-only database. This module runs those evaluations on
-a ``concurrent.futures`` pool:
-
-* **process backend** (default) — workers are initialized once with a
-  pickled ``(workload, collected stats, storage bound)`` context and
-  receive one picklable work unit per candidate (the mapping plus, for
-  partial evaluations, the reused costs and carried object sets);
-* **thread backend** — a fallback for platforms where process pools
-  are unavailable (and available explicitly via
-  ``REPRO_PARALLEL_BACKEND=thread``); correct but not faster for this
-  pure-Python workload.
+a ``concurrent.futures`` process pool: workers are initialized once
+with a pickled ``(workload, collected stats, storage bound)`` context
+and receive one picklable work unit per candidate (the mapping plus the
+reused costs and carried object sets, both empty for an exact
+evaluation). Where process pools are unavailable, or once the pool
+breaks, the same work units run **inline** in the calling process, one
+after the other — the ladder is process → inline, and the inline tier
+has no per-evaluation deadline.
 
 Determinism is preserved by construction: tasks are submitted and their
 outputs absorbed in submission order, each worker computes the same
@@ -33,11 +31,10 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import (Executor, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import InjectedFault
 from ..obs import NULL_TRACER, NullTracer, Tracer, get_tracer
@@ -45,16 +42,21 @@ from ..resilience import RetryPolicy, active_fault_plan, install_fault_plan
 from .result import SearchCounters
 
 __all__ = ["EvaluationPool", "EvaluationTask", "WorkerOutput",
-           "resolve_jobs", "parallel_backend", "graft_spans"]
+           "resolve_jobs", "graft_spans"]
 
-#: SearchCounters fields a worker evaluation can advance. ``wall_time``
+#: Counters only the main process advances: deadlines, pool tiers, and
+#: checkpoints are all decided on the absorbing side.
+_MAIN_PROCESS_ONLY = frozenset({"timeouts", "pool_degradations",
+                                "checkpoints_written"})
+
+#: SearchCounters fields a worker evaluation can advance: every integer
+#: counter that is not main-process-only. ``wall_time`` (the one float)
 #: is excluded: the search's Stopwatch measures real elapsed time in
 #: the main process, and summing worker times would double-count.
-_COUNTER_FIELDS = ("transformations_searched", "mappings_evaluated",
-                   "cache_hits", "cache_hits_infeasible",
-                   "persistent_cache_hits", "tuner_calls",
-                   "optimizer_calls", "derived_query_costs",
-                   "fault_retries", "faulted_evaluations")
+_COUNTER_FIELDS = tuple(
+    counter.name for counter in fields(SearchCounters)
+    if isinstance(counter.default, int)
+    and counter.name not in _MAIN_PROCESS_ONLY)
 
 #: Exceptions that mean "the pool infrastructure broke", as opposed to
 #: the evaluation itself failing. ``FuturesTimeout`` is handled apart —
@@ -92,20 +94,13 @@ def resolve_jobs(jobs: int | None = None) -> int:
         return 1
 
 
-def parallel_backend() -> str:
-    """``process`` (default) or ``thread`` via ``REPRO_PARALLEL_BACKEND``."""
-    raw = os.environ.get("REPRO_PARALLEL_BACKEND", "process").strip().lower()
-    return "thread" if raw == "thread" else "process"
-
-
 # ----------------------------------------------------------------------
 # Work units
 # ----------------------------------------------------------------------
 
-#: ``(kind, mapping, reuse, carried)`` where ``kind`` is ``"exact"`` or
-#: ``"partial"``; ``reuse`` maps workload indices to reused costs and
-#: ``carried`` maps the same indices to the object sets those costs were
-#: derived with (both ``None`` for exact evaluations).
+#: ``(mapping, reuse, carried)``: ``reuse`` maps workload indices to
+#: reused costs and ``carried`` maps the same indices to the object sets
+#: those costs were derived with (both empty for exact evaluations).
 EvaluationTask = tuple
 
 
@@ -132,18 +127,17 @@ def _counters_snapshot(counters: SearchCounters) -> dict[str, int]:
 def run_task(evaluator, task: EvaluationTask, tracing: bool) -> WorkerOutput:
     """Execute one work unit on an evaluator and package the output.
 
-    Shared by the process workers and the thread fallback; the caller
+    Shared by the process workers and the inline tier; the caller
     guarantees the evaluator is not used concurrently. The retry
-    policy runs *inside* the task (``_execute_uncached``), so its
+    policy runs *inside* the task (``evaluate_uncached``), so its
     counter deltas ride back with the rest.
     """
     from ..obs import trace_to_dicts
 
-    kind, mapping, reuse, carried = task
     tracer = Tracer() if tracing else NULL_TRACER
     evaluator.rebind_tracer(tracer)
     before = _counters_snapshot(evaluator.counters)
-    result, fault = evaluator._execute_uncached(kind, mapping, reuse, carried)
+    result, fault = evaluator.evaluate_uncached(*task)
     after = _counters_snapshot(evaluator.counters)
     deltas = {name: after[name] - before[name]
               for name in _COUNTER_FIELDS if after[name] != before[name]}
@@ -163,6 +157,16 @@ _WORKER_EVALUATOR = None
 _WORKER_TRACING = False
 
 
+def _task_evaluator(workload, collected, storage_bound, policy):
+    """An evaluator that only runs work units: no cache layer (the
+    absorbing side owns those) and no pool of its own."""
+    from .evaluator import MappingEvaluator
+
+    return MappingEvaluator(workload, collected, storage_bound,
+                            use_cache=False, jobs=1, tracer=NULL_TRACER,
+                            policy=policy)
+
+
 def _init_worker(payload: bytes) -> None:
     """Build this worker's evaluator once from the pickled context.
 
@@ -172,14 +176,12 @@ def _init_worker(payload: bytes) -> None:
     follow the same bounds as serial ones.
     """
     global _WORKER_EVALUATOR, _WORKER_TRACING
-    from .evaluator import MappingEvaluator
 
     (workload, collected, storage_bound, tracing,
      policy, fault_spec) = pickle.loads(payload)
     install_fault_plan(fault_spec)
-    _WORKER_EVALUATOR = MappingEvaluator(
-        workload, collected, storage_bound,
-        use_cache=False, jobs=1, tracer=NULL_TRACER, policy=policy)
+    _WORKER_EVALUATOR = _task_evaluator(workload, collected, storage_bound,
+                                        policy)
     _WORKER_TRACING = tracing
 
 
@@ -196,16 +198,17 @@ def _pool_task(task: EvaluationTask) -> WorkerOutput:
 class EvaluationPool:
     """A lazily created executor bound to one evaluation problem.
 
-    Degradation chain: ``process`` → ``thread`` → ``inline``. Each
+    Degradation ladder: ``process`` → ``inline``. Any
     broken-infrastructure signal (a killed worker, a pickling failure,
-    an injected ``pool.submit`` fault, a fired deadline) steps the
-    backend down one tier; the batch always finishes, and because every
-    task is a pure function of pickled inputs, the results are
-    identical on every tier.
+    an injected ``pool.submit`` fault, a fired deadline) drops the
+    process pool for good and the rest of the work runs inline, in the
+    calling process; the batch always finishes, and because every task
+    is a pure function of pickled inputs, the results are identical on
+    both tiers. The inline tier has no per-evaluation deadline.
     """
 
     def __init__(self, workload, collected, storage_bound,
-                 jobs: int, tracing: bool, backend: str | None = None,
+                 jobs: int, tracing: bool,
                  policy: RetryPolicy | None = None,
                  counters: SearchCounters | None = None,
                  tracer: Tracer | NullTracer | None = None):
@@ -214,82 +217,72 @@ class EvaluationPool:
         self.storage_bound = storage_bound
         self.jobs = jobs
         self.tracing = tracing
-        self.backend = backend or parallel_backend()
+        self.backend = "process"
         self.policy = policy if policy is not None else RetryPolicy()
         self.counters = counters if counters is not None else SearchCounters()
         self.tracer = tracer if tracer is not None else get_tracer()
-        self._executor: Executor | None = None
+        self._executor: ProcessPoolExecutor | None = None
+        self._inline_evaluator = None
 
     # ------------------------------------------------------------------
     def _ensure_executor(self) -> None:
-        if self._executor is not None or self.backend == "inline":
+        if self._executor is not None:
             return
-        if self.backend == "process":
-            plan = active_fault_plan()
-            payload = pickle.dumps(
-                (self.workload, self.collected, self.storage_bound,
-                 self.tracing, self.policy,
-                 plan.to_spec() if plan.enabled else None))
-            try:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_init_worker, initargs=(payload,))
-                return
-            except (OSError, ValueError, pickle.PicklingError):
-                self.backend = "thread"  # e.g. no /dev/shm semaphores
-        self._executor = ThreadPoolExecutor(max_workers=self.jobs)
+        plan = active_fault_plan()
+        payload = pickle.dumps(
+            (self.workload, self.collected, self.storage_bound,
+             self.tracing, self.policy,
+             plan.to_spec() if plan.enabled else None))
+        try:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=_init_worker, initargs=(payload,))
+        except (OSError, ValueError, pickle.PicklingError):
+            self.backend = "inline"  # e.g. no /dev/shm semaphores
 
-    def _thread_task(self, task: EvaluationTask) -> WorkerOutput:
-        # A fresh evaluator per task: nothing mutable is shared between
-        # concurrently running thread tasks.
-        from .evaluator import MappingEvaluator
-
-        evaluator = MappingEvaluator(
-            self.workload, self.collected, self.storage_bound,
-            use_cache=False, jobs=1, tracer=NULL_TRACER, policy=self.policy)
-        return run_task(evaluator, task, self.tracing)
-
-    def _serial_task(self, task: EvaluationTask) -> WorkerOutput:
-        return self._thread_task(task)
+    def _inline_task(self, task: EvaluationTask) -> WorkerOutput:
+        # One evaluator for every inline task, built on first need —
+        # the in-process equivalent of a single pool worker.
+        if self._inline_evaluator is None:
+            self._inline_evaluator = _task_evaluator(
+                self.workload, self.collected, self.storage_bound,
+                self.policy)
+        return run_task(self._inline_evaluator, task, self.tracing)
 
     # ------------------------------------------------------------------
     def run(self, tasks: list[EvaluationTask]) -> list[WorkerOutput]:
         """Evaluate all tasks; outputs are in submission order.
 
         Broken infrastructure (a worker killed by the OS, a pickling
-        failure, an injected submission fault) degrades one backend
+        failure, an injected submission fault) degrades to the inline
         tier and finishes the batch in-process — the batch always
         completes. A per-evaluation deadline (``policy.timeout``)
         abandons a hung evaluation: that candidate comes back as
         infeasible-by-fault (``fault="timeout"``, never cached, never
         re-run in the main process — it might hang it too) and the
-        pool degrades away from the backend that hung. Evaluation-level
-        exceptions (e.g. :class:`~repro.errors.CheckError`) propagate:
-        they signal bugs, not infrastructure failures.
+        pool degrades away from the process tier that hung.
+        Evaluation-level exceptions (e.g.
+        :class:`~repro.errors.CheckError`) propagate: they signal bugs,
+        not infrastructure failures.
         """
-        if self.backend == "inline":
-            return [self._serial_task(task) for task in tasks]
-        try:
-            active_fault_plan().maybe_raise("pool.submit")
-            self._ensure_executor()
-            assert self._executor is not None
-            if self.backend == "thread":
-                futures = [self._executor.submit(self._thread_task, task)
-                           for task in tasks]
-            else:
-                futures = [self._executor.submit(_pool_task, task)
-                           for task in tasks]
-        except _INFRA_ERRORS:
-            self._degrade("submit")
-            return [self._serial_task(task) for task in tasks]
+        futures: list[Future] = []
+        if self.backend == "process":
+            try:
+                active_fault_plan().maybe_raise("pool.submit")
+                self._ensure_executor()
+                if self._executor is not None:
+                    futures = [self._executor.submit(_pool_task, task)
+                               for task in tasks]
+            except _INFRA_ERRORS:
+                self._degrade("submit")
         outputs: list[WorkerOutput] = []
-        degraded = False
-        for index, future in enumerate(futures):
-            if degraded:
-                outputs.append(self._serial_task(tasks[index]))
+        for index, task in enumerate(tasks):
+            if self.backend == "inline":
+                outputs.append(self._inline_task(task))
                 continue
             try:
-                outputs.append(future.result(timeout=self.policy.timeout))
+                outputs.append(
+                    futures[index].result(timeout=self.policy.timeout))
             except FuturesTimeout:
                 # Abandon the hung evaluation; the candidate degrades
                 # to infeasible-by-fault and the search continues.
@@ -297,13 +290,11 @@ class EvaluationPool:
                 self.counters.faulted_evaluations += 1
                 self.tracer.metrics("pool").incr("timeouts")
                 self.tracer.event("evaluation_timeout", index=index)
-                degraded = True
                 self._degrade("timeout")
                 outputs.append(WorkerOutput(result=None, fault="timeout"))
             except _INFRA_ERRORS:
-                degraded = True
                 self._degrade("worker")
-                outputs.append(self._serial_task(tasks[index]))
+                outputs.append(self._inline_task(task))
         return outputs
 
     def _degrade(self, reason: str) -> None:
@@ -311,12 +302,11 @@ class EvaluationPool:
         if executor is not None:
             # wait=False: a hung worker must not hang the shutdown too.
             executor.shutdown(wait=False, cancel_futures=True)
-        previous = self.backend
-        self.backend = "thread" if previous == "process" else "inline"
+        self.backend = "inline"
         self.counters.pool_degradations += 1
         self.tracer.metrics("pool").incr(f"degradations.{reason}")
         self.tracer.event("pool_degraded", reason=reason,
-                          backend=previous, fallback=self.backend)
+                          backend="process", fallback="inline")
 
     def close(self) -> None:
         executor, self._executor = self._executor, None

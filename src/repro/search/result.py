@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..mapping import MappedSchema, Mapping
 from ..obs import Span
@@ -39,26 +39,15 @@ class SearchCounters:
     #: Pooled evaluations abandoned by the per-evaluation deadline.
     timeouts: int = 0
     #: Times the evaluation pool degraded a backend tier
-    #: (process -> thread -> in-process).
+    #: (process -> in-process).
     pool_degradations: int = 0
     checkpoints_written: int = 0
     wall_time: float = 0.0
 
     def merge(self, other: "SearchCounters") -> None:
-        self.transformations_searched += other.transformations_searched
-        self.mappings_evaluated += other.mappings_evaluated
-        self.cache_hits += other.cache_hits
-        self.cache_hits_infeasible += other.cache_hits_infeasible
-        self.persistent_cache_hits += other.persistent_cache_hits
-        self.tuner_calls += other.tuner_calls
-        self.optimizer_calls += other.optimizer_calls
-        self.derived_query_costs += other.derived_query_costs
-        self.fault_retries += other.fault_retries
-        self.faulted_evaluations += other.faulted_evaluations
-        self.timeouts += other.timeouts
-        self.pool_degradations += other.pool_degradations
-        self.checkpoints_written += other.checkpoints_written
-        self.wall_time += other.wall_time
+        for counter in fields(self):
+            setattr(self, counter.name, getattr(self, counter.name)
+                    + getattr(other, counter.name))
 
 
 @dataclass
@@ -108,3 +97,22 @@ class Stopwatch:
     def __exit__(self, *exc):
         self.counters.wall_time += time.perf_counter() - self._start
         return False
+
+
+def timed_search(search, body) -> DesignResult:
+    """Run a search's ``body()`` under its stopwatch and root span.
+
+    The root span is named after ``search.algorithm``; once the search
+    is done it carries the round count and the estimated cost, and (with
+    an enabled tracer) becomes ``result.trace``.
+    """
+    tracer, workload = search.tracer, search.workload
+    with Stopwatch(search.counters):
+        with tracer.span(search.algorithm, workload=workload.name,
+                         queries=len(workload)) as span:
+            result = body()
+    if tracer.enabled:
+        span.set("rounds", result.rounds)
+        span.set("estimated_cost", result.estimated_cost)
+        result.trace = span
+    return result

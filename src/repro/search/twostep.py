@@ -20,18 +20,21 @@ from __future__ import annotations
 
 from ..engine import Index
 from ..errors import MappingError, SearchError, SQLError, TranslationError
-from ..mapping import (CollectedStats, Mapping, enumerate_transformations,
-                       hybrid_inlining)
+from ..mapping import (CollectedStats, Mapping, derive_schema,
+                       enumerate_transformations, hybrid_inlining)
 from ..obs import NullTracer, Tracer, get_tracer
 from ..resilience import note_suppressed
 from ..workload import Workload
 from ..xsd import SchemaTree
-from .evaluator import MappingEvaluator, build_stats_only_database
-from .result import DesignResult, SearchCounters, Stopwatch
+from .evaluator import (MappingEvaluator, build_stats_only_database,
+                        check_rewrite, translate_workload)
+from .result import DesignResult, SearchCounters, timed_search
 
 
 class TwoStepSearch:
     """Logical design first, physical design after."""
+
+    algorithm = "two-step"
 
     def __init__(self, tree: SchemaTree, workload: Workload,
                  collected: CollectedStats,
@@ -56,16 +59,7 @@ class TwoStepSearch:
 
     # ------------------------------------------------------------------
     def run(self) -> DesignResult:
-        with Stopwatch(self.counters):
-            with self.tracer.span("two-step",
-                                  workload=self.workload.name,
-                                  queries=len(self.workload)) as span:
-                result = self._run()
-        if self.tracer.enabled:
-            span.set("rounds", result.rounds)
-            span.set("estimated_cost", result.estimated_cost)
-            result.trace = span
-        return result
+        return timed_search(self, self._run)
 
     def _run(self) -> DesignResult:
         current_mapping = self.base_mapping
@@ -96,7 +90,11 @@ class TwoStepSearch:
                         best = (cost, str(transformation), mapping)
                 if best is None:
                     break
-                self._check_transform(best[1], current_mapping, best[2])
+                # Once per *applied* round (rounds are few), so
+                # re-deriving both schemas is cheap relative to the
+                # logical costing above.
+                check_rewrite(best[1], derive_schema(current_mapping),
+                              derive_schema(best[2]), self.tracer)
                 current_cost, name, current_mapping = best
                 applied.append(name)
             logical_span.set("rounds", rounds)
@@ -118,7 +116,7 @@ class TwoStepSearch:
         if final is None:
             raise SearchError("chosen logical mapping became infeasible")
         return DesignResult(
-            algorithm="two-step",
+            algorithm=self.algorithm,
             workload=self.workload,
             mapping=final.mapping,
             schema=final.schema,
@@ -131,26 +129,8 @@ class TwoStepSearch:
         )
 
     # ------------------------------------------------------------------
-    def _check_transform(self, name: str, before: Mapping,
-                         after: Mapping) -> None:
-        """Debug-mode assertion: the applied rewrite stayed lossless.
-
-        Runs once per *applied* round (rounds are few), so re-deriving
-        both schemas is cheap relative to the logical costing above.
-        """
-        from ..check import check_transform, checks_enabled, enforce
-        from ..mapping import derive_schema
-
-        if not checks_enabled():
-            return
-        enforce(check_transform(derive_schema(before), derive_schema(after),
-                                name),
-                self.tracer, context=f"transform:{name}")
-
     def _logical_cost(self, mapping: Mapping) -> float | None:
         """Optimizer cost under the default physical design only."""
-        from ..mapping import derive_schema
-
         self.counters.mappings_evaluated += 1
         try:
             schema = derive_schema(mapping)
@@ -166,8 +146,7 @@ class TwoStepSearch:
                     name=f"defix_pid_{table.name}", table_name=table.name,
                     key_columns=("PID",), hypothetical=True))
         try:
-            translator_queries = MappingEvaluator(
-                self.workload, self.collected).translate_workload(schema)
+            translator_queries = translate_workload(self.workload, schema)
         except TranslationError:
             return None
         total = 0.0

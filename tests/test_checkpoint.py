@@ -10,10 +10,13 @@ serial/parallel identity is proven in test_parallel.py, and
 ``scripts/resume_smoke.py`` covers the real-SIGKILL variant in CI.
 """
 
+import pickle
+
 import pytest
 
 from repro.errors import CheckpointError, InjectedFault
 from repro.experiments import DatasetBundle
+from repro.obs import Tracer
 from repro.resilience import NULL_PLAN, CheckpointStore, install_fault_plan
 from repro.search import GreedySearch, NaiveGreedySearch, mapping_digest
 
@@ -129,6 +132,35 @@ class TestCheckpointValidation:
         result = _greedy(problems["dblp"], checkpoint=tmp_path,
                          resume=True).run()
         assert _fingerprint(result) == _fingerprint(baselines["dblp"])
+
+
+    def test_old_layout_checkpoint_degrades_to_fresh_start(self, problems,
+                                                           baselines,
+                                                           tmp_path):
+        """A version-1 snapshot (``memo`` + ``partial_memo`` at the top
+        level, no ``evaluator`` entry) fails the version gate and loads
+        as "no checkpoint" — never a ``KeyError`` from the new codec."""
+        install_fault_plan("evaluate:1:fatal:0:3")
+        with pytest.raises(InjectedFault):
+            _greedy(problems["dblp"], checkpoint=tmp_path).run()
+        install_fault_plan(NULL_PLAN)
+        store = CheckpointStore(tmp_path)
+        state = pickle.loads(store.path.read_bytes())
+        evaluator_state = state.pop("evaluator")
+        state.update(version=1, memo=evaluator_state["memo"],
+                     partial_memo={},
+                     advisor_costs=evaluator_state["advisor_costs"])
+        store.path.write_bytes(pickle.dumps(state))
+
+        tracer = Tracer()
+        result = _greedy(problems["dblp"], checkpoint=tmp_path,
+                         resume=True, tracer=tracer).run()
+        assert tracer.metric_snapshot()["checkpoint"][
+            "version_mismatches"] == 1
+        assert "resumes" not in tracer.metric_snapshot()["checkpoint"]
+        assert _fingerprint(result) == _fingerprint(baselines["dblp"])
+        assert result.counters.mappings_evaluated == \
+            baselines["dblp"].counters.mappings_evaluated
 
 
 class TestCheckpointWriteFaults:

@@ -93,6 +93,41 @@ class TestParallelDeterminism:
         yield from tracer.events
 
 
+#: ``(mapping digest, applied, estimated_cost, mappings_evaluated,
+#: cache_hits, cache_hits_infeasible, tuner_calls, optimizer_calls,
+#: derived_query_costs)`` of the serial greedy search on the ``problems``
+#: fixture, as produced before the evaluator's two costing bodies and two
+#: memos were folded into one.
+_PINNED_SEARCHES = {
+    "dblp": ("87d177982c01",
+             ("type_split(#10 -> author_s10)",
+              "union_distribute(implicit #17,#23)",
+              "repetition_split(#9, k=3)", "repetition_split(#20, k=5)",
+              "repetition_merge(#20)"),
+             15.650063232812752, 11, 2, 0, 11, 309, 14),
+    "movie": ("82d19a8ade05",
+              ("union_distribute(choice #14)",
+               "union_distribute(implicit #5,#11)",
+               "repetition_split(#8, k=2)",
+               "union_factorize(implicit #5,#11)"),
+              6.968164966240575, 9, 2, 0, 9, 240, 12),
+}
+
+
+class TestPinnedSearch:
+    @pytest.mark.parametrize("dataset", ["dblp", "movie"])
+    def test_greedy_does_the_same_work(self, problems, dataset):
+        bundle, workload = problems[dataset]
+        result = GreedySearch(bundle.tree, workload, bundle.stats,
+                              bundle.storage_bound, jobs=1).run()
+        counters = result.counters
+        assert (mapping_digest(result.mapping), tuple(result.applied),
+                result.estimated_cost, counters.mappings_evaluated,
+                counters.cache_hits, counters.cache_hits_infeasible,
+                counters.tuner_calls, counters.optimizer_calls,
+                counters.derived_query_costs) == _PINNED_SEARCHES[dataset]
+
+
 # ----------------------------------------------------------------------
 # REPRO_PARALLEL resolution
 # ----------------------------------------------------------------------
@@ -252,6 +287,25 @@ class TestEvaluationCache:
         assert ev.evaluate(mapping) is not None
         assert ev.counters.persistent_cache_hits == 0
         assert ev.counters.mappings_evaluated == 1
+
+    def test_entry_file_names_are_pinned(self, problems, tmp_path):
+        """A cache directory written by an earlier version must stay
+        warm: the on-disk name of an exact and of a partial entry are
+        part of the format (``CACHE_VERSION`` did not change)."""
+        bundle, _ = problems["dblp"]
+        workload = Workload.from_strings("w", [
+            "/dblp/inproceedings/title", "/dblp/book/publisher"])
+        cache = EvaluationCache(tmp_path)
+        evaluator = MappingEvaluator(workload, bundle.stats,
+                                     bundle.storage_bound, cache=cache)
+        mapping = hybrid_inlining(bundle.tree)
+        full = evaluator.evaluate(mapping)
+        evaluator.evaluate_partial(
+            mapping, {0: full.tuning.reports[0].cost}, base=full)
+        assert [str(path.relative_to(tmp_path))
+                for path in cache.entries()] == [
+            "af4276b2ec92be0d/exact-bcefa41c5879.pkl",
+            "af4276b2ec92be0d/partial-bcefa41c5879-4d41e56cf757.pkl"]
 
     def test_warm_full_search_performs_zero_evaluations(self, problems,
                                                         tmp_path):

@@ -7,6 +7,7 @@ evaluation counters — identical to a fault-free run, at ``jobs=1`` and
 but never crash the search or poison a cache.
 """
 
+import dataclasses
 import threading
 
 import pytest
@@ -199,8 +200,7 @@ class TestRetryPolicy:
         attempts = 0
         while result is None and attempts < 20:
             attempts += 1
-            result, _ = chaotic._execute_uncached(
-                "exact", mapping, None, None)
+            result, _ = chaotic.evaluate_uncached(mapping)
         assert result is not None
         assert result.total_cost == clean_result.total_cost
         # Evaluations are counted once per logical evaluation, not per
@@ -274,6 +274,12 @@ def _distinct_variants(base, count):
     return variants
 
 
+def _pool_fallbacks(tracer):
+    """The ``fallback`` tier of every ``pool_degraded`` event, in order."""
+    return [event.attributes["fallback"] for event in tracer.events
+            if event.name == "pool_degraded"]
+
+
 class TestTimeoutDegradation:
     def test_hung_worker_times_out_and_pool_degrades(self, problem):
         bundle, workload = problem
@@ -282,8 +288,10 @@ class TestTimeoutDegradation:
         # workers, some worker must draw a second task.
         install_fault_plan(FaultPlan(
             [FaultRule("evaluate", 1.0, "hang", duration=3.0, after=1)]))
+        tracer = Tracer()
         evaluator = MappingEvaluator(
             workload, bundle.stats, bundle.storage_bound, jobs=2,
+            tracer=tracer,
             policy=RetryPolicy(max_attempts=1, backoff=0.0, timeout=0.75))
         try:
             variants = _distinct_variants(hybrid_inlining(bundle.tree), 3)
@@ -297,6 +305,19 @@ class TestTimeoutDegradation:
         assert counters.timeouts >= 1
         assert counters.pool_degradations >= 1
         assert counters.faulted_evaluations >= 1
+        # The ladder has one step: the first deadline lands the pool on
+        # the inline tier, which has no deadline — so exactly one
+        # candidate was abandoned and the rest finished in-process.
+        assert _pool_fallbacks(tracer) == ["inline"]
+        assert counters.timeouts == 1
+        assert counters.pool_degradations == 1
+        assert counters.faulted_evaluations == 1
+        # The abandoned candidate comes back ``None`` and is not cached
+        # (nor re-run in the main process); the others are.
+        assert results.count(None) == 1
+        install_fault_plan(NULL_PLAN)
+        for variant, result in zip(variants, results):
+            assert evaluator.cached(variant) is result
 
     def test_timed_out_candidate_is_not_cached(self, problem):
         bundle, workload = problem
@@ -314,6 +335,40 @@ class TestTimeoutDegradation:
                 evaluator.cached(other) is None
         finally:
             evaluator.close()
+
+
+class TestBrokenPool:
+    def test_submit_fault_finishes_the_batch_inline(self, problem):
+        """docs/resilience.md, "broken process pool": an injected
+        ``pool.submit`` fault degrades the pool once and the batch is
+        costed in-process, with the serial run's results and counters."""
+        bundle, workload = problem
+        variants = _distinct_variants(hybrid_inlining(bundle.tree), 3)
+        serial = MappingEvaluator(workload, bundle.stats,
+                                  bundle.storage_bound, jobs=1)
+        expected = serial.evaluate_many(variants)
+
+        install_fault_plan(FaultPlan([FaultRule("pool.submit", 1.0)]))
+        tracer = Tracer()
+        evaluator = MappingEvaluator(workload, bundle.stats,
+                                     bundle.storage_bound, jobs=2,
+                                     tracer=tracer)
+        try:
+            results = evaluator.evaluate_many(variants)
+            assert [r.total_cost for r in results] == \
+                [r.total_cost for r in expected]
+            assert [r.tuning.configuration.describe() for r in results] == \
+                [r.tuning.configuration.describe() for r in expected]
+            assert evaluator.counters == dataclasses.replace(
+                serial.counters, pool_degradations=1)
+            # The pool stays on the inline tier: a later batch neither
+            # consults ``pool.submit`` nor degrades again.
+            later = _distinct_variants(hybrid_inlining(bundle.tree), 5)[3:]
+            assert None not in evaluator.evaluate_many(later)
+        finally:
+            evaluator.close()
+        assert _pool_fallbacks(tracer) == ["inline"]
+        assert evaluator.counters.pool_degradations == 1
 
 
 # ----------------------------------------------------------------------

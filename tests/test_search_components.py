@@ -71,6 +71,22 @@ class TestEvaluator:
         assert partial is not None
         assert partial.total_cost == pytest.approx(full.total_cost, rel=0.25)
 
+    def test_partial_with_nothing_reused_is_the_exact_evaluation(
+            self, dblp_bundle):
+        """One memo: ``evaluate_partial(m, {})`` asks for exactly what
+        ``evaluate(m)`` already answered, so it is a memo hit on the
+        same object rather than a second costing."""
+        tree, stats = dblp_bundle
+        wl = Workload.from_strings("w", [
+            "/dblp/inproceedings/title", "/dblp/book/publisher"])
+        evaluator = MappingEvaluator(wl, stats)
+        mapping = hybrid_inlining(tree)
+        full = evaluator.evaluate(mapping)
+        assert evaluator.evaluate_partial(mapping, {}) is full
+        assert evaluator.evaluate_partial(mapping, {}, base=full) is full
+        assert evaluator.counters.mappings_evaluated == 1
+        assert evaluator.counters.cache_hits == 2
+
     def test_partial_reports_align_with_full_workload(self, dblp_bundle):
         """Regression: partial evaluation used to return a report list
         covering only the re-tuned queries, while every consumer
