@@ -26,8 +26,7 @@ from pathlib import Path
 
 from repro.backends import backend_factory, duckdb_available
 from repro.backends.compare import compare_loaded
-from repro.datasets import (dblp_schema, generate_dblp, generate_movies,
-                            movie_schema)
+from repro.datasets import named_dataset
 from repro.mapping import collect_statistics, derive_schema, hybrid_inlining
 from repro.physdesign import Configuration
 from repro.translate import Translator
@@ -45,10 +44,7 @@ def _available_backends() -> list[str]:
 
 
 def _design(dataset: str, scale: int, queries: int):
-    if dataset == "dblp":
-        tree, docs = dblp_schema(), generate_dblp(scale, seed=SEED)
-    else:
-        tree, docs = movie_schema(), generate_movies(scale, seed=SEED)
+    tree, docs = named_dataset(dataset, scale, SEED)
     schema = derive_schema(hybrid_inlining(tree))
     stats = collect_statistics(tree, docs)
     workload = WorkloadGenerator(tree, stats, seed=3).generate(queries)

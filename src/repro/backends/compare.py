@@ -39,6 +39,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from ..datasets import named_dataset
 from ..mapping import (MappedSchema, collect_statistics, derive_schema,
                        fully_split, hybrid_inlining, shared_inlining)
 from ..obs import NullTracer, Tracer, get_tracer
@@ -430,21 +431,6 @@ def compare_loaded(a: SQLBackend, b: SQLBackend, queries: list[Query], *,
     return report
 
 
-def _dataset_bundle(dataset: str, scale: int, seed: int):
-    from ..datasets import (dblp_schema, generate_dblp, generate_movies,
-                            movie_schema)
-    if dataset == "dblp":
-        tree = dblp_schema()
-        docs = generate_dblp(scale, seed=seed)
-    elif dataset == "movie":
-        tree = movie_schema()
-        docs = generate_movies(scale, seed=seed)
-    else:
-        raise ValueError(f"unknown dataset {dataset!r} "
-                         f"(known: dblp, movie)")
-    return tree, docs
-
-
 def _design_for(design: str, tree, docs, workload_size: int,
                 workload_seed: int, storage_bound: int):
     """(schema, configuration, translated queries) for one design."""
@@ -492,7 +478,7 @@ def compare_datasets(dataset: str = "dblp", design: str = "hybrid",
     same documents, apply the same configuration, and run every
     comparator check.
     """
-    tree, docs = _dataset_bundle(dataset, scale, seed)
+    tree, docs = named_dataset(dataset, scale, seed)
     schema, configuration, queries = _design_for(
         design, tree, docs, workload_size, workload_seed, storage_bound)
     factory_a, factory_b = backend_factory(backend_a), \

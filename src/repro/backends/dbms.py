@@ -201,9 +201,6 @@ class RelationalBackend:
         """Normalize driver-specific fetched values (e.g. Decimal)."""
         return rows
 
-    def _timed_runs(self, run, repeat: int, warmup: int) -> QueryTiming:
-        return timed_runs(run, repeat=repeat, warmup=warmup)
-
     # -- catalog introspection (the comparator's raw material) ---------
     def _table_on_disk(self, name: str) -> bool:
         raise NotImplementedError
@@ -643,7 +640,7 @@ class RelationalBackend:
         with self._timing_lock:
             with self.tracer.span("backend.query", backend=self.name,
                                   timed=True) as span:
-                timing = self._timed_runs(
+                timing = timed_runs(
                     lambda: connection.execute(sql).fetchall(),
                     repeat=repeat, warmup=warmup)
                 span.set("seconds", timing.seconds)

@@ -36,7 +36,6 @@ import sqlite3
 
 from ..obs import NullTracer, Tracer
 from ..resilience import active_fault_plan
-from .base import timed_runs
 from .dbms import (DEFAULT_LOAD_BATCH, DEFAULT_TXN_ROWS, MANIFEST_TABLE,
                    BackendBusyError, BackendError, LoadManifest,
                    RelationalBackend)
@@ -110,11 +109,6 @@ class SQLiteBackend(RelationalBackend):
             return False
         message = str(exc).lower()
         return "locked" in message or "busy" in message
-
-    def _timed_runs(self, run, repeat: int, warmup: int):
-        # Resolved through this module's namespace so tests can
-        # monkeypatch ``repro.backends.sqlite.timed_runs``.
-        return timed_runs(run, repeat=repeat, warmup=warmup)
 
     # ------------------------------------------------------------------
     # Catalog introspection

@@ -114,16 +114,10 @@ def cmd_validate(args, out=None) -> int:
 def _shred_dataset(args, out) -> int:
     """Stream-shred a bundled dataset at scale: per-table row counts
     (and optional CSV dumps) with memory bounded by the batch size."""
-    from .datasets import (dblp_schema, generate_dblp, generate_movies,
-                           movie_schema)
+    from .datasets import named_dataset
     from .mapping import shred_typed_batches
-    if args.dataset == "dblp":
-        tree = dblp_schema()
-        docs = generate_dblp(args.scale, seed=args.seed, stream=args.stream)
-    else:
-        tree = movie_schema()
-        docs = generate_movies(args.scale, seed=args.seed,
-                               stream=args.stream)
+    tree, docs = named_dataset(args.dataset, args.scale, args.seed,
+                               args.stream)
     schema = derive_schema(MAPPINGS[args.mapping](tree))
     print("relational schema:", file=out)
     print(schema.describe(), file=out)
@@ -374,9 +368,8 @@ def cmd_check(args, out=None) -> int:
         return _cmd_check_code(args, out)
     if args.dataset:
         from .experiments import DatasetBundle
-        bundle = (DatasetBundle.dblp(scale=args.scale, seed=args.seed)
-                  if args.dataset == "dblp"
-                  else DatasetBundle.movie(scale=args.scale, seed=args.seed))
+        bundle = DatasetBundle.named(args.dataset, scale=args.scale,
+                                     seed=args.seed)
         tree, stats = bundle.tree, bundle.stats
         workload = bundle.workload_generator(seed=args.seed).generate(
             args.queries)
@@ -475,10 +468,9 @@ def _serve_bundle(args, out):
     """
     if args.dataset:
         from .experiments import DatasetBundle
-        make = (DatasetBundle.dblp if args.dataset == "dblp"
-                else DatasetBundle.movie)
-        bundle = make(scale=args.scale, seed=args.seed,
-                      stream=getattr(args, "stream", False))
+        bundle = DatasetBundle.named(args.dataset, scale=args.scale,
+                                     seed=args.seed,
+                                     stream=getattr(args, "stream", False))
         tree, docs, stats = bundle.tree, bundle.docs, bundle.stats
         workload = bundle.workload_generator(seed=args.seed).generate(
             args.queries)
@@ -634,7 +626,7 @@ def cmd_loadgen(args, out=None) -> int:
             print(f"wrote HTML report to {path}", file=out)
         if args.json:
             payload = report.to_dict()
-            payload["plan_cache"] = service.plan_cache.stats()
+            payload["plan_cache"] = service_stats.plan_cache
             payload["resilience"] = {
                 "shed": service_stats.shed,
                 "retries": service_stats.retries,
@@ -645,12 +637,11 @@ def cmd_loadgen(args, out=None) -> int:
                                        encoding="utf-8")
             print(f"wrote JSON summary to {args.json}", file=out)
         if args.smoke:
-            cache_stats = service.plan_cache.stats()
             if report.qps <= 0:
                 failures.append("QPS is zero")
             if report.errors:
                 failures.append(f"{report.errors} errored requests")
-            if cache_stats["hits"] <= 0:
+            if service_stats.plan_cache["hits"] <= 0:
                 failures.append("plan cache never hit")
         total = max(len(report.records), 1)
         if args.max_shed_rate is not None and \
@@ -689,7 +680,7 @@ def _verify_against_engine(service, schema, docs, mix, out) -> int:
     mismatches = 0
     for query in mix.queries:
         served = service.serve(query)
-        plan = service.plan_cache.get_or_translate(query)
+        plan, _ = service.plan_cache.get_or_translate(query)
         missing, extra = multiset_diff(engine.execute(plan.sql),
                                        served.rows)
         if missing or extra:
@@ -708,12 +699,10 @@ def cmd_calibrate(args, out=None) -> int:
     from .experiments import DatasetBundle
     storage_bound = (args.storage_bound_mb * 1024 * 1024
                      if args.storage_bound_mb else None)
-    make_bundle = (DatasetBundle.dblp if args.dataset == "dblp"
-                   else DatasetBundle.movie)
     kwargs = {"scale": args.scale, "seed": args.seed}
     if storage_bound:
         kwargs["storage_bound"] = storage_bound
-    bundle = make_bundle(**kwargs)
+    bundle = DatasetBundle.named(args.dataset, **kwargs)
     workload = bundle.workload_generator(seed=args.seed).generate(
         args.queries)
     report = run_calibration(bundle, workload,

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..datasets import (dblp_schema, generate_dblp, generate_movies,
-                        movie_schema)
+from ..datasets import DATASETS, named_dataset
 from ..engine import Database
 from ..mapping import (CollectedStats, MappedSchema, Mapping,
                        collect_statistics, derive_schema, hybrid_inlining,
@@ -37,22 +36,21 @@ class DatasetBundle:
     storage_bound: int = DEFAULT_STORAGE_BOUND
 
     @classmethod
-    def dblp(cls, scale: int = 1500, seed: int = 7,
-             storage_bound: int = DEFAULT_STORAGE_BOUND,
-             stream: bool = False) -> "DatasetBundle":
-        tree = dblp_schema()
-        docs = generate_dblp(scale, seed=seed, stream=stream)
-        return cls("DBLP", tree, docs, collect_statistics(tree, docs),
-                   storage_bound)
-
-    @classmethod
-    def movie(cls, scale: int = 1500, seed: int = 7,
+    def named(cls, name: str, scale: int = 1500, seed: int = 7,
               storage_bound: int = DEFAULT_STORAGE_BOUND,
               stream: bool = False) -> "DatasetBundle":
-        tree = movie_schema()
-        docs = generate_movies(scale, seed=seed, stream=stream)
-        return cls("Movie", tree, docs, collect_statistics(tree, docs),
-                   storage_bound)
+        """The bundled dataset ``name`` (``"dblp"`` or ``"movie"``)."""
+        tree, docs = named_dataset(name, scale, seed, stream)
+        return cls(DATASETS[name][0], tree, docs,
+                   collect_statistics(tree, docs), storage_bound)
+
+    @classmethod
+    def dblp(cls, **kwargs) -> "DatasetBundle":
+        return cls.named("dblp", **kwargs)
+
+    @classmethod
+    def movie(cls, **kwargs) -> "DatasetBundle":
+        return cls.named("movie", **kwargs)
 
     def workload_generator(self, seed: int = 0) -> WorkloadGenerator:
         return WorkloadGenerator(self.tree, self.stats, seed=seed)

@@ -34,6 +34,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..obs import NullTracer, Tracer, get_tracer
 from ..workload import MixSampler, QueryMix
@@ -62,6 +63,21 @@ def _rows_digest(rows: list[tuple]) -> str:
     between chaos and fault-free runs."""
     text = "\n".join(repr(row) for row in rows)
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _complete(record: RequestRecord, since: float, outcome) -> None:
+    """Fill ``record`` from ``outcome()`` — the request's
+    :class:`ServeResult` or its raise — with latency from ``since``."""
+    try:
+        result = outcome()
+    except Exception as exc:  # noqa: BLE001 - a load test records,
+        record.error = f"{type(exc).__name__}: {exc}"  # never raises
+        return
+    record.seconds = time.perf_counter() - since
+    record.rows = len(result.rows)
+    record.cached_plan = result.cached_plan
+    record.digest = _rows_digest(result.rows)
+    record.retries = result.retries
 
 
 def _percentile(sorted_values: list[float], p: float) -> float:
@@ -296,19 +312,6 @@ class LoadGenerator:
                           wall_seconds=wall, records=schedule.records)
 
     # ------------------------------------------------------------------
-    def _serve_into(self, record: RequestRecord) -> None:
-        started = time.perf_counter()
-        try:
-            result = self.service.serve(record.xpath)
-        except Exception as exc:  # noqa: BLE001 - a load test records,
-            record.error = f"{type(exc).__name__}: {exc}"  # never raises
-            return
-        record.seconds = time.perf_counter() - started
-        record.rows = len(result.rows)
-        record.cached_plan = result.cached_plan
-        record.digest = _rows_digest(result.rows)
-        record.retries = result.retries
-
     def _run_closed(self, schedule: _Schedule) -> None:
         """``clients`` threads each issue the next scheduled request as
         soon as their previous one completes."""
@@ -317,7 +320,8 @@ class LoadGenerator:
                 record = schedule.claim()
                 if record is None:
                     return
-                self._serve_into(record)
+                _complete(record, time.perf_counter(),
+                          partial(self.service.serve, record.xpath))
 
         threads = [threading.Thread(target=client, name=f"loadgen-{i}")
                    for i in range(self.clients)]
@@ -329,23 +333,11 @@ class LoadGenerator:
     def _run_open(self, schedule: _Schedule, started: float) -> None:
         """Dispatch requests on the fixed arrival schedule; completions
         are recorded from done-callbacks the moment they happen, so a
-        long dispatch loop never inflates an early request's latency."""
+        long dispatch loop never inflates an early request's latency.
+        Latency runs from the scheduled arrival, not from the moment
+        the dispatcher got round to submitting: a dispatcher running
+        late is queueing the client sees (no coordinated omission)."""
         arrival_rng = random.Random(self.seed ^ 0x5DEECE66D)
-
-        def complete(record: RequestRecord, submitted: float,
-                     future) -> None:
-            done_at = time.perf_counter()
-            try:
-                result = future.result()
-            except Exception as exc:  # noqa: BLE001 - recorded, not raised
-                record.error = f"{type(exc).__name__}: {exc}"
-                return
-            record.seconds = done_at - submitted
-            record.rows = len(result.rows)
-            record.cached_plan = result.cached_plan
-            record.digest = _rows_digest(result.rows)
-            record.retries = result.retries
-
         futures = []
         due = 0.0
         while True:
@@ -359,14 +351,14 @@ class LoadGenerator:
             now = time.perf_counter() - started
             if due > now:
                 time.sleep(due - now)
-            submitted = time.perf_counter()
             try:
                 future = self.service.submit(record.xpath)
             except Exception as exc:  # noqa: BLE001
                 record.error = f"{type(exc).__name__}: {exc}"
                 continue
             future.add_done_callback(
-                lambda f, r=record, t=submitted: complete(r, t, f))
+                lambda f, r=record, t=started + due:
+                _complete(r, t, f.result))
             futures.append(future)
         for future in futures:
             future.exception()  # wait; errors were recorded by callbacks

@@ -14,8 +14,11 @@ input that can change the output. Here that is
 
 The cache is thread-safe (the service's pool workers hit it
 concurrently) and strictly LRU: ``capacity`` bounds the entry count and
-the least-recently-*used* entry is evicted, with hits, misses, and
-evictions counted on a ``repro.obs`` metric registry.
+the least-recently-*used* entry is evicted. ``hits``, ``misses`` and
+``evictions`` are kept once, as the cache's own integers updated under
+the lock the probe already holds; :meth:`PlanCache.get_or_translate`
+is the only probe and reports whether it hit, so a caller's "was this
+plan cached?" and those counters are one decision.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ __all__ = ["CachedPlan", "PlanCache"]
 
 @dataclass(frozen=True)
 class CachedPlan:
-    """One translated plan: the parsed query, its SQL AST, and the key."""
+    """One translated plan: the key, the canonical query text it
+    digests, and the SQL AST."""
 
     key: str
-    xpath: XPathQuery
+    xpath: str
     sql: Query
 
 
@@ -55,7 +59,6 @@ class PlanCache:
         self.schema = schema
         self.capacity = capacity
         self.tracer = tracer if tracer is not None else get_tracer()
-        self._metrics = self.tracer.metrics("serve.plan_cache")
         self._translator = Translator(schema)
         self._schema_digest = mapping_digest(schema.mapping)
         self._entries: OrderedDict[str, CachedPlan] = OrderedDict()
@@ -65,56 +68,52 @@ class PlanCache:
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    def key_for(self, query: XPathQuery) -> str:
-        """Digest of (mapping digest, canonical query text)."""
+    def key_for(self, query: XPathQuery | str) -> str:
+        """Digest of (mapping digest, canonical query text); ``query``
+        is a parsed query or its canonical text."""
         canonical = f"{self._schema_digest}|{query}"
         return hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:16]
 
-    def get_or_translate(self, query: XPathQuery | str) -> CachedPlan:
-        """The cached plan for ``query``, translating on a miss.
+    def get_or_translate(self, query: XPathQuery | str
+                         ) -> tuple[CachedPlan, bool]:
+        """``(plan, hit)`` for ``query``, translating on a miss.
 
-        Translation runs outside the lock — it is pure and can safely
-        race; the first finisher wins the slot and a duplicate
-        translation is dropped (counted as a miss either way).
+        ``hit`` is the same decision that bumps ``hits`` or ``misses``,
+        taken under one acquisition of the lock. Translation runs
+        outside the lock — it is pure and can safely race; the first
+        finisher wins the slot and a duplicate translation is dropped
+        (a miss either way).
         """
         if isinstance(query, str):
             query = parse_xpath(query)
-        key = self.key_for(query)
+        text = str(query)
+        key = self.key_for(text)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                self._metrics.incr("hits")
-                return entry
+                return entry, True
             self.misses += 1
-            self._metrics.incr("misses")
         with self.tracer.span("serve.translate", key=key):
             active_fault_plan().maybe_raise("serve.translate")
             sql = self._translator.translate(query)
-        entry = CachedPlan(key=key, xpath=query, sql=sql)
+        entry = CachedPlan(key=key, xpath=text, sql=sql)
         with self._lock:
             racer = self._entries.get(key)
             if racer is not None:
                 self._entries.move_to_end(key)
-                return racer
+                return racer, False
             self._entries[key] = entry
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-                self._metrics.incr("evictions")
-        return entry
+        return entry, False
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, query: XPathQuery | str) -> bool:
-        if isinstance(query, str):
-            query = parse_xpath(query)
-        with self._lock:
-            return self.key_for(query) in self._entries
 
     @property
     def hit_rate(self) -> float:

@@ -6,11 +6,20 @@ concrete: load a mapped schema's shredded data into a SQLite backend
 XPath queries from many concurrent clients. Per request it:
 
 1. resolves the XPath through the LRU :class:`~repro.serve.PlanCache`
-   (translation paid once per distinct query),
+   (translation paid once per distinct query) with **one** probe, whose
+   own hit/miss answer is the request's ``cached_plan``,
 2. executes the SQL on the worker thread's own SQLite connection (the
    backend opens one per thread — see ``repro.backends.sqlite``),
 3. records a ``serve.request`` span and a latency-histogram
    observation on the service's metric registry.
+
+Every count has one store. The ``serve.service``
+:class:`~repro.obs.MetricRegistry` (the tracer's, or a private one
+under the null tracer) holds ``errors``, ``requests_shed``,
+``request_retries``, ``request_timeouts``, ``breaker_fast_fails`` and
+the ``request_seconds`` histogram, whose count *is* the number of
+served requests; the plan cache holds its own hits/misses/evictions;
+:meth:`QueryService.stats` only reads them.
 
 The service owns a thread pool; :meth:`submit` is the asynchronous
 client API (returns a future), :meth:`serve` the synchronous one. Both
@@ -48,8 +57,7 @@ from dataclasses import dataclass, field
 from ..backends import RelationalBackend, backend_factory
 from ..errors import ReproError
 from ..mapping import MappedSchema
-from ..obs import (LatencyHistogram, NullMetricRegistry, NullTracer,
-                   Tracer, get_tracer)
+from ..obs import MetricRegistry, NullTracer, Tracer, get_tracer
 from ..physdesign import Configuration
 from ..resilience import (RETRYABLE_CATEGORIES, CircuitBreaker, RetryPolicy,
                           active_fault_plan, classify, note_suppressed)
@@ -178,13 +186,13 @@ class QueryService:
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be > 0 (None = no deadline)")
         self.tracer = tracer if tracer is not None else get_tracer()
-        self._metrics = self.tracer.metrics("serve.service")
-        # The latency histogram is service state, not optional
-        # telemetry — stats() and the HTML report read it even under
-        # the (default) null tracer, which discards observations.
-        self._latency = LatencyHistogram("request_seconds")
-        if not isinstance(self._metrics, NullMetricRegistry):
-            self._metrics.histograms["request_seconds"] = self._latency
+        # The counts are service state, not optional telemetry —
+        # stats() and the HTML report read them even under the
+        # (default) null tracer, whose registries discard increments.
+        self._metrics = (self.tracer.metrics("serve.service")
+                         if self.tracer.enabled
+                         else MetricRegistry("serve.service"))
+        self._latency = self._metrics.histogram("request_seconds")
         self.schema = schema
         self.configuration = configuration or Configuration()
         self.workers = workers
@@ -196,12 +204,6 @@ class QueryService:
                                     tracer=self.tracer)
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
-        self._requests = 0
-        self._errors = 0
-        self._retries = 0
-        self._timeouts = 0
-        self._shed = 0
-        self._count_lock = threading.Lock()
         # Admission state: ``_inflight`` counts requests admitted but
         # not yet finished (queued + executing). Guarded by its own
         # lock, which also serializes the submit-vs-close decision.
@@ -257,8 +259,6 @@ class QueryService:
             return
         elapsed = time.perf_counter() - enqueued
         if elapsed > self.deadline:
-            with self._count_lock:
-                self._timeouts += 1
             self._metrics.incr("request_timeouts")
             raise RequestTimeout(
                 f"request exceeded its {self.deadline:.3f}s deadline "
@@ -286,8 +286,6 @@ class QueryService:
                     raise
                 note_suppressed(exc, "serve.retry", self.tracer)
                 retries += 1
-                with self._count_lock:
-                    self._retries += 1
                 self._metrics.incr("request_retries")
                 time.sleep(self.retry_policy.backoff_for(attempt))
 
@@ -299,8 +297,8 @@ class QueryService:
             # the request before the backend is touched.
             active_fault_plan().maybe_raise("serve.request")
             self._check_deadline(request.enqueued)
-            was_cached = request.xpath in self.plan_cache
-            plan = self.plan_cache.get_or_translate(request.xpath)
+            plan, was_cached = self.plan_cache.get_or_translate(
+                request.xpath)
             rows, retries = self._execute_with_retry(plan, request.enqueued)
             seconds = time.perf_counter() - started
             span.set("plan_key", plan.key)
@@ -308,10 +306,7 @@ class QueryService:
             span.set("rows", len(rows))
             span.set("seconds", seconds)
         self._latency.observe(seconds)
-        self._metrics.incr("requests")
-        with self._count_lock:
-            self._requests += 1
-        return ServeResult(xpath=str(plan.xpath), rows=rows,
+        return ServeResult(xpath=plan.xpath, rows=rows,
                            seconds=seconds, plan_key=plan.key,
                            cached_plan=was_cached, retries=retries)
 
@@ -324,8 +319,6 @@ class QueryService:
             # accounting survives callers that drop their futures.
             note_suppressed(exc, "serve.request", self.tracer)
             self._metrics.incr("errors")
-            with self._count_lock:
-                self._errors += 1
             self.breaker.record(False, probe=request.probe)
             raise
         else:
@@ -355,8 +348,6 @@ class QueryService:
                     "circuit breaker is open; request fast-failed")
             if (self.max_queue is not None
                     and self._inflight >= self.workers + self.max_queue):
-                with self._count_lock:
-                    self._shed += 1
                 self._metrics.incr("requests_shed")
                 raise ServiceOverloaded(
                     f"admission queue is full ({self._inflight} in "
@@ -383,15 +374,16 @@ class QueryService:
         return self._latency
 
     def stats(self) -> ServiceStats:
-        with self._count_lock:
-            requests, errors = self._requests, self._errors
-            shed, retries = self._shed, self._retries
-            timeouts = self._timeouts
-        return ServiceStats(requests=requests, errors=errors,
-                            shed=shed, retries=retries, timeouts=timeouts,
+        count = self._metrics.get
+        latency = self._latency.snapshot()
+        return ServiceStats(requests=latency["count"],
+                            errors=count("errors"),
+                            shed=count("requests_shed"),
+                            retries=count("request_retries"),
+                            timeouts=count("request_timeouts"),
                             breaker=self.breaker.snapshot(),
                             plan_cache=self.plan_cache.stats(),
-                            latency=self._latency.snapshot())
+                            latency=latency)
 
     def close(self, drain: bool = True) -> None:
         """Stop the service: reject new requests, then shut down.

@@ -227,6 +227,55 @@ class TestDeadlinesAndRetries:
             service.close()
 
 
+    def test_traced_registry_and_stats_are_one_store(self, dblp_serving):
+        """Under a real tracer every count lives in the tracer's
+        ``serve.service`` registry and ``stats()`` reads it: after a
+        success, an error, a shed, retries and a deadline timeout the
+        two agree, and ``requests`` is the latency histogram's count."""
+        from repro.obs import Tracer
+        bundle, schema, _ = dblp_serving
+        tracer = Tracer()
+        service = QueryService(schema, bundle.docs, workers=1, max_queue=0,
+                               deadline=0.2, tracer=tracer,
+                               retry_policy=RetryPolicy(max_attempts=4,
+                                                        backoff=0.0))
+        try:
+            assert service.serve(QUERY).rows
+            with pytest.raises(Exception):
+                service.serve("//no_such_element/anywhere")
+            install_fault_plan("seed=8;backend.execute:0.3:transient")
+            retried = [service.serve(QUERY) for _ in range(20)]
+            install_fault_plan("serve.request:1:hang:0.5")
+            with pytest.raises(RequestTimeout):
+                service.serve(QUERY)
+            install_fault_plan(NULL_PLAN)
+            gate = threading.Event()
+            original = service.backend.execute
+
+            def gated(sql):
+                assert gate.wait(timeout=30)
+                return original(sql)
+
+            service.backend.execute = gated
+            admitted = service.submit(QUERY)
+            with pytest.raises(ServiceOverloaded):
+                service.submit(QUERY)
+            gate.set()
+            assert admitted.result(timeout=30).rows
+            stats = service.stats()
+            counters = tracer.metric_snapshot()["serve.service"]
+        finally:
+            service.close()
+        assert stats.errors == counters["errors"] == 2
+        assert stats.shed == counters["requests_shed"] == 1
+        assert stats.retries == counters["request_retries"] \
+            == sum(r.retries for r in retried) > 0
+        assert stats.timeouts == counters["request_timeouts"] == 1
+        assert stats.requests == counters["request_seconds.count"] == 22
+        assert "requests" not in counters  # derived, not kept twice
+        assert "serve.plan_cache" not in tracer.metric_snapshot()
+
+
 # ----------------------------------------------------------------------
 # Circuit breaker
 # ----------------------------------------------------------------------

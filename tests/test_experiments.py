@@ -42,6 +42,13 @@ class TestHarness:
         assert tiny_dblp.stats.total_elements > 0
         assert tiny_dblp.tree.root.name == "dblp"
 
+    def test_bundles_are_looked_up_by_name(self, tiny_movie):
+        named = DatasetBundle.named("movie", scale=250, seed=23)
+        assert named.name == tiny_movie.name == "Movie"
+        assert named.stats.total_elements == tiny_movie.stats.total_elements
+        with pytest.raises(ValueError, match="known: dblp, movie"):
+            DatasetBundle.named("imdb")
+
     def test_baseline_is_measurable(self, tiny_dblp):
         workload = tiny_dblp.workload_generator(seed=1).generate(3)
         baseline = tuned_hybrid_baseline(tiny_dblp, workload)

@@ -5,6 +5,7 @@ differential validation under load, and the serve/loadgen CLI."""
 import contextlib
 import io
 import json
+import sys
 import threading
 import time
 
@@ -183,8 +184,8 @@ class TestTimeQueryContract:
             parse_xpath("//inproceedings/title"))
         intervals = []
         lock = threading.Lock()
-        import repro.backends.sqlite as sqlite_module
-        real_timed_runs = sqlite_module.timed_runs
+        import repro.backends.dbms as dbms_module
+        real_timed_runs = dbms_module.timed_runs
 
         def slow_timed_runs(fn, repeat, warmup):
             start = time.perf_counter()
@@ -194,7 +195,7 @@ class TestTimeQueryContract:
                 intervals.append((start, time.perf_counter()))
             return timing
 
-        monkeypatch.setattr(sqlite_module, "timed_runs", slow_timed_runs)
+        monkeypatch.setattr(dbms_module, "timed_runs", slow_timed_runs)
         threads = [threading.Thread(
             target=backend.time_query, args=(query,)) for _ in range(4)]
         for thread in threads:
@@ -238,9 +239,10 @@ class TestPlanCache:
         schema, _, _ = dblp_serving
         cache = PlanCache(schema, capacity=8)
         text = "//inproceedings/title"
-        first = cache.get_or_translate(text)
-        second = cache.get_or_translate(parse_xpath(text))
+        first, first_hit = cache.get_or_translate(text)
+        second, second_hit = cache.get_or_translate(parse_xpath(text))
         assert first is second
+        assert (first_hit, second_hit) == (False, True)
         assert (cache.hits, cache.misses) == (1, 1)
         assert first.key == cache.key_for(parse_xpath(text))
 
@@ -248,10 +250,10 @@ class TestPlanCache:
         schema, backend, workload = dblp_serving
         queries = [str(w.query) for w in workload.queries[:3]]
         cache = PlanCache(schema, capacity=2)
-        plans = [cache.get_or_translate(q) for q in queries]
+        plans = [cache.get_or_translate(q)[0] for q in queries]
         assert len(cache) == 2 and cache.evictions == 1
-        assert queries[0] not in cache  # the least recently used one
-        again = cache.get_or_translate(queries[0])
+        again, hit = cache.get_or_translate(queries[0])
+        assert not hit  # the least recently used one was evicted
         assert cache.misses == 4  # re-translated after eviction
         assert again.sql == plans[0].sql  # translation is pure
 
@@ -271,7 +273,7 @@ class TestPlanCache:
 
         def translate() -> None:
             barrier.wait()
-            plan = cache.get_or_translate("//inproceedings/title")
+            plan, _ = cache.get_or_translate("//inproceedings/title")
             with lock:
                 plans.append(plan)
 
@@ -311,6 +313,81 @@ class TestQueryService:
             with pytest.raises(Exception):
                 service.serve("//no_such_element/anywhere")
             assert service.stats().errors == 1
+
+    def test_warm_request_probes_the_plan_cache_once(self, dblp_bundle,
+                                                     monkeypatch):
+        """One request on a warm cache: one parse, one canonical-text
+        rendering, one key digest, one acquisition of the cache lock —
+        and ``cached_plan`` comes out of that same probe."""
+        import repro.serve.plan_cache as plan_cache_module
+        from repro.xpath.ast import XPathQuery
+
+        class CountingLock:
+            def __init__(self, lock):
+                self.lock, self.acquired = lock, 0
+
+            def __enter__(self):
+                self.acquired += 1
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        calls = {"parse": 0, "render": 0, "digest": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        schema = derive_schema(hybrid_inlining(dblp_bundle.tree))
+        text = "//inproceedings/title"
+        with QueryService(schema, dblp_bundle.docs, workers=1) as service:
+            cold = service.serve(text)
+            monkeypatch.setattr(plan_cache_module, "parse_xpath", counted(
+                "parse", plan_cache_module.parse_xpath))
+            monkeypatch.setattr(XPathQuery, "__str__", counted(
+                "render", XPathQuery.__str__))
+            monkeypatch.setattr(plan_cache_module.hashlib, "sha1", counted(
+                "digest", plan_cache_module.hashlib.sha1))
+            lock = service.plan_cache._lock = CountingLock(
+                service.plan_cache._lock)
+            warm = service.serve(text)
+            monkeypatch.undo()
+        assert calls == {"parse": 1, "render": 1, "digest": 1}
+        assert lock.acquired == 1
+        assert warm.cached_plan and not cold.cached_plan
+        assert warm.xpath == cold.xpath == str(parse_xpath(text))
+
+    def test_cached_plan_agrees_with_the_cache_counters(self, dblp_bundle):
+        """Four workers thrashing a two-entry cache: every result's
+        ``cached_plan`` is the probe's own hit/miss decision, so the
+        results and the cache's counters can never disagree (two
+        separately locked probes could, whenever another worker
+        inserted or evicted in between)."""
+        schema = derive_schema(hybrid_inlining(dblp_bundle.tree))
+        workload = dblp_bundle.workload_generator(seed=SEED).generate(6)
+        queries = sorted({str(w.query) for w in workload.queries})
+        assert len(queries) >= 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryService(schema, dblp_bundle.docs, workers=4,
+                              plan_cache_size=2,
+                              max_queue=None) as service:
+                before = service.plan_cache.stats()
+                futures = [service.submit(queries[i % len(queries)])
+                           for i in range(2000)]
+                results = [f.result(timeout=60) for f in futures]
+                after = service.plan_cache.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        hits = after["hits"] - before["hits"]
+        misses = after["misses"] - before["misses"]
+        assert sum(r.cached_plan for r in results) == hits
+        assert len(results) == hits + misses
+        assert misses > len(queries)  # the cache really did thrash
 
     def test_file_backed_service_serves_read_only(self, dblp_bundle,
                                                   tmp_path):
@@ -421,6 +498,32 @@ class TestSeedDeterminism:
             assert report.sequence == closed.schedule(30)
             assert report.errors == 0
 
+    def test_open_loop_latency_runs_from_the_scheduled_arrival(
+            self, dblp_bundle):
+        """A dispatcher that falls behind its schedule is queueing the
+        client sees: with every submit costing 5 ms against 1 ms
+        arrival gaps, lateness accumulates and later requests must
+        report it (timing from the late submit instant hides it)."""
+        schema = derive_schema(hybrid_inlining(dblp_bundle.tree))
+        workload = dblp_bundle.workload_generator(seed=SEED).generate(4)
+        mix = zipf_mix(workload)
+        with QueryService(schema, dblp_bundle.docs, workers=2) as service:
+            submit = service.submit
+
+            def slow_submit(xpath):
+                time.sleep(0.005)
+                return submit(xpath)
+
+            service.submit = slow_submit
+            report = LoadGenerator(service, mix, seed=9, mode="open",
+                                   rate=1000.0).run(requests=40)
+        assert report.errors == 0
+        # ~4 ms of lateness per request: ~40 ms by request 10, ~150 ms
+        # by the end; the submit-stamped figure stays near 5 ms.
+        seconds = [r.seconds for r in report.records]
+        assert seconds[-1] > 0.08
+        assert min(seconds[20:]) > max(0.04, seconds[0])
+
     def test_standard_suite_seed_offset_reseeds(self, dblp_bundle):
         """Regression: seed_offset used to be dead — two generators must
         produce identical suites for one offset, distinct for another."""
@@ -467,7 +570,7 @@ class TestDifferentialUnderLoad:
             assert service.plan_cache.evictions > 0
             for query in mix.queries:
                 served = service.serve(query)
-                plan = service.plan_cache.get_or_translate(query)
+                plan, _ = service.plan_cache.get_or_translate(query)
                 missing, extra = multiset_diff(engine.execute(plan.sql),
                                                served.rows)
                 assert not missing and not extra, \
@@ -579,6 +682,23 @@ class TestServeCLI:
         assert payload["requests"] == 60 and payload["errors"] == 0
         assert payload["qps"] > 0
         assert payload["plan_cache"]["hits"] > 0
+
+    def test_verify_does_not_leak_into_the_smoke_gate(self, tmp_path):
+        """One request is one miss and no hit. ``--verify`` then serves
+        and re-probes every distinct query (guaranteed hits), which
+        must not reach the smoke check or the JSON's plan-cache
+        numbers."""
+        json_path = tmp_path / "run.json"
+        code, out = run_cli([
+            "loadgen", "--dataset", "dblp", "--scale", "60",
+            "--queries", "5", "--seed", "7", "--requests", "1",
+            "--clients", "1", "--smoke", "--verify",
+            "--json", str(json_path)])
+        assert code == 1
+        assert "plan cache never hit" in out and "smoke OK" not in out
+        payload = json.loads(json_path.read_text(encoding="utf-8"))
+        assert payload["plan_cache"]["hits"] == 0
+        assert payload["plan_cache"]["misses"] == 1
 
     def test_loadgen_cli_is_seed_deterministic(self):
         def digest() -> str:
