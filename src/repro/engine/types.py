@@ -45,13 +45,26 @@ class SQLType(enum.Enum):
         """Convert a string (shredded XML text) to the Python value."""
         if value is None:
             return None
-        if self == SQLType.INTEGER:
-            return int(str(value).strip())
-        if self == SQLType.DECIMAL:
-            return float(str(value).strip())
-        if self == SQLType.BOOLEAN:
-            return str(value).strip() in ("true", "1")
-        return str(value)
+        convert = self.text_coercer()
+        return str(value) if convert is None else convert(str(value))
+
+    def text_coercer(self):
+        """:meth:`coerce` for ``str`` input as a plain one-argument
+        callable, or ``None`` where the text is the value already — what
+        a loader binds once per column instead of asking per value."""
+        return _TEXT_COERCERS.get(self)
+
+
+def _text_to_boolean(text: str) -> bool:
+    return text.strip() in ("true", "1")
+
+
+# ``int`` and ``float`` skip surrounding white space themselves.
+_TEXT_COERCERS = {
+    SQLType.INTEGER: int,
+    SQLType.DECIMAL: float,
+    SQLType.BOOLEAN: _text_to_boolean,
+}
 
 
 # Storage model constants (textbook defaults).

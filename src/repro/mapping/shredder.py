@@ -20,9 +20,9 @@ path of open row contexts. Everything else is a view over that stream:
 * :meth:`Shredder.shred_iter` groups it into per-table batches of at
   most ``batch_size`` rows, so peak memory is bounded by the batch
   size, not the document size;
-* :func:`shred_typed_batches` applies column-type coercion per batch —
-  the shared typed streaming step — and :func:`shred_typed_rows` drains
-  it eagerly.
+* :func:`shred_typed_batches` is the same batching over *typed* rows —
+  each value coerced to its column's SQL type as it is written into its
+  row — and :func:`shred_typed_rows` drains it eagerly.
 
 Because eager and streaming forms consume the *same* generator, their
 rows (values, IDs, and per-table order) are identical by construction.
@@ -41,14 +41,13 @@ continuously across the documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator
 
 from ..errors import ShreddingError
 from ..xmlkit import Document, Element
-from ..xsd import NodeKind, SchemaNode, SchemaTree
-from .relschema import (BranchCondition, MappedSchema, PartitionSpec,
-                        PresenceCondition, TableGroup)
+from ..xsd import ElementPlan
+from .relschema import BranchCondition, MappedSchema, PresenceCondition
 
 #: Rows buffered per table before a streaming batch is emitted.
 DEFAULT_BATCH_SIZE = 5000
@@ -56,43 +55,106 @@ DEFAULT_BATCH_SIZE = 5000
 #: One emitted (table, row) pair.
 RowEvent = tuple[str, tuple]
 
-
-@dataclass
-class _DispatchEntry:
-    """How to handle one child tag inside a TAG node's content region."""
-
-    node: SchemaNode
-    optional_ids: frozenset[int]
-    choice_branch: tuple[int, int] | None  # (choice_id, branch_index)
-    kind: str  # 'annotated' | 'leaf' | 'split-leaf' | 'inline-complex'
-    column: str | None = None
-    split_columns: tuple[str, ...] = ()
-    overflow_annotation: str | None = None
-    overflow_value_column: str | None = None
-    # (attribute name, column) pairs for inlined leaf children whose
-    # attributes map into the owner's row.
-    attr_columns: tuple[tuple[str, str], ...] = ()
+# What a child element of a content region is to the row being filled.
+_ANNOTATED, _LEAF, _SPLIT_LEAF, _INLINE_COMPLEX = range(4)
 
 
-@dataclass
-class _RowContext:
-    """State accumulated while filling one owner row."""
+def _picker(slots: list[int], width: int):
+    """``values -> row`` keeping ``slots`` of a ``width``-slot value list."""
+    return tuple if slots == list(range(width)) else itemgetter(*slots)
 
-    element_id: int
-    values: dict[str, object] = field(default_factory=dict)
-    present_optionals: set[int] = field(default_factory=set)
-    choices: dict[int, int] = field(default_factory=dict)
-    split_counts: dict[int, int] = field(default_factory=dict)
-    filled_leaves: set[int] = field(default_factory=set)
+
+class _Owner:
+    """The flat shred plan of one annotated element.
+
+    A row of its table group is a list with one slot per group column,
+    filled by slot while the element's region is walked and — when
+    ``coerce`` holds the columns' coercers rather than ``None`` — typed
+    as it is written. ``partitions`` says which slots each horizontal
+    partition keeps.
+    """
+
+    __slots__ = ("name", "annotation", "typed", "width", "slot", "coerce",
+                 "partitions", "attrs", "value_slot", "region")
+
+    def __init__(self, shredder: "Shredder", plan: ElementPlan, typed: bool):
+        schema = shredder.schema
+        annotation = schema.mapping.annotation_of(plan.node_id)
+        if annotation is None:
+            raise ShreddingError(
+                f"internal error: node #{plan.node_id} is not annotated")
+        group = schema.group(annotation)
+        self.name = plan.node.name
+        self.annotation = annotation
+        self.typed = typed
+        self.width = len(group.columns)
+        self.slot = {c.name: i for i, c in enumerate(group.columns)}
+        self.coerce = [c.sql_type.text_coercer() if typed else None
+                       for c in group.columns]
+        #: (conditions, table name, values -> row) per partition.
+        self.partitions = [
+            (p.conditions, p.table_name,
+             _picker([self.slot[n] for n in p.column_names], self.width))
+            for p in group.partitions]
+        self.attrs = shredder._attribute_writes(plan, self)
+        #: The value column of an annotated leaf element; such an owner
+        #: has no region to fill.
+        self.value_slot = None
+        self.region = None
+        if plan.is_leaf:
+            self.value_slot = self.slot[
+                schema.storage_of(plan.node_id).value_column]
+        else:
+            self.region = shredder._region(plan, self)
+
+
+class _Entry:
+    """One child tag of a region: the tree's dispatch entry decorated
+    with what the mapping does with that child."""
+
+    __slots__ = ("kind", "plan", "owner", "optional_ids", "choice_branch",
+                 "slot", "coerce", "attrs", "column", "split_slots",
+                 "target", "region")
+
+    def __init__(self, kind: int, plan: ElementPlan, owner: _Owner,
+                 optional_ids, choice_branch):
+        self.kind = kind
+        self.plan = plan
+        self.owner = owner      # whose row this region fills
+        self.optional_ids = optional_ids
+        self.choice_branch = choice_branch
+        self.slot = self.coerce = self.column = None
+        self.attrs = self.split_slots = ()
+        #: The child's own ``_Owner`` (annotated; the overflow table of
+        #: a split leaf) or region (inlined complex). The first and the
+        #: last are compiled when the first such child is met.
+        self.target = self.region = None
+
+
+class _RowState:
+    """What routing and repetition split need to remember per row."""
+
+    __slots__ = ("present_optionals", "choices", "split_counts")
+
+    def __init__(self):
+        self.present_optionals: set[int] = set()
+        self.choices: dict[int, int] = {}
+        self.split_counts: dict[int, int] = {}
 
 
 class Shredder:
-    """Shreds documents according to one :class:`MappedSchema`."""
+    """Shreds documents according to one :class:`MappedSchema`.
+
+    The tree's :class:`~repro.xsd.ElementPlan` says how a region's
+    children are laid out; the shredder adds, once per annotated node,
+    where the mapping puts each of them (``_Owner``). The per-element
+    path is lookups in the two.
+    """
 
     def __init__(self, schema: MappedSchema):
         self.schema = schema
-        self.tree: SchemaTree = schema.tree
-        self._dispatch_cache: dict[int, dict[str, _DispatchEntry]] = {}
+        self.tree = schema.tree
+        self._owners: dict[tuple[int, bool], _Owner] = {}
         self._next_id = 1
 
     # ------------------------------------------------------------------
@@ -118,19 +180,7 @@ class Shredder:
         IDs restart at 1 unless ``continue_ids=True`` (see the module
         docstring for the contract).
         """
-        if not continue_ids:
-            self.reset_ids()
-        if isinstance(docs, (Document, Element)):
-            docs = [docs]
-        for doc in docs:
-            root = doc.root if isinstance(doc, Document) else doc
-            schema_root = self.tree.root
-            if root.tag != schema_root.name:
-                raise ShreddingError(
-                    f"document root <{root.tag}> does not match schema "
-                    f"root <{schema_root.name}>")
-            yield from self._shred_annotated(root, schema_root,
-                                             parent_id=None)
+        return self._events(docs, continue_ids, typed=False)
 
     def shred_iter(self, docs, batch_size: int = DEFAULT_BATCH_SIZE, *,
                    continue_ids: bool = False
@@ -142,11 +192,20 @@ class Shredder:
         table order at the end. Concatenating the batches per table
         reproduces :meth:`shred` exactly (same rows, same order).
         """
+        return self._batches(docs, batch_size, continue_ids, typed=False)
+
+    def reset_ids(self, start: int = 1) -> None:
+        """Restart ID numbering (``start`` seeds an append-load that must
+        continue above the IDs already stored — see SQLiteBackend.load)."""
+        self._next_id = start
+
+    # ------------------------------------------------------------------
+    def _batches(self, docs, batch_size: int, continue_ids: bool,
+                 typed: bool) -> Iterator[tuple[str, list[tuple]]]:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1 (got {batch_size})")
         buffers: dict[str, list[tuple]] = {}
-        for table_name, row in self.shred_rows(docs,
-                                               continue_ids=continue_ids):
+        for table_name, row in self._events(docs, continue_ids, typed):
             buffer = buffers.setdefault(table_name, [])
             buffer.append(row)
             if len(buffer) >= batch_size:
@@ -157,204 +216,215 @@ class Shredder:
             if buffer:
                 yield table_name, buffer
 
-    def reset_ids(self, start: int = 1) -> None:
-        """Restart ID numbering (``start`` seeds an append-load that must
-        continue above the IDs already stored — see SQLiteBackend.load)."""
-        self._next_id = start
+    def _events(self, docs, continue_ids: bool,
+                typed: bool) -> Iterator[RowEvent]:
+        """The one row stream; ``typed`` rows carry column-typed values
+        (what a backend loads), untyped rows the document's text."""
+        if not continue_ids:
+            self.reset_ids()
+        if isinstance(docs, (Document, Element)):
+            docs = [docs]
+        out: list[RowEvent] = []
+        for doc in docs:
+            root = doc.root if isinstance(doc, Document) else doc
+            schema_root = self.tree.root
+            if root.tag != schema_root.name:
+                raise ShreddingError(
+                    f"document root <{root.tag}> does not match schema "
+                    f"root <{schema_root.name}>")
+            owner = self._owner(schema_root.node_id, typed)
+            if owner.region is None:
+                self._shred_annotated(root, owner, None, out)
+            else:
+                values, state = self._open_row(root, owner, None), _RowState()
+                # Iterating the element itself (not .children) keeps a
+                # lazy root's child list unmaterialized, and emitting
+                # after every child keeps ``out`` one subtree long.
+                for child in root:
+                    self._fill_region((child,), owner.region, values, state,
+                                      out)
+                    yield from out
+                    out.clear()
+                out.append(self._route(owner, values, state))
+            yield from out
+            out.clear()
 
     # ------------------------------------------------------------------
-    def _new_id(self) -> int:
-        element_id = self._next_id
+    def _open_row(self, element: Element, owner: _Owner,
+                  parent_id: int | None) -> list:
+        values: list = [None] * owner.width
+        values[0] = self._next_id   # ID, PID lead every table group
+        values[1] = parent_id
         self._next_id += 1
-        return element_id
+        if owner.attrs and element.attributes:
+            self._write_attributes(element, owner.attrs, values)
+        return values
 
-    def _shred_annotated(self, element: Element, node: SchemaNode,
-                         parent_id: int | None) -> Iterator[RowEvent]:
-        group = self._group_of(node)
-        ctx = _RowContext(element_id=self._new_id())
-        ctx.values["ID"] = ctx.element_id
-        ctx.values["PID"] = parent_id
-        self._apply_attributes(element, node, ctx)
-        if self.tree.is_leaf_element(node):
-            storage = self.schema.storage_of(node.node_id)
-            assert storage.value_column is not None
-            ctx.values[storage.value_column] = element.text
+    def _shred_annotated(self, element: Element, owner: _Owner,
+                         parent_id: int | None, out: list) -> None:
+        values = self._open_row(element, owner, parent_id)
+        state = None    # a leaf's table is never partitioned
+        if owner.region is None:
+            coerce = owner.coerce[owner.value_slot]
+            text = element.text
+            values[owner.value_slot] = text if coerce is None else coerce(text)
         else:
-            yield from self._fill_region(element, node, ctx)
-        partition = self._route(group, ctx, node)
-        row = tuple(ctx.values.get(name) for name in partition.column_names)
-        yield partition.table_name, row
+            state = _RowState()
+            self._fill_region(element, owner.region, values, state, out)
+        out.append(self._route(owner, values, state))
 
-    def _group_of(self, node: SchemaNode) -> TableGroup:
-        annotation = self.schema.mapping.annotation_of(node.node_id)
-        if annotation is None:
-            raise ShreddingError(
-                f"internal error: node #{node.node_id} is not annotated")
-        return self.schema.group(annotation)
-
-    # ------------------------------------------------------------------
-    def _fill_region(self, element: Element, node: SchemaNode,
-                     ctx: _RowContext) -> Iterator[RowEvent]:
-        dispatch = self._dispatch_for(node)
-        # Iterating the element itself (not .children) keeps a lazy
-        # root's child list unmaterialized on the streaming path.
-        for child in element:
-            entry = dispatch.get(child.tag)
+    def _fill_region(self, children, region: dict[str, _Entry], values: list,
+                     state: _RowState, out: list) -> None:
+        for child in children:
+            entry = region.get(child.tag)
             if entry is None:
                 raise ShreddingError(
                     f"unexpected element <{child.tag}> under "
-                    f"<{element.tag}> for this mapping")
-            ctx.present_optionals |= entry.optional_ids
+                    f"<{child.parent.tag}> for this mapping")
+            if entry.optional_ids:
+                state.present_optionals |= entry.optional_ids
             if entry.choice_branch is not None:
                 choice_id, branch = entry.choice_branch
-                ctx.choices[choice_id] = branch
-            if entry.kind == "annotated":
-                yield from self._shred_annotated(child, entry.node,
-                                                 ctx.element_id)
-            elif entry.kind == "leaf":
-                if entry.node.node_id in ctx.filled_leaves:
+                state.choices[choice_id] = branch
+            kind = entry.kind
+            if kind == _LEAF:
+                slot = entry.slot
+                if values[slot] is not None:
                     raise ShreddingError(
                         f"leaf <{child.tag}> occurs more than once in one "
-                        f"<{element.tag}> instance but is mapped to the "
-                        f"single column {entry.column!r}; a repeated leaf "
-                        f"needs a repetition (split or outlined) in the "
-                        f"mapping")
-                ctx.filled_leaves.add(entry.node.node_id)
-                ctx.values[entry.column] = child.text
-                for attr_name, column in entry.attr_columns:
-                    if attr_name in child.attributes:
-                        ctx.values[column] = child.attributes[attr_name]
-            elif entry.kind == "split-leaf":
-                count = ctx.split_counts.get(entry.node.node_id, 0) + 1
-                ctx.split_counts[entry.node.node_id] = count
-                if count <= len(entry.split_columns):
-                    ctx.values[entry.split_columns[count - 1]] = child.text
+                        f"<{child.parent.tag}> instance but is mapped to "
+                        f"the single column {entry.column!r}; a repeated "
+                        f"leaf needs a repetition (split or outlined) in "
+                        f"the mapping")
+                coerce = entry.coerce
+                text = child.text
+                values[slot] = text if coerce is None else coerce(text)
+                if entry.attrs and child.attributes:
+                    self._write_attributes(child, entry.attrs, values)
+            elif kind == _ANNOTATED:
+                if entry.target is None:
+                    entry.target = self._owner(entry.plan.node_id,
+                                               entry.owner.typed)
+                self._shred_annotated(child, entry.target, values[0], out)
+            elif kind == _SPLIT_LEAF:
+                node_id = entry.plan.node_id
+                count = state.split_counts.get(node_id, 0)
+                state.split_counts[node_id] = count + 1
+                coerce = entry.coerce
+                text = child.text
+                value = text if coerce is None else coerce(text)
+                if count < len(entry.split_slots):
+                    values[entry.split_slots[count]] = value
                 else:
-                    overflow_group = self.schema.group(
-                        entry.overflow_annotation)
-                    partition = overflow_group.partitions[0]
-                    values = {"ID": self._new_id(), "PID": ctx.element_id,
-                              entry.overflow_value_column: child.text}
-                    yield partition.table_name, tuple(
-                        values.get(name) for name in partition.column_names)
-            elif entry.kind == "inline-complex":
-                self._apply_attributes(child, entry.node, ctx)
-                yield from self._fill_region(child, entry.node, ctx)
-        # Values are stored as text; column typing happens at load time.
-
-    def _apply_attributes(self, element: Element, node: SchemaNode,
-                          ctx: _RowContext) -> None:
-        """Write the element's attribute values into the current row."""
-        for attr in self.tree.attributes_of(node):
-            column = self.schema.column_of_leaf.get(attr.node_id)
-            if column is None:
-                continue
-            value = element.attributes.get(attr.name)
-            if value is not None:
-                ctx.values[column] = value
-
-    # ------------------------------------------------------------------
-    def _dispatch_for(self, node: SchemaNode) -> dict[str, _DispatchEntry]:
-        cached = self._dispatch_cache.get(node.node_id)
-        if cached is not None:
-            return cached
-        dispatch: dict[str, _DispatchEntry] = {}
-        annotation_map = self.schema.mapping.annotation_map
-        split_map = self.schema.mapping.split_map
-        tree = self.tree
-
-        def walk(current: SchemaNode, optional_ids: frozenset[int],
-                 choice_branch) -> None:
-            for child in tree.children(current):
-                if child.kind == NodeKind.SIMPLE:
-                    continue
-                if child.kind == NodeKind.TAG:
-                    self._add_entry(dispatch, child, optional_ids,
-                                    choice_branch, annotation_map)
-                elif child.kind == NodeKind.OPTION:
-                    walk(child, optional_ids | {child.node_id}, choice_branch)
-                elif child.kind == NodeKind.CHOICE:
-                    for index, branch in enumerate(tree.children(child)):
-                        if branch.kind == NodeKind.TAG:
-                            self._add_entry(dispatch, branch, optional_ids,
-                                            (child.node_id, index),
-                                            annotation_map)
-                        else:
-                            walk_branch(branch, optional_ids,
-                                        (child.node_id, index))
-                elif child.kind == NodeKind.SEQUENCE:
-                    walk(child, optional_ids, choice_branch)
-                elif child.kind == NodeKind.REPETITION:
-                    leaf = tree.children(child)[0]
-                    split = split_map.get(child.node_id)
-                    if split is not None and tree.is_leaf_element(leaf):
-                        storage = self.schema.storage_of(leaf.node_id)
-                        overflow = self.schema.group(storage.own_annotation)
-                        dispatch[leaf.name] = _DispatchEntry(
-                            node=leaf, optional_ids=optional_ids,
-                            choice_branch=choice_branch, kind="split-leaf",
-                            split_columns=storage.split_columns,
-                            overflow_annotation=storage.own_annotation,
-                            overflow_value_column=storage.value_column)
-                    else:
-                        # The repeated element is annotated.
-                        self._add_entry(dispatch, leaf, optional_ids,
-                                        choice_branch, annotation_map)
-
-        def walk_branch(current: SchemaNode, optional_ids, choice_branch):
-            walk(current, optional_ids, choice_branch)
-
-        walk(node, frozenset(), None)
-        self._dispatch_cache[node.node_id] = dispatch
-        return dispatch
-
-    def _add_entry(self, dispatch, child: SchemaNode,
-                   optional_ids: frozenset[int], choice_branch,
-                   annotation_map: dict[int, str]) -> None:
-        tree = self.tree
-        attr_columns: tuple[tuple[str, str], ...] = ()
-        if child.node_id in annotation_map:
-            kind, column = "annotated", None
-        elif tree.is_leaf_element(child):
-            kind = "leaf"
-            column = self.schema.column_of_leaf.get(child.node_id)
-            if column is None:
-                raise ShreddingError(
-                    f"leaf #{child.node_id} <{child.name}> has no column")
-            attr_columns = tuple(
-                (attr.name, self.schema.column_of_leaf[attr.node_id])
-                for attr in tree.attributes_of(child)
-                if attr.node_id in self.schema.column_of_leaf)
-        else:
-            kind, column = "inline-complex", None
-        if child.name in dispatch:
-            raise ShreddingError(
-                f"ambiguous element name <{child.name}> in one content "
-                f"region; not supported by the shredder")
-        dispatch[child.name] = _DispatchEntry(
-            node=child, optional_ids=optional_ids,
-            choice_branch=choice_branch, kind=kind, column=column,
-            attr_columns=attr_columns)
-
-    # ------------------------------------------------------------------
-    def _route(self, group: TableGroup, ctx: _RowContext,
-               node: SchemaNode) -> PartitionSpec:
-        if len(group.partitions) == 1:
-            return group.partitions[0]
-        for partition in group.partitions:
-            if all(self._condition_holds(c, ctx)
-                   for c in partition.conditions):
-                return partition
-        raise ShreddingError(
-            f"no partition of {group.annotation!r} matches instance "
-            f"#{ctx.element_id} of <{node.name}>")
+                    # Overflow: a row of the leaf's own table. Not
+                    # _shred_annotated — a split leaf's attributes have
+                    # never been stored, inline or in overflow.
+                    target = entry.target
+                    row: list = [None] * target.width
+                    row[0], row[1] = self._next_id, values[0]
+                    row[target.value_slot] = value
+                    self._next_id += 1
+                    out.append(self._route(target, row, None))
+            else:  # _INLINE_COMPLEX: the child's region fills this row too
+                if entry.attrs and child.attributes:
+                    self._write_attributes(child, entry.attrs, values)
+                if entry.region is None:
+                    entry.region = self._region(entry.plan, entry.owner)
+                self._fill_region(child, entry.region, values, state, out)
 
     @staticmethod
-    def _condition_holds(condition, ctx: _RowContext) -> bool:
+    def _write_attributes(element: Element, writes, values: list) -> None:
+        attributes = element.attributes
+        for name, slot, coerce in writes:
+            value = attributes.get(name)
+            if value is not None:
+                values[slot] = value if coerce is None else coerce(value)
+
+    # ------------------------------------------------------------------
+    # Compilation: once per annotated node, never per element
+    # ------------------------------------------------------------------
+    def _owner(self, node_id: int, typed: bool) -> _Owner:
+        owner = self._owners.get((node_id, typed))
+        if owner is None:
+            owner = self._owners[node_id, typed] = _Owner(
+                self, self.tree.plan(node_id), typed)
+        return owner
+
+    def _attribute_writes(self, plan: ElementPlan, owner: _Owner):
+        """(attribute name, slot, coercer) per attribute with a column."""
+        writes = []
+        for attribute in plan.attributes:
+            column = self.schema.column_of_leaf.get(attribute.node.node_id)
+            if column is not None:
+                slot = owner.slot[column]
+                writes.append((attribute.name, slot, owner.coerce[slot]))
+        return tuple(writes)
+
+    def _region(self, plan: ElementPlan, owner: _Owner) -> dict[str, _Entry]:
+        """``plan.entries`` decorated with the mapping's facts."""
+        schema = self.schema
+        annotation_map = schema.mapping.annotation_map
+        split_map = schema.mapping.split_map
+        region: dict[str, _Entry] = {}
+        for node, optional_ids, choice_branch, rep_id in plan.entries:
+            if rep_id is not None and node.parent_id != rep_id:
+                # Inside a repeated *group*: the mapper gives such
+                # elements no storage, so they stay undispatched.
+                continue
+            if node.name in region:
+                raise ShreddingError(
+                    f"ambiguous element name <{node.name}> in one content "
+                    f"region; not supported by the shredder")
+            child = self.tree.plan(node)
+            if rep_id in split_map and child.is_leaf:
+                storage = schema.storage_of(node.node_id)
+                entry = _Entry(_SPLIT_LEAF, child, owner, optional_ids,
+                               choice_branch)
+                entry.split_slots = tuple(owner.slot[c]
+                                          for c in storage.split_columns)
+                entry.target = self._owner(node.node_id, owner.typed)
+                entry.coerce = entry.target.coerce[entry.target.value_slot]
+            elif node.node_id in annotation_map:
+                entry = _Entry(_ANNOTATED, child, owner, optional_ids,
+                               choice_branch)
+            elif child.is_leaf:
+                entry = _Entry(_LEAF, child, owner, optional_ids,
+                               choice_branch)
+                entry.column = schema.column_of_leaf.get(node.node_id)
+                if entry.column is None:
+                    raise ShreddingError(
+                        f"leaf #{node.node_id} <{node.name}> has no column")
+                entry.slot = owner.slot[entry.column]
+                entry.coerce = owner.coerce[entry.slot]
+                entry.attrs = self._attribute_writes(child, owner)
+            else:
+                entry = _Entry(_INLINE_COMPLEX, child, owner, optional_ids,
+                               choice_branch)
+                entry.attrs = self._attribute_writes(child, owner)
+            region[node.name] = entry
+        return region
+
+    # ------------------------------------------------------------------
+    def _route(self, owner: _Owner, values: list,
+               state: _RowState | None) -> RowEvent:
+        partitions = owner.partitions
+        if len(partitions) == 1:
+            _, table_name, pick = partitions[0]
+            return table_name, pick(values)
+        for conditions, table_name, pick in partitions:
+            if all(self._condition_holds(c, state) for c in conditions):
+                return table_name, pick(values)
+        raise ShreddingError(
+            f"no partition of {owner.annotation!r} matches instance "
+            f"#{values[0]} of <{owner.name}>")
+
+    @staticmethod
+    def _condition_holds(condition, state: _RowState) -> bool:
         if isinstance(condition, BranchCondition):
-            return ctx.choices.get(condition.choice_id) == condition.branch_index
+            return (state.choices.get(condition.choice_id)
+                    == condition.branch_index)
         if isinstance(condition, PresenceCondition):
-            overlap = bool(ctx.present_optionals & condition.optional_ids)
+            overlap = bool(state.present_optionals & condition.optional_ids)
             return overlap == condition.present
         raise ShreddingError(f"unknown condition {condition!r}")
 
@@ -366,24 +436,16 @@ def shred_typed_batches(schema: MappedSchema, docs,
                         ) -> Iterator[tuple[str, list[tuple]]]:
     """Stream *typed* row batches per table with bounded memory.
 
-    The streaming twin of :func:`shred_typed_rows`: each batch of
-    shredded text rows has its column SQL-type coercions applied before
-    it is yielded, so any execution backend can load arbitrarily large
-    documents while holding at most ``batch_size`` rows per table.
-    Both functions share this code path, which is what keeps eager and
-    streaming loads byte-identical at the data layer.
+    The streaming twin of :func:`shred_typed_rows`: every value is
+    coerced to its column's SQL type as the shredder writes it into its
+    row, so any execution backend can load arbitrarily large documents
+    while holding at most ``batch_size`` rows per table. Both functions
+    share this code path, which is what keeps eager and streaming loads
+    byte-identical at the data layer.
     """
-    engine_tables = {t.name: t for t in schema.to_engine_tables()}
-    coercers = {name: [c.sql_type.coerce for c in table.columns]
-                for name, table in engine_tables.items()}
     if shredder is None:
         shredder = Shredder(schema)
-    for table_name, rows in shredder.shred_iter(docs, batch_size,
-                                                continue_ids=continue_ids):
-        coerce_row = coercers[table_name]
-        yield table_name, [
-            tuple(coerce(v) for coerce, v in zip(coerce_row, row))
-            for row in rows]
+    return shredder._batches(docs, batch_size, continue_ids, typed=True)
 
 
 def shred_typed_rows(schema: MappedSchema, docs) -> dict[str, list[tuple]]:

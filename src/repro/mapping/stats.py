@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from ..engine import ColumnStats, TableStats
 from ..errors import MappingError
 from ..xmlkit import Document, Element
-from ..xsd import NodeKind, SchemaNode, SchemaTree
+from ..xsd import BaseType, ElementPlan, NodeKind, SchemaTree
 from .relschema import (BranchCondition, MappedSchema, PresenceCondition)
 
 # Signature atoms: ("opt", option_id) and ("choice", choice_id, branch).
@@ -100,7 +100,6 @@ class _Collector:
         self.leaf_values: dict[int, list] = {}
         self.cardinality: dict[int, Counter] = {}
         self.joint: dict[int, Counter] = {}
-        self._region_reps: dict[int, list[int]] = {}
 
     def run(self, docs) -> CollectedStats:
         if isinstance(docs, (Document, Element)):
@@ -110,14 +109,14 @@ class _Collector:
             if root.tag != self.tree.root.name:
                 raise MappingError(
                     f"document root <{root.tag}> does not match schema")
-            self._visit_tag(root, self.tree.root, collectors_above=[])
+            self._visit_tag(root, self.tree.plan(self.tree.root),
+                            collectors_above=[])
         leaf_stats = {}
         for leaf_id, values in self.leaf_values.items():
             leaf = self.tree.node(leaf_id)
             base = self.tree.leaf_base_type(leaf)  # element or attribute
-            typed = [_coerce(base, v) for v in values]
             leaf_stats[leaf_id] = ColumnStats.from_values(
-                typed, is_string=(base.value == "string"))
+                _typed(base, values), is_string=(base.value == "string"))
         return CollectedStats(
             total_elements=self.total_elements,
             instance_counts=dict(self.instance_counts),
@@ -127,22 +126,25 @@ class _Collector:
         )
 
     # ------------------------------------------------------------------
-    def _visit_tag(self, element: Element, node: SchemaNode,
+    def _visit_tag(self, element: Element, plan: ElementPlan,
                    collectors_above: list[set]) -> None:
         self.total_elements += 1
-        self.instance_counts[node.node_id] += 1
-        for attr in self.tree.attributes_of(node):
+        self.instance_counts[plan.node_id] += 1
+        for attr in plan.attributes:
             value = element.attributes.get(attr.name)
             if value is not None:
-                self.instance_counts[attr.node_id] += 1
-                self.leaf_values.setdefault(attr.node_id, []).append(value)
-        if self.tree.is_leaf_element(node):
-            self.leaf_values.setdefault(node.node_id, []).append(element.text)
+                self.instance_counts[attr.node.node_id] += 1
+                self._record(attr.node.node_id, value)
+        if plan.is_leaf:
+            self._record(plan.node_id, element.text)
             return
         signature: set = set()
         collectors = collectors_above + [signature]
-        rep_counts: Counter = Counter()
-        dispatch = self._dispatch(node)
+        rep_counts: dict[int, int] = dict.fromkeys(plan.repetitions, 0)
+        # Where a region declares one name twice, the collector has
+        # always counted every such child under the last declaration.
+        dispatch = plan.last_dispatch
+        plan_of = self.tree.plan
         # Iterate the element itself (not .children) so a lazy root's
         # child list is streamed, never materialized.
         for child in element:
@@ -152,77 +154,47 @@ class _Collector:
                     f"unexpected element <{child.tag}> under "
                     f"<{element.tag}> while collecting statistics")
             child_node, optional_ids, choice_branch, rep_id = entry
-            for target in collectors:
-                for optional_id in optional_ids:
-                    target.add(("opt", optional_id))
-                if choice_branch is not None:
-                    target.add(("choice",) + choice_branch)
+            if optional_ids or choice_branch is not None:
+                for target in collectors:
+                    for optional_id in optional_ids:
+                        target.add(("opt", optional_id))
+                    if choice_branch is not None:
+                        target.add(("choice",) + choice_branch)
             if rep_id is not None:
                 rep_counts[rep_id] += 1
-                self._visit_tag(child, child_node, collectors_above=[])
+                self._visit_tag(child, plan_of(child_node),
+                                collectors_above=[])
             else:
-                self._visit_tag(child, child_node, collectors)
-        for rep_id in self._region_reps[node.node_id]:
-            self.cardinality.setdefault(rep_id, Counter())[
-                rep_counts.get(rep_id, 0)] += 1
-        self.joint.setdefault(node.node_id, Counter())[
-            frozenset(signature)] += 1
+                self._visit_tag(child, plan_of(child_node), collectors)
+        for rep_id, count in rep_counts.items():
+            histogram = self.cardinality.get(rep_id)
+            if histogram is None:
+                histogram = self.cardinality[rep_id] = Counter()
+            histogram[count] += 1
+        joint = self.joint.get(plan.node_id)
+        if joint is None:
+            joint = self.joint[plan.node_id] = Counter()
+        joint[frozenset(signature)] += 1
 
-    def _dispatch(self, node: SchemaNode):
-        """tag name -> (child TAG, crossed option ids, choice branch, rep)."""
-        cached = getattr(self, "_dispatch_cache", None)
-        if cached is None:
-            cached = self._dispatch_cache = {}
-        if node.node_id in cached:
-            return cached[node.node_id]
-        tree = self.tree
-        out: dict[str, tuple] = {}
-        reps: list[int] = []
-
-        def walk(current: SchemaNode, optional_ids: frozenset,
-                 choice_branch, rep_id: int | None) -> None:
-            for child in tree.children(current):
-                if child.kind == NodeKind.SIMPLE:
-                    continue
-                if child.kind == NodeKind.TAG:
-                    out[child.name] = (child, optional_ids, choice_branch,
-                                       rep_id)
-                elif child.kind == NodeKind.OPTION:
-                    walk(child, optional_ids | {child.node_id},
-                         choice_branch, rep_id)
-                elif child.kind == NodeKind.CHOICE:
-                    for index, branch in enumerate(tree.children(child)):
-                        if branch.kind == NodeKind.TAG:
-                            out[branch.name] = (branch, optional_ids,
-                                                (child.node_id, index), rep_id)
-                        else:
-                            walk_single(branch, optional_ids,
-                                        (child.node_id, index), rep_id)
-                elif child.kind == NodeKind.SEQUENCE:
-                    walk(child, optional_ids, choice_branch, rep_id)
-                elif child.kind == NodeKind.REPETITION:
-                    reps.append(child.node_id)
-                    walk(child, optional_ids, choice_branch, child.node_id)
-
-        def walk_single(current, optional_ids, choice_branch, rep_id):
-            walk(current, optional_ids, choice_branch, rep_id)
-
-        walk(node, frozenset(), None, None)
-        self._region_reps[node.node_id] = reps
-        cached[node.node_id] = out
-        return out
+    def _record(self, leaf_id: int, value: str) -> None:
+        values = self.leaf_values.get(leaf_id)
+        if values is None:
+            values = self.leaf_values[leaf_id] = []
+        values.append(value)
 
 
-def _coerce(base, value):
-    from ..xsd import BaseType
-    try:
-        if base == BaseType.INTEGER:
-            return int(str(value).strip())
-        if base == BaseType.DECIMAL:
-            return float(str(value).strip())
-    except ValueError:
-        return None
-    return value
+def _typed(base: BaseType, values: list[str]) -> list:
+    """Numeric leaves as numbers (``None`` where the text is not one)."""
+    convert = {BaseType.INTEGER: int, BaseType.DECIMAL: float}.get(base)
+    if convert is None:
+        return values
+    typed = []
+    for value in values:
+        try:
+            typed.append(convert(value))
+        except ValueError:
+            typed.append(None)
+    return typed
 
 
 def collect_statistics(tree: SchemaTree, docs) -> CollectedStats:

@@ -3,11 +3,12 @@
 from .dtd import parse_dtd
 from .nodes import UNBOUNDED, BaseType, NodeKind, SchemaNode
 from .parser import parse_xsd, parse_xsd_file
-from .tree import SchemaTree, TreeBuilder, walk_particles
+from .tree import ElementPlan, SchemaTree, TreeBuilder, walk_particles
 from .validate import Validator, validate
 
 __all__ = [
     "BaseType",
+    "ElementPlan",
     "NodeKind",
     "SchemaNode",
     "SchemaTree",

@@ -13,14 +13,161 @@ Structural conventions
 Any ``TAG`` node whose in-degree is not one in the paper's sense — the
 root, and any element under a ``REPETITION`` — *must* carry a table
 annotation in every mapping (they cannot be inlined into a parent row).
+
+The compiled plan
+-----------------
+
+Everything the validator, the statistics collector and the shredder
+need to know about one element depends on the tree alone, never on the
+data. :meth:`SchemaTree.plan` compiles it once per ``TAG`` node into an
+:class:`ElementPlan` — the only walk of a content region the three
+share — and their per-element path is lookups in that plan. The tree's
+structure cannot change after :meth:`TreeBuilder.build`, so the cache
+is never invalidated.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+import re
+from typing import Callable, Iterator, NamedTuple
 
 from ..errors import SchemaTreeError
 from .nodes import UNBOUNDED, BaseType, NodeKind, SchemaNode
+
+# Opcodes of a compiled content model (see ElementPlan.model).
+M_TAG, M_OPTION, M_CHOICE, M_SEQUENCE, M_REPETITION = range(5)
+_EMPTY_MODEL = (M_SEQUENCE, ())
+
+
+def _lexical(body: str):
+    """Full-match test for one base type's XSD lexical space (white
+    space around the value collapses)."""
+    return re.compile(rf"[ \t\n\r]*(?:{body})[ \t\n\r]*").fullmatch
+
+
+#: ``string`` has no entry: every text is one.
+_LEXICAL_CHECKS = {
+    BaseType.INTEGER: _lexical(r"[+-]?[0-9]+"),
+    BaseType.DECIMAL: _lexical(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"),
+    BaseType.BOOLEAN: _lexical(r"true|false|0|1"),
+    BaseType.DATE: _lexical(r"-?[0-9]{4,}-[0-9]{2}-[0-9]{2}"
+                            r"(?:Z|[+-][0-9]{2}:[0-9]{2})?"),
+}
+
+
+class AttributePlan(NamedTuple):
+    """One declared attribute of an element."""
+
+    name: str
+    node: SchemaNode
+    base_type: BaseType
+    required: bool
+    lexical: Callable | None    # see ElementPlan.lexical
+
+
+class DispatchEntry(NamedTuple):
+    """How one child tag sits inside its parent's content region."""
+
+    node: SchemaNode                        # the child TAG
+    optional_ids: frozenset[int]            # OPTION nodes crossed
+    choice_branch: tuple[int, int] | None   # innermost (choice id, branch)
+    rep_id: int | None                      # innermost REPETITION crossed
+
+
+class ElementPlan:
+    """What one ``TAG`` node's declaration says, compiled to lookups.
+
+    ``model`` is the content model as nested tuples — ``(M_TAG, name)``,
+    ``(M_OPTION, item)``, ``(M_CHOICE, items)``, ``(M_SEQUENCE, items)``,
+    ``(M_REPETITION, item, min_occurs, max_occurs)`` — ``entries`` the
+    region's child elements in declaration order, and ``repetitions``
+    the ids of the REPETITION nodes crossed on the way to them. A region
+    ends at its child TAGs: their content is their own plan's.
+
+    Element names are unambiguous within one content model in our
+    schema subset. Where a schema repeats one anyway, ``dispatch`` maps
+    the name to its first declaration and ``last_dispatch`` to its last
+    (they are one dict otherwise).
+    """
+
+    __slots__ = ("node", "node_id", "is_leaf", "base_type", "lexical",
+                 "attributes", "attribute_nodes", "attribute_by_name",
+                 "required_attributes",
+                 "model", "entries", "dispatch", "last_dispatch",
+                 "repetitions")
+
+    def __init__(self, tree: "SchemaTree", node: SchemaNode):
+        if node.kind != NodeKind.TAG:
+            raise SchemaTreeError(f"{node!r} is not an element")
+        self.node = node
+        self.node_id = node.node_id
+        children = tree.children(node)
+        attributes = []
+        for child in children:
+            if child.kind == NodeKind.ATTRIBUTE:
+                base = tree.children(child)[0].base_type
+                attributes.append(AttributePlan(
+                    child.name, child, base, child.min_occurs >= 1,
+                    _LEXICAL_CHECKS.get(base)))
+        self.attributes = tuple(attributes)
+        self.attribute_nodes = tuple(a.node for a in attributes)
+        self.attribute_by_name = {a.name: a for a in attributes}
+        self.required_attributes = tuple(
+            a.name for a in self.attributes if a.required)
+        particles = [c for c in children if c.kind != NodeKind.ATTRIBUTE]
+        self.is_leaf = (len(particles) == 1
+                        and particles[0].kind == NodeKind.SIMPLE)
+        self.base_type = particles[0].base_type if self.is_leaf else None
+        #: Returns ``None`` for a text outside the leaf's lexical space;
+        #: itself ``None`` where any text is valid.
+        self.lexical = _LEXICAL_CHECKS.get(self.base_type)
+
+        entries: list[DispatchEntry] = []
+        repetitions: list[int] = []
+
+        def compile_particle(particle: SchemaNode, optional_ids: frozenset,
+                             choice_branch, rep_id: int | None) -> tuple:
+            kind = particle.kind
+            if kind == NodeKind.TAG:
+                entries.append(DispatchEntry(particle, optional_ids,
+                                             choice_branch, rep_id))
+                return (M_TAG, particle.name)
+            if kind == NodeKind.SIMPLE:
+                return _EMPTY_MODEL
+            inner = tree.children(particle)
+            if kind == NodeKind.OPTION:
+                return (M_OPTION, compile_particle(
+                    inner[0], optional_ids | {particle.node_id},
+                    choice_branch, rep_id))
+            if kind == NodeKind.CHOICE:
+                return (M_CHOICE, tuple(
+                    compile_particle(branch, optional_ids,
+                                     (particle.node_id, index), rep_id)
+                    for index, branch in enumerate(inner)))
+            if kind == NodeKind.SEQUENCE:
+                return (M_SEQUENCE, tuple(
+                    compile_particle(item, optional_ids, choice_branch,
+                                     rep_id) for item in inner))
+            if kind == NodeKind.REPETITION:
+                repetitions.append(particle.node_id)
+                return (M_REPETITION,
+                        compile_particle(inner[0], optional_ids,
+                                         choice_branch, particle.node_id),
+                        particle.min_occurs, particle.max_occurs)
+            raise SchemaTreeError(
+                f"{particle!r} cannot appear in a content model")
+
+        self.model = (M_SEQUENCE, tuple(
+            compile_particle(p, frozenset(), None, None)
+            for p in particles))
+        self.entries = tuple(entries)
+        self.repetitions = tuple(repetitions)
+        self.last_dispatch = {e.node.name: e for e in entries}
+        self.dispatch = self.last_dispatch
+        if len(self.dispatch) != len(entries):
+            self.dispatch = {}
+            for entry in entries:
+                self.dispatch.setdefault(entry.node.name, entry)
 
 
 class SchemaTree:
@@ -34,6 +181,11 @@ class SchemaTree:
         self._nodes = nodes
         self.root_id = root_id
         self.name = name
+        self._children = [tuple(nodes[cid] for cid in node.child_ids)
+                          for node in nodes]
+        # One ElementPlan per TAG node, compiled on first use. Two
+        # threads racing to fill a slot build equal plans; either wins.
+        self._plans: list[ElementPlan | None] = [None] * len(nodes)
         self._validate()
 
     # ------------------------------------------------------------------
@@ -57,10 +209,25 @@ class SchemaTree:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def children(self, node: SchemaNode | int) -> list[SchemaNode]:
-        if isinstance(node, int):
-            node = self.node(node)
-        return [self._nodes[cid] for cid in node.child_ids]
+    def children(self, node: SchemaNode | int) -> tuple[SchemaNode, ...]:
+        if not isinstance(node, int):
+            node = node.node_id
+        try:
+            return self._children[node]
+        except IndexError:
+            raise SchemaTreeError(f"no node with id {node}") from None
+
+    def plan(self, node: SchemaNode | int) -> ElementPlan:
+        """The compiled :class:`ElementPlan` of a TAG node."""
+        if not isinstance(node, int):
+            node = node.node_id
+        try:
+            plan = self._plans[node]
+        except IndexError:
+            raise SchemaTreeError(f"no node with id {node}") from None
+        if plan is None:
+            plan = self._plans[node] = ElementPlan(self, self._nodes[node])
+        return plan
 
     def parent(self, node: SchemaNode | int) -> SchemaNode | None:
         if isinstance(node, int):
@@ -87,11 +254,7 @@ class SchemaTree:
         """True for a TAG node whose only non-attribute child is SIMPLE."""
         if isinstance(node, int):
             node = self.node(node)
-        if node.kind != NodeKind.TAG:
-            return False
-        kids = [c for c in self.children(node)
-                if c.kind != NodeKind.ATTRIBUTE]
-        return len(kids) == 1 and kids[0].kind == NodeKind.SIMPLE
+        return node.kind == NodeKind.TAG and self.plan(node).is_leaf
 
     def is_attribute(self, node: SchemaNode | int) -> bool:
         if isinstance(node, int):
@@ -102,24 +265,23 @@ class SchemaTree:
         """Leaf element or attribute: anything holding one simple value."""
         return self.is_leaf_element(node) or self.is_attribute(node)
 
-    def attributes_of(self, node: SchemaNode | int) -> list[SchemaNode]:
+    def attributes_of(self, node: SchemaNode | int) -> tuple[SchemaNode, ...]:
         """ATTRIBUTE children of a TAG node."""
         if isinstance(node, int):
             node = self.node(node)
-        return [c for c in self.children(node)
-                if c.kind == NodeKind.ATTRIBUTE]
+        if node.kind != NodeKind.TAG:
+            return ()
+        return self.plan(node).attribute_nodes
 
     def leaf_base_type(self, node: SchemaNode | int) -> BaseType:
         """Base type of a leaf element or attribute."""
         if isinstance(node, int):
             node = self.node(node)
-        if not self.is_value_node(node):
+        if node.kind == NodeKind.ATTRIBUTE:
+            return self.children(node)[0].base_type
+        if not self.is_leaf_element(node):
             raise SchemaTreeError(f"{node!r} is not a leaf element/attribute")
-        simple = [c for c in self.children(node)
-                  if c.kind == NodeKind.SIMPLE]
-        base = simple[0].base_type
-        assert base is not None
-        return base
+        return self.plan(node).base_type
 
     def must_annotate(self, node: SchemaNode | int) -> bool:
         """Whether this TAG node must map to its own table in any mapping.
@@ -220,8 +382,6 @@ class SchemaTree:
         if root.kind != NodeKind.TAG:
             raise SchemaTreeError("root node must be a TAG")
         for node in self._nodes:
-            if node.node_id != self._nodes.index(node):
-                pass  # ids are positional; enforced by the builder
             if node.kind in (NodeKind.REPETITION, NodeKind.OPTION):
                 if len(node.child_ids) != 1:
                     raise SchemaTreeError(
@@ -278,13 +438,21 @@ class TreeBuilder:
         b.leaf("title", movie)
         b.leaf("year", movie, BaseType.INTEGER)
         tree = b.build(root=movies)
+
+    A builder is single-use: the tree shares its node list, so adding a
+    node after :meth:`build` would leave the tree's compiled plans stale.
     """
 
     def __init__(self, name: str = "schema"):
         self.name = name
         self._nodes: list[SchemaNode] = []
+        self._built = False
 
     def _add(self, kind: NodeKind, parent: SchemaNode | None, **kwargs) -> SchemaNode:
+        if self._built:
+            raise SchemaTreeError(
+                f"builder {self.name!r} already built its tree; "
+                f"start a new TreeBuilder")
         node = SchemaNode(node_id=len(self._nodes), kind=kind, **kwargs)
         if parent is not None:
             node.parent_id = parent.node_id
@@ -349,7 +517,9 @@ class TreeBuilder:
         return self.leaf(name, rep, base_type, annotation=annotation or name)
 
     def build(self, root: SchemaNode) -> SchemaTree:
-        return SchemaTree(self._nodes, root.node_id, name=self.name)
+        tree = SchemaTree(self._nodes, root.node_id, name=self.name)
+        self._built = True
+        return tree
 
 
 def walk_particles(tree: SchemaTree, tag: SchemaNode,

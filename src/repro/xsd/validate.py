@@ -5,32 +5,46 @@ constraints against the content models of the schema tree, and checks
 that leaf values are lexically valid for their base type. The shredder
 relies on documents having been validated, so the loader runs this first
 by default.
+
+Everything it consults per element — content model, child dispatch,
+attribute declarations, lexical checks — comes compiled from
+:meth:`SchemaTree.plan`; a violation's location is worked out from
+``Element.parent`` only once there is a violation to report.
 """
 
 from __future__ import annotations
 
 from ..errors import ValidationError
 from ..xmlkit import Document, Element
-from .nodes import UNBOUNDED, BaseType, NodeKind, SchemaNode
-from .tree import SchemaTree
+from .nodes import UNBOUNDED
+from .tree import (M_CHOICE, M_OPTION, M_REPETITION, M_SEQUENCE, M_TAG,
+                   ElementPlan, SchemaTree)
 
 
-def _check_base_value(value: str, base_type: BaseType, path: str) -> None:
-    try:
-        if base_type == BaseType.INTEGER:
-            int(value.strip())
-        elif base_type == BaseType.DECIMAL:
-            float(value.strip())
-        elif base_type == BaseType.BOOLEAN:
-            if value.strip() not in ("true", "false", "0", "1"):
-                raise ValueError(value)
-        elif base_type == BaseType.DATE:
-            parts = value.strip().split("-")
-            if len(parts) != 3 or not all(p.isdigit() for p in parts):
-                raise ValueError(value)
-    except ValueError:
-        raise ValidationError(
-            f"value {value!r} at {path} is not a valid {base_type.value}") from None
+class _Violation(Exception):
+    """A violation at ``element``; the message is ``before`` + the
+    element's path + ``after``."""
+
+    def __init__(self, element: Element, before: str, after: str = ""):
+        super().__init__(before, after)
+        self.element, self.before, self.after = element, before, after
+
+
+def _path(element: Element, root: Element) -> str:
+    """``/root/child[i]/...``: ``i`` counts all siblings, from 1.
+
+    A ``LazyElement`` generates fresh children on every iteration, so
+    the validated child cannot be found among them again: ``[?]``.
+    """
+    steps: list[str] = []
+    while element is not root:
+        siblings = element.parent.children
+        position = next((str(i) for i, sibling in enumerate(siblings, 1)
+                         if sibling is element), "?")
+        steps.append(f"{element.tag}[{position}]")
+        element = element.parent
+    steps.append(root.tag)
+    return "/" + "/".join(reversed(steps))
 
 
 class Validator:
@@ -47,129 +61,99 @@ class Validator:
             raise ValidationError(
                 f"root element <{root.tag}> does not match schema root "
                 f"<{schema_root.name}>")
-        self._validate_element(root, schema_root, f"/{root.tag}")
+        try:
+            self._validate_element(root, self.tree.plan(schema_root))
+        except _Violation as found:
+            raise ValidationError(
+                found.before + _path(found.element, root) + found.after
+            ) from None
 
     # ------------------------------------------------------------------
-    def _validate_element(self, el: Element, node: SchemaNode, path: str) -> None:
-        tree = self.tree
-        self._validate_attributes(el, node, path)
-        if tree.is_leaf_element(node):
-            if el.children:
-                raise ValidationError(
-                    f"element at {path} must be a leaf but has child elements")
-            _check_base_value(el.text, tree.leaf_base_type(node), path)
+    def _validate_element(self, el: Element, plan: ElementPlan) -> None:
+        if el.attributes or plan.required_attributes:
+            self._validate_attributes(el, plan)
+        if plan.is_leaf:
+            if len(el):
+                raise _Violation(el, "element at ",
+                                 " must be a leaf but has child elements")
+            if plan.lexical is not None and plan.lexical(el.text) is None:
+                raise _Violation(
+                    el, f"value {el.text!r} at ",
+                    f" is not a valid {plan.base_type.value}")
             return
         children = el.children
-        particles = [p for p in tree.children(node)
-                     if p.kind != NodeKind.ATTRIBUTE]
-        endpoints = self._match_sequence(particles, children, 0, path)
-        if len(children) not in endpoints:
+        tags = [child.tag for child in children]
+        endpoints = _match(plan.model, tags, 0)
+        if len(tags) not in endpoints:
             consumed = max(endpoints, default=0)
-            offending = children[consumed].tag if consumed < len(children) else "(end)"
-            raise ValidationError(
-                f"content of {path} does not match its model near child "
+            offending = tags[consumed] if consumed < len(tags) else "(end)"
+            raise _Violation(
+                el, "content of ", " does not match its model near child "
                 f"#{consumed + 1} <{offending}>")
-        # Recurse into children against the matched TAG nodes.
-        self._recurse_children(particles, children, path)
+        # Every child matched a TAG particle of this model, so its name
+        # is in the dispatch.
+        dispatch = plan.dispatch
+        plan_of = self.tree.plan
+        for child in children:
+            self._validate_element(child, plan_of(dispatch[child.tag].node))
 
-    def _recurse_children(self, particles: list[SchemaNode],
-                          children: tuple[Element, ...], path: str) -> None:
-        """Validate each child element against its TAG declaration.
-
-        Element names are unambiguous within one content model in our
-        schema subset, so we can dispatch by tag name.
-        """
-        by_name: dict[str, SchemaNode] = {}
-
-        def collect(nodes: list[SchemaNode]) -> None:
-            for particle in nodes:
-                if particle.kind == NodeKind.TAG:
-                    by_name.setdefault(particle.name, particle)
-                else:
-                    collect(self.tree.children(particle))
-
-        collect(particles)
-        for i, child in enumerate(children):
-            decl = by_name.get(child.tag)
-            if decl is None:
-                raise ValidationError(
-                    f"unexpected element <{child.tag}> inside {path}")
-            self._validate_element(child, decl, f"{path}/{child.tag}[{i + 1}]")
-
-    def _validate_attributes(self, el: Element, node: SchemaNode,
-                             path: str) -> None:
-        declared = {a.name: a for a in self.tree.attributes_of(node)}
+    @staticmethod
+    def _validate_attributes(el: Element, plan: ElementPlan) -> None:
+        declared = plan.attribute_by_name
         for name, value in el.attributes.items():
             decl = declared.get(name)
             if decl is None:
-                raise ValidationError(
-                    f"unexpected attribute {name!r} at {path}")
-            _check_base_value(value, self.tree.leaf_base_type(decl),
-                              f"{path}/@{name}")
-        for name, decl in declared.items():
-            if decl.min_occurs >= 1 and name not in el.attributes:
-                raise ValidationError(
-                    f"missing required attribute {name!r} at {path}")
+                raise _Violation(el, f"unexpected attribute {name!r} at ")
+            if decl.lexical is not None and decl.lexical(value) is None:
+                raise _Violation(
+                    el, f"value {value!r} at ",
+                    f"/@{name} is not a valid {decl.base_type.value}")
+        for name in plan.required_attributes:
+            if name not in el.attributes:
+                raise _Violation(
+                    el, f"missing required attribute {name!r} at ")
 
-    # ------------------------------------------------------------------
-    # Content-model matching (NFA-style set-of-positions simulation)
-    # ------------------------------------------------------------------
-    def _match_sequence(self, particles: list[SchemaNode],
-                        children: tuple[Element, ...], start: int,
-                        path: str) -> set[int]:
-        positions = {start}
-        for particle in particles:
-            next_positions: set[int] = set()
-            for pos in positions:
-                next_positions |= self._match_particle(particle, children, pos, path)
-            positions = next_positions
+
+# ----------------------------------------------------------------------
+# Content-model matching (NFA-style set-of-positions simulation)
+# ----------------------------------------------------------------------
+def _match(item: tuple, tags: list[str], pos: int) -> set[int]:
+    """Positions in ``tags`` where a match of ``item`` from ``pos`` can end."""
+    op = item[0]
+    if op == M_TAG:
+        if pos < len(tags) and tags[pos] == item[1]:
+            return {pos + 1}
+        return set()
+    if op == M_SEQUENCE:
+        positions = {pos}
+        for part in item[1]:
+            positions = set().union(
+                *[_match(part, tags, p) for p in positions])
             if not positions:
                 break
         return positions
-
-    def _match_particle(self, particle: SchemaNode,
-                        children: tuple[Element, ...], pos: int,
-                        path: str) -> set[int]:
-        tree = self.tree
-        kind = particle.kind
-        if kind == NodeKind.SIMPLE:
-            return {pos}
-        if kind == NodeKind.TAG:
-            if pos < len(children) and children[pos].tag == particle.name:
-                return {pos + 1}
-            return set()
-        if kind == NodeKind.OPTION:
-            child = tree.children(particle)[0]
-            return {pos} | self._match_particle(child, children, pos, path)
-        if kind == NodeKind.CHOICE:
-            out: set[int] = set()
-            for branch in tree.children(particle):
-                out |= self._match_particle(branch, children, pos, path)
-            return out
-        if kind == NodeKind.SEQUENCE:
-            return self._match_sequence(tree.children(particle), children, pos, path)
-        if kind == NodeKind.REPETITION:
-            child = tree.children(particle)[0]
-            reachable: set[int] = set()
-            frontier = {pos}
-            count = 0
-            limit = particle.max_occurs
-            while frontier:
-                if count >= particle.min_occurs:
-                    reachable |= frontier
-                if limit != UNBOUNDED and count >= limit:
-                    break
-                new_frontier: set[int] = set()
-                for p in frontier:
-                    new_frontier |= self._match_particle(child, children, p, path)
-                # Guard against zero-width matches looping forever.
-                new_frontier -= frontier if new_frontier == frontier else set()
-                if new_frontier == frontier:
-                    break
-                frontier = new_frontier
-                count += 1
-            return reachable
-        raise ValidationError(f"unexpected particle kind {kind}")  # pragma: no cover
+    if op == M_OPTION:
+        return {pos} | _match(item[1], tags, pos)
+    if op == M_CHOICE:
+        return set().union(*[_match(branch, tags, pos) for branch in item[1]])
+    if op == M_REPETITION:
+        _, inner, min_occurs, max_occurs = item
+        reachable: set[int] = set()
+        frontier = {pos}
+        count = 0
+        while frontier:
+            if count >= min_occurs:
+                reachable |= frontier
+            if max_occurs != UNBOUNDED and count >= max_occurs:
+                break
+            new_frontier = set().union(
+                *[_match(inner, tags, p) for p in frontier])
+            if new_frontier == frontier:
+                break  # only zero-width matches are left
+            frontier = new_frontier
+            count += 1
+        return reachable
+    raise ValidationError(f"unexpected model opcode {op}")  # pragma: no cover
 
 
 def validate(doc: Document | Element, tree: SchemaTree) -> None:
