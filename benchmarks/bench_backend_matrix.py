@@ -24,13 +24,12 @@ import sys
 import time
 from pathlib import Path
 
-from repro.backends import backend_factory, duckdb_available
-from repro.backends.compare import compare_loaded
-from repro.datasets import named_dataset
-from repro.mapping import collect_statistics, derive_schema, hybrid_inlining
+from repro.backends import (backend_factory, compare_loaded,
+                            duckdb_available)
+from repro.datasets import DATASETS, DatasetBundle
+from repro.mapping import derive_schema, hybrid_inlining
 from repro.physdesign import Configuration
-from repro.translate import Translator
-from repro.workload import WorkloadGenerator
+from repro.search import translate_workload
 
 SEED = 7
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_matrix.json"
@@ -44,13 +43,11 @@ def _available_backends() -> list[str]:
 
 
 def _design(dataset: str, scale: int, queries: int):
-    tree, docs = named_dataset(dataset, scale, SEED)
-    schema = derive_schema(hybrid_inlining(tree))
-    stats = collect_statistics(tree, docs)
-    workload = WorkloadGenerator(tree, stats, seed=3).generate(queries)
-    translator = Translator(schema)
-    translated = [translator.translate(w.query) for w in workload.queries]
-    return schema, docs, translated
+    bundle = DatasetBundle.named(dataset, scale, SEED)
+    schema = derive_schema(hybrid_inlining(bundle.tree))
+    workload = bundle.workload_generator(seed=3).generate(queries)
+    translated = [query for query, _ in translate_workload(workload, schema)]
+    return schema, bundle.docs, translated
 
 
 def _measure_cell(name: str, schema, docs, queries) -> tuple[dict, object]:
@@ -76,7 +73,7 @@ def _measure_cell(name: str, schema, docs, queries) -> tuple[dict, object]:
 
 def _run(scale: int, queries: int) -> dict:
     results = []
-    for dataset in ("dblp", "movie"):
+    for dataset in DATASETS:
         schema, docs, translated = _design(dataset, scale, queries)
         backends = {}
         try:

@@ -10,9 +10,8 @@ Asserted: tuned hybrid inlining beats tuned fully-split on every
 standard workload band.
 """
 
-from repro.experiments import format_table, measure_workload, realize
-from repro.mapping import fully_split, hybrid_inlining
-from repro.search import MappingEvaluator
+from repro.experiments import format_table, measure_design
+from repro.search import design_for
 
 
 def test_hybrid_beats_fully_split_when_tuned(benchmark, dblp_bundle, emit):
@@ -21,16 +20,12 @@ def test_hybrid_beats_fully_split_when_tuned(benchmark, dblp_bundle, emit):
     def run():
         rows = []
         for workload in workloads:
-            costs = {}
-            for name, mapping in (("hybrid", hybrid_inlining(dblp_bundle.tree)),
-                                  ("fully-split", fully_split(dblp_bundle.tree))):
-                evaluator = MappingEvaluator(workload, dblp_bundle.stats,
-                                             dblp_bundle.storage_bound)
-                evaluated = evaluator.evaluate(mapping)
-                db = realize(evaluated.schema,
-                             evaluated.tuning.configuration,
-                             dblp_bundle.docs)
-                costs[name] = measure_workload(db, evaluated.sql_queries)
+            costs = {
+                name: measure_design(
+                    design_for(name, dblp_bundle.tree, workload,
+                               dblp_bundle.stats, dblp_bundle.storage_bound),
+                    dblp_bundle)
+                for name in ("hybrid", "fully-split")}
             rows.append([workload.name, costs["hybrid"],
                          costs["fully-split"],
                          costs["fully-split"] / costs["hybrid"]])

@@ -7,8 +7,7 @@ gracefully: measured workload cost is non-increasing as the bound
 relaxes, and the configuration always fits its bound.
 """
 
-from repro.experiments import (format_table, measure_workload, realize,
-                               tuned_hybrid_baseline)
+from repro.experiments import format_table, measure_workload, realize
 from repro.search import MappingEvaluator
 from repro.mapping import hybrid_inlining
 

@@ -14,8 +14,10 @@ seam that closes that gap: anything that can
 can serve as an execution backend. :class:`EngineBackend` adapts the
 in-memory engine to the protocol (its "seconds" are cost units);
 :class:`repro.backends.sqlite.SQLiteBackend` is the real-DBMS
-implementation. The differential validator and the calibration harness
-are written against the protocol only.
+implementation. The serving layer and the calibration harness are
+written against :class:`SQLBackend` only; the comparator
+(:mod:`repro.backends.compare`) additionally reads the catalog through
+:class:`IntrospectableBackend`, which every bundled backend implements.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
-from ..engine import Database
+from ..engine import Database, SQLType
 from ..mapping import MappedSchema, load_documents
 from ..obs import NullTracer, Tracer, get_tracer
 from ..physdesign import Configuration, materialize
@@ -69,6 +71,34 @@ class SQLBackend(Protocol):
         ...  # pragma: no cover - protocol
 
     def close(self) -> None:
+        ...  # pragma: no cover - protocol
+
+
+class IntrospectableBackend(SQLBackend, Protocol):
+    """What the comparator reads besides query results: the catalog."""
+
+    def table_names_on_disk(self) -> list[str]:
+        """Names of the tables physically present (mapped + views)."""
+        ...  # pragma: no cover - protocol
+
+    def table_columns(self, name: str) -> list[tuple[str, str]]:
+        """``(column name, declared type)`` in declaration order."""
+        ...  # pragma: no cover - protocol
+
+    def table_rows(self, name: str) -> list[tuple]:
+        """Every row of one table (unordered; callers sort)."""
+        ...  # pragma: no cover - protocol
+
+    def index_names(self) -> list[str]:
+        """Names of user-created (non-constraint) indexes."""
+        ...  # pragma: no cover - protocol
+
+    def declared_type(self, sql_type: SQLType) -> str:
+        """The type :meth:`table_columns` shows for a mapped column."""
+        ...  # pragma: no cover - protocol
+
+    def sql_text(self, query: Query) -> str:
+        """The query as this backend would run it (for reports)."""
         ...  # pragma: no cover - protocol
 
 
@@ -126,6 +156,29 @@ class EngineBackend:
             result = self.db.execute(query)
         return QueryTiming(seconds=result.cost, runs=[result.cost],
                            rows=len(result.rows))
+
+    # -- catalog introspection (IntrospectableBackend) -----------------
+    def table_names_on_disk(self) -> list[str]:
+        return sorted(self.db.catalog.tables)
+
+    def table_columns(self, name: str) -> list[tuple[str, str]]:
+        return [(c.name, self.declared_type(c.sql_type))
+                for c in self.db.catalog.table(name).columns]
+
+    def table_rows(self, name: str) -> list[tuple]:
+        return list(self.db.catalog.table(name).rows or [])
+
+    def index_names(self) -> list[str]:
+        # pk_* indexes are the engine's implicit primary keys, the
+        # counterpart of what the real engines build for PRIMARY KEY.
+        return sorted(n for n in self.db.catalog.indexes
+                      if not n.startswith("pk_"))
+
+    def declared_type(self, sql_type: SQLType) -> str:
+        return sql_type.name
+
+    def sql_text(self, query: Query) -> str:
+        return str(query)
 
     def close(self) -> None:
         pass

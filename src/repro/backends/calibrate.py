@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 from ..mapping import MappedSchema, derive_schema, hybrid_inlining
 from ..obs import NullTracer, Tracer, get_tracer
 from ..physdesign import Configuration
-from ..search import GreedySearch, TwoStepSearch
-from ..search.evaluator import build_stats_only_database
+from ..search import (build_stats_only_database, design_for,
+                      translate_workload)
 from ..sqlast import Query
-from ..translate import Translator
 from ..workload import Workload
-from .sqlite import SQLiteBackend
+from .base import QueryTiming
+from .compare import loaded_backend
 
 
 def _ranks(values: list[float]) -> list[float]:
@@ -141,11 +141,8 @@ def logical_only_design(tree, workload: Workload, collected) -> DesignPoint:
     estimated per-query costs come from the same what-if optimizer the
     searches use, on a stats-only database.
     """
-    mapping = hybrid_inlining(tree)
-    schema = derive_schema(mapping)
-    translator = Translator(schema)
-    sql_queries = [(translator.translate(q.query), q.weight)
-                   for q in workload.queries]
+    schema = derive_schema(hybrid_inlining(tree))
+    sql_queries = translate_workload(workload, schema)
     db = build_stats_only_database(schema, collected)
     db.build_primary_key_indexes()
     estimated = sum(weight * db.estimate(query).est_cost
@@ -153,17 +150,6 @@ def logical_only_design(tree, workload: Workload, collected) -> DesignPoint:
     return DesignPoint(label="logical-only", schema=schema,
                        configuration=Configuration(),
                        sql_queries=sql_queries, estimated_cost=estimated)
-
-
-def _search_design(label: str, search_cls, tree, workload, collected,
-                   storage_bound, tracer) -> DesignPoint:
-    search = search_cls(tree, workload, collected,
-                        storage_bound=storage_bound, tracer=tracer)
-    result = search.run()
-    return DesignPoint(label=label, schema=result.schema,
-                       configuration=result.configuration,
-                       sql_queries=result.sql_queries,
-                       estimated_cost=result.estimated_cost)
 
 
 def fill_query_estimates(point: DesignPoint, collected) -> None:
@@ -194,21 +180,23 @@ def fill_query_estimates(point: DesignPoint, collected) -> None:
         for index, (query, weight) in enumerate(point.sql_queries)]
 
 
-def measure_on_sqlite(point: DesignPoint, docs, repeat: int = 3,
-                      warmup: int = 1,
-                      tracer: Tracer | NullTracer | None = None) -> None:
-    """Fill a design point's measured timings from a fresh SQLite load."""
-    with SQLiteBackend(tracer=tracer) as backend:
-        backend.load(point.schema, docs)
-        backend.apply_configuration(point.configuration)
-        total = 0.0
-        for index, (query, weight) in enumerate(point.sql_queries):
-            timing = backend.time_query(query, repeat=repeat, warmup=warmup)
-            total += weight * timing.seconds
-            if index < len(point.queries):
-                point.queries[index].measured_seconds = timing.seconds
-                point.queries[index].rows = timing.rows
-        point.measured_seconds = total
+def time_on_sqlite(schema: MappedSchema, configuration: Configuration,
+                   sql_queries: list[tuple[Query, float]], docs,
+                   repeat: int = 3, warmup: int = 1,
+                   tracer: Tracer | NullTracer | None = None
+                   ) -> list[QueryTiming]:
+    """Per-query timings of a workload on a fresh SQLite load.
+
+    A fresh in-memory SQLite database per call: bulk-load, build the
+    physical design for real, then time every query with warmup and
+    repetition (median run). Unlike the engine's executed cost this is
+    *not* deterministic — it is the real-DBMS ground truth the engine's
+    cost units are calibrated against. Callers weight and sum.
+    """
+    with loaded_backend("sqlite", schema, configuration, docs,
+                        tracer) as backend:
+        return [backend.time_query(query, repeat=repeat, warmup=warmup)
+                for query, _ in sql_queries]
 
 
 def run_calibration(bundle, workload: Workload,
@@ -218,23 +206,32 @@ def run_calibration(bundle, workload: Workload,
                     ) -> CalibrationReport:
     """The `repro calibrate` entry point.
 
-    ``bundle`` is a :class:`repro.experiments.DatasetBundle`; the report
+    ``bundle`` is a :class:`repro.datasets.DatasetBundle`; the report
     covers the searches' designs plus the logical-only baseline.
     """
     tracer = tracer if tracer is not None else get_tracer()
-    searches = {"greedy": GreedySearch, "two-step": TwoStepSearch}
     report = CalibrationReport(dataset=bundle.name, workload=workload.name,
                                repeat=repeat, warmup=warmup)
     with tracer.span("calibrate", dataset=bundle.name,
                      workload=workload.name):
         points = [logical_only_design(bundle.tree, workload, bundle.stats)]
         for label in algorithms:
-            points.append(_search_design(
-                label, searches[label], bundle.tree, workload,
-                bundle.stats, bundle.storage_bound, tracer))
+            result = design_for(label, bundle.tree, workload, bundle.stats,
+                                bundle.storage_bound, tracer)
+            points.append(DesignPoint(
+                label=label, schema=result.schema,
+                configuration=result.configuration,
+                sql_queries=result.sql_queries,
+                estimated_cost=result.estimated_cost))
         for point in points:
             fill_query_estimates(point, bundle.stats)
-            measure_on_sqlite(point, bundle.docs, repeat=repeat,
-                              warmup=warmup, tracer=tracer)
+            timings = time_on_sqlite(point.schema, point.configuration,
+                                     point.sql_queries, bundle.docs,
+                                     repeat, warmup, tracer)
+            for query, timing in zip(point.queries, timings):
+                query.measured_seconds = timing.seconds
+                query.rows = timing.rows
+            point.measured_seconds = sum(q.weight * q.measured_seconds
+                                         for q in point.queries)
         report.designs = points
     return report

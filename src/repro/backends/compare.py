@@ -1,10 +1,12 @@
 """Cross-backend comparator: do two executors agree on *everything*?
 
-The differential validator (:mod:`repro.backends.diff`) answers one
-question — do translated queries return the same rows? This module
-widens the lens to the whole database state two backends build from
-the same logical + physical design, and turns the answer into a
-deterministic, machine-checkable report the CI gate can fail on:
+Do translated queries return the same rows on both? is one question
+(:func:`check_queries`, the differential oracle: any cost-model
+shortcut, translation bug, or executor semantics drift that changes
+*results* shows up there). This module asks it of the whole database
+state two backends build from the same logical + physical design, and
+turns the answer into a deterministic, machine-checkable report the CI
+gate can fail on:
 
 * **schema.tables** — the physical table sets match (mapped tables
   plus materialized join views; the load manifest is excluded).
@@ -16,10 +18,12 @@ deterministic, machine-checkable report the CI gate can fail on:
   digest of normalized rows, so gigarow tables don't need to cross a
   process boundary; a mismatch re-diffs the multisets and names the
   table with sample missing/extra rows).
-* **indexes** — the user-created index name sets match (REVIEW when a
-  backend cannot enumerate indexes).
-* **queries** — the folded-in differential validator: every workload
-  query executes on both backends and the row multisets must match.
+* **indexes** — the user-created index name sets match.
+* **queries** — every workload query executes on both backends and the
+  row *multisets* must match (the engine only guarantees order up to
+  the ORDER BY key, so equal-key rows may legally interleave
+  differently); a mismatch carries the query's SQL and sample
+  missing/extra rows — enough to turn it into a regression test.
 * **timings** (optional, ``include_timings=True``) — measured medians
   per query on both backends. Wall-clock is inherently noisy, so this
   check can only ever be OK or REVIEW — never MISMATCH — and it is
@@ -31,42 +35,44 @@ should look" (non-comparable metadata, suspicious timing skew);
 MISMATCH means "the backends disagree on data or semantics" and fails
 the gate. See docs/backends.md ("Backend matrix") for the report
 format.
+
+Entry points, from most to least assembled: :func:`compare_datasets`
+(bundled dataset + design name), :func:`compare_design` (a schema, a
+configuration and documents: create both backends, load, apply,
+compare, close), :func:`compare_loaded` (two backends the caller
+already loaded). Backends are read through
+:class:`~repro.backends.base.IntrospectableBackend` only, so a third
+backend needs no change here.
 """
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import json
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..datasets import named_dataset
-from ..mapping import (MappedSchema, collect_statistics, derive_schema,
-                       fully_split, hybrid_inlining, shared_inlining)
+from ..datasets import DEFAULT_STORAGE_BOUND, DatasetBundle
+from ..mapping import MappedSchema
 from ..obs import NullTracer, Tracer, get_tracer
+from ..physdesign import Configuration
+from ..search import design_for
 from ..sqlast import Query
-from .base import EngineBackend, SQLBackend
-from .dbms import MANIFEST_TABLE, RelationalBackend
-from .diff import multiset_diff, normalize_row
+from .base import EngineBackend, IntrospectableBackend
+from .dbms import MANIFEST_TABLE
 
-__all__ = ["CheckResult", "CompareReport", "compare_loaded",
-           "compare_datasets", "backend_factory", "known_backends",
-           "OK", "REVIEW", "MISMATCH"]
+__all__ = ["CheckResult", "CompareReport", "check_queries",
+           "compare_loaded", "compare_design", "compare_datasets",
+           "loaded_backend", "backend_factory", "known_backends",
+           "normalize_row", "multiset_diff", "OK", "REVIEW", "MISMATCH"]
 
 OK = "OK"
 REVIEW = "REVIEW"
 MISMATCH = "MISMATCH"
 
 _SEVERITY = {OK: 0, REVIEW: 1, MISMATCH: 2}
-
-#: Mapping presets the dataset-level comparison understands, plus
-#: ``greedy`` (the tuned joint search) handled separately.
-PRESETS = {
-    "hybrid": hybrid_inlining,
-    "shared": shared_inlining,
-    "fully-split": fully_split,
-}
-
-DESIGNS = tuple(sorted(PRESETS)) + ("greedy",)
 
 _SAMPLE_ROWS = 5
 
@@ -161,55 +167,57 @@ def backend_factory(name: str):
         f"unknown backend {name!r} (known: {', '.join(known_backends())})")
 
 
+@contextmanager
+def loaded_backend(name: str, schema: MappedSchema,
+                   configuration: Configuration, docs,
+                   tracer: Tracer | NullTracer | None = None):
+    """A fresh backend ``name`` holding the design: create it, load the
+    documents, build the configuration; closed on exit."""
+    backend = backend_factory(name)(tracer=tracer)
+    try:
+        backend.load(schema, docs)
+        backend.apply_configuration(configuration)
+        yield backend
+    finally:
+        backend.close()
+
+
 # ----------------------------------------------------------------------
-# Introspection adapters (RelationalBackend hooks; engine catalog)
+# Row normalization
 # ----------------------------------------------------------------------
 
-def _table_names(backend: SQLBackend) -> list[str]:
-    if isinstance(backend, RelationalBackend):
-        return sorted(n for n in backend.table_names_on_disk()
-                      if n != MANIFEST_TABLE)
-    if isinstance(backend, EngineBackend):
-        return sorted(backend.db.catalog.tables)
-    raise TypeError(f"cannot introspect tables of {backend!r}")
+def normalize_row(row: tuple) -> tuple:
+    """Collapse representation differences that are not semantic.
+
+    * booleans — the engine yields Python bools, SQLite yields 0/1;
+    * decimals — DuckDB returns ``DECIMAL`` columns as
+      :class:`decimal.Decimal`, the engine and SQLite carry floats;
+    * integral floats — a REAL column round-trips ``3.0`` while the
+      engine may carry the original int through an untyped slot.
+    """
+    out = []
+    for value in row:
+        if isinstance(value, bool):
+            out.append(int(value))
+            continue
+        if isinstance(value, decimal.Decimal):
+            value = float(value)
+        if isinstance(value, float) and value.is_integer():
+            out.append(int(value))
+        else:
+            out.append(value)
+    return tuple(out)
 
 
-def _columns_of(backend: SQLBackend, name: str) -> list[tuple[str, str]]:
-    if isinstance(backend, RelationalBackend):
-        return backend.table_columns(name)
-    table = backend.db.catalog.table(name)  # type: ignore[union-attr]
-    return [(c.name, c.sql_type.name) for c in table.columns]
-
-
-def _rows_of(backend: SQLBackend, name: str) -> list[tuple]:
-    if isinstance(backend, RelationalBackend):
-        return backend.table_rows(name)
-    table = backend.db.catalog.table(name)  # type: ignore[union-attr]
-    return list(table.rows or [])
-
-
-def _index_names(backend: SQLBackend) -> list[str] | None:
-    if isinstance(backend, RelationalBackend):
-        return backend.index_names()
-    if isinstance(backend, EngineBackend):
-        # pk_* indexes are the engine's implicit primary keys, the
-        # counterpart of what the real engines build for PRIMARY KEY.
-        return sorted(n for n in backend.db.catalog.indexes
-                      if not n.startswith("pk_"))
-    return None
-
-
-def _expected_types(backend: SQLBackend,
-                    schema: MappedSchema) -> dict[str, list[tuple[str, str]]]:
-    """table -> [(column, declared type the backend should show)]."""
-    if isinstance(backend, RelationalBackend):
-        dialect = backend.dialect
-        return {table.name: [(c.name, dialect.type_name(c.sql_type))
-                             for c in table.columns]
-                for table in schema.to_engine_tables()}
-    return {table.name: [(c.name, c.sql_type.name)
-                         for c in table.columns]
-            for table in schema.to_engine_tables()}
+def multiset_diff(reference_rows: list[tuple],
+                  candidate_rows: list[tuple]
+                  ) -> tuple[list[tuple], list[tuple]]:
+    """(missing, extra) of candidate vs reference, as normalized rows."""
+    reference = Counter(normalize_row(r) for r in reference_rows)
+    candidate = Counter(normalize_row(r) for r in candidate_rows)
+    missing = list((reference - candidate).elements())
+    extra = list((candidate - reference).elements())
+    return missing, extra
 
 
 def _canon_type(declared: str) -> str:
@@ -243,9 +251,11 @@ def _sample(rows: list[tuple]) -> list[list]:
 # Checks
 # ----------------------------------------------------------------------
 
-def _check_tables(a: SQLBackend, b: SQLBackend) -> tuple[CheckResult,
-                                                         list[str]]:
-    names_a, names_b = _table_names(a), _table_names(b)
+def _check_tables(a: IntrospectableBackend, b: IntrospectableBackend
+                  ) -> tuple[CheckResult, list[str]]:
+    # The load manifest is bookkeeping of the real DBMSs, not design.
+    names_a, names_b = ([n for n in backend.table_names_on_disk()
+                         if n != MANIFEST_TABLE] for backend in (a, b))
     only_a = sorted(set(names_a) - set(names_b))
     only_b = sorted(set(names_b) - set(names_a))
     common = sorted(set(names_a) & set(names_b))
@@ -260,14 +270,16 @@ def _check_tables(a: SQLBackend, b: SQLBackend) -> tuple[CheckResult,
                        {"common": common}), common
 
 
-def _check_columns(a: SQLBackend, b: SQLBackend, common: list[str],
+def _check_columns(a: IntrospectableBackend, b: IntrospectableBackend,
+                   common: list[str],
                    schema: MappedSchema | None) -> CheckResult:
     problems: list[str] = []
     matrix: dict[str, list[dict]] = {}
-    expected_a = _expected_types(a, schema) if schema is not None else {}
-    expected_b = _expected_types(b, schema) if schema is not None else {}
+    mapped = ({table.name: table.columns
+               for table in schema.to_engine_tables()}
+              if schema is not None else {})
     for name in common:
-        cols_a, cols_b = _columns_of(a, name), _columns_of(b, name)
+        cols_a, cols_b = a.table_columns(name), b.table_columns(name)
         matrix[name] = [
             {"column": col, "a": typ_a, "b": typ_b}
             for (col, typ_a), (_, typ_b) in zip(cols_a, cols_b)
@@ -279,11 +291,10 @@ def _check_columns(a: SQLBackend, b: SQLBackend, common: list[str],
                             f"({[c for c, _ in cols_a]} vs "
                             f"{[c for c, _ in cols_b]})")
             continue
-        for backend, cols, expected in ((a, cols_a, expected_a),
-                                        (b, cols_b, expected_b)):
-            for (col, declared), (exp_col, exp_type) in zip(
-                    cols, expected.get(name, [])):
-                if (col == exp_col
+        for backend, cols in ((a, cols_a), (b, cols_b)):
+            for (col, declared), column in zip(cols, mapped.get(name, [])):
+                exp_type = backend.declared_type(column.sql_type)
+                if (col == column.name
                         and _canon_type(declared) != _canon_type(exp_type)):
                     problems.append(
                         f"table {name!r} column {col!r}: {backend.name} "
@@ -300,13 +311,13 @@ def _check_columns(a: SQLBackend, b: SQLBackend, common: list[str],
                        f"{len(common)} tables", {"matrix": matrix})
 
 
-def _check_rows(a: SQLBackend, b: SQLBackend,
+def _check_rows(a: IntrospectableBackend, b: IntrospectableBackend,
                 common: list[str]) -> CheckResult:
     digests: dict[str, dict] = {}
     bad: list[str] = []
     samples: dict[str, dict] = {}
     for name in common:
-        rows_a, rows_b = _rows_of(a, name), _rows_of(b, name)
+        rows_a, rows_b = a.table_rows(name), b.table_rows(name)
         count_a, digest_a = _row_digest(rows_a)
         count_b, digest_b = _row_digest(rows_b)
         digests[name] = {"a_rows": count_a, "b_rows": count_b,
@@ -327,13 +338,9 @@ def _check_rows(a: SQLBackend, b: SQLBackend,
                        f"({total} rows)", {"tables": digests})
 
 
-def _check_indexes(a: SQLBackend, b: SQLBackend) -> CheckResult:
-    names_a, names_b = _index_names(a), _index_names(b)
-    if names_a is None or names_b is None:
-        missing = a.name if names_a is None else b.name
-        return CheckResult("indexes", REVIEW,
-                           f"{missing} cannot enumerate indexes",
-                           {"a": names_a, "b": names_b})
+def _check_indexes(a: IntrospectableBackend,
+                   b: IntrospectableBackend) -> CheckResult:
+    names_a, names_b = a.index_names(), b.index_names()
     only_a = sorted(set(names_a) - set(names_b))
     only_b = sorted(set(names_b) - set(names_a))
     if only_a or only_b:
@@ -347,8 +354,10 @@ def _check_indexes(a: SQLBackend, b: SQLBackend) -> CheckResult:
                        {"names": sorted(names_a)})
 
 
-def _check_queries(a: SQLBackend, b: SQLBackend,
-                   queries: list[Query]) -> CheckResult:
+def check_queries(a: IntrospectableBackend, b: IntrospectableBackend,
+                  queries: list[Query]) -> CheckResult:
+    """Run each query on both (already loaded) backends; the row
+    multisets must match. The differential oracle on its own."""
     results: list[dict] = []
     bad: list[str] = []
     for index, query in enumerate(queries):
@@ -360,8 +369,7 @@ def _check_queries(a: SQLBackend, b: SQLBackend,
                  "a_digest": digest_a, "b_digest": digest_b}
         if (count_a, digest_a) != (count_b, digest_b):
             missing, extra = multiset_diff(rows_a, rows_b)
-            sql = (a.sql_text(query) if hasattr(a, "sql_text")
-                   else str(query))
+            sql = a.sql_text(query)
             bad.append(f"query #{index}: {count_a} vs {count_b} rows "
                        f"({sql})")
             entry["missing"] = _sample(missing)
@@ -376,8 +384,9 @@ def _check_queries(a: SQLBackend, b: SQLBackend,
                        {"queries": results})
 
 
-def _check_timings(a: SQLBackend, b: SQLBackend, queries: list[Query],
-                   repeat: int, warmup: int) -> CheckResult:
+def _check_timings(a: IntrospectableBackend, b: IntrospectableBackend,
+                   queries: list[Query], repeat: int,
+                   warmup: int) -> CheckResult:
     timings: list[dict] = []
     for index, query in enumerate(queries):
         seconds_a = a.time_query(query, repeat=repeat,
@@ -399,7 +408,8 @@ def _check_timings(a: SQLBackend, b: SQLBackend, queries: list[Query],
 # Entry points
 # ----------------------------------------------------------------------
 
-def compare_loaded(a: SQLBackend, b: SQLBackend, queries: list[Query], *,
+def compare_loaded(a: IntrospectableBackend, b: IntrospectableBackend,
+                   queries: list[Query], *,
                    schema: MappedSchema | None = None,
                    include_timings: bool = False,
                    timing_repeat: int = 3, timing_warmup: int = 1,
@@ -422,7 +432,7 @@ def compare_loaded(a: SQLBackend, b: SQLBackend, queries: list[Query], *,
         report.checks.append(_check_columns(a, b, common, schema))
         report.checks.append(_check_rows(a, b, common))
         report.checks.append(_check_indexes(a, b))
-        report.checks.append(_check_queries(a, b, queries))
+        report.checks.append(check_queries(a, b, queries))
         if include_timings:
             report.checks.append(_check_timings(a, b, queries,
                                                 timing_repeat,
@@ -431,72 +441,50 @@ def compare_loaded(a: SQLBackend, b: SQLBackend, queries: list[Query], *,
     return report
 
 
-def _design_for(design: str, tree, docs, workload_size: int,
-                workload_seed: int, storage_bound: int):
-    """(schema, configuration, translated queries) for one design."""
-    from ..physdesign import Configuration
-    from ..search import GreedySearch, MappingEvaluator
-    from ..translate import Translator
-    from ..workload import WorkloadGenerator
-    stats = collect_statistics(tree, docs)
-    workload = WorkloadGenerator(tree, stats,
-                                 seed=workload_seed).generate(workload_size)
-    if design == "greedy":
-        result = GreedySearch(tree, workload, stats,
-                              storage_bound=storage_bound).run()
-        return (result.schema, result.configuration,
-                [query for query, _ in result.sql_queries])
-    if design not in PRESETS:
-        raise ValueError(f"unknown design {design!r} "
-                         f"(known: {', '.join(DESIGNS)})")
-    mapping = PRESETS[design](tree)
-    evaluated = MappingEvaluator(workload, stats,
-                                 storage_bound).evaluate(mapping)
-    if evaluated is not None:
-        return (evaluated.schema, evaluated.tuning.configuration,
-                [query for query, _ in evaluated.sql_queries])
-    # Infeasible under the bound: compare the bare logical design.
-    schema = derive_schema(mapping)
-    translator = Translator(schema)
-    queries = [translator.translate(w.query) for w in workload.queries]
-    return schema, Configuration(), queries
+def compare_design(schema: MappedSchema, configuration: Configuration,
+                   docs, queries: list[Query],
+                   backend_a: str = "engine", backend_b: str = "sqlite", *,
+                   include_timings: bool = False,
+                   context: dict | None = None,
+                   tracer: Tracer | NullTracer | None = None
+                   ) -> CompareReport:
+    """Load two fresh backends with one design and compare them.
+
+    Both are created by name, loaded from the same documents, given
+    the same configuration, compared with every check, and closed.
+    The defaults make it the engine-vs-SQLite oracle.
+    """
+    with (loaded_backend(backend_a, schema, configuration, docs, tracer) as a,
+          loaded_backend(backend_b, schema, configuration, docs, tracer) as b):
+        return compare_loaded(a, b, queries, schema=schema,
+                              include_timings=include_timings,
+                              context=context, tracer=tracer)
 
 
 def compare_datasets(dataset: str = "dblp", design: str = "hybrid",
                      backend_a: str = "sqlite", backend_b: str = "duckdb",
                      *, scale: int = 60, seed: int = 7,
                      workload_size: int = 6, workload_seed: int = 3,
-                     storage_bound: int = 512 * 1024 * 1024,
+                     storage_bound: int = DEFAULT_STORAGE_BOUND,
                      include_timings: bool = False,
                      tracer: Tracer | NullTracer | None = None
                      ) -> CompareReport:
     """Build, load, and compare two backends end to end.
 
     The one-call form the CLI and the CI gate use: generate the
-    bundled dataset, derive the design (a mapping preset tuned by the
-    evaluator, or the full greedy search), load both backends from the
-    same documents, apply the same configuration, and run every
-    comparator check.
+    bundled dataset and a workload, get the design from
+    :func:`repro.search.design_for` (a mapping preset tuned by the
+    advisor, or a search such as ``greedy``), and hand it to
+    :func:`compare_design`.
     """
-    tree, docs = named_dataset(dataset, scale, seed)
-    schema, configuration, queries = _design_for(
-        design, tree, docs, workload_size, workload_seed, storage_bound)
-    factory_a, factory_b = backend_factory(backend_a), \
-        backend_factory(backend_b)
-    context = {"dataset": dataset, "design": design, "scale": scale,
-               "seed": seed, "workload": workload_size}
-    a = factory_a(tracer=tracer)
-    try:
-        b = factory_b(tracer=tracer)
-        try:
-            a.load(schema, docs)
-            b.load(schema, docs)
-            a.apply_configuration(configuration)
-            b.apply_configuration(configuration)
-            return compare_loaded(a, b, queries, schema=schema,
-                                  include_timings=include_timings,
-                                  context=context, tracer=tracer)
-        finally:
-            b.close()
-    finally:
-        a.close()
+    bundle = DatasetBundle.named(dataset, scale, seed, storage_bound)
+    workload = bundle.workload_generator(workload_seed).generate(
+        workload_size)
+    result = design_for(design, bundle.tree, workload, bundle.stats,
+                        bundle.storage_bound)
+    return compare_design(
+        result.schema, result.configuration, bundle.docs,
+        [query for query, _ in result.sql_queries], backend_a, backend_b,
+        include_timings=include_timings, tracer=tracer,
+        context={"dataset": dataset, "design": design, "scale": scale,
+                 "seed": seed, "workload": workload_size})

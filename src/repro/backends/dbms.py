@@ -64,7 +64,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from ..engine import Database
+from ..engine import SQLType
 from ..errors import ReproError
 from ..mapping import MappedSchema, Shredder, shred_typed_batches
 from ..obs import NullTracer, Tracer, get_tracer
@@ -221,6 +221,10 @@ class RelationalBackend:
         """Every row of one table (unordered; callers sort)."""
         return self.execute_sql(
             f'SELECT * FROM {self.dialect.quote(name)}')
+
+    def declared_type(self, sql_type: SQLType) -> str:
+        """The declared type the dialect gives a mapped column."""
+        return self.dialect.type_name(sql_type)
 
     # ------------------------------------------------------------------
     # Connections
@@ -391,17 +395,6 @@ class RelationalBackend:
             span.set("rows", loaded)
             self._metrics.incr("rows_loaded", loaded)
 
-    def load_from_database(self, db: Database) -> None:
-        """Copy an already-loaded engine database's base tables."""
-        with self.tracer.span("backend.load", backend=self.name,
-                              source="engine") as span:
-            loaded = 0
-            for table in db.catalog.base_tables():
-                loaded += self._create_and_fill(table, table.rows or [])
-            self._commit_write()
-            span.set("rows", loaded)
-            self._metrics.incr("rows_loaded", loaded)
-
     def _max_stored_id(self, tables) -> int:
         """Largest element ID currently stored in any mapped table."""
         best = 0
@@ -524,41 +517,6 @@ class RelationalBackend:
             self._tables.append(table.name)
         self.row_counts.setdefault(table.name, 0)
         self._metrics.incr("tables_loaded")
-
-    def _ensure_table(self, table, append: bool = False) -> None:
-        """Create ``table``; an existing one is an error unless appending.
-
-        "Existing" covers both a previous ``load()`` on this backend
-        and a table already present in a file-backed database opened by
-        a fresh backend — either way the caller gets a clear
-        :class:`BackendError` instead of the driver's raw "table
-        already exists", and ``append=True`` turns both into an
-        append-load.
-        """
-        self._register_on_disk(table.name)
-        if table.name in self._tables:
-            if append:
-                return
-            raise BackendError(
-                f"table {table.name!r} already exists on this backend; "
-                f"load() is one-shot per database — pass append=True to "
-                f"append rows, or use a fresh backend/database")
-        self._create_table(table)
-
-    def _create_and_fill(self, table, rows: list[tuple]) -> int:
-        self._begin_write()
-        self._ensure_table(table)
-        storable = self.dialect.storable
-        try:
-            if rows:
-                self.connection.executemany(
-                    self.dialect.insert_sql(table),
-                    [tuple(storable(v) for v in row) for row in rows])
-        except self._driver_error as exc:
-            raise BackendError(
-                f"loading table {table.name!r} failed: {exc}") from exc
-        self.row_counts[table.name] += len(rows)
-        return len(rows)
 
     # ------------------------------------------------------------------
     # Physical design

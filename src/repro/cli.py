@@ -25,33 +25,22 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
+from .datasets import DATASETS, DEFAULT_STORAGE_BOUND, DatasetBundle
 from .engine import Database
 from .errors import ReproError
 from .obs import NULL_TRACER, Tracer, render_tree, to_json
-from .mapping import (DEFAULT_BATCH_SIZE, derive_schema, fully_split,
-                      hybrid_inlining, load_documents, shared_inlining,
-                      collect_statistics)
-from .search import GreedySearch, NaiveGreedySearch, TwoStepSearch
+from .mapping import (DEFAULT_BATCH_SIZE, PRESETS, derive_schema,
+                      load_documents)
+from .search import ALGORITHMS, design_for
 from .sqlast import render
 from .translate import translate_xpath
 from .workload import Workload
 from .xmlkit import parse_file
 from .xsd import SchemaTree, parse_dtd, parse_xsd_file, validate
-
-MAPPINGS = {
-    "hybrid": hybrid_inlining,
-    "shared": shared_inlining,
-    "fully-split": fully_split,
-}
-
-ALGORITHMS = {
-    "greedy": GreedySearch,
-    "naive-greedy": NaiveGreedySearch,
-    "two-step": TwoStepSearch,
-}
 
 
 def _load_schema(args) -> SchemaTree:
@@ -65,31 +54,75 @@ def _load_schema(args) -> SchemaTree:
     raise SystemExit("provide --schema <file.xsd> or --dtd <file.dtd>")
 
 
-def _schema_arguments(parser: argparse.ArgumentParser,
-                      required: bool = True) -> None:
+def _inputs(args, default_bound: int | None = None) -> DatasetBundle:
+    """The command's inputs, assembled in one place.
+
+    Either a bundled dataset (``--dataset``/``--scale``/``--seed``) or
+    schema + XML files, parsed and validated. The bundle collects
+    statistics when a command first reads them; its storage bound is
+    ``--storage-bound-mb`` where the command has it, else
+    ``default_bound``.
+    """
+    megabytes = getattr(args, "storage_bound_mb", None)
+    bound = megabytes * 1024 * 1024 if megabytes else default_bound
+    if getattr(args, "dataset", None):
+        return DatasetBundle.named(args.dataset, scale=args.scale,
+                                   seed=args.seed, storage_bound=bound,
+                                   stream=getattr(args, "stream", False))
+    tree = _load_schema(args)
+    if not args.xml:
+        raise SystemExit("provide --xml <file...> or --dataset")
+    docs = [parse_file(path) for path in args.xml]
+    for doc in docs:
+        validate(doc, tree)
+    return DatasetBundle("files", tree, docs, storage_bound=bound)
+
+
+def _workload(args, bundle: DatasetBundle) -> Workload | None:
+    """Generated from ``--seed``/``--queries`` for a bundled dataset,
+    else the ``--workload`` file (``None`` when there is none)."""
+    if args.dataset:
+        return bundle.workload_generator(seed=args.seed).generate(
+            args.queries)
+    return parse_workload_file(args.workload) if args.workload else None
+
+
+def _file_arguments(parser, xml_required: bool) -> None:
     parser.add_argument("--schema", help="XSD schema file")
     parser.add_argument("--dtd", help="DTD file (requires --root)")
     parser.add_argument("--root", help="root element name for --dtd")
-    parser.add_argument("--xml", required=required, nargs="+",
+    parser.add_argument("--xml", required=xml_required, nargs="+",
                         help="XML document file(s)")
 
 
+def _dataset_arguments(parser, default: str | None, scale: int) -> None:
+    parser.add_argument("--dataset", choices=list(DATASETS), default=default,
+                        help="bundled synthetic dataset"
+                             + (" (default: %(default)s)" if default else
+                                " instead of --schema/--xml files"))
+    parser.add_argument("--scale", type=int, default=scale,
+                        help="bundled dataset scale in records "
+                             "(default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=7,
+                        help="seed for the dataset generator and, unless "
+                             "the command has its own flag for them, the "
+                             "generated workload and the query mix "
+                             "(default: 7)")
+
+
 def _mapping_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mapping", choices=sorted(MAPPINGS),
+    parser.add_argument("--mapping", choices=sorted(PRESETS),
                         default="hybrid",
                         help="logical mapping preset (default: hybrid)")
 
 
-def _load_and_shred(args, out=None):
-    tree = _load_schema(args)
-    docs = [parse_file(path) for path in args.xml]
-    for doc in docs:
-        validate(doc, tree)
-    mapping = MAPPINGS[args.mapping](tree)
-    schema = derive_schema(mapping)
-    db = Database()
-    load_documents(db, schema, docs)
-    return tree, docs, schema, db
+def _print_rows(rows, limit: int, out) -> None:
+    limit = limit if limit > 0 else len(rows)
+    for row in rows[:limit]:
+        print("  " + "\t".join("NULL" if v is None else str(v)
+                               for v in row), file=out)
+    if len(rows) > limit:
+        print(f"  ... {len(rows) - limit} more", file=out)
 
 
 # ----------------------------------------------------------------------
@@ -111,17 +144,10 @@ def cmd_validate(args, out=None) -> int:
     return 1 if failures else 0
 
 
-def _shred_dataset(args, out) -> int:
+def _shred_streaming(schema, docs, args, out) -> None:
     """Stream-shred a bundled dataset at scale: per-table row counts
     (and optional CSV dumps) with memory bounded by the batch size."""
-    from .datasets import named_dataset
     from .mapping import shred_typed_batches
-    tree, docs = named_dataset(args.dataset, args.scale, args.seed,
-                               args.stream)
-    schema = derive_schema(MAPPINGS[args.mapping](tree))
-    print("relational schema:", file=out)
-    print(schema.describe(), file=out)
-    print(file=out)
     counts = {name: 0 for name in schema.table_names}
     handles: list = []
     writers: dict[str, csv.writer] = {}
@@ -148,19 +174,20 @@ def _shred_dataset(args, out) -> int:
         print(f"{name}: {counts[name]} rows", file=out)
     if args.out:
         print(f"\nwrote CSV files to {args.out}/", file=out)
-    return 0
 
 
 def cmd_shred(args, out=None) -> int:
     out = out or sys.stdout
-    if args.dataset:
-        return _shred_dataset(args, out)
-    if not args.xml:
-        raise SystemExit("provide --xml <file...> or --dataset")
-    tree, docs, schema, db = _load_and_shred(args, out)
+    bundle = _inputs(args)
+    schema = derive_schema(PRESETS[args.mapping](bundle.tree))
     print("relational schema:", file=out)
     print(schema.describe(), file=out)
     print(file=out)
+    if args.dataset:
+        _shred_streaming(schema, bundle.docs, args, out)
+        return 0
+    db = Database()
+    load_documents(db, schema, bundle.docs)
     for name in sorted(db.catalog.tables):
         table = db.catalog.table(name)
         print(f"{name}: {table.row_count} rows "
@@ -180,7 +207,10 @@ def cmd_shred(args, out=None) -> int:
 
 def cmd_query(args, out=None) -> int:
     out = out or sys.stdout
-    tree, docs, schema, db = _load_and_shred(args, out)
+    bundle = _inputs(args)
+    schema = derive_schema(PRESETS[args.mapping](bundle.tree))
+    db = Database()
+    load_documents(db, schema, bundle.docs)
     sql = translate_xpath(schema, args.xpath)
     print("SQL:", file=out)
     print(render(sql, indent="  "), file=out)
@@ -189,13 +219,23 @@ def cmd_query(args, out=None) -> int:
         print(db.explain(sql).explain(), file=out)
     result = db.execute(sql)
     print(f"\n{len(result.rows)} rows (cost {result.cost:.2f}):", file=out)
-    limit = args.limit if args.limit > 0 else len(result.rows)
-    for row in result.rows[:limit]:
-        print("  " + "\t".join("NULL" if v is None else str(v)
-                               for v in row), file=out)
-    if len(result.rows) > limit:
-        print(f"  ... {len(result.rows) - limit} more", file=out)
+    _print_rows(result.rows, args.limit, out)
     return 0
+
+
+def _strip_comment(line: str) -> str:
+    """``line`` up to the first ``#`` outside a quoted XPath literal
+    (literals have no escapes: one runs to the next same quote)."""
+    quote = None
+    for index, char in enumerate(line):
+        if quote:
+            if char == quote:
+                quote = None
+        elif char in "\"'":
+            quote = char
+        elif char == "#":
+            return line[:index]
+    return line
 
 
 def parse_workload_file(path: str, name: str = "workload") -> Workload:
@@ -203,7 +243,7 @@ def parse_workload_file(path: str, name: str = "workload") -> Workload:
     workload = Workload(name)
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
-            line = raw.split("#", 1)[0].strip()
+            line = _strip_comment(raw).strip()
             if not line:
                 continue
             weight = 1.0
@@ -229,24 +269,13 @@ def parse_workload_file(path: str, name: str = "workload") -> Workload:
 
 def cmd_advise(args, out=None) -> int:
     out = out or sys.stdout
-    if args.faults:
-        from .resilience import install_fault_plan
-        install_fault_plan(args.faults)
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
-    tree = _load_schema(args)
-    docs = [parse_file(path) for path in args.xml]
-    for doc in docs:
-        validate(doc, tree)
-    stats = collect_statistics(tree, docs)
+    bundle = _inputs(args)
     workload = parse_workload_file(args.workload)
-    storage_bound = (args.storage_bound_mb * 1024 * 1024
-                     if args.storage_bound_mb else None)
-    search_cls = ALGORITHMS[args.algorithm]
     tracing = args.trace or args.trace_json
     tracer = Tracer() if tracing else NULL_TRACER
-    kwargs = {"storage_bound": storage_bound, "tracer": tracer,
-              "jobs": args.jobs}
+    kwargs = {"jobs": args.jobs}
     if args.cache_dir:
         if args.algorithm == "naive-greedy":
             # Naive-Greedy deliberately re-evaluates duplicates (the
@@ -270,8 +299,8 @@ def cmd_advise(args, out=None) -> int:
                                                    tracer=tracer)
             kwargs["checkpoint_every"] = args.checkpoint_every
             kwargs["resume"] = args.resume
-    search = search_cls(tree, workload, stats, **kwargs)
-    result = search.run()
+    result = design_for(args.algorithm, bundle.tree, workload, bundle.stats,
+                        bundle.storage_bound, tracer, **kwargs)
     print(result.describe(), file=out)
     counters = result.counters
     print(f"\nsearch: {counters.transformations_searched} transformations, "
@@ -297,10 +326,8 @@ def cmd_advise(args, out=None) -> int:
                                          encoding="utf-8")
         print(f"\nwrote trace JSON to {args.trace_json}", file=out)
     if args.measure:
-        from .experiments import measure_workload, realize
-        db = realize(result.schema, result.configuration, docs[0]
-                     if len(docs) == 1 else docs, use_cache=False)
-        measured = measure_workload(db, result.sql_queries)
+        from .experiments import measure_design
+        measured = measure_design(result, bundle)
         print(f"measured workload cost on loaded data: {measured:.1f}",
               file=out)
     return 0
@@ -319,9 +346,26 @@ def cmd_cache(args, out=None) -> int:
     return 0
 
 
-def _cmd_check_code(args, out) -> int:
+def _emit_findings(report, counts: dict, args, out) -> int:
+    """Print a lint report (text or ``--json``) and pick the exit code."""
     import json
 
+    if args.json:
+        print(json.dumps({"ok": report.ok, **counts,
+                          "findings": report.findings.to_dicts()},
+                         indent=2), file=out)
+    else:
+        if report.findings:
+            print(report.findings.render(), file=out)
+        print(report.summary(), file=out)
+    if report.findings.errors:
+        return 1
+    if args.strict and report.findings.warnings:
+        return 1
+    return 0
+
+
+def _cmd_check_code(args, out) -> int:
     from .check.code import (Baseline, lint_source_tree, load_baseline,
                              write_baseline)
 
@@ -338,76 +382,32 @@ def _cmd_check_code(args, out) -> int:
             combined, justification="TODO: justify or fix"))
         print(f"wrote {len(combined)} entr(ies) to {target}", file=out)
         return 0
-    if args.json:
-        print(json.dumps({
-            "ok": report.ok,
-            "modules_checked": report.modules_checked,
-            "inline_suppressed": report.inline_suppressed,
-            "grandfathered": report.grandfathered.to_dicts(),
-            "findings": report.findings.to_dicts(),
-        }, indent=2), file=out)
-    else:
-        if report.findings:
-            print(report.findings.render(), file=out)
-        print(report.summary(), file=out)
-    if report.findings.errors:
-        return 1
-    if args.strict and report.findings.warnings:
-        return 1
-    return 0
+    return _emit_findings(report, {
+        "modules_checked": report.modules_checked,
+        "inline_suppressed": report.inline_suppressed,
+        "grandfathered": report.grandfathered.to_dicts()}, args, out)
 
 
 def cmd_check(args, out=None) -> int:
-    import json
-
     from .check import lint_bundle
-    from .workload import Workload
 
     out = out or sys.stdout
     if args.code:
         return _cmd_check_code(args, out)
-    if args.dataset:
-        from .experiments import DatasetBundle
-        bundle = DatasetBundle.named(args.dataset, scale=args.scale,
-                                     seed=args.seed)
-        tree, stats = bundle.tree, bundle.stats
-        workload = bundle.workload_generator(seed=args.seed).generate(
-            args.queries)
-    else:
-        tree = _load_schema(args)
-        if not args.xml:
-            raise SystemExit("provide --xml <file...> or --dataset")
-        docs = [parse_file(path) for path in args.xml]
-        for doc in docs:
-            validate(doc, tree)
-        stats = collect_statistics(tree, docs)
-        workload = (parse_workload_file(args.workload)
-                    if args.workload else Workload("empty"))
-    mapping = MAPPINGS[args.mapping](tree)
-    report = lint_bundle(mapping, workload, stats)
-    if args.json:
-        print(json.dumps({
-            "ok": report.ok,
-            "tables_checked": report.tables_checked,
-            "queries_checked": report.queries_checked,
-            "queries_failed": report.queries_failed,
-            "findings": report.findings.to_dicts(),
-        }, indent=2), file=out)
-    else:
-        if report.findings:
-            print(report.findings.render(), file=out)
-        print(report.summary(), file=out)
-    if report.findings.errors:
-        return 1
-    if args.strict and report.findings.warnings:
-        return 1
-    return 0
+    bundle = _inputs(args)
+    workload = _workload(args, bundle) or Workload("empty")
+    report = lint_bundle(PRESETS[args.mapping](bundle.tree), workload,
+                         bundle.stats)
+    return _emit_findings(report, {
+        "tables_checked": report.tables_checked,
+        "queries_checked": report.queries_checked,
+        "queries_failed": report.queries_failed}, args, out)
 
 
 def cmd_experiment(args, out=None) -> int:
     out = out or sys.stdout
-    from .experiments import (DatasetBundle, TABLE1_HEADERS, characterize,
-                              format_table, run_motivating_example)
+    from .experiments import (TABLE1_HEADERS, characterize, format_table,
+                              run_motivating_example)
     backend = getattr(args, "backend", "engine")
     if args.name == "all":
         for name in ("table1", "e0", "split-count", "comparison"):
@@ -448,8 +448,8 @@ def cmd_experiment(args, out=None) -> int:
                  f"ordering reverses: {result.ordering_reverses_untuned}"),
             file=out)
     elif args.name == "table1":
-        rows = [characterize(DatasetBundle.dblp(scale=args.scale)),
-                characterize(DatasetBundle.movie(scale=args.scale))]
+        rows = [characterize(DatasetBundle.named(name, scale=args.scale))
+                for name in DATASETS]
         print(format_table("Table 1 — data set characteristics",
                            TABLE1_HEADERS, [r.row() for r in rows]),
               file=out)
@@ -458,54 +458,29 @@ def cmd_experiment(args, out=None) -> int:
     return 0
 
 
-def _serve_bundle(args, out):
-    """Schema, documents, statistics, and workload for serve/loadgen.
+def _serve_inputs(args, out):
+    """``(bundle, workload, schema, configuration)`` for serve/loadgen.
 
-    Either a bundled dataset (``--dataset``) or explicit schema+XML
-    files. One ``--seed`` drives the workload generator and (through
-    the caller) the mix sampler — the reproducibility contract of the
-    load harness.
-    """
-    if args.dataset:
-        from .experiments import DatasetBundle
-        bundle = DatasetBundle.named(args.dataset, scale=args.scale,
-                                     seed=args.seed,
-                                     stream=getattr(args, "stream", False))
-        tree, docs, stats = bundle.tree, bundle.docs, bundle.stats
-        workload = bundle.workload_generator(seed=args.seed).generate(
-            args.queries)
-    else:
-        tree = _load_schema(args)
-        if not args.xml:
-            raise SystemExit("provide --xml <file...> or --dataset")
-        docs = [parse_file(path) for path in args.xml]
-        for doc in docs:
-            validate(doc, tree)
-        stats = collect_statistics(tree, docs)
-        if not args.workload:
-            raise SystemExit("file mode requires --workload")
-        workload = parse_workload_file(args.workload)
-    return tree, docs, stats, workload
-
-
-def _serve_design(args, tree, stats, workload, out):
-    """The (schema, configuration) pair the service will load.
-
-    ``--tune`` runs the physical-design advisor on the chosen mapping
-    (translation + what-if calls, no data touched); without it the
-    service runs the bare logical design.
+    One ``--seed`` drives the dataset, the workload generator and
+    (through the caller) the mix sampler — the reproducibility contract
+    of the load harness. ``--tune`` asks :func:`design_for` to tune the
+    chosen mapping (translation + what-if calls, no data touched);
+    without it the service runs the bare logical design.
     """
     from .physdesign import Configuration
-    mapping = MAPPINGS[args.mapping](tree)
-    if args.tune:
-        from .search import MappingEvaluator
-        evaluator = MappingEvaluator(workload, stats, storage_bound=None)
-        evaluated = evaluator.evaluate(mapping)
-        if evaluated is not None:
-            return evaluated.schema, evaluated.tuning.configuration
+    bundle = _inputs(args)
+    workload = _workload(args, bundle)
+    if workload is None:
+        raise SystemExit("file mode requires --workload")
+    if not args.tune:
+        schema = derive_schema(PRESETS[args.mapping](bundle.tree))
+        return bundle, workload, schema, Configuration()
+    design = design_for(args.mapping, bundle.tree, workload, bundle.stats,
+                        bundle.storage_bound)
+    if math.isinf(design.estimated_cost):
         print("note: workload is infeasible under this mapping; "
               "serving untuned", file=out)
-    return derive_schema(mapping), Configuration()
+    return bundle, workload, design.schema, design.configuration
 
 
 def _make_service(args, schema, configuration, docs):
@@ -526,7 +501,8 @@ def _make_service(args, schema, configuration, docs):
 
 
 def _install_cli_faults(args):
-    """Install ``--faults`` and return a restore callable.
+    """Install ``--faults`` (where the command has it) and return a
+    restore callable; :func:`main` brackets every command with it.
 
     The CLI runs in-process in tests, so the previously active plan is
     restored afterwards instead of leaking into the next command.
@@ -540,10 +516,8 @@ def _install_cli_faults(args):
 
 def cmd_serve(args, out=None) -> int:
     out = out or sys.stdout
-    restore_faults = _install_cli_faults(args)
-    tree, docs, stats, workload = _serve_bundle(args, out)
-    schema, configuration = _serve_design(args, tree, stats, workload, out)
-    service = _make_service(args, schema, configuration, docs)
+    bundle, _, schema, configuration = _serve_inputs(args, out)
+    service = _make_service(args, schema, configuration, bundle.docs)
     try:
         print(f"serving {len(schema.table_names)} tables "
               f"({len(configuration.indexes)} indexes, "
@@ -567,16 +541,10 @@ def cmd_serve(args, out=None) -> int:
                   f"{result.seconds * 1e3:.3f}ms "
                   f"({'cached' if result.cached_plan else 'translated'} "
                   f"plan {result.plan_key})", file=out)
-            limit = args.limit if args.limit > 0 else len(result.rows)
-            for row in result.rows[:limit]:
-                print("  " + "\t".join("NULL" if v is None else str(v)
-                                       for v in row), file=out)
-            if len(result.rows) > limit:
-                print(f"  ... {len(result.rows) - limit} more", file=out)
+            _print_rows(result.rows, args.limit, out)
         print(service.stats().describe(), file=out)
     finally:
         service.close()
-        restore_faults()
     return 0
 
 
@@ -586,11 +554,9 @@ def cmd_loadgen(args, out=None) -> int:
     out = out or sys.stdout
     from .serve import LoadGenerator, write_run_report
     from .workload import zipf_mix
-    restore_faults = _install_cli_faults(args)
-    tree, docs, stats, workload = _serve_bundle(args, out)
-    schema, configuration = _serve_design(args, tree, stats, workload, out)
+    bundle, workload, schema, configuration = _serve_inputs(args, out)
     mix = zipf_mix(workload, skew=args.zipf)
-    service = _make_service(args, schema, configuration, docs)
+    service = _make_service(args, schema, configuration, bundle.docs)
     try:
         generator = LoadGenerator(service, mix, seed=args.seed,
                                   mode=args.mode, clients=args.clients,
@@ -607,13 +573,15 @@ def cmd_loadgen(args, out=None) -> int:
             # The oracle check must see the service fault-free: a
             # deterministic plan would otherwise fail verify queries on
             # purpose and report phantom divergence.
-            from .resilience import NULL_PLAN, install_fault_plan
+            from .resilience import (NULL_PLAN, active_fault_plan,
+                                     install_fault_plan)
+            chaos = active_fault_plan()
             install_fault_plan(NULL_PLAN)
             try:
-                mismatches = _verify_against_engine(service, schema, docs,
-                                                    mix, out)
+                mismatches = _verify_against_engine(service, schema,
+                                                    bundle.docs, mix, out)
             finally:
-                restore_faults()
+                install_fault_plan(chaos)
             if mismatches:
                 failures.append(f"{mismatches} queries diverge from the "
                                 f"engine oracle")
@@ -667,7 +635,6 @@ def cmd_loadgen(args, out=None) -> int:
                   file=out)
     finally:
         service.close()
-        restore_faults()
     return 0
 
 
@@ -696,16 +663,8 @@ def _verify_against_engine(service, schema, docs, mix, out) -> int:
 def cmd_calibrate(args, out=None) -> int:
     out = out or sys.stdout
     from .backends import run_calibration
-    from .experiments import DatasetBundle
-    storage_bound = (args.storage_bound_mb * 1024 * 1024
-                     if args.storage_bound_mb else None)
-    kwargs = {"scale": args.scale, "seed": args.seed}
-    if storage_bound:
-        kwargs["storage_bound"] = storage_bound
-    bundle = DatasetBundle.named(args.dataset, **kwargs)
-    workload = bundle.workload_generator(seed=args.seed).generate(
-        args.queries)
-    report = run_calibration(bundle, workload,
+    bundle = _inputs(args, DEFAULT_STORAGE_BOUND)
+    report = run_calibration(bundle, _workload(args, bundle),
                              algorithms=tuple(args.algorithms),
                              repeat=args.repeat, warmup=args.warmup)
     print(report.describe(), file=out)
@@ -726,16 +685,15 @@ def cmd_compare(args, out=None) -> int:
 
     out = out or sys.stdout
     from .backends import compare_datasets, duckdb_available
-    from .backends.compare import DESIGNS, MISMATCH, REVIEW
+    from .backends.compare import MISMATCH, REVIEW
     needs_duckdb = "duckdb" in (args.backend_a, args.backend_b)
     if needs_duckdb and not duckdb_available():
         print("duckdb is not installed; skipping the backend comparison "
               "(pip install duckdb to enable it)", file=out)
         return 1 if args.strict else 0
-    designs = args.design or list(DESIGNS)
     reports = []
     failed = False
-    for design in designs:
+    for design in args.design or [*sorted(PRESETS), "greedy"]:
         report = compare_datasets(
             args.dataset, design, args.backend_a, args.backend_b,
             scale=args.scale, seed=args.seed,
@@ -775,6 +733,7 @@ def _jobs_argument(raw: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .backends import known_backends
     parser = argparse.ArgumentParser(
         prog="repro",
         description="XML-to-relational shredding advisor "
@@ -783,26 +742,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate",
                                 help="validate XML against a schema")
-    _schema_arguments(p_validate)
+    _file_arguments(p_validate, xml_required=True)
     p_validate.set_defaults(func=cmd_validate)
 
     p_shred = sub.add_parser("shred", help="shred XML into tables")
-    _schema_arguments(p_shred, required=False)
+    _file_arguments(p_shred, xml_required=False)
     _mapping_argument(p_shred)
     dataset = p_shred.add_argument_group("bundled dataset")
-    dataset.add_argument("--dataset", choices=["dblp", "movie"],
-                         default=None,
-                         help="shred a bundled synthetic dataset instead "
-                              "of --schema/--xml files")
-    dataset.add_argument("--scale", type=int, default=2000,
-                         help="bundled dataset scale in records "
-                              "(default: 2000; supports 10^6+ with "
-                              "--stream)")
-    dataset.add_argument("--seed", type=int, default=7,
-                         help="dataset generator seed (default: 7)")
+    _dataset_arguments(dataset, None, scale=2000)
     dataset.add_argument("--stream", action="store_true",
                          help="generate and shred lazily: peak memory "
-                              "bounded by --batch-size, not --scale")
+                              "bounded by --batch-size, not --scale "
+                              "(supports --scale 10^6+)")
     dataset.add_argument("--batch-size", type=int,
                          default=DEFAULT_BATCH_SIZE,
                          help="rows per streamed batch (default: "
@@ -811,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shred.set_defaults(func=cmd_shred)
 
     p_query = sub.add_parser("query", help="run an XPath query")
-    _schema_arguments(p_query)
+    _file_arguments(p_query, xml_required=True)
     _mapping_argument(p_query)
     p_query.add_argument("--xpath", required=True)
     p_query.add_argument("--explain", action="store_true",
@@ -822,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_advise = sub.add_parser("advise",
                               help="search for the best joint design")
-    _schema_arguments(p_advise)
+    _file_arguments(p_advise, xml_required=True)
     p_advise.add_argument("--workload", required=True,
                           help="workload file (one XPath per line)")
     p_advise.add_argument("--algorithm", choices=sorted(ALGORITHMS),
@@ -871,24 +822,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser(
         "check", help="statically lint a schema+mapping+workload bundle")
-    p_check.add_argument("--schema", help="XSD schema file")
-    p_check.add_argument("--dtd", help="DTD file (requires --root)")
-    p_check.add_argument("--root", help="root element name for --dtd")
-    p_check.add_argument("--xml", nargs="+",
-                         help="XML document file(s) for statistics")
+    _file_arguments(p_check, xml_required=False)
     _mapping_argument(p_check)
     p_check.add_argument("--workload", default=None,
                          help="workload file (one XPath per line)")
-    p_check.add_argument("--dataset", choices=["dblp", "movie"],
-                         default=None,
-                         help="lint a bundled synthetic dataset instead "
-                              "of --schema/--xml files")
-    p_check.add_argument("--scale", type=int, default=300,
-                         help="dataset scale for --dataset (default: 300)")
+    _dataset_arguments(p_check, None, scale=300)
     p_check.add_argument("--queries", type=int, default=6,
                          help="generated workload size for --dataset")
-    p_check.add_argument("--seed", type=int, default=7,
-                         help="workload/dataset seed for --dataset")
     p_check.add_argument("--json", action="store_true",
                          help="emit findings as JSON")
     p_check.add_argument("--strict", action="store_true",
@@ -921,14 +861,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser(
         "calibrate",
         help="rank-correlate cost estimates with measured SQLite times")
-    p_cal.add_argument("--dataset", choices=["dblp", "movie"],
-                       default="dblp")
-    p_cal.add_argument("--scale", type=int, default=300,
-                       help="dataset scale (default: 300)")
+    _dataset_arguments(p_cal, "dblp", scale=300)
     p_cal.add_argument("--queries", type=int, default=6,
                        help="generated workload size (default: 6)")
-    p_cal.add_argument("--seed", type=int, default=7,
-                       help="dataset/workload seed (default: 7)")
     p_cal.add_argument("--repeat", type=int, default=3,
                        help="timed runs per query (median; default: 3)")
     p_cal.add_argument("--warmup", type=int, default=1,
@@ -949,25 +884,18 @@ def build_parser() -> argparse.ArgumentParser:
         "compare",
         help="cross-check two execution backends on one dataset: "
              "schemas, row multisets, workload results, indexes")
-    p_cmp.add_argument("--dataset", choices=["dblp", "movie"],
-                       default="dblp",
-                       help="bundled synthetic dataset (default: dblp)")
+    _dataset_arguments(p_cmp, "dblp", scale=60)
     p_cmp.add_argument("--design", action="append",
-                       choices=["hybrid", "shared", "fully-split",
-                                "greedy"],
+                       choices=[*PRESETS, "greedy"],
                        default=None, metavar="DESIGN",
                        help="mapping preset or 'greedy' (repeatable; "
                             "default: all of them)")
     p_cmp.add_argument("--backend-a", default="sqlite",
-                       choices=["engine", "sqlite", "duckdb"],
+                       choices=known_backends(),
                        help="reference backend (default: sqlite)")
     p_cmp.add_argument("--backend-b", default="duckdb",
-                       choices=["engine", "sqlite", "duckdb"],
+                       choices=known_backends(),
                        help="candidate backend (default: duckdb)")
-    p_cmp.add_argument("--scale", type=int, default=60,
-                       help="dataset scale in records (default: 60)")
-    p_cmp.add_argument("--seed", type=int, default=7,
-                       help="dataset generator seed (default: 7)")
     p_cmp.add_argument("--queries", type=int, default=6,
                        help="generated workload size (default: 6)")
     p_cmp.add_argument("--workload-seed", type=int, default=3,
@@ -985,12 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def serve_shared(p: argparse.ArgumentParser) -> None:
         source = p.add_argument_group("data source")
-        source.add_argument("--dataset", choices=["dblp", "movie"],
-                            default=None,
-                            help="serve a bundled synthetic dataset "
-                                 "instead of --schema/--xml files")
-        source.add_argument("--scale", type=int, default=300,
-                            help="bundled dataset scale (default: 300)")
+        _dataset_arguments(source, None, scale=300)
         source.add_argument("--stream", action="store_true",
                             help="generate the bundled dataset lazily and "
                                  "stream the bulk load (use with large "
@@ -998,11 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--queries", type=int, default=6,
                             help="generated workload size for --dataset "
                                  "(default: 6)")
-        source.add_argument("--schema", help="XSD schema file")
-        source.add_argument("--dtd", help="DTD file (requires --root)")
-        source.add_argument("--root", help="root element name for --dtd")
-        source.add_argument("--xml", nargs="+",
-                            help="XML document file(s) (file mode)")
+        _file_arguments(source, xml_required=False)
         source.add_argument("--workload", default=None,
                             help="workload file (required in file mode)")
         design = p.add_argument_group("design")
@@ -1011,9 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run the physical-design advisor and "
                                  "serve its recommended configuration")
         svc = p.add_argument_group("service")
-        svc.add_argument("--seed", type=int, default=7,
-                         help="seed for dataset, workload, and query "
-                              "mix (default: 7)")
         svc.add_argument("--workers", type=int, default=4,
                          help="service worker threads (default: 4)")
         svc.add_argument("--plan-cache", type=int, default=128,
@@ -1108,11 +1024,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    restore_faults = _install_cli_faults(args)
     try:
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        restore_faults()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,9 +4,8 @@ from .ablations import (Fig7Row, Fig8Row, Fig9Row, fig7_table, fig8_tables,
                         fig9_tables, run_fig7, run_fig8, run_fig9)
 from .comparison import (ALGORITHMS, AlgorithmRun, ComparisonResult,
                          compare_algorithms)
-from .harness import (Baseline, DatasetBundle, measure_design,
-                      measure_workload, measure_workload_sqlite, realize,
-                      tuned_hybrid_baseline)
+from .harness import (DatasetBundle, measure_design, measure_workload,
+                      realize, tuned_hybrid_baseline)
 from .motivating import MotivatingResult, run_motivating_example
 from .reporting import format_series, format_table
 from .split_count import (SplitCountPoint, SplitCountSweep,
@@ -16,10 +15,8 @@ from .table1 import (HEADERS as TABLE1_HEADERS, DatasetCharacteristics,
 
 __all__ = [
     "DatasetBundle",
-    "Baseline",
     "realize",
     "measure_workload",
-    "measure_workload_sqlite",
     "measure_design",
     "tuned_hybrid_baseline",
     "run_motivating_example",

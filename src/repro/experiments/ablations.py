@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..search import GreedySearch, NaiveGreedySearch
+from ..search import design_for
 from ..workload import Workload
 from .harness import DatasetBundle, measure_design, tuned_hybrid_baseline
 from .reporting import format_series
@@ -22,9 +22,8 @@ from .reporting import format_series
 def _run_variant(bundle: DatasetBundle, workload: Workload,
                  **kwargs) -> tuple[float, float, int]:
     """(wall time, measured cost, transformations searched)."""
-    search = GreedySearch(bundle.tree, workload, bundle.stats,
-                          bundle.storage_bound, **kwargs)
-    result = search.run()
+    result = design_for("greedy", bundle.tree, workload, bundle.stats,
+                        bundle.storage_bound, **kwargs)
     measured = measure_design(result, bundle)
     return (result.counters.wall_time, measured,
             result.counters.transformations_searched)
@@ -54,11 +53,9 @@ def _run_naive_variant(bundle: DatasetBundle, workload: Workload,
     ``include_subsumed=False`` variant applies only the
     subsumed-transformation pruning (the first Section 4.5 rule).
     """
-    search = NaiveGreedySearch(bundle.tree, workload, bundle.stats,
-                               bundle.storage_bound,
-                               include_subsumed=include_subsumed,
-                               max_rounds=6)
-    result = search.run()
+    result = design_for("naive-greedy", bundle.tree, workload, bundle.stats,
+                        bundle.storage_bound,
+                        include_subsumed=include_subsumed, max_rounds=6)
     return result.counters.wall_time, measure_design(result, bundle)
 
 
@@ -76,8 +73,8 @@ def run_fig7(bundle: DatasetBundle,
             workload_name=workload.name,
             subsumed_speedup=t_all / max(t_nonsub, 1e-9),
             overall_speedup=t_all / max(t_full, 1e-9),
-            quality_full=cost_full / max(baseline.measured_cost, 1e-9),
-            quality_unpruned=cost_all / max(baseline.measured_cost, 1e-9),
+            quality_full=cost_full / max(baseline, 1e-9),
+            quality_unpruned=cost_all / max(baseline, 1e-9),
         ))
     return rows
 
@@ -118,7 +115,7 @@ def run_fig8(bundle: DatasetBundle,
         times: dict[str, float] = {}
         for mode in MERGING_MODES:
             wall, measured, _ = _run_variant(bundle, workload, merging=mode)
-            row.quality[mode] = measured / max(baseline.measured_cost, 1e-9)
+            row.quality[mode] = measured / max(baseline, 1e-9)
             times[mode] = wall
         reference = max(times["none"], 1e-9)
         row.time = {mode: times[mode] / reference for mode in MERGING_MODES}
@@ -163,8 +160,8 @@ def run_fig9(bundle: DatasetBundle,
             bundle, workload, use_cost_derivation=False)
         rows.append(Fig9Row(
             workload_name=workload.name,
-            quality_with=cost_with / max(baseline.measured_cost, 1e-9),
-            quality_without=cost_without / max(baseline.measured_cost, 1e-9),
+            quality_with=cost_with / max(baseline, 1e-9),
+            quality_without=cost_without / max(baseline, 1e-9),
             speedup=t_without / max(t_with, 1e-9),
         ))
     return rows

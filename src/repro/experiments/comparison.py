@@ -18,13 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs import NULL_TRACER, Tracer, summarize
-from ..search import DesignResult, GreedySearch, NaiveGreedySearch, TwoStepSearch
+from ..search import ALGORITHMS, DesignResult, design_for
 from ..workload import Workload
-from .harness import (Baseline, DatasetBundle, measure_design,
-                      tuned_hybrid_baseline)
+from .harness import DatasetBundle, measure_design, tuned_hybrid_baseline
 from .reporting import format_series
-
-ALGORITHMS = ("greedy", "naive-greedy", "two-step")
 
 
 @dataclass
@@ -45,7 +42,8 @@ class AlgorithmRun:
 class ComparisonResult:
     bundle_name: str
     runs: list[AlgorithmRun] = field(default_factory=list)
-    baselines: dict[str, Baseline] = field(default_factory=dict)
+    #: workload name → measured cost of the tuned hybrid baseline
+    baselines: dict[str, float] = field(default_factory=dict)
 
     def by_algorithm(self, algorithm: str) -> dict[str, AlgorithmRun]:
         return {r.workload_name: r for r in self.runs
@@ -106,22 +104,8 @@ class ComparisonResult:
         return "\n\n".join(blocks)
 
 
-def _make_search(algorithm: str, bundle: DatasetBundle,
-                 workload: Workload, naive_max_rounds: int,
-                 tracer=None):
-    common = dict(storage_bound=bundle.storage_bound, tracer=tracer)
-    if algorithm == "greedy":
-        return GreedySearch(bundle.tree, workload, bundle.stats, **common)
-    if algorithm == "naive-greedy":
-        return NaiveGreedySearch(bundle.tree, workload, bundle.stats,
-                                 max_rounds=naive_max_rounds, **common)
-    if algorithm == "two-step":
-        return TwoStepSearch(bundle.tree, workload, bundle.stats, **common)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
 def compare_algorithms(bundle: DatasetBundle, workloads: list[Workload],
-                       algorithms: tuple[str, ...] = ALGORITHMS,
+                       algorithms: tuple[str, ...] = tuple(ALGORITHMS),
                        naive_max_queries: int = 10,
                        naive_max_rounds: int = 6,
                        trace: bool = False,
@@ -148,16 +132,18 @@ def compare_algorithms(bundle: DatasetBundle, workloads: list[Workload],
                     len(workload) > naive_max_queries:
                 continue  # the paper could not finish these either
             tracer = Tracer() if trace else NULL_TRACER
-            search = _make_search(algorithm, bundle, workload,
-                                  naive_max_rounds, tracer=tracer)
-            result = search.run()
+            options = ({"max_rounds": naive_max_rounds}
+                       if algorithm == "naive-greedy" else {})
+            result = design_for(algorithm, bundle.tree, workload,
+                                bundle.stats, bundle.storage_bound, tracer,
+                                **options)
             measured = measure_design(result, bundle, backend=backend)
             out.runs.append(AlgorithmRun(
                 algorithm=algorithm,
                 workload_name=workload.name,
                 result=result,
                 measured_cost=measured,
-                normalized_cost=measured / max(baseline.measured_cost, 1e-9),
+                normalized_cost=measured / max(baseline, 1e-9),
                 wall_time=result.counters.wall_time,
                 transformations=result.counters.transformations_searched,
                 trace_summary=summarize(tracer) if trace else "",

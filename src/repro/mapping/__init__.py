@@ -3,7 +3,8 @@ schema derivation, and statistics derivation."""
 
 from .mapper import derive_schema
 from .model import Mapping, UnionDistribution
-from .presets import fully_inlined, fully_split, hybrid_inlining, shared_inlining
+from .presets import (PRESETS, fully_inlined, fully_split, hybrid_inlining,
+                      shared_inlining)
 from .relschema import (BranchCondition, ColumnSpec, LeafStorage,
                         MappedSchema, PartitionSpec, PresenceCondition,
                         TableGroup)
@@ -28,6 +29,7 @@ __all__ = [
     "LeafStorage",
     "BranchCondition",
     "PresenceCondition",
+    "PRESETS",
     "hybrid_inlining",
     "fully_inlined",
     "shared_inlining",

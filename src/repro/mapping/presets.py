@@ -86,3 +86,12 @@ def fully_split(tree: SchemaTree) -> Mapping:
                       annotations=tuple(sorted(annotations.items())))
     mapping.validate()
     return mapping
+
+
+#: The preset table: every place that offers "a mapping by name" (CLI
+#: ``--mapping``/``--design``, :func:`repro.search.design_for`) reads it.
+PRESETS = {
+    "hybrid": hybrid_inlining,
+    "shared": shared_inlining,
+    "fully-split": fully_split,
+}

@@ -1,5 +1,6 @@
 """Cross-backend tests: the SQLite backend, dialect round-trips,
-differential validation, and executor-divergence regression tests.
+the engine-vs-SQLite oracle (the comparator's ``queries`` check), and
+executor-divergence regression tests.
 
 The divergence regression tests in ``TestComparatorRegression`` were
 written against the *observed* disagreement before the fix landed (see
@@ -8,13 +9,13 @@ the class docstring); they pin the engine to SQLite's semantics.
 
 import pytest
 
-from repro.backends import (CalibrationReport, DiffReport, EngineBackend,
+from repro.backends import (CalibrationReport, CheckResult, EngineBackend,
                             QueryTiming, SQLBackend, SQLiteBackend,
-                            compare_backends, create_index_sql,
+                            check_queries, compare_design, create_index_sql,
                             create_table_sql, insert_sql, multiset_diff,
                             normalize_row, quote_identifier, render_query,
-                            run_calibration, spearman, timed_runs,
-                            validate_design)
+                            run_calibration, spearman, timed_runs)
+from repro.backends.compare import OK
 from repro.backends.sqlite import BackendError
 from repro.check.runtime import override_checks
 from repro.datasets import (dblp_schema, generate_dblp, generate_movies,
@@ -22,10 +23,10 @@ from repro.datasets import (dblp_schema, generate_dblp, generate_movies,
 from repro.engine import Column, Index, SQLType, Table
 from repro.engine.expressions import _comparator
 from repro.experiments import DatasetBundle
-from repro.mapping import (collect_statistics, derive_schema, fully_split,
-                           hybrid_inlining, shared_inlining)
+from repro.mapping import (PRESETS, collect_statistics, derive_schema,
+                           fully_split, hybrid_inlining)
 from repro.physdesign import Configuration
-from repro.search import GreedySearch
+from repro.search import GreedySearch, design_for
 from repro.sqlast import (ColumnRef, Comparison, ComparisonOp, IsNull,
                           Literal, Or, Query, Select, SelectItem, TableRef)
 from repro.translate import Translator
@@ -35,11 +36,12 @@ from repro.xpath import parse_xpath
 SCALE = 60
 SEED = 7
 
-PRESETS = {
-    "hybrid": hybrid_inlining,
-    "shared": shared_inlining,
-    "fully-split": fully_split,
-}
+
+def _assert_backends_agree(report, queries):
+    """Status OK, and the ``queries`` check covered every query."""
+    assert report.status == OK, report.describe()
+    check = next(c for c in report.checks if c.name == "queries")
+    assert len(check.data["queries"]) == len(queries)
 
 
 @pytest.fixture(scope="module")
@@ -264,9 +266,8 @@ class TestDifferentialSuite:
         translator = Translator(schema)
         workload = WorkloadGenerator(tree, stats, seed=3).generate(6)
         queries = [translator.translate(w.query) for w in workload.queries]
-        report = validate_design(schema, Configuration(), docs, queries)
-        assert report.ok, report.describe()
-        assert report.queries_checked == len(queries)
+        report = compare_design(schema, Configuration(), docs, queries)
+        _assert_backends_agree(report, queries)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_movie_presets_agree(self, movie_data, preset):
@@ -276,8 +277,8 @@ class TestDifferentialSuite:
         translator = Translator(schema)
         workload = WorkloadGenerator(tree, stats, seed=5).generate(6)
         queries = [translator.translate(w.query) for w in workload.queries]
-        report = validate_design(schema, Configuration(), docs, queries)
-        assert report.ok, report.describe()
+        report = compare_design(schema, Configuration(), docs, queries)
+        _assert_backends_agree(report, queries)
 
     def test_tuned_greedy_design_agrees(self, dblp_data):
         # Real CREATE INDEX + populated view tables must not change
@@ -285,19 +286,32 @@ class TestDifferentialSuite:
         tree, docs = dblp_data
         stats = collect_statistics(tree, docs)
         workload = WorkloadGenerator(tree, stats, seed=3).generate(6)
-        result = GreedySearch(tree, workload, stats,
-                              storage_bound=512 * 1024 * 1024).run()
+        result = design_for("greedy", tree, workload, stats,
+                            storage_bound=512 * 1024 * 1024)
         queries = [query for query, _ in result.sql_queries]
-        report = validate_design(result.schema, result.configuration,
-                                 docs, queries)
-        assert report.ok, report.describe()
+        report = compare_design(result.schema, result.configuration,
+                                docs, queries)
+        _assert_backends_agree(report, queries)
 
     def test_divergence_report_shape(self, hybrid_pair):
         schema, engine, sqlite_backend = hybrid_pair
         query = _translate(schema, '//inproceedings/title')
-        report = compare_backends(engine, sqlite_backend, [query])
-        assert isinstance(report, DiffReport)
-        assert report.ok and "0 divergences" in report.describe()
+        check = check_queries(engine, sqlite_backend, [query])
+        assert isinstance(check, CheckResult)
+        assert check.status == OK and "1 workload queries agree" in check.detail
+        [entry] = check.data["queries"]
+        assert entry["a_rows"] == entry["b_rows"] > 0
+        assert "missing" not in entry and "sql" not in entry
+        # ... and a divergence carries the SQL and the offending rows.
+        sqlite_backend.execute = lambda q: engine.execute(q)[1:]
+        try:
+            check = check_queries(engine, sqlite_backend, [query])
+        finally:
+            del sqlite_backend.execute
+        [entry] = check.data["queries"]
+        assert check.status != OK and "query #0" in check.detail
+        assert len(entry["missing"]) == 1 and not entry["extra"]
+        assert entry["sql"] == engine.sql_text(query)
 
 
 class TestMultisetDiff:

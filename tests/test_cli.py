@@ -137,6 +137,24 @@ class TestWorkloadFile:
         assert len(parsed.updates) == 1
         assert parsed.updates[0].weight == 0.5
 
+    def test_hash_inside_a_quoted_literal_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text(
+            '//inproceedings[booktitle = "C#"]/title\n'
+            "//article[journal = 'F# Weekly']/title   # trailing comment\n"
+            '2.5 | //book[publisher = "#1 Press"]/(title | year) # why\n'
+            'insert 0.5 | //inproceedings   # weighted insert load\n'
+            "   # a comment line with a \"quote\n")
+        workload = parse_workload_file(str(path))
+        assert [str(q.query) for q in workload.queries] == [
+            '//inproceedings[booktitle = "C#"]/title',
+            '//article[journal = "F# Weekly"]/title',
+            '//book[publisher = "#1 Press"]/(title | year)']
+        assert [q.weight for q in workload.queries] == [1.0, 1.0, 2.5]
+        [update] = workload.updates
+        assert str(update.target) == "//inproceedings"
+        assert update.weight == 0.5
+
     def test_empty_rejected(self, tmp_path):
         empty = tmp_path / "w.txt"
         empty.write_text("# nothing\n")
@@ -237,30 +255,31 @@ class TestAdvise:
         assert not cache_dir.exists()
 
     def test_advise_faults_keep_design_and_print_resilience(self, files):
-        from repro.resilience import NULL_PLAN, install_fault_plan
+        from repro.resilience import active_fault_plan
 
         _, dtd, xml, _, workload = files
         base_args = ["advise", "--dtd", str(dtd), "--root", "shop",
                      "--xml", str(xml), "--workload", str(workload),
                      "--jobs", "1"]
-        try:
-            code, clean = run_cli(base_args)
-            assert code == 0
-            # seed=0 at rate 0.5 faults the very first evaluation and
-            # recovers on the retry — guaranteed resilience activity
-            # even on this tiny problem, with an unchanged design.
-            code, faulted = run_cli(base_args + [
-                "--faults", "seed=0;evaluate:0.5:transient"])
-            assert code == 0
-            assert "resilience:" in faulted
+        before = active_fault_plan()
+        code, clean = run_cli(base_args)
+        assert code == 0
+        # seed=0 at rate 0.5 faults the very first evaluation and
+        # recovers on the retry — guaranteed resilience activity
+        # even on this tiny problem, with an unchanged design.
+        code, faulted = run_cli(base_args + [
+            "--faults", "seed=0;evaluate:0.5:transient"])
+        assert code == 0
+        assert "resilience:" in faulted
+        # --faults lasts for the command only: the plan that was
+        # active before is active again (it used to leak).
+        assert active_fault_plan() is before
 
-            def design_lines(out: str) -> list[str]:
-                return [line for line in out.splitlines()
-                        if not line.startswith(("search:", "resilience:"))]
+        def design_lines(out: str) -> list[str]:
+            return [line for line in out.splitlines()
+                    if not line.startswith(("search:", "resilience:"))]
 
-            assert design_lines(faulted) == design_lines(clean)
-        finally:
-            install_fault_plan(NULL_PLAN)  # --faults installs globally
+        assert design_lines(faulted) == design_lines(clean)
 
     def test_advise_checkpoint_dir_and_resume(self, files):
         tmp_path, dtd, xml, _, workload = files

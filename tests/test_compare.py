@@ -11,15 +11,16 @@ DuckDB tests skip cleanly when the optional driver is absent — CI's
 import pytest
 
 from repro.backends import (DUCKDB, BackendError, DuckDBBackend,
-                            EngineBackend, SQLBackend, SQLiteBackend,
-                            compare_backends, compare_datasets,
-                            duckdb_available, validate_design)
-from repro.backends.compare import (DESIGNS, MISMATCH, OK, PRESETS,
-                                    backend_factory, compare_loaded,
-                                    known_backends)
+                            EngineBackend, QueryTiming, SQLBackend,
+                            SQLiteBackend, check_queries, compare_datasets,
+                            compare_design, duckdb_available)
+from repro.backends.compare import (MISMATCH, OK, backend_factory,
+                                    compare_loaded, known_backends)
+from repro.cli import build_parser
 from repro.datasets import dblp_schema, generate_dblp
 from repro.engine import SQLType
-from repro.mapping import collect_statistics, derive_schema, hybrid_inlining
+from repro.mapping import (PRESETS, collect_statistics, derive_schema,
+                           hybrid_inlining, shred_typed_rows)
 from repro.physdesign import Configuration
 from repro.sqlast import ColumnRef, Query, Select, SelectItem, TableRef
 from repro.translate import Translator
@@ -183,6 +184,74 @@ class TestMismatchInjection:
                                     schema=schema)
         assert report.status == OK, report.describe()
 
+    def test_a_third_backend_needs_only_the_protocols(self, dblp_small):
+        """Nothing in the comparator names a backend class: a stranger
+        that implements SQLBackend plus the introspection methods (and
+        shares no base with the bundled ones) compares like any other."""
+        schema, docs, queries = dblp_small
+
+        class DictBackend:
+            name = "dict"
+
+            def __init__(self):
+                self.oracle = EngineBackend()
+                self.tables = {}
+
+            def load(self, schema, docs):
+                self.oracle.load(schema, docs)
+                self.columns = {
+                    t.name: [(c.name, c.sql_type.name.lower())
+                             for c in t.columns]
+                    for t in schema.to_engine_tables()}
+                self.tables = {name: [] for name in self.columns}
+                for name, rows in shred_typed_rows(schema, docs).items():
+                    self.tables[name] = list(rows)
+
+            def apply_configuration(self, configuration):
+                pass
+
+            def execute(self, query):
+                return list(reversed(self.oracle.execute(query)))
+
+            def time_query(self, query, repeat=3, warmup=1):
+                return QueryTiming(0.0, rows=len(self.execute(query)))
+
+            def close(self):
+                pass
+
+            def table_names_on_disk(self):
+                return list(self.tables)
+
+            def table_columns(self, name):
+                return self.columns[name]
+
+            def table_rows(self, name):
+                return self.tables[name]
+
+            def index_names(self):
+                return []
+
+            def declared_type(self, sql_type):
+                return sql_type.name.lower()
+
+            def sql_text(self, query):
+                return "(dict)"
+
+        third = DictBackend()
+        assert isinstance(third, SQLBackend)
+        third.load(schema, docs)
+        with SQLiteBackend() as sqlite_backend:
+            sqlite_backend.load(schema, docs)
+            for a, b in ((third, sqlite_backend), (sqlite_backend, third)):
+                report = compare_loaded(a, b, queries, schema=schema)
+                assert report.status == OK, report.describe()
+                assert {report.backend_a, report.backend_b} == {
+                    "dict", "sqlite"}
+            # ... and its own lies are still caught.
+            third.tables[next(iter(third.tables))].append((0,))
+            assert compare_loaded(third, sqlite_backend, queries,
+                                  schema=schema).status == MISMATCH
+
 
 class TestRegistry:
     def test_known_backends(self):
@@ -195,7 +264,12 @@ class TestRegistry:
             backend_factory("oracle")
 
     def test_designs_cover_presets_plus_greedy(self):
-        assert set(DESIGNS) == set(PRESETS) | {"greedy"}
+        parser = build_parser()
+        for design in [*PRESETS, "greedy"]:
+            args = parser.parse_args(["compare", "--design", design])
+            assert args.design == [design]
+        with pytest.raises(SystemExit):
+            parser.parse_args(["compare", "--design", "two-step"])
 
 
 class TestCompareDatasets:
@@ -259,8 +333,9 @@ class TestDuckDBBackend:
             duck.load(schema, docs)
             engine.apply_configuration(Configuration())
             duck.apply_configuration(Configuration())
-            report = compare_backends(engine, duck, queries)
-        assert report.ok, report.describe()
+            check = check_queries(engine, duck, queries)
+        assert check.status == OK, check.detail
+        assert len(check.data["queries"]) == len(queries)
 
     @pytest.mark.parametrize("design", sorted(PRESETS))
     def test_sqlite_vs_duckdb_presets_ok(self, design):
@@ -269,9 +344,11 @@ class TestDuckDBBackend:
         assert report.status == OK, report.describe()
 
     def test_validate_design_accepts_duckdb_rows(self, dblp_small):
-        # The folded-in differential validator path: engine vs sqlite
-        # stays the oracle, but duckdb rows normalize identically
-        # (Decimal -> float, BOOLEAN -> int).
+        # The one-call oracle: engine vs sqlite stays the default pair,
+        # but duckdb rows normalize identically (Decimal -> float,
+        # BOOLEAN -> int).
         schema, docs, queries = dblp_small
-        report = validate_design(schema, Configuration(), docs, queries)
-        assert report.ok, report.describe()
+        report = compare_design(schema, Configuration(), docs, queries)
+        assert report.status == OK, report.describe()
+        queries_check = _check(report, "queries")
+        assert len(queries_check.data["queries"]) == len(queries)

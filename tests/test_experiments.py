@@ -6,11 +6,14 @@ the drivers run end to end and produce structurally sane output fast.
 
 import pytest
 
+from repro.datasets import dblp_schema, generate_dblp
 from repro.experiments import (DatasetBundle, characterize,
                                compare_algorithms, fig7_table, fig8_tables,
                                fig9_tables, format_series, format_table,
-                               run_fig9, run_motivating_example,
+                               realize, run_fig9, run_motivating_example,
                                tuned_hybrid_baseline)
+from repro.mapping import derive_schema, hybrid_inlining
+from repro.physdesign import Configuration
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +54,27 @@ class TestHarness:
 
     def test_baseline_is_measurable(self, tiny_dblp):
         workload = tiny_dblp.workload_generator(seed=1).generate(3)
-        baseline = tuned_hybrid_baseline(tiny_dblp, workload)
-        assert baseline.measured_cost > 0
-        assert baseline.estimated_cost > 0
+        assert tuned_hybrid_baseline(tiny_dblp, workload) > 0
+
+    def test_realize_loads_the_documents_it_is_given(self):
+        """``realize`` used to cache loaded databases keyed on
+        ``id(docs)`` without keeping ``docs`` alive, so a collected
+        document's id could be reused and another document's database
+        handed back. There is no cache now: every call loads."""
+        schema = derive_schema(hybrid_inlining(dblp_schema()))
+
+        def rows(docs):
+            db = realize(schema, Configuration(), docs)
+            return sum(t.row_count for t in db.catalog.base_tables())
+
+        expected = {n: rows(generate_dblp(n, seed=1)) for n in (5, 9)}
+        assert expected[5] < expected[9]
+        # One object identity, two contents: the id-keyed cache
+        # answered the second call with the first call's database.
+        docs = [generate_dblp(5, seed=1)]
+        assert rows(docs) == expected[5]
+        docs[:] = [generate_dblp(9, seed=1)]
+        assert rows(docs) == expected[9]
 
     def test_characterize(self, tiny_dblp, tiny_movie):
         dblp = characterize(tiny_dblp)

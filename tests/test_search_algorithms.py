@@ -10,11 +10,16 @@ These assert the paper's qualitative claims at small scale:
   workloads.
 """
 
+import math
+
 import pytest
 
+from repro.backends import render_query
 from repro.experiments import (DatasetBundle, measure_design,
                                tuned_hybrid_baseline)
-from repro.search import GreedySearch, NaiveGreedySearch, TwoStepSearch
+from repro.mapping import PRESETS
+from repro.search import (ALGORITHMS, GreedySearch, MappingEvaluator,
+                          NaiveGreedySearch, TwoStepSearch, design_for)
 from repro.workload import Workload
 
 
@@ -44,7 +49,7 @@ class TestGreedy:
                                               greedy_result):
         baseline = tuned_hybrid_baseline(bundle, workload)
         measured = measure_design(greedy_result, bundle)
-        assert measured <= baseline.measured_cost * 1.05
+        assert measured <= baseline * 1.05
 
     def test_counters_populated(self, greedy_result):
         counters = greedy_result.counters
@@ -113,3 +118,72 @@ class TestTwoStep:
         greedy_measured = measure_design(greedy, bundle)
         twostep_measured = measure_design(twostep, bundle)
         assert greedy_measured < twostep_measured
+
+
+def _fingerprint(schema, configuration, sql_queries):
+    return (schema.signature(), configuration.describe(),
+            [(render_query(query), weight) for query, weight in sql_queries])
+
+
+class TestDesignFor:
+    """``design_for`` is the one way from a design name to a design.
+
+    The references below are the by-hand assemblies it replaced (the
+    comparator's ``_design_for``, the CLI's ``_serve_design``, the
+    harness's ``tuned_hybrid_baseline``): tune the preset through a
+    ``MappingEvaluator``, or run the search class directly.
+    """
+
+    @pytest.fixture(scope="class", params=["dblp", "movie"])
+    def problem(self, request):
+        small = DatasetBundle.named(request.param, scale=60, seed=7)
+        return small, small.workload_generator(seed=3).generate(6)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_is_the_evaluators_tuning(self, problem, preset):
+        small, workload = problem
+        design = design_for(preset, small.tree, workload, small.stats,
+                            small.storage_bound)
+        reference = MappingEvaluator(
+            workload, small.stats, small.storage_bound).evaluate(
+                PRESETS[preset](small.tree))
+        assert _fingerprint(design.schema, design.configuration,
+                            design.sql_queries) == _fingerprint(
+            reference.schema, reference.tuning.configuration,
+            reference.sql_queries)
+        assert design.estimated_cost == reference.total_cost
+        assert design.algorithm == preset and design.rounds == 0
+
+    def test_greedy_is_the_search(self, problem):
+        small, workload = problem
+        design = design_for("greedy", small.tree, workload, small.stats,
+                            small.storage_bound)
+        reference = GreedySearch(small.tree, workload, small.stats,
+                                 storage_bound=small.storage_bound).run()
+        assert _fingerprint(design.schema, design.configuration,
+                            design.sql_queries) == _fingerprint(
+            reference.schema, reference.configuration,
+            reference.sql_queries)
+        assert design.estimated_cost == reference.estimated_cost
+        assert design.applied == reference.applied
+
+    def test_search_options_reach_the_search(self, bundle, workload):
+        design = design_for("naive-greedy", bundle.tree, workload,
+                            bundle.stats, bundle.storage_bound,
+                            max_rounds=1)
+        assert design.algorithm == "naive-greedy" and design.rounds <= 1
+
+    def test_infeasible_preset_falls_back_to_the_bare_design(self, bundle,
+                                                             workload):
+        # A bound below the data size: the advisor cannot fit anything.
+        design = design_for("hybrid", bundle.tree, workload, bundle.stats,
+                            storage_bound=1)
+        assert math.isinf(design.estimated_cost)
+        assert len(design.configuration) == 0
+        assert len(design.sql_queries) == len(workload)
+
+    def test_names(self, bundle, workload):
+        assert list(ALGORITHMS) == ["greedy", "naive-greedy", "two-step"]
+        assert not set(ALGORITHMS) & set(PRESETS)
+        with pytest.raises(ValueError, match="zigzag"):
+            design_for("zigzag", bundle.tree, workload, bundle.stats)
