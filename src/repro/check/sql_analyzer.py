@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..engine import SQLType, Table
 from ..engine.schema import Catalog
 from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, ComparisonOp,
-                      Exists, IsNull, Literal, Or, Query, Select)
+                      Exists, IsNull, Literal, Or, Query, Select, conjuncts_of)
 from .findings import Findings
 
 _NUMERIC = {SQLType.INTEGER, SQLType.DECIMAL, SQLType.BOOLEAN}
@@ -228,7 +228,7 @@ class _QueryAnalyzer:
         inner_aliases = set(inner_scope.alias_tables)
         correlations = 0
         outer_aliases: set[str] = set()
-        for conjunct in _conjuncts(sub.where):
+        for conjunct in conjuncts_of(sub.where):
             if isinstance(conjunct, Comparison) and \
                     conjunct.op == ComparisonOp.EQ and \
                     isinstance(conjunct.left, ColumnRef) and \
@@ -289,17 +289,6 @@ class _QueryAnalyzer:
                 self.findings.add(
                     "SQL007", f"ORDER BY position {position} is outside "
                               f"1..{width}", f"order_by[{k}]")
-
-
-def _conjuncts(expr: BoolExpr | None) -> list[BoolExpr]:
-    if expr is None:
-        return []
-    if isinstance(expr, And):
-        out: list[BoolExpr] = []
-        for item in expr.items:
-            out.extend(_conjuncts(item))
-        return out
-    return [expr]
 
 
 def analyze_query(query: Query, catalog: Catalog,

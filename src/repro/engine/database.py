@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from ..errors import CatalogError, ExecutionError
 from ..obs import NullTracer, Tracer, get_tracer
-from ..sqlast import Query, parse_sql
+from ..sqlast import Query, parse_sql, qualify
 from .cost import CostCounter
 from .index import Index, primary_key_index
 from .matview import derive_view_stats, make_view_table, populate_view
@@ -153,9 +153,12 @@ class Database:
     # Query
     # ------------------------------------------------------------------
     def _as_query(self, query: Query | str) -> Query:
+        """Parsed if text, and every column name qualified: the
+        optimizer and the advisor resolve no names of their own."""
         if isinstance(query, str):
-            return parse_sql(query)
-        return query
+            query = parse_sql(query)
+        return qualify(
+            query, lambda name: self.catalog.table(name).column_names())
 
     def _run_checks(self, query: Query, planned: PlannedQuery,
                     extra_indexes: list[Index] | None,
@@ -221,20 +224,6 @@ class Database:
         rows = list(planned.root.execute_tuples(runtime))
         return ExecutionResult(rows=rows, cost=counter.total,
                                counter=counter, plan=planned)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def total_size_bytes(self, include_design: bool = True) -> int:
-        """Bytes of data (+ indexes and views when ``include_design``)."""
-        total = self.catalog.total_data_bytes()
-        if include_design:
-            for view in self.catalog.views():
-                total += view.size_bytes
-            for index in self.catalog.indexes.values():
-                table = self.catalog.table(index.table_name)
-                total += index.size_bytes(table)
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Database {self.name!r} tables={len(self.catalog.tables)} "

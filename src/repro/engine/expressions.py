@@ -7,7 +7,8 @@ to two values the way filters need it: any comparison involving NULL is
 false.
 
 EXISTS subqueries are not compiled here; the optimizer turns them into
-semi-join plan operators instead.
+semi-join probes and hands :func:`compile_predicate` the callback that
+builds them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .btree import encode_key
 
 Environment = dict[str, tuple]
 ColumnResolver = Callable[[ColumnRef], tuple[str, int]]
+Predicate = Callable[[Environment], bool]
 
 
 def compile_scalar(expr: Scalar, resolve: ColumnResolver) -> Callable[[Environment], object]:
@@ -75,8 +77,11 @@ def _comparator(op: ComparisonOp) -> Callable[[object, object], bool]:
     return compare
 
 
-def compile_predicate(expr: BoolExpr, resolve: ColumnResolver) -> Callable[[Environment], bool]:
-    """Compile a boolean expression to ``env -> bool``."""
+def compile_predicate(expr: BoolExpr, resolve: ColumnResolver,
+                      exists: Callable[[Exists], Predicate] | None = None
+                      ) -> Predicate:
+    """Compile a boolean expression to ``env -> bool``; an EXISTS node
+    at any depth compiles to ``exists(node)``."""
     if isinstance(expr, Comparison):
         left = compile_scalar(expr.left, resolve)
         right = compile_scalar(expr.right, resolve)
@@ -88,35 +93,17 @@ def compile_predicate(expr: BoolExpr, resolve: ColumnResolver) -> Callable[[Envi
             return lambda env: operand(env) is not None
         return lambda env: operand(env) is None
     if isinstance(expr, And):
-        parts = [compile_predicate(item, resolve) for item in expr.items]
+        parts = [compile_predicate(item, resolve, exists)
+                 for item in expr.items]
         return lambda env: all(p(env) for p in parts)
     if isinstance(expr, Or):
-        parts = [compile_predicate(item, resolve) for item in expr.items]
+        parts = [compile_predicate(item, resolve, exists)
+                 for item in expr.items]
         return lambda env: any(p(env) for p in parts)
     if isinstance(expr, Exists):
+        if exists is not None:
+            return exists(expr)
         raise PlanError(
             "EXISTS must be planned as a semi-join, not compiled inline")
     raise PlanError(f"cannot compile boolean expression {expr!r}")
 
-
-def referenced_columns(expr) -> set[ColumnRef]:
-    """All column references in a scalar/boolean expression tree."""
-    refs: set[ColumnRef] = set()
-
-    def walk(node) -> None:
-        if isinstance(node, ColumnRef):
-            refs.add(node)
-        elif isinstance(node, Comparison):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, IsNull):
-            refs.add(node.operand)
-        elif isinstance(node, (And, Or)):
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, Exists):
-            # Correlated references are handled by the planner.
-            pass
-
-    walk(expr)
-    return refs

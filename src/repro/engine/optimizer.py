@@ -2,8 +2,11 @@
 
 For every SELECT branch the optimizer:
 
-1. classifies WHERE conjuncts into per-alias filters, equi-join
-   predicates, and EXISTS probes;
+1. reads the SELECT's :class:`~repro.sqlast.SelectShape` — per-alias
+   filters with their sargable split, equi-join edges, EXISTS
+   subqueries, required columns — computed once per ``Select`` object
+   by ``repro.sqlast.shape_of`` (nothing is classified or name-resolved
+   here: ``Database`` qualifies queries at the door);
 2. considers replacing a parent/child join with a matching materialized
    view (column-coverage + join-shape match);
 3. picks an access path per alias — sequential scan, index seek, or
@@ -26,13 +29,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import PlanError
+from ..errors import CatalogError, PlanError
 from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, ComparisonOp,
-                      Exists, IsNull, Literal, Or, Query, Select)
+                      Exists, ExistsShape, IsNull, Literal, Or, Query, Select,
+                      SelectShape, conjunction, shape_of)
+from ..sqlast.shape import RANGE_OPS, Filters, map_columns, split_sargable
 from .cost import (CPU_OPERATOR_COST, CPU_TUPLE_COST, HASH_TUPLE_COST,
                    RANDOM_PAGE_COST, SEQ_PAGE_COST, SORT_FACTOR)
-from .expressions import (Environment, compile_predicate, compile_scalar,
-                          referenced_columns)
+from .expressions import Environment, compile_predicate, compile_scalar
 from .index import Index
 from .plans import (HashJoin, IndexNestedLoopJoin, IndexSeek, NestedLoopJoin,
                     PlanNode, Project, Runtime, SeqScan, SortPlan,
@@ -44,13 +48,6 @@ from .types import PAGE_FILL_FACTOR, PAGE_SIZE
 _DEFAULT_EQ_SEL = 0.005
 _DEFAULT_RANGE_SEL = 0.30
 _DEFAULT_NULL_SEL = 0.05
-
-_RANGE_OPS = {
-    ComparisonOp.LT: "<",
-    ComparisonOp.LE: "<=",
-    ComparisonOp.GT: ">",
-    ComparisonOp.GE: ">=",
-}
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +67,6 @@ class ExistsProbe:
                  index: Index | None,
                  local_predicate: Callable[[Environment], bool] | None,
                  resolve_outer: Callable[[ColumnRef], tuple[str, int]],
-                 local_filter_expr: BoolExpr | None = None,
                  extra_key_values: tuple = ()):
         self.table_name = table_name
         self.alias = alias
@@ -78,7 +74,6 @@ class ExistsProbe:
         self.corr_outer = corr_outer
         self.index = index
         self.local_predicate = local_predicate
-        self.local_filter_expr = local_filter_expr
         self.extra_key_values = extra_key_values
         self._outer_fetch = compile_scalar(corr_outer, resolve_outer)
         self._runtime: Runtime | None = None
@@ -155,50 +150,6 @@ class PlannedQuery:
 
 
 # ----------------------------------------------------------------------
-# Conjunct classification
-# ----------------------------------------------------------------------
-
-
-def _split_or_flatten(where: BoolExpr | None) -> list[BoolExpr]:
-    if where is None:
-        return []
-    if isinstance(where, And):
-        out: list[BoolExpr] = []
-        for item in where.items:
-            out.extend(_split_or_flatten(item))
-        return out
-    return [where]
-
-
-def _aliases_of(expr: BoolExpr, default_alias_of: Callable[[str], str]) -> set[str]:
-    refs = referenced_columns(expr)
-    aliases = set()
-    for ref in refs:
-        aliases.add(ref.table or default_alias_of(ref.column))
-    if isinstance(expr, Or):
-        for item in expr.items:
-            if isinstance(item, Exists):
-                aliases |= _exists_outer_aliases(item, default_alias_of)
-    if isinstance(expr, Exists):
-        aliases |= _exists_outer_aliases(expr, default_alias_of)
-    return aliases
-
-
-def _exists_outer_aliases(expr: Exists,
-                          default_alias_of: Callable[[str], str]) -> set[str]:
-    inner_aliases = {t.name for t in expr.subquery.from_tables}
-    out = set()
-    for select_where in [expr.subquery.where]:
-        if select_where is None:
-            continue
-        for ref in referenced_columns(select_where):
-            alias = ref.table or default_alias_of(ref.column)
-            if alias not in inner_aliases:
-                out.add(alias)
-    return out
-
-
-# ----------------------------------------------------------------------
 # The optimizer
 # ----------------------------------------------------------------------
 
@@ -265,9 +216,7 @@ class Optimizer:
     # -- per-select planning ----------------------------------------------
     def _plan_select(self, select: Select,
                      probes_out: list[ExistsProbe]) -> tuple[Project, float, float]:
-        candidates: list[tuple[Project, float, float, list[ExistsProbe]]] = []
-        direct = self._plan_select_over(select, None)
-        candidates.append(direct)
+        candidates = [self._plan_select_over(select, None)]
         for view in self._candidate_views(select):
             try:
                 candidates.append(self._plan_select_over(select, view))
@@ -292,116 +241,56 @@ class Optimizer:
 
     def _plan_select_over(self, select: Select, view: Table | None):
         """Plan one SELECT, optionally substituting a join view."""
-        alias_tables: dict[str, Table] = {}
-        for ref in select.from_tables:
-            alias_tables[ref.name] = self._table(ref.table)
-
-        def default_alias(column: str) -> str:
-            owners = [a for a, t in alias_tables.items() if t.has_column(column)]
-            if len(owners) != 1:
-                raise PlanError(
-                    f"column {column!r} is ambiguous or unknown in "
-                    f"{list(alias_tables)}")
-            return owners[0]
-
-        conjuncts = _split_or_flatten(select.where)
-        local: dict[str, list[BoolExpr]] = {a: [] for a in alias_tables}
-        joins: list[tuple[str, str, str, str]] = []  # (aliasA, colA, aliasB, colB)
-        exists_list: list[Exists] = []
-        multi: list[BoolExpr] = []
-        for conjunct in conjuncts:
-            if isinstance(conjunct, Exists):
-                exists_list.append(conjunct)
-                continue
-            if isinstance(conjunct, Comparison) and \
-                    isinstance(conjunct.left, ColumnRef) and \
-                    isinstance(conjunct.right, ColumnRef) and \
-                    conjunct.op == ComparisonOp.EQ:
-                la = conjunct.left.table or default_alias(conjunct.left.column)
-                ra = conjunct.right.table or default_alias(conjunct.right.column)
-                if la != ra:
-                    joins.append((la, conjunct.left.column, ra,
-                                  conjunct.right.column))
-                    continue
-            aliases = _aliases_of(conjunct, default_alias)
-            if len(aliases) == 1:
-                local[next(iter(aliases))].append(conjunct)
-            else:
-                multi.append(conjunct)
-
-        # Column binding: (alias, column) -> (env_alias, position)
-        if view is None:
-            binding = {}
-            for alias, table in alias_tables.items():
-                for i, col in enumerate(table.columns):
-                    binding[(alias, col.name)] = (alias, i)
-        else:
-            join_exempt = {(la, lc) for la, lc, _, _ in joins} | \
-                          {(ra, rc) for _, _, ra, rc in joins}
-            binding = self._view_binding(select, view, alias_tables,
-                                         join_exempt)
+        shape = shape_of(select)
+        if any(e.owner is None for e in shape.top_exists):
+            raise PlanError("EXISTS must correlate with exactly one alias")
+        alias_tables = {alias: self._table(name)
+                        for alias, name in shape.alias_tables.items()}
+        # (alias, column) -> (env_alias, position): a view substitutes
+        # its own layout, base tables answer from their column index.
+        binding = (None if view is None
+                   else self._view_binding(shape, view, alias_tables))
 
         def resolve(ref: ColumnRef) -> tuple[str, int]:
-            alias = ref.table or default_alias(ref.column)
-            key = (alias, ref.column)
-            if key not in binding:
-                raise PlanError(f"cannot resolve column {ref}")
-            return binding[key]
+            try:
+                if binding is not None:
+                    return binding[(ref.table, ref.column)]
+                return (ref.table,
+                        alias_tables[ref.table].column_position(ref.column))
+            except (KeyError, CatalogError):
+                raise PlanError(f"cannot resolve column {ref}") from None
 
-        probes: list[ExistsProbe] = []
-        # EXISTS nested inside OR filters are compiled via a probe too.
-        probe_map: dict[int, ExistsProbe] = {}
+        # One probe per EXISTS, at whatever depth a filter holds it.
+        probes: dict[ExistsShape, ExistsProbe] = {}
 
-        def install_probe(exists: Exists) -> ExistsProbe:
-            probe = self._build_probe(exists, default_alias, resolve)
-            probes.append(probe)
-            probe_map[id(exists)] = probe
-            return probe
+        def probe_for(node: Exists) -> ExistsProbe:
+            exists = shape.exists_shape(node)
+            if exists not in probes:
+                probes[exists] = self._build_probe(exists, resolve)
+            return probes[exists]
 
         def compile_bool(expr: BoolExpr) -> Callable[[Environment], bool]:
-            if isinstance(expr, Exists):
-                probe = probe_map.get(id(expr)) or install_probe(expr)
-                return probe
-            if isinstance(expr, And):
-                parts = [compile_bool(e) for e in expr.items]
-                return lambda env: all(p(env) for p in parts)
-            if isinstance(expr, Or):
-                parts = [compile_bool(e) for e in expr.items]
-                return lambda env: any(p(env) for p in parts)
-            return compile_predicate(expr, resolve)
-
-        # Top-level EXISTS conjuncts attach to the alias they correlate with.
-        exists_sel: dict[str, float] = {}
-        for exists in exists_list:
-            outer_aliases = _exists_outer_aliases(exists, default_alias)
-            if len(outer_aliases) != 1:
-                raise PlanError("EXISTS must correlate with exactly one alias")
-            owner = next(iter(outer_aliases))
-            local[owner].append(exists)
-            exists_sel[owner] = exists_sel.get(owner, 1.0) * 0.5
+            return compile_predicate(expr, resolve, probe_for)
 
         if view is None:
             plan, cost, rows = self._plan_joins(
-                select, alias_tables, local, joins, multi,
-                compile_bool, resolve)
+                shape, alias_tables, compile_bool, resolve)
         else:
             plan, cost, rows = self._plan_view_scan(
-                select, view, alias_tables, local, joins, multi,
-                compile_bool, binding)
+                shape, view, alias_tables, compile_bool, binding)
 
         exprs = [compile_scalar(item.expr, resolve) for item in select.items]
         project = Project(plan, exprs)
         cost += rows * CPU_TUPLE_COST
         project.est_rows = rows
         project.est_cost = cost
-        return project, cost, rows, probes
+        return project, cost, rows, list(probes.values())
 
     # ------------------------------------------------------------------
     # View substitution
     # ------------------------------------------------------------------
-    def _view_binding(self, select: Select, view: Table,
-                      alias_tables: dict[str, Table],
-                      join_exempt: set[tuple[str, str]] = frozenset()) -> dict:
+    def _view_binding(self, shape: SelectShape, view: Table,
+                      alias_tables: dict[str, Table]) -> dict:
         assert view.view_def is not None
         source_of = {name: src for name, src in view.view_def.columns}
         table_alias = {table.name: alias
@@ -420,120 +309,63 @@ class Optimizer:
                 binding[(alias, src_col)] = ("@view", position)
         # Verify every referenced column of the select is bound; the
         # join columns implied by the view definition are exempt.
-        needed = {(r.table, r.column) for r in self._select_column_refs(select)}
-        for alias, column in needed:
-            key = (alias or self._owner_alias(column, alias_tables), column)
-            if key in join_exempt:
-                continue
-            if key not in binding:
-                raise PlanError(
-                    f"view {view.name!r} does not cover column {key}")
+        join_exempt = {(la, lc) for la, lc, _, _ in shape.joins} | \
+                      {(ra, rc) for _, _, ra, rc in shape.joins}
+        for alias, columns in shape.required.items():
+            for column in columns:
+                key = (alias, column)
+                if key not in join_exempt and key not in binding:
+                    raise PlanError(
+                        f"view {view.name!r} does not cover column {key}")
         return binding
 
-    @staticmethod
-    def _owner_alias(column: str, alias_tables: dict[str, Table]) -> str:
-        owners = [a for a, t in alias_tables.items() if t.has_column(column)]
-        if len(owners) != 1:
-            raise PlanError(f"column {column!r} is ambiguous")
-        return owners[0]
-
-    @staticmethod
-    def _select_column_refs(select: Select) -> set[ColumnRef]:
-        refs: set[ColumnRef] = set()
-        for item in select.items:
-            refs |= referenced_columns(item.expr)
-        if select.where is not None:
-            refs |= {r for r in referenced_columns(select.where)}
-        return refs
-
-    def _plan_view_scan(self, select: Select, view: Table,
-                        alias_tables, local, joins, multi,
-                        compile_bool, binding):
+    def _plan_view_scan(self, shape: SelectShape, view: Table,
+                        alias_tables, compile_bool, binding):
         """Plan the select as a scan/seek over the substituted view."""
         filters: list[BoolExpr] = []
-        for alias_filters in local.values():
-            filters.extend(alias_filters)
-        filters.extend(multi)
+        for alias_filters in shape.filters.values():
+            filters.extend(alias_filters.all)
+        filters.extend(shape.multi)
         # Join conjuncts between the two source tables are implied by the
         # view itself; any other join is unplannable here.
         assert view.view_def is not None
         pair = {view.view_def.parent_table, view.view_def.child_table}
-        for la, lc, ra, rc in joins:
+        for la, lc, ra, rc in shape.joins:
             ta = alias_tables[la].name
             tb = alias_tables[ra].name
             if {ta, tb} != pair:
                 raise PlanError("view does not cover this join")
-        rewritten = self._rewrite_filters_for_view(
-            filters, view, binding, alias_tables)
-        stats_rows = self._view_row_count(view)
-        plan, cost, rows = self._best_access_path(
-            view, "@view", rewritten, compile_bool,
-            required_columns=self._view_required_columns(view, binding),
-            row_count=stats_rows, rebind=binding, alias_tables=alias_tables)
-        return plan, cost, rows
-
-    def _view_row_count(self, view: Table) -> int:
-        table_stats = self.stats.table(view.name)
-        if table_stats is not None:
-            return table_stats.row_count
-        return view.row_count
+        rewritten = self._rewrite_filters_for_view(filters, view, binding)
+        return self._best_access_path(
+            view, "@view", split_sargable(rewritten), compile_bool,
+            self._view_required_columns(view, binding))
 
     @staticmethod
-    def _view_required_columns(view: Table, binding) -> set[str]:
-        return {view.columns[pos].name
-                for (_, _), (env, pos) in binding.items() if env == "@view"}
+    def _view_required_columns(view: Table, binding) -> frozenset[str]:
+        return frozenset(view.columns[pos].name for env, pos in binding.values()
+                         if env == "@view")
 
-    def _rewrite_filters_for_view(self, filters, view, binding, alias_tables):
+    @staticmethod
+    def _rewrite_filters_for_view(filters, view, binding):
         """Map filter column refs onto the view's own columns."""
         def rewrite_ref(ref: ColumnRef) -> ColumnRef:
-            alias = ref.table or self._owner_alias(ref.column, alias_tables)
-            env, pos = binding[(alias, ref.column)]
+            env, pos = binding[(ref.table, ref.column)]
             return ColumnRef("@view", view.columns[pos].name)
 
-        def rewrite(expr):
-            if isinstance(expr, Comparison):
-                left = rewrite_ref(expr.left) if isinstance(expr.left, ColumnRef) else expr.left
-                right = rewrite_ref(expr.right) if isinstance(expr.right, ColumnRef) else expr.right
-                return Comparison(left, expr.op, right)
-            if isinstance(expr, IsNull):
-                return IsNull(rewrite_ref(expr.operand), expr.negated)
-            if isinstance(expr, And):
-                return And(tuple(rewrite(e) for e in expr.items))
-            if isinstance(expr, Or):
-                return Or(tuple(rewrite(e) for e in expr.items))
-            raise PlanError(f"cannot push {expr!r} into a view scan")
+        def refuse(node: Exists):
+            raise PlanError(f"cannot push {node!r} into a view scan")
 
-        return [rewrite(f) for f in filters]
+        return [map_columns(f, rewrite_ref, refuse) for f in filters]
 
     # ------------------------------------------------------------------
     # EXISTS probe construction
     # ------------------------------------------------------------------
-    def _build_probe(self, exists: Exists, default_alias, resolve) -> ExistsProbe:
-        sub = exists.subquery
-        if len(sub.from_tables) != 1:
+    def _build_probe(self, shape: ExistsShape, resolve) -> ExistsProbe:
+        if shape.table is None:
             raise PlanError("EXISTS subqueries must reference one table")
-        inner_ref = sub.from_tables[0]
-        inner_table = self._table(inner_ref.table)
-        inner_alias = inner_ref.name
-        corr_column = None
-        corr_outer = None
-        local_parts: list[BoolExpr] = []
-        for conjunct in _split_or_flatten(sub.where):
-            if isinstance(conjunct, Comparison) and \
-                    conjunct.op == ComparisonOp.EQ and \
-                    isinstance(conjunct.left, ColumnRef) and \
-                    isinstance(conjunct.right, ColumnRef):
-                left_inner = conjunct.left.table == inner_alias
-                right_inner = conjunct.right.table == inner_alias
-                if left_inner and not right_inner:
-                    corr_column, corr_outer = conjunct.left.column, conjunct.right
-                    continue
-                if right_inner and not left_inner:
-                    corr_column, corr_outer = conjunct.right.column, conjunct.left
-                    continue
-            local_parts.append(conjunct)
-        if corr_column is None or corr_outer is None:
+        if shape.corr_column is None:
             raise PlanError("EXISTS subquery must have a correlation equality")
+        inner_table = self._table(shape.table)
 
         # Pick an index whose leading key is the correlation column; if
         # the next key column carries an equality local predicate, fold
@@ -541,37 +373,31 @@ class Optimizer:
         best_index = None
         extra_values: tuple = ()
         for index in self._indexes_on(inner_table.name):
-            if index.clustered or index.key_columns[0] != corr_column:
+            if index.clustered or index.key_columns[0] != shape.corr_column:
                 continue
             values: tuple = ()
-            if len(index.key_columns) > 1 and len(local_parts) == 1:
-                part = local_parts[0]
-                if isinstance(part, Comparison) and part.op == ComparisonOp.EQ \
-                        and isinstance(part.left, ColumnRef) \
-                        and isinstance(part.right, Literal) \
-                        and part.left.column == index.key_columns[1]:
-                    values = (part.right.value,)
+            if len(index.key_columns) > 1 and len(shape.local_parts) == 1 \
+                    and shape.eq_parts \
+                    and shape.eq_parts[0].left.column == index.key_columns[1]:
+                values = (shape.eq_parts[0].right.value,)
             if best_index is None or len(values) > len(extra_values):
                 best_index = index
                 extra_values = values
 
         local_predicate = None
-        remaining = [p for p in local_parts]
-        if best_index is not None and extra_values:
-            remaining = []
+        remaining = () if extra_values else shape.local_parts
         if remaining:
             def resolve_inner(ref: ColumnRef):
-                if ref.table in ("", inner_alias):
-                    return inner_alias, inner_table.column_position(ref.column)
+                if ref.table == shape.alias:
+                    return shape.alias, inner_table.column_position(ref.column)
                 raise PlanError(f"unexpected outer reference {ref} in EXISTS")
-            local_predicate = compile_predicate(
-                And(tuple(remaining)) if len(remaining) > 1 else remaining[0],
-                resolve_inner)
+            local_predicate = compile_predicate(conjunction(remaining),
+                                                resolve_inner)
         return ExistsProbe(
             table_name=inner_table.name,
-            alias=inner_alias,
-            corr_column=corr_column,
-            corr_outer=corr_outer,
+            alias=shape.alias,
+            corr_column=shape.corr_column,
+            corr_outer=shape.corr_outer,
             index=best_index,
             local_predicate=local_predicate,
             resolve_outer=resolve,
@@ -600,11 +426,11 @@ class Optimizer:
                     return 1.0 - _DEFAULT_EQ_SEL
                 return max(0.0, stats.non_null_fraction
                            - stats.eq_selectivity(self._coerce(table, column, literal)))
-            if expr.op in _RANGE_OPS:
+            if expr.op in RANGE_OPS:
                 if stats is None:
                     return _DEFAULT_RANGE_SEL
                 return stats.range_selectivity(
-                    _RANGE_OPS[expr.op], self._coerce(table, column, literal))
+                    expr.op.value, self._coerce(table, column, literal))
             return 0.5
         if isinstance(expr, IsNull):
             stats = self._column_stats(table.name, expr.operand.column)
@@ -623,9 +449,7 @@ class Optimizer:
             for item in expr.items:
                 sel *= 1.0 - self._conjunct_selectivity(table, item)
             return 1.0 - sel
-        if isinstance(expr, Exists):
-            return 0.5
-        return 0.5
+        return 0.5  # EXISTS
 
     @staticmethod
     def _coerce(table: Table, column: str, literal):
@@ -638,20 +462,16 @@ class Optimizer:
     # Access paths
     # ------------------------------------------------------------------
     def _best_access_path(self, table: Table, alias: str,
-                          filters: list[BoolExpr], compile_bool,
-                          required_columns: set[str],
-                          row_count: int | None = None,
-                          rebind=None, alias_tables=None):
+                          split: Filters, compile_bool,
+                          required_columns: frozenset[str]):
         """Cheapest scan/seek for one table. Returns (plan, cost, rows)."""
-        rows_in = row_count if row_count is not None else self._row_count(table)
+        filters = split.all
+        rows_in = self._row_count(table)
         selectivity = 1.0
         for expr in filters:
             selectivity *= self._conjunct_selectivity(table, expr)
         rows_out = max(rows_in * selectivity, 0.0)
-        predicate = None
-        if filters:
-            combined = And(tuple(filters)) if len(filters) > 1 else filters[0]
-            predicate = compile_bool(combined)
+        predicate = compile_bool(split.combined) if filters else None
 
         pages = self._page_count(table, rows_in)
         best_plan: PlanNode = SeqScan(table.name, alias, predicate)
@@ -662,7 +482,7 @@ class Optimizer:
         best_plan.est_cost = best_cost
 
         for index in self._indexes_on(table.name):
-            seek = self._try_index_seek(index, table, alias, filters,
+            seek = self._try_index_seek(index, table, alias, split,
                                         compile_bool, required_columns,
                                         rows_in)
             if seek is None:
@@ -686,27 +506,13 @@ class Optimizer:
         return max(1, math.ceil(rows / per_page))
 
     def _try_index_seek(self, index: Index, table: Table, alias: str,
-                        filters: list[BoolExpr], compile_bool,
-                        required_columns: set[str], rows_in: int):
+                        split: Filters, compile_bool,
+                        required_columns: frozenset[str], rows_in: int):
         """Build an IndexSeek over constant predicates, if sargable."""
-        eq_values: dict[str, object] = {}
-        range_pred: dict[str, tuple] = {}
-        other: list[BoolExpr] = []
-        for expr in filters:
-            placed = False
-            if isinstance(expr, Comparison) and \
-                    isinstance(expr.left, ColumnRef) and \
-                    isinstance(expr.right, Literal):
-                column = expr.left.column
-                value = self._coerce(table, column, expr.right.value)
-                if expr.op == ComparisonOp.EQ and column not in eq_values:
-                    eq_values[column] = value
-                    placed = True
-                elif expr.op in _RANGE_OPS and column not in range_pred:
-                    range_pred[column] = (expr.op, value)
-                    placed = True
-            if not placed:
-                other.append(expr)
+        eq_values = {column: self._coerce(table, column, value)
+                     for column, value in split.eq.items()}
+        range_pred = {column: (op, self._coerce(table, column, value))
+                      for column, (op, value) in split.ranges.items()}
 
         prefix: list[str] = []
         for column in index.key_columns:
@@ -720,12 +526,10 @@ class Optimizer:
             if next_col in range_pred:
                 range_column = next_col
         if not prefix and range_column is None:
-            if not index.clustered:
-                return None
-            return None  # full clustered scan == seq scan; already costed
+            return None  # nothing to seek by; the scan is already costed
 
         seek_sel = 1.0
-        residual_filters: list[BoolExpr] = list(other)
+        residual_filters: list[BoolExpr] = list(split.other)
         used_eq = set(prefix)
         for column, value in eq_values.items():
             expr = Comparison(ColumnRef(alias, column), ComparisonOp.EQ,
@@ -758,11 +562,8 @@ class Optimizer:
         if not covering:
             cost += matched * RANDOM_PAGE_COST
 
-        residual = None
-        if residual_filters:
-            combined = (And(tuple(residual_filters))
-                        if len(residual_filters) > 1 else residual_filters[0])
-            residual = compile_bool(combined)
+        residual = (compile_bool(conjunction(residual_filters))
+                    if residual_filters else None)
         eq_exprs = [(lambda v: (lambda env: v))(eq_values[c]) for c in prefix]
         plan = IndexSeek(index, table.name, alias, eq_exprs,
                          range_bounds=bounds, residual=residual,
@@ -774,25 +575,15 @@ class Optimizer:
     # ------------------------------------------------------------------
     # Join planning
     # ------------------------------------------------------------------
-    def _plan_joins(self, select: Select, alias_tables: dict[str, Table],
-                    local: dict[str, list[BoolExpr]],
-                    joins: list[tuple[str, str, str, str]],
-                    multi: list[BoolExpr], compile_bool, resolve):
+    def _plan_joins(self, shape: SelectShape, alias_tables: dict[str, Table],
+                    compile_bool, resolve):
         aliases = list(alias_tables)
-        required: dict[str, set[str]] = {a: set() for a in aliases}
-        for ref in self._select_column_refs(select):
-            alias = ref.table or self._owner_alias(ref.column, alias_tables)
-            required[alias].add(ref.column)
-        for la, lc, ra, rc in joins:
-            required[la].add(lc)
-            required[ra].add(rc)
-
         if len(aliases) == 1:
             alias = aliases[0]
             plan, cost, rows = self._best_access_path(
-                alias_tables[alias], alias, local[alias], compile_bool,
-                required[alias])
-            if multi:
+                alias_tables[alias], alias, shape.filters[alias],
+                compile_bool, shape.required[alias])
+            if shape.multi:
                 raise PlanError("multi-alias predicate with one table")
             return plan, cost, rows
 
@@ -802,8 +593,7 @@ class Optimizer:
         for order in orders:
             try:
                 planned = self._plan_join_order(
-                    list(order), alias_tables, local, joins, multi,
-                    compile_bool, resolve, required)
+                    list(order), shape, alias_tables, compile_bool, resolve)
             except PlanError:
                 continue
             if best is None or planned[1] < best[1]:
@@ -812,25 +602,24 @@ class Optimizer:
             raise PlanError("no feasible join order")
         return best
 
-    def _plan_join_order(self, order, alias_tables, local, joins, multi,
-                         compile_bool, resolve, required):
+    def _plan_join_order(self, order, shape: SelectShape, alias_tables,
+                         compile_bool, resolve):
         first = order[0]
         plan, cost, rows = self._best_access_path(
-            alias_tables[first], first, local[first], compile_bool,
-            required[first])
+            alias_tables[first], first, shape.filters[first], compile_bool,
+            shape.required[first])
         bound = {first}
         for alias in order[1:]:
-            edge = [(la, lc, ra, rc) for la, lc, ra, rc in joins
+            edge = [(la, lc, ra, rc) for la, lc, ra, rc in shape.joins
                     if (la in bound and ra == alias)
                     or (ra in bound and la == alias)]
             plan, cost, rows = self._join_step(
-                plan, cost, rows, bound, alias, alias_tables, local,
-                edge, compile_bool, resolve, required)
+                plan, cost, rows, bound, alias, alias_tables,
+                shape.filters[alias], edge, compile_bool, resolve,
+                shape.required[alias])
             bound.add(alias)
-        remaining = [m for m in multi]
-        if remaining:
-            combined = And(tuple(remaining)) if len(remaining) > 1 else remaining[0]
-            predicate = compile_bool(combined)
+        if shape.multi:
+            predicate = compile_bool(conjunction(shape.multi))
             filtered = _FilterWrap(plan, predicate)
             filtered.est_rows = rows * 0.5
             filtered.est_cost = cost + rows * CPU_OPERATOR_COST
@@ -839,16 +628,16 @@ class Optimizer:
         return plan, cost, rows
 
     def _join_step(self, outer_plan, outer_cost, outer_rows, bound, alias,
-                   alias_tables, local, edge, compile_bool, resolve, required):
+                   alias_tables, split: Filters, edge, compile_bool, resolve,
+                   required: frozenset[str]):
         inner_table = alias_tables[alias]
         inner_rows_total = self._row_count(inner_table)
-        inner_filters = local[alias]
+        inner_filters = split.all
         if not edge:
             # Cartesian product (never produced by the translator, but
             # legal SQL): block nested loop.
             inner_plan, inner_cost, inner_rows = self._best_access_path(
-                inner_table, alias, inner_filters, compile_bool,
-                required[alias])
+                inner_table, alias, split, compile_bool, required)
             join = NestedLoopJoin(outer_plan, inner_plan)
             rows = outer_rows * inner_rows
             cost = (outer_cost + inner_cost
@@ -878,7 +667,7 @@ class Optimizer:
 
         # Hash join: build on inner access path, probe outer.
         inner_plan, inner_cost, inner_rows = self._best_access_path(
-            inner_table, alias, inner_filters, compile_bool, required[alias])
+            inner_table, alias, split, compile_bool, required)
         build_keys = [compile_scalar(ColumnRef(alias, inner_col), resolve)]
         probe_keys = [compile_scalar(ColumnRef(outer_alias, outer_col), resolve)]
         residual = self._edge_residual(edge[1:], compile_bool)
@@ -893,7 +682,7 @@ class Optimizer:
         for index in self._indexes_on(inner_table.name):
             if index.key_columns[0] != inner_col:
                 continue
-            covering = index.covers(required[alias], inner_table)
+            covering = index.covers(required, inner_table)
             matches_per_probe = max(
                 inner_rows_total / max(
                     inner_stats.n_distinct if inner_stats else inner_rows_total, 1),
@@ -905,12 +694,8 @@ class Optimizer:
             inlj_cost = outer_cost + outer_rows * per_probe
             if inlj_cost >= hash_cost and inlj_cost >= candidates[0][1]:
                 continue
-            residual_filters = list(inner_filters)
-            inner_residual = None
-            if residual_filters:
-                combined = (And(tuple(residual_filters))
-                            if len(residual_filters) > 1 else residual_filters[0])
-                inner_residual = compile_bool(combined)
+            inner_residual = (compile_bool(split.combined)
+                              if inner_filters else None)
             eq_exprs = [compile_scalar(ColumnRef(outer_alias, outer_col), resolve)]
             seek = IndexSeek(index, inner_table.name, alias, eq_exprs,
                              residual=inner_residual, covering=covering)
@@ -926,10 +711,9 @@ class Optimizer:
     def _edge_residual(extra_edges, compile_bool):
         if not extra_edges:
             return None
-        parts = tuple(
+        return compile_bool(conjunction(
             Comparison(ColumnRef(la, lc), ComparisonOp.EQ, ColumnRef(ra, rc))
-            for la, lc, ra, rc in extra_edges)
-        return compile_bool(And(parts) if len(parts) > 1 else parts[0])
+            for la, lc, ra, rc in extra_edges))
 
 
 class _FilterWrap(PlanNode):

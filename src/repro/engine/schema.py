@@ -65,10 +65,6 @@ class JoinViewDefinition:
     child_fk_column: str
     columns: tuple[tuple[str, tuple[str, str]], ...]
 
-    @property
-    def column_map(self) -> dict[str, tuple[str, str]]:
-        return dict(self.columns)
-
 
 class Table:
     """A base table or materialized view."""
@@ -201,9 +197,6 @@ class Catalog:
         if name not in self.indexes:
             raise CatalogError(f"unknown index {name!r}")
         del self.indexes[name]
-
-    def indexes_on(self, table_name: str) -> list["Index"]:  # noqa: F821
-        return [ix for ix in self.indexes.values() if ix.table_name == table_name]
 
     def base_tables(self) -> list[Table]:
         return [t for t in self.tables.values() if not t.is_view]

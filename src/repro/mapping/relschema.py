@@ -66,10 +66,6 @@ class PartitionSpec:
     conditions: tuple[PartitionCondition, ...]
     column_names: tuple[str, ...]
 
-    @property
-    def is_default(self) -> bool:
-        return not self.conditions
-
 
 @dataclass
 class LeafStorage:
@@ -143,15 +139,6 @@ class MappedSchema:
             for g in groups.values() for p in g.partitions}
 
     # ------------------------------------------------------------------
-    def group_of_node(self, node_id: int) -> TableGroup:
-        """Table group owning the given TAG node's region."""
-        owner = self.owner_of.get(node_id)
-        if owner is None:
-            raise MappingError(f"node #{node_id} has no owner")
-        annotation = self.mapping.annotation_of(owner)
-        assert annotation is not None
-        return self.groups[annotation]
-
     def group(self, annotation: str) -> TableGroup:
         try:
             return self.groups[annotation]

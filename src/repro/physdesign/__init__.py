@@ -1,14 +1,12 @@
 """Physical design tool: what-if index/view tuning advisor."""
 
-from .candidates import CandidateGenerator, QueryShape, analyze_select
+from .candidates import CandidateGenerator
 from .config import Configuration, ViewCandidate, make_view_candidate
 from .tuner import (AdvisorStats, IndexTuningAdvisor, QueryReport,
                     TuningResult, materialize)
 
 __all__ = [
     "CandidateGenerator",
-    "QueryShape",
-    "analyze_select",
     "Configuration",
     "ViewCandidate",
     "make_view_candidate",

@@ -13,127 +13,21 @@ and [Agrawal et al., VLDB'00]):
   referenced columns.
 
 Candidates are deduplicated by signature across the workload.
+
+Filter columns, join edges and EXISTS correlations are read from the
+query's :class:`~repro.sqlast.SelectShape` — the classification the
+optimizer plans from; queries arrive qualified, as the translator's do.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from ..engine import Database, Index, JoinViewDefinition
-from ..engine.expressions import referenced_columns
-from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, ComparisonOp,
-                      Exists, IsNull, Literal, Or, Query, Select)
+from ..sqlast import Query, SelectShape, shape_of
 from .config import ViewCandidate, make_view_candidate
 
 _MAX_KEY_COLUMNS = 3
-
-
-@dataclass
-class QueryShape:
-    """Per-alias breakdown of one SELECT used for candidate generation."""
-
-    alias_tables: dict[str, str]
-    eq_columns: dict[str, list[str]] = field(default_factory=dict)
-    range_columns: dict[str, list[str]] = field(default_factory=dict)
-    referenced: dict[str, set[str]] = field(default_factory=dict)
-    join_edges: list[tuple[str, str, str, str]] = field(default_factory=list)
-    exists_tables: list[tuple[str, str, list[str]]] = field(default_factory=list)
-
-
-def _flatten(where: BoolExpr | None) -> list[BoolExpr]:
-    if where is None:
-        return []
-    if isinstance(where, And):
-        out: list[BoolExpr] = []
-        for item in where.items:
-            out.extend(_flatten(item))
-        return out
-    return [where]
-
-
-def analyze_select(select: Select, db: Database) -> QueryShape:
-    """Classify a SELECT's predicates for candidate generation."""
-    alias_tables = {t.name: t.table for t in select.from_tables}
-
-    def owner(ref: ColumnRef) -> str | None:
-        if ref.table:
-            return ref.table if ref.table in alias_tables else None
-        owners = [a for a, tn in alias_tables.items()
-                  if db.catalog.table(tn).has_column(ref.column)]
-        return owners[0] if len(owners) == 1 else None
-
-    shape = QueryShape(alias_tables=alias_tables)
-    for alias in alias_tables:
-        shape.eq_columns[alias] = []
-        shape.range_columns[alias] = []
-        shape.referenced[alias] = set()
-
-    for item in select.items:
-        for ref in referenced_columns(item.expr):
-            alias = owner(ref)
-            if alias is not None:
-                shape.referenced[alias].add(ref.column)
-
-    def record_filter(expr: BoolExpr) -> None:
-        if isinstance(expr, Comparison) and isinstance(expr.left, ColumnRef) \
-                and isinstance(expr.right, Literal):
-            alias = owner(expr.left)
-            if alias is None:
-                return
-            shape.referenced[alias].add(expr.left.column)
-            target = (shape.eq_columns if expr.op == ComparisonOp.EQ
-                      else shape.range_columns)
-            if expr.left.column not in target[alias]:
-                target[alias].append(expr.left.column)
-        elif isinstance(expr, IsNull):
-            alias = owner(expr.operand)
-            if alias is not None:
-                shape.referenced[alias].add(expr.operand.column)
-        elif isinstance(expr, (And, Or)):
-            for item in expr.items:
-                record_filter(item)
-        elif isinstance(expr, Exists):
-            _record_exists(expr, shape, alias_tables)
-
-    for conjunct in _flatten(select.where):
-        if isinstance(conjunct, Comparison) and \
-                isinstance(conjunct.left, ColumnRef) and \
-                isinstance(conjunct.right, ColumnRef):
-            la, ra = owner(conjunct.left), owner(conjunct.right)
-            if la and ra and la != ra and conjunct.op == ComparisonOp.EQ:
-                shape.join_edges.append(
-                    (la, conjunct.left.column, ra, conjunct.right.column))
-                shape.referenced[la].add(conjunct.left.column)
-                shape.referenced[ra].add(conjunct.right.column)
-                continue
-        record_filter(conjunct)
-    return shape
-
-
-def _record_exists(exists: Exists, shape: QueryShape,
-                   outer_aliases: dict[str, str]) -> None:
-    sub = exists.subquery
-    if len(sub.from_tables) != 1:
-        return
-    inner = sub.from_tables[0]
-    corr_col = None
-    eq_cols: list[str] = []
-    for conjunct in _flatten(sub.where):
-        if isinstance(conjunct, Comparison) and \
-                isinstance(conjunct.left, ColumnRef) and \
-                isinstance(conjunct.right, ColumnRef):
-            if conjunct.left.table == inner.name:
-                corr_col = conjunct.left.column
-            elif conjunct.right.table == inner.name:
-                corr_col = conjunct.right.column
-        elif isinstance(conjunct, Comparison) and \
-                isinstance(conjunct.left, ColumnRef) and \
-                isinstance(conjunct.right, Literal) and \
-                conjunct.op == ComparisonOp.EQ:
-            eq_cols.append(conjunct.left.column)
-    if corr_col is not None:
-        shape.exists_tables.append((inner.table, corr_col, eq_cols))
 
 
 class CandidateGenerator:
@@ -147,16 +41,12 @@ class CandidateGenerator:
 
     def _index(self, table: str, keys: tuple[str, ...],
                included: tuple[str, ...] = ()) -> Index | None:
-        included = tuple(sorted(set(included) - set(keys)))
+        # The row locator is in every leaf: never INCLUDE the primary key.
+        primary_key = self.db.catalog.table(table).primary_key
+        included = tuple(sorted(set(included) - set(keys) - {primary_key}))
         signature = (table, keys, included)
         if signature in self._seen:
             return None
-        table_obj = self.db.catalog.table(table)
-        if table_obj.primary_key in included:
-            included = tuple(c for c in included if c != table_obj.primary_key)
-            signature = (table, keys, included)
-            if signature in self._seen:
-                return None
         self._seen.add(signature)
         return Index(
             name=f"cand_ix_{next(self._counter)}",
@@ -170,32 +60,32 @@ class CandidateGenerator:
         indexes: list[Index] = []
         views: list[ViewCandidate] = []
         for select in query.selects:
-            shape = analyze_select(select, self.db)
+            shape = shape_of(select)
             indexes.extend(self._indexes_for_shape(shape))
             views.extend(self._views_for_shape(shape))
         return indexes, views
 
     # ------------------------------------------------------------------
-    def _indexes_for_shape(self, shape: QueryShape) -> list[Index]:
+    def _indexes_for_shape(self, shape: SelectShape) -> list[Index]:
         out: list[Index] = []
         for alias, table in shape.alias_tables.items():
-            eq = shape.eq_columns[alias][:_MAX_KEY_COLUMNS]
-            ranges = shape.range_columns[alias]
-            referenced = shape.referenced[alias]
+            eq = shape.key_eq[alias][:_MAX_KEY_COLUMNS]
+            ranges = shape.key_range[alias]
+            referenced = shape.required[alias]
             keys_variants: list[tuple[str, ...]] = []
             if eq:
-                keys_variants.append(tuple(eq))
+                keys_variants.append(eq)
             if ranges:
-                keys_variants.append(tuple(eq) + (ranges[0],))
+                keys_variants.append(eq + (ranges[0],))
                 if not eq:
                     keys_variants.append((ranges[0],))
             join_cols = [lc if la == alias else rc
-                         for la, lc, ra, rc in shape.join_edges
+                         for la, lc, ra, rc in shape.joins
                          if alias in (la, ra)]
             for join_col in join_cols:
                 keys_variants.append((join_col,))
                 if eq:
-                    keys_variants.append((join_col,) + tuple(eq))
+                    keys_variants.append((join_col,) + eq)
             for keys in keys_variants:
                 plain = self._index(table, keys)
                 if plain is not None:
@@ -204,16 +94,19 @@ class CandidateGenerator:
                                        tuple(referenced - set(keys)))
                 if covering is not None:
                     out.append(covering)
-        for table, corr_col, eq_cols in shape.exists_tables:
-            keys = (corr_col,) + tuple(eq_cols[:1])
-            probe = self._index(table, keys)
+        for exists in shape.exists:
+            if exists.corr_column is None:
+                continue  # nothing the optimizer could probe by
+            keys = (exists.corr_column,) + tuple(
+                part.left.column for part in exists.eq_parts[:1])
+            probe = self._index(exists.table, keys)
             if probe is not None:
                 out.append(probe)
         return out
 
-    def _views_for_shape(self, shape: QueryShape) -> list[ViewCandidate]:
+    def _views_for_shape(self, shape: SelectShape) -> list[ViewCandidate]:
         out: list[ViewCandidate] = []
-        for la, lc, ra, rc in shape.join_edges:
+        for la, lc, ra, rc in shape.joins:
             ta, tb = shape.alias_tables[la], shape.alias_tables[ra]
             # Orient: child carries the FK (the non-ID side of the join).
             if lc != "ID" and rc == "ID":
@@ -228,7 +121,7 @@ class CandidateGenerator:
             used_names: set[str] = set()
             for alias, table in ((parent_alias, parent_table),
                                  (child_alias, child_table)):
-                for column in sorted(shape.referenced[alias]):
+                for column in sorted(shape.required[alias]):
                     name = column if column not in used_names else \
                         f"{table}_{column}"
                     used_names.add(name)

@@ -5,6 +5,7 @@ from .ast import (And, BoolExpr, ColumnRef, Comparison, ComparisonOp, Exists,
                   TableRef, conjunction, conjuncts_of, single_select)
 from .parser import parse_sql
 from .render import render, render_select
+from .shape import ExistsShape, SelectShape, qualify, shape_of
 
 __all__ = [
     "And",
@@ -27,4 +28,8 @@ __all__ = [
     "parse_sql",
     "render",
     "render_select",
+    "ExistsShape",
+    "SelectShape",
+    "qualify",
+    "shape_of",
 ]

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Union
 
 # ----------------------------------------------------------------------
 # Scalar expressions
@@ -134,7 +134,7 @@ class Exists:
 BoolExpr = Union[Comparison, IsNull, And, Or, Exists]
 
 
-def conjunction(items: list[BoolExpr]) -> BoolExpr | None:
+def conjunction(items: Iterable[BoolExpr]) -> BoolExpr | None:
     """Combine conjuncts, flattening nested ANDs; None when empty."""
     flat: list[BoolExpr] = []
     for item in items:
@@ -150,12 +150,24 @@ def conjunction(items: list[BoolExpr]) -> BoolExpr | None:
 
 
 def conjuncts_of(expr: BoolExpr | None) -> list[BoolExpr]:
-    """The top-level conjuncts of a WHERE tree (empty for None)."""
+    """The top-level conjuncts of a WHERE tree, nested ANDs flattened
+    (empty for None). The one AND-flattener: planner, advisor and
+    analyzer all split a WHERE clause here."""
     if expr is None:
         return []
     if isinstance(expr, And):
-        return list(expr.items)
+        return [part for item in expr.items for part in conjuncts_of(item)]
     return [expr]
+
+
+def leaves_of(expr: BoolExpr | None) -> Iterator[BoolExpr]:
+    """Comparison, IS NULL and EXISTS nodes in source order at any
+    AND/OR depth; subqueries are not entered."""
+    if isinstance(expr, (And, Or)):
+        for item in expr.items:
+            yield from leaves_of(item)
+    elif expr is not None:
+        yield expr
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +222,14 @@ class Select:
     def width(self) -> int:
         return len(self.items)
 
+    def __getstate__(self) -> dict:
+        """Fields only: the ``SelectShape`` that :func:`shape_of` keeps
+        on the node is derived data and stays out of pickles and copies
+        (it is not a field, so ``==``/``hash``/``repr`` never see it)."""
+        state = dict(self.__dict__)
+        state.pop("_shape", None)
+        return state
+
 
 @dataclass(frozen=True)
 class Query:
@@ -241,20 +261,12 @@ class Query:
     def referenced_tables(self) -> frozenset[str]:
         """Base-table names referenced anywhere (the paper's RS(Q))."""
         names: set[str] = set()
-
-        def visit_bool(expr: BoolExpr | None) -> None:
-            if isinstance(expr, (And, Or)):
-                for item in expr.items:
-                    visit_bool(item)
-            elif isinstance(expr, Exists):
-                visit_select(expr.subquery)
-
-        def visit_select(select: Select) -> None:
+        pending = list(self.selects)
+        while pending:
+            select = pending.pop()
             names.update(t.table for t in select.from_tables)
-            visit_bool(select.where)
-
-        for select in self.selects:
-            visit_select(select)
+            pending += [leaf.subquery for leaf in leaves_of(select.where)
+                        if isinstance(leaf, Exists)]
         return frozenset(names)
 
 

@@ -43,23 +43,13 @@ class NodeKind(enum.Enum):
 
 
 class BaseType(enum.Enum):
-    """XSD base types we support, with their SQL counterparts."""
+    """XSD base types we support."""
 
     STRING = "string"
     INTEGER = "integer"
     DECIMAL = "decimal"
     DATE = "date"
     BOOLEAN = "boolean"
-
-    @property
-    def sql_name(self) -> str:
-        return {
-            BaseType.STRING: "VARCHAR",
-            BaseType.INTEGER: "INTEGER",
-            BaseType.DECIMAL: "DECIMAL",
-            BaseType.DATE: "DATE",
-            BaseType.BOOLEAN: "BOOLEAN",
-        }[self]
 
 
 # maxOccurs="unbounded" is modelled as this sentinel.

@@ -5,9 +5,8 @@ import pytest
 from repro.engine import Column, Database, Index, SQLType
 from repro.errors import SearchError
 from repro.physdesign import (CandidateGenerator, Configuration,
-                              IndexTuningAdvisor, analyze_select,
-                              materialize)
-from repro.sqlast import parse_sql
+                              IndexTuningAdvisor, materialize)
+from repro.sqlast import parse_sql, shape_of
 
 
 @pytest.fixture
@@ -45,10 +44,10 @@ JOIN_SQL = ("SELECT P.ID, A.name FROM pub P, person A "
 class TestCandidateGeneration:
     def test_shape_analysis(self, db):
         query = parse_sql(JOIN_SQL)
-        shape = analyze_select(query.selects[0], db)
-        assert shape.eq_columns["P"] == ["venue"]
-        assert shape.join_edges == [("P", "ID", "A", "PID")]
-        assert "name" in shape.referenced["A"]
+        shape = shape_of(query.selects[0])
+        assert shape.key_eq["P"] == ("venue",)
+        assert shape.joins == (("P", "ID", "A", "PID"),)
+        assert "name" in shape.required["A"]
 
     def test_candidates_include_covering_and_view(self, db):
         generator = CandidateGenerator(db)

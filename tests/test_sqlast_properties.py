@@ -1,5 +1,8 @@
 """Property-based round-trip tests for the SQL AST: for any AST the
-renderer can produce, ``parse_sql(str(ast)) == ast``."""
+renderer can produce, ``parse_sql(str(ast)) == ast`` — before and after
+the planner has bound it."""
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.sqlast import (And, ColumnRef, Comparison, ComparisonOp, Exists,
                           IsNull, Literal, Or, Query, Select, SelectItem,
-                          TableRef, parse_sql, render)
+                          TableRef, parse_sql, render, shape_of)
 
 _names = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True).filter(
     lambda s: s not in {"select", "from", "where", "union", "all", "order",
@@ -24,13 +27,14 @@ _literals = st.one_of(
         max_size=12)),
     st.just(Literal(None)),
 )
-_scalars = st.one_of(_columns, _literals)
 
-_comparisons = st.builds(
-    Comparison, left=_columns, op=st.sampled_from(list(ComparisonOp)),
-    right=_scalars)
-_is_nulls = st.builds(IsNull, operand=_columns, negated=st.booleans())
-_atoms = st.one_of(_comparisons, _is_nulls)
+
+def _atoms(columns=_columns):
+    return st.one_of(
+        st.builds(Comparison, left=columns,
+                  op=st.sampled_from(list(ComparisonOp)),
+                  right=st.one_of(columns, _literals)),
+        st.builds(IsNull, operand=columns, negated=st.booleans()))
 
 
 def _flatten_and(items):
@@ -55,9 +59,9 @@ def _flatten_or(items):
     return Or(tuple(out))
 
 
-def _bool_exprs():
+def _bool_exprs(columns=_columns):
     return st.recursive(
-        _atoms,
+        _atoms(columns),
         lambda children: st.one_of(
             st.builds(lambda items: _flatten_and(items),
                       st.lists(children, min_size=2, max_size=3)),
@@ -68,28 +72,39 @@ def _bool_exprs():
 
 
 @st.composite
-def selects(draw, width=None):
+def selects(draw, width=None, bound=False):
+    """``bound``: every column reference names an alias that is in
+    scope, as in any query the planner accepts."""
     n_items = width if width is not None else draw(st.integers(1, 4))
-    items = tuple(SelectItem(draw(_scalars)) for _ in range(n_items))
     tables = tuple(
         TableRef(draw(_names), draw(_names))
         for _ in range(draw(st.integers(1, 2))))
-    where = draw(st.one_of(st.none(), _bool_exprs()))
+    inner_table = TableRef(draw(_names), draw(_names))
+    columns = inner_columns = _columns
+    if bound:
+        aliases = [t.name for t in tables]
+        columns = st.builds(ColumnRef, st.sampled_from(aliases), _names)
+        inner_columns = st.builds(
+            ColumnRef, st.sampled_from(aliases + [inner_table.name]), _names)
+    items = tuple(SelectItem(draw(st.one_of(columns, _literals)))
+                  for _ in range(n_items))
+    where = draw(st.one_of(st.none(), _bool_exprs(columns)))
     if draw(st.booleans()):
         inner = Select(
             items=(SelectItem(Literal(1)),),
-            from_tables=(TableRef(draw(_names), draw(_names)),),
-            where=draw(_atoms))
+            from_tables=(inner_table,),
+            where=draw(_atoms(inner_columns)))
         exists = Exists(inner)
         where = exists if where is None else _flatten_and([where, exists])
     return Select(items=items, from_tables=tables, where=where)
 
 
 @st.composite
-def queries(draw):
+def queries(draw, bound=False):
     width = draw(st.integers(1, 4))
     n_selects = draw(st.integers(1, 3))
-    body = tuple(draw(selects(width=width)) for _ in range(n_selects))
+    body = tuple(draw(selects(width=width, bound=bound))
+                 for _ in range(n_selects))
     order_by = tuple(draw(st.lists(st.integers(1, width), max_size=2)))
     return Query(selects=body, order_by=order_by)
 
@@ -111,6 +126,17 @@ def test_roundtrip_rendered(query):
 def test_referenced_tables_stable_under_roundtrip(query):
     reparsed = parse_sql(str(query))
     assert reparsed.referenced_tables == query.referenced_tables
+
+
+@given(queries(bound=True))
+@settings(max_examples=100, deadline=None)
+def test_binding_a_query_leaves_no_trace_on_it(query):
+    text, digest, blob = str(query), hash(query), pickle.dumps(query)
+    for select in query.selects:
+        assert shape_of(select) is shape_of(select)
+    assert query == parse_sql(text)
+    assert hash(query) == digest
+    assert pickle.dumps(query) == blob
 
 
 # ----------------------------------------------------------------------
