@@ -6,7 +6,7 @@ See docs/backends.md.
 """
 
 from .base import (EngineBackend, IntrospectableBackend, QueryTiming,
-                   SQLBackend, timed_runs)
+                   SQLBackend, Statement, timed_runs)
 from .calibrate import (CalibrationReport, DesignPoint, QueryPoint,
                         logical_only_design, run_calibration, spearman,
                         time_on_sqlite)
@@ -32,6 +32,7 @@ __all__ = [
     "DuckDBBackend",
     "duckdb_available",
     "QueryTiming",
+    "Statement",
     "timed_runs",
     "BackendError",
     "BackendBusyError",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import statistics as _statistics
 import time
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 from ..engine import Database, SQLType
 from ..mapping import MappedSchema, load_documents
@@ -45,6 +45,17 @@ class QueryTiming:
     @property
     def best(self) -> float:
         return min(self.runs) if self.runs else self.seconds
+
+
+class Statement(NamedTuple):
+    """SQL text a backend's dialect rendered once from a parameterised
+    query, and the values this execution binds to it — what the serving
+    layer hands to a DBMS backend's ``execute`` in place of a
+    :class:`~repro.sqlast.Query`, so that neither rendering nor the
+    driver's statement compilation is paid per request."""
+
+    sql: str
+    params: tuple
 
 
 @runtime_checkable

@@ -72,7 +72,7 @@ from ..physdesign import Configuration
 from ..resilience import active_fault_plan
 from ..search import mapping_digest
 from ..sqlast import Query
-from .base import QueryTiming, timed_runs
+from .base import QueryTiming, Statement, timed_runs
 from .dialect import Dialect, SQLITE
 
 __all__ = ["RelationalBackend", "BackendError", "BackendBusyError",
@@ -551,21 +551,26 @@ class RelationalBackend:
     def sql_text(self, query: Query) -> str:
         return self.dialect.render_query(query)
 
-    def execute(self, query: Query) -> list[tuple]:
+    def execute(self, query: Query | Statement) -> list[tuple]:
+        if isinstance(query, Statement):
+            return self.execute_sql(*query)
         return self.execute_sql(self.dialect.render_query(query))
 
-    def execute_sql(self, sql: str) -> list[tuple]:
+    def execute_sql(self, sql: str, params: tuple = ()) -> list[tuple]:
+        """Run ``sql``; the driver binds ``params`` to its placeholders
+        (:meth:`Dialect.parameter`), so a value never becomes text."""
         active_fault_plan().maybe_raise("backend.execute")
         connection = self._thread_connection()
         with self.tracer.span("backend.query", backend=self.name):
             try:
-                rows = connection.execute(sql).fetchall()
+                rows = connection.execute(sql, params).fetchall()
             except self._driver_error as exc:
+                detail = f"{exc}\nSQL: {sql}" + (
+                    f"\nparameters: {params!r}" if params else "")
                 if self._is_busy(exc):
                     raise BackendBusyError(
-                        f"database busy: {exc}\nSQL: {sql}") from exc
-                raise BackendError(
-                    f"query failed: {exc}\nSQL: {sql}") from exc
+                        f"database busy: {detail}") from exc
+                raise BackendError(f"query failed: {detail}") from exc
         self._metrics.incr("queries_executed")
         return self._native_rows(rows)
 

@@ -45,8 +45,8 @@ from __future__ import annotations
 from ..engine import Index, JoinViewDefinition, SQLType, Table
 from ..errors import ReproError
 from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, Exists, IsNull,
-                      Literal, Or, Query, Scalar, Select, SelectItem,
-                      TableRef)
+                      Literal, Or, Parameter, Query, Scalar, Select,
+                      SelectItem, TableRef)
 
 __all__ = [
     "Dialect", "SQLiteDialect", "DuckDBDialect", "DialectError",
@@ -105,6 +105,14 @@ class Dialect:
         """Convert one typed-row value into a driver binding."""
         return value
 
+    def parameter(self, index: int) -> str | None:
+        """The placeholder for bound value ``index`` (1-based), or
+        ``None`` when the dialect declares none: constants then reach
+        its engine spliced into the text by :meth:`literal`. A dialect
+        declares one only once its engine is shown to compare a bound
+        value exactly as it compares that literal."""
+        return None
+
     # -- expressions ---------------------------------------------------
     def render_scalar(self, expr: Scalar) -> str:
         if isinstance(expr, Literal):
@@ -114,6 +122,13 @@ class Dialect:
             if expr.table:
                 return f"{self.quote(expr.table)}.{column}"
             return column
+        if isinstance(expr, Parameter):
+            placeholder = self.parameter(expr.index)
+            if placeholder is None:
+                raise DialectError(
+                    f"the {self.name} dialect binds no parameters; "
+                    f"sqlast.bind() {expr} to its value first")
+            return placeholder
         raise DialectError(f"cannot render scalar {expr!r}")
 
     def render_condition(self, expr: BoolExpr) -> str:
@@ -226,6 +241,12 @@ class SQLiteDialect(Dialect):
             return int(value)
         return value
 
+    def parameter(self, index: int) -> str:
+        # A bound TEXT value has no affinity, exactly like the quoted
+        # literal it replaces, so the column's affinity decides the
+        # comparison either way (docs/serving.md, "Plan cache").
+        return f"?{index}"
+
 
 class DuckDBDialect(Dialect):
     """DuckDB spellings — DECIMAL and BOOLEAN stay first-class.
@@ -240,6 +261,9 @@ class DuckDBDialect(Dialect):
     * DATE stays VARCHAR: the engine stores date values as strings and
       compares them lexicographically, which for ISO dates is the same
       order DuckDB's DATE type would give, without parsing surprises.
+    * No :meth:`parameter` syntax yet: whether ``$1`` against BIGINT,
+      DECIMAL(18, 6) and BOOLEAN columns compares like DuckDB's untyped
+      string literal is unchecked, so constants stay spliced.
     """
 
     name = "duckdb"

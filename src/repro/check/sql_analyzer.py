@@ -23,7 +23,8 @@ from __future__ import annotations
 from ..engine import SQLType, Table
 from ..engine.schema import Catalog
 from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, ComparisonOp,
-                      Exists, IsNull, Literal, Or, Query, Select, conjuncts_of)
+                      Exists, IsNull, Literal, Or, Parameter, Query, Select,
+                      conjuncts_of)
 from .findings import Findings
 
 _NUMERIC = {SQLType.INTEGER, SQLType.DECIMAL, SQLType.BOOLEAN}
@@ -131,6 +132,8 @@ class _QueryAnalyzer:
     def _resolve(self, ref: ColumnRef, scope: _Scope,
                  where: str) -> SQLType | None:
         """Resolve a column ref to its SQL type; report on failure."""
+        if isinstance(ref, Parameter):
+            raise ref.unbound()
         if ref.table:
             table = scope.table_of(ref.table)
             if table is None:

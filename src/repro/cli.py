@@ -933,7 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
         svc.add_argument("--workers", type=int, default=4,
                          help="service worker threads (default: 4)")
         svc.add_argument("--plan-cache", type=int, default=128,
-                         help="plan cache capacity (default: 128)")
+                         help="plan cache capacity, in query shapes "
+                              "(default: 128)")
         svc.add_argument("--backend", choices=["sqlite", "duckdb"],
                          default="sqlite",
                          help="execution backend to serve from "

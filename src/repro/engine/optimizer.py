@@ -33,7 +33,7 @@ from ..errors import CatalogError, PlanError
 from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, ComparisonOp,
                       Exists, ExistsShape, IsNull, Literal, Or, Query, Select,
                       SelectShape, conjunction, shape_of)
-from ..sqlast.shape import RANGE_OPS, Filters, map_columns, split_sargable
+from ..sqlast.shape import RANGE_OPS, Filters, map_scalars, split_sargable
 from .cost import (CPU_OPERATOR_COST, CPU_TUPLE_COST, HASH_TUPLE_COST,
                    RANDOM_PAGE_COST, SEQ_PAGE_COST, SORT_FACTOR)
 from .expressions import Environment, compile_predicate, compile_scalar
@@ -348,14 +348,16 @@ class Optimizer:
     @staticmethod
     def _rewrite_filters_for_view(filters, view, binding):
         """Map filter column refs onto the view's own columns."""
-        def rewrite_ref(ref: ColumnRef) -> ColumnRef:
-            env, pos = binding[(ref.table, ref.column)]
+        def rewrite_ref(expr):
+            if not isinstance(expr, ColumnRef):
+                return expr
+            env, pos = binding[(expr.table, expr.column)]
             return ColumnRef("@view", view.columns[pos].name)
 
         def refuse(node: Exists):
             raise PlanError(f"cannot push {node!r} into a view scan")
 
-        return [map_columns(f, rewrite_ref, refuse) for f in filters]
+        return [map_scalars(f, rewrite_ref, refuse) for f in filters]
 
     # ------------------------------------------------------------------
     # EXISTS probe construction

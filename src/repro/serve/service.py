@@ -6,7 +6,8 @@ concrete: load a mapped schema's shredded data into a SQLite backend
 XPath queries from many concurrent clients. Per request it:
 
 1. resolves the XPath through the LRU :class:`~repro.serve.PlanCache`
-   (translation paid once per distinct query) with **one** probe, whose
+   (translation paid once per query *shape*; the request's literal is
+   bound, not translated) with **one** probe, whose
    own hit/miss answer is the request's ``cached_plan``,
 2. executes the SQL on the worker thread's own SQLite connection (the
    backend opens one per thread — see ``repro.backends.sqlite``),
@@ -200,8 +201,6 @@ class QueryService:
         self.deadline = deadline
         self.retry_policy = retry_policy or RetryPolicy.from_env()
         self.breaker = breaker or CircuitBreaker()
-        self.plan_cache = PlanCache(schema, capacity=plan_cache_size,
-                                    tracer=self.tracer)
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
         # Admission state: ``_inflight`` counts requests admitted but
@@ -248,6 +247,9 @@ class QueryService:
                         except OSError:
                             pass
                 raise
+        self.plan_cache = PlanCache(schema, capacity=plan_cache_size,
+                                    tracer=self.tracer,
+                                    dialect=self.backend.dialect)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve")
 
@@ -266,7 +268,8 @@ class QueryService:
 
     def _execute_with_retry(self, plan, enqueued: float
                             ) -> tuple[list[tuple], int]:
-        """Execute the plan's SQL, retrying transient faults in place.
+        """Execute the plan's statement, retrying transient faults in
+        place.
 
         Only :data:`~repro.resilience.RETRYABLE_CATEGORIES` failures
         (injected transients, ``SQLITE_BUSY`` wrapped as
@@ -279,7 +282,7 @@ class QueryService:
             attempt += 1
             self._check_deadline(enqueued)
             try:
-                return self.backend.execute(plan.sql), retries
+                return self.backend.execute(plan.statement), retries
             except Exception as exc:
                 if (classify(exc) not in RETRYABLE_CATEGORIES
                         or attempt >= self.retry_policy.max_attempts):

@@ -1,11 +1,12 @@
 """SQL AST, renderer, and parser for the translated-query subset."""
 
 from .ast import (And, BoolExpr, ColumnRef, Comparison, ComparisonOp, Exists,
-                  IsNull, Literal, Or, Query, Scalar, Select, SelectItem,
-                  TableRef, conjunction, conjuncts_of, single_select)
+                  IsNull, Literal, Or, Parameter, Query, Scalar, Select,
+                  SelectItem, TableRef, conjunction, conjuncts_of,
+                  single_select)
 from .parser import parse_sql
 from .render import render, render_select
-from .shape import ExistsShape, SelectShape, qualify, shape_of
+from .shape import ExistsShape, SelectShape, bind, qualify, shape_of
 
 __all__ = [
     "And",
@@ -17,6 +18,7 @@ __all__ = [
     "IsNull",
     "Literal",
     "Or",
+    "Parameter",
     "Query",
     "Scalar",
     "Select",
@@ -30,6 +32,7 @@ __all__ = [
     "render_select",
     "ExistsShape",
     "SelectShape",
+    "bind",
     "qualify",
     "shape_of",
 ]

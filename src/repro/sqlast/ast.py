@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
+from ..errors import PlanError
+
 # ----------------------------------------------------------------------
 # Scalar expressions
 # ----------------------------------------------------------------------
@@ -66,7 +68,25 @@ class Literal:
         return str(self.value)
 
 
-Scalar = Union[ColumnRef, Literal]
+@dataclass(frozen=True)
+class Parameter:
+    """``?index`` (1-based): a constant supplied when the statement
+    runs, so queries differing only in that constant share one plan
+    and one SQL text. A DBMS backend binds it; everything that reads
+    constants (engine, analyzer) wants :func:`repro.sqlast.bind`'s
+    literal form and refuses this one with :meth:`unbound`."""
+
+    index: int
+
+    def __str__(self) -> str:
+        return f"?{self.index}"
+
+    def unbound(self) -> PlanError:
+        return PlanError(f"unbound parameter {self}: substitute its value "
+                         f"with sqlast.bind(query, values) first")
+
+
+Scalar = Union[ColumnRef, Literal, Parameter]
 
 
 class ComparisonOp(enum.Enum):

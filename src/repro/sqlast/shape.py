@@ -7,6 +7,8 @@ conjunct placement, join edges, EXISTS subqueries, sargable predicates,
 required columns — and keeps the result on the node. The optimizer and
 the physical-design candidate generator read that one
 :class:`SelectShape`; neither walks a WHERE tree of its own.
+:func:`bind` turns a parameterised query back into the literal one
+they read.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Callable, Collection, Iterable
 
 from ..errors import PlanError
 from .ast import (BoolExpr, ColumnRef, Comparison, ComparisonOp, Exists,
-                  IsNull, Literal, Query, Select, SelectItem, conjunction,
-                  conjuncts_of, leaves_of)
+                  IsNull, Literal, Parameter, Query, Scalar, Select,
+                  SelectItem, conjunction, conjuncts_of, leaves_of)
 
 RANGE_OPS = frozenset({ComparisonOp.LT, ComparisonOp.LE,
                        ComparisonOp.GT, ComparisonOp.GE})
@@ -220,21 +222,28 @@ def shape_of(select: Select) -> SelectShape:
 # ----------------------------------------------------------------------
 
 
-def map_columns(expr: BoolExpr, column: Callable[[ColumnRef], ColumnRef],
+def map_scalars(expr: BoolExpr, scalar: Callable[[Scalar], Scalar],
                 exists: Callable[[Exists], BoolExpr]) -> BoolExpr:
-    """``expr`` rebuilt with ``column(ref)`` for every column reference
-    outside subqueries and ``exists(node)`` for every EXISTS."""
-    def scalar(side):
-        return column(side) if isinstance(side, ColumnRef) else side
-
+    """``expr`` rebuilt with ``scalar(operand)`` for every comparison
+    and IS NULL operand outside subqueries and ``exists(node)`` for
+    every EXISTS."""
     if isinstance(expr, Comparison):
         return Comparison(scalar(expr.left), expr.op, scalar(expr.right))
     if isinstance(expr, IsNull):
-        return IsNull(column(expr.operand), expr.negated)
+        return IsNull(scalar(expr.operand), expr.negated)
     if isinstance(expr, Exists):
         return exists(expr)
-    return type(expr)(tuple(map_columns(item, column, exists)
+    return type(expr)(tuple(map_scalars(item, scalar, exists)
                             for item in expr.items))
+
+
+def _map_select(select: Select, scalar: Callable[[Scalar], Scalar],
+                exists: Callable[[Exists], BoolExpr]) -> Select:
+    return Select(
+        tuple(SelectItem(scalar(item.expr), item.alias)
+              for item in select.items),
+        select.from_tables,
+        select.where and map_scalars(select.where, scalar, exists))
 
 
 def qualify(query: Query,
@@ -243,8 +252,9 @@ def qualify(query: Query,
 
     A bare name belongs to the one FROM entry *of its own SELECT* whose
     table (``columns_of(table_name)``) has that column; none or several
-    is a :class:`PlanError`. A query with nothing to resolve comes back
-    as the same object.
+    is a :class:`PlanError`, and so is a :class:`Parameter` nobody
+    bound. A query with nothing to resolve comes back as the same
+    object.
     """
     selects = tuple(_qualify_select(s, columns_of) for s in query.selects)
     if all(new is old for new, old in zip(selects, query.selects)):
@@ -256,23 +266,45 @@ def _qualify_select(select: Select, columns_of) -> Select:
     if "_shape" in select.__dict__:  # bound before, hence qualified
         return select
 
-    def column(ref: ColumnRef) -> ColumnRef:
-        if ref.table:
-            return ref
+    def scalar(expr: Scalar) -> Scalar:
+        if isinstance(expr, Parameter):
+            raise expr.unbound()
+        if isinstance(expr, Literal) or expr.table:
+            return expr
         owners = [t.name for t in select.from_tables
-                  if ref.column in columns_of(t.table)]
+                  if expr.column in columns_of(t.table)]
         if len(owners) != 1:
             raise PlanError(
-                f"column {ref.column!r} is ambiguous or unknown in "
+                f"column {expr.column!r} is ambiguous or unknown in "
                 f"{[t.name for t in select.from_tables]}")
-        return ColumnRef(owners[0], ref.column)
+        return ColumnRef(owners[0], expr.column)
 
     def exists(node: Exists) -> Exists:
         return Exists(_qualify_select(node.subquery, columns_of))
 
-    bound = Select(
-        tuple(SelectItem(column(i.expr) if isinstance(i.expr, ColumnRef)
-                         else i.expr, i.alias) for i in select.items),
-        select.from_tables,
-        select.where and map_columns(select.where, column, exists))
+    bound = _map_select(select, scalar, exists)
     return select if bound == select else bound
+
+
+# ----------------------------------------------------------------------
+# Parameters
+# ----------------------------------------------------------------------
+
+
+def bind(query: Query, values: tuple) -> Query:
+    """``query`` with ``Literal(values[i - 1])`` for every
+    ``Parameter(i)``, subqueries included: the statement a backend runs
+    when it is handed the parameterised text and ``values``."""
+    def scalar(expr: Scalar) -> Scalar:
+        if not isinstance(expr, Parameter):
+            return expr
+        if not 1 <= expr.index <= len(values):
+            raise PlanError(f"no value for parameter {expr}: "
+                            f"{len(values)} bound")
+        return Literal(values[expr.index - 1])
+
+    def exists(node: Exists) -> Exists:
+        return Exists(_map_select(node.subquery, scalar, exists))
+
+    return Query(tuple(_map_select(s, scalar, exists)
+                       for s in query.selects), query.order_by)

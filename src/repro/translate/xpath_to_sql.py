@@ -25,6 +25,14 @@ The translator is mapping-aware:
 Supported XPath subset (everything the paper's workloads use): child and
 descendant axes, one predicate on the final context step (value
 comparison or existence), union projections of leaf paths.
+
+The compared value is read in one place and decides nothing: every
+query of one shape gets the same statement up to that constant, so a
+*template* (a query whose comparison has no value, see
+:class:`repro.xpath.Predicate`) translates to the shared statement with
+``sqlast.Parameter(1)`` wherever the constant goes, and
+``sqlast.bind(translate(template), (value,))`` is ``translate`` of the
+query with the value in.
 """
 
 from __future__ import annotations
@@ -35,8 +43,8 @@ from dataclasses import dataclass, field
 from ..errors import TranslationError
 from ..mapping import LeafStorage, MappedSchema, PartitionSpec, TableGroup
 from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, ComparisonOp,
-                      Exists, IsNull, Literal, Or, Query, Select, SelectItem,
-                      TableRef, conjunction)
+                      Exists, IsNull, Literal, Or, Parameter, Query, Select,
+                      SelectItem, TableRef, conjunction)
 from ..xpath import Axis, CompareOp, Predicate, Step, XPathQuery, parse_xpath
 from ..xsd import NodeKind, SchemaNode, SchemaTree
 
@@ -511,8 +519,10 @@ class Translator:
         def value_test(ref: ColumnRef) -> BoolExpr:
             if predicate.op is None:
                 return IsNull(ref, negated=True)
+            # A template's comparison (no value) takes it at run time.
             return Comparison(ref, _OP_MAP[predicate.op],
-                              Literal(predicate.value))
+                              Parameter(1) if predicate.value is None
+                              else Literal(predicate.value))
 
         if storage.is_split and \
                 storage.inline_annotation == anchor_annotation:

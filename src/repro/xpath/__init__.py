@@ -1,8 +1,9 @@
-"""XPath subset: AST, parser, and reference evaluator."""
+"""XPath subset: AST, lexer, parser, and reference evaluator."""
 
-from .ast import Axis, CompareOp, Predicate, Step, XPathQuery
+from .ast import (Axis, CompareOp, Predicate, Step, XPathQuery,
+                  quote_literal)
 from .evaluate import evaluate, evaluate_values
-from .parser import parse_xpath
+from .parser import Shape, lex, parse_tokens, parse_xpath
 
 __all__ = [
     "Axis",
@@ -10,6 +11,10 @@ __all__ = [
     "Predicate",
     "Step",
     "XPathQuery",
+    "quote_literal",
+    "Shape",
+    "lex",
+    "parse_tokens",
     "parse_xpath",
     "evaluate",
     "evaluate_values",

@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ..errors import XPathError
+
 
 class Axis(enum.Enum):
     CHILD = "/"
@@ -62,25 +64,48 @@ class Step:
         return f"{self.axis.value}{self.name}"
 
 
+def _relative(path: tuple[Step, ...]) -> str:
+    """A relative path as the grammar spells it: a leading child axis
+    is implied, a leading descendant axis is written."""
+    text = "".join(str(step) for step in path)
+    return text if text.startswith("//") else text[1:]
+
+
+def quote_literal(value: str) -> str:
+    """The canonical spelling of a string literal: ``"value"``, or
+    ``'value'`` when the value itself contains ``"`` (the grammar has
+    no escape, so a literal is delimited by the quote it lacks)."""
+    return f"'{value}'" if '"' in value else f'"{value}"'
+
+
 @dataclass(frozen=True)
 class Predicate:
     """``[path op "literal"]`` or the existence test ``[path]``.
 
     ``path`` is relative to the step the predicate is attached to. The
-    paper calls it the *selection path*.
+    paper calls it the *selection path*. ``op`` without a ``value`` is
+    a *template*: the comparison with its literal lifted out, printed
+    ``[path op ?]`` — what every query of one shape shares
+    (:func:`repro.xpath.parse_tokens`).
     """
 
     path: tuple[Step, ...]
     op: CompareOp | None = None
     value: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.value is not None and '"' in self.value \
+                and "'" in self.value:
+            raise XPathError(
+                f"literal {self.value!r} contains both quote characters; "
+                f"the XPath subset has no escape to write it with")
+
     def __str__(self) -> str:
-        inner = "".join(str(s) for s in self.path).lstrip("/")
-        if self.path and self.path[0].axis == Axis.DESCENDANT:
-            inner = "//" + inner
+        inner = _relative(self.path)
         if self.op is None:
             return f"[{inner}]"
-        return f'[{inner} {self.op.value} "{self.value}"]'
+        literal = "?" if self.value is None else quote_literal(self.value)
+        return f"[{inner} {self.op.value} {literal}]"
 
 
 @dataclass(frozen=True)
@@ -111,9 +136,7 @@ class XPathQuery:
             if self.predicate is not None and i == self.predicate_step:
                 parts.append(str(self.predicate))
         if self.projections:
-            inner = " | ".join(
-                "".join(str(s) for s in path).lstrip("/")
-                for path in self.projections)
+            inner = " | ".join(_relative(path) for path in self.projections)
             parts.append(f"/({inner})")
         return "".join(parts)
 

@@ -1,6 +1,6 @@
-"""Recursive-descent parser for the XPath subset.
+"""Lexer and recursive-descent parser for the XPath subset.
 
-Grammar::
+Grammar, over token kinds (whitespace may separate any two tokens)::
 
     query      := abspath ( "/" "(" relpath ("|" relpath)* ")" )?
     abspath    := (("/" | "//") step)+
@@ -12,6 +12,14 @@ Grammar::
 
 At most one predicate is allowed per query (the paper's queries have a
 single selection path); more than one raises ``XPathError``.
+
+:func:`lex` is the only reader of query text: one regex pass splits it
+into a *shape* — the token sequence with every literal lifted out —
+and the lifted values. The grammar never looks inside a literal, so
+whether a text parses, and into which tree, depends on its shape alone:
+:func:`parse_tokens` builds the tree from a shape, and the serving
+layer's plan cache keys on the shape to recognise a text as valid
+without parsing it (``repro.serve.plan_cache``).
 """
 
 from __future__ import annotations
@@ -21,142 +29,148 @@ import re
 from ..errors import XPathError
 from .ast import Axis, CompareOp, Predicate, Step, XPathQuery
 
-_NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*")
-_NUMBER_RE = re.compile(r"-?\d+(\.\d+)?")
-# Longest-match first so "<=" wins over "<".
-_OPS = ["!=", "<=", ">=", "=", "<", ">"]
+#: One token per match, in exactly one group: a literal, a name
+#: (``@name`` for an attribute step), or a symbol. The last alternative
+#: takes any other character on its own, so every non-space character
+#: of the text lands in some token and junk can never equal a symbol
+#: the grammar asks for. Longest operators first: ``<=`` wins over ``<``.
+_TOKEN_RE = re.compile(r"""\s*(?:
+      ( "[^"]*" | '[^']*' | -?\d+(?:\.\d+)? )
+    | ( @?[A-Za-z_][\w.\-]* )
+    | ( // | [/()|\[\]] | [!<>]= | [=<>] | \S )
+    )""", re.VERBOSE)
+
+#: ``(names, symbols)``, one entry per token: the token's text under
+#: its kind and ``""`` under the other; ``""`` in both is a literal.
+Shape = tuple[tuple[str, ...], tuple[str, ...]]
+
+_END = "end of query"   # no token: junk is one character long
+_OPS = frozenset(op.value for op in CompareOp)
 
 
-class _Cursor:
-    def __init__(self, text: str):
+def lex(text: str) -> tuple[Shape, tuple[str, ...]]:
+    """``(shape, values)`` of ``text``: its tokens without their
+    literals, and the literals' values (quotes stripped; a number is
+    its own text) in source order."""
+    found = _TOKEN_RE.findall(text)
+    if not found:
+        return ((), ()), ()
+    literals, names, symbols = zip(*found)
+    return (names, symbols), tuple(
+        [source[1:-1] if source[0] in "\"'" else source
+         for source in filter(None, literals)])
+
+
+class _Tokens:
+    """A shape being read left to right."""
+
+    def __init__(self, shape: Shape, text: str):
+        self.names = shape[0] + ("",)
+        self.symbols = shape[1] + (_END,)
         self.text = text
         self.pos = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+    def fail(self, expected: str) -> XPathError:
+        found = self.names[self.pos] or self.symbols[self.pos]
+        if not found:
+            found = "a literal"
+        elif found != _END:
+            found = repr(found)
+        return XPathError(f"expected {expected} but found {found} "
+                          f"(token {self.pos + 1}) in {self.text!r}")
+
+    def peek(self, symbol: str) -> bool:
+        return self.symbols[self.pos] == symbol
+
+    def take(self, symbol: str) -> bool:
+        if self.symbols[self.pos] == symbol:
             self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self, token: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(token, self.pos)
-
-    def take(self, token: str) -> bool:
-        if self.peek(token):
-            self.pos += len(token)
             return True
         return False
 
-    def expect(self, token: str) -> None:
-        if not self.take(token):
-            raise XPathError(
-                f"expected {token!r} at position {self.pos} in {self.text!r}")
+    def expect(self, symbol: str) -> None:
+        if not self.take(symbol):
+            raise self.fail(repr(symbol))
 
     def name(self) -> str:
         """An element name, or ``@name`` for an attribute step."""
-        self.skip_ws()
-        prefix = ""
-        if self.pos < len(self.text) and self.text[self.pos] == "@":
-            prefix = "@"
+        name = self.names[self.pos]
+        if not name:
+            raise self.fail("a name")
+        self.pos += 1
+        return name
+
+    def literal(self) -> None:
+        if self.names[self.pos] or self.symbols[self.pos]:
+            raise self.fail("a literal")
+        self.pos += 1
+
+    def axis(self, default: Axis | None = None) -> Axis | None:
+        if self.take("//"):
+            return Axis.DESCENDANT
+        if self.take("/"):
+            return Axis.CHILD
+        return default
+
+    def relpath(self) -> tuple[Step, ...]:
+        steps = [Step(self.axis(default=Axis.CHILD), self.name())]
+        while True:
+            axis = self.axis()
+            if axis is None:
+                return tuple(steps)
+            steps.append(Step(axis, self.name()))
+
+    def predicate(self, value: str | None) -> Predicate:
+        self.expect("[")
+        path = self.relpath()
+        op = None
+        if self.symbols[self.pos] in _OPS:
+            op = CompareOp(self.symbols[self.pos])
             self.pos += 1
-        match = _NAME_RE.match(self.text, self.pos)
-        if not match:
-            raise XPathError(
-                f"expected a name at position {self.pos} in {self.text!r}")
-        self.pos = match.end()
-        return prefix + match.group(0)
+            self.literal()
+        else:
+            value = None
+        self.expect("]")
+        return Predicate(path=path, op=op, value=value)
 
 
-def _parse_axis(cursor: _Cursor, default: Axis | None = None) -> Axis | None:
-    if cursor.take("//"):
-        return Axis.DESCENDANT
-    if cursor.take("/"):
-        return Axis.CHILD
-    return default
-
-
-def _parse_relpath(cursor: _Cursor) -> tuple[Step, ...]:
-    axis = _parse_axis(cursor, default=Axis.CHILD)
-    steps = [Step(axis, cursor.name())]
-    while True:
-        axis = _parse_axis(cursor)
-        if axis is None:
-            return tuple(steps)
-        steps.append(Step(axis, cursor.name()))
-
-
-def _parse_literal(cursor: _Cursor) -> str:
-    cursor.skip_ws()
-    text = cursor.text
-    if cursor.pos < len(text) and text[cursor.pos] in "\"'":
-        quote = text[cursor.pos]
-        end = text.find(quote, cursor.pos + 1)
-        if end < 0:
-            raise XPathError(f"unterminated string literal in {text!r}")
-        value = text[cursor.pos + 1:end]
-        cursor.pos = end + 1
-        return value
-    match = _NUMBER_RE.match(text, cursor.pos)
-    if match:
-        cursor.pos = match.end()
-        return match.group(0)
-    raise XPathError(f"expected a literal at position {cursor.pos} in {text!r}")
-
-
-def _parse_predicate(cursor: _Cursor) -> Predicate:
-    cursor.expect("[")
-    path = _parse_relpath(cursor)
-    cursor.skip_ws()
-    op = None
-    value = None
-    for candidate in _OPS:
-        if cursor.take(candidate):
-            op = CompareOp(candidate)
-            value = _parse_literal(cursor)
-            break
-    cursor.expect("]")
-    return Predicate(path=path, op=op, value=value)
-
-
-def parse_xpath(text: str) -> XPathQuery:
-    """Parse an XPath expression into an :class:`XPathQuery`."""
-    cursor = _Cursor(text)
+def parse_tokens(shape: Shape, text: str,
+                 value: str | None = None) -> XPathQuery:
+    """The query a shape spells, with ``value`` in its literal slot —
+    by default nothing, which makes it the shape's *template*
+    (:class:`~repro.xpath.ast.Predicate`). ``text`` is quoted in
+    errors only."""
+    tokens = _Tokens(shape, text)
     steps: list[Step] = []
     predicate: Predicate | None = None
     predicate_step: int | None = None
     projections: tuple[tuple[Step, ...], ...] = ()
 
-    axis = _parse_axis(cursor)
+    axis = tokens.axis()
     if axis is None:
         raise XPathError(f"query must start with '/' or '//': {text!r}")
     while True:
         # A '(' after the axis starts the projection group.
-        if cursor.peek("("):
-            cursor.expect("(")
-            paths = [_parse_relpath(cursor)]
-            while cursor.take("|"):
-                paths.append(_parse_relpath(cursor))
-            cursor.expect(")")
+        if tokens.take("("):
+            paths = [tokens.relpath()]
+            while tokens.take("|"):
+                paths.append(tokens.relpath())
+            tokens.expect(")")
             projections = tuple(paths)
-            if not cursor.at_end():
+            if not tokens.peek(_END):
                 raise XPathError(f"content after projection group in {text!r}")
             break
-        steps.append(Step(axis, cursor.name()))
-        if cursor.peek("["):
+        steps.append(Step(axis, tokens.name()))
+        if tokens.peek("["):
             if predicate is not None:
                 raise XPathError(
                     f"only one predicate per query is supported: {text!r}")
-            predicate = _parse_predicate(cursor)
+            predicate = tokens.predicate(value)
             predicate_step = len(steps) - 1
-        next_axis = _parse_axis(cursor)
+        next_axis = tokens.axis()
         if next_axis is None:
-            if not cursor.at_end():
-                raise XPathError(
-                    f"unexpected trailing content at position {cursor.pos} "
-                    f"in {text!r}")
+            if not tokens.peek(_END):
+                raise tokens.fail("'/', '//' or the end")
             break
         axis = next_axis
     if not steps:
@@ -167,3 +181,9 @@ def parse_xpath(text: str) -> XPathQuery:
         predicate_step=predicate_step,
         projections=projections,
     )
+
+
+def parse_xpath(text: str) -> XPathQuery:
+    """Parse an XPath expression into an :class:`XPathQuery`."""
+    shape, values = lex(text)
+    return parse_tokens(shape, text, values[0] if values else None)

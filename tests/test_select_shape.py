@@ -14,6 +14,7 @@ Three parts:
 """
 
 import copy
+import functools
 import hashlib
 import json
 import pickle
@@ -39,12 +40,15 @@ DIGESTS = Path(__file__).parent / "fixtures" / "select_shape_digests.json"
 DESIGNS = ("hybrid", "shared", "fully-split", "greedy")
 
 
-def digest_cases():
-    """(name, stats-only database, weighted SQL, configuration) per
-    dataset x design, plus one hand-built mapping per dataset for the
-    WHERE forms the searched designs do not reach at this scale
-    (rep-split ``OR`` with an overflow ``EXISTS``; union-distributed
-    partitions)."""
+@functools.lru_cache(maxsize=None)
+def design_cases():
+    """(name, schema, XPath queries, statistics, weighted SQL,
+    configuration) per dataset x design, plus one hand-built mapping
+    per dataset for the WHERE forms the searched designs do not reach
+    at this scale (rep-split ``OR`` with an overflow ``EXISTS``;
+    union-distributed partitions). Built once per test session:
+    ``tests/test_translate.py`` reads the same cases."""
+    out = []
     for dataset, extra, xpaths in (
             ("dblp", "rep-split", [
                 '/dblp/inproceedings[author = "Author 17"]/(title | year)',
@@ -60,9 +64,9 @@ def digest_cases():
         for design in DESIGNS:
             result = design_for(design, bundle.tree, workload, bundle.stats,
                                 bundle.storage_bound)
-            yield (f"{dataset}/{design}",
-                   build_stats_only_database(result.schema, bundle.stats),
-                   result.sql_queries, result.configuration)
+            out.append((f"{dataset}/{design}", result.schema,
+                        [q.query for q in workload.queries], bundle.stats,
+                        result.sql_queries, result.configuration))
         mapping = hybrid_inlining(bundle.tree)
         if dataset == "dblp":
             author = bundle.tree.find_tag_by_path(
@@ -73,12 +77,22 @@ def digest_cases():
             choice = bundle.tree.nodes_of_kind(NodeKind.CHOICE)[0]
             mapping = UnionDistribute(
                 UnionDistribution(choice_id=choice.node_id)).apply(mapping)
-        with MappingEvaluator(Workload.from_strings(extra, xpaths),
-                              bundle.stats, bundle.storage_bound) as evaluator:
+        workload = Workload.from_strings(extra, xpaths)
+        with MappingEvaluator(workload, bundle.stats,
+                              bundle.storage_bound) as evaluator:
             evaluated = evaluator.evaluate(mapping)
-        yield (f"{dataset}/{extra}",
-               build_stats_only_database(evaluated.schema, bundle.stats),
-               evaluated.sql_queries, evaluated.tuning.configuration)
+        out.append((f"{dataset}/{extra}", evaluated.schema,
+                    [q.query for q in workload.queries], bundle.stats,
+                    evaluated.sql_queries, evaluated.tuning.configuration))
+    return tuple(out)
+
+
+def digest_cases():
+    """(name, stats-only database, weighted SQL, configuration) of
+    every design case."""
+    for name, schema, _, stats, sql_queries, config in design_cases():
+        yield (name, build_stats_only_database(schema, stats), sql_queries,
+               config)
 
 
 def _sha(lines: list[str]) -> str:

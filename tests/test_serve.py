@@ -11,10 +11,11 @@ import time
 
 import pytest
 
-from repro.backends import EngineBackend, SQLiteBackend, multiset_diff
+from repro.backends import (EngineBackend, SQLiteBackend, duckdb_available,
+                            multiset_diff)
 from repro.backends.sqlite import BackendError
 from repro.cli import main as cli_main
-from repro.errors import WorkloadError
+from repro.errors import TranslationError, WorkloadError, XPathError
 from repro.experiments import DatasetBundle
 from repro.mapping import derive_schema, fully_split, hybrid_inlining
 from repro.obs import LatencyHistogram
@@ -23,7 +24,10 @@ from repro.serve import (LoadGenerator, PlanCache, QueryService,
 from repro.translate import Translator
 from repro.workload import MixSampler, Workload, zipf_mix
 from repro.workload.model import WeightedQuery
-from repro.xpath import parse_xpath
+from repro.xmlkit import Document, Element
+from repro.xpath import evaluate_values, lex, parse_xpath
+
+from .test_equivalence import result_values
 
 SCALE = 60
 SEED = 7
@@ -241,7 +245,8 @@ class TestPlanCache:
         text = "//inproceedings/title"
         first, first_hit = cache.get_or_translate(text)
         second, second_hit = cache.get_or_translate(parse_xpath(text))
-        assert first is second
+        assert (first.key, first.xpath, first.sql) == \
+            (second.key, second.xpath, second.sql)
         assert (first_hit, second_hit) == (False, True)
         assert (cache.hits, cache.misses) == (1, 1)
         assert first.key == cache.key_for(parse_xpath(text))
@@ -249,6 +254,7 @@ class TestPlanCache:
     def test_lru_eviction_and_retranslation(self, dblp_serving):
         schema, backend, workload = dblp_serving
         queries = [str(w.query) for w in workload.queries[:3]]
+        assert len({lex(q)[0] for q in queries}) == 3   # distinct shapes
         cache = PlanCache(schema, capacity=2)
         plans = [cache.get_or_translate(q)[0] for q in queries]
         assert len(cache) == 2 and cache.evictions == 1
@@ -283,7 +289,38 @@ class TestPlanCache:
         for thread in threads:
             thread.join()
         assert len(cache) == 1
-        assert len({id(p) for p in plans}) == 1  # first finisher won
+        assert len({(p.key, p.xpath, p.sql) for p in plans}) == 1
+        assert len({id(p.template) for p in plans}) == 1  # first finisher won
+
+    def test_one_entry_serves_every_literal_of_a_shape(self, dblp_serving):
+        schema, backend, _ = dblp_serving
+        cache = PlanCache(schema, capacity=8, dialect=backend.dialect)
+        translator = Translator(schema)
+        plans = {}
+        for year in ("1999", "2000", "it's"):
+            text = f'/dblp/inproceedings[year >= "{year}"]/title'
+            plan, hit = cache.get_or_translate(text)
+            assert hit == bool(plans)
+            assert plan.xpath == text and plan.values == (year,)
+            assert plan.sql == translator.translate(text)
+            assert plan.statement == (plans.setdefault(
+                "text", plan.statement.sql), (year,))
+            assert year not in plan.statement.sql
+            assert plan.key == plans.setdefault("key", plan.key)
+        assert len(cache) == 1 and cache.stats()["hit_rate"] == 2 / 3
+        # Without a binding dialect the statement is the literal query.
+        literal, _ = PlanCache(schema).get_or_translate(text)
+        assert literal.statement == literal.sql == plan.sql
+
+    def test_a_refused_query_caches_nothing(self, dblp_serving):
+        schema, _, _ = dblp_serving
+        cache = PlanCache(schema, capacity=8)
+        for bad, error in (("/dblp/inproceedings[title = 'a' 'b']", XPathError),
+                           ("/dblp/nonexistent[x = 1]", TranslationError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    cache.get_or_translate(bad)
+        assert len(cache) == 0 and (cache.hits, cache.misses) == (0, 4)
 
 
 # ----------------------------------------------------------------------
@@ -316,10 +353,15 @@ class TestQueryService:
 
     def test_warm_request_probes_the_plan_cache_once(self, dblp_bundle,
                                                      monkeypatch):
-        """One request on a warm cache: one parse, one canonical-text
-        rendering, one key digest, one acquisition of the cache lock —
-        and ``cached_plan`` comes out of that same probe."""
+        """One request whose literal was never seen but whose *shape*
+        is cached: a lexer pass and one acquisition of the cache lock
+        are all the plan costs — no parse, no canonical-text rendering
+        of an AST, no key digest, no SQL rendering — the driver gets
+        the cached text with the value bound, and ``cached_plan`` comes
+        out of that same probe."""
         import repro.serve.plan_cache as plan_cache_module
+        import repro.xpath.parser as parser_module
+        from repro.backends import Dialect
         from repro.xpath.ast import XPathQuery
 
         class CountingLock:
@@ -333,7 +375,8 @@ class TestQueryService:
             def __exit__(self, *exc):
                 return self.lock.__exit__(*exc)
 
-        calls = {"parse": 0, "render": 0, "digest": 0}
+        calls = {"parse": 0, "render": 0, "digest": 0, "sql": 0}
+        executed = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -342,23 +385,40 @@ class TestQueryService:
             return wrapper
 
         schema = derive_schema(hybrid_inlining(dblp_bundle.tree))
-        text = "//inproceedings/title"
+        text = "/dblp/inproceedings[ title='never seen before' ]/year"
         with QueryService(schema, dblp_bundle.docs, workers=1) as service:
-            cold = service.serve(text)
-            monkeypatch.setattr(plan_cache_module, "parse_xpath", counted(
-                "parse", plan_cache_module.parse_xpath))
+            cold = service.serve('/dblp/inproceedings[title = "first"]/year')
+            # Every way into the parser: parse_xpath reads its module's
+            # parse_tokens, the cache holds its own reference.
+            for module in (parser_module, plan_cache_module):
+                monkeypatch.setattr(module, "parse_tokens", counted(
+                    "parse", module.parse_tokens))
             monkeypatch.setattr(XPathQuery, "__str__", counted(
                 "render", XPathQuery.__str__))
             monkeypatch.setattr(plan_cache_module.hashlib, "sha1", counted(
                 "digest", plan_cache_module.hashlib.sha1))
-            lock = service.plan_cache._lock = CountingLock(
-                service.plan_cache._lock)
+            monkeypatch.setattr(Dialect, "render_query", counted(
+                "sql", Dialect.render_query))
+            cache = service.plan_cache
+            cache._render = counted("sql", cache._render)
+            lock = cache._lock = CountingLock(cache._lock)
+            connection = service.backend._thread_connection
+
+            class Driver:
+                def execute(self, sql, params=()):
+                    executed.append((sql, params))
+                    return connection().execute(sql, params)
+
+            service.backend._thread_connection = Driver
             warm = service.serve(text)
             monkeypatch.undo()
-        assert calls == {"parse": 1, "render": 1, "digest": 1}
+        assert calls == {"parse": 0, "render": 0, "digest": 0, "sql": 0}
         assert lock.acquired == 1
+        (sql, params), = executed
+        assert params == ("never seen before",) and "never" not in sql
         assert warm.cached_plan and not cold.cached_plan
-        assert warm.xpath == cold.xpath == str(parse_xpath(text))
+        assert warm.plan_key == cold.plan_key
+        assert warm.xpath == str(parse_xpath(text)) != cold.xpath
 
     def test_cached_plan_agrees_with_the_cache_counters(self, dblp_bundle):
         """Four workers thrashing a two-entry cache: every result's
@@ -369,7 +429,7 @@ class TestQueryService:
         schema = derive_schema(hybrid_inlining(dblp_bundle.tree))
         workload = dblp_bundle.workload_generator(seed=SEED).generate(6)
         queries = sorted({str(w.query) for w in workload.queries})
-        assert len(queries) >= 6
+        assert len({lex(q)[0] for q in queries}) >= 6   # distinct shapes
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -401,6 +461,110 @@ class TestQueryService:
             with pytest.raises(BackendError):
                 service.backend.execute_sql(
                     f"DELETE FROM {schema.table_names[0]}")
+
+
+# ----------------------------------------------------------------------
+# Bound values: the literal reaches SQLite as a parameter, never as text
+# ----------------------------------------------------------------------
+
+ODD_TITLES = ["it's", 'say "hi"', "?1", "100%", "x';--", "\u00dcn\u00efc\u00f6de \u6a19\u984c",
+              "", "plain"]
+
+
+def odd_dblp() -> Document:
+    """One inproceedings per odd title, years 1997 upwards."""
+    root = Element("dblp")
+    for i, title in enumerate(ODD_TITLES):
+        pub = root.make_child("inproceedings")
+        for tag, text in (("title", title), ("booktitle", "VLDB"),
+                          ("year", str(1997 + i)), ("author", f"A {i}"),
+                          ("pages", "1-2")):
+            pub.make_child(tag, text)
+    return Document(root)
+
+
+def sent_text(service, text: str) -> str:
+    """The one SQL text the service's cache holds for ``text``'s shape."""
+    plan, hit = service.plan_cache.get_or_translate(text)
+    assert hit
+    return plan.statement.sql
+
+
+class TestBoundValues:
+    @pytest.fixture(scope="class")
+    def odd_service(self, dblp_bundle):
+        schema = derive_schema(hybrid_inlining(dblp_bundle.tree))
+        doc = odd_dblp()
+        with QueryService(schema, [doc], workers=1) as service:
+            sent = []
+            execute_sql = service.backend.execute_sql
+            service.backend.execute_sql = lambda sql, params=(): (
+                sent.append((sql, params)), execute_sql(sql, params))[1]
+            yield service, doc, sent
+
+    @pytest.mark.parametrize("title", ODD_TITLES)
+    def test_odd_titles_are_bound_not_spliced(self, odd_service, title):
+        service, doc, sent = odd_service
+        quote = "'" if '"' in title else '"'
+        text = f"/dblp/inproceedings[title = {quote}{title}{quote}]/year"
+        del sent[:]
+        result = service.serve(text)
+        assert sorted(result_values(result)) == \
+            sorted(evaluate_values(parse_xpath(text), doc))
+        assert len(result.rows) == 1 and result.xpath == text
+        (sql, params), = sent
+        assert params == (title,)
+        assert sql == sent_text(service, text) and "?1" in sql
+        if title not in ("", "?1"):
+            assert title not in sql
+
+    @pytest.mark.parametrize("predicate, years", [
+        ('year >= "2000"', 5), ("year = 2000", 1), ('year = "2000.0"', 1),
+        ("year < 1999.5", 3), ('year != " 2000"', 7), ('year > "abc"', 0),
+        ('year <= ""', 8)])     # SQLite: any number sorts before any text
+    def test_integer_column_compares_as_the_literal_rendering_does(
+            self, odd_service, predicate, years):
+        service, doc, _ = odd_service
+        text = f"/dblp/inproceedings[{predicate}]/title"
+        result = service.serve(text)
+        plan, _ = service.plan_cache.get_or_translate(text)
+        assert result.rows == service.backend.execute(plan.sql)
+        assert len(result.rows) == years
+
+    def test_every_literal_of_a_shape_reports_one_plan_key(self, odd_service):
+        service, _, _ = odd_service
+        results = [service.serve(
+            f'/dblp/inproceedings[booktitle = "{venue}"]/(title | year)')
+            for venue in ("VLDB", "ICDE", "VLDB")]
+        assert len({r.plan_key for r in results}) == 1
+        assert [r.cached_plan for r in results] == [False, True, True]
+        assert [len(r.rows) for r in results] == [len(ODD_TITLES), 0,
+                                                  len(ODD_TITLES)]
+        assert results[0].xpath != results[1].xpath
+
+
+@pytest.mark.skipif(not duckdb_available(), reason="duckdb not installed")
+@pytest.mark.parametrize("dataset", ["dblp", "movie"])
+def test_duckdb_serves_literal_bearing_queries_like_the_engine(dataset):
+    """DuckDB's dialect binds nothing (docs/serving.md): a plan-cache
+    hit skips parse and translate, then splices the literal as before.
+    The answers must still be the engine's."""
+    bundle = _bundle(dataset)
+    schema = derive_schema(hybrid_inlining(bundle.tree))
+    workload = bundle.workload_generator(seed=SEED).generate(6)
+    engine = EngineBackend()
+    engine.load(schema, bundle.docs)
+    translator = Translator(schema)
+    with QueryService(schema, bundle.docs, workers=2,
+                      backend="duckdb") as service:
+        for _ in range(2):      # translated, then served from the cache
+            for weighted in workload.queries:
+                served = service.serve(weighted.query)
+                missing, extra = multiset_diff(
+                    engine.execute(translator.translate(weighted.query)),
+                    served.rows)
+                assert not missing and not extra, str(weighted.query)
+        assert service.plan_cache.hits >= len(workload.queries)
 
 
 # ----------------------------------------------------------------------

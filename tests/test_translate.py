@@ -1,7 +1,12 @@
 """Unit tests for XPath-to-SQL translation."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.backends import SQLITE
 from repro.datasets import dblp_schema, movie_schema
 from repro.errors import TranslationError
 from repro.mapping import (UnionDistribution, derive_schema, fully_split,
@@ -10,6 +15,10 @@ from repro.sqlast import Exists, Or, parse_sql
 from repro.translate import Translator, resolve_steps, translate_xpath
 from repro.xpath import parse_xpath
 from repro.xsd import NodeKind
+
+from .test_select_shape import design_cases
+
+RENDERED = Path(__file__).parent / "fixtures" / "rendered_sql_digests.json"
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +184,86 @@ class TestPartitionedTranslation:
         # title, aka_title, avg_rating all live in their own tables.
         assert {"movie", "title", "aka_title", "avg_rating"} <= \
             q.referenced_tables
+
+
+# ----------------------------------------------------------------------
+# Templates: one statement per query shape, identical once bound
+# ----------------------------------------------------------------------
+
+
+def rendered_digests() -> dict[str, str]:
+    """Per design case, a SHA-256 over the SQLite text of every query's
+    translation. Recorded *from the parent commit* (``PYTHONPATH=<parent
+    src> python -m tests.test_translate`` in this checkout; uses no
+    name this PR added), so "byte-equal to the text rendered before
+    plans were parameterised" is checked, not assumed."""
+    return {name: hashlib.sha256("\n".join(
+                SQLITE.render_query(Translator(schema).translate(query))
+                for query in queries).encode()).hexdigest()
+            for name, schema, queries, *_ in design_cases()}
+
+
+CASE_NAMES = list(json.loads(RENDERED.read_text()))
+
+
+class TestTemplateIdentity:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return {name: (schema, queries)
+                for name, schema, queries, *_ in design_cases()}
+
+    def test_concrete_translations_render_as_before(self, cases):
+        assert list(cases) == CASE_NAMES
+        assert rendered_digests() == json.loads(RENDERED.read_text())
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_bound_template_is_the_concrete_translation(self, cases, name):
+        from repro.sqlast import Parameter, bind
+        from repro.xpath import lex, parse_tokens
+
+        schema, queries = cases[name]
+        translator = Translator(schema)
+        shapes = {}
+        for query in queries:
+            text = str(query)
+            shape, values = lex(text)
+            template = parse_tokens(shape, text)
+            plan = translator.translate(template)
+            concrete = translator.translate(query)
+            assert bind(plan, values) == concrete, text
+            assert SQLITE.render_query(bind(plan, values)) == \
+                SQLITE.render_query(concrete)
+            # The statement depends on the shape alone.
+            assert shapes.setdefault(shape, plan) == plan
+            if values:
+                assert str(Parameter(1)) in SQLITE.render_query(plan)
+                assert plan != concrete
+            else:   # existence predicate or none: nothing to bind
+                assert str(template) == text
+                assert plan == concrete == bind(plan, ())
+
+    def test_a_template_never_reaches_the_engine_or_the_analyzer(self, dblp):
+        from repro.check import analyze_query
+        from repro.engine import Database
+        from repro.errors import PlanError
+        from repro.mapping import load_documents
+        from repro.sqlast import bind
+        from repro.xpath import lex, parse_tokens
+
+        schema = derive_schema(hybrid_inlining(dblp))
+        text = '/dblp/inproceedings[author = "A"]/title'   # EXISTS probe
+        plan = Translator(schema).translate(parse_tokens(lex(text)[0], text))
+        db = Database("unbound")
+        load_documents(db, schema, [])
+        for refuse in (db.execute, db.estimate, db.explain,
+                       lambda q: analyze_query(q, db.catalog)):
+            with pytest.raises(PlanError, match=r"unbound parameter \?1"):
+                refuse(plan)
+        with pytest.raises(PlanError, match=r"no value for parameter \?1"):
+            bind(plan, ())
+        assert db.execute(bind(plan, ("A",))).rows == []
+
+
+if __name__ == "__main__":
+    RENDERED.write_text(json.dumps(rendered_digests(), indent=1) + "\n")
+    print(f"recorded {RENDERED}")

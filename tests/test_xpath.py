@@ -1,11 +1,18 @@
-"""Unit tests for the XPath parser and reference evaluator."""
+"""Unit tests for the XPath lexer, parser and reference evaluator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import XPathError
+from repro.datasets import dblp_schema
+from repro.errors import TranslationError, XPathError
+from repro.mapping import derive_schema, hybrid_inlining
+from repro.serve import PlanCache
+from repro.translate import Translator
 from repro.xmlkit import element, parse
-from repro.xpath import (Axis, CompareOp, Step, XPathQuery, evaluate,
-                         evaluate_values, parse_xpath)
+from repro.xpath import (Axis, CompareOp, Predicate, Step, XPathQuery,
+                         evaluate, evaluate_values, lex, parse_tokens,
+                         parse_xpath)
 
 
 class TestParser:
@@ -69,10 +76,162 @@ class TestParser:
         "/a/(b|c)/d",        # content after projection group
         "/a[b = ]",          # missing literal
         "/a[b 'v']",         # missing operator with literal
+        "/a[b = 'v' 'w']",   # two literals
+        "/a[b = 'v]",        # unterminated string
+        "/a #/b",            # junk between tokens
+        "/ /a",              # two child axes are not one descendant axis
+        "/a[b ! = 1]",       # an operator is one token
+        "/a/@",              # an attribute step needs its name
+        "",
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(XPathError):
             parse_xpath(bad)
+
+    def test_a_literal_is_quoted_with_the_quote_it_lacks(self):
+        text = """/dblp/inproceedings[title = 'say "hi"']/year"""
+        q = parse_xpath(text)
+        assert q.predicate.value == 'say "hi"'
+        assert str(q) == text
+        assert str(parse_xpath('/a[b = "it\'s"]')) == '/a[b = "it\'s"]'
+        with pytest.raises(XPathError, match="both quote characters"):
+            Predicate((Step(Axis.CHILD, "b"),), CompareOp.EQ, """'"'""")
+
+    def test_descendant_projection_path_keeps_its_axis(self):
+        q = parse_xpath("/a/(//b | c//d)")
+        assert q.projections[0][0].axis == Axis.DESCENDANT
+        assert str(q) == "/a/(//b | c//d)"
+
+    def test_template_is_the_query_without_its_value(self):
+        text = '//movie[year >= 1998]/(title | box_office)'
+        shape, values = lex(text)
+        template = parse_tokens(shape, text)
+        assert values == ("1998",)
+        assert template.predicate.op == CompareOp.GE
+        assert template.predicate.value is None
+        assert str(template) == "//movie[year >= ?]/(title | box_office)"
+        assert parse_tokens(shape, text, "1998") == parse_xpath(text)
+        with pytest.raises(XPathError):   # a template is not a query
+            parse_xpath(str(template))
+
+
+# ----------------------------------------------------------------------
+# Properties: canonical text round-trips; the plan cache's lexer-only
+# hit path accepts exactly what the parser accepts
+# ----------------------------------------------------------------------
+
+_names = st.from_regex(r"@?[A-Za-z_][\w.\-]{0,5}", fullmatch=True)
+_paths = st.lists(st.builds(Step, st.sampled_from(list(Axis)), _names),
+                  min_size=1, max_size=3).map(tuple)
+_values = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.integers(-10_000, 10_000).map(str),
+    st.decimals(-100, 100, places=2).map(str),
+).filter(lambda v: '"' not in v or "'" not in v)
+_predicates = st.one_of(
+    st.builds(Predicate, _paths),
+    st.builds(Predicate, _paths, st.sampled_from(list(CompareOp)), _values))
+
+
+@st.composite
+def _queries(draw):
+    steps = draw(_paths)
+    predicate = draw(st.none() | _predicates)
+    at = draw(st.integers(0, len(steps) - 1)) if predicate else None
+    return XPathQuery(steps, predicate, at,
+                      tuple(draw(st.lists(_paths, max_size=3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_queries())
+def test_canonical_text_round_trips(query):
+    assert parse_xpath(str(query)) == query
+
+
+#: Valid DBLP queries of different shapes: what the cache is warmed with
+#: and what the agreement property mutates.
+_BASES = [
+    '/dblp/inproceedings[title = "T"]/year',
+    "//inproceedings[year >= 2000]/(title | author)",
+    "/dblp/inproceedings[booktitle != 'X']/(title | year)",
+    "/dblp/book[publisher]/title",
+    "/dblp/book[year < -1.5]",
+    "//author",
+]
+_PIECES = sorted({piece for base in _BASES for piece in
+                  sum(map(list, zip(*lex(base)[0])), []) if piece} | {
+    "=", "<=", ">", '"T"', "'X'", '""', "2000", "-1.5", "9a", "@key",
+    "#", "!", '"', "'", "@", "-", ".", "?", "\u00e9", "\u0663"})
+_GAPS = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\u00a0"])
+
+
+@st.composite
+def _near_queries(draw):
+    """A base query's tokens after a few insertions, deletions and
+    replacements, joined by arbitrary (possibly no) whitespace — so
+    neighbours merge (``/`` ``/`` into ``//``, ``a`` ``b`` into ``ab``)
+    as often as junk appears."""
+    shape, _ = lex(draw(st.sampled_from(_BASES)))
+    pieces = [name or symbol or draw(st.sampled_from(
+        ['"T"', "'X'", "2000", '""'])) for name, symbol in zip(*shape)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(pieces)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit != "insert" and at < len(pieces):
+            del pieces[at]
+        if edit != "delete":
+            pieces.insert(at, draw(st.sampled_from(_PIECES)))
+    return "".join(draw(_GAPS) + piece for piece in pieces) + draw(_GAPS)
+
+
+@pytest.fixture(scope="module")
+def warm_cache():
+    schema = derive_schema(hybrid_inlining(dblp_schema()))
+    cache = PlanCache(schema, capacity=4096)
+    for base in _BASES:
+        cache.get_or_translate(base)
+    return cache, Translator(schema)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_near_queries())
+def test_the_cache_accepts_exactly_what_the_parser_accepts(warm_cache, text):
+    cache, translator = warm_cache
+    try:
+        parsed = parse_xpath(text)
+    except XPathError:
+        parsed = None
+    try:
+        plan, _ = cache.get_or_translate(text)
+    except XPathError:
+        assert parsed is None, f"parser accepts {text!r}, cache refuses it"
+        return
+    except TranslationError:    # a query, but not of this schema
+        assert parsed is not None
+        return
+    assert parsed is not None, f"cache serves {text!r}, parser refuses it"
+    # The lifted (template, value) is that of the canonical text, so
+    # every spelling of one query shares one entry and one plan_key.
+    canonical, hit = cache.get_or_translate(str(parsed))
+    assert hit
+    assert (plan.key, plan.xpath, plan.values) == \
+        (canonical.key, str(parsed), canonical.values)
+    has_value = parsed.predicate is not None and parsed.predicate.op
+    assert plan.values == ((parsed.predicate.value,) if has_value else ())
+    assert plan.sql == translator.translate(parsed)
+
+
+def test_spellings_share_one_entry_and_two_axes_do_not_collide(warm_cache):
+    cache, _ = warm_cache
+    entries = len(cache)
+    keys = {cache.get_or_translate(text)[0].key for text in (
+        "//inproceedings[year >= 2000]/(title | author)",
+        "//inproceedings[year>='2000']/(title|author)",
+        '  //inproceedings [ year >= "2000" ] / ( title | author )\n')}
+    assert len(keys) == 1 and len(cache) == entries
+    with pytest.raises(XPathError):     # "/ /author" is not "//author"
+        cache.get_or_translate("/ /author")
+    assert len(cache) == entries
 
 
 @pytest.fixture
