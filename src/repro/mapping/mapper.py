@@ -17,14 +17,15 @@ Rules implemented:
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from ..engine import SQLType
 from ..errors import MappingError
-from ..xsd import NodeKind, SchemaNode, SchemaTree
+from ..xsd import Atom, AttributePlan, ElementPlan, NodeKind, SchemaNode
 from .model import Mapping, UnionDistribution
 from .relschema import (BranchCondition, ColumnSpec, ID_COLUMN, LeafStorage,
-                        MappedSchema, PartitionSpec, PID_COLUMN,
-                        PresenceCondition, TableGroup)
+                        MappedSchema, PartitionCondition, PartitionSpec,
+                        PID_COLUMN, PresenceCondition, TableGroup)
 
 
 def derive_schema(mapping: Mapping) -> MappedSchema:
@@ -33,10 +34,38 @@ def derive_schema(mapping: Mapping) -> MappedSchema:
     return _Mapper(mapping).run()
 
 
+class _Slot(NamedTuple):
+    """One value position of an owner's inline region, in column order."""
+
+    node: SchemaNode            # the leaf TAG or ATTRIBUTE holding the value
+    name: str                   # proposed column name
+    sql_type: SQLType
+    nullable: bool
+    occurrence: int | None      # 1-based, for a repetition-split column
+    atoms: frozenset[Atom]      # OPTION / CHOICE crossed since the owner
+
+
+def _statically_absent(features: frozenset[Atom],
+                       conditions: tuple[PartitionCondition, ...]) -> bool:
+    """No instance of the partition holds a value that crossed
+    ``features``: it sits in another branch of a distributed choice, or
+    under an option the partition's instances lack."""
+    for condition in conditions:
+        if isinstance(condition, BranchCondition):
+            if any(atom[0] == "choice" and atom[1] == condition.choice_id
+                   and atom[2] != condition.branch_index for atom in features):
+                return True
+        elif not condition.present and any(
+                ("opt", optional_id) in features
+                for optional_id in condition.optional_ids):
+            return True
+    return False
+
+
 class _Mapper:
     def __init__(self, mapping: Mapping):
         self.mapping = mapping
-        self.tree: SchemaTree = mapping.tree
+        self.tree = mapping.tree
         self.annotation_map = mapping.annotation_map
         self.split_map = mapping.split_map
         self.leaf_storage: dict[int, LeafStorage] = {}
@@ -45,269 +74,137 @@ class _Mapper:
 
     # ------------------------------------------------------------------
     def run(self) -> MappedSchema:
-        groups: dict[str, TableGroup] = {}
         by_annotation: dict[str, list[int]] = {}
         for node_id, annotation in self.mapping.annotations:
             by_annotation.setdefault(annotation, []).append(node_id)
-        for annotation, owner_ids in sorted(by_annotation.items()):
-            groups[annotation] = self._build_group(annotation, owner_ids)
-        self._record_owners()
+        groups = {annotation: self._build_group(annotation, owner_ids)
+                  for annotation, owner_ids in sorted(by_annotation.items())}
         return MappedSchema(self.mapping, groups, self.leaf_storage,
                             self.owner_of, self.column_of_leaf)
 
-    def _record_owners(self) -> None:
-        for node in self.tree.iter_nodes():
-            if node.kind == NodeKind.TAG:
-                self.owner_of[node.node_id] = self.mapping.owner_of(node.node_id)
-
     # ------------------------------------------------------------------
     def _build_group(self, annotation: str, owner_ids: list[int]) -> TableGroup:
-        tree = self.tree
         columns: list[ColumnSpec] = [
             ColumnSpec(ID_COLUMN, None, SQLType.INTEGER, nullable=False),
             ColumnSpec(PID_COLUMN, None, SQLType.INTEGER, nullable=True),
         ]
-        # An annotated leaf element's table stores the element value in a
-        # column named after the element (e.g. author(ID, PID, author)).
-        primary = owner_ids[0]
-        primary_node = tree.node(primary)
-        if tree.is_leaf_element(primary_node):
-            sql_type = SQLType.from_base_type(tree.leaf_base_type(primary_node))
-            used = {ID_COLUMN, PID_COLUMN}
-            value_name = self._unique_name(primary_node.name, used)
-            used.add(value_name)
-            columns.append(ColumnSpec(value_name, primary,
-                                      sql_type, nullable=False))
+        used = {ID_COLUMN, PID_COLUMN}
+        primary = self.tree.plan(owner_ids[0])
+        if primary.is_leaf:
+            # An annotated leaf element's table stores the element value
+            # in a column named after the element (author(ID, PID, author)).
+            value_name = self._unique_name(primary.node.name, used)
+            columns.append(ColumnSpec(
+                value_name, primary.node_id,
+                SQLType.from_base_type(primary.base_type), nullable=False))
             for owner in owner_ids:
-                storage = self.leaf_storage.setdefault(
-                    owner, LeafStorage(leaf_id=owner))
+                storage = self._storage(owner)
                 storage.own_annotation = annotation
                 storage.value_column = value_name
-            # Attributes of an annotated leaf element become columns of
-            # its own table. Type-merged owners have equivalent subtrees,
-            # so attributes correspond positionally.
-            owner_attributes = [tree.attributes_of(tree.node(o))
-                                for o in owner_ids]
-            for position, p_attr in enumerate(owner_attributes[0]):
-                attr_name = self._unique_name(p_attr.name, used)
-                used.add(attr_name)
-                attr_type = SQLType.from_base_type(tree.leaf_base_type(p_attr))
-                columns.append(ColumnSpec(attr_name, p_attr.node_id,
-                                          attr_type,
-                                          nullable=p_attr.min_occurs == 0))
-                for attrs in owner_attributes:
-                    attr = attrs[position]
-                    storage = self.leaf_storage.setdefault(
-                        attr.node_id, LeafStorage(leaf_id=attr.node_id))
-                    storage.inline_annotation = annotation
-                    storage.column = attr_name
-                    self.column_of_leaf[attr.node_id] = attr_name
-            parent_annotations = set()
-            for owner in owner_ids:
-                parent_owner = self.mapping.parent_owner_of(owner)
-                if parent_owner is not None:
-                    parent_annotations.add(self.annotation_map[parent_owner])
-            parent_annotation = (next(iter(parent_annotations))
-                                 if len(parent_annotations) == 1 else None)
-            return TableGroup(
-                annotation=annotation, owner_ids=tuple(owner_ids),
-                columns=columns,
-                partitions=[PartitionSpec(
-                    annotation, (), tuple(c.name for c in columns))],
-                parent_annotation=parent_annotation)
+        # Type-merged owners have equivalent subtrees, so their regions
+        # correspond slot by slot; the first owner's names the columns.
+        regions = [self._region_slots(owner) for owner in owner_ids]
+        first = len(columns)
+        for slot in regions[0]:
+            columns.append(ColumnSpec(
+                self._unique_name(slot.name, used), slot.node.node_id,
+                slot.sql_type, slot.nullable, slot.occurrence, slot.atoms))
+        for region in regions:
+            if len(region) != len(regions[0]):
+                raise MappingError(
+                    f"type-merged owners of {annotation!r} have diverging shapes")
+            for spec, slot in zip(columns[first:], region):
+                storage = self._storage(slot.node.node_id)
+                storage.inline_annotation = annotation
+                if slot.occurrence is None:
+                    storage.column = spec.name
+                    self.column_of_leaf[slot.node.node_id] = spec.name
+                else:
+                    storage.split_columns += (spec.name,)
+        parents = {self.annotation_map[parent] for parent in
+                   map(self.mapping.parent_owner_of, owner_ids)
+                   if parent is not None}
+        return TableGroup(
+            annotation=annotation, owner_ids=tuple(owner_ids),
+            columns=columns,
+            partitions=self._build_partitions(annotation, owner_ids[0],
+                                              columns),
+            parent_annotation=parents.pop() if len(parents) == 1 else None)
 
-        # Column layout must be identical across type-merged owners
-        # (their subtrees are structurally equivalent, so collecting from
-        # the first owner and then registering storage for each suffices).
-        collected = self._collect_columns(primary)
-        used_names = {ID_COLUMN, PID_COLUMN}
-        renamed: dict[int, str] = {}
-        for leaf_id, name, sql_type, nullable, occurrence in collected:
-            final = self._unique_name(name, used_names)
-            used_names.add(final)
-            renamed[self._column_key(leaf_id, occurrence)] = final
-            columns.append(ColumnSpec(final, leaf_id, sql_type,
-                                      nullable, occurrence))
-        for owner in owner_ids:
-            self._register_storage(owner, annotation, renamed,
-                                   primary_owner=primary)
-
-        parent_annotations = set()
-        for owner in owner_ids:
-            parent_owner = self.mapping.parent_owner_of(owner)
-            if parent_owner is not None:
-                parent_annotations.add(self.annotation_map[parent_owner])
-        parent_annotation = (next(iter(parent_annotations))
-                             if len(parent_annotations) == 1 else None)
-
-        partitions = self._build_partitions(annotation, owner_ids, columns)
-        return TableGroup(annotation=annotation,
-                          owner_ids=tuple(owner_ids),
-                          columns=columns,
-                          partitions=partitions,
-                          parent_annotation=parent_annotation)
-
-    @staticmethod
-    def _column_key(leaf_id: int, occurrence: int | None) -> tuple:
-        return (leaf_id, occurrence)
+    def _storage(self, leaf_id: int) -> LeafStorage:
+        return self.leaf_storage.setdefault(leaf_id, LeafStorage(leaf_id))
 
     @staticmethod
     def _unique_name(name: str, used: set[str]) -> str:
-        if name not in used:
-            return name
-        for i in itertools.count(2):
+        """``name``, or ``name_2``, ``name_3`` ... — and now used."""
+        candidate, i = name, 1
+        while candidate in used:
+            i += 1
             candidate = f"{name}_{i}"
-            if candidate not in used:
-                return candidate
-        raise AssertionError  # pragma: no cover
+        used.add(candidate)
+        return candidate
 
     # ------------------------------------------------------------------
-    def _collect_columns(self, owner_id: int):
-        """Walk the owner's inline region, yielding column descriptors.
-
-        Returns (leaf_id, proposed_name, sql_type, nullable, occurrence)
-        tuples relative to the *primary* owner; type-merged owners have
-        isomorphic subtrees so positional correspondence holds.
-        """
+    def _region_slots(self, owner_id: int) -> list[_Slot]:
+        """The one walk of an owner's inline region: through the
+        elements the mapping inlines, stopping at those it annotates."""
         tree = self.tree
-        out: list[tuple] = []
+        out: list[_Slot] = []
 
-        def walk(node: SchemaNode, nullable: bool, prefix: str) -> None:
-            for child in tree.children(node):
-                if child.kind == NodeKind.SIMPLE:
+        def walk(plan: ElementPlan, nullable: bool, prefix: str,
+                 atoms: frozenset[Atom]) -> None:
+            self.owner_of[plan.node_id] = owner_id
+            for member in plan.members:
+                if isinstance(member, AttributePlan):
+                    out.append(_Slot(
+                        member.node, prefix + member.name,
+                        SQLType.from_base_type(member.base_type),
+                        nullable or not member.required, None, atoms))
                     continue
-                if child.kind == NodeKind.ATTRIBUTE:
-                    sql_type = SQLType.from_base_type(
-                        tree.leaf_base_type(child))
-                    out.append((child.node_id, prefix + child.name,
-                                sql_type,
-                                nullable or child.min_occurs == 0, None))
-                    continue
-                if child.kind == NodeKind.TAG:
-                    if child.node_id in self.annotation_map:
-                        continue  # separate table; boundary
-                    if tree.is_leaf_element(child):
-                        sql_type = SQLType.from_base_type(
-                            tree.leaf_base_type(child))
-                        out.append((child.node_id, prefix + child.name,
-                                    sql_type, nullable, None))
-                        for attr in tree.attributes_of(child):
-                            attr_type = SQLType.from_base_type(
-                                tree.leaf_base_type(attr))
-                            out.append((attr.node_id,
-                                        f"{prefix}{child.name}_{attr.name}",
-                                        attr_type, True, None))
-                    else:
-                        walk(child, nullable, prefix + child.name + "_")
-                elif child.kind == NodeKind.OPTION:
-                    walk_wrap(child, True, prefix)
-                elif child.kind == NodeKind.CHOICE:
-                    walk_wrap(child, True, prefix)
-                elif child.kind == NodeKind.SEQUENCE:
-                    walk_wrap(child, nullable, prefix)
-                elif child.kind == NodeKind.REPETITION:
-                    split = self.split_map.get(child.node_id)
-                    if split is None:
-                        continue  # child is annotated; separate table
-                    leaf = tree.children(child)[0]
-                    sql_type = SQLType.from_base_type(tree.leaf_base_type(leaf))
-                    for occurrence in range(1, split + 1):
-                        out.append((leaf.node_id,
-                                    f"{prefix}{leaf.name}_{occurrence}",
-                                    sql_type, True, occurrence))
+                node = member.node
+                child = tree.plan(node)
+                name = prefix + node.name
+                inner = atoms | member.atoms
+                if member.rep_id in self.split_map:
+                    sql_type = SQLType.from_base_type(child.base_type)
+                    out.extend(
+                        _Slot(node, f"{name}_{occurrence}", sql_type, True,
+                              occurrence, inner) for occurrence in
+                        range(1, self.split_map[member.rep_id] + 1))
+                if node.node_id in self.annotation_map:
+                    continue    # its own table: the region ends here
+                optional = nullable or bool(member.atoms)
+                if child.is_leaf:
+                    out.append(_Slot(
+                        node, name, SQLType.from_base_type(child.base_type),
+                        optional, None, inner))
+                    optional = True     # an inlined leaf's attributes always are
+                walk(child, optional, name + "_", inner)
 
-        def walk_wrap(node: SchemaNode, nullable: bool, prefix: str) -> None:
-            walk(node, nullable, prefix)
-
-        walk(tree.node(owner_id), False, "")
-        return out
-
-    # ------------------------------------------------------------------
-    def _register_storage(self, owner_id: int, annotation: str,
-                          renamed: dict, primary_owner: int) -> None:
-        """Fill leaf_storage entries for one owner's inline region.
-
-        For type-merged owners the column names come from the primary
-        owner's walk, matched positionally via a parallel traversal.
-        """
-        tree = self.tree
-        primary_leaves = self._region_leaves(primary_owner)
-        owner_leaves = self._region_leaves(owner_id)
-        if len(primary_leaves) != len(owner_leaves):  # pragma: no cover
-            raise MappingError(
-                f"type-merged owners of {annotation!r} have diverging shapes")
-        for (p_leaf, p_occurrence), (o_leaf, _) in zip(primary_leaves,
-                                                       owner_leaves):
-            column = renamed[self._column_key(p_leaf, p_occurrence)]
-            storage = self.leaf_storage.setdefault(
-                o_leaf, LeafStorage(leaf_id=o_leaf))
-            storage.inline_annotation = annotation
-            if p_occurrence is None:
-                storage.column = column
-                self.column_of_leaf[o_leaf] = column
-            else:
-                storage.split_columns = storage.split_columns + (column,)
-
-    def _region_leaves(self, owner_id: int) -> list[tuple[int, int | None]]:
-        """(leaf_id, occurrence) pairs in region walk order."""
-        tree = self.tree
-        out: list[tuple[int, int | None]] = []
-
-        def walk(node: SchemaNode) -> None:
-            for child in tree.children(node):
-                if child.kind == NodeKind.SIMPLE:
-                    continue
-                if child.kind == NodeKind.ATTRIBUTE:
-                    out.append((child.node_id, None))
-                    continue
-                if child.kind == NodeKind.TAG:
-                    if child.node_id in self.annotation_map:
-                        continue
-                    if tree.is_leaf_element(child):
-                        out.append((child.node_id, None))
-                        for attr in tree.attributes_of(child):
-                            out.append((attr.node_id, None))
-                    else:
-                        walk(child)
-                elif child.kind == NodeKind.REPETITION:
-                    split = self.split_map.get(child.node_id)
-                    if split is None:
-                        continue
-                    leaf = tree.children(child)[0]
-                    for occurrence in range(1, split + 1):
-                        out.append((leaf.node_id, occurrence))
-                else:
-                    walk(child)
-
-        walk(tree.node(owner_id))
+        walk(tree.plan(owner_id), False, "", frozenset())
         return out
 
     # ------------------------------------------------------------------
     # Partitions
     # ------------------------------------------------------------------
-    def _build_partitions(self, annotation: str, owner_ids: list[int],
+    def _build_partitions(self, annotation: str, owner: int,
                           columns: list[ColumnSpec]) -> list[PartitionSpec]:
-        tree = self.tree
-        owner = owner_ids[0]
+        """One partition per combination of the owner's distributions'
+        options (exactly one, unconditioned, when it has none); each
+        drops the columns that are statically absent under it."""
         dists = [d for d in self.mapping.distributions
                  if self.mapping.distribution_owner(d) == owner]
-        all_names = tuple(c.name for c in columns)
-        if not dists:
-            return [PartitionSpec(annotation, (), all_names)]
-
-        per_dist: list[list[tuple[str, PartitionCondition]]] = []
-        for dist in sorted(dists, key=lambda d: sorted(d.nodes())):
-            per_dist.append(self._partition_options(dist))
-
+        per_dist = [self._partition_options(dist) for dist in
+                    sorted(dists, key=lambda d: sorted(d.nodes()))]
         partitions: list[PartitionSpec] = []
         for combo in itertools.product(*per_dist):
-            suffix = "_".join(tag for tag, _ in combo)
             conditions = tuple(cond for _, cond in combo)
-            names = self._partition_columns(columns, conditions)
             partitions.append(PartitionSpec(
-                table_name=f"{annotation}_{suffix}",
+                table_name="_".join([annotation, *(tag for tag, _ in combo)]),
                 conditions=conditions,
-                column_names=names))
+                column_names=tuple(
+                    spec.name for spec in columns
+                    if not _statically_absent(spec.features, conditions))))
         return partitions
 
     def _partition_options(self, dist: UnionDistribution):
@@ -337,44 +234,3 @@ class _Mapper:
             if label:
                 return label
         return f"b{node.node_id}"
-
-    def _partition_columns(self, columns: list[ColumnSpec],
-                           conditions) -> tuple[str, ...]:
-        """Columns kept in a partition: drop statically absent leaves."""
-        absent: set[int] = set()
-        for condition in conditions:
-            if isinstance(condition, BranchCondition):
-                choice = self.tree.node(condition.choice_id)
-                for index, branch in enumerate(self.tree.children(choice)):
-                    if index != condition.branch_index:
-                        absent |= self._leaves_under(branch)
-            elif isinstance(condition, PresenceCondition) and not condition.present:
-                for optional_id in condition.optional_ids:
-                    absent |= self._leaves_under(self.tree.node(optional_id))
-        names = []
-        for spec in columns:
-            if spec.leaf_id is not None and spec.leaf_id in absent:
-                continue
-            names.append(spec.name)
-        return tuple(names)
-
-    def _leaves_under(self, node: SchemaNode) -> set[int]:
-        out: set[int] = set()
-
-        def walk(current: SchemaNode) -> None:
-            if current.kind == NodeKind.ATTRIBUTE:
-                out.add(current.node_id)
-                return
-            if current.kind == NodeKind.TAG:
-                if self.tree.is_leaf_element(current):
-                    out.add(current.node_id)
-                    for attr in self.tree.attributes_of(current):
-                        out.add(attr.node_id)
-                    return
-                if current.node_id in self.annotation_map:
-                    return
-            for child in self.tree.children(current):
-                walk(child)
-
-        walk(node)
-        return out

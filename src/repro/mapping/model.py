@@ -20,7 +20,8 @@ searching duplicated mappings" optimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 from ..errors import MappingError
 from ..xsd import NodeKind, SchemaTree
@@ -65,15 +66,22 @@ class Mapping:
     distributions: frozenset[UnionDistribution] = frozenset()
 
     # ------------------------------------------------------------------
-    # Views of the frozen fields
+    # Views of the frozen fields, built once per (immutable) mapping.
+    # Read-only by convention: every functional update starts from the
+    # field, never from the view.
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def annotation_map(self) -> dict[int, str]:
         return dict(self.annotations)
 
-    @property
+    @cached_property
     def split_map(self) -> dict[int, int]:
         return dict(self.split_counts)
+
+    def __getstate__(self) -> dict:
+        """Fields only: the cached views stay out of pickles and copies
+        (they are not fields, so ``==``/``hash``/``repr`` never see them)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def annotation_of(self, node_id: int) -> str | None:
         return self.annotation_map.get(node_id)
@@ -154,7 +162,13 @@ class Mapping:
                 raise MappingError(
                     f"annotation on non-TAG node #{node_id}")
         for node in tree.iter_nodes():
-            if node.kind == NodeKind.TAG and tree.must_annotate(node) and \
+            if node.kind != NodeKind.TAG:
+                continue
+            if tree.entry(node).rep_id not in (None, node.parent_id):
+                raise MappingError(
+                    f"node #{node.node_id} <{node.name}> repeats as part of "
+                    f"a group; only a repeated element can be mapped")
+            if tree.must_annotate(node) and \
                     node.node_id not in annotation_map:
                 raise MappingError(
                     f"node #{node.node_id} <{node.name}> must be annotated "
@@ -209,6 +223,22 @@ class Mapping:
             raise MappingError(
                 "union distribution on a type-merged table is not supported; "
                 "split the type first")
+        if dist.choice_id is not None:
+            # Its branches partition the owner only if every instance
+            # takes one: ask the plan of the element declaring it, then
+            # every inlined element crossed on the way up to the owner.
+            holder = tree.nearest_tag_ancestor(dist.choice_id)
+            can_lack = tree.plan(holder).choices[dist.choice_id]
+            while not can_lack and holder.node_id != owner:
+                can_lack = bool(tree.entry(holder).atoms)
+                holder = tree.nearest_tag_ancestor(holder)
+            if can_lack:
+                raise MappingError(
+                    f"union distribution on choice #{dist.choice_id}: an "
+                    f"instance of <{tree.node(owner).name}> can lack it (it "
+                    f"sits under an option or in another choice's branch, or "
+                    f"a branch of it can be empty), so its branches do not "
+                    f"partition the table")
 
     def distribution_owner(self, dist: UnionDistribution) -> int:
         """The annotated node whose table the distribution partitions."""

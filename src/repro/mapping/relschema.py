@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from ..engine import Column, SQLType, Table
 from ..errors import MappingError
+from ..xsd import Atom
 from .model import Mapping
 
 ID_COLUMN = "ID"
@@ -44,6 +45,23 @@ class PresenceCondition:
 PartitionCondition = BranchCondition | PresenceCondition
 
 
+def conditions_hold(conditions: tuple[PartitionCondition, ...],
+                    atoms: frozenset[Atom] | set[Atom]) -> bool:
+    """Whether an owner instance whose region showed ``atoms`` belongs
+    to the partition with these conditions. The one membership test:
+    it sizes partitions from ``CollectedStats.joint`` and routes the
+    shredder's rows, so estimate and load agree by construction."""
+    for condition in conditions:
+        if isinstance(condition, BranchCondition):
+            if ("choice", condition.choice_id,
+                    condition.branch_index) not in atoms:
+                return False
+        elif condition.present != any(("opt", optional_id) in atoms
+                                      for optional_id in condition.optional_ids):
+            return False
+    return True
+
+
 @dataclass
 class ColumnSpec:
     """One relational column and its schema-tree source."""
@@ -53,6 +71,9 @@ class ColumnSpec:
     sql_type: SQLType
     nullable: bool
     occurrence: int | None = None  # 1-based index for repetition-split cols
+    #: Every OPTION / CHOICE-branch atom between the owner and the
+    #: value: it can be non-null only in an instance showing them all.
+    features: frozenset[Atom] = frozenset()
 
     def to_engine_column(self) -> Column:
         return Column(self.name, self.sql_type, nullable=self.nullable)

@@ -47,7 +47,7 @@ from typing import Iterator
 from ..errors import ShreddingError
 from ..xmlkit import Document, Element
 from ..xsd import ElementPlan
-from .relschema import BranchCondition, MappedSchema, PresenceCondition
+from .relschema import MappedSchema, conditions_hold
 
 #: Rows buffered per table before a streaming batch is emitted.
 DEFAULT_BATCH_SIZE = 5000
@@ -112,17 +112,14 @@ class _Entry:
     """One child tag of a region: the tree's dispatch entry decorated
     with what the mapping does with that child."""
 
-    __slots__ = ("kind", "plan", "owner", "optional_ids", "choice_branch",
-                 "slot", "coerce", "attrs", "column", "split_slots",
-                 "target", "region")
+    __slots__ = ("kind", "plan", "owner", "atoms", "slot", "coerce",
+                 "attrs", "column", "split_slots", "target", "region")
 
-    def __init__(self, kind: int, plan: ElementPlan, owner: _Owner,
-                 optional_ids, choice_branch):
+    def __init__(self, kind: int, plan: ElementPlan, owner: _Owner, atoms):
         self.kind = kind
         self.plan = plan
         self.owner = owner      # whose row this region fills
-        self.optional_ids = optional_ids
-        self.choice_branch = choice_branch
+        self.atoms = atoms      # OPTION / CHOICE atoms the child shows
         self.slot = self.coerce = self.column = None
         self.attrs = self.split_slots = ()
         #: The child's own ``_Owner`` (annotated; the overflow table of
@@ -134,11 +131,10 @@ class _Entry:
 class _RowState:
     """What routing and repetition split need to remember per row."""
 
-    __slots__ = ("present_optionals", "choices", "split_counts")
+    __slots__ = ("atoms", "split_counts")
 
     def __init__(self):
-        self.present_optionals: set[int] = set()
-        self.choices: dict[int, int] = {}
+        self.atoms: set = set()
         self.split_counts: dict[int, int] = {}
 
 
@@ -281,11 +277,8 @@ class Shredder:
                 raise ShreddingError(
                     f"unexpected element <{child.tag}> under "
                     f"<{child.parent.tag}> for this mapping")
-            if entry.optional_ids:
-                state.present_optionals |= entry.optional_ids
-            if entry.choice_branch is not None:
-                choice_id, branch = entry.choice_branch
-                state.choices[choice_id] = branch
+            if entry.atoms:
+                state.atoms |= entry.atoms
             kind = entry.kind
             if kind == _LEAF:
                 slot = entry.slot
@@ -366,11 +359,7 @@ class Shredder:
         annotation_map = schema.mapping.annotation_map
         split_map = schema.mapping.split_map
         region: dict[str, _Entry] = {}
-        for node, optional_ids, choice_branch, rep_id in plan.entries:
-            if rep_id is not None and node.parent_id != rep_id:
-                # Inside a repeated *group*: the mapper gives such
-                # elements no storage, so they stay undispatched.
-                continue
+        for node, atoms, _, _, rep_id in plan.entries:
             if node.name in region:
                 raise ShreddingError(
                     f"ambiguous element name <{node.name}> in one content "
@@ -378,18 +367,15 @@ class Shredder:
             child = self.tree.plan(node)
             if rep_id in split_map and child.is_leaf:
                 storage = schema.storage_of(node.node_id)
-                entry = _Entry(_SPLIT_LEAF, child, owner, optional_ids,
-                               choice_branch)
+                entry = _Entry(_SPLIT_LEAF, child, owner, atoms)
                 entry.split_slots = tuple(owner.slot[c]
                                           for c in storage.split_columns)
                 entry.target = self._owner(node.node_id, owner.typed)
                 entry.coerce = entry.target.coerce[entry.target.value_slot]
             elif node.node_id in annotation_map:
-                entry = _Entry(_ANNOTATED, child, owner, optional_ids,
-                               choice_branch)
+                entry = _Entry(_ANNOTATED, child, owner, atoms)
             elif child.is_leaf:
-                entry = _Entry(_LEAF, child, owner, optional_ids,
-                               choice_branch)
+                entry = _Entry(_LEAF, child, owner, atoms)
                 entry.column = schema.column_of_leaf.get(node.node_id)
                 if entry.column is None:
                     raise ShreddingError(
@@ -398,8 +384,7 @@ class Shredder:
                 entry.coerce = owner.coerce[entry.slot]
                 entry.attrs = self._attribute_writes(child, owner)
             else:
-                entry = _Entry(_INLINE_COMPLEX, child, owner, optional_ids,
-                               choice_branch)
+                entry = _Entry(_INLINE_COMPLEX, child, owner, atoms)
                 entry.attrs = self._attribute_writes(child, owner)
             region[node.name] = entry
         return region
@@ -412,21 +397,11 @@ class Shredder:
             _, table_name, pick = partitions[0]
             return table_name, pick(values)
         for conditions, table_name, pick in partitions:
-            if all(self._condition_holds(c, state) for c in conditions):
+            if conditions_hold(conditions, state.atoms):
                 return table_name, pick(values)
         raise ShreddingError(
             f"no partition of {owner.annotation!r} matches instance "
             f"#{values[0]} of <{owner.name}>")
-
-    @staticmethod
-    def _condition_holds(condition, state: _RowState) -> bool:
-        if isinstance(condition, BranchCondition):
-            return (state.choices.get(condition.choice_id)
-                    == condition.branch_index)
-        if isinstance(condition, PresenceCondition):
-            overlap = bool(state.present_optionals & condition.optional_ids)
-            return overlap == condition.present
-        raise ShreddingError(f"unknown condition {condition!r}")
 
 
 def shred_typed_batches(schema: MappedSchema, docs,

@@ -29,11 +29,8 @@ from dataclasses import dataclass, field
 from ..engine import ColumnStats, TableStats
 from ..errors import MappingError
 from ..xmlkit import Document, Element
-from ..xsd import BaseType, ElementPlan, NodeKind, SchemaTree
-from .relschema import (BranchCondition, MappedSchema, PresenceCondition)
-
-# Signature atoms: ("opt", option_id) and ("choice", choice_id, branch).
-Signature = frozenset
+from ..xsd import BaseType, ElementPlan, SchemaTree
+from .relschema import MappedSchema, conditions_hold
 
 
 @dataclass
@@ -153,13 +150,10 @@ class _Collector:
                 raise MappingError(
                     f"unexpected element <{child.tag}> under "
                     f"<{element.tag}> while collecting statistics")
-            child_node, optional_ids, choice_branch, rep_id = entry
-            if optional_ids or choice_branch is not None:
+            child_node, atoms, _, _, rep_id = entry
+            if atoms:
                 for target in collectors:
-                    for optional_id in optional_ids:
-                        target.add(("opt", optional_id))
-                    if choice_branch is not None:
-                        target.add(("choice",) + choice_branch)
+                    target |= atoms
             if rep_id is not None:
                 rep_counts[rep_id] += 1
                 self._visit_tag(child, plan_of(child_node),
@@ -222,20 +216,6 @@ def _uniform_int_stats(rows: int, lo: int, hi: int,
         boundaries=boundaries, bucket_rows=rows / buckets)
 
 
-def _signature_matches(signature: Signature, conditions) -> bool:
-    for condition in conditions:
-        if isinstance(condition, BranchCondition):
-            if ("choice", condition.choice_id,
-                    condition.branch_index) not in signature:
-                return False
-        elif isinstance(condition, PresenceCondition):
-            present = any(("opt", oid) in signature
-                          for oid in condition.optional_ids)
-            if present != condition.present:
-                return False
-    return True
-
-
 class StatsDeriver:
     """Derives per-table statistics for any mapping from collected stats."""
 
@@ -289,7 +269,7 @@ class StatsDeriver:
         if joint is None:
             return 0
         return sum(freq for signature, freq in joint.items()
-                   if _signature_matches(signature, conditions))
+                   if conditions_hold(conditions, signature))
 
     # ------------------------------------------------------------------
     def _column_stats(self, schema, group, partition, spec, rows,
@@ -317,53 +297,32 @@ class StatsDeriver:
             return source.scaled(rows, new_null_count=rows - non_null)
         # Plain column: presence governed by the leaf's optional/choice
         # ancestors within the owner region.
-        non_null = self._leaf_presence(schema, group, partition,
-                                       spec.leaf_id, rows)
+        non_null = self._leaf_presence(schema, group, partition, spec, rows)
         return source.scaled(rows, new_null_count=max(0, rows - non_null))
 
-    def _leaf_presence(self, schema, group, partition, leaf_id: int,
+    def _leaf_presence(self, schema, group, partition, spec,
                        rows: int) -> int:
         """#rows of the partition where the leaf column is non-null."""
-        tree = schema.tree
         collected = self.collected
-        owner_id = group.owner_ids[0]
-        if tree.is_leaf_element(tree.node(owner_id)):
+        if schema.tree.is_leaf_element(group.owner_ids[0]):
             return rows  # value column of a leaf's own table
-        # Governing features on the path owner -> leaf.
-        features: list = []
-        current = tree.node(leaf_id)
-        while current is not None and current.node_id != owner_id:
-            parent = tree.parent(current)
-            if parent is None:
-                break
-            if parent.kind == NodeKind.OPTION:
-                features.append(("opt", parent.node_id))
-            elif parent.kind == NodeKind.CHOICE:
-                index = parent.child_ids.index(current.node_id)
-                features.append(("choice", parent.node_id, index))
-            current = parent
-        if not features:
-            # No optional/choice constraints on the path: presence is
-            # governed purely by instance counts (covers attributes and
-            # leaves of always-present elements).
-            owner_count = sum(collected.instances(o)
-                              for o in group.owner_ids) or 1
-            ratio = collected.instances(leaf_id) / owner_count
-            return int(round(rows * min(1.0, ratio)))
-        total = 0
-        joint_total = 0
-        joint = collected.joint.get(owner_id, Counter())
-        for signature, freq in joint.items():
-            if not _signature_matches(signature, partition.conditions):
-                continue
-            joint_total += freq
-            if all(f in signature for f in features):
-                total += freq
+        # Among the partition's instances, those showing every OPTION
+        # and CHOICE branch on the path owner -> leaf.
+        total = joint_total = 0
+        if spec.features:
+            for signature, freq in collected.joint.get(
+                    group.owner_ids[0], {}).items():
+                if conditions_hold(partition.conditions, signature):
+                    joint_total += freq
+                    if spec.features <= signature:
+                        total += freq
         if joint_total == 0:
-            # Fallback: global presence ratio.
+            # Nothing governs the path (attributes, leaves of
+            # always-present elements) or nothing to condition on:
+            # presence follows the instance counts.
             owner_count = sum(collected.instances(o)
                               for o in group.owner_ids) or 1
-            ratio = collected.instances(leaf_id) / owner_count
+            ratio = collected.instances(spec.leaf_id) / owner_count
             return int(round(rows * min(1.0, ratio)))
         return int(round(rows * total / joint_total))
 

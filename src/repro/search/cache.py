@@ -54,7 +54,7 @@ __all__ = ["CacheKey", "EvaluationCache", "default_cache_dir",
 #: Bump when the pickled payload layout or the digest recipe changes;
 #: old entries become unreachable (different problem digest) instead of
 #: being deserialized wrongly.
-CACHE_VERSION = 2  # 2: dict keys canonicalized in stats digests
+CACHE_VERSION = 3  # 3: ColumnSpec.features, DispatchEntry atoms (pickled layouts)
 
 
 def _sha(text: str) -> str:

@@ -21,13 +21,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from ..mapping import (CollectedStats, Mapping, UnionDistribution,
-                       derive_schema)
+from ..mapping import (CollectedStats, Mapping, PresenceCondition,
+                       UnionDistribution, derive_schema)
+from ..mapping.relschema import conditions_hold
 from ..translate import resolve_steps
 from ..workload import Workload
 from ..xpath import XPathQuery
 from ..xsd import NodeKind, SchemaTree
-from .candidate_selection import _option_ancestor, _referenced_leaves
+from .candidate_selection import _referenced_leaves
 
 
 class CandidateMerger:
@@ -162,22 +163,19 @@ class CandidateMerger:
 
     def _has_partition_rows(self, owner: int,
                             optional_ids: frozenset[int]) -> int:
+        has = (PresenceCondition(optional_ids, True),)
         joint = self.stats.joint.get(owner, Counter())
         return sum(freq for signature, freq in joint.items()
-                   if any(("opt", oid) in signature for oid in optional_ids))
+                   if conditions_hold(has, signature))
 
     def _accessed_rows(self, context, query: XPathQuery,
                        candidate: UnionDistribution, owner_rows: int,
                        has_rows: int, none_rows: int) -> int:
         tree = self.tree
-        region_root = (context if not tree.is_leaf_element(context)
-                       else tree.nearest_tag_ancestor(context)) or context
         projections, predicates = _referenced_leaves(tree, query, context)
-        inside = frozenset(candidate.optional_ids)
 
         def under_candidate(leaf) -> bool:
-            option = _option_ancestor(tree, leaf, region_root)
-            return option is not None and option.node_id in inside
+            return tree.entry(leaf).option_id in candidate.optional_ids
 
         if predicates and all(under_candidate(p) for p in predicates):
             return has_rows  # presence forced by the selection

@@ -28,7 +28,7 @@ from ..resilience import note_suppressed
 from ..translate import resolve_steps
 from ..workload import Workload
 from ..xpath import XPathQuery
-from ..xsd import NodeKind, SchemaNode, SchemaTree
+from ..xsd import SchemaNode, SchemaTree
 
 
 @dataclass
@@ -61,33 +61,6 @@ def _referenced_leaves(tree: SchemaTree, query: XPathQuery,
                                      start=context)
             if tree.is_leaf_element(n))
     return projections, predicates
-
-
-def _option_ancestor(tree: SchemaTree, leaf: SchemaNode,
-                     region_root: SchemaNode) -> SchemaNode | None:
-    """Nearest OPTION ancestor of the leaf within the region."""
-    current = tree.parent(leaf)
-    while current is not None and current.node_id != region_root.node_id:
-        if current.kind == NodeKind.OPTION:
-            return current
-        if current.kind == NodeKind.TAG:
-            return None
-        current = tree.parent(current)
-    return None
-
-
-def _choice_branch(tree: SchemaTree, leaf: SchemaNode,
-                   region_root: SchemaNode) -> tuple[SchemaNode, int] | None:
-    """(choice node, branch index) containing the leaf, if any."""
-    current = leaf
-    parent = tree.parent(current)
-    while parent is not None and current.node_id != region_root.node_id:
-        if parent.kind == NodeKind.CHOICE:
-            return parent, parent.child_ids.index(current.node_id)
-        if parent.kind == NodeKind.TAG:
-            return None
-        current, parent = parent, tree.parent(parent)
-    return None
 
 
 class CandidateSelector:
@@ -130,23 +103,19 @@ class CandidateSelector:
                               add_merge) -> None:
         tree = self.tree
         contexts = resolve_steps(tree, query.steps)
-        region_leaf_sets: list[list[SchemaNode]] = []
         for context in contexts:
-            region_root = (context if not tree.is_leaf_element(context)
-                           else tree.nearest_tag_ancestor(context)) or context
             projections, predicates = _referenced_leaves(tree, query, context)
             referenced = projections + predicates
-            region_leaf_sets.append(referenced)
-            self._union_candidates(region_root, projections, predicates,
-                                   add_split)
+            self._union_candidates(projections, predicates, add_split)
             self._repetition_candidates(referenced, add_split)
             self._type_split_candidates(context, referenced, add_split)
         self._type_merge_candidates(contexts, add_merge)
 
     # -- rule 2: union distribution --------------------------------------
-    def _union_candidates(self, region_root: SchemaNode,
-                          projections: list[SchemaNode],
+    def _union_candidates(self, projections: list[SchemaNode],
                           predicates: list[SchemaNode], add_split) -> None:
+        """Decided by the innermost CHOICE branch and OPTION between
+        each referenced leaf and its parent element."""
         tree = self.tree
         referenced = projections + predicates
         if not referenced:
@@ -154,10 +123,10 @@ class CandidateSelector:
         # Explicit choices: access at most half of the branches.
         by_choice: dict[int, set[int]] = {}
         for leaf in referenced:
-            located = _choice_branch(tree, leaf, region_root)
+            located = tree.entry(leaf).choice_branch
             if located is not None:
-                choice, branch = located
-                by_choice.setdefault(choice.node_id, set()).add(branch)
+                choice_id, branch = located
+                by_choice.setdefault(choice_id, set()).add(branch)
         for choice_id, branches in by_choice.items():
             n_branches = len(tree.node(choice_id).child_ids)
             if 0 < len(branches) <= n_branches / 2:
@@ -166,21 +135,15 @@ class CandidateSelector:
         # Implicit unions: the query must stay inside the has-partition —
         # either the predicate forces presence of the option, or every
         # referenced leaf sits under it.
-        options = {leaf.node_id: _option_ancestor(tree, leaf, region_root)
-                   for leaf in referenced}
-        for leaf in predicates:
-            option = options.get(leaf.node_id)
+        predicate_options = [tree.entry(leaf).option_id for leaf in predicates]
+        for option in predicate_options:
             if option is not None:
                 add_split(UnionDistribute(UnionDistribution(
-                    optional_ids=frozenset({option.node_id}))))
-        predicate_option_ids = {
-            options[leaf.node_id].node_id
-            if options[leaf.node_id] is not None else None
-            for leaf in predicates}
-        if not predicates or predicate_option_ids == {None}:
-            proj_options = [options.get(leaf.node_id) for leaf in projections]
-            if proj_options and all(o is not None for o in proj_options):
-                for option in sorted({o.node_id for o in proj_options}):
+                    optional_ids=frozenset({option}))))
+        if set(predicate_options) <= {None}:
+            proj_options = [tree.entry(leaf).option_id for leaf in projections]
+            if proj_options and None not in proj_options:
+                for option in sorted(set(proj_options)):
                     add_split(UnionDistribute(UnionDistribution(
                         optional_ids=frozenset({option}))))
 

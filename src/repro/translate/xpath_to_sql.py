@@ -64,18 +64,11 @@ _OP_MAP = {
 
 
 def _region_tag_children(tree: SchemaTree, node: SchemaNode) -> list[SchemaNode]:
-    """Direct TAG children (crossing constructor nodes, not TAG nodes)."""
-    out: list[SchemaNode] = []
-
-    def walk(current: SchemaNode) -> None:
-        for child in tree.children(current):
-            if child.kind == NodeKind.TAG:
-                out.append(child)
-            elif child.kind != NodeKind.SIMPLE:
-                walk(child)
-
-    walk(node)
-    return out
+    """Direct TAG children (crossing constructor nodes, not TAG nodes);
+    an attribute has none."""
+    if node.kind != NodeKind.TAG:
+        return []
+    return [entry.node for entry in tree.plan(node).entries]
 
 
 def _tag_descendants(tree: SchemaTree, node: SchemaNode,

@@ -56,22 +56,11 @@ def _context_elements(tree: SchemaTree,
 
 
 def _region_leaves(tree: SchemaTree, node: SchemaNode) -> list[SchemaNode]:
-    """Distinct-name leaf elements in the node's subtree (one level of
-    element structure — the paper's queries project direct children)."""
-    leaves: list[SchemaNode] = []
-    seen: set[str] = set()
-
-    def walk(current: SchemaNode) -> None:
-        for child in tree.children(current):
-            if child.kind == NodeKind.TAG:
-                if tree.is_leaf_element(child) and child.name not in seen:
-                    seen.add(child.name)
-                    leaves.append(child)
-            elif child.kind != NodeKind.SIMPLE:
-                walk(child)
-
-    walk(node)
-    return leaves
+    """Distinct-name leaf elements among the node's child elements (one
+    level of element structure — the paper's queries project direct
+    children); a name declared twice counts at its first declaration."""
+    return [entry.node for entry in tree.plan(node).dispatch.values()
+            if tree.is_leaf_element(entry.node)]
 
 
 class WorkloadGenerator:

@@ -3,10 +3,12 @@
 from .dtd import parse_dtd
 from .nodes import UNBOUNDED, BaseType, NodeKind, SchemaNode
 from .parser import parse_xsd, parse_xsd_file
-from .tree import ElementPlan, SchemaTree, TreeBuilder, walk_particles
+from .tree import Atom, AttributePlan, ElementPlan, SchemaTree, TreeBuilder
 from .validate import Validator, validate
 
 __all__ = [
+    "Atom",
+    "AttributePlan",
     "BaseType",
     "ElementPlan",
     "NodeKind",
@@ -14,7 +16,6 @@ __all__ = [
     "SchemaTree",
     "TreeBuilder",
     "UNBOUNDED",
-    "walk_particles",
     "parse_xsd",
     "parse_xsd_file",
     "parse_dtd",

@@ -17,13 +17,14 @@ annotation in every mapping (they cannot be inlined into a parent row).
 The compiled plan
 -----------------
 
-Everything the validator, the statistics collector and the shredder
-need to know about one element depends on the tree alone, never on the
-data. :meth:`SchemaTree.plan` compiles it once per ``TAG`` node into an
-:class:`ElementPlan` — the only walk of a content region the three
-share — and their per-element path is lookups in that plan. The tree's
-structure cannot change after :meth:`TreeBuilder.build`, so the cache
-is never invalidated.
+Everything the validator, the statistics collector, the mapper, the
+shredder, the translator and the candidate selector need to know about
+one element depends on the tree alone, never on the data or the
+mapping. :meth:`SchemaTree.plan` compiles it once per ``TAG`` node into
+an :class:`ElementPlan` — the only walk of a content region there is —
+and everything else is lookups in that plan. The tree's structure
+cannot change after :meth:`TreeBuilder.build`, so the cache is never
+invalidated.
 """
 
 from __future__ import annotations
@@ -65,13 +66,36 @@ class AttributePlan(NamedTuple):
     lexical: Callable | None    # see ElementPlan.lexical
 
 
+#: What an instance shows of its region's OPTION and CHOICE nodes:
+#: ``("opt", option id)`` — something under the option is present — or
+#: ``("choice", choice id, branch index)``. One vocabulary for
+#: ``CollectedStats.joint``, ``ColumnSpec.features``, partition
+#: conditions and the shredder's routing.
+Atom = tuple
+
+
 class DispatchEntry(NamedTuple):
     """How one child tag sits inside its parent's content region."""
 
     node: SchemaNode                        # the child TAG
-    optional_ids: frozenset[int]            # OPTION nodes crossed
+    atoms: frozenset[Atom]                  # every OPTION / CHOICE crossed
+    option_id: int | None                   # innermost OPTION crossed
     choice_branch: tuple[int, int] | None   # innermost (choice id, branch)
     rep_id: int | None                      # innermost REPETITION crossed
+
+
+def _can_be_empty(model: tuple) -> bool:
+    """Whether a compiled content model matches the empty sequence."""
+    op = model[0]
+    if op == M_TAG:
+        return False
+    if op == M_OPTION:
+        return True
+    if op == M_CHOICE:
+        return any(map(_can_be_empty, model[1]))
+    if op == M_SEQUENCE:
+        return all(map(_can_be_empty, model[1]))
+    return model[2] == 0 or _can_be_empty(model[1])     # M_REPETITION
 
 
 class ElementPlan:
@@ -80,9 +104,14 @@ class ElementPlan:
     ``model`` is the content model as nested tuples — ``(M_TAG, name)``,
     ``(M_OPTION, item)``, ``(M_CHOICE, items)``, ``(M_SEQUENCE, items)``,
     ``(M_REPETITION, item, min_occurs, max_occurs)`` — ``entries`` the
-    region's child elements in declaration order, and ``repetitions``
-    the ids of the REPETITION nodes crossed on the way to them. A region
-    ends at its child TAGs: their content is their own plan's.
+    region's child elements in declaration order (``entry_of`` finds
+    one by node id), ``members`` the same interleaved with the
+    element's attributes as declared (column order follows it), and
+    ``repetitions`` the ids of the REPETITION nodes crossed on the way
+    to them. ``choices`` maps each CHOICE node of the region to whether
+    an instance can show *no* branch of it: it sits under an OPTION or
+    in another choice's branch, or one of its branches can be empty. A
+    region ends at its child TAGs: their content is their own plan's.
 
     Element names are unambiguous within one content model in our
     schema subset. Where a schema repeats one anyway, ``dispatch`` maps
@@ -92,44 +121,24 @@ class ElementPlan:
 
     __slots__ = ("node", "node_id", "is_leaf", "base_type", "lexical",
                  "attributes", "attribute_nodes", "attribute_by_name",
-                 "required_attributes",
-                 "model", "entries", "dispatch", "last_dispatch",
-                 "repetitions")
+                 "required_attributes", "model", "members", "entries",
+                 "entry_of", "dispatch", "last_dispatch", "repetitions",
+                 "choices")
 
     def __init__(self, tree: "SchemaTree", node: SchemaNode):
         if node.kind != NodeKind.TAG:
             raise SchemaTreeError(f"{node!r} is not an element")
         self.node = node
         self.node_id = node.node_id
-        children = tree.children(node)
-        attributes = []
-        for child in children:
-            if child.kind == NodeKind.ATTRIBUTE:
-                base = tree.children(child)[0].base_type
-                attributes.append(AttributePlan(
-                    child.name, child, base, child.min_occurs >= 1,
-                    _LEXICAL_CHECKS.get(base)))
-        self.attributes = tuple(attributes)
-        self.attribute_nodes = tuple(a.node for a in attributes)
-        self.attribute_by_name = {a.name: a for a in attributes}
-        self.required_attributes = tuple(
-            a.name for a in self.attributes if a.required)
-        particles = [c for c in children if c.kind != NodeKind.ATTRIBUTE]
-        self.is_leaf = (len(particles) == 1
-                        and particles[0].kind == NodeKind.SIMPLE)
-        self.base_type = particles[0].base_type if self.is_leaf else None
-        #: Returns ``None`` for a text outside the leaf's lexical space;
-        #: itself ``None`` where any text is valid.
-        self.lexical = _LEXICAL_CHECKS.get(self.base_type)
-
-        entries: list[DispatchEntry] = []
+        members: list[AttributePlan | DispatchEntry] = []
         repetitions: list[int] = []
+        self.choices: dict[int, bool] = {}
 
-        def compile_particle(particle: SchemaNode, optional_ids: frozenset,
-                             choice_branch, rep_id: int | None) -> tuple:
+        def compile_particle(particle: SchemaNode, atoms: frozenset,
+                             option_id, choice_branch, rep_id) -> tuple:
             kind = particle.kind
             if kind == NodeKind.TAG:
-                entries.append(DispatchEntry(particle, optional_ids,
+                members.append(DispatchEntry(particle, atoms, option_id,
                                              choice_branch, rep_id))
                 return (M_TAG, particle.name)
             if kind == NodeKind.SIMPLE:
@@ -137,36 +146,64 @@ class ElementPlan:
             inner = tree.children(particle)
             if kind == NodeKind.OPTION:
                 return (M_OPTION, compile_particle(
-                    inner[0], optional_ids | {particle.node_id},
-                    choice_branch, rep_id))
+                    inner[0], atoms | {("opt", particle.node_id)},
+                    particle.node_id, choice_branch, rep_id))
             if kind == NodeKind.CHOICE:
-                return (M_CHOICE, tuple(
-                    compile_particle(branch, optional_ids,
-                                     (particle.node_id, index), rep_id)
-                    for index, branch in enumerate(inner)))
+                branches = tuple(
+                    compile_particle(
+                        branch, atoms | {("choice", particle.node_id, index)},
+                        option_id, (particle.node_id, index), rep_id)
+                    for index, branch in enumerate(inner))
+                self.choices[particle.node_id] = (
+                    bool(atoms) or any(map(_can_be_empty, branches)))
+                return (M_CHOICE, branches)
             if kind == NodeKind.SEQUENCE:
                 return (M_SEQUENCE, tuple(
-                    compile_particle(item, optional_ids, choice_branch,
+                    compile_particle(item, atoms, option_id, choice_branch,
                                      rep_id) for item in inner))
             if kind == NodeKind.REPETITION:
                 repetitions.append(particle.node_id)
                 return (M_REPETITION,
-                        compile_particle(inner[0], optional_ids,
+                        compile_particle(inner[0], atoms, option_id,
                                          choice_branch, particle.node_id),
                         particle.min_occurs, particle.max_occurs)
             raise SchemaTreeError(
                 f"{particle!r} cannot appear in a content model")
 
-        self.model = (M_SEQUENCE, tuple(
-            compile_particle(p, frozenset(), None, None)
-            for p in particles))
-        self.entries = tuple(entries)
+        particles, models = [], []
+        for child in tree.children(node):
+            if child.kind == NodeKind.ATTRIBUTE:
+                base = tree.children(child)[0].base_type
+                members.append(AttributePlan(
+                    child.name, child, base, child.min_occurs >= 1,
+                    _LEXICAL_CHECKS.get(base)))
+            else:
+                particles.append(child)
+                models.append(compile_particle(child, frozenset(), None,
+                                               None, None))
+        self.model = (M_SEQUENCE, tuple(models))
+        self.members = tuple(members)
+        self.attributes = tuple(m for m in members
+                                if isinstance(m, AttributePlan))
+        self.attribute_nodes = tuple(a.node for a in self.attributes)
+        self.attribute_by_name = {a.name: a for a in self.attributes}
+        self.required_attributes = tuple(
+            a.name for a in self.attributes if a.required)
+        self.is_leaf = (len(particles) == 1
+                        and particles[0].kind == NodeKind.SIMPLE)
+        self.base_type = particles[0].base_type if self.is_leaf else None
+        #: Returns ``None`` for a text outside the leaf's lexical space;
+        #: itself ``None`` where any text is valid.
+        self.lexical = _LEXICAL_CHECKS.get(self.base_type)
+        self.entries = tuple(m for m in members
+                             if isinstance(m, DispatchEntry))
+        self.entry_of = {e.node.node_id: e for e in self.entries}
         self.repetitions = tuple(repetitions)
-        self.last_dispatch = {e.node.name: e for e in entries}
+        self.last_dispatch = {e.node.name: e for e in self.entries}
         self.dispatch = self.last_dispatch
-        if len(self.dispatch) != len(entries):
+        if len(self.dispatch) != len(self.entries):
             self.dispatch = {}
-            for entry in entries:
+            for entry in self.entries:
                 self.dispatch.setdefault(entry.node.name, entry)
 
 
@@ -307,20 +344,21 @@ class SchemaTree:
             current = self.parent(current)
         return current
 
-    def enclosing_repetition(self, node: SchemaNode | int) -> SchemaNode | None:
-        """The REPETITION node directly above this node, if any.
-
-        Constructor nodes (OPTION/CHOICE/SEQUENCE) between the node and
-        the repetition are skipped, but a TAG boundary stops the walk.
-        """
+    def entry(self, node: SchemaNode | int) -> DispatchEntry:
+        """How a TAG node sits in its parent element's region: its entry
+        in that element's plan (for the root, one that crosses nothing)."""
         if isinstance(node, int):
             node = self.node(node)
-        current = self.parent(node)
-        while current is not None and current.kind not in (NodeKind.TAG, NodeKind.REPETITION):
-            current = self.parent(current)
-        if current is not None and current.kind == NodeKind.REPETITION:
-            return current
-        return None
+        parent = self.nearest_tag_ancestor(node)
+        if parent is None:
+            return DispatchEntry(node, frozenset(), None, None, None)
+        return self.plan(parent).entry_of[node.node_id]
+
+    def enclosing_repetition(self, node: SchemaNode | int) -> SchemaNode | None:
+        """The innermost REPETITION between a TAG node and its parent
+        element, if any (OPTION/CHOICE/SEQUENCE nodes are transparent)."""
+        rep_id = self.entry(node).rep_id
+        return None if rep_id is None else self._nodes[rep_id]
 
     def tag_path(self, node: SchemaNode | int) -> tuple[str, ...]:
         """Tag names from the root down to (and including) this node.
@@ -520,15 +558,3 @@ class TreeBuilder:
         tree = SchemaTree(self._nodes, root.node_id, name=self.name)
         self._built = True
         return tree
-
-
-def walk_particles(tree: SchemaTree, tag: SchemaNode,
-                   visit: Callable[[SchemaNode], None]) -> None:
-    """Visit every descendant particle of ``tag`` without crossing into
-    nested TAG subtrees (their particles belong to the nested element)."""
-    stack = list(reversed(tree.children(tag)))
-    while stack:
-        node = stack.pop()
-        visit(node)
-        if node.kind != NodeKind.TAG:
-            stack.extend(reversed(tree.children(node)))

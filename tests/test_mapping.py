@@ -1,5 +1,9 @@
 """Unit tests for mappings, presets, the mapper, and transformations."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.datasets import dblp_schema, movie_schema
@@ -108,6 +112,22 @@ class TestMappingValidation:
         c = a.with_split(rep.node_id, 5)
         assert c.signature() != a.signature()
         assert c.without_split(rep.node_id).signature() == a.signature()
+
+    def test_views_are_built_once_and_stay_out_of_pickles(self, dblp):
+        mapping = hybrid_inlining(dblp).with_split(author_rep(dblp).node_id, 2)
+        fresh = pickle.dumps(mapping)
+        assert mapping.annotation_map is mapping.annotation_map
+        assert mapping.split_map is mapping.split_map
+        assert mapping.annotation_map == dict(mapping.annotations)
+        assert pickle.dumps(mapping) == fresh
+        for clone in (pickle.loads(fresh), copy.copy(mapping),
+                      dataclasses.replace(mapping)):
+            assert not {"annotation_map", "split_map"} & set(vars(clone))
+            assert clone == mapping and hash(clone) == hash(mapping)
+            assert clone.signature() == mapping.signature()
+            assert clone.split_map == mapping.split_map
+        moved = mapping.without_split(author_rep(dblp).node_id)
+        assert moved.split_map == {} and mapping.split_map != {}
 
 
 class TestRepetitionSplitMapping:

@@ -289,9 +289,13 @@ class TestEvaluationCache:
         assert ev.counters.mappings_evaluated == 1
 
     def test_entry_file_names_are_pinned(self, problems, tmp_path):
-        """A cache directory written by an earlier version must stay
-        warm: the on-disk name of an exact and of a partial entry are
-        part of the format (``CACHE_VERSION`` did not change)."""
+        """The on-disk name of an exact and of a partial entry are part
+        of the format: a cache directory stays warm for as long as
+        ``CACHE_VERSION`` does. The directory is the problem digest and
+        was re-pinned for version 3 (``ColumnSpec.features`` and the
+        dispatch entry's atoms changed the pickled layout, so entries
+        written before must be unreachable); the mapping and reuse
+        digests in the file names are the ones version 2 wrote."""
         bundle, _ = problems["dblp"]
         workload = Workload.from_strings("w", [
             "/dblp/inproceedings/title", "/dblp/book/publisher"])
@@ -304,8 +308,8 @@ class TestEvaluationCache:
             mapping, {0: full.tuning.reports[0].cost}, base=full)
         assert [str(path.relative_to(tmp_path))
                 for path in cache.entries()] == [
-            "af4276b2ec92be0d/exact-bcefa41c5879.pkl",
-            "af4276b2ec92be0d/partial-bcefa41c5879-4d41e56cf757.pkl"]
+            "2f4d1a6ae0fc09f2/exact-bcefa41c5879.pkl",
+            "2f4d1a6ae0fc09f2/partial-bcefa41c5879-4d41e56cf757.pkl"]
 
     def test_warm_full_search_performs_zero_evaluations(self, problems,
                                                         tmp_path):

@@ -523,16 +523,26 @@ class TestWorkIsPerSchema:
             == [("id", BaseType.INTEGER, True), ("placed", BaseType.DATE,
                                                  False)]
         assert plan.required_attributes == ("id",)
-        by_name = {name: (e.optional_ids, e.choice_branch, e.rep_id)
-                   for name, e in plan.dispatch.items()}
+        by_name = {name: tuple(e)[1:] for name, e in plan.dispatch.items()}
         shipping_option = tree.parent(tree.find_tag_by_path(
             ("orders", "order", "shipping"))).node_id
         line_rep, note_rep = plan.repetitions
+        # (atoms, innermost option, innermost choice branch, repetition)
         assert by_name == {
-            "customer": (frozenset(), None, None),
-            "shipping": (frozenset({shipping_option}), None, None),
-            "line": (frozenset(), None, line_rep),
-            "note": (frozenset(), None, note_rep)}
+            "customer": (frozenset(), None, None, None),
+            "shipping": (frozenset({("opt", shipping_option)}),
+                         shipping_option, None, None),
+            "line": (frozenset(), None, None, line_rep),
+            "note": (frozenset(), None, None, note_rep)}
+        assert [getattr(m, "name", None) or m.node.name
+                for m in plan.members] == [
+            "id", "placed", "customer", "shipping", "line", "note"]
+        assert plan.entries == plan.members[2:]
+        assert all(plan.entry_of[e.node.node_id] is e is tree.entry(e.node)
+                   for e in plan.entries)
+        assert plan.choices == {}
+        assert tuple(tree.entry(tree.root))[1:] == (frozenset(), None,
+                                                    None, None)
         leaf = tree.plan(tree.find_tag_by_path(
             ("orders", "order", "shipping", "cost")))
         assert leaf.is_leaf and leaf.base_type == BaseType.DECIMAL
