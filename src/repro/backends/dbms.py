@@ -50,7 +50,14 @@ pool executes queries concurrently. Every subclass therefore keeps
   connection to the same database the first time it asks for one (how
   — a shared-cache URI, a ``cursor()`` clone — is the subclass's
   :meth:`_open_worker`);
-* :meth:`close` closes every connection the backend ever opened.
+* a connection lives as long as its thread: the backend remembers
+  which thread opened it and closes the connections of finished
+  threads whenever a new thread opens one (and whenever
+  ``open_connections`` is read), so a service whose callers come and
+  go — the query service runs ``serve()`` on the caller's thread —
+  holds one connection per *live* thread, not one per thread that
+  ever asked;
+* :meth:`close` closes every connection still open.
 
 ``time_query`` is the *timed benchmark* path: it takes an exclusive
 per-backend lock so concurrent callers cannot interleave page-cache
@@ -63,6 +70,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..engine import SQLType
 from ..errors import ReproError
@@ -151,7 +159,9 @@ class RelationalBackend:
         self._metrics = self.tracer.metrics(f"backend.{self.name}")
         self.path = path
         self.read_only = read_only
-        self._connections: list = []
+        #: (owning thread, connection); the primary's owner is ``None``
+        #: — it outlives the thread that built the backend.
+        self._connections: list[tuple[threading.Thread | None, Any]] = []
         self._conn_lock = threading.Lock()
         self._timing_lock = threading.Lock()
         self._local = threading.local()
@@ -229,25 +239,56 @@ class RelationalBackend:
     # ------------------------------------------------------------------
     # Connections
     # ------------------------------------------------------------------
-    def _register(self, connection):
+    def _register(self, connection, owner: threading.Thread | None = None):
         with self._conn_lock:
             if self._closed:
                 connection.close()
                 raise BackendError("backend is closed")
-            self._connections.append(connection)
+            self._connections.append((owner, connection))
         return connection
+
+    def _release_finished(self) -> None:
+        """Close the connections whose threads have ended.
+
+        Whoever calls this is by definition another thread — drivers
+        open connections so that one may close them
+        (``check_same_thread=False``) — and a dead thread cannot be in
+        the middle of a query.
+        """
+        finished = []
+        with self._conn_lock:
+            held = self._connections
+            self._connections = []
+            for owner, connection in held:
+                if owner is None or owner.is_alive():
+                    self._connections.append((owner, connection))
+                else:
+                    finished.append(connection)
+        for connection in finished:
+            self._close_quietly(connection)
+
+    def _close_quietly(self, connection) -> None:
+        try:
+            connection.close()
+        except self._driver_error:  # pragma: no cover - defensive
+            pass
 
     def _thread_connection(self):
         """The calling thread's connection, opened on first use."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = self._register(self._open_worker())
+            self._release_finished()
+            connection = self._register(self._open_worker(),
+                                        owner=threading.current_thread())
             self._local.connection = connection
             self._metrics.incr("worker_connections")
         return connection
 
     @property
     def open_connections(self) -> int:
+        """Connections held right now: the primary plus one per live
+        thread that has executed a query."""
+        self._release_finished()
         with self._conn_lock:
             return len(self._connections)
 
@@ -616,11 +657,8 @@ class RelationalBackend:
         with self._conn_lock:
             connections, self._connections = self._connections, []
             self._closed = True
-        for connection in connections:
-            try:
-                connection.close()
-            except self._driver_error:  # pragma: no cover - defensive
-                pass
+        for _, connection in connections:
+            self._close_quietly(connection)
 
     def __enter__(self):
         return self

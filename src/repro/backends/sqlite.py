@@ -81,9 +81,10 @@ class SQLiteBackend(RelationalBackend):
     def _open(self, uri: str) -> sqlite3.Connection:
         active_fault_plan().maybe_raise("backend.connect")
         try:
-            # check_same_thread=False so close() can close every
-            # connection from one thread; each connection is otherwise
-            # used only by the thread that opened it.
+            # check_same_thread=False so close(), and the sweep that
+            # releases a finished thread's connection, can close it
+            # from another thread; each connection is otherwise used
+            # only by the thread that opened it.
             return sqlite3.connect(uri, uri=True, check_same_thread=False)
         except sqlite3.Error as exc:
             raise BackendError(f"cannot open {uri!r}: {exc}") from exc

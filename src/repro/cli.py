@@ -931,7 +931,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "serve its recommended configuration")
         svc = p.add_argument_group("service")
         svc.add_argument("--workers", type=int, default=4,
-                         help="service worker threads (default: 4)")
+                         help="pool threads behind asynchronous "
+                              "(open-loop) requests, and with "
+                              "--max-queue the admission bound; "
+                              "blocking requests run on the client's "
+                              "own thread (default: 4)")
         svc.add_argument("--plan-cache", type=int, default=128,
                          help="plan cache capacity, in query shapes "
                               "(default: 128)")
@@ -956,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(see docs/resilience.md)")
         resil.add_argument("--deadline", type=float, default=None,
                            metavar="SECONDS",
-                           help="per-request deadline from submission, "
+                           help="per-request deadline from admission, "
                                 "queue wait included (default: none)")
         resil.add_argument("--max-queue", type=int, default=None,
                            metavar="N",

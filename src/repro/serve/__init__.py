@@ -3,7 +3,8 @@
 The advisor designs a schema; this package *serves* it. A
 :class:`QueryService` loads one tuned design into a SQLite backend
 once, translates XPath through an LRU :class:`PlanCache`, and answers
-queries from a thread pool (one backend connection per worker). A
+queries on the caller's thread (``serve``) or from a thread pool
+(``submit``), one backend connection per executing thread. A
 :class:`LoadGenerator` drives it in closed- or open-loop mode with a
 seeded Zipf query mix and reports p50/p95/p99 latency and QPS; the
 HTML run report archives one run. See docs/serving.md.

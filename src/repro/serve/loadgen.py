@@ -4,12 +4,15 @@ The two classic load models (the difference matters: closed loops
 self-throttle under slowdown, open loops do not):
 
 * **closed loop** — ``clients`` concurrent clients, each issuing its
-  next query the moment the previous answer returns. Throughput is
-  what the service sustains.
+  next query the moment the previous answer returns
+  (:meth:`QueryService.serve`, so each client thread executes its own
+  requests and the run is ``clients`` wide whatever the service's
+  ``workers``). Throughput is what the service sustains.
 * **open loop** — requests arrive on a fixed Poisson schedule of
-  ``rate`` requests/second regardless of completions, so a service
-  slower than the arrival rate accumulates queueing latency. The
-  arrival schedule is drawn from its own seeded RNG stream.
+  ``rate`` requests/second regardless of completions
+  (:meth:`QueryService.submit`, executed by the service's pool), so a
+  service slower than the arrival rate accumulates queueing latency.
+  The arrival schedule is drawn from its own seeded RNG stream.
 
 Determinism contract: which query is request #k (and, open loop, when
 it arrives) is a pure function of ``(mix, seed)`` — the schedule is
@@ -20,8 +23,9 @@ pins that in tests and CI.
 
 Latencies are **client-observed**: measured from the moment a request
 is handed to the service (closed loop) or from its scheduled arrival
-(open loop) until its answer returns — queueing inside the service's
-pool is part of the number, exactly as a client would experience it.
+(open loop) until its answer returns — open loop, queueing inside the
+service's pool is part of the number, exactly as a client would
+experience it.
 Report percentiles are exact order statistics over those latencies;
 the service's always-on histogram metric is the estimated counterpart.
 """

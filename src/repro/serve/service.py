@@ -9,33 +9,44 @@ XPath queries from many concurrent clients. Per request it:
    (translation paid once per query *shape*; the request's literal is
    bound, not translated) with **one** probe, whose
    own hit/miss answer is the request's ``cached_plan``,
-2. executes the SQL on the worker thread's own SQLite connection (the
-   backend opens one per thread — see ``repro.backends.sqlite``),
+2. executes the SQL on the executing thread's own SQLite connection
+   (the backend opens one per thread and releases it when the thread
+   ends — see ``repro.backends.dbms``),
 3. records a ``serve.request`` span and a latency-histogram
    observation on the service's metric registry.
 
 Every count has one store. The ``serve.service``
 :class:`~repro.obs.MetricRegistry` (the tracer's, or a private one
 under the null tracer) holds ``errors``, ``requests_shed``,
-``request_retries``, ``request_timeouts``, ``breaker_fast_fails`` and
-the ``request_seconds`` histogram, whose count *is* the number of
-served requests; the plan cache holds its own hits/misses/evictions;
+``request_retries``, ``request_timeouts``, ``breaker_fast_fails``, the
+``request_seconds`` histogram, whose count *is* the number of served
+requests, and ``queue_wait_seconds`` (pooled requests only); the plan
+cache holds its own hits/misses/evictions;
 :meth:`QueryService.stats` only reads them.
 
-The service owns a thread pool; :meth:`submit` is the asynchronous
-client API (returns a future), :meth:`serve` the synchronous one. Both
-funnel through the same request path, so every answer — cached plan or
-not — is the plan-cache-translated, real-DBMS-executed result.
+Two client APIs, routed by which one the caller chose and by nothing
+about the request: :meth:`serve` is synchronous and runs the request
+**on the calling thread** — the caller is blocked until the answer
+exists anyway, so a hand-off to another thread buys nothing and costs
+more than a warm point query; :meth:`submit` is asynchronous, returns a
+future, and runs the request on the service's thread pool (``workers``
+threads, started on first use). Both go through one admission
+(:meth:`QueryService._admit`) and one request path
+(:meth:`QueryService._handle_counted`), so the fault site, deadline
+checks, retries, breaker accounting and error counts are the same code
+for both, and every answer — cached plan or not — is the
+plan-cache-translated, real-DBMS-executed result.
 
 Resilience (docs/resilience.md, docs/serving.md):
 
-* **admission control** — ``max_queue`` bounds the requests waiting
-  behind the ``workers`` executing ones; past the bound :meth:`submit`
-  fast-fails with :class:`ServiceOverloaded` instead of growing an
-  unbounded pool queue (deterministic load shedding: whether a request
-  is shed depends only on how many are in flight when it arrives);
+* **admission control** — at most ``workers + max_queue`` requests
+  are in flight, inline and pooled together; past the bound
+  :meth:`serve` and :meth:`submit` fast-fail with
+  :class:`ServiceOverloaded` instead of growing an unbounded pool
+  queue (deterministic load shedding: whether a request is shed
+  depends only on how many are in flight when it arrives);
 * **deadlines** — ``deadline`` bounds each request's total latency
-  *from submission*, queue wait included; a request over its deadline
+  *from admission*, queue wait included; a request over its deadline
   dies with :class:`RequestTimeout` and is never retried;
 * **retries** — transient faults (``SQLITE_BUSY`` under WAL, injected
   transients) are retried in place per the
@@ -91,7 +102,7 @@ class ServeResult:
 
     xpath: str
     rows: list[tuple]
-    seconds: float
+    seconds: float         # from admission, pool queue wait included
     plan_key: str
     cached_plan: bool      # True: the plan came from the cache
     retries: int = 0       # transparent transient-fault re-attempts
@@ -99,10 +110,11 @@ class ServeResult:
 
 @dataclass(frozen=True)
 class _Request:
-    """One admitted request as it travels to a pool worker."""
+    """One admitted request, on its way to the thread that runs it."""
 
     xpath: XPathQuery | str
-    enqueued: float        # perf_counter at admission (deadline anchor)
+    enqueued: float        # perf_counter at admission: the deadline's
+                           # and the latency clock's anchor
     probe: bool = False    # a breaker half-open trial
 
 
@@ -118,6 +130,7 @@ class ServiceStats:
     breaker: dict = field(default_factory=dict)
     plan_cache: dict = field(default_factory=dict)
     latency: dict = field(default_factory=dict)
+    queue_wait: dict = field(default_factory=dict)  # submit() only
 
     def describe(self) -> str:
         lines = [f"requests: {self.requests} ({self.errors} errors)"]
@@ -132,6 +145,10 @@ class ServiceStats:
             lines.append(
                 "latency: p50 {p50:.6f}s  p95 {p95:.6f}s  p99 {p99:.6f}s  "
                 "max {max:.6f}s".format(**self.latency))
+        if self.queue_wait.get("count"):
+            lines.append(
+                "pool queue wait ({count} submitted): p50 {p50:.6f}s  "
+                "p95 {p95:.6f}s  max {max:.6f}s".format(**self.queue_wait))
         cache = self.plan_cache
         if cache:
             lines.append(
@@ -144,22 +161,25 @@ class ServiceStats:
 
 
 class QueryService:
-    """Serve XPath queries over one loaded design from a thread pool.
+    """Serve XPath queries over one loaded design.
 
     ``db_path=None`` serves from a shared in-memory SQLite database;
-    a path serves from that file, and workers reopen it **read-only**
-    (they physically cannot write). ``workers`` bounds concurrent
-    executions; each pool worker gets its own SQLite connection on
-    first use. ``load_batch_size`` overrides the startup bulk load's
+    a path serves from that file, reopened **read-only** (serving
+    connections physically cannot write). :meth:`serve` runs on the
+    calling thread; ``workers`` sizes the thread pool behind
+    :meth:`submit` and, with ``max_queue``, the admission bound both
+    share. Every thread that executes a request — caller or pool
+    worker — gets its own connection on first use, released when the
+    thread ends. ``load_batch_size`` overrides the startup bulk load's
     streaming chunk size — with a lazy document (``stream=True``
     datasets) the service can load far more data than fits in memory
     as a materialized tree (docs/scaling.md).
 
-    Resilience knobs (see the module docstring): ``max_queue`` bounds
-    queued-but-not-executing requests (``None`` = unbounded);
-    ``deadline`` is the per-request wall-clock budget in seconds from
-    submission (``None`` = none); ``retry_policy`` governs transparent
-    retries of transient faults (default:
+    Resilience knobs (see the module docstring): at most ``workers +
+    max_queue`` requests are in flight (``max_queue=None`` =
+    unbounded); ``deadline`` is the per-request wall-clock budget in
+    seconds from admission (``None`` = none); ``retry_policy`` governs
+    transparent retries of transient faults (default:
     :meth:`RetryPolicy.from_env`); ``breaker`` replaces the default
     :class:`CircuitBreaker` (seeded 0) e.g. to reseed its probe
     schedule or disable it via a never-tripping threshold.
@@ -194,6 +214,7 @@ class QueryService:
                          if self.tracer.enabled
                          else MetricRegistry("serve.service"))
         self._latency = self._metrics.histogram("request_seconds")
+        self._queue_wait = self._metrics.histogram("queue_wait_seconds")
         self.schema = schema
         self.configuration = configuration or Configuration()
         self.workers = workers
@@ -201,13 +222,15 @@ class QueryService:
         self.deadline = deadline
         self.retry_policy = retry_policy or RetryPolicy.from_env()
         self.breaker = breaker or CircuitBreaker()
-        self._pool: ThreadPoolExecutor | None = None
         self._closed = False
         # Admission state: ``_inflight`` counts requests admitted but
-        # not yet finished (queued + executing). Guarded by its own
-        # lock, which also serializes the submit-vs-close decision.
+        # not yet finished (queued + executing, inline + pooled).
+        # Guarded by its own lock, which also serializes the
+        # admit-vs-close decision; ``_drained`` is how a draining
+        # close() learns that the last of them has finished.
         self._inflight = 0
         self._admission_lock = threading.Lock()
+        self._drained = threading.Condition(self._admission_lock)
 
         self.backend_name = backend
         make_backend = backend_factory(backend)
@@ -293,7 +316,6 @@ class QueryService:
                 time.sleep(self.retry_policy.backoff_for(attempt))
 
     def _handle(self, request: "_Request") -> ServeResult:
-        started = time.perf_counter()
         with self.tracer.span("serve.request") as span:
             # The injection point for request-level chaos: a ``hang``
             # rule here overruns the deadline, a ``transient`` fails
@@ -303,7 +325,7 @@ class QueryService:
             plan, was_cached = self.plan_cache.get_or_translate(
                 request.xpath)
             rows, retries = self._execute_with_retry(plan, request.enqueued)
-            seconds = time.perf_counter() - started
+            seconds = time.perf_counter() - request.enqueued
             span.set("plan_key", plan.key)
             span.set("cached_plan", was_cached)
             span.set("rows", len(rows))
@@ -317,8 +339,8 @@ class QueryService:
         try:
             result = self._handle(request)
         except Exception as exc:
-            # The failure is re-raised to the caller's Future, but it is
-            # also classified and counted here so per-service error
+            # The failure is re-raised to the caller (or its Future), but
+            # it is also classified and counted here so per-service error
             # accounting survives callers that drop their futures.
             note_suppressed(exc, "serve.request", self.tracer)
             self._metrics.incr("errors")
@@ -330,36 +352,55 @@ class QueryService:
         finally:
             with self._admission_lock:
                 self._inflight -= 1
+                if self._closed:
+                    self._drained.notify_all()
+
+    def _handle_pooled(self, request: "_Request") -> ServeResult:
+        """A pool worker's entry: note how long the request queued."""
+        self._queue_wait.observe(time.perf_counter() - request.enqueued)
+        return self._handle_counted(request)
+
+    def _admit(self, xpath: XPathQuery | str) -> "_Request":
+        """Admit one request or raise; the caller holds
+        ``_admission_lock``.
+
+        A closed service raises :class:`ServiceError`, an open circuit
+        breaker :class:`CircuitOpenError` (unless this arrival is a
+        scheduled probe), and a full queue :class:`ServiceOverloaded` —
+        in that order, without touching the backend or the pool, so
+        rejection stays microseconds even when the backend is wedged.
+        An admitted request counts as in flight until
+        :meth:`_handle_counted` releases it.
+        """
+        if self._closed:
+            raise ServiceError("query service is closed")
+        decision = self.breaker.admit()
+        if decision == "shed":
+            self._metrics.incr("breaker_fast_fails")
+            raise CircuitOpenError(
+                "circuit breaker is open; request fast-failed")
+        if (self.max_queue is not None
+                and self._inflight >= self.workers + self.max_queue):
+            self._metrics.incr("requests_shed")
+            raise ServiceOverloaded(
+                f"admission queue is full ({self._inflight} in "
+                f"flight, max_queue={self.max_queue})")
+        request = _Request(xpath=xpath, enqueued=time.perf_counter(),
+                           probe=decision == "probe")
+        self._inflight += 1
+        return request
 
     def submit(self, xpath: XPathQuery | str) -> "Future[ServeResult]":
-        """Asynchronously serve one query (the open-loop client API).
+        """Asynchronously serve one query on the service's thread pool
+        (the open-loop client API).
 
-        Admission happens here, synchronously: a closed service raises
-        :class:`ServiceError`, an open circuit breaker
-        :class:`CircuitOpenError` (unless this arrival is a scheduled
-        probe), and a full queue :class:`ServiceOverloaded` — all
-        without touching the pool, so rejection stays microseconds
-        even when the backend is wedged.
+        Admission (:meth:`_admit`) happens here, synchronously; the
+        request then waits for one of the ``workers`` pool threads.
         """
         with self._admission_lock:
-            if self._closed or self._pool is None:
-                raise ServiceError("query service is closed")
-            decision = self.breaker.admit()
-            if decision == "shed":
-                self._metrics.incr("breaker_fast_fails")
-                raise CircuitOpenError(
-                    "circuit breaker is open; request fast-failed")
-            if (self.max_queue is not None
-                    and self._inflight >= self.workers + self.max_queue):
-                self._metrics.incr("requests_shed")
-                raise ServiceOverloaded(
-                    f"admission queue is full ({self._inflight} in "
-                    f"flight, max_queue={self.max_queue})")
-            request = _Request(xpath=xpath, enqueued=time.perf_counter(),
-                               probe=decision == "probe")
-            self._inflight += 1
+            request = self._admit(xpath)
             try:
-                return self._pool.submit(self._handle_counted, request)
+                return self._pool.submit(self._handle_pooled, request)
             except RuntimeError as exc:
                 # close() raced us to the executor; surface the
                 # library's error type, not the pool's internal one.
@@ -367,8 +408,17 @@ class QueryService:
                 raise ServiceError("query service is closed") from exc
 
     def serve(self, xpath: XPathQuery | str) -> ServeResult:
-        """Serve one query and wait for its result (closed-loop API)."""
-        return self.submit(xpath).result()
+        """Serve one query on the calling thread (closed-loop API).
+
+        Same admission as :meth:`submit`, then the request runs right
+        here: the caller would be blocked until the answer exists
+        anyway, so there is no thread to hand it to. ``N`` threads
+        calling ``serve`` run ``N``-wide whatever ``workers`` says —
+        only the admission bound limits them.
+        """
+        with self._admission_lock:
+            request = self._admit(xpath)
+        return self._handle_counted(request)
 
     # ------------------------------------------------------------------
     @property
@@ -386,21 +436,25 @@ class QueryService:
                             timeouts=count("request_timeouts"),
                             breaker=self.breaker.snapshot(),
                             plan_cache=self.plan_cache.stats(),
-                            latency=latency)
+                            latency=latency,
+                            queue_wait=self._queue_wait.snapshot())
 
     def close(self, drain: bool = True) -> None:
         """Stop the service: reject new requests, then shut down.
 
-        ``drain=True`` (the default) finishes every in-flight request
-        before closing the backend; ``drain=False`` cancels queued
-        requests and closes immediately (executing requests fail).
+        ``drain=True`` (the default) finishes every in-flight request —
+        queued in the pool, executing on it, or executing inline on a
+        caller's thread — before closing the backend; ``drain=False``
+        cancels queued requests and closes immediately (executing
+        requests fail).
         """
         with self._admission_lock:
             if self._closed:
                 return
             self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=drain, cancel_futures=not drain)
+            while drain and self._inflight:
+                self._drained.wait()
+        self._pool.shutdown(wait=drain, cancel_futures=not drain)
         self.backend.close()
 
     def __enter__(self) -> "QueryService":

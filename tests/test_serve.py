@@ -66,6 +66,33 @@ def run_cli(args) -> tuple[int, str]:
 # ----------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _parked_after(fn, *args, threads: int):
+    """Run ``fn(*args)`` on ``threads`` fresh threads and keep them
+    alive, parked, for the body of the ``with``; joined on exit."""
+    done = threading.Barrier(threads + 1)
+    release = threading.Event()
+
+    def run() -> None:
+        try:
+            fn(*args)
+        finally:
+            done.wait(timeout=30)
+            release.wait(timeout=30)
+
+    pool = [threading.Thread(target=run) for _ in range(threads)]
+    for thread in pool:
+        thread.start()
+    try:
+        done.wait(timeout=30)
+        yield
+    finally:
+        release.set()
+        for thread in pool:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in pool)
+
+
 class TestSQLiteConcurrency:
     def test_same_query_from_four_threads(self, dblp_serving):
         """Regression: one shared connection used to either throw
@@ -105,14 +132,11 @@ class TestSQLiteConcurrency:
             query = Translator(schema).translate(
                 parse_xpath("//inproceedings/title"))
             before = backend.open_connections
-            threads = [threading.Thread(target=backend.execute,
-                                        args=(query,)) for _ in range(3)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            # Each fresh thread opened exactly one connection.
-            assert backend.open_connections == before + 3
+            with _parked_after(backend.execute, query, threads=3):
+                # Each live thread opened exactly one connection ...
+                assert backend.open_connections == before + 3
+            # ... and gave it back when it ended.
+            assert backend.open_connections == before
 
     def test_close_closes_every_connection(self, dblp_bundle):
         schema = derive_schema(hybrid_inlining(dblp_bundle.tree))
@@ -120,15 +144,12 @@ class TestSQLiteConcurrency:
         backend.load(schema, dblp_bundle.docs)
         query = Translator(schema).translate(
             parse_xpath("//inproceedings/title"))
-        threads = [threading.Thread(target=backend.execute, args=(query,))
-                   for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert backend.open_connections >= 3
-        backend.close()
-        assert backend.open_connections == 0
+        # Two threads still alive at close(): their connections are
+        # close()'s to release, not the end-of-thread sweep's.
+        with _parked_after(backend.execute, query, threads=2):
+            assert backend.open_connections >= 3
+            backend.close()
+            assert backend.open_connections == 0
         with pytest.raises(BackendError):
             backend.execute(query)
 
