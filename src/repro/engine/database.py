@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from ..errors import CatalogError, ExecutionError
 from ..obs import NullTracer, Tracer, get_tracer
 from ..sqlast import Query, parse_sql, qualify
+from .access_paths import AccessPaths
 from .cost import CostCounter
 from .index import Index, primary_key_index
 from .matview import derive_view_stats, make_view_table, populate_view
@@ -61,6 +62,20 @@ class Database:
         # id(query) -> (query, findings); the strong query ref keeps the
         # id stable for the lifetime of the cache entry.
         self._analysis_cache: dict[int, tuple[Query, object]] = {}
+        # Scan / seek numbers every plan of this database is costed
+        # from, each computed once (see ``access_paths``).
+        self.access_paths = AccessPaths(self.stats)
+
+    def __getstate__(self) -> dict:
+        """The access-path table stays behind: it is derived, and a
+        what-if database is pickled inside every evaluated mapping."""
+        state = self.__dict__.copy()
+        del state["access_paths"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.access_paths = AccessPaths(self.stats)
 
     # ------------------------------------------------------------------
     # DDL
@@ -190,7 +205,7 @@ class Database:
         from ..check.runtime import checks_enabled
 
         query = self._as_query(query)
-        planned = Optimizer(self.catalog, self.stats,
+        planned = Optimizer(self.catalog, self.stats, self.access_paths,
                             what_if=False).plan(query)
         if checks_enabled():
             self._run_checks(query, planned, None, None, what_if=False)
@@ -206,8 +221,8 @@ class Database:
         active_fault_plan().maybe_raise("whatif")
         self._metrics.incr("estimate_calls")
         query = self._as_query(query)
-        optimizer = Optimizer(self.catalog, self.stats, what_if=True,
-                              extra_indexes=extra_indexes,
+        optimizer = Optimizer(self.catalog, self.stats, self.access_paths,
+                              what_if=True, extra_indexes=extra_indexes,
                               extra_tables=extra_tables)
         planned = optimizer.plan(query)
         if checks_enabled():

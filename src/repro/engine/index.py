@@ -73,12 +73,15 @@ class Index:
             width += table.column(table.primary_key).width
         return width
 
+    def entries_per_page(self, table: Table) -> int:
+        usable = PAGE_SIZE * PAGE_FILL_FACTOR
+        return max(1, int(usable // self.entry_width(table)))
+
     def leaf_page_count(self, table: Table) -> int:
         if self.clustered:
             return table.page_count
-        usable = PAGE_SIZE * PAGE_FILL_FACTOR
-        per_page = max(1, int(usable // self.entry_width(table)))
-        return max(1, math.ceil(table.row_count / per_page))
+        return max(1, math.ceil(table.row_count
+                                / self.entries_per_page(table)))
 
     def page_count(self, table: Table) -> int:
         """Leaf plus internal pages."""

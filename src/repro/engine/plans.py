@@ -168,9 +168,7 @@ class IndexSeek(PlanNode):
             matches = tree.scan_all()
         # Charge the tree descent plus leaf pages proportional to matches.
         runtime.counter.charge_random_pages(self.index.height(table))
-        entry_width = self.index.entry_width(table)
-        from .types import PAGE_FILL_FACTOR, PAGE_SIZE
-        entries_per_page = max(1, int(PAGE_SIZE * PAGE_FILL_FACTOR // entry_width))
+        entries_per_page = self.index.entries_per_page(table)
         matched = 0
         for _, position in matches:
             matched += 1

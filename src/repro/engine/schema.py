@@ -146,11 +146,17 @@ class Table:
     def row_width(self) -> int:
         return ROW_OVERHEAD + sum(c.width for c in self.columns)
 
-    @property
-    def page_count(self) -> int:
+    def pages_for(self, rows: int) -> int:
+        """Pages ``rows`` rows of this table's width fill (the optimizer
+        asks with the statistics' row count, which may differ from
+        :attr:`row_count`)."""
         usable = PAGE_SIZE * PAGE_FILL_FACTOR
         rows_per_page = max(1, int(usable // self.row_width))
-        return max(1, math.ceil(self.row_count / rows_per_page))
+        return max(1, math.ceil(rows / rows_per_page))
+
+    @property
+    def page_count(self) -> int:
+        return self.pages_for(self.row_count)
 
     @property
     def size_bytes(self) -> int:

@@ -252,7 +252,6 @@ class ColumnStats:
                 partial = (value - lo) / (hi - lo)
             else:
                 partial = 0.5
-        non_null = max(1, self.row_count - self.null_count)
         rows = (covered + partial) * self.bucket_rows
         return _clamp(rows / self.row_count if self.row_count else 0.0,
                       hi=self.non_null_fraction)

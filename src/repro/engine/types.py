@@ -23,13 +23,7 @@ class SQLType(enum.Enum):
     @property
     def default_width(self) -> int:
         """Average stored byte width of one value."""
-        return {
-            SQLType.INTEGER: 4,
-            SQLType.DECIMAL: 8,
-            SQLType.VARCHAR: 24,
-            SQLType.DATE: 4,
-            SQLType.BOOLEAN: 1,
-        }[self]
+        return _DEFAULT_WIDTHS[self]
 
     @classmethod
     def from_base_type(cls, base: BaseType) -> "SQLType":
@@ -58,6 +52,14 @@ class SQLType(enum.Enum):
 def _text_to_boolean(text: str) -> bool:
     return text.strip() in ("true", "1")
 
+
+_DEFAULT_WIDTHS = {
+    SQLType.INTEGER: 4,
+    SQLType.DECIMAL: 8,
+    SQLType.VARCHAR: 24,
+    SQLType.DATE: 4,
+    SQLType.BOOLEAN: 1,
+}
 
 # ``int`` and ``float`` skip surrounding white space themselves.
 _TEXT_COERCERS = {

@@ -139,10 +139,14 @@ class IndexTuningAdvisor:
         self._cache_lookups = 0
         self._cache_hits = 0
         self._heap_reevaluations = 0
+        paths = self.db.access_paths
+        lookups, costed = paths.lookups, paths.costed
         with self.tracer.span("advisor.tune", queries=len(workload),
                               database=self.db.name) as span:
             result = self._tune(workload, storage_bound, extra_candidates,
                                 update_load)
+            span.set("access_path_lookups", paths.lookups - lookups)
+            span.set("access_paths_costed", paths.costed - costed)
             span.set("candidates", result.candidates_considered)
             span.set("optimizer_calls", result.optimizer_calls)
             span.set("cost_cache_lookups", self._cache_lookups)

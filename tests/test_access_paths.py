@@ -1,0 +1,353 @@
+"""The per-database access-path table: computed once, never stale,
+never pickled — and invisible in every plan.
+
+(a) any interleaving of catalog / data / statistics changes with
+    ``explain`` and what-if ``estimate`` plans exactly as a database
+    that has never planned before;
+(b) a reused entry carries numbers, not closures: each plan registers
+    its own EXISTS probes;
+(c) hypothetical indexes are told apart by identity, and an entry keeps
+    its index alive so that an ``id()`` is never handed out twice;
+(d) the table is absent from every pickle and refills on first use.
+(The census — costings executed == distinct keys seen — is pinned in
+``tests/test_select_shape.py::TestBoundOnce``.)
+"""
+
+import gc
+import pickle
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datasets import DatasetBundle
+from repro.engine import (Column, Database, Index, JoinViewDefinition,
+                          SQLType, TableStats)
+from repro.engine.access_paths import AccessPaths
+from repro.engine.plans import IndexSeek
+from repro.physdesign.config import make_view_candidate
+from repro.search import EvaluationCache, GreedySearch
+from repro.search.evaluator import EvaluatedMapping
+from repro.sqlast import parse_sql
+
+# Parsed once: what a search re-estimates is the same ``Query`` object,
+# so these hit whatever the long-lived database remembered.
+QUERIES = [parse_sql(sql) for sql in (
+    "SELECT P.ID, P.v FROM p P WHERE P.k = 3",
+    "SELECT P.v FROM p P WHERE P.k >= 2 AND P.v = 'v1'",
+    "SELECT P.v, C.w FROM p P, c C WHERE C.PID = P.ID AND P.k = 3",
+    "SELECT C.w FROM p P, c C WHERE C.PID = P.ID AND C.w < 4 "
+    "UNION ALL SELECT P.k FROM p P WHERE P.v = 'v2' ORDER BY 1",
+    "SELECT P.ID FROM p P WHERE P.k = 1 AND EXISTS "
+    "(SELECT C.ID FROM c C WHERE C.PID = P.ID AND C.w = 5)",
+)]
+VIEW = JoinViewDefinition(
+    parent_table="p", child_table="c", child_fk_column="PID",
+    columns=(("ID", ("p", "ID")), ("k", ("p", "k")), ("v", ("p", "v")),
+             ("c_ID", ("c", "ID")), ("PID", ("c", "PID")),
+             ("w", ("c", "w"))))
+INDEX_KEYS = {"p": (("k",), ("v",), ("k", "v"), ("v", "k")),
+              "c": (("PID",), ("w",), ("PID", "w"), ("w", "PID"))}
+
+
+def p_rows(start, count):
+    return [(i, i % 7, f"v{i % 5}") for i in range(start, start + count)]
+
+
+def c_rows(start, count):
+    return [(1000 + j, j % 40, j % 9) for j in range(start, start + count)]
+
+
+def make_db(p_count=40, c_count=120) -> Database:
+    db = Database()
+    db.create_table("p", [Column("ID", SQLType.INTEGER, False),
+                          Column("k", SQLType.INTEGER),
+                          Column("v", SQLType.VARCHAR)])
+    db.create_table("c", [Column("ID", SQLType.INTEGER, False),
+                          Column("PID", SQLType.INTEGER),
+                          Column("w", SQLType.INTEGER)])
+    db.insert_rows("p", p_rows(0, p_count))
+    db.insert_rows("c", c_rows(0, c_count))
+    db.analyze()
+    db.build_primary_key_indexes()
+    return db
+
+
+def fingerprint(planned):
+    return (planned.explain(), planned.est_cost,
+            sorted(planned.objects_used()))
+
+
+# ----------------------------------------------------------------------
+# (a) never stale
+# ----------------------------------------------------------------------
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("create_index"), st.sampled_from(["p", "c"]),
+              st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("drop_index"), st.integers(0, 7)),
+    st.tuples(st.just("insert_rows"), st.sampled_from(["p", "c"]),
+              st.integers(1, 60)),
+    st.tuples(st.just("analyze"), st.sampled_from(["p", "c", None])),
+    st.tuples(st.just("set_table_stats"), st.sampled_from(["p", "c"]),
+              st.integers(1, 5000)),
+    st.tuples(st.just("create_materialized_view")),
+    st.tuples(st.just("what_if_index"), st.sampled_from(["p", "c"]),
+              st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("what_if_view")),
+), min_size=1, max_size=10)
+
+
+class Scenario:
+    """One long-lived database and the hypothetical objects tried on it."""
+
+    def __init__(self):
+        self.db = make_db()
+        self.names = iter(range(10_000))
+        self.created: list[str] = []
+        self.what_if_indexes: list[Index] = []
+        self.what_if_views: list = []
+
+    def apply(self, step) -> None:
+        db, kind = self.db, step[0]
+        if kind == "create_index":
+            _, table, keys, covering = step
+            keys = INDEX_KEYS[table][keys]
+            included = [c for c in db.catalog.table(table).column_names()
+                        if covering and c not in keys and c != "ID"]
+            name = f"ix_{next(self.names)}"
+            db.create_index(name, table, list(keys), included)
+            self.created.append(name)
+        elif kind == "drop_index":
+            if self.created:
+                db.catalog.drop_index(
+                    self.created.pop(step[1] % len(self.created)))
+        elif kind == "insert_rows":
+            _, table, count = step
+            rows = p_rows if table == "p" else c_rows
+            db.insert_rows(table, rows(db.catalog.table(table).row_count,
+                                       count))
+        elif kind == "analyze":
+            db.analyze(step[1])
+        elif kind == "set_table_stats":
+            _, table, row_count = step
+            known = db.stats.table(table)
+            db.set_table_stats(table, TableStats(
+                row_count, {name: column.scaled(row_count)
+                            for name, column in known.columns.items()}))
+        elif kind == "create_materialized_view":
+            db.create_materialized_view(f"mv_{next(self.names)}", VIEW)
+        elif kind == "what_if_index":
+            _, table, keys, covering = step
+            keys = INDEX_KEYS[table][keys]
+            included = tuple(c for c in db.catalog.table(table).column_names()
+                             if covering and c not in keys and c != "ID")
+            self.what_if_indexes.append(Index(
+                f"hyp_{next(self.names)}", table, keys, included,
+                hypothetical=True))
+        else:
+            self.what_if_views.append(make_view_candidate(
+                f"hyp_view_{next(self.names)}", VIEW, db))
+
+    def check(self) -> None:
+        # A database that has never planned: same catalog, rows and
+        # statistics, no access-path table (see TestNotPickled).
+        fresh = pickle.loads(pickle.dumps(self.db))
+        tables = [view.table for view in self.what_if_views]
+        for query in QUERIES:
+            assert fingerprint(self.db.explain(query)) == \
+                fingerprint(fresh.explain(query))
+            for indexes, views in (([], []),
+                                   (self.what_if_indexes, tables),
+                                   (self.what_if_indexes[-1:], tables[-1:])):
+                assert fingerprint(self.db.estimate(query, indexes, views)) \
+                    == fingerprint(fresh.estimate(query, indexes, views))
+
+
+@given(STEPS)
+@settings(deadline=None)
+def test_interleaved_changes_plan_like_a_fresh_database(steps):
+    scenario = Scenario()
+    scenario.check()
+    for step in steps:
+        scenario.apply(step)
+        scenario.check()
+    paths = scenario.db.access_paths
+    assert 0 < paths.costed and paths.lookups > 0
+
+
+def test_each_listed_mutation_moves_the_plan_it_should():
+    """The property's steps are not vacuous: each kind of change is
+    seen by the very next plan of a database that has planned before."""
+    db = make_db()
+    query = QUERIES[0]
+    hyp = Index("hyp_k", "p", ("k",), hypothetical=True)
+    before = fingerprint(db.estimate(query, [hyp]))
+    costed = db.access_paths.costed
+    db.estimate(query, [hyp])
+    assert db.access_paths.costed == costed
+    # Rows alone move an index's height, not a scan: re-costed, and at
+    # this size to the same numbers.
+    db.insert_rows("p", p_rows(40, 400))
+    assert fingerprint(db.estimate(query, [hyp])) == before
+    assert db.access_paths.costed == 2 * costed
+    db.analyze("p")
+    assert fingerprint(db.estimate(query)) != before
+    before = fingerprint(db.estimate(query))
+    stats = db.stats.table("p")
+    db.set_table_stats("p", TableStats(
+        90_000, {n: c.scaled(90_000) for n, c in stats.columns.items()}))
+    assert fingerprint(db.estimate(query)) != before
+    before = fingerprint(db.explain(query))
+    db.create_index("ix_k", "p", ["k"], ["v"])
+    assert fingerprint(db.explain(query)) != before
+    assert "ix_k" in db.explain(query).objects_used()
+    db.catalog.drop_index("ix_k")
+    assert fingerprint(db.explain(query)) == before
+
+
+# ----------------------------------------------------------------------
+# (b) numbers in the table, operators per plan
+# ----------------------------------------------------------------------
+def test_every_plan_registers_its_own_exists_probes():
+    db = make_db()
+    query = QUERIES[4]
+    probe_index = Index("hyp_c_pid", "c", ("PID", "w"), hypothetical=True)
+    for _ in range(2):
+        bare = db.estimate(query)
+        tuned = db.estimate(query, extra_indexes=[probe_index])
+        assert len(bare.probes) == len(tuned.probes) == 1
+        assert bare.objects_used() == {"p", "c"}
+        assert tuned.objects_used() == {"p", "hyp_c_pid"}
+    again = db.estimate(query)
+    assert again.probes[0] is not bare.probes[0]
+    assert again.root is not bare.root
+
+
+def test_the_table_holds_no_operator_and_no_closure():
+    db = make_db()
+    db.create_index("ix_k", "p", ["k"])
+    for query in QUERIES:
+        db.estimate(query)
+
+    def leaves(value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield from leaves(key)
+                yield from leaves(item)
+        elif isinstance(value, (tuple, list, frozenset)):
+            for item in value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    paths = db.access_paths
+    held = list(leaves(paths._view_scans))
+    for numbers in paths._tables.values():
+        for slot in numbers.__slots__:
+            held.extend(leaves(getattr(numbers, slot)))
+    assert held
+    from repro.engine.optimizer import ExistsProbe
+    from repro.engine.plans import PlanNode
+    assert not [item for item in held
+                if callable(item) or isinstance(item, (PlanNode, ExistsProbe))]
+    pickle.dumps(paths)     # nothing in it that cannot be pickled
+
+
+# ----------------------------------------------------------------------
+# (c) identity, not id()
+# ----------------------------------------------------------------------
+def test_equal_signature_indexes_never_share_an_entry():
+    db = make_db(p_count=5000)
+    query = QUERIES[0]
+
+    def seek_of(index):
+        planned = db.estimate(query, extra_indexes=[index])
+        node = planned.root
+        while node.children():
+            node = node.children()[0]
+        assert isinstance(node, IndexSeek) and node.index is index
+        return planned.est_cost
+
+    seen = set()
+    costs = []
+    for round_ in range(50):
+        index = Index(f"hyp_{round_}", "p", ("k",), ("v",),
+                      hypothetical=True)
+        assert id(index) not in seen    # its entry keeps it alive
+        seen.add(id(index))
+        costs.append(seek_of(index))
+        del index
+        gc.collect()
+    assert len(set(costs)) == 1
+    assert db.access_paths.seeks_costed == 50
+    # Same object again: one more lookup, no more costing.
+    index = Index("hyp_again", "p", ("k",), ("v",), hypothetical=True)
+    seek_of(index), seek_of(index)
+    assert db.access_paths.seeks_costed == 51
+
+
+def test_a_narrower_covering_index_is_not_mistaken_for_a_wider_one():
+    db = make_db(p_count=5000)
+    query = QUERIES[0]
+    plain = Index("hyp", "p", ("k",), hypothetical=True)
+    first = db.estimate(query, extra_indexes=[plain])
+    del plain
+    gc.collect()
+    covering = Index("hyp", "p", ("k",), ("v",), hypothetical=True)
+    second = db.estimate(query, extra_indexes=[covering])
+    assert second.objects_used() == {"hyp"}
+    assert second.est_cost < first.est_cost
+
+
+# ----------------------------------------------------------------------
+# (d) not pickled, refilled on first use
+# ----------------------------------------------------------------------
+class TestNotPickled:
+    def test_database_state_leaves_the_table_behind(self):
+        db = make_db()
+        db.estimate(QUERIES[2])
+        assert db.access_paths.costed > 0
+        assert "access_paths" not in db.__getstate__()
+        clone = pickle.loads(pickle.dumps(db))
+        assert isinstance(clone.access_paths, AccessPaths)
+        assert clone.access_paths.stats is clone.stats
+        assert clone.access_paths.costed == clone.access_paths.lookups == 0
+        assert fingerprint(clone.estimate(QUERIES[2])) == \
+            fingerprint(db.estimate(QUERIES[2]))
+        assert clone.access_paths.costed > 0
+
+    def test_evaluated_mappings_of_a_real_search(self, tmp_path):
+        """What pool workers, ``EvaluationCache`` files and checkpoints
+        carry: every mapping a search evaluated, as it was persisted."""
+        bundle = DatasetBundle.movie(scale=300)
+        workload = bundle.workload_generator(5).generate(4)
+        GreedySearch(bundle.tree, workload, bundle.stats,
+                     storage_bound=bundle.storage_bound, jobs=1,
+                     cache=EvaluationCache(tmp_path)).run()
+        payloads = {path: path.read_bytes()
+                    for path in tmp_path.rglob("*.pkl")}
+        for payload in payloads.values():
+            assert b"access_paths" not in payload
+        # Exact evaluations: every report is an estimate of this very
+        # database (a partial one carries costs derived elsewhere).
+        evaluated = [value for value in (
+            pickle.loads(payload) for path, payload in payloads.items()
+            if path.name.startswith("exact-"))
+            if isinstance(value, EvaluatedMapping)]
+        assert len(evaluated) >= 3
+        for mapping in evaluated:
+            db = mapping.database
+            config = mapping.tuning.configuration
+            for (query, _), report in zip(mapping.sql_queries,
+                                          mapping.tuning.reports):
+                planned = db.estimate(query, config.indexes,
+                                      config.extra_tables())
+                assert planned.est_cost == report.cost
+                assert planned.objects_used() == report.objects_used
+                again = db.estimate(query, config.indexes,
+                                    config.extra_tables())
+                assert fingerprint(again) == fingerprint(planned)
+            # A filled table adds nothing to the pickle.
+            assert db.access_paths.costed > 0
+            size = len(pickle.dumps(mapping))
+            db.access_paths = AccessPaths(db.stats)
+            assert len(pickle.dumps(mapping)) == size

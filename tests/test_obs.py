@@ -199,6 +199,42 @@ class TestSearchTraceAgreesWithCounters:
         assert result.counters.optimizer_calls == \
             sum_attribute(tunes, "optimizer_calls")
 
+    def test_access_path_counts_ride_on_tune_spans(self, movie_run):
+        """Every optimizer call asks for at least one access path; a
+        tune answered wholly from the what-if cache asks for none and
+        costs none."""
+        tracer, result = movie_run
+        tunes = [s for s in find_spans(tracer, "advisor.tune")
+                 if "optimizer_calls" in s.attributes]
+        for span in tunes:
+            lookups = span.attributes["access_path_lookups"]
+            costed = span.attributes["access_paths_costed"]
+            assert lookups >= span.attributes["optimizer_calls"] >= 0
+            assert costed >= 0 and (lookups > 0 or costed == 0)
+        lookups = sum_attribute(tunes, "access_path_lookups")
+        assert lookups >= result.counters.optimizer_calls
+        # Computed once: far fewer costings than requests.
+        assert 2 * sum_attribute(tunes, "access_paths_costed") < lookups
+
+    def test_worker_tune_spans_carry_access_path_counts(self):
+        """The counts are deltas taken where the tune ran, so a pool
+        worker's come back with its grafted spans."""
+        tree = movie_schema()
+        doc = generate_movies(250, seed=13)
+        stats = collect_statistics(tree, doc)
+        workload = Workload.from_strings("w", [
+            "//movie/year", '//movie[year >= "1990"]/title'])
+        tracer = Tracer()
+        result = GreedySearch(tree, workload, stats, tracer=tracer,
+                              jobs=2).run()
+        tunes = [s for s in find_spans(tracer, "advisor.tune")
+                 if "optimizer_calls" in s.attributes]
+        assert len(tunes) == result.counters.tuner_calls
+        assert sum_attribute(tunes, "access_path_lookups") >= \
+            sum_attribute(tunes, "optimizer_calls") \
+            == result.counters.optimizer_calls
+        assert sum_attribute(tunes, "access_paths_costed") > 0
+
     def test_mappings_evaluated_match_evaluate_spans(self, movie_run):
         tracer, result = movie_run
         spans = (find_spans(tracer, "evaluate.exact")

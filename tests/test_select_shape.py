@@ -403,37 +403,71 @@ class TestDriftedClassifiers:
 class TestBoundOnce:
     def test_greedy_search_binds_each_select_once(self, monkeypatch):
         """DBLP, scale 1200, 10 queries, seed 41, one GreedySearch,
-        jobs=1: the parent classified its 164 SELECTs 5 405 + 8 905 +
-        168 times."""
+        jobs=1: PR 16's parent classified its 164 SELECTs 5 405 + 8 905
+        + 168 times; PR 21's parent costed 9 749 access paths and 8 905
+        seeks for them, each from scratch."""
+        from repro.engine.access_paths import AccessPaths
         from repro.engine.optimizer import Optimizer
         from repro.obs import Tracer
         from repro.sqlast import shape as shape_module
 
-        bound, planned = [], []
-        bind, plan = shape_module._bind_select, Optimizer._plan_select_over
+        bound, planned, views, requests = [], [], [], []
+        # Keys as the table sees them; ``alive`` pins every object so
+        # that no ``id()`` is handed out twice while the test counts.
+        alive, keys = [], {"scan": set(), "seek": set()}
+        costed = {"scan": 0, "seek": 0}
 
-        def counting_bind(select):
-            bound.append(select)
-            return bind(select)
+        def counting(owner, name, before):
+            inner = getattr(owner, name)
 
-        def counting_plan(self, select, view):
-            planned.append(select)
-            return plan(self, select, view)
+            def wrapper(*args, **kwargs):
+                before(*args)
+                return inner(*args, **kwargs)
 
-        monkeypatch.setattr(shape_module, "_bind_select", counting_bind)
-        monkeypatch.setattr(Optimizer, "_plan_select_over", counting_plan)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def saw(kind):
+            def record(*key):
+                alive.append(key)
+                keys[kind].add(tuple(
+                    part if isinstance(part, (str, frozenset)) else id(part)
+                    for part in key))
+            return record
+
+        def ran(kind):
+            def record(*_):
+                costed[kind] += 1
+            return record
+
+        counting(shape_module, "_bind_select", bound.append)
+        counting(Optimizer, "_plan_select",
+                 lambda self, select, probes: planned.append(select))
+        counting(Optimizer, "_access_path",
+                 lambda *args: requests.append(None))
+        counting(AccessPaths, "view_scan",
+                 lambda self, select, view: views.append(select))
+        counting(AccessPaths, "scan", saw("scan"))
+        counting(AccessPaths, "seek", saw("seek"))
+        counting(AccessPaths, "_cost_scan", ran("scan"))
+        counting(AccessPaths, "_cost_seek", ran("seek"))
         bundle = DatasetBundle.dblp(scale=1200)
         result = GreedySearch(
             bundle.tree, bundle.workload_generator(41).generate(10),
             bundle.stats, storage_bound=bundle.storage_bound,
             tracer=Tracer(), jobs=1).run()
         assert result.counters.optimizer_calls == 2122
-        assert len(planned) == 5405
+        # Once per SELECT, and once more per candidate view.
+        assert len(planned) + len(views) == 5405
         assert len({id(s) for s in planned}) == 164
         # 168: the advisor also reads the shape of one query (4 SELECTs)
         # whose mapping busts the storage bound before anything is costed.
         assert len(bound) == len({id(s) for s in bound}) == 168
         assert {id(s) for s in planned} <= {id(s) for s in bound}
+        # Costed once: every scan / seek costing carried out was for a
+        # key its database had not seen, and they are few.
+        assert len(requests) == 9749
+        assert costed == {kind: len(seen) for kind, seen in keys.items()}
+        assert 10 * (costed["scan"] + costed["seek"]) <= len(requests)
 
     def test_a_planned_select_is_indistinguishable(self, abc):
         db, _ = abc
