@@ -126,6 +126,14 @@ DEFAULT_LOAD_BATCH = 10_000
 DEFAULT_TXN_ROWS = 50_000
 
 
+def _rebound(row: tuple, positions: list[int], storable) -> tuple:
+    """``row`` with ``storable`` applied to the values at ``positions``."""
+    values = list(row)
+    for at in positions:
+        values[at] = storable(values[at])
+    return tuple(values)
+
+
 class RelationalBackend:
     """:class:`~repro.backends.base.SQLBackend` over a DB-API driver.
 
@@ -394,7 +402,14 @@ class RelationalBackend:
                 # stored, so appended rows keep globally unique IDs (and
                 # valid PID references) even across backend instances.
                 shredder.reset_ids(self._max_stored_id(engine_tables) + 1)
+            # BOOLEAN is the one type a dialect may bind differently from
+            # the typed row's value; a table without such a column goes
+            # to the driver as shredded.
             storable = self.dialect.storable
+            booleans = {
+                table.name: [at for at, column in enumerate(table.columns)
+                             if column.sql_type is SQLType.BOOLEAN]
+                for table in engine_tables}
             loaded = pending = 0
             remaining = dict(skip)
             try:
@@ -410,10 +425,11 @@ class RelationalBackend:
                         self._metrics.incr("rows_skipped_on_resume", drop)
                         if not rows:
                             continue
+                    if booleans[name]:
+                        rows = [_rebound(row, booleans[name], storable)
+                                for row in rows]
                     self._begin_write()
-                    self.connection.executemany(
-                        inserts[name],
-                        [tuple(storable(v) for v in row) for row in rows])
+                    self.connection.executemany(inserts[name], rows)
                     stored[name] += len(rows)
                     self.row_counts[name] = (self.row_counts.get(name, 0)
                                              + len(rows))

@@ -102,7 +102,9 @@ class Dialect:
         return str(literal)
 
     def storable(self, value: object) -> object:
-        """Convert one typed-row value into a driver binding."""
+        """Convert one typed-row value of a BOOLEAN column into a driver
+        binding (``load`` hands every other column's values over as
+        they are)."""
         return value
 
     def parameter(self, index: int) -> str | None:

@@ -30,6 +30,9 @@ def _sort_key(value):
     return (1, str(value))
 
 
+_NUMBERS = {bool, int, float}       # the kinds _sort_key ranks by value
+
+
 @dataclass
 class ColumnStats:
     """Statistics for one column.
@@ -61,8 +64,15 @@ class ColumnStats:
         null_count = row_count - len(non_null)
         if not non_null:
             return cls(row_count=row_count, null_count=null_count)
-        non_null.sort(key=_sort_key)
-        n_distinct = len({_sort_key(v) for v in non_null})
+        kinds = set(map(type, non_null))
+        if kinds == {str} or kinds <= _NUMBERS:
+            # One kind of value: _sort_key would order and tell them
+            # apart exactly as they do themselves.
+            non_null.sort()
+            n_distinct = len(set(non_null))
+        else:
+            non_null.sort(key=_sort_key)
+            n_distinct = len({_sort_key(v) for v in non_null})
         width = None
         if is_string:
             # Round half up: int() truncation systematically underpriced

@@ -133,6 +133,22 @@ class Element:
         return len(self._children)
 
 
+def _new_child(parent: Element, tag: str, attributes: dict[str, str],
+               text: str) -> Element:
+    """``parent.make_child(tag, text, attributes)`` as the parser needs
+    it, once per element of a file: the stores and nothing else —
+    ``attributes`` is kept, not copied."""
+    child = Element.__new__(Element)
+    child.tag = tag
+    child.attributes = attributes
+    child._children = []
+    child._texts = [text]
+    child.parent = parent
+    parent._children.append(child)
+    parent._texts.append("")
+    return child
+
+
 class Document:
     """An XML document: a root element plus optional declaration info."""
 

@@ -11,12 +11,22 @@ Supports the subset of XML needed for data files and XSD documents:
 It is deliberately strict about well-formedness (mismatched tags, stray
 ``<``, unterminated constructs all raise :class:`~repro.errors.XMLParseError`
 with a line/column) because the shredder must never load garbage silently.
+
+Two readers share one grammar. Element content is cut into tokens by
+one compiled regex (:data:`_TOKEN`) and assembled on an explicit stack,
+so neither a character nor a nesting level costs a Python call. The
+character-at-a-time :class:`_Scanner` reads the prolog and whatever
+follows the root, and re-reads the one token the regex refused — it is
+what words every syntax error and finds its line and column.
 """
 
 from __future__ import annotations
 
+import re
+from typing import NoReturn
+
 from ..errors import XMLParseError
-from .doc import Document, Element
+from .doc import Document, Element, _new_child
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 
@@ -51,7 +61,7 @@ class _Scanner:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < self.length else ""
 
-    def startswith(self, token: str) -> bool:
+    def startswith(self, token: str | tuple[str, ...]) -> bool:
         return self.text.startswith(token, self.pos)
 
     def advance(self, count: int = 1) -> None:
@@ -100,16 +110,16 @@ def _decode_entities(raw: str, scanner: _Scanner, at: int) -> str:
         if end < 0:
             raise scanner.error("unterminated entity reference", at + i)
         name = raw[i + 1:end]
-        if name.startswith("#x") or name.startswith("#X"):
+        if name.startswith("#"):
+            hexadecimal = name.startswith(("#x", "#X"))
             try:
-                out.append(chr(int(name[2:], 16)))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{name};", at + i) from None
-        elif name.startswith("#"):
-            try:
-                out.append(chr(int(name[1:])))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{name};", at + i) from None
+                out.append(chr(int(name[2:], 16) if hexadecimal
+                               else int(name[1:])))
+            except (ValueError, OverflowError):
+                # not a number, or no code point: beyond U+10FFFF is a
+                # ValueError, beyond a C int an OverflowError
+                raise scanner.error(f"bad character reference &{name};",
+                                    at + i) from None
         elif name in _ENTITIES:
             out.append(_ENTITIES[name])
         else:
@@ -183,7 +193,7 @@ def parse(text: str) -> Document:
     _skip_misc(scanner)
     if scanner.peek() != "<":
         raise scanner.error("expected root element")
-    root = _parse_element(scanner)
+    root = _parse_tree(scanner)
     _skip_misc(scanner)
     if not scanner.at_end():
         raise scanner.error("content after root element")
@@ -191,55 +201,137 @@ def parse(text: str) -> Document:
 
 
 def parse_file(path: str) -> Document:
-    """Parse an XML file (UTF-8) into a Document."""
-    with open(path, encoding="utf-8") as handle:
+    """Parse an XML file (UTF-8, with or without a BOM) into a Document."""
+    with open(path, encoding="utf-8-sig") as handle:
         return parse(handle.read())
 
 
-def _parse_element(scanner: _Scanner) -> Element:
-    scanner.expect("<")
-    tag = scanner.read_name()
-    attributes = _parse_attributes(scanner)
-    element = Element(tag, attributes)
-    scanner.skip_whitespace()
-    if scanner.startswith("/>"):
-        scanner.advance(2)
-        return element
-    scanner.expect(">")
-    _parse_content(scanner, element)
-    return element
+# One token of element content per match. Names and whitespace are the
+# scanner's (_NAME_START / _NAME_CHARS and " \t\r\n" — not ``\s``, which
+# takes in U+00A0 and others); ``_parse_tree`` tells the alternatives
+# apart by the number of the last group that matched.
+_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
+_WS = r"[ \t\r\n]*"
+_TOKEN = re.compile(
+    "<(?:"
+    # 1, 2: an attribute-less leaf, start tag to end tag
+    rf"({_NAME})>([^<]*)</\1{_WS}>"
+    # 3, 4, 5: a start tag (its name whole: ``<ab="1">`` is not ``<a b="1">``,
+    # though ``b="1"c="2"`` is two attributes), its attribute run, "/"
+    # when it is empty
+    rf"|({_NAME})(?![A-Za-z0-9_:.\-])"
+    rf"((?:{_WS}{_NAME}{_WS}={_WS}(?:\"[^\"]*\"|'[^']*'))*){_WS}(/?)>"
+    # 6: an end tag
+    rf"|/({_NAME}){_WS}>"
+    # 7: the content of a CDATA section
+    r"|!\[CDATA\[(.*?)\]\]>"
+    # no group: a comment, a processing instruction
+    r"|!--.*?-->"
+    r"|\?.*?\?>"
+    # 8: character data up to the next markup
+    ")|([^<]+)(?=<)",
+    re.DOTALL)
+_LEAF, _START_TAG, _END_TAG, _CDATA, _TEXT = 2, 5, 6, 7, 8
+_ATTRIBUTE = re.compile(rf"({_NAME}){_WS}={_WS}(?:\"([^\"]*)\"|'([^']*)')")
 
 
-def _parse_content(scanner: _Scanner, element: Element) -> None:
-    """Parse mixed content up to and including this element's end tag."""
+def _parse_tree(scanner: _Scanner) -> Element:
+    """Parse the element at the scanner's position, with all its content,
+    and leave the scanner behind its end tag."""
+    text = scanner.text
+    match = _TOKEN.match
+    pos = scanner.pos
+    first = match(text, pos)
+    if first is None or first.lastindex not in (_LEAF, _START_TAG):
+        _refuse(scanner, pos, None)
+    # ``holder`` stands above the root so that the root is attached like
+    # any other element; ``current`` is the innermost open element and
+    # ``stack`` the open elements around it.
+    holder = current = Element("")
+    stack: list[Element] = []
     while True:
-        if scanner.at_end():
-            raise scanner.error(f"unterminated element <{element.tag}>")
-        if scanner.startswith("</"):
-            scanner.advance(2)
-            name = scanner.read_name()
-            if name != element.tag:
+        token = match(text, pos)
+        if token is None:
+            _refuse(scanner, pos, current.tag)
+        kind = token.lastindex
+        if kind == _LEAF:
+            raw = token.group(2)
+            if "&" in raw:
+                raw = _decode_entities(raw, scanner, token.start(2))
+            _new_child(current, token.group(1), {}, raw)
+        elif kind == _TEXT:
+            current.add_text(_decode_entities(token.group(8), scanner, pos))
+            pos = token.end()
+            continue
+        elif kind == _START_TAG:
+            attributes: dict[str, str] = {}
+            for found in _ATTRIBUTE.finditer(text, *token.span(4)):
+                name = found.group(1)
+                value = 2 if found.start(2) >= 0 else 3
+                if name in attributes:
+                    raise scanner.error(f"duplicate attribute {name!r}",
+                                        found.start(value))
+                attributes[name] = _decode_entities(
+                    found.group(value), scanner, found.start(value))
+            element = _new_child(current, token.group(3), attributes, "")
+            if not token.group(5):
+                stack.append(current)
+                current = element
+                pos = token.end()
+                continue
+        elif kind == _END_TAG:
+            name = token.group(6)
+            if name != current.tag:
                 raise scanner.error(
-                    f"mismatched end tag </{name}> for <{element.tag}>")
-            scanner.skip_whitespace()
-            scanner.expect(">")
-            return
-        if scanner.startswith("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->", "comment")
-        elif scanner.startswith("<![CDATA["):
-            scanner.advance(9)
-            element.add_text(scanner.read_until("]]>", "CDATA section"))
-        elif scanner.startswith("<?"):
-            scanner.advance(2)
-            scanner.read_until("?>", "processing instruction")
-        elif scanner.peek() == "<":
-            element.append(_parse_element(scanner))
+                    f"mismatched end tag </{name}> for <{current.tag}>",
+                    token.end(6))
+            current = stack.pop()
         else:
-            start = scanner.pos
-            end = scanner.text.find("<", start)
-            if end < 0:
-                raise scanner.error(f"unterminated element <{element.tag}>")
-            raw = scanner.text[start:end]
-            scanner.pos = end
-            element.add_text(_decode_entities(raw, scanner, start))
+            if kind == _CDATA:
+                current.add_text(token.group(7))
+            pos = token.end()
+            continue
+        # An element is complete (where a per-record consumer would take
+        # a depth-1 subtree); the root's completion ends the tree.
+        pos = token.end()
+        if current is holder:
+            scanner.pos = pos
+            root = holder.children[0]
+            root.parent = None
+            return root
+
+
+def _refuse(scanner: _Scanner, pos: int, open_tag: str | None) -> NoReturn:
+    """Raise what is wrong with the token at ``pos``, which ``_TOKEN``
+    refused, by reading it a character at a time; ``open_tag`` names the
+    element whose content it is in, ``None`` where the root must start."""
+    scanner.pos = pos
+    if open_tag is None or (scanner.peek() == "<" and not scanner.startswith(
+            ("</", "<!--", "<![CDATA[", "<?"))):
+        scanner.expect("<")
+        scanner.read_name()
+        _parse_attributes(scanner)
+        scanner.skip_whitespace()
+        if not scanner.startswith("/>"):
+            scanner.expect(">")
+    elif scanner.startswith("</"):
+        scanner.advance(2)
+        name = scanner.read_name()
+        if name != open_tag:
+            raise scanner.error(
+                f"mismatched end tag </{name}> for <{open_tag}>")
+        scanner.skip_whitespace()
+        scanner.expect(">")
+    elif scanner.startswith("<!--"):
+        scanner.advance(4)
+        scanner.read_until("-->", "comment")
+    elif scanner.startswith("<![CDATA["):
+        scanner.advance(9)
+        scanner.read_until("]]>", "CDATA section")
+    elif scanner.startswith("<?"):
+        scanner.advance(2)
+        scanner.read_until("?>", "processing instruction")
+    else:
+        # the input ends in this element, on or after character data
+        raise scanner.error(f"unterminated element <{open_tag}>")
+    raise scanner.error("malformed markup", pos)    # the readers disagree

@@ -31,7 +31,9 @@ from repro.sqlast import (ColumnRef, Comparison, ComparisonOp, IsNull,
                           Literal, Or, Query, Select, SelectItem, TableRef)
 from repro.translate import Translator
 from repro.workload import WorkloadGenerator
+from repro.xmlkit import parse
 from repro.xpath import parse_xpath
+from repro.xsd import BaseType, TreeBuilder
 
 SCALE = 60
 SEED = 7
@@ -340,6 +342,44 @@ class TestBackendBasics:
             (count,), = sqlite_backend.execute_sql(
                 f'SELECT COUNT(*) FROM "{table.name}"')
             assert count == len(engine_table.rows or [])
+
+    def test_load_rebinds_boolean_columns_and_nothing_else(self):
+        # The dialect's storable() sees the values of BOOLEAN columns —
+        # once each — and no other column's; SQLite stores them 1 / 0.
+        b = TreeBuilder("flags")
+        flags = b.tag("flags", annotation="flags")
+        item = b.tag("item", b.rep(flags), annotation="item")
+        b.attribute("hot", item, BaseType.BOOLEAN)
+        b.leaf("name", item)
+        b.optional_leaf("on", item, BaseType.BOOLEAN)
+        b.repeated_leaf("tag", item, annotation="tag")
+        tree = b.build(flags)
+        doc = parse(
+            "<flags><item hot='true'><name>a</name><on>false</on>"
+            "<tag>t</tag></item><item><name>true</name><on>1</on></item>"
+            "<item hot='0'><name>c</name><tag>1</tag><tag>u</tag></item>"
+            "</flags>")
+        seen = []
+
+        class Recording(type(SQLiteBackend.dialect)):
+            def storable(self, value):
+                seen.append(value)
+                return super().storable(value)
+
+        backend = SQLiteBackend()
+        backend.dialect = Recording()
+        with backend:
+            backend.load(derive_schema(hybrid_inlining(tree)), doc)
+            rows = backend.execute_sql(
+                'SELECT "name", "hot", typeof("hot"), "on", typeof("on") '
+                'FROM "item" ORDER BY "ID"')
+            tags = backend.execute_sql('SELECT "tag" FROM "tag" ORDER BY "ID"')
+        assert rows == [("a", 1, "integer", 0, "integer"),
+                        ("true", None, "null", 1, "integer"),
+                        ("c", 0, "integer", None, "null")]
+        assert tags == [("t",), ("1",), ("u",)]
+        assert sorted(seen, key=repr) == sorted(
+            [True, False, None, True, False, None], key=repr)
 
     def test_apply_configuration_builds_real_structures(self, dblp_data):
         tree, docs = dblp_data

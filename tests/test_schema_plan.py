@@ -18,6 +18,7 @@ the statistics collector and the shredder. These tests hold it to
 import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -306,6 +307,52 @@ class TestValidatorMessages:
             validate(doc.root.children[1], b.build(pub))
         assert str(raised.value) == ("value 'MM' at /inproceedings/year[1] "
                                      "is not a valid integer")
+
+
+class TestContentModelJudgedOncePerSequence:
+    """One ``validate()`` call matches each (element plan, child-tag
+    sequence) against the content model once."""
+
+    @staticmethod
+    def _count_top_level_matches(monkeypatch, tree):
+        module = sys.modules["repro.xsd.validate"]
+        models = {id(tree.plan(node).model) for node in tree.iter_nodes()
+                  if node.kind == NodeKind.TAG}
+        calls = []
+        match = module._match
+
+        def counting(item, tags, pos):
+            if pos == 0 and id(item) in models:
+                calls.append((id(item), tags))
+            return match(item, tags, pos)
+
+        monkeypatch.setattr(module, "_match", counting)
+        return calls
+
+    def test_dblp_sequences_are_matched_once_each(self, monkeypatch):
+        tree = dblp_schema()
+        doc = generate_dblp(300, seed=3)
+        parents = [el for el in doc.iter() if len(el)]
+        calls = self._count_top_level_matches(monkeypatch, tree)
+        validate(doc, tree)
+        assert len(calls) == len(set(calls)) < len(parents) / 2
+        validate(doc, tree)     # nothing outlives a call
+        assert len(calls) == 2 * len(set(calls))
+
+    def test_past_its_bound_the_memo_only_stops_growing(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["repro.xsd.validate"],
+                            "_REMEMBERED_SEQUENCES", 1)
+        tree = dblp_schema()
+        doc = generate_dblp(50, seed=3)
+        parents = [el for el in doc.iter() if len(el)]
+        calls = self._count_top_level_matches(monkeypatch, tree)
+        validate(doc, tree)
+        assert len(calls) == len(parents)   # the root's took the one place
+        for schema, xml, message in INVALID.values():
+            tree = dblp_schema() if schema == "dblp" else orders_schema()
+            with pytest.raises(ValidationError) as raised:
+                validate(parse(xml), tree)
+            assert str(raised.value) == message
 
 
 class TestLexicalSpace:

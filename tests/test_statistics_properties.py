@@ -216,3 +216,34 @@ def test_string_columns_behave(values, probe):
     assert 0.0 <= stats.range_selectivity("<=", probe) <= 1.0
     if any(v is not None for v in values):
         assert stats.avg_width and stats.avg_width >= 1
+
+
+# A column of one kind of value is sorted and counted natively; the
+# total order over mixed values (_sort_key) stays the definition.
+_one_kind = st.one_of(
+    st.lists(st.one_of(st.text(max_size=4), st.none()), max_size=120),
+    st.lists(st.one_of(st.integers(-50, 50), st.booleans(), st.none(),
+                       st.floats(-50, 50).map(lambda x: round(x, 1))),
+             max_size=120),
+)
+
+
+@given(_one_kind, st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_one_kind_columns_order_and_count_as_the_total_order_does(values,
+                                                                  buckets):
+    from repro.engine.statistics import _sort_key
+    stats = ColumnStats.from_values(values, n_buckets=buckets)
+    non_null = sorted((v for v in values if v is not None), key=_sort_key)
+    if not non_null:
+        assert stats.n_distinct == 0 and stats.boundaries == []
+        return
+    assert stats.n_distinct == len({_sort_key(v) for v in non_null})
+    n, used = len(non_null), min(buckets, len(non_null))
+    expected = [non_null[min(n - 1, int(round(b * n / used)) - 1)]
+                for b in range(1, used + 1)]
+    # same objects in the same places, not merely equal ones (1 == True)
+    same = lambda a, b: [(type(x), x) for x in a] == [(type(x), x) for x in b]
+    assert same(stats.boundaries, expected)
+    assert same([stats.min_value, stats.max_value],
+                [non_null[0], non_null[-1]])

@@ -2,8 +2,91 @@
 
 import pytest
 
-from repro.errors import XMLParseError
-from repro.xmlkit import Document, Element, count_elements, element, parse, serialize
+from repro.errors import ValidationError, XMLParseError
+from repro.xmlkit import (Document, Element, count_elements, element, parse,
+                          parse_file, serialize)
+from repro.xsd import parse_dtd, validate
+
+# (input, message, line, column) as raised by the recursive-descent,
+# character-at-a-time parser the token loop replaced; recorded from it
+# before the rewrite. The token loop hands what its regex refuses back to
+# the same character scanner, so each cause and location is unchanged.
+MALFORMED = [
+    ('<a><b></a>', 'mismatched end tag </a> for <b>', 1, 10),
+    ('<a>', 'unterminated element <a>', 1, 4),
+    ('<a x=1/>', 'attribute value must be quoted', 1, 6),
+    ("<a x='1' x='2'/>", "duplicate attribute 'x'", 1, 13),
+    ('<a>&nosuch;</a>', 'unknown entity &nosuch;', 1, 4),
+    ('<a/><b/>', 'content after root element', 1, 5),
+    ('just text', 'expected root element', 1, 1),
+    ('<a></a>trailing<b/>', 'content after root element', 1, 8),
+    ('<a>&#xZZ;</a>', 'bad character reference &#xZZ;', 1, 4),
+    ('<a><!-- never closed</a>', 'unterminated comment', 1, 8),
+    ('<a><![CDATA[never closed</a>', 'unterminated CDATA section', 1, 13),
+    ('<a><?pi never closed</a>', 'unterminated processing instruction', 1, 6),
+    ('<!DOCTYPE a [<!ELEMENT a (#PCDATA)><a/>', 'unterminated DOCTYPE', 1, 40),
+    ("<a x='never closed/>", 'unterminated attribute value', 1, 7),
+    ('<a x="never closed/>', 'unterminated attribute value', 1, 7),
+    ('<1a/>', 'expected a name', 1, 2),
+    ('<a><-b/></a>', 'expected a name', 1, 5),
+    ("<a x '1'/>", "expected '='", 1, 6),
+    ('<a>1 < 2</a>', 'expected a name', 1, 7),
+    ('</a>', 'expected a name', 1, 2),
+    ('text<a/>', 'expected root element', 1, 1),
+    ('<a/>text', 'content after root element', 1, 5),
+    ('<a>&amp</a>', 'unterminated entity reference', 1, 4),
+    ("<a x='&nosuch;'/>", 'unknown entity &nosuch;', 1, 7),
+    ("<a x='&#xZZ;'/>", 'bad character reference &#xZZ;', 1, 7),
+    ("<a x='&amp'/>", 'unterminated entity reference', 1, 7),
+    ('<a>\n<b>\n  text</c>\n</a>', 'mismatched end tag </c> for <b>', 3, 10),
+    ('', 'expected root element', 1, 1),
+    ('  \n ', 'expected root element', 2, 2),
+    ("<?xml version='1.0'", "expected '?>'", 1, 20),
+    ('<?xml version=1.0?><a/>', 'attribute value must be quoted', 1, 15),
+    ("<?xml version='1.0'?>", 'expected root element', 1, 22),
+    ('<a><b/', "expected '>'", 1, 6),
+    ('<a></a', "expected '>'", 1, 7),
+    ('<a></ a>', 'expected a name', 1, 6),
+    ('<a><</a>', 'expected a name', 1, 5),
+    ('<a b></a>', "expected '='", 1, 5),
+    ('<a/ >', "expected '>'", 1, 3),
+    ('<a>text', 'unterminated element <a>', 1, 4),
+    ('<!-- top never closed', 'unterminated comment', 1, 5),
+    ('<?pi top never closed', 'unterminated processing instruction', 1, 3),
+    ('<a/><!-- after', 'unterminated comment', 1, 9),
+    ('<a>&#;</a>', 'bad character reference &#;', 1, 4),
+    ('<a>&;</a>', 'unknown entity &;', 1, 4),
+    ('<a><b>x</c></a>', 'mismatched end tag </c> for <b>', 1, 11),
+    ('<a><!DOCTYPE x></a>', 'expected a name', 1, 5),
+    ("<a xml:lang='en' 1x='2'/>", 'expected a name', 1, 18),
+    ("<a>\r\n<b x='1'\r\n y=2/></a>", 'attribute value must be quoted', 3, 4),
+    ('<a><b></b></a></a>', 'content after root element', 1, 15),
+    ('<a>&#x110000;</a>', 'bad character reference &#x110000;', 1, 4),
+    ('<a>&#-1;</a>', 'bad character reference &#-1;', 1, 4),
+    ('<a></b>', 'mismatched end tag </b> for <a>', 1, 7),
+    ('<a>x</a x>', "expected '>'", 1, 9),
+    ('<a></a\n', "expected '>'", 2, 1),
+    ("<a x='1' ?>", "expected '>'", 1, 10),
+    ("<a x='1'/ >", "expected '>'", 1, 9),
+    ("<a><b x='1' x='2'>t</b></a>", "duplicate attribute 'x'", 1, 16),
+    ("<a><b y='&bad;' y='2'/></a>", 'unknown entity &bad;', 1, 10),
+    ("<a><b y='1' y='&bad;'/></a>", "duplicate attribute 'y'", 1, 16),
+    ('<a>ok<b>&lt;&bogus;</b></a>', 'unknown entity &bogus;', 1, 13),
+    ('<a><![CDATA[x]]><b></a>', 'mismatched end tag </a> for <b>', 1, 23),
+    ('<a>\n\n   <b>\n</a>', 'mismatched end tag </a> for <b>', 4, 4),
+    ("<a x = 'v' y = >", 'attribute value must be quoted', 1, 16),
+    ('<a><b/><c></a>', 'mismatched end tag </a> for <c>', 1, 14),
+    ('<a>é<é/></a>', 'expected a name', 1, 6),
+    ("<a x='1'\xa0y='2'/>", 'expected a name', 1, 9),
+    ('<a>x</a\xa0>', "expected '>'", 1, 8),
+    ('<a', "expected '>'", 1, 3),
+    ('<a ', "expected '>'", 1, 4),
+    ('<', 'expected a name', 1, 2),
+    ('<a><b>text</b ></a >x', 'content after root element', 1, 21),
+    ('<a><!- x --></a>', 'expected a name', 1, 5),
+    ('<a><![CDATA x]]></a>', 'expected a name', 1, 5),
+    ('<a><!---></a>', 'unterminated comment', 1, 8),
+]
 
 
 class TestElementModel:
@@ -113,6 +196,73 @@ class TestParser:
         with pytest.raises(XMLParseError) as excinfo:
             parse("<a>\n  <b></c>\n</a>")
         assert excinfo.value.line == 2
+
+    def test_malformed_inputs_keep_their_message_line_and_column(self):
+        assert len(MALFORMED) >= 30
+        differing = []
+        for text, message, line, column in MALFORMED:
+            with pytest.raises(XMLParseError) as excinfo:
+                parse(text)
+            found = (str(excinfo.value), excinfo.value.line,
+                     excinfo.value.column)
+            expected = (f"{message} at line {line}, column {column}",
+                        line, column)
+            if found != expected:
+                differing.append((text, expected, found))
+        assert not differing
+
+    @pytest.mark.parametrize("text, column", [
+        ("<a>&#99999999999;</a>", 4),
+        ("<a x='&#99999999999;'/>", 7),
+        ("<a>\n<b y=\"&#x99999999999;\">t</b></a>", 7),
+    ])
+    def test_character_reference_beyond_a_c_int_is_refused(self, text, column):
+        # chr() raises OverflowError there, not ValueError
+        with pytest.raises(XMLParseError,
+                           match="bad character reference &#x?99999999999;"
+                           ) as excinfo:
+            parse(text)
+        assert excinfo.value.column == column
+
+    def test_nesting_deeper_than_the_interpreter_stack(self):
+        depth = 5_000
+        doc = parse("<a>" * depth + "</a>" * depth)
+        levels, node = 1, doc.root
+        while len(node):
+            (node,) = node.children
+            levels += 1
+        assert levels == depth
+        assert node.parent.parent.tag == "a" and doc.root.parent is None
+        # no schema is recursive (tests/test_recursion_guards.py), so
+        # none accepts it: the validator names the violation
+        with pytest.raises(ValidationError, match="must be a leaf"):
+            validate(doc, parse_dtd("<!ELEMENT a (#PCDATA)>", root="a"))
+        with pytest.raises(ValidationError, match="does not match its model"):
+            validate(doc, parse_dtd(
+                "<!ELEMENT a (b?)><!ELEMENT b (#PCDATA)>", root="a"))
+
+    def test_parse_file_skips_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.xml"
+        path.write_bytes(b"\xef\xbb\xbf<?xml version='1.0'?><a>\xc3\xa9</a>")
+        assert parse_file(str(path)).root.text == "\u00e9"
+        path.write_bytes(b"<a>plain</a>")
+        assert parse_file(str(path)).root.text == "plain"
+
+    def test_tag_name_is_read_whole_before_attributes(self):
+        # attributes need no space between them, but a tag name does not
+        # end where an attribute could begin
+        assert parse("<a x='1'y='2'/>").root.attributes == {"x": "1", "y": "2"}
+        with pytest.raises(XMLParseError, match="expected a name"):
+            parse("<ab='1'/>")
+
+    def test_only_the_scanners_whitespace_separates(self):
+        # U+00A0 and form feed are white space to ``\\s``, not to XML
+        for gap in ("\xa0", "\x0c", "\x1f"):
+            with pytest.raises(XMLParseError):
+                parse(f"<a{gap}x='1'/>")
+            with pytest.raises(XMLParseError):
+                parse(f"<a>t</a{gap}>")
+        assert parse("<a\r\n\tx\n=\n'1'\n/>").root.attributes == {"x": "1"}
 
 
 class TestWriter:
