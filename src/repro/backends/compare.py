@@ -19,6 +19,11 @@ gate can fail on:
   process boundary; a mismatch re-diffs the multisets and names the
   table with sample missing/extra rows).
 * **indexes** — the user-created index name sets match.
+* **views** — on each backend, every join-view table of the
+  configuration holds exactly the rows its definition yields over the
+  base tables *now* (a view table is a snapshot that queries are
+  rendered over, so a stale one is a wrong answer; the join is
+  re-evaluated here, independently of the DDL that built the table).
 * **queries** — every workload query executes on both backends and the
   row *multisets* must match (the engine only guarantees order up to
   the ORDER BY key, so equal-key rows may legally interleave
@@ -55,6 +60,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..datasets import DEFAULT_STORAGE_BOUND, DatasetBundle
+from ..engine import JoinViewDefinition
 from ..mapping import MappedSchema
 from ..obs import NullTracer, Tracer, get_tracer
 from ..physdesign import Configuration
@@ -354,6 +360,52 @@ def _check_indexes(a: IntrospectableBackend,
                        {"names": sorted(names_a)})
 
 
+def _view_rows_now(backend: IntrospectableBackend,
+                   definition: JoinViewDefinition) -> list[tuple]:
+    """``definition`` evaluated over ``backend``'s base tables."""
+    parent, child = definition.parent_table, definition.child_table
+    position = {table: {column: at for at, (column, _)
+                        in enumerate(backend.table_columns(table))}
+                for table in (parent, child)}
+    parents = {row[position[parent]["ID"]]: row
+               for row in backend.table_rows(parent)}
+    fk = position[child][definition.child_fk_column]
+    picks = [(table == parent, position[table][column])
+             for _, (table, column) in definition.columns]
+    return [tuple(parents[row[fk]][at] if from_parent else row[at]
+                  for from_parent, at in picks)
+            for row in backend.table_rows(child) if row[fk] in parents]
+
+
+def _check_views(a: IntrospectableBackend, b: IntrospectableBackend,
+                 configuration: Configuration) -> CheckResult:
+    digests: dict[str, dict] = {}
+    bad: list[str] = []
+    samples: dict[str, dict] = {}
+    for side, backend in (("a", a), ("b", b)):
+        for view in configuration.views:
+            stored = backend.table_rows(view.name)
+            now = _view_rows_now(backend, view.definition)
+            count, digest = _row_digest(stored)
+            digests.setdefault(view.name, {}).update(
+                {f"{side}_rows": count, f"{side}_digest": digest})
+            if (count, digest) != _row_digest(now):
+                missing, extra = multiset_diff(now, stored)
+                bad.append(f"view {view.name!r} on {backend.name}: "
+                           f"{count} rows stored, {len(now)} by "
+                           f"definition ({len(missing)} missing / "
+                           f"{len(extra)} extra)")
+                samples[f"{side}:{view.name}"] = {
+                    "missing": _sample(missing), "extra": _sample(extra)}
+    if bad:
+        return CheckResult("views", MISMATCH, "; ".join(bad),
+                           {"views": digests, "samples": samples})
+    return CheckResult("views", OK,
+                       f"{len(configuration.views)} view tables hold their "
+                       f"definitions' rows on both backends",
+                       {"views": digests})
+
+
 def check_queries(a: IntrospectableBackend, b: IntrospectableBackend,
                   queries: list[Query]) -> CheckResult:
     """Run each query on both (already loaded) backends; the row
@@ -411,6 +463,7 @@ def _check_timings(a: IntrospectableBackend, b: IntrospectableBackend,
 def compare_loaded(a: IntrospectableBackend, b: IntrospectableBackend,
                    queries: list[Query], *,
                    schema: MappedSchema | None = None,
+                   configuration: Configuration | None = None,
                    include_timings: bool = False,
                    timing_repeat: int = 3, timing_warmup: int = 1,
                    context: dict | None = None,
@@ -420,7 +473,9 @@ def compare_loaded(a: IntrospectableBackend, b: IntrospectableBackend,
 
     Pass the :class:`~repro.mapping.MappedSchema` both were loaded
     with to enable the per-dialect declared-type check; without it the
-    columns check still verifies name parity.
+    columns check still verifies name parity. Pass the
+    :class:`~repro.physdesign.Configuration` both were given to enable
+    the views check.
     """
     tracer = tracer if tracer is not None else get_tracer()
     report = CompareReport(backend_a=a.name, backend_b=b.name,
@@ -432,6 +487,8 @@ def compare_loaded(a: IntrospectableBackend, b: IntrospectableBackend,
         report.checks.append(_check_columns(a, b, common, schema))
         report.checks.append(_check_rows(a, b, common))
         report.checks.append(_check_indexes(a, b))
+        if configuration is not None:
+            report.checks.append(_check_views(a, b, configuration))
         report.checks.append(check_queries(a, b, queries))
         if include_timings:
             report.checks.append(_check_timings(a, b, queries,
@@ -457,6 +514,7 @@ def compare_design(schema: MappedSchema, configuration: Configuration,
     with (loaded_backend(backend_a, schema, configuration, docs, tracer) as a,
           loaded_backend(backend_b, schema, configuration, docs, tracer) as b):
         return compare_loaded(a, b, queries, schema=schema,
+                              configuration=configuration,
                               include_timings=include_timings,
                               context=context, tracer=tracer)
 

@@ -72,14 +72,14 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..engine import SQLType
-from ..errors import ReproError
+from ..engine import SQLType, select_over_view
+from ..errors import PlanError, ReproError
 from ..mapping import MappedSchema, Shredder, shred_typed_batches
 from ..obs import NullTracer, Tracer, get_tracer
-from ..physdesign import Configuration
+from ..physdesign import Configuration, ViewCandidate
 from ..resilience import active_fault_plan
 from ..search import mapping_digest
-from ..sqlast import Query
+from ..sqlast import Query, Select
 from .base import QueryTiming, Statement, timed_runs
 from .dialect import Dialect, SQLITE
 
@@ -182,6 +182,10 @@ class RelationalBackend:
         self._tables: list[str] = []
         #: Rows loaded per table across all load calls.
         self.row_counts: dict[str, int] = {}
+        #: The join views this database holds, as ``apply_configuration``
+        #: built or found them, narrowest first: what ``sql_text`` reads
+        #: and what an append re-materializes.
+        self._views: list[ViewCandidate] = []
 
     # ------------------------------------------------------------------
     # Driver hooks
@@ -445,6 +449,11 @@ class RelationalBackend:
                         pending = 0
                 self._begin_write()
                 self._update_watermarks(stored)
+                # A view table is a snapshot of its join: the rows just
+                # appended reach it in the transaction that completes
+                # the load, so no reader sees one without the other.
+                for view in self._views:
+                    self._refresh_view(view)
                 self._mark_complete()
                 self._commit_write()
             except self._driver_error as exc:
@@ -579,39 +588,91 @@ class RelationalBackend:
     # Physical design
     # ------------------------------------------------------------------
     def apply_configuration(self, configuration: Configuration) -> None:
-        """CREATE INDEX / materialize join views, then ``post_ddl``."""
+        """CREATE INDEX / materialize join views, then ``post_ddl``;
+        the views are remembered, so queries are rendered over them
+        (:meth:`sql_text`) and an append re-materializes them.
+
+        A read-only backend — a tuned database file reopened to serve —
+        runs no DDL: it registers the view tables the file holds.
+        """
         with self.tracer.span("backend.ddl", backend=self.name,
                               indexes=len(configuration.indexes),
                               views=len(configuration.views)):
-            try:
-                self._begin_write()
-                for view in configuration.views:
-                    self.connection.execute(
-                        self.dialect.create_view_table_sql(
-                            view.name, view.definition))
-                    self._metrics.incr("views_built")
-                for index in configuration.indexes:
-                    self.connection.execute(
-                        self.dialect.create_index_sql(index))
-                    self._metrics.incr("indexes_built")
-                self._commit_write()
-                for statement in self.post_ddl:
-                    self.connection.execute(statement)
-                self._commit_write()
-            except self._driver_error as exc:
-                raise BackendError(
-                    f"applying configuration failed: {exc}") from exc
+            if not self.read_only:
+                self._build(configuration)
+            self._views = sorted(
+                self._views + [view for view in configuration.views
+                               if self._holds_view(view)],
+                key=lambda view: view.table.row_width)
+
+    def _build(self, configuration: Configuration) -> None:
+        try:
+            self._begin_write()
+            for view in configuration.views:
+                self.connection.execute(
+                    self.dialect.create_view_table_sql(
+                        view.name, view.definition))
+                self._metrics.incr("views_built")
+            for index in configuration.indexes:
+                self.connection.execute(
+                    self.dialect.create_index_sql(index))
+                self._metrics.incr("indexes_built")
+            self._commit_write()
+            for statement in self.post_ddl:
+                self.connection.execute(statement)
+            self._commit_write()
+        except self._driver_error as exc:
+            raise BackendError(
+                f"applying configuration failed: {exc}") from exc
+
+    def _holds_view(self, view: ViewCandidate) -> bool:
+        """Whether the database holds ``view``'s table, column for
+        column as defined."""
+        return (self._table_on_disk(view.name)
+                and [name for name, _ in self.table_columns(view.name)]
+                == [name for name, _ in view.definition.columns])
+
+    def _refresh_view(self, view: ViewCandidate) -> None:
+        """Re-materialize one view table in place, inside the caller's
+        write transaction."""
+        name = self.dialect.quote(view.name)
+        self.connection.execute(f"DELETE FROM {name}")
+        self.connection.execute(
+            f"INSERT INTO {name} "
+            f"{self.dialect.view_rows_sql(view.definition)}")
+        self._metrics.incr("views_refreshed")
 
     # ------------------------------------------------------------------
     # Execution (the serve path: concurrent, per-thread connections)
     # ------------------------------------------------------------------
     def sql_text(self, query: Query) -> str:
-        return self.dialect.render_query(query)
+        """``query`` as this backend runs it — the one render site.
+
+        A SELECT that a built join view answers
+        (:func:`repro.engine.select_over_view`: its FROM is exactly the
+        view's pair, and the view covers its join, filters and items)
+        is rendered over the narrowest such view table, the candidate
+        the optimizer's page-count cost prefers; every other SELECT
+        over its base tables. The rule reads the query and the view
+        definitions only, and a configuration without views is the same
+        code with nothing to match.
+        """
+        return self.dialect.render_query(Query(
+            tuple(self._over_view(select) for select in query.selects),
+            query.order_by))
+
+    def _over_view(self, select: Select) -> Select:
+        for view in self._views:
+            try:
+                return select_over_view(select, view.table)
+            except PlanError:
+                continue
+        return select
 
     def execute(self, query: Query | Statement) -> list[tuple]:
         if isinstance(query, Statement):
             return self.execute_sql(*query)
-        return self.execute_sql(self.dialect.render_query(query))
+        return self.execute_sql(self.sql_text(query))
 
     def execute_sql(self, sql: str, params: tuple = ()) -> list[tuple]:
         """Run ``sql``; the driver binds ``params`` to its placeholders
@@ -633,7 +694,7 @@ class RelationalBackend:
 
     def prepare(self, query: Query) -> None:
         """Compile without running (dialect round-trip check)."""
-        sql = self.dialect.render_query(query)
+        sql = self.sql_text(query)
         try:
             self._thread_connection().execute(f"EXPLAIN {sql}").fetchall()
         except self._driver_error as exc:
@@ -655,7 +716,7 @@ class RelationalBackend:
         benchmark under live load is a different experiment and should
         use a dedicated backend.
         """
-        sql = self.dialect.render_query(query)
+        sql = self.sql_text(query)
         connection = self._thread_connection()
         with self._timing_lock:
             with self.tracer.span("backend.query", backend=self.name,

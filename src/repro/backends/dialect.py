@@ -207,20 +207,27 @@ class Dialect:
         return (f"CREATE INDEX {self.quote(index.name)} "
                 f"ON {self.quote(index.table_name)} ({columns})")
 
-    def create_view_table_sql(self, name: str,
-                              definition: JoinViewDefinition) -> str:
-        """A join view, materialized as a populated table."""
+    def view_rows_sql(self, definition: JoinViewDefinition) -> str:
+        """The join a view materializes, one row per child row in child
+        ``ID`` order — document order, so a scan of the view table yields
+        a parent's children as a scan of the child table does."""
         items = []
         for view_col, (source_table, source_col) in definition.columns:
             alias = "P" if source_table == definition.parent_table else "C"
             items.append(f"{alias}.{self.quote(source_col)} "
                          f"AS {self.quote(view_col)}")
         return (
-            f"CREATE TABLE {self.quote(name)} AS "
             f"SELECT {', '.join(items)} "
             f"FROM {self.quote(definition.parent_table)} AS P, "
             f"{self.quote(definition.child_table)} AS C "
-            f"WHERE C.{self.quote(definition.child_fk_column)} = P.\"ID\"")
+            f"WHERE C.{self.quote(definition.child_fk_column)} = P.\"ID\" "
+            f"ORDER BY C.\"ID\"")
+
+    def create_view_table_sql(self, name: str,
+                              definition: JoinViewDefinition) -> str:
+        """A join view, materialized as a populated table."""
+        return (f"CREATE TABLE {self.quote(name)} AS "
+                f"{self.view_rows_sql(definition)}")
 
 
 class SQLiteDialect(Dialect):

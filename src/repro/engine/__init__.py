@@ -11,7 +11,8 @@ from .btree import BPlusTree, encode_key
 from .cost import CostCounter
 from .database import Database, ExecutionResult
 from .index import Index, primary_key_index
-from .matview import derive_view_stats, make_view_table, populate_view
+from .matview import (derive_view_stats, make_view_table, populate_view,
+                      select_over_view)
 from .optimizer import Optimizer, PlannedQuery
 from .schema import (Catalog, Column, ForeignKey, JoinViewDefinition, Table)
 from .statistics import ColumnStats, StatisticsCatalog, TableStats
@@ -28,6 +29,7 @@ __all__ = [
     "make_view_table",
     "populate_view",
     "derive_view_stats",
+    "select_over_view",
     "Optimizer",
     "PlannedQuery",
     "Catalog",

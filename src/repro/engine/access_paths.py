@@ -14,8 +14,10 @@ per :class:`~repro.engine.database.Database` answers each question once:
   conjuncts, covering, leaf pages, fetches;
 * a **probe** entry per (index, table, required columns): what one
   index-nested-loop probe of the index costs;
-* a **view scan** per (``SelectShape``, view): the SELECT's filters and
-  required columns rewritten onto the view, or None if it cannot answer.
+* a **view scan** per (``SelectShape``, view): the SELECT rewritten over
+  the view table (:func:`~repro.engine.matview.select_over_view`, the
+  rewrite a DBMS backend renders) with its filters and required columns
+  read off the rewritten SELECT, or None if the view cannot answer.
 
 The table holds numbers, literals and AST conjuncts only, never a plan
 node or a compiled closure: every plan builds its own operators, so
@@ -39,12 +41,13 @@ from typing import NamedTuple
 
 from ..errors import PlanError
 from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, ComparisonOp,
-                      Exists, IsNull, Literal, Or, Select, SelectShape,
+                      IsNull, Literal, Or, Select, SelectShape, conjuncts_of,
                       shape_of)
-from ..sqlast.shape import RANGE_OPS, Filters, map_scalars, split_sargable
+from ..sqlast.shape import RANGE_OPS, Filters, split_sargable
 from .cost import (CPU_OPERATOR_COST, CPU_TUPLE_COST, RANDOM_PAGE_COST,
                    SEQ_PAGE_COST)
 from .index import Index
+from .matview import select_over_view
 from .schema import Table
 from .statistics import StatisticsCatalog, TableStats
 
@@ -80,8 +83,8 @@ class ProbeCost(NamedTuple):
 class ViewScan(NamedTuple):
     """One SELECT answered from a join view."""
 
-    binding: dict[tuple[str, str], tuple[str, int]]
-    filters: Filters                # over the view's own columns
+    select: Select                  # over the view table alone
+    filters: Filters                # its WHERE, split for a seek
     required: frozenset[str]
 
 
@@ -174,9 +177,14 @@ class AccessPaths:
         key = (shape_of(select), view)
         if key not in self._view_scans:
             try:
-                self._view_scans[key] = _bind_view(select, view)
+                rewritten = select_over_view(select, view)
             except PlanError:
                 self._view_scans[key] = None
+            else:
+                self._view_scans[key] = ViewScan(
+                    rewritten,
+                    split_sargable(conjuncts_of(rewritten.where)),
+                    frozenset(col.name for col in view.columns))
         return self._view_scans[key]
 
     # ------------------------------------------------------------------
@@ -318,71 +326,3 @@ class AccessPaths:
             return table.column(column).sql_type.coerce(literal)
         except (ValueError, TypeError):
             return literal
-
-
-# ----------------------------------------------------------------------
-# View substitution
-# ----------------------------------------------------------------------
-
-
-def _bind_view(select: Select, view: Table) -> ViewScan:
-    """``select`` as a scan of ``view``, which joins the SELECT's two
-    tables; ``PlanError`` if the view cannot answer it."""
-    shape = shape_of(select)
-    assert view.view_def is not None
-    source_of = dict(view.view_def.columns)
-    table_alias = {table: alias
-                   for alias, table in shape.alias_tables.items()}
-    binding: dict[tuple[str, str], tuple[str, int]] = {}
-    for position, col in enumerate(view.columns):
-        # The view's own columns are addressable under the "@view"
-        # alias (used by filters rewritten onto the view).
-        binding[("@view", col.name)] = ("@view", position)
-        src = source_of.get(col.name)
-        if src is None:
-            continue
-        src_table, src_col = src
-        alias = table_alias.get(src_table)
-        if alias is not None:
-            binding[(alias, src_col)] = ("@view", position)
-    # Every referenced column must be bound; a join column that only the
-    # join conjunct itself mentions need not be (the view implies it).
-    join_exempt = {(la, lc) for la, lc, _, _ in shape.joins} | \
-                  {(ra, rc) for _, _, ra, rc in shape.joins}
-    referenced = {(alias, column) for alias, columns in shape.required.items()
-                  for column in columns
-                  if (alias, column) not in join_exempt}
-    referenced.update((item.expr.table, item.expr.column)
-                      for item in select.items
-                      if isinstance(item.expr, ColumnRef))
-    for key in referenced:
-        if key not in binding:
-            raise PlanError(
-                f"view {view.name!r} does not cover column {key}")
-    # Join conjuncts between the two source tables are implied by the
-    # view itself; any other join is unplannable here.
-    pair = {view.view_def.parent_table, view.view_def.child_table}
-    for la, _, ra, _ in shape.joins:
-        if {shape.alias_tables[la], shape.alias_tables[ra]} != pair:
-            raise PlanError("view does not cover this join")
-
-    def onto_view(expr):
-        if not isinstance(expr, ColumnRef):
-            return expr
-        try:
-            _, position = binding[(expr.table, expr.column)]
-        except KeyError:
-            raise PlanError(
-                f"view {view.name!r} does not cover column {expr}") from None
-        return ColumnRef("@view", view.columns[position].name)
-
-    def refuse(node: Exists):
-        raise PlanError(f"cannot push {node!r} into a view scan")
-
-    filters = [conjunct for alias_filters in shape.filters.values()
-               for conjunct in alias_filters.all]
-    filters.extend(shape.multi)
-    return ViewScan(
-        binding,
-        split_sargable(map_scalars(f, onto_view, refuse) for f in filters),
-        frozenset(col.name for col in view.columns))

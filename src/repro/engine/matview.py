@@ -4,13 +4,18 @@ The tuning advisor considers two-table join views of the shape the
 translated queries use: ``child JOIN parent ON child.fk = parent.ID``.
 A view is represented as a :class:`~repro.engine.schema.Table` carrying a
 :class:`~repro.engine.schema.JoinViewDefinition`; this module builds the
-view's rows from data and derives its statistics without data (what-if
-mode).
+view's rows from data, derives its statistics without data (what-if
+mode), and holds the one rewrite of a SELECT onto a view
+(:func:`select_over_view`) that the optimizer costs and the DBMS
+backends render.
 """
 
 from __future__ import annotations
 
-from ..errors import CatalogError
+from ..errors import CatalogError, PlanError
+from ..sqlast import (ColumnRef, Exists, Scalar, Select, SelectItem, TableRef,
+                      conjunction, shape_of)
+from ..sqlast.shape import map_scalars
 from .schema import Column, JoinViewDefinition, Table
 from .statistics import StatisticsCatalog, TableStats
 
@@ -64,6 +69,60 @@ def populate_view(view: Table, parent: Table, child: Table) -> None:
             parent_row[pos] if side == "p" else child_row[pos]
             for side, pos in extractors))
     view.set_rows(rows)
+
+
+def select_over_view(select: Select, view: Table) -> Select:
+    """``select`` answered from ``view``: a one-table SELECT over the
+    view table, aliased by its own name, or ``PlanError``.
+
+    Structural — no statistics, no data. The view answers a SELECT
+    whose FROM is exactly its (parent, child) pair, whose joins are all
+    its own ``child.fk = parent.ID``, and whose items and remaining
+    conjuncts name only columns it carries; the join conjuncts are
+    implied by the view and dropped, everything else is re-pointed at
+    the view's columns in place (a :class:`~repro.sqlast.Parameter`
+    stays one, so a parameterised template stays one statement).
+    """
+    definition = view.view_def
+    assert definition is not None
+    shape = shape_of(select)
+    alias_of = {table: alias for alias, table in shape.alias_tables.items()}
+    if len(shape.alias_tables) != 2 or sorted(alias_of) != sorted(
+            (definition.parent_table, definition.child_table)):
+        raise PlanError(
+            f"view {view.name!r} does not join the tables of this SELECT")
+    own_join = {(alias_of[definition.parent_table], "ID"),
+                (alias_of[definition.child_table],
+                 definition.child_fk_column)}
+    if not shape.joins or any({(la, lc), (ra, rc)} != own_join
+                              for la, lc, ra, rc in shape.joins):
+        raise PlanError(f"view {view.name!r} does not cover this join")
+    column_of = {(alias_of[table], column): name
+                 for name, (table, column) in definition.columns}
+
+    def onto_view(expr: Scalar) -> Scalar:
+        if not isinstance(expr, ColumnRef):
+            return expr
+        try:
+            return ColumnRef(view.name, column_of[(expr.table, expr.column)])
+        except KeyError:
+            raise PlanError(
+                f"view {view.name!r} does not cover column {expr}") from None
+
+    def refuse(node: Exists):
+        raise PlanError(f"cannot push {node!r} into a view scan")
+
+    for exists in shape.exists:     # at any depth, owned by an alias or not
+        refuse(exists.node)
+    conjuncts = [conjunct for filters in shape.filters.values()
+                 for conjunct in filters.all]
+    conjuncts.extend(shape.multi)
+    return Select(
+        tuple(SelectItem(onto_view(item.expr), item.alias)
+              for item in select.items),
+        (TableRef(view.name, view.name),),
+        conjunction(map_scalars(conjunct, onto_view, refuse)
+                    for conjunct in conjuncts))
 
 
 def derive_view_stats(view: Table, definition: JoinViewDefinition,

@@ -242,9 +242,10 @@ class Optimizer:
                         for alias, name in shape.alias_tables.items()}
         cost, rows, build = self._cost_joins(shape, alias_tables)
         cost += rows * CPU_TUPLE_COST
-        # (alias, column) -> (env_alias, position): a view substitutes
-        # its own layout, base tables answer from their column index.
-        binding = None
+        # What gets built: the SELECT over its base tables, or a view's
+        # one-table rewrite of it (no EXISTS in it: the rewrite refuses
+        # them), whose rows sit in the environment slot "@view".
+        built, layout = select, None
         for view in self._views.get(frozenset(shape.alias_tables.values()), ()):
             scan = self.paths.view_scan(select, view)
             if scan is None:
@@ -254,12 +255,12 @@ class Optimizer:
             view_cost += view_rows * CPU_TUPLE_COST
             if view_cost < cost:
                 cost, rows, build = view_cost, view_rows, view_build
-                binding = scan.binding
+                built, layout = scan.select, view
 
         def resolve(ref: ColumnRef) -> tuple[str, int]:
             try:
-                if binding is not None:
-                    return binding[(ref.table, ref.column)]
+                if layout is not None:  # one table, whatever a ref calls it
+                    return "@view", layout.column_position(ref.column)
                 return (ref.table,
                         alias_tables[ref.table].column_position(ref.column))
             except (KeyError, CatalogError):
@@ -279,7 +280,7 @@ class Optimizer:
 
         project = Project(
             build(compile_bool, resolve),
-            [compile_scalar(item.expr, resolve) for item in select.items])
+            [compile_scalar(item.expr, resolve) for item in built.items])
         project.est_rows = rows
         project.est_cost = cost
         probes_out.extend(probes[exists] for exists in shape.exists

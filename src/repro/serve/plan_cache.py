@@ -10,11 +10,12 @@ translation once per shape, not once per request or per distinct value:
 
 * a **hit** never parses, digests or renders anything. One lexer pass
   yields shape and value; the shape is the key; the cached SQL text,
-  rendered once in the serving backend's dialect with a placeholder
-  where the value goes, is paired with the value for the backend to
-  bind. A text is a hit only if the lexer consumed all of it and its
-  tokens equal a cached shape's, and what parses is decided by the
-  tokens alone, so a hit is never a text the parser would refuse.
+  rendered once by the serving backend (``sql_text``: its dialect, over
+  the join views it built) with a placeholder where the value goes, is
+  paired with the value for the backend to bind. A text is a hit only
+  if the lexer consumed all of it and its tokens equal a cached
+  shape's, and what parses is decided by the tokens alone, so a hit is
+  never a text the parser would refuse.
 * a **miss** parses the shape into its *template* — the query with no
   value in it, so the translator cannot read one and a value-dependent
   plan is impossible by construction — translates that to a statement
@@ -42,9 +43,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from ..backends import Dialect, Statement
+from ..backends import Statement
 from ..mapping import MappedSchema
 from ..obs import NullTracer, Tracer, get_tracer
 from ..resilience import active_fault_plan
@@ -63,7 +64,7 @@ class _Entry(NamedTuple):
     head: str           # canonical text up to the literal slot ...
     tail: str           # ... and after it ("": the shape has no slot)
     template: Query     # Parameter(1) wherever the literal goes
-    text: str | None    # ``template`` in the serving dialect, if it binds
+    text: str | None    # ``template`` as the serving backend runs it
 
 
 class CachedPlan(NamedTuple):
@@ -91,13 +92,13 @@ class CachedPlan(NamedTuple):
 class PlanCache:
     """Thread-safe LRU of translated query shapes for one schema.
 
-    ``dialect`` is the serving backend's; without one (or with one that
-    declares no parameter syntax) plans carry the literal query.
+    ``render`` is the serving backend's ``sql_text`` when its dialect
+    binds parameters; without it plans carry the literal query.
     """
 
     def __init__(self, schema: MappedSchema, capacity: int = 128,
                  tracer: Tracer | NullTracer | None = None,
-                 dialect: Dialect | None = None):
+                 render: Callable[[Query], str] | None = None):
         if capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
         self.schema = schema
@@ -105,8 +106,7 @@ class PlanCache:
         self.tracer = tracer if tracer is not None else get_tracer()
         self._translator = Translator(schema)
         self._schema_digest = mapping_digest(schema.mapping)
-        self._render = (dialect.render_query if dialect is not None
-                        and dialect.parameter(1) is not None else None)
+        self._render = render
         self._entries: OrderedDict[Shape, _Entry] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0

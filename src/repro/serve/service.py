@@ -259,6 +259,9 @@ class QueryService:
                     self.backend = make_backend(db_path,
                                                 tracer=self.tracer,
                                                 read_only=True)
+                    # No DDL: registers the view tables just built, so
+                    # both paths serve the same SQL text.
+                    self.backend.apply_configuration(self.configuration)
             except BaseException:
                 if loader is not None:
                     loader.close()
@@ -270,9 +273,11 @@ class QueryService:
                         except OSError:
                             pass
                 raise
-        self.plan_cache = PlanCache(schema, capacity=plan_cache_size,
-                                    tracer=self.tracer,
-                                    dialect=self.backend.dialect)
+        self.plan_cache = PlanCache(
+            schema, capacity=plan_cache_size, tracer=self.tracer,
+            render=(self.backend.sql_text
+                    if self.backend.dialect.parameter(1) is not None
+                    else None))
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve")
 

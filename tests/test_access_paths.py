@@ -8,7 +8,10 @@ never pickled — and invisible in every plan.
     its own EXISTS probes;
 (c) hypothetical indexes are told apart by identity, and an entry keeps
     its index alive so that an ``id()`` is never handed out twice;
-(d) the table is absent from every pickle and refills on first use.
+(d) the table is absent from every pickle and refills on first use;
+(e) "this SELECT, answered from that join view" is one function that
+    returns a ``Select`` — the optimizer's view scan is read off it and
+    a DBMS backend renders the same one.
 (The census — costings executed == distinct keys seen — is pinned in
 ``tests/test_select_shape.py::TestBoundOnce``.)
 """
@@ -16,18 +19,23 @@ never pickled — and invisible in every plan.
 import gc
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import DatasetBundle
 from repro.engine import (Column, Database, Index, JoinViewDefinition,
-                          SQLType, TableStats)
+                          SQLType, TableStats, make_view_table,
+                          select_over_view)
 from repro.engine.access_paths import AccessPaths
 from repro.engine.plans import IndexSeek
 from repro.physdesign.config import make_view_candidate
 from repro.search import EvaluationCache, GreedySearch
 from repro.search.evaluator import EvaluatedMapping
-from repro.sqlast import parse_sql
+from repro.errors import PlanError
+from repro.sqlast import (And, ColumnRef, Comparison, ComparisonOp,
+                          Parameter, Query, Select, SelectItem, TableRef,
+                          bind, parse_sql)
 
 # Parsed once: what a search re-estimates is the same ``Query`` object,
 # so these hit whatever the long-lived database remembered.
@@ -351,3 +359,89 @@ class TestNotPickled:
             size = len(pickle.dumps(mapping))
             db.access_paths = AccessPaths(db.stats)
             assert len(pickle.dumps(mapping)) == size
+
+
+# ----------------------------------------------------------------------
+# (e) one view rewrite
+# ----------------------------------------------------------------------
+def view_table(definition=VIEW, name="jv"):
+    db = make_db()
+    return make_view_table(name, definition, db.catalog.table("p"),
+                           db.catalog.table("c"))
+
+
+def select(sql: str) -> Select:
+    return parse_sql(sql).selects[0]
+
+
+class TestSelectOverView:
+    def test_a_covered_select_becomes_one_table_and_round_trips(self):
+        rewritten = select_over_view(select(
+            "SELECT P.ID AS ID, C.w FROM p P, c C "
+            "WHERE P.k = 3 AND C.PID = P.ID AND C.w < 4"), view_table())
+        assert str(rewritten) == (
+            "SELECT jv.ID AS ID, jv.w FROM jv WHERE jv.k = 3 AND jv.w < 4")
+        assert select(str(rewritten)) == rewritten
+        assert rewritten.from_tables == (TableRef("jv", "jv"),)
+
+    def test_the_join_columns_need_no_cover(self):
+        narrow = JoinViewDefinition(
+            "p", "c", "PID", (("v", ("p", "v")), ("w", ("c", "w"))))
+        rewritten = select_over_view(
+            select("SELECT P.v, C.w FROM p P, c C WHERE C.PID = P.ID"),
+            view_table(narrow))
+        assert str(rewritten) == "SELECT jv.v, jv.w FROM jv"
+
+    @pytest.mark.parametrize("sql, reason", [
+        ("SELECT P.v, C.w FROM p P, c C WHERE C.PID = P.ID AND P.k = 3",
+         "does not cover column P.k"),
+        ("SELECT P.k FROM p P, c C WHERE C.PID = P.ID", "cover column P.k"),
+        ("SELECT P.v FROM p P, c C, c D WHERE C.PID = P.ID AND D.PID = P.ID",
+         "does not join the tables"),
+        ("SELECT P.v FROM p P", "does not join the tables"),
+        ("SELECT P.v FROM p P, c C WHERE C.PID = P.ID AND EXISTS "
+         "(SELECT D.ID FROM c D WHERE D.PID = P.ID)", "cannot push"),
+        ("SELECT P.v FROM p P, c C WHERE C.w = P.ID", "cover this join"),
+        ("SELECT P.v FROM p P, c C WHERE C.PID = P.ID AND C.w = P.ID",
+         "cover this join"),
+        ("SELECT P.v FROM p P, c C WHERE C.w < 4", "cover this join"),
+    ])
+    def test_what_the_view_cannot_answer_is_refused(self, sql, reason):
+        narrow = JoinViewDefinition(
+            "p", "c", "PID", (("v", ("p", "v")), ("w", ("c", "w"))))
+        with pytest.raises(PlanError, match=reason):
+            select_over_view(select(sql), view_table(narrow))
+
+    def test_a_parameter_survives_so_a_template_is_one_statement(self):
+        template = Select(
+            (SelectItem(ColumnRef("C", "w")),),
+            (TableRef("p", "P"), TableRef("c", "C")),
+            And((Comparison(ColumnRef("C", "PID"), ComparisonOp.EQ,
+                            ColumnRef("P", "ID")),
+                 Comparison(ColumnRef("P", "k"), ComparisonOp.EQ,
+                            Parameter(1)))))
+        rewritten = select_over_view(template, view_table())
+        assert str(rewritten) == "SELECT jv.w FROM jv WHERE jv.k = ?1"
+        # Binding before or after the rewrite is the same statement.
+        bound = bind(Query((template,)), (3,)).selects[0]
+        assert select_over_view(bound, view_table()) == \
+            bind(Query((rewritten,)), (3,)).selects[0]
+
+    def test_the_optimizer_costs_and_builds_that_select(self):
+        db = make_db()
+        view = make_view_candidate("jv", VIEW, db)
+        query = QUERIES[2]
+        scan = db.access_paths.view_scan(query.selects[0], view.table)
+        assert scan.select == select_over_view(query.selects[0], view.table)
+        assert scan.filters.eq == {"k": 3} and not scan.filters.other
+        planned = db.estimate(query, extra_tables=[view.table])
+        # Plan text, cost and I(Q, M) as before the rewrite was shared.
+        assert fingerprint(planned) == (
+            "Project(2 cols)  (rows=17 cost=1.4)\n"
+            "  SeqScan(jv AS @view)  (rows=17 cost=1.4)",
+            1.3942857142857141, ["jv"])
+        db.create_materialized_view("mv", VIEW)
+        assert sorted(db.execute(query).rows) == sorted(
+            (f"v{i % 5}", j % 9) for j in range(120)
+            for i in [j % 40] if i % 7 == 3)
+        assert db.explain(query).objects_used() == {"mv"}

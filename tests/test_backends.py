@@ -20,12 +20,13 @@ from repro.backends.sqlite import BackendError
 from repro.check.runtime import override_checks
 from repro.datasets import (dblp_schema, generate_dblp, generate_movies,
                             movie_schema)
-from repro.engine import Column, Index, SQLType, Table
+from repro.engine import (Column, Index, JoinViewDefinition, SQLType, Table,
+                          make_view_table)
 from repro.engine.expressions import _comparator
 from repro.experiments import DatasetBundle
 from repro.mapping import (PRESETS, collect_statistics, derive_schema,
                            fully_split, hybrid_inlining)
-from repro.physdesign import Configuration
+from repro.physdesign import Configuration, ViewCandidate
 from repro.search import GreedySearch, design_for
 from repro.sqlast import (ColumnRef, Comparison, ComparisonOp, IsNull,
                           Literal, Or, Query, Select, SelectItem, TableRef)
@@ -73,6 +74,17 @@ def hybrid_pair(dblp_data):
 
 def _translate(schema, xpath: str) -> Query:
     return Translator(schema).translate(parse_xpath(xpath))
+
+
+def _author_view(schema, name: str, *parent_columns: str) -> ViewCandidate:
+    """``inproc JOIN author`` of the hybrid DBLP schema, carrying the
+    named ``inproc`` columns and ``author``'s ``ID`` and ``author``."""
+    tables = {table.name: table for table in schema.to_engine_tables()}
+    definition = JoinViewDefinition("inproc", "author", "PID", tuple(
+        [(column, ("inproc", column)) for column in parent_columns]
+        + [(column, ("author", column)) for column in ("ID", "author")]))
+    return ViewCandidate(name, definition, make_view_table(
+        name, definition, tables["inproc"], tables["author"]))
 
 
 def _agree(engine, sqlite_backend, query: Query) -> tuple[int, int]:
@@ -396,6 +408,80 @@ class TestBackendBasics:
                 assert index.name in names
             for view in result.configuration.views:
                 assert view.name in names
+
+    def test_queries_are_rendered_over_the_narrowest_covering_view(
+            self, dblp_data):
+        tree, docs = dblp_data
+        schema = derive_schema(hybrid_inlining(tree))
+        wide = _author_view(schema, "jv_wide", "year", "title", "booktitle")
+        narrow = _author_view(schema, "jv_narrow", "year")
+        by_year = _translate(schema, '//inproceedings[year >= "1990"]/author')
+        by_title = _translate(schema, '//inproceedings[title = "x"]/author')
+        by_pages = _translate(schema, '//inproceedings[pages = "1"]/author')
+        with SQLiteBackend() as plain, SQLiteBackend() as backend:
+            for each in (plain, backend):
+                each.load(schema, docs)
+            base = {query: plain.sql_text(query)
+                    for query in (by_year, by_title, by_pages)}
+            backend.apply_configuration(Configuration(views=[wide, narrow]))
+            # Both cover the first, only the wide one the second, neither
+            # the third.
+            for query, view in ((by_year, "jv_narrow"), (by_title, "jv_wide"),
+                                (by_pages, None)):
+                text = backend.sql_text(query)
+                assert (text == base[query]) == (view is None)
+                for name in ("jv_wide", "jv_narrow"):
+                    assert (f'FROM "{name}"' in text) == (name == view)
+                # One render site: every way to run a query runs that.
+                backend.prepare(query)
+                rows = backend.execute(query)
+                assert rows == backend.execute_sql(text)
+                assert backend.time_query(query, repeat=1).rows == len(rows)
+                assert not any(multiset_diff(plain.execute(query), rows))
+            assert backend.execute(by_year)
+
+    def test_an_append_rematerializes_every_view(self, dblp_data):
+        tree, docs = dblp_data
+        schema = derive_schema(hybrid_inlining(tree))
+        view = _author_view(schema, "jv_author", "year")
+        query = _translate(schema, '//inproceedings[year >= "0"]/author')
+        with SQLiteBackend() as backend:
+            backend.load(schema, docs)
+            backend.apply_configuration(Configuration(views=[view]))
+            before = backend.execute(query)
+            assert 'FROM "jv_author"' in backend.sql_text(query)
+            backend.load(schema, generate_dblp(20, seed=9), append=True)
+            # Each view's rows == its definition evaluated now, in child
+            # ID (document) order.
+            now = backend.execute_sql(
+                backend.dialect.view_rows_sql(view.definition))
+            assert backend.execute_sql(
+                'SELECT * FROM "jv_author" ORDER BY rowid') == now
+            assert len(backend.execute(query)) > len(before)
+
+    def test_a_read_only_reopen_registers_the_views_it_finds(
+            self, dblp_data, tmp_path):
+        tree, docs = dblp_data
+        schema = derive_schema(hybrid_inlining(tree))
+        built = _author_view(schema, "jv_built", "year")
+        absent = _author_view(schema, "jv_absent", "year", "title")
+        query = _translate(schema, '//inproceedings[year >= "1990"]/author')
+        path = str(tmp_path / "tuned.db")
+        with SQLiteBackend(path) as writer:
+            writer.load(schema, docs)
+            writer.apply_configuration(Configuration(views=[built]))
+            text, rows = writer.sql_text(query), writer.execute(query)
+        with SQLiteBackend(path, read_only=True) as reader:
+            assert 'FROM "jv_built"' not in reader.sql_text(query)
+            # No DDL (the file cannot be written): a view the file does
+            # not hold is not registered, let alone built.
+            reader.apply_configuration(Configuration(
+                indexes=[Index("ix_y", "inproc", ("year",))],
+                views=[absent, built]))
+            assert reader.sql_text(query) == text
+            assert reader.execute(query) == rows
+            assert "jv_absent" not in reader.table_names_on_disk()
+            assert reader.index_names() == []
 
     def test_time_query_returns_positive_median(self, hybrid_pair):
         schema, _, sqlite_backend = hybrid_pair

@@ -315,7 +315,7 @@ class TestPlanCache:
 
     def test_one_entry_serves_every_literal_of_a_shape(self, dblp_serving):
         schema, backend, _ = dblp_serving
-        cache = PlanCache(schema, capacity=8, dialect=backend.dialect)
+        cache = PlanCache(schema, capacity=8, render=backend.sql_text)
         translator = Translator(schema)
         plans = {}
         for year in ("1999", "2000", "it's"):
@@ -482,6 +482,42 @@ class TestQueryService:
             with pytest.raises(BackendError):
                 service.backend.execute_sql(
                     f"DELETE FROM {schema.table_names[0]}")
+
+    def test_both_services_serve_the_design_that_was_costed(
+            self, tmp_path, monkeypatch):
+        """A tuned design with join views: the in-memory and the
+        file-backed read-only service hold the same SQL text per shape,
+        over the view tables, and pay the rewrite on a miss only."""
+        from repro.backends import dbms
+        from repro.search import design_for
+        bundle = DatasetBundle.dblp(scale=400, seed=SEED)
+        workload = bundle.workload_generator(41).generate(10)
+        design = design_for("hybrid", bundle.tree, workload, bundle.stats,
+                            bundle.storage_bound)
+        assert design.configuration.views
+        rewrites = []
+        monkeypatch.setattr(
+            dbms, "select_over_view",
+            lambda select, view, inner=dbms.select_over_view:
+            rewrites.append(view.name) or inner(select, view))
+        xpaths = sorted({str(w.query) for w in workload.queries})
+        with QueryService(design.schema, bundle.docs, design.configuration,
+                          workers=1) as memory, \
+                QueryService(design.schema, bundle.docs,
+                             design.configuration, workers=1,
+                             db_path=str(tmp_path / "tuned.db")) as file:
+            assert file.backend.read_only
+            answers = [(memory.serve(x).rows, file.serve(x).rows)
+                       for x in xpaths]
+            paid = len(rewrites)
+            texts = [(sent_text(memory, x), sent_text(file, x))
+                     for x in xpaths]
+            for x, (in_memory, in_file) in zip(xpaths, answers):
+                assert in_memory == in_file == memory.serve(x).rows
+        assert paid and len(rewrites) == paid   # never on a hit
+        assert all(a == b for a, b in texts)
+        over_views = [a for a, _ in texts if 'FROM "cand_view_' in a]
+        assert over_views and all("?1" in text for text in over_views)
 
 
 # ----------------------------------------------------------------------
