@@ -17,32 +17,45 @@ per :class:`~repro.engine.database.Database` answers each question once:
 * a **view scan** per (``SelectShape``, view): the SELECT rewritten over
   the view table (:func:`~repro.engine.matview.select_over_view`, the
   rewrite a DBMS backend renders) with its filters and required columns
-  read off the rewritten SELECT, or None if the view cannot answer.
+  read off the rewritten SELECT, or None if the view cannot answer;
+* a **select** entry per (``SelectShape``, the tables it reads under
+  their current stamps, the indexes on them it could be entered by, the
+  views that can answer it): the :class:`SelectChoice` the optimizer
+  made — cost, rows, objects used, and which scan, seek, join method and
+  EXISTS probe per alias — so that a SELECT is costed once per
+  configuration that can matter to it, however many what-if calls,
+  UNION branches and candidate indexes on other columns go by.
 
-The table holds numbers, literals and AST conjuncts only, never a plan
-node or a compiled closure: every plan builds its own operators, so
-every plan registers its own EXISTS probes.
+The table holds numbers, literals, AST conjuncts and references to
+catalog objects only, never a plan node or a compiled closure: a plan
+is built from a choice when somebody reads it, so every plan registers
+its own EXISTS probes.
 
 Keys are the objects themselves (or ``id()`` of an unhashable
-:class:`Index`, which its table's entry keeps alive, so an address is
-never reused while its entry lives) — nothing is hashed by content or
+:class:`Index`, which its entry keeps alive, so an address is never
+reused while its entry lives) — nothing is hashed by content or
 rendered. Everything known about a table sits under one stamp: the
 ``TableStats`` object installed for it and the table's own row count.
 ``analyze`` / ``set_table_stats`` (which also rewrite column widths)
 install a new statistics object and ``insert_rows`` moves the row count,
-so the first question after either starts that table afresh; indexes,
-views and tables created or dropped are simply other objects. The table
-is dropped from a pickled database and refilled on first use.
+so the first question after either starts that table afresh (under a
+new serial number, which is how a select entry's key names the table as
+it stood); indexes, views and tables created or dropped are simply other
+objects. What is known about a SELECT is held weakly by its shape: it
+goes when the ``Select`` does. The table is dropped from a pickled
+database and refilled on first use.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 from ..errors import PlanError
 from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, ComparisonOp,
-                      IsNull, Literal, Or, Select, SelectShape, conjuncts_of,
-                      shape_of)
+                      ExistsShape, IsNull, Literal, Or, Select, SelectShape,
+                      conjuncts_of, shape_of)
 from ..sqlast.shape import RANGE_OPS, Filters, split_sargable
 from .cost import (CPU_OPERATOR_COST, CPU_TUPLE_COST, RANDOM_PAGE_COST,
                    SEQ_PAGE_COST)
@@ -86,15 +99,93 @@ class ViewScan(NamedTuple):
     select: Select                  # over the view table alone
     filters: Filters                # its WHERE, split for a seek
     required: frozenset[str]
+    seek_columns: frozenset[str]    # what an index must lead with
+
+
+class PathChoice(NamedTuple):
+    """The cheapest way to read one table: a scan, or a seek on ``index``."""
+
+    table: Table
+    alias: str
+    filters: Filters
+    cost: float
+    rows: float
+    index: Index | None = None
+    seek: SeekCost | None = None
+
+    def objects_used(self) -> set[str]:
+        if self.index is None:
+            return {self.table.name}
+        if self.seek.covering:
+            return {self.index.name}
+        return {self.index.name, self.table.name}
+
+
+class JoinChoice(NamedTuple):
+    """One left-deep step: ``inner`` joined onto the aliases bound so
+    far — a product without ``outer_alias``; else a hash join on
+    ``outer_alias.outer_column = inner.inner_column`` with the step's
+    other equalities as ``residual``; or, with ``index``, one probe of
+    it per outer row in place of ``inner``'s own path."""
+
+    inner: PathChoice
+    outer_alias: str | None
+    outer_column: str | None
+    inner_column: str | None
+    residual: tuple[tuple[str, str, str, str], ...]
+    cost: float
+    rows: float
+    index: Index | None = None
+    probe: ProbeCost | None = None
+
+    def objects_used(self) -> set[str]:
+        if self.index is None:
+            return self.inner.objects_used()
+        if self.probe.covering:
+            return {self.index.name}
+        return {self.index.name, self.inner.table.name}
+
+
+class ProbeChoice(NamedTuple):
+    """How one EXISTS is probed: through ``index`` (``key_values``
+    following the correlation value in the seek key, the local predicate
+    folded into them) or against the correlation keys of a scan."""
+
+    exists: ExistsShape
+    table: Table
+    index: Index | None
+    key_values: tuple
+
+    def objects_used(self) -> set[str]:
+        return {self.table.name if self.index is None else self.index.name}
+
+
+class SelectChoice(NamedTuple):
+    """The optimizer's decision for one SELECT, as data.
+
+    ``cost`` and ``objects`` answer a what-if call; the rest is what
+    building the operators reads. ``rewrite`` is the one-table SELECT
+    over a join view when that is cheaper than the base tables (then
+    ``first`` reads the view and there is nothing else)."""
+
+    cost: float
+    rows: float
+    objects: tuple[str, ...]
+    first: PathChoice
+    steps: tuple[JoinChoice, ...] = ()
+    multi: tuple[BoolExpr, ...] = ()
+    probes: tuple[ProbeChoice, ...] = ()
+    rewrite: Select | None = None
 
 
 class _TableNumbers:
     """Everything computed for one table under one statistics stamp."""
 
-    __slots__ = ("stats", "table_rows", "rows", "pages", "scans", "indexes",
-                 "seeks", "probes")
+    __slots__ = ("serial", "stats", "table_rows", "rows", "pages", "scans",
+                 "indexes", "seeks", "probes")
 
-    def __init__(self, table: Table, stats: TableStats | None):
+    def __init__(self, table: Table, stats: TableStats | None, serial: int):
+        self.serial = serial
         self.stats = stats
         self.table_rows = table.row_count
         self.rows = stats.row_count if stats is not None else self.table_rows
@@ -106,27 +197,55 @@ class _TableNumbers:
         self.probes: dict[tuple, ProbeCost] = {}
 
 
+class _SelectEntries:
+    """Everything remembered about one SELECT."""
+
+    __slots__ = ("view_scans", "choices", "held")
+
+    def __init__(self):
+        self.view_scans: dict[Table, ViewScan | None] = {}
+        #: By table stamps and the ``id()``s of the indexes in ``held``:
+        #: no address is handed out again while a key names it.
+        self.choices: dict[tuple[int, ...], SelectChoice] = {}
+        self.held: dict[int, Index] = {}
+
+
 class AccessPaths:
     def __init__(self, stats: StatisticsCatalog):
         self.stats = stats
         self._tables: dict[Table, _TableNumbers] = {}
-        self._view_scans: dict[tuple[SelectShape, Table], ViewScan | None] = {}
+        self._serials = itertools.count(1)
+        self._selects: WeakKeyDictionary[SelectShape, _SelectEntries] = \
+            WeakKeyDictionary()
         #: Access paths asked for (one per alias per costed candidate)
         #: and scan / seek costings actually carried out.
         self.lookups = 0
         self.scans_costed = 0
         self.seeks_costed = 0
+        #: SELECTs the optimizer was asked to plan, and those it had to
+        #: cost because no remembered choice answered.
+        self.selects_planned = 0
+        self.selects_costed = 0
 
     @property
     def costed(self) -> int:
         return self.scans_costed + self.seeks_costed
+
+    def counters(self) -> dict[str, int]:
+        """Asked for and carried out so far, per SELECT and per access
+        path, under the names an ``advisor.tune`` span reports them."""
+        return {"selects_planned": self.selects_planned,
+                "selects_costed": self.selects_costed,
+                "access_path_lookups": self.lookups,
+                "access_paths_costed": self.costed}
 
     def _numbers(self, table: Table) -> _TableNumbers:
         stats = self.stats.tables.get(table.name)
         numbers = self._tables.get(table)
         if numbers is None or numbers.stats is not stats \
                 or numbers.table_rows != table.row_count:
-            numbers = self._tables[table] = _TableNumbers(table, stats)
+            numbers = self._tables[table] = _TableNumbers(
+                table, stats, next(self._serials))
         return numbers
 
     # ------------------------------------------------------------------
@@ -173,19 +292,54 @@ class AccessPaths:
                                                    covering)
         return cost
 
+    def _entries(self, shape: SelectShape) -> _SelectEntries:
+        entries = self._selects.get(shape)
+        if entries is None:
+            entries = self._selects[shape] = _SelectEntries()
+        return entries
+
     def view_scan(self, select: Select, view: Table) -> ViewScan | None:
-        key = (shape_of(select), view)
-        if key not in self._view_scans:
+        scans = self._entries(shape_of(select)).view_scans
+        if view not in scans:
             try:
                 rewritten = select_over_view(select, view)
             except PlanError:
-                self._view_scans[key] = None
+                scans[view] = None
             else:
-                self._view_scans[key] = ViewScan(
-                    rewritten,
-                    split_sargable(conjuncts_of(rewritten.where)),
-                    frozenset(col.name for col in view.columns))
-        return self._view_scans[key]
+                filters = split_sargable(conjuncts_of(rewritten.where))
+                scans[view] = ViewScan(
+                    rewritten, filters,
+                    frozenset(col.name for col in view.columns),
+                    frozenset(filters.eq) | frozenset(filters.ranges))
+        return scans[view]
+
+    def forget_selects(self) -> None:
+        """Drop what is remembered per SELECT (numbers per table stay):
+        for a caller whose hypothetical indexes and views are going out
+        of use, so that no later call can name them."""
+        self._selects.clear()
+
+    def stamp(self, table: Table) -> int:
+        """A number for everything computed for ``table`` as it stands,
+        another after its statistics or row count moved, and no other
+        table's: negative, so that it is no object's ``id()`` either."""
+        return -self._numbers(table).serial
+
+    def select(self, shape: SelectShape, key: tuple[int, ...],
+               indexes: list[Index], cost) -> SelectChoice:
+        """The choice remembered for ``shape`` under ``key`` — the
+        :meth:`stamp` of every table that matters and the ``id()`` of
+        every one of ``indexes``, the indexes that do — else ``cost()``,
+        remembered."""
+        self.selects_planned += 1
+        entries = self._entries(shape)
+        choice = entries.choices.get(key)
+        if choice is None:
+            self.selects_costed += 1
+            choice = entries.choices[key] = cost()
+            for index in indexes:
+                entries.held[id(index)] = index
+        return choice
 
     # ------------------------------------------------------------------
     # Costing

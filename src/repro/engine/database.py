@@ -176,59 +176,68 @@ class Database:
             query, lambda name: self.catalog.table(name).column_names())
 
     def _run_checks(self, query: Query, planned: PlannedQuery,
-                    extra_indexes: list[Index] | None,
-                    extra_tables: list[Table] | None,
-                    what_if: bool) -> None:
+                    optimizer: Optimizer) -> None:
         """Debug-mode assertions: SQL analysis + plan sanitation.
 
         SQL analysis is memoized per query object — the tuning advisor
         re-estimates the same ``Query`` values thousands of times per
         search, and their semantics never change; the plan sanitizer
-        always runs because each call plans afresh.
+        always runs (and so builds the plan) because each call plans
+        afresh.
         """
         from ..check import analyze_query, check_plan, enforce
 
-        extra = {t.name: t for t in extra_tables or ()}
         cached = self._analysis_cache.get(id(query))
         if cached is None or cached[0] is not query:
-            findings = analyze_query(query, self.catalog, extra)
+            findings = analyze_query(query, self.catalog,
+                                     optimizer.extra_tables)
             self._analysis_cache[id(query)] = (query, findings)
         else:
             findings = cached[1]
         findings = findings + check_plan(
             query, planned, self.catalog,
-            extra_indexes=extra_indexes or (),
-            extra_tables=extra_tables or (), what_if=what_if)
+            extra_indexes=optimizer.extra_indexes,
+            extra_tables=optimizer.extra_tables.values(),
+            what_if=optimizer.what_if)
         enforce(findings, self.tracer, context=f"db:{self.name}")
 
-    def explain(self, query: Query | str) -> PlannedQuery:
+    def _plan(self, query: Query | str, optimizer: Optimizer) -> PlannedQuery:
         from ..check.runtime import checks_enabled
 
         query = self._as_query(query)
-        planned = Optimizer(self.catalog, self.stats, self.access_paths,
-                            what_if=False).plan(query)
+        planned = optimizer.plan(query)
         if checks_enabled():
-            self._run_checks(query, planned, None, None, what_if=False)
+            self._run_checks(query, planned, optimizer)
         return planned
+
+    def explain(self, query: Query | str) -> PlannedQuery:
+        return self._plan(query, Optimizer(self.catalog, self.stats,
+                                           self.access_paths))
+
+    def what_if(self, extra_indexes: list[Index] | None = None,
+                extra_tables: list[Table] | None = None) -> Optimizer:
+        """The optimizer for one hypothetical configuration: hand it to
+        :meth:`estimate_under` to cost any number of queries under it
+        while the catalog stands as it is."""
+        return Optimizer(self.catalog, self.stats, self.access_paths,
+                         what_if=True, extra_indexes=extra_indexes,
+                         extra_tables=extra_tables)
 
     def estimate(self, query: Query | str,
                  extra_indexes: list[Index] | None = None,
                  extra_tables: list[Table] | None = None) -> PlannedQuery:
         """Optimizer-estimated cost; supports hypothetical objects."""
-        from ..check.runtime import checks_enabled
+        return self.estimate_under(self.what_if(extra_indexes, extra_tables),
+                                   query)
+
+    def estimate_under(self, optimizer: Optimizer,
+                       query: Query | str) -> PlannedQuery:
+        """One what-if optimizer call under :meth:`what_if`'s objects."""
         from ..resilience import active_fault_plan
 
         active_fault_plan().maybe_raise("whatif")
         self._metrics.incr("estimate_calls")
-        query = self._as_query(query)
-        optimizer = Optimizer(self.catalog, self.stats, self.access_paths,
-                              what_if=True, extra_indexes=extra_indexes,
-                              extra_tables=extra_tables)
-        planned = optimizer.plan(query)
-        if checks_enabled():
-            self._run_checks(query, planned, extra_indexes, extra_tables,
-                             what_if=True)
-        return planned
+        return self._plan(query, optimizer)
 
     def execute(self, query: Query | str) -> ExecutionResult:
         """Plan with built objects only, run, and measure cost."""

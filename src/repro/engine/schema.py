@@ -103,6 +103,10 @@ class Table:
     def has_column(self, name: str) -> bool:
         return name in self._column_index
 
+    def lacks(self, names: frozenset[str]) -> set[str]:
+        """Those of ``names`` that are no column of this table."""
+        return names - self._column_index.keys()
+
     def column_position(self, name: str) -> int:
         if name not in self._column_index:
             raise CatalogError(f"table {self.name!r} has no column {name!r}")

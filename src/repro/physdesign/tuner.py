@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..engine import Database, Index
+from ..engine.optimizer import Optimizer
 from ..errors import PlanError, SearchError
 from ..obs import NullTracer, Tracer, get_tracer
 from ..sqlast import Query
@@ -90,6 +91,10 @@ class IndexTuningAdvisor:
         self._cache_lookups = 0
         self._cache_hits = 0
         self._heap_reevaluations = 0
+        # The configuration last costed under and the database's
+        # optimizer for it: a trial configuration costs every query it
+        # affects before the next one is tried.
+        self._what_if: tuple[Configuration, Optimizer] | None = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -139,14 +144,15 @@ class IndexTuningAdvisor:
         self._cache_lookups = 0
         self._cache_hits = 0
         self._heap_reevaluations = 0
+        self._what_if = None    # the catalog may have moved since
         paths = self.db.access_paths
-        lookups, costed = paths.lookups, paths.costed
+        before = paths.counters()
         with self.tracer.span("advisor.tune", queries=len(workload),
                               database=self.db.name) as span:
             result = self._tune(workload, storage_bound, extra_candidates,
                                 update_load)
-            span.set("access_path_lookups", paths.lookups - lookups)
-            span.set("access_paths_costed", paths.costed - costed)
+            for name, count in paths.counters().items():
+                span.set(name, count - before[name])
             span.set("candidates", result.candidates_considered)
             span.set("optimizer_calls", result.optimizer_calls)
             span.set("cost_cache_lookups", self._cache_lookups)
@@ -158,6 +164,9 @@ class IndexTuningAdvisor:
                      len(result.configuration.indexes)
                      + len(result.configuration.views))
             span.set("total_cost", result.total_cost)
+        # The candidates this tune tried are garbage now, and with them
+        # nearly every choice the database remembers for a SELECT.
+        paths.forget_selects()
         return result
 
     def _tune(self, workload: list[tuple[Query, float]],
@@ -335,11 +344,11 @@ class IndexTuningAdvisor:
 
     def _cost(self, query: Query,
               configuration: Configuration) -> tuple[float, frozenset[str]]:
+        if self._what_if is None or self._what_if[0] is not configuration:
+            self._what_if = (configuration, self.db.what_if(
+                configuration.indexes, configuration.extra_tables()))
         try:
-            planned = self.db.estimate(
-                query,
-                extra_indexes=configuration.indexes,
-                extra_tables=configuration.extra_tables())
+            planned = self.db.estimate_under(self._what_if[1], query)
         except PlanError as exc:
             raise SearchError(f"cannot cost query {query}: {exc}") from exc
         return planned.est_cost, planned.objects_used()

@@ -2,11 +2,12 @@
 
 from .ast import (And, BoolExpr, ColumnRef, Comparison, ComparisonOp, Exists,
                   IsNull, Literal, Or, Parameter, Query, Scalar, Select,
-                  SelectItem, TableRef, conjunction, conjuncts_of,
+                  SelectItem, TableRef, conjunction, conjuncts_of, leaves_of,
                   single_select)
 from .parser import parse_sql
 from .render import render, render_select
-from .shape import ExistsShape, SelectShape, bind, qualify, shape_of
+from .shape import (ExistsShape, SelectShape, bind, qualify, refs_of,
+                    shape_of)
 
 __all__ = [
     "And",
@@ -26,6 +27,7 @@ __all__ = [
     "TableRef",
     "conjunction",
     "conjuncts_of",
+    "leaves_of",
     "single_select",
     "parse_sql",
     "render",
@@ -34,5 +36,6 @@ __all__ = [
     "SelectShape",
     "bind",
     "qualify",
+    "refs_of",
     "shape_of",
 ]

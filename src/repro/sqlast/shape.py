@@ -36,7 +36,8 @@ def _column_equality(expr: BoolExpr) -> bool:
             and isinstance(expr.right, ColumnRef))
 
 
-def _refs(leaf: BoolExpr) -> list[ColumnRef]:
+def refs_of(leaf: BoolExpr) -> list[ColumnRef]:
+    """The column references of one leaf; a subquery is not entered."""
     if isinstance(leaf, IsNull):
         return [leaf.operand]
     if isinstance(leaf, Comparison):
@@ -122,6 +123,10 @@ class SelectShape:
     key_range: dict[str, tuple[str, ...]]
     #: Every column referenced outside EXISTS (join columns included).
     required: dict[str, frozenset[str]]
+    #: Per table name, EXISTS subqueries' tables included: the columns
+    #: an index must lead with to be of any use to this SELECT — the
+    #: sargable filter, join and EXISTS-correlation columns of the table.
+    seek_columns: dict[str, frozenset[str]]
 
     def exists_shape(self, node: Exists) -> ExistsShape:
         return next(shape for shape in self.exists if shape.node is node)
@@ -137,7 +142,7 @@ def _bind_exists(node: Exists) -> ExistsShape:
     outer: set[str] = set()
     for conjunct in conjuncts_of(sub.where):
         outer.update(ref.table for leaf in leaves_of(conjunct)
-                     for ref in _refs(leaf) if ref.table not in inner)
+                     for ref in refs_of(leaf) if ref.table not in inner)
         if _column_equality(conjunct) and \
                 (conjunct.left.table == alias) != (conjunct.right.table == alias):
             sides = (conjunct.left, conjunct.right)
@@ -181,7 +186,7 @@ def _bind_select(select: Select) -> SelectShape:
                 exists.append(_bind_exists(leaf))
                 aliases.update(known(alias, leaf)
                                for alias in sorted(exists[-1].outer_aliases))
-            aliases.update(require(ref) for ref in _refs(leaf))
+            aliases.update(require(ref) for ref in refs_of(leaf))
             if _column_vs_literal(leaf):
                 keys = key_eq if leaf.op == ComparisonOp.EQ else key_range
                 if leaf.left.column not in keys[leaf.left.table]:
@@ -199,13 +204,24 @@ def _bind_select(select: Select) -> SelectShape:
     for shape in top_exists:
         if shape.owner is not None:
             local[shape.owner].append(shape.node)
+    filters = {alias: split_sargable(parts) for alias, parts in local.items()}
+    seek: dict[str, set[str]] = {}
+    for alias, table in alias_tables.items():
+        seek.setdefault(table, set()).update(filters[alias].eq,
+                                             filters[alias].ranges)
+    for la, lc, ra, rc in joins:
+        seek[alias_tables[la]].add(lc)
+        seek[alias_tables[ra]].add(rc)
+    for shape in exists:
+        if shape.table is not None and shape.corr_column is not None:
+            seek.setdefault(shape.table, set()).add(shape.corr_column)
     return SelectShape(
-        alias_tables,
-        {alias: split_sargable(parts) for alias, parts in local.items()},
+        alias_tables, filters,
         tuple(joins), tuple(multi), tuple(top_exists), tuple(exists),
         {alias: tuple(columns) for alias, columns in key_eq.items()},
         {alias: tuple(columns) for alias, columns in key_range.items()},
-        {alias: frozenset(columns) for alias, columns in required.items()})
+        {alias: frozenset(columns) for alias, columns in required.items()},
+        {table: frozenset(columns) for table, columns in seek.items()})
 
 
 def shape_of(select: Select) -> SelectShape:

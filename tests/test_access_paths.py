@@ -3,9 +3,12 @@ never pickled — and invisible in every plan.
 
 (a) any interleaving of catalog / data / statistics changes with
     ``explain`` and what-if ``estimate`` plans exactly as a database
-    that has never planned before;
-(b) a reused entry carries numbers, not closures: each plan registers
-    its own EXISTS probes;
+    that has never planned before — with the analyzers on (every plan
+    is built by ``check_plan``) and off (cost and objects used are read
+    off the remembered choice before anything is built);
+(b) a reused entry carries numbers and choices, not closures: each plan
+    registers its own EXISTS probes, and what the choice says was used
+    is what the built tree uses;
 (c) hypothetical indexes are told apart by identity, and an entry keeps
     its index alive so that an ``id()`` is never handed out twice;
 (d) the table is absent from every pickle and refills on first use;
@@ -18,19 +21,23 @@ never pickled — and invisible in every plan.
 
 import gc
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.runtime import override_checks
 from repro.datasets import DatasetBundle
 from repro.engine import (Column, Database, Index, JoinViewDefinition,
                           SQLType, TableStats, make_view_table,
                           select_over_view)
 from repro.engine.access_paths import AccessPaths
+from repro.engine.matview import derive_view_stats
 from repro.engine.plans import IndexSeek
 from repro.physdesign.config import make_view_candidate
-from repro.search import EvaluationCache, GreedySearch
+from repro.search import (EvaluationCache, GreedySearch,
+                          build_stats_only_database, design_for)
 from repro.search.evaluator import EvaluatedMapping
 from repro.errors import PlanError
 from repro.sqlast import (And, ColumnRef, Comparison, ComparisonOp,
@@ -53,8 +60,12 @@ VIEW = JoinViewDefinition(
     columns=(("ID", ("p", "ID")), ("k", ("p", "k")), ("v", ("p", "v")),
              ("c_ID", ("c", "ID")), ("PID", ("c", "PID")),
              ("w", ("c", "w"))))
-INDEX_KEYS = {"p": (("k",), ("v",), ("k", "v"), ("v", "k")),
-              "c": (("PID",), ("w",), ("PID", "w"), ("w", "PID"))}
+# The last of each leads with a column no query filters, joins or
+# correlates that table on; the view's are columns of VIEW.
+INDEX_KEYS = {"p": (("k",), ("v",), ("k", "v"), ("v", "k"), ("v", "ID")),
+              "c": (("PID",), ("w",), ("PID", "w"), ("w", "PID"),
+                    ("ID", "w")),
+              "view": (("k",), ("w",), ("k", "w"), ("v",), ("c_ID",))}
 
 
 def p_rows(start, count):
@@ -81,8 +92,10 @@ def make_db(p_count=40, c_count=120) -> Database:
 
 
 def fingerprint(planned):
-    return (planned.explain(), planned.est_cost,
-            sorted(planned.objects_used()))
+    # What costing knew first: with the analyzers off nothing is built
+    # until ``explain()`` reads the plan.
+    cost, used = planned.est_cost, sorted(planned.objects_used())
+    return planned.explain(), cost, used
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +103,7 @@ def fingerprint(planned):
 # ----------------------------------------------------------------------
 STEPS = st.lists(st.one_of(
     st.tuples(st.just("create_index"), st.sampled_from(["p", "c"]),
-              st.integers(0, 3), st.booleans()),
+              st.integers(0, 4), st.booleans()),
     st.tuples(st.just("drop_index"), st.integers(0, 7)),
     st.tuples(st.just("insert_rows"), st.sampled_from(["p", "c"]),
               st.integers(1, 60)),
@@ -99,8 +112,12 @@ STEPS = st.lists(st.one_of(
               st.integers(1, 5000)),
     st.tuples(st.just("create_materialized_view")),
     st.tuples(st.just("what_if_index"), st.sampled_from(["p", "c"]),
-              st.integers(0, 3), st.booleans()),
+              st.integers(0, 4), st.booleans()),
+    st.tuples(st.just("reissue_what_if_index"), st.integers(0, 7)),
     st.tuples(st.just("what_if_view")),
+    st.tuples(st.just("drop_what_if_view"), st.integers(0, 7)),
+    st.tuples(st.just("view_index"), st.integers(0, 7), st.integers(0, 4),
+              st.booleans()),
 ), min_size=1, max_size=10)
 
 
@@ -151,15 +168,46 @@ class Scenario:
             self.what_if_indexes.append(Index(
                 f"hyp_{next(self.names)}", table, keys, included,
                 hypothetical=True))
-        else:
+        elif kind == "reissue_what_if_index":
+            # Another object with the signature (and name) of one that
+            # is dropped: told apart, or indistinguishable in effect.
+            if self.what_if_indexes:
+                at = step[1] % len(self.what_if_indexes)
+                self.what_if_indexes.append(
+                    replace(self.what_if_indexes.pop(at)))
+                gc.collect()
+        elif kind == "what_if_view":
             self.what_if_views.append(make_view_candidate(
                 f"hyp_view_{next(self.names)}", VIEW, db))
+        elif kind == "drop_what_if_view":
+            if self.what_if_views:
+                self.what_if_views.pop(step[1] % len(self.what_if_views))
+        else:
+            # An index on a join view's own table: a built view's goes
+            # in the catalog, a hypothetical view's is hypothetical.
+            _, which, keys, covering = step
+            views = [(name, True) for name in sorted(db.catalog.tables)
+                     if name.startswith("mv_")]
+            views += [(view.name, False) for view in self.what_if_views]
+            if views:
+                name, built = views[which % len(views)]
+                keys = INDEX_KEYS["view"][keys]
+                included = [column for column, _ in VIEW.columns
+                            if covering and column not in keys]
+                if built:
+                    db.create_index(f"ix_{next(self.names)}", name,
+                                    list(keys), included)
+                else:
+                    self.what_if_indexes.append(Index(
+                        f"hyp_{next(self.names)}", name, keys,
+                        tuple(included), hypothetical=True))
 
     def check(self) -> None:
         # A database that has never planned: same catalog, rows and
         # statistics, no access-path table (see TestNotPickled).
         fresh = pickle.loads(pickle.dumps(self.db))
         tables = [view.table for view in self.what_if_views]
+        # (An index on a view that is not offered is on no table.)
         for query in QUERIES:
             assert fingerprint(self.db.explain(query)) == \
                 fingerprint(fresh.explain(query))
@@ -170,9 +218,7 @@ class Scenario:
                     == fingerprint(fresh.estimate(query, indexes, views))
 
 
-@given(STEPS)
-@settings(deadline=None)
-def test_interleaved_changes_plan_like_a_fresh_database(steps):
+def interleave(steps):
     scenario = Scenario()
     scenario.check()
     for step in steps:
@@ -180,6 +226,22 @@ def test_interleaved_changes_plan_like_a_fresh_database(steps):
         scenario.check()
     paths = scenario.db.access_paths
     assert 0 < paths.costed and paths.lookups > 0
+    assert 0 < paths.selects_costed < paths.selects_planned
+
+
+@given(STEPS)
+@settings(deadline=None)
+def test_interleaved_changes_plan_like_a_fresh_database(steps):
+    interleave(steps)
+
+
+@given(STEPS)
+@settings(deadline=None)
+def test_interleaved_changes_with_the_analyzers_off(steps):
+    """pytest switches the analyzers on, and ``check_plan`` reads every
+    plan; every other run answers a what-if call without building."""
+    with override_checks(False):
+        interleave(steps)
 
 
 def test_each_listed_mutation_moves_the_plan_it_should():
@@ -212,8 +274,31 @@ def test_each_listed_mutation_moves_the_plan_it_should():
     assert fingerprint(db.explain(query)) == before
 
 
+def test_an_index_no_access_path_can_enter_by_costs_nothing():
+    """A SELECT is costed again only under an index it filters, joins
+    or correlates on the leading column of; a UNION re-costs the
+    branches a candidate touches."""
+    db = make_db(p_count=5000)
+    query = QUERIES[3]
+    paths = db.access_paths
+    with override_checks(False):
+        bare = db.estimate(query)
+        assert (paths.selects_planned, paths.selects_costed) == (2, 2)
+        deaf = db.estimate(query, [Index("hyp_id", "c", ("ID", "w"),
+                                         hypothetical=True)])
+        assert (paths.selects_planned, paths.selects_costed) == (4, 2)
+        assert deaf.choices == bare.choices
+        # P.v is a filter of the second branch; the first joins on P.ID.
+        one = db.estimate(query, [Index("hyp_v", "p", ("v",), ("k",),
+                                        hypothetical=True)])
+        assert (paths.selects_planned, paths.selects_costed) == (6, 3)
+        assert one.choices[0] is bare.choices[0]
+        assert one.objects_used() == {"p", "c", "hyp_v"}
+        assert one.est_cost < bare.est_cost
+
+
 # ----------------------------------------------------------------------
-# (b) numbers in the table, operators per plan
+# (b) choices in the table, operators per plan
 # ----------------------------------------------------------------------
 def test_every_plan_registers_its_own_exists_probes():
     db = make_db()
@@ -226,8 +311,73 @@ def test_every_plan_registers_its_own_exists_probes():
         assert bare.objects_used() == {"p", "c"}
         assert tuned.objects_used() == {"p", "hyp_c_pid"}
     again = db.estimate(query)
-    assert again.probes[0] is not bare.probes[0]
+    assert again.choices == bare.choices    # remembered ...
+    assert again.explain() == bare.explain()
+    assert again.probes[0] is not bare.probes[0]    # ... and built anew
     assert again.root is not bare.root
+
+
+def test_nothing_is_built_until_a_plan_is_read(monkeypatch):
+    from repro.engine import optimizer
+
+    built = []
+    build_select = optimizer.build_select
+    monkeypatch.setattr(
+        optimizer, "build_select",
+        lambda *args: built.append(args) or build_select(*args))
+    db = make_db()
+    with override_checks(False):
+        planned = [db.estimate(query) for query in QUERIES]
+        assert sum(p.est_cost for p in planned) > 0
+        assert all(p.objects_used() for p in planned)
+        assert not built
+        assert planned[3].root is planned[3].root
+        assert len(built) == len(planned[3].branch_plans) == 2
+    with override_checks(True):
+        db.estimate(QUERIES[0])     # ``check_plan`` reads it
+    assert len(built) == 3
+
+
+def walked(planned) -> frozenset[str]:
+    used = set(planned.root.objects_used())
+    for probe in planned.probes:
+        used |= probe.objects_used()
+    return frozenset(used)
+
+
+@pytest.mark.parametrize("dataset", ["dblp", "movie"])
+def test_what_costing_says_was_used_is_what_the_built_plan_uses(dataset):
+    """``objects_used()`` and ``est_cost`` come off the choice; the
+    tree built from it must agree — bare, under the searched design and
+    under the tuned hybrid one."""
+    bundle = DatasetBundle.named(dataset, scale=400, seed=7)
+    workload = bundle.workload_generator(41).generate(10)
+    checked = indexed = viewed = 0
+    for design in ("greedy", "hybrid"):
+        result = design_for(design, bundle.tree, workload, bundle.stats,
+                            bundle.storage_bound)
+        config = result.configuration
+        db = build_stats_only_database(result.schema, bundle.stats)
+        db.build_primary_key_indexes()
+        for view in config.views:
+            db.stats.set_table(view.name, derive_view_stats(
+                view.table, view.definition, db.stats))
+        with override_checks(False):
+            for query, _ in result.sql_queries:
+                for planned in (
+                        db.explain(query), db.estimate(query),
+                        db.estimate(query, config.indexes,
+                                    config.extra_tables())):
+                    used = planned.objects_used()
+                    assert "root" not in vars(planned) \
+                        and "_built" not in vars(planned)
+                    assert used == walked(planned)
+                    assert planned.est_cost == planned.root.est_cost
+                    checked += 1
+                    indexed += bool(used & {ix.name for ix in config.indexes})
+                    viewed += bool(used & {v.name for v in config.views})
+    # (Movie's designs at this scale hold views only.)
+    assert checked == 60 and viewed and (indexed or dataset == "movie")
 
 
 def test_the_table_holds_no_operator_and_no_closure():
@@ -248,16 +398,33 @@ def test_the_table_holds_no_operator_and_no_closure():
             yield value
 
     paths = db.access_paths
-    held = list(leaves(paths._view_scans))
-    for numbers in paths._tables.values():
-        for slot in numbers.__slots__:
-            held.extend(leaves(getattr(numbers, slot)))
-    assert held
+    held = []
+    for owner in (*paths._selects.values(), *paths._tables.values()):
+        for slot in owner.__slots__:
+            held.extend(leaves(getattr(owner, slot)))
+    assert len(paths._selects) == 6     # one entry per SELECT
+    from repro.engine.access_paths import SelectChoice
     from repro.engine.optimizer import ExistsProbe
     from repro.engine.plans import PlanNode
+    assert {SelectChoice} == {type(choice) for entries
+                              in paths._selects.values()
+                              for choice in entries.choices.values()}
     assert not [item for item in held
                 if callable(item) or isinstance(item, (PlanNode, ExistsProbe))]
-    pickle.dumps(paths)     # nothing in it that cannot be pickled
+    pickle.dumps(held)      # nothing in it that cannot be pickled
+
+
+def test_what_is_remembered_about_a_select_goes_with_it():
+    db = make_db()
+    db.create_materialized_view("mv", VIEW)
+    with override_checks(False):    # (the analyzer keeps what it has seen)
+        for _ in range(3):
+            db.execute("SELECT P.v, C.w FROM p P, c C "
+                       "WHERE C.PID = P.ID AND P.k = 3")
+            gc.collect()
+            assert len(db.access_paths._selects) == 0
+        db.estimate(QUERIES[2])
+        assert len(db.access_paths._selects) == 1
 
 
 # ----------------------------------------------------------------------

@@ -200,21 +200,61 @@ class TestSearchTraceAgreesWithCounters:
             sum_attribute(tunes, "optimizer_calls")
 
     def test_access_path_counts_ride_on_tune_spans(self, movie_run):
-        """Every optimizer call asks for at least one access path; a
-        tune answered wholly from the what-if cache asks for none and
-        costs none."""
+        """Every optimizer call plans at least one SELECT; only a SELECT
+        that had to be costed asks for access paths; a tune answered
+        wholly from the what-if cache plans none and costs none."""
         tracer, result = movie_run
         tunes = [s for s in find_spans(tracer, "advisor.tune")
                  if "optimizer_calls" in s.attributes]
         for span in tunes:
+            planned = span.attributes["selects_planned"]
+            select_costings = span.attributes["selects_costed"]
             lookups = span.attributes["access_path_lookups"]
             costed = span.attributes["access_paths_costed"]
-            assert lookups >= span.attributes["optimizer_calls"] >= 0
+            assert planned >= span.attributes["optimizer_calls"] >= 0
+            assert 0 <= select_costings <= planned
+            assert lookups >= select_costings
+            assert (lookups > 0) == (select_costings > 0)
             assert costed >= 0 and (lookups > 0 or costed == 0)
-        lookups = sum_attribute(tunes, "access_path_lookups")
-        assert lookups >= result.counters.optimizer_calls
-        # Computed once: far fewer costings than requests.
-        assert 2 * sum_attribute(tunes, "access_paths_costed") < lookups
+        assert sum_attribute(tunes, "selects_planned") >= \
+            result.counters.optimizer_calls
+        # Computed once: far fewer costings than requests. (Access
+        # paths are asked for by a costing only, so on a workload this
+        # small nearly every one asked for is new.)
+        assert 2 * sum_attribute(tunes, "selects_costed") < \
+            sum_attribute(tunes, "selects_planned")
+        assert sum_attribute(tunes, "access_paths_costed") <= \
+            sum_attribute(tunes, "access_path_lookups")
+
+    def test_tune_span_sums_are_the_tables_own_counters(self):
+        """One advisor on one database: what its spans add up to is what
+        the database's ``AccessPaths`` counted."""
+        from repro.mapping import derive_schema, hybrid_inlining
+        from repro.physdesign import IndexTuningAdvisor
+        from repro.search import (build_stats_only_database,
+                                  translate_workload)
+
+        tree = movie_schema()
+        stats = collect_statistics(tree, generate_movies(250, seed=13))
+        workload = Workload.from_strings("w", [
+            "//movie/year", '//movie[year >= "1990"]/title'])
+        schema = derive_schema(hybrid_inlining(tree))
+        db = build_stats_only_database(schema, stats)
+        tracer = Tracer()
+        advisor = IndexTuningAdvisor(db, tracer=tracer)
+        sql = translate_workload(workload, schema)
+        for _ in range(2):
+            advisor.tune(sql)
+        tunes = find_spans(tracer, "advisor.tune")
+        paths = db.access_paths
+        assert len(tunes) == 2 and tunes[1].attributes["selects_costed"] == 0
+        assert paths.counters() == {
+            "selects_planned": paths.selects_planned,
+            "selects_costed": paths.selects_costed,
+            "access_path_lookups": paths.lookups,
+            "access_paths_costed": paths.costed}
+        for name, counted in paths.counters().items():
+            assert sum_attribute(tunes, name) == counted > 0
 
     def test_worker_tune_spans_carry_access_path_counts(self):
         """The counts are deltas taken where the tune ran, so a pool
@@ -230,9 +270,12 @@ class TestSearchTraceAgreesWithCounters:
         tunes = [s for s in find_spans(tracer, "advisor.tune")
                  if "optimizer_calls" in s.attributes]
         assert len(tunes) == result.counters.tuner_calls
-        assert sum_attribute(tunes, "access_path_lookups") >= \
+        assert sum_attribute(tunes, "selects_planned") >= \
             sum_attribute(tunes, "optimizer_calls") \
             == result.counters.optimizer_calls
+        assert sum_attribute(tunes, "selects_planned") >= \
+            sum_attribute(tunes, "selects_costed") > 0
+        assert sum_attribute(tunes, "access_path_lookups") > 0
         assert sum_attribute(tunes, "access_paths_costed") > 0
 
     def test_mappings_evaluated_match_evaluate_spans(self, movie_run):

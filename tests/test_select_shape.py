@@ -397,25 +397,81 @@ class TestDriftedClassifiers:
                 if ix.table_name == "c"] == [("PID", "ID")]
 
 
+class TestRefusedByTheCall:
+    """A plan is built when it is read, a refusal is not deferred with
+    it: whatever building would refuse, ``estimate`` / ``explain``
+    refuse themselves — analyzers off, nothing built."""
+
+    @pytest.mark.parametrize("sql, message", [
+        ("SELECT A.ID FROM a A, b B WHERE B.PID = A.ID AND EXISTS "
+         "(SELECT C.ID FROM c C WHERE C.PID = A.ID AND C.ID = B.ID)",
+         "EXISTS must correlate with exactly one alias"),
+        ("SELECT A.ID FROM a A WHERE EXISTS "
+         "(SELECT C.ID FROM c C, b B WHERE C.PID = A.ID)",
+         "EXISTS subqueries must reference one table"),
+        ("SELECT A.ID FROM a A WHERE EXISTS "
+         "(SELECT C.ID FROM c C WHERE C.PID < A.ID)",
+         "EXISTS subquery must have a correlation equality"),
+        ("SELECT A.ID FROM a A WHERE A.ID = 1 OR EXISTS "
+         "(SELECT C.ID FROM c C, b B WHERE C.PID = A.ID AND B.PID = A.ID)",
+         "EXISTS subqueries must reference one table"),
+        # The two that only compiling a predicate used to find.
+        ("SELECT A.ID FROM a A WHERE EXISTS "
+         "(SELECT C.ID FROM c C WHERE C.PID = A.ID AND A.v < 20)",
+         "unexpected outer reference A.v in EXISTS"),
+        ("SELECT A.nope FROM a A", "cannot resolve column A.nope"),
+        ("SELECT A.ID FROM a A, b B WHERE B.PID = A.ID AND B.nope = 1",
+         "cannot resolve column B.nope"),
+        ("SELECT A.ID FROM a A WHERE EXISTS "
+         "(SELECT C.ID FROM c C WHERE C.PID = A.nope)",
+         "cannot resolve column A.nope"),
+        ("SELECT A.ID FROM a A WHERE EXISTS "
+         "(SELECT C.ID FROM c C WHERE C.PID = A.ID AND EXISTS "
+         "(SELECT B.ID FROM b B WHERE B.PID = C.ID))",
+         "EXISTS must be planned as a semi-join"),
+    ])
+    def test_estimate_and_explain_refuse(self, abc, monkeypatch, sql,
+                                         message):
+        from repro.check.runtime import override_checks
+        from repro.engine import optimizer
+
+        def build_select(*args):
+            raise AssertionError("a plan was built")
+
+        monkeypatch.setattr(optimizer, "build_select", build_select)
+        db, _ = abc
+        with override_checks(False):
+            db.estimate("SELECT A.ID FROM a A")     # (answers, unbuilt)
+            for call in (db.estimate, db.explain):
+                for _ in range(2):      # nothing half-done is remembered
+                    with pytest.raises(PlanError, match=message):
+                        call(sql)
+
+
 # ----------------------------------------------------------------------
 # (c) once per Select object, and invisible
 # ----------------------------------------------------------------------
 class TestBoundOnce:
     def test_greedy_search_binds_each_select_once(self, monkeypatch):
         """DBLP, scale 1200, 10 queries, seed 41, one GreedySearch,
-        jobs=1: PR 16's parent classified its 164 SELECTs 5 405 + 8 905
-        + 168 times; PR 21's parent costed 9 749 access paths and 8 905
-        seeks for them, each from scratch."""
+        jobs=1, analyzers off as in every run but pytest's: PR 16's
+        parent classified its 164 SELECTs 5 405 + 8 905 + 168 times;
+        PR 21's parent costed 9 749 access paths and 8 905 seeks for
+        them, each from scratch; PR 24's parent costed each of the
+        5 405 plannings and built and compiled a plan for every one."""
+        from repro.check.runtime import override_checks
+        from repro.engine import expressions, optimizer
         from repro.engine.access_paths import AccessPaths
         from repro.engine.optimizer import Optimizer
         from repro.obs import Tracer
         from repro.sqlast import shape as shape_module
 
-        bound, planned, views, requests = [], [], [], []
+        bound, planned, views, requests, compiled = [], [], [], [], []
         # Keys as the table sees them; ``alive`` pins every object so
         # that no ``id()`` is handed out twice while the test counts.
-        alive, keys = [], {"scan": set(), "seek": set()}
-        costed = {"scan": 0, "seek": 0}
+        alive = []
+        keys = {"scan": set(), "seek": set(), "select": set()}
+        costed = {"scan": 0, "seek": 0, "select": 0}
 
         def counting(owner, name, before):
             inner = getattr(owner, name)
@@ -430,7 +486,8 @@ class TestBoundOnce:
             def record(*key):
                 alive.append(key)
                 keys[kind].add(tuple(
-                    part if isinstance(part, (str, frozenset)) else id(part)
+                    part if isinstance(part, (str, frozenset, int))
+                    else id(part)
                     for part in key))
             return record
 
@@ -441,20 +498,28 @@ class TestBoundOnce:
 
         counting(shape_module, "_bind_select", bound.append)
         counting(Optimizer, "_plan_select",
-                 lambda self, select, probes: planned.append(select))
+                 lambda self, select: planned.append(select))
         counting(Optimizer, "_access_path",
                  lambda *args: requests.append(None))
         counting(AccessPaths, "view_scan",
                  lambda self, select, view: views.append(select))
         counting(AccessPaths, "scan", saw("scan"))
         counting(AccessPaths, "seek", saw("seek"))
+        counting(AccessPaths, "select",
+                 lambda self, shape, key, indexes, cost: saw("select")(
+                     self, shape, *key, *indexes))
         counting(AccessPaths, "_cost_scan", ran("scan"))
         counting(AccessPaths, "_cost_seek", ran("seek"))
+        counting(Optimizer, "_cost_select", ran("select"))
+        counting(expressions, "compile_scalar", compiled.append)
+        monkeypatch.setattr(optimizer, "compile_scalar",
+                            expressions.compile_scalar)
         bundle = DatasetBundle.dblp(scale=1200)
-        result = GreedySearch(
-            bundle.tree, bundle.workload_generator(41).generate(10),
-            bundle.stats, storage_bound=bundle.storage_bound,
-            tracer=Tracer(), jobs=1).run()
+        with override_checks(False):
+            result = GreedySearch(
+                bundle.tree, bundle.workload_generator(41).generate(10),
+                bundle.stats, storage_bound=bundle.storage_bound,
+                tracer=Tracer(), jobs=1).run()
         assert result.counters.optimizer_calls == 2122
         # Once per SELECT, and once more per candidate view.
         assert len(planned) + len(views) == 5405
@@ -463,11 +528,14 @@ class TestBoundOnce:
         # whose mapping busts the storage bound before anything is costed.
         assert len(bound) == len({id(s) for s in bound}) == 168
         assert {id(s) for s in planned} <= {id(s) for s in bound}
-        # Costed once: every scan / seek costing carried out was for a
-        # key its database had not seen, and they are few.
-        assert len(requests) == 9749
+        # Costed once: every SELECT / scan / seek costing carried out
+        # was for a key its database had not seen, and they are few.
         assert costed == {kind: len(seen) for kind, seen in keys.items()}
-        assert 10 * (costed["scan"] + costed["seek"]) <= len(requests)
+        assert 3 * costed["select"] <= len(planned)
+        assert len(requests) == 2600     # one per alias per costing
+        assert 3 * (costed["scan"] + costed["seek"]) <= len(requests)
+        # Nothing read a plan, so nothing was built.
+        assert not compiled
 
     def test_a_planned_select_is_indistinguishable(self, abc):
         db, _ = abc
