@@ -1,15 +1,19 @@
 """Differential check of ``repro.xmlkit.parse`` against an older parser.
 
-The reference is a ``parser.py`` from another commit, loaded beside the
-current one so both build the same ``Element`` class::
+The reference is the ``parser.py`` and ``doc.py`` of another commit,
+loaded beside the current ones, so the reference parser builds its
+trees with its own node and a change to the node itself is checked::
 
     git show <commit>:src/repro/xmlkit/parser.py > /tmp/reference.py
+    git show <commit>:src/repro/xmlkit/doc.py > /tmp/reference_doc.py
     PYTHONPATH=src python scripts/parser_differential.py \
-        --reference /tmp/reference.py --cases 300000 --seed 0
+        --reference /tmp/reference.py --reference-doc /tmp/reference_doc.py \
+        --cases 300000 --seed 0
 
 Every case is one string given to both parsers. They must accept the
-same strings and build field-by-field identical trees, and refuse the
-rest at the same line; a differing message or column is listed, not
+same strings and build identical trees — compared through the public
+API: tag, attributes, text segments, children — and refuse the rest at
+the same line; a differing message or column is listed, not
 fatal. A reference that dies of ``RecursionError`` or ``OverflowError``
 is counted as a crash and listed with what the current parser does.
 Cases are random runs of markup fragments (mostly malformed), serialized
@@ -91,31 +95,46 @@ def outcome(parser, text: str):
 
 
 def same_tree(a: Element, b: Element) -> bool:
+    """``b`` is ``a`` node for node, and a tree: no node of ``b`` is
+    reached twice."""
     pairs = [(a, b)]
+    seen: set[int] = set()
     while pairs:
         a, b = pairs.pop()
-        if (a.tag, list(a.attributes.items()), a._texts) != (
-                b.tag, list(b.attributes.items()), b._texts):
+        if (a.tag, list(a.attributes.items()), a.text_segments) != (
+                b.tag, list(b.attributes.items()), b.text_segments):
             return False
-        if len(a._children) != len(b._children):
+        if len(a.children) != len(b.children) or id(b) in seen:
             return False
-        if any(c.parent is not a for c in a._children):
-            return False
-        pairs.extend(zip(a._children, b._children))
+        seen.add(id(b))
+        pairs.extend(zip(a.children, b.children))
     return True
+
+
+def load(name: str, path: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reference", required=True,
                     help="an older src/repro/xmlkit/parser.py")
+    ap.add_argument("--reference-doc", required=True,
+                    help="the src/repro/xmlkit/doc.py of the same commit")
     ap.add_argument("--cases", type=int, default=300_000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    spec = importlib.util.spec_from_file_location(
-        "repro.xmlkit._reference_parser", args.reference)
-    reference = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reference)
+    current_doc = sys.modules["repro.xmlkit.doc"]
+    # the reference's ``from .doc import ...`` finds this module
+    sys.modules["repro.xmlkit.doc"] = load(
+        "repro.xmlkit._reference_doc", args.reference_doc)
+    try:
+        reference = load("repro.xmlkit._reference_parser", args.reference)
+    finally:
+        sys.modules["repro.xmlkit.doc"] = current_doc
 
     rng = random.Random(args.seed)
     bundled = [serialize(generate(300, seed=args.seed), indent=indent)
@@ -139,8 +158,7 @@ def main() -> int:
             disagreements.append((text, old_kind, new_kind))
         elif old_kind == "accepted":
             if (old.version, old.encoding) != (new.version, new.encoding) \
-                    or not same_tree(old.root, new.root) \
-                    or new.root.parent is not None:
+                    or not same_tree(old.root, new.root):
                 disagreements.append((text, "tree", "differs"))
         elif old[1] != new[1]:
             disagreements.append((text, old, new))

@@ -88,7 +88,7 @@ class _Mapper:
             ColumnSpec(ID_COLUMN, None, SQLType.INTEGER, nullable=False),
             ColumnSpec(PID_COLUMN, None, SQLType.INTEGER, nullable=True),
         ]
-        used = {ID_COLUMN, PID_COLUMN}
+        used = {ID_COLUMN.casefold(), PID_COLUMN.casefold()}
         primary = self.tree.plan(owner_ids[0])
         if primary.is_leaf:
             # An annotated leaf element's table stores the element value
@@ -136,12 +136,14 @@ class _Mapper:
 
     @staticmethod
     def _unique_name(name: str, used: set[str]) -> str:
-        """``name``, or ``name_2``, ``name_3`` ... — and now used."""
+        """``name``, or ``name_2``, ``name_3`` ... — and now used.
+        ``used`` holds case-folded names: SQL compares column names
+        case-insensitively, so ``id`` is taken once ``ID`` is."""
         candidate, i = name, 1
-        while candidate in used:
+        while candidate.casefold() in used:
             i += 1
             candidate = f"{name}_{i}"
-        used.add(candidate)
+        used.add(candidate.casefold())
         return candidate
 
     # ------------------------------------------------------------------

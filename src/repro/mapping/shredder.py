@@ -237,8 +237,8 @@ class Shredder:
                 # lazy root's child list unmaterialized, and emitting
                 # after every child keeps ``out`` one subtree long.
                 for child in root:
-                    self._fill_region((child,), owner.region, values, state,
-                                      out)
+                    self._fill_region(root, (child,), owner.region, values,
+                                      state, out)
                     yield from out
                     out.clear()
                 out.append(self._route(owner, values, state))
@@ -266,17 +266,21 @@ class Shredder:
             values[owner.value_slot] = text if coerce is None else coerce(text)
         else:
             state = _RowState()
-            self._fill_region(element, owner.region, values, state, out)
+            self._fill_region(element, element, owner.region, values, state,
+                              out)
         out.append(self._route(owner, values, state))
 
-    def _fill_region(self, children, region: dict[str, _Entry], values: list,
+    def _fill_region(self, parent: Element, children,
+                     region: dict[str, _Entry], values: list,
                      state: _RowState, out: list) -> None:
+        """Fill ``values`` from ``children``, which are ``parent``'s (all
+        of them, or the next one of a streamed root)."""
         for child in children:
             entry = region.get(child.tag)
             if entry is None:
                 raise ShreddingError(
                     f"unexpected element <{child.tag}> under "
-                    f"<{child.parent.tag}> for this mapping")
+                    f"<{parent.tag}> for this mapping")
             if entry.atoms:
                 state.atoms |= entry.atoms
             kind = entry.kind
@@ -285,7 +289,7 @@ class Shredder:
                 if values[slot] is not None:
                     raise ShreddingError(
                         f"leaf <{child.tag}> occurs more than once in one "
-                        f"<{child.parent.tag}> instance but is mapped to "
+                        f"<{parent.tag}> instance but is mapped to "
                         f"the single column {entry.column!r}; a repeated "
                         f"leaf needs a repetition (split or outlined) in "
                         f"the mapping")
@@ -323,7 +327,8 @@ class Shredder:
                     self._write_attributes(child, entry.attrs, values)
                 if entry.region is None:
                     entry.region = self._region(entry.plan, entry.owner)
-                self._fill_region(child, entry.region, values, state, out)
+                self._fill_region(child, child, entry.region, values, state,
+                                  out)
 
     @staticmethod
     def _write_attributes(element: Element, writes, values: list) -> None:

@@ -5,11 +5,21 @@ the substrate both for the XPath reference evaluator and for the shredder
 that loads XML into the relational engine. Mixed content is supported
 (text interleaved with child elements) but the shredding layer only uses
 element/attribute/text-leaf structure, matching the paper's data model.
+
+A document is a tree, not a graph: an element holds its children and
+knows nothing of its parent, so a dropped document is freed by
+reference counting, never left to the cyclic garbage collector. Code
+that needs an element's ancestors carries them down (or, like the
+validator, collects them on the way back up).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
+
+#: The child list of every leaf: an empty tuple, shared, which the
+#: collector does not track. A leaf is one tracked object, not three.
+_LEAF: tuple[()] = ()
 
 
 class Element:
@@ -23,30 +33,37 @@ class Element:
         Mapping of attribute name to string value.
     """
 
-    __slots__ = ("tag", "attributes", "_children", "_texts", "parent")
+    __slots__ = ("tag", "attributes", "_children", "_texts")
 
     def __init__(self, tag: str, attributes: dict[str, str] | None = None):
         self.tag = tag
         self.attributes: dict[str, str] = dict(attributes or {})
-        # _children[i] is preceded by _texts[i]; _texts has one extra
-        # trailing entry so text after the last child is representable.
-        self._children: list[Element] = []
-        self._texts: list[str] = [""]
-        self.parent: Element | None = None
+        # A leaf holds no list: _children is _LEAF and _texts its text.
+        # From the first child on, _children[i] is preceded by _texts[i]
+        # and _texts has one extra trailing entry, so text after the last
+        # child is representable.
+        self._children: list[Element] | tuple[()] = _LEAF
+        self._texts: list[str] | str = ""
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def append(self, child: "Element") -> "Element":
         """Attach ``child`` as the last child element and return it."""
-        child.parent = self
-        self._children.append(child)
-        self._texts.append("")
+        if self._children is _LEAF:
+            self._children = [child]
+            self._texts = [self._texts, ""]
+        else:
+            self._children.append(child)
+            self._texts.append("")
         return child
 
     def add_text(self, text: str) -> None:
         """Append character data at the current position."""
-        self._texts[-1] += text
+        if self._children is _LEAF:
+            self._texts += text
+        else:
+            self._texts[-1] += text
 
     def make_child(self, tag: str, text: str | None = None,
                    attributes: dict[str, str] | None = None) -> "Element":
@@ -100,11 +117,15 @@ class Element:
     @property
     def text(self) -> str:
         """Concatenated character data directly inside this element."""
+        if self._children is _LEAF:
+            return self._texts
         return "".join(self._texts)
 
     @property
     def text_segments(self) -> tuple[str, ...]:
         """Raw text segments interleaved with children (for serialization)."""
+        if self._children is _LEAF:
+            return (self._texts,)
         return tuple(self._texts)
 
     def string_value(self) -> str:
@@ -112,6 +133,9 @@ class Element:
         parts: list[str] = []
 
         def walk(el: Element) -> None:
+            if el._children is _LEAF:
+                parts.append(el._texts)
+                return
             for i, child in enumerate(el._children):
                 parts.append(el._texts[i])
                 walk(child)
@@ -136,17 +160,14 @@ class Element:
 def _new_child(parent: Element, tag: str, attributes: dict[str, str],
                text: str) -> Element:
     """``parent.make_child(tag, text, attributes)`` as the parser needs
-    it, once per element of a file: the stores and nothing else —
-    ``attributes`` is kept, not copied."""
+    it, once per element of a file: ``attributes`` is kept, not copied,
+    and the child is built as a leaf without ``__init__``."""
     child = Element.__new__(Element)
     child.tag = tag
     child.attributes = attributes
-    child._children = []
-    child._texts = [text]
-    child.parent = parent
-    parent._children.append(child)
-    parent._texts.append("")
-    return child
+    child._children = _LEAF
+    child._texts = text
+    return parent.append(child)
 
 
 class Document:
@@ -204,9 +225,7 @@ class LazyElement(Element):
 
     # -- streaming navigation ------------------------------------------
     def __iter__(self) -> Iterator["Element"]:
-        for child in self._factory():
-            child.parent = self
-            yield child
+        return iter(self._factory())
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

@@ -296,9 +296,7 @@ def _parse_tree(scanner: _Scanner) -> Element:
         pos = token.end()
         if current is holder:
             scanner.pos = pos
-            root = holder.children[0]
-            root.parent = None
-            return root
+            return holder._children[0]
 
 
 def _refuse(scanner: _Scanner, pos: int, open_tag: str | None) -> NoReturn:

@@ -105,15 +105,18 @@ class _Tokens:
             raise self.fail("a literal")
         self.pos += 1
 
-    def axis(self, default: Axis | None = None) -> Axis | None:
+    def axis(self) -> Axis | None:
         if self.take("//"):
             return Axis.DESCENDANT
         if self.take("/"):
             return Axis.CHILD
-        return default
+        return None
 
     def relpath(self) -> tuple[Step, ...]:
-        steps = [Step(self.axis(default=Axis.CHILD), self.name())]
+        # "//" may open a relative path, "/" may not: in a predicate it
+        # would start an absolute path, which the subset does not have.
+        first = Axis.DESCENDANT if self.take("//") else Axis.CHILD
+        steps = [Step(first, self.name())]
         while True:
             axis = self.axis()
             if axis is None:

@@ -7,6 +7,8 @@ projections.
 
 import pytest
 
+from repro.backends import EngineBackend, SQLiteBackend
+from repro.backends.compare import OK, compare_loaded
 from repro.engine import Database
 from repro.errors import ValidationError
 from repro.mapping import (Shredder, collect_statistics, derive_schema,
@@ -106,20 +108,22 @@ class TestMappingAndShredding:
     def test_attribute_columns_in_schema(self, tree):
         schema = derive_schema(hybrid_inlining(tree))
         ord_cols = [c.name for c in schema.group("ord").columns]
-        assert "id" in ord_cols and "priority" in ord_cols
+        # attribute ``id`` cannot be a column beside the key ``ID``: SQL
+        # names are case-insensitive
+        assert "id_2" in ord_cols and "priority" in ord_cols
         line_cols = [c.name for c in schema.group("line").columns]
         assert "sku" in line_cols and "qty" in line_cols
 
     def test_required_attribute_not_nullable(self, tree):
         schema = derive_schema(hybrid_inlining(tree))
-        assert not schema.group("ord").column("id").nullable
+        assert not schema.group("ord").column("id_2").nullable
         assert schema.group("ord").column("priority").nullable
 
     def test_shredded_values(self, tree, doc):
         schema = derive_schema(hybrid_inlining(tree))
         rows = Shredder(schema).shred(doc)
         ord_partition = schema.group("ord").partitions[0]
-        by_id = {dict(zip(ord_partition.column_names, row))["id"]: row
+        by_id = {dict(zip(ord_partition.column_names, row))["id_2"]: row
                  for row in rows["ord"]}
         first = dict(zip(ord_partition.column_names, by_id["1"]))
         assert first["priority"] == "high"
@@ -172,3 +176,15 @@ class TestXPathAndTranslation:
         schema = derive_schema(hybrid_inlining(tree))
         sql = translate_xpath(schema, '//order[@priority = "high"]/customer')
         assert "priority = 'high'" in str(sql)
+
+    def test_sqlite_loads_what_the_engine_loads(self, tree, doc):
+        # the attribute column ``id_2`` and the key ``ID`` coexist in SQL
+        schema = derive_schema(hybrid_inlining(tree))
+        queries = [translate_xpath(schema, xpath) for xpath in self.QUERIES]
+        engine = EngineBackend()
+        engine.load(schema, doc)
+        with SQLiteBackend() as sqlite:
+            sqlite.load(schema, doc)
+            assert len(sqlite.table_rows("ord")) == 3
+            report = compare_loaded(engine, sqlite, queries, schema=schema)
+        assert report.status == OK, report.describe()

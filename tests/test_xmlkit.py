@@ -1,7 +1,14 @@
 """Unit tests for the XML document model, parser, and writer."""
 
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.datasets import generate_dblp
 from repro.errors import ValidationError, XMLParseError
 from repro.xmlkit import (Document, Element, count_elements, element, parse,
                           parse_file, serialize)
@@ -93,8 +100,10 @@ class TestElementModel:
     def test_append_sets_parent(self):
         parent = Element("a")
         child = parent.make_child("b")
-        assert child.parent is parent
+        assert parent.children[-1] is child
         assert parent.children == (child,)
+        # a tree, not a graph: nothing points back up
+        assert not hasattr(child, "parent")
 
     def test_make_child_with_text(self):
         el = Element("a")
@@ -127,6 +136,41 @@ class TestElementModel:
     def test_count_elements(self):
         roots = [element("a", element("b")), element("c")]
         assert count_elements(roots) == 3
+
+
+class TestNodeLayout:
+    """A parsed document is a tree of lean nodes: no element points
+    back up, so dropping one is reference counting, not a collection."""
+
+    @pytest.fixture(scope="class")
+    def dblp_text(self):
+        return serialize(generate_dblp(2000, seed=7))
+
+    def test_a_dropped_document_leaves_no_cyclic_garbage(self, dblp_text):
+        gc.collect()
+        doc = parse(dblp_text)
+        assert count_elements([doc.root]) > 15000
+        del doc
+        assert gc.collect() == 0
+
+    def test_a_leaf_is_one_tracked_object(self, dblp_text):
+        gc.collect()
+        before = len(gc.get_objects())
+        doc = parse(dblp_text)
+        tracked = len(gc.get_objects()) - before
+        # the element, plus a child and a text list per inner element
+        assert tracked / count_elements([doc.root]) <= 1.3
+
+    def test_dropping_a_very_deep_document_keeps_the_c_stack(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = ("from repro.xmlkit import parse\n"
+                  "doc = parse('<a>' * 100_000 + '</a>' * 100_000)\n"
+                  "del doc\n"
+                  "print('dropped')\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout) == (0, "dropped\n"), proc.stderr
 
 
 class TestParser:
@@ -227,12 +271,16 @@ class TestParser:
     def test_nesting_deeper_than_the_interpreter_stack(self):
         depth = 5_000
         doc = parse("<a>" * depth + "</a>" * depth)
-        levels, node = 1, doc.root
+        levels, node, parent, grandparent = 1, doc.root, None, None
         while len(node):
+            grandparent, parent = parent, node
             (node,) = node.children
             levels += 1
-        assert levels == depth
-        assert node.parent.parent.tag == "a" and doc.root.parent is None
+        # ``depth`` levels from the root down: the root is the outermost
+        # <a>, with nothing of the parser's above it
+        assert levels == depth and doc.root.tag == "a"
+        assert grandparent.tag == "a" and grandparent.children == (parent,)
+        assert parent.children == (node,)
         # no schema is recursive (tests/test_recursion_guards.py), so
         # none accepts it: the validator names the violation
         with pytest.raises(ValidationError, match="must be a leaf"):

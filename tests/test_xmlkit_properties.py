@@ -1,5 +1,6 @@
 """Property-based tests: serialize/parse round-trips for random trees,
-and every spelling of a tree parses to that tree.
+every spelling of a tree parses to that tree, and a node built by any
+sequence of calls reads like a plain pair of lists.
 
 The example budget is the active hypothesis profile's
 (``tests/conftest.py``): the default here, 1 000 in the CI step that
@@ -40,7 +41,7 @@ def same(a, b):
     assert a.text_segments == b.text_segments
     assert len(a.children) == len(b.children)
     for ca, cb in zip(a.children, b.children):
-        assert cb.parent is b
+        assert sum(child is cb for child in b.children) == 1
         same(ca, cb)
 
 
@@ -142,5 +143,69 @@ def test_every_spelling_parses_to_the_same_tree(el, rng):
     epilog = rng.choice(["", "\n", "<!-- after -->", " <?pi?>\n"])
     text = prolog + _spell(el, rng) + epilog
     root = parse(text).root
-    assert root.parent is None
+    # the spelled element itself is the root, no holder above it
+    assert len(list(root.iter())) == len(list(el.iter()))
     same(el, root)
+
+
+# ----------------------------------------------------------------------
+# A node against a list model
+# ----------------------------------------------------------------------
+# A leaf holds its text as one string and no child list; its first child
+# turns both into the interleaved lists. Whatever the order of calls,
+# every reader must see what two plain lists per element would give.
+_node_calls = st.lists(st.tuples(
+    st.sampled_from(["append", "add_text", "make_child"]),
+    st.integers(0, 1_000),          # which element built so far
+    st.sampled_from("abc"),
+    st.none() | _text), max_size=40)
+
+
+@given(_node_calls)
+@settings(deadline=None)
+def test_any_sequence_of_calls_reads_like_two_lists(calls):
+    root = Element("r")
+    nodes = [root]
+    model = {id(root): ([], [""])}      # children, text segments
+
+    for call, which, tag, text in calls:
+        el = nodes[which % len(nodes)]
+        children, texts = model[id(el)]
+        if call == "add_text":
+            el.add_text(text or "")
+            texts[-1] += text or ""
+            continue
+        if call == "append":
+            child = Element(tag)
+            if text is not None:
+                child.add_text(text)
+            assert el.append(child) is child
+        else:
+            child = el.make_child(tag, text)
+        children.append(child)
+        texts.append("")
+        model[id(child)] = ([], [text or ""])
+        nodes.append(child)
+
+    def string_value(el):
+        children, texts = model[id(el)]
+        return "".join(t + string_value(c) for t, c in zip(texts, children)) \
+            + texts[-1]
+
+    def preorder(el):
+        yield el
+        for child in model[id(el)][0]:
+            yield from preorder(child)
+
+    for el in nodes:
+        children, texts = model[id(el)]
+        assert el.children == tuple(children)
+        assert list(el) == children and len(el) == len(children)
+        assert el.text_segments == tuple(texts)
+        assert el.text == "".join(texts)
+        assert el.string_value() == string_value(el)
+        assert list(el.iter()) == list(preorder(el))
+        for tag in "abc":
+            assert el.find_all(tag) == [c for c in children if c.tag == tag]
+            assert el.find(tag) is next(
+                (c for c in children if c.tag == tag), None)

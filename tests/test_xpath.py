@@ -1,7 +1,7 @@
 """Unit tests for the XPath lexer, parser and reference evaluator."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import dblp_schema
@@ -82,6 +82,11 @@ class TestParser:
         "/ /a",              # two child axes are not one descendant axis
         "/a[b ! = 1]",       # an operator is one token
         "/a/@",              # an attribute step needs its name
+        # a relative path does not start with "/" (in a predicate it
+        # would be an absolute path); read as "author" / "year", one
+        # query had two shapes
+        "//inproceedings[year >= 2000]/( / author)",
+        "/dblp/book[/year = 1]",
         "",
     ])
     def test_malformed_rejected(self, bad):
@@ -195,6 +200,8 @@ def warm_cache():
 
 @settings(max_examples=1500, deadline=None)
 @given(_near_queries())
+@example("//inproceedings[year >= 2000]/( / author)")
+@example("/dblp/book[/year = 1]")
 def test_the_cache_accepts_exactly_what_the_parser_accepts(warm_cache, text):
     cache, translator = warm_cache
     try:
