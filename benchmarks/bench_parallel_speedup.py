@@ -1,15 +1,11 @@
-"""Serial vs. parallel candidate costing, and warm-cache reruns.
+"""Serial vs. parallel candidate costing.
 
-Measures the two claims the evaluation engine makes
-(docs/performance.md):
-
-* a greedy search at ``jobs=4`` produces the *identical* DesignResult
-  as the serial run, in less wall-clock time on multi-core hardware
-  (the speedup assertion is gated on ``os.cpu_count() >= 4`` — on
-  fewer cores the parallel run pays pool overhead for no gain, and the
-  numbers are recorded as-is);
-* a rerun of the same search against a warm persistent cache performs
-  **zero** exact evaluations.
+Measures the claim the evaluation engine makes (docs/performance.md): a
+greedy search at ``jobs=4`` produces the *identical* DesignResult as
+the serial run, in less wall-clock time on multi-core hardware (the
+speedup assertion is gated on ``os.cpu_count() >= 4`` — on fewer cores
+the parallel run pays pool overhead for no gain, and the numbers are
+recorded as-is).
 
 Runs two ways:
 
@@ -17,18 +13,17 @@ Runs two ways:
   (``pytest benchmarks/bench_parallel_speedup.py``);
 * as a script — ``python benchmarks/bench_parallel_speedup.py
   [--smoke]`` — where ``--smoke`` shrinks the dataset so CI can
-  exercise the parallel path and the cache in seconds (identity and
-  zero-evaluation checks still assert; the speedup is only recorded).
+  exercise the parallel path in seconds (the identity check still
+  asserts; the speedup is only recorded).
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 import time
 
 from repro.experiments import DatasetBundle
-from repro.search import EvaluationCache, GreedySearch, mapping_digest
+from repro.search import GreedySearch, mapping_digest
 
 SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "1200"))
 QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", "10"))
@@ -39,12 +34,9 @@ def _fingerprint(result):
             result.estimated_cost, result.configuration.describe())
 
 
-def _timed_search(bundle, workload, jobs=None, cache=None):
-    kwargs = {"jobs": jobs}
-    if cache is not None:
-        kwargs["cache"] = cache
+def _timed_search(bundle, workload, jobs=None):
     search = GreedySearch(bundle.tree, workload, bundle.stats,
-                          bundle.storage_bound, **kwargs)
+                          bundle.storage_bound, jobs=jobs)
     start = time.perf_counter()
     result = search.run()
     return result, time.perf_counter() - start
@@ -69,29 +61,6 @@ def run_speedup(scale, queries, jobs=4, emit=print):
     return speedup
 
 
-def run_warm_cache(scale, queries, cache_root, emit=print):
-    """Cold-then-warm greedy against a persistent cache directory.
-
-    Asserts the warm run performs zero evaluations and returns the
-    identical result; returns (cold time, warm time).
-    """
-    bundle = DatasetBundle.dblp(scale=scale)
-    workload = bundle.workload_generator(seed=41).generate(queries)
-    cold, t_cold = _timed_search(bundle, workload,
-                                 cache=EvaluationCache(cache_root))
-    warm, t_warm = _timed_search(bundle, workload,
-                                 cache=EvaluationCache(cache_root))
-    assert warm.counters.mappings_evaluated == 0, \
-        f"warm rerun evaluated {warm.counters.mappings_evaluated} mappings"
-    assert _fingerprint(warm) == _fingerprint(cold), \
-        "warm-cache run diverged from cold"
-    emit(f"BENCH warm-cache dataset=DBLP scale={scale} queries={queries} "
-         f"cold={t_cold:.2f}s warm={t_warm:.2f}s "
-         f"warm_hits={warm.counters.persistent_cache_hits} "
-         f"entries={len(EvaluationCache(cache_root).entries())}")
-    return t_cold, t_warm
-
-
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
@@ -104,11 +73,6 @@ def test_parallel_identical_and_faster(emit):
             f"expected >=1.5x speedup at 4 jobs, got {speedup:.2f}x"
 
 
-def test_warm_cache_rerun_is_free(emit, tmp_path):
-    t_cold, t_warm = run_warm_cache(SCALE, QUERIES, tmp_path, emit=emit)
-    assert t_warm < t_cold
-
-
 # ----------------------------------------------------------------------
 # Script entry point (CI smoke mode)
 # ----------------------------------------------------------------------
@@ -119,9 +83,8 @@ def main(argv=None):
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="small scale: exercise parallel + cache "
-                             "paths quickly; record (don't assert) the "
-                             "speedup")
+                        help="small scale: exercise the parallel path "
+                             "quickly; record (don't assert) the speedup")
     parser.add_argument("--scale", type=int, default=None)
     parser.add_argument("--queries", type=int, default=None)
     parser.add_argument("--jobs", type=int, default=4)
@@ -129,8 +92,6 @@ def main(argv=None):
     scale = args.scale or (150 if args.smoke else SCALE)
     queries = args.queries or (4 if args.smoke else QUERIES)
     speedup = run_speedup(scale, queries, jobs=args.jobs)
-    with tempfile.TemporaryDirectory() as cache_root:
-        run_warm_cache(scale, queries, cache_root)
     if not args.smoke and (os.cpu_count() or 1) >= 4 and speedup < 1.5:
         raise SystemExit(
             f"expected >=1.5x speedup at {args.jobs} jobs, "

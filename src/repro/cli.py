@@ -276,17 +276,6 @@ def cmd_advise(args, out=None) -> int:
     tracing = args.trace or args.trace_json
     tracer = Tracer() if tracing else NULL_TRACER
     kwargs = {"jobs": args.jobs}
-    if args.cache_dir:
-        if args.algorithm == "naive-greedy":
-            # Naive-Greedy deliberately re-evaluates duplicates (the
-            # paper's baseline has no caching); a persistent cache
-            # would change what it measures.
-            print("note: --cache-dir is ignored for naive-greedy",
-                  file=out)
-        else:
-            from .search import EvaluationCache
-            kwargs["cache"] = EvaluationCache(args.cache_dir,
-                                              tracer=tracer)
     if args.checkpoint_dir:
         if args.algorithm == "two-step":
             # Two-step's logical step re-enumerates from scratch each
@@ -306,8 +295,7 @@ def cmd_advise(args, out=None) -> int:
     print(f"\nsearch: {counters.transformations_searched} transformations, "
           f"{counters.tuner_calls} tuner calls, "
           f"{counters.cache_hits} cache hits "
-          f"({counters.cache_hits_infeasible} infeasible, "
-          f"{counters.persistent_cache_hits} warm), "
+          f"({counters.cache_hits_infeasible} infeasible), "
           f"{counters.wall_time:.1f}s", file=out)
     if (counters.fault_retries or counters.faulted_evaluations or
             counters.timeouts or counters.pool_degradations or
@@ -330,19 +318,6 @@ def cmd_advise(args, out=None) -> int:
         measured = measure_design(result, bundle)
         print(f"measured workload cost on loaded data: {measured:.1f}",
               file=out)
-    return 0
-
-
-def cmd_cache(args, out=None) -> int:
-    out = out or sys.stdout
-    from .search import EvaluationCache
-    cache = EvaluationCache(args.cache_dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached evaluations from {cache.root}",
-              file=out)
-        return 0
-    print(cache.report(), file=out)
     return 0
 
 
@@ -792,9 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "worker per CPU, N = exactly N). "
                                "Workers are processes; a broken pool "
                                "finishes the work in-process")
-    p_advise.add_argument("--cache-dir", metavar="DIR", default=None,
-                          help="persist evaluations under DIR and reuse "
-                               "them across runs")
     p_advise.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                           help="snapshot search state under DIR at every "
                                "round boundary (atomic; survives kills)")
@@ -810,15 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(also via REPRO_FAULTS; see "
                                "docs/resilience.md)")
     p_advise.set_defaults(func=cmd_advise)
-
-    p_cache = sub.add_parser(
-        "cache", help="inspect or clear the persistent evaluation cache")
-    p_cache.add_argument("action", choices=["report", "clear"],
-                         nargs="?", default="report")
-    p_cache.add_argument("--cache-dir", metavar="DIR", default=None,
-                         help="cache directory (default: $REPRO_CACHE_DIR "
-                              "or ~/.cache/repro/evals)")
-    p_cache.set_defaults(func=cmd_cache)
 
     p_check = sub.add_parser(
         "check", help="statically lint a schema+mapping+workload bundle")

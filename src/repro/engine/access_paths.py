@@ -11,7 +11,7 @@ per :class:`~repro.engine.database.Database` answers each question once:
   rows in, selectivity, rows out, pages, cost;
 * a **seek** entry per (index, table, alias, filters, required columns):
   cost plus the seek's shape — prefix values, range bounds, residual
-  conjuncts, covering, leaf pages, fetches;
+  conjuncts, covering;
 * a **probe** entry per (index, table, required columns): what one
   index-nested-loop probe of the index costs;
 * a **view scan** per (``SelectShape``, view): the SELECT rewritten over
@@ -83,8 +83,6 @@ class SeekCost(NamedTuple):
     bounds: tuple | None            # ``IndexSeek.range_bounds``
     residual: tuple[BoolExpr, ...]  # conjuncts the seek does not decide
     covering: bool
-    leaf_pages: float
-    fetches: float
 
 
 class ProbeCost(NamedTuple):
@@ -423,9 +421,7 @@ class AccessPaths:
         if not covering:
             cost += matched * RANDOM_PAGE_COST
         return SeekCost(cost, tuple(eq_values[c] for c in prefix), bounds,
-                        tuple(residual), covering,
-                        matched / entries_per_page,
-                        0.0 if covering else matched)
+                        tuple(residual), covering)
 
     # ------------------------------------------------------------------
     # Selectivity

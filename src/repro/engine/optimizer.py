@@ -273,8 +273,6 @@ def _build_path(path: PathChoice, compile_bool) -> PlanNode:
             residual=(compile_bool(conjunction(seek.residual))
                       if seek.residual else None),
             covering=seek.covering)
-        plan.est_leaf_pages = seek.leaf_pages
-        plan.est_fetches = seek.fetches
     plan.est_rows = path.rows
     plan.est_cost = path.cost
     return plan

@@ -129,8 +129,6 @@ class IndexSeek(PlanNode):
         self.range_bounds = range_bounds
         self.residual = residual
         self.covering = covering
-        self.est_leaf_pages: float = 1.0
-        self.est_fetches: float = 0.0
 
     def label(self) -> str:
         kind = "covering " if self.covering else ""

@@ -47,7 +47,7 @@ __all__ = ["CheckpointStore", "load_search_state", "save_search_state"]
 
 #: Bump when the snapshot layout changes; old checkpoints then fail the
 #: format check and are treated as absent instead of mis-unpickled.
-CHECKPOINT_VERSION = 3  # 3: ColumnSpec.features, DispatchEntry atoms
+CHECKPOINT_VERSION = 4  # 4: problem digest lost its cache-version prefix
 
 _FILENAME = "search.ckpt"
 

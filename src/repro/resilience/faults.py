@@ -15,15 +15,16 @@ Sites (see docs/resilience.md for the full table):
 ``advisor``         entry of :meth:`IndexTuningAdvisor.tune`
 ``whatif``          one what-if optimizer call (:meth:`Database.estimate`)
 ``pool.submit``     submission of a batch to the evaluation pool
-``cache.read``      a persistent-cache lookup
-``cache.write``     a persistent-cache store (supports ``torn`` writes)
-``checkpoint.write`` a search-checkpoint write
+``checkpoint.write`` a search-checkpoint write (supports ``torn`` writes)
 ``serve.request``   one query-service request attempt (worker thread)
 ``serve.translate`` one plan-cache XPath→SQL translation
 ``backend.execute`` one backend query execution (the serve path)
 ``backend.connect`` opening a backend connection (incl. per-thread)
 ``backend.load.batch`` one bulk-load batch insert
 =================== ====================================================
+
+A rule for any other site is refused with a :class:`ValueError` naming
+the known ones: a misspelt site would otherwise never fire.
 
 Fault kinds:
 
@@ -36,7 +37,7 @@ Fault kinds:
 Plans are configured from the ``REPRO_FAULTS`` environment variable or
 the ``--faults`` CLI flag with a spec like::
 
-    seed=42;evaluate:0.2:transient;cache.read:0.1
+    seed=42;evaluate:0.2:transient;whatif:0.1
 
 (tokens separated by ``;`` or ``,``; each site token is
 ``site:rate[:kind[:duration[:after]]]`` — ``after`` arms the rule only
@@ -62,6 +63,9 @@ from ..errors import (CheckError, EvaluationTimeout, InjectedFault,
 __all__ = ["FaultRule", "FaultPlan", "NULL_PLAN", "active_fault_plan",
            "install_fault_plan", "classify", "RETRYABLE_CATEGORIES"]
 
+_SITES = ("evaluate", "advisor", "whatif", "pool.submit", "checkpoint.write",
+          "serve.request", "serve.translate", "backend.execute",
+          "backend.connect", "backend.load.batch")
 _KINDS = ("transient", "fatal", "hang", "torn")
 
 
@@ -81,6 +85,9 @@ class FaultRule:
     after: int = 0          # skip the site's first ``after`` invocations
 
     def __post_init__(self):
+        if self.site not in _SITES:
+            raise ValueError(f"unknown fault site {self.site!r} "
+                             f"(expected one of {_SITES})")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} "
                              f"(expected one of {_KINDS})")

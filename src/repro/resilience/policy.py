@@ -18,9 +18,8 @@ One :class:`RetryPolicy` governs every evaluation a search performs:
   drop is recorded on the search counters and ``repro.obs`` metrics,
   never silently.
 
-Fault-caused ``None`` results are **never cached** (memory or
-persistent): a candidate dropped by a fault in one run must stay
-evaluable in the next.
+Fault-caused ``None`` results are **never memoized**: a candidate
+dropped by a fault in one round must stay evaluable in the next.
 
 Environment knobs: ``REPRO_RETRY_ATTEMPTS``, ``REPRO_RETRY_BACKOFF``
 (seconds, exponential base), ``REPRO_EVAL_TIMEOUT`` (seconds, pooled

@@ -10,15 +10,13 @@ import math
 
 from ..mapping import PRESETS, derive_schema
 from ..physdesign import Configuration
-from .cache import (CacheKey, EvaluationCache, default_cache_dir,
-                    problem_digest, stats_digest, workload_digest)
 from .candidate_merging import CandidateMerger
 from .candidate_selection import (CandidateSelector, CandidateSet,
                                   apply_splits)
 from .cost_derivation import CostDerivation, affected_annotations
 from .evaluator import (EvaluatedMapping, MappingEvaluator,
                         build_stats_only_database, mapping_digest,
-                        translate_workload)
+                        problem_digest, translate_workload)
 from .greedy import GreedySearch
 from .naive import NaiveGreedySearch
 from .parallel import EvaluationPool, resolve_jobs
@@ -45,8 +43,7 @@ def design_for(name: str, tree, workload, stats, storage_bound=None,
     calls, no data touched); when the workload is infeasible under the
     preset the result is its bare logical design — no physical
     structures, ``estimated_cost`` infinite. ``options`` go to the
-    search (or evaluator) constructor: ``jobs``, ``cache``,
-    ``max_rounds``, ...
+    search (or evaluator) constructor: ``jobs``, ``max_rounds``, ...
     """
     if name in ALGORITHMS:
         return ALGORITHMS[name](tree, workload, stats,
@@ -73,13 +70,8 @@ def design_for(name: str, tree, workload, stats, storage_bound=None,
 __all__ = [
     "ALGORITHMS",
     "design_for",
-    "CacheKey",
-    "EvaluationCache",
     "EvaluationPool",
-    "default_cache_dir",
     "problem_digest",
-    "stats_digest",
-    "workload_digest",
     "resolve_jobs",
     "GreedySearch",
     "NaiveGreedySearch",

@@ -14,19 +14,15 @@ There is one costing body, :meth:`MappingEvaluator.evaluate_uncached`,
 over one work unit ``(mapping, reuse, carried)``: ``reuse`` maps
 workload indices to already-known per-query costs (Section 4.8) and
 ``carried`` the object sets they were derived with. An *exact*
-evaluation is the one with nothing reused; spans, metrics, and
-persistent entries are named ``exact``/``partial`` after whether
-``reuse`` is empty.
+evaluation is the one with nothing reused; spans and metrics are named
+``exact``/``partial`` after whether ``reuse`` is empty.
 
-Evaluations are memoized at three layers:
+Evaluations are memoized at two layers, both living as long as the
+evaluator (one search run):
 
 * **in-memory memo** per evaluator, keyed ``(mapping signature, reuse
   key, carried key)`` — this implements the paper's "carefully avoids
-  searching duplicated mappings" (*cold* cache hits);
-* **persistent store** (:class:`repro.search.cache.EvaluationCache`,
-  optional) keyed by ``(mapping digest, workload digest, stats digest,
-  storage bound)`` — repeated runs of the same problem skip re-costing
-  entirely (*warm* hits);
+  searching duplicated mappings";
 * the advisor's **what-if cost cache** is shared across all advisor
   invocations of one evaluator, so a partial evaluation followed by an
   exact re-check of the same mapping does not re-pay optimizer calls
@@ -61,7 +57,6 @@ from ..resilience import (RETRYABLE_CATEGORIES, RetryPolicy,
 from ..sqlast import Query
 from ..translate import Translator
 from ..workload import Workload
-from .cache import CacheKey, EvaluationCache, problem_digest
 from .parallel import (EvaluationPool, EvaluationTask, WorkerOutput,
                        graft_spans, merge_metrics, resolve_jobs)
 from .result import SearchCounters
@@ -82,8 +77,12 @@ class EvaluatedMapping:
         return self.tuning.total_cost
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()
+
+
 def _digest(text: str) -> str:
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
+    return _sha(text)[:12]
 
 
 def mapping_digest(mapping: Mapping) -> str:
@@ -98,6 +97,55 @@ def mapping_digest(mapping: Mapping) -> str:
     canonical = "|".join([repr(annotations), repr(split_counts),
                           ";".join(sorted(repr(d) for d in distributions))])
     return _digest(canonical)
+
+
+def _canonical(value) -> str:
+    """A run-to-run-stable serialization of plain data structures.
+
+    ``repr`` alone is not enough: set/frozenset iteration order depends
+    on string hashing, and dict order on insertion history. Containers
+    are therefore serialized with sorted members — including dict
+    *keys*, which may themselves be frozensets (the joint-presence
+    statistics) whose repr order changes with ``PYTHONHASHSEED``;
+    leaves fall back to ``repr`` (value-based for the dataclasses used
+    in statistics).
+    """
+    if isinstance(value, dict):
+        items = sorted(((_canonical(k), _canonical(v))
+                        for k, v in value.items()))
+        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+    if isinstance(value, (set, frozenset)):
+        return "{" + ",".join(sorted(_canonical(v) for v in value)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_canonical(v) for v in value) + "]"
+    return repr(value)
+
+
+def workload_digest(workload: Workload) -> str:
+    """Digest of the queries, weights, and insert loads (not the name)."""
+    parts = [f"{q.weight!r}|{q.query}" for q in workload.queries]
+    parts += [f"insert|{u.weight!r}|{u.target}" for u in workload.updates]
+    return _sha("\n".join(parts))
+
+
+def stats_digest(collected: CollectedStats) -> str:
+    """Digest of the finest-granularity collected statistics."""
+    return _sha(_canonical({
+        "total_elements": collected.total_elements,
+        "instance_counts": collected.instance_counts,
+        "leaf_stats": {k: repr(v) for k, v in collected.leaf_stats.items()},
+        "cardinality": collected.cardinality,
+        "joint": collected.joint,
+    }))
+
+
+def problem_digest(workload: Workload, collected: CollectedStats,
+                   storage_bound: int | None) -> str:
+    """One digest for everything that determines evaluation results —
+    the first part of a checkpoint's problem key. It must not follow
+    ``PYTHONHASHSEED``, or a resumed run would see another problem."""
+    return _sha(f"{workload_digest(workload)}"
+                f"|{stats_digest(collected)}|{storage_bound!r}")
 
 
 def build_stats_only_database(schema: MappedSchema,
@@ -147,7 +195,7 @@ def check_rewrite(name: str, before: MappedSchema, after: MappedSchema,
 
 
 def _kind(reuse: dict[int, float]) -> str:
-    """What spans, metrics, and persistent entries call an evaluation."""
+    """What spans and metrics call an evaluation."""
     return "partial" if reuse else "exact"
 
 
@@ -160,7 +208,6 @@ class MappingEvaluator:
                  counters: SearchCounters | None = None,
                  tracer: Tracer | NullTracer | None = None,
                  jobs: int | None = None,
-                 cache: EvaluationCache | None = None,
                  policy: RetryPolicy | None = None):
         self.workload = workload
         self.collected = collected
@@ -170,7 +217,6 @@ class MappingEvaluator:
         self.tracer = tracer if tracer is not None else get_tracer()
         self._metrics = self.tracer.metrics("evaluator")
         self.jobs = resolve_jobs(jobs)
-        self.cache = cache
         self.policy = policy if policy is not None else RetryPolicy.from_env()
         self._memo: dict[tuple, EvaluatedMapping | None] = {}
         # What-if cost cache shared across every advisor invocation of
@@ -179,7 +225,6 @@ class MappingEvaluator:
         # across mappings).
         self._advisor_cost_cache: dict = {}
         self._pool: EvaluationPool | None = None
-        self._problem: str | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle / plumbing
@@ -211,12 +256,6 @@ class MappingEvaluator:
                 policy=self.policy, counters=self.counters,
                 tracer=self.tracer)
         return self._pool
-
-    def _problem_digest(self) -> str:
-        if self._problem is None:
-            self._problem = problem_digest(self.workload, self.collected,
-                                           self.storage_bound)
-        return self._problem
 
     def snapshot(self) -> dict:
         """The stores a checkpoint must carry: the memo and the what-if
@@ -271,9 +310,9 @@ class MappingEvaluator:
                       ) -> list[EvaluatedMapping | None]:
         """Cost several independent mappings as one batch.
 
-        Results align with the input list. Cache lookups (memory and
-        persistent) happen up front; only genuinely new mappings are
-        evaluated — concurrently when ``jobs > 1``.
+        Results align with the input list. Memo lookups happen up
+        front; only genuinely new mappings are evaluated — concurrently
+        when ``jobs > 1``.
         """
         return self._evaluate_batch([(mapping, {}, {})
                                      for mapping in mappings])
@@ -302,11 +341,6 @@ class MappingEvaluator:
             if key in self._memo:
                 results[position] = self._record_memory_hit(
                     kind, self._memo[key])
-                continue
-            found, value = self._persistent_get(*task)
-            if found:
-                self._memo[key] = value
-                results[position] = value
                 continue
             if key in first_position:
                 # A duplicate inside the batch: costed once, counted as
@@ -344,8 +378,9 @@ class MappingEvaluator:
                           reuse: dict[int, float] | None = None,
                           carried: dict[int, frozenset] | None = None
                           ) -> tuple[EvaluatedMapping | None, str | None]:
-        """One logical evaluation under the retry policy, no cache layer
-        consulted or filled — what pool workers run per work unit.
+        """One logical evaluation under the retry policy, the memo
+        neither consulted nor filled — what pool workers run per work
+        unit.
 
         Returns ``(result, fault_category)``. Retryable failures (an
         injected transient fault, an infrastructure hiccup) are retried
@@ -382,16 +417,14 @@ class MappingEvaluator:
 
     def _finish(self, task: EvaluationTask, value: EvaluatedMapping | None,
                 fault: str | None) -> EvaluatedMapping | None:
-        """Store a freshly computed result in both cache layers.
+        """Store a freshly computed result in the memo.
 
         A fault-caused ``None`` (retries exhausted, deadline fired) is
         *not* a fact about the mapping and is never cached — the
-        candidate stays evaluable in later rounds and later runs.
+        candidate stays evaluable in later rounds.
         """
         if self.use_cache and fault is None:
             self._memo[self._memo_key(*task)] = value
-            if self.cache is not None:
-                self.cache.put(self._persistent_key(*task), value)
         return value
 
     def _absorb(self, output: WorkerOutput) -> None:
@@ -404,7 +437,7 @@ class MappingEvaluator:
         graft_spans(self.tracer, output.spans)
 
     # ------------------------------------------------------------------
-    # Cache layers
+    # The memo
     # ------------------------------------------------------------------
     @staticmethod
     def _memo_key(mapping: Mapping, reuse: dict[int, float],
@@ -428,32 +461,6 @@ class MappingEvaluator:
             self._metrics.incr(f"cache_hits_{kind}")
             self.tracer.event("cache_hit", kind=kind)
         return value
-
-    def _persistent_key(self, mapping: Mapping, reuse: dict[int, float],
-                        carried: dict[int, frozenset]) -> CacheKey:
-        extra = ""
-        if reuse:
-            parts = [f"{i}:{cost!r}" for i, cost in sorted(reuse.items())]
-            parts += [f"{i}:{','.join(sorted(objects))}"
-                      for i, objects in sorted(carried.items())]
-            extra = _digest("|".join(parts))
-        return CacheKey(problem=self._problem_digest(),
-                        mapping=mapping_digest(mapping),
-                        kind=_kind(reuse), extra=extra)
-
-    def _persistent_get(self, mapping: Mapping, reuse: dict[int, float],
-                        carried: dict[int, frozenset]
-                        ) -> tuple[bool, EvaluatedMapping | None]:
-        if self.cache is None:
-            return False, None
-        found, value = self.cache.get(
-            self._persistent_key(mapping, reuse, carried))
-        if found:
-            kind = _kind(reuse)
-            self.counters.persistent_cache_hits += 1
-            self._metrics.incr(f"persistent_hits_{kind}")
-            self.tracer.event("cache_hit_persistent", kind=kind)
-        return found, value  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Evaluation proper

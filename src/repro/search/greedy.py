@@ -34,12 +34,11 @@ from ..resilience import (CheckpointStore, load_search_state,
                           note_suppressed, save_search_state)
 from ..workload import Workload
 from ..xsd import SchemaTree
-from .cache import EvaluationCache, problem_digest
 from .candidate_merging import CandidateMerger
 from .candidate_selection import CandidateSelector, CandidateSet, apply_splits
 from .cost_derivation import CostDerivation
 from .evaluator import (EvaluatedMapping, MappingEvaluator, check_rewrite,
-                        mapping_digest)
+                        mapping_digest, problem_digest)
 from .result import DesignResult, SearchCounters, timed_search
 
 
@@ -60,12 +59,17 @@ class GreedySearch:
                  max_rounds: int = 25,
                  tracer: Tracer | NullTracer | None = None,
                  jobs: int | None = None,
-                 cache: EvaluationCache | None = None,
+                 cache: None = None,
                  checkpoint: CheckpointStore | str | Path | None = None,
                  checkpoint_every: int = 1,
                  resume: bool = False):
         if merging not in ("greedy", "none", "exhaustive"):
             raise ValueError(f"unknown merging mode {merging!r}")
+        if cache is not None:
+            # ``cache=None`` is still accepted because the benchmark
+            # spine passes it; a search remembers only within its run.
+            raise TypeError("GreedySearch has no persistent cache; "
+                            "pass cache=None or nothing")
         self.tree = tree
         self.workload = workload
         self.collected = collected
@@ -80,7 +84,6 @@ class GreedySearch:
         self.max_rounds = max_rounds
         self.tracer = tracer if tracer is not None else get_tracer()
         self.jobs = jobs
-        self.cache = cache
         if isinstance(checkpoint, (str, Path)):
             checkpoint = CheckpointStore(checkpoint, tracer=self.tracer)
         self.checkpoint = checkpoint
@@ -97,8 +100,7 @@ class GreedySearch:
                                      self.storage_bound,
                                      counters=self.counters,
                                      tracer=self.tracer,
-                                     jobs=self.jobs,
-                                     cache=self.cache)
+                                     jobs=self.jobs)
         try:
             return self._run_with(evaluator)
         finally:

@@ -24,9 +24,8 @@ from ..resilience import (CheckpointStore, load_search_state,
                           note_suppressed, save_search_state)
 from ..workload import Workload
 from ..xsd import SchemaTree
-from .cache import problem_digest
 from .evaluator import (EvaluatedMapping, MappingEvaluator, check_rewrite,
-                        mapping_digest)
+                        mapping_digest, problem_digest)
 from .result import DesignResult, SearchCounters, timed_search
 
 

@@ -23,8 +23,6 @@ class SearchCounters:
     #: saved an advisor call, so folding them in overstated hit rate.
     cache_hits: int = 0
     cache_hits_infeasible: int = 0
-    #: Hits served from the persistent cross-run cache (warm hits).
-    persistent_cache_hits: int = 0
     tuner_calls: int = 0
     optimizer_calls: int = 0
     derived_query_costs: int = 0

@@ -43,8 +43,7 @@ class TwoStepSearch:
                  default_split_count: int = 5,
                  max_rounds: int = 25,
                  tracer: Tracer | NullTracer | None = None,
-                 jobs: int | None = None,
-                 cache=None):
+                 jobs: int | None = None):
         self.tree = tree
         self.workload = workload
         self.collected = collected
@@ -54,7 +53,6 @@ class TwoStepSearch:
         self.max_rounds = max_rounds
         self.tracer = tracer if tracer is not None else get_tracer()
         self.jobs = jobs
-        self.cache = cache
         self.counters = SearchCounters()
 
     # ------------------------------------------------------------------
@@ -100,14 +98,12 @@ class TwoStepSearch:
             logical_span.set("rounds", rounds)
             logical_span.set("applied", len(applied))
 
-        # Step 2: physical design once, on the chosen logical mapping —
-        # a one-element batch, so it shares the batch API's cache layers
-        # (a warm persistent cache makes this step free).
+        # Step 2: physical design once, on the chosen logical mapping.
         evaluator = MappingEvaluator(self.workload, self.collected,
                                      self.storage_bound,
                                      counters=self.counters,
                                      tracer=self.tracer,
-                                     jobs=self.jobs, cache=self.cache)
+                                     jobs=self.jobs)
         try:
             with self.tracer.span("physical_step"):
                 final = evaluator.evaluate_many([current_mapping])[0]

@@ -22,8 +22,7 @@ translation once per shape, not once per request or per distinct value:
   carrying ``sqlast.Parameter(1)``, and stores it.
 
 ``plan_key`` names the shape, digested the way the advisor's what-if
-cache and the persistent evaluation cache digest their problems: a
-SHA-1 over the **mapping digest** (:func:`repro.search.mapping_digest`)
+cache and a search checkpoint digest their problems: a SHA-1 over the **mapping digest** (:func:`repro.search.mapping_digest`)
 of the schema the translator runs against and the **canonical template
 text** (``str`` of the template: ``//movie[title = ?]/year``), so
 spelling variants share one entry and requests differing only in the

@@ -36,8 +36,7 @@ from repro.engine.access_paths import AccessPaths
 from repro.engine.matview import derive_view_stats
 from repro.engine.plans import IndexSeek
 from repro.physdesign.config import make_view_candidate
-from repro.search import (EvaluationCache, GreedySearch,
-                          build_stats_only_database, design_for)
+from repro.search import GreedySearch, build_stats_only_database, design_for
 from repro.search.evaluator import EvaluatedMapping
 from repro.errors import PlanError
 from repro.sqlast import (And, ColumnRef, Comparison, ComparisonOp,
@@ -491,23 +490,22 @@ class TestNotPickled:
         assert clone.access_paths.costed > 0
 
     def test_evaluated_mappings_of_a_real_search(self, tmp_path):
-        """What pool workers, ``EvaluationCache`` files and checkpoints
-        carry: every mapping a search evaluated, as it was persisted."""
+        """What pool workers and checkpoints carry: every mapping a
+        search evaluated, as its checkpoint persisted it."""
         bundle = DatasetBundle.movie(scale=300)
         workload = bundle.workload_generator(5).generate(4)
-        GreedySearch(bundle.tree, workload, bundle.stats,
-                     storage_bound=bundle.storage_bound, jobs=1,
-                     cache=EvaluationCache(tmp_path)).run()
-        payloads = {path: path.read_bytes()
-                    for path in tmp_path.rglob("*.pkl")}
-        for payload in payloads.values():
-            assert b"access_paths" not in payload
-        # Exact evaluations: every report is an estimate of this very
-        # database (a partial one carries costs derived elsewhere).
-        evaluated = [value for value in (
-            pickle.loads(payload) for path, payload in payloads.items()
-            if path.name.startswith("exact-"))
-            if isinstance(value, EvaluatedMapping)]
+        search = GreedySearch(bundle.tree, workload, bundle.stats,
+                              storage_bound=bundle.storage_bound, jobs=1,
+                              checkpoint=tmp_path)
+        search.run()
+        payload = search.checkpoint.path.read_bytes()
+        assert b"access_paths" not in payload
+        # Exact evaluations (memo key with nothing reused): every report
+        # is an estimate of this very database (a partial one carries
+        # costs derived elsewhere).
+        memo = pickle.loads(payload)["evaluator"]["memo"]
+        evaluated = [value for (_, reuse, _), value in memo.items()
+                     if not reuse and isinstance(value, EvaluatedMapping)]
         assert len(evaluated) >= 3
         for mapping in evaluated:
             db = mapping.database

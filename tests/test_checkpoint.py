@@ -18,7 +18,9 @@ from repro.errors import CheckpointError, InjectedFault
 from repro.experiments import DatasetBundle
 from repro.obs import Tracer
 from repro.resilience import NULL_PLAN, CheckpointStore, install_fault_plan
-from repro.search import GreedySearch, NaiveGreedySearch, mapping_digest
+from repro.search import (GreedySearch, NaiveGreedySearch, mapping_digest,
+                          problem_digest)
+from repro.workload import Workload
 
 
 @pytest.fixture(autouse=True)
@@ -161,6 +163,39 @@ class TestCheckpointValidation:
         assert _fingerprint(result) == _fingerprint(baselines["dblp"])
         assert result.counters.mappings_evaluated == \
             baselines["dblp"].counters.mappings_evaluated
+
+    def test_problem_digest_stable_across_processes(self, problems):
+        """The joint-presence stats are keyed by frozensets; their repr
+        order follows string hash randomization, so the digest must
+        canonicalize dict keys or a resume in another interpreter sees
+        "a different problem"."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        bundle, _ = problems["dblp"]
+        workload = Workload.from_strings("w", ["/dblp/inproceedings/title"])
+        local = _greedy((bundle, workload)).problem_key()
+        assert local.startswith(
+            problem_digest(workload, bundle.stats, bundle.storage_bound))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "from repro.experiments import DatasetBundle\n"
+            "from repro.search import GreedySearch\n"
+            "from repro.workload import Workload\n"
+            "bundle = DatasetBundle.dblp(scale=150, seed=11)\n"
+            "workload = Workload.from_strings('w', "
+            "['/dblp/inproceedings/title'])\n"
+            "print(GreedySearch(bundle.tree, workload, bundle.stats, "
+            "bundle.storage_bound, jobs=1).problem_key())\n")
+        for hashseed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": hashseed})
+            assert proc.stdout.strip() == local
 
 
 class TestCheckpointWriteFaults:

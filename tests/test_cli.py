@@ -230,30 +230,6 @@ class TestAdvise:
 
         assert design_lines(out_serial) == design_lines(out_parallel)
 
-    def test_advise_cache_dir_warm_rerun(self, files):
-        tmp_path, dtd, xml, _, workload = files
-        cache_dir = tmp_path / "evals"
-        args = ["advise", "--dtd", str(dtd), "--root", "shop",
-                "--xml", str(xml), "--workload", str(workload),
-                "--cache-dir", str(cache_dir)]
-        code, cold = run_cli(args)
-        assert code == 0
-        assert "(0 infeasible, 0 warm)" in cold
-        code, warm = run_cli(args)
-        assert code == 0
-        assert "0 warm)" not in warm  # the rerun hits the persistent cache
-
-    def test_advise_cache_dir_ignored_for_naive_greedy(self, files):
-        tmp_path, dtd, xml, _, workload = files
-        cache_dir = tmp_path / "evals"
-        code, out = run_cli([
-            "advise", "--dtd", str(dtd), "--root", "shop",
-            "--xml", str(xml), "--workload", str(workload),
-            "--algorithm", "naive-greedy", "--cache-dir", str(cache_dir)])
-        assert code == 0
-        assert "note: --cache-dir is ignored for naive-greedy" in out
-        assert not cache_dir.exists()
-
     def test_advise_faults_keep_design_and_print_resilience(self, files):
         from repro.resilience import active_fault_plan
 
@@ -315,43 +291,6 @@ class TestAdvise:
         assert code == 0
         assert "note: --checkpoint-dir is ignored for two-step" in out
         assert not (tmp_path / "ckpt").exists()
-
-
-class TestCache:
-    def test_report_empty(self, tmp_path):
-        cache_dir = tmp_path / "evals"
-        code, out = run_cli(["cache", "report", "--cache-dir",
-                             str(cache_dir)])
-        assert code == 0
-        assert f"cache root: {cache_dir}" in out
-        assert "entries: 0" in out
-
-    def test_report_is_the_default_action(self, tmp_path):
-        code, out = run_cli(["cache", "--cache-dir", str(tmp_path)])
-        assert code == 0
-        assert "entries: 0" in out
-
-    def test_report_and_clear_after_advise(self, files):
-        tmp_path, dtd, xml, _, workload = files
-        cache_dir = tmp_path / "evals"
-        code, _ = run_cli([
-            "advise", "--dtd", str(dtd), "--root", "shop",
-            "--xml", str(xml), "--workload", str(workload),
-            "--cache-dir", str(cache_dir)])
-        assert code == 0
-        code, out = run_cli(["cache", "report", "--cache-dir",
-                             str(cache_dir)])
-        assert code == 0
-        assert "entries: 0" not in out
-        assert "exact:" in out
-        code, out = run_cli(["cache", "clear", "--cache-dir",
-                             str(cache_dir)])
-        assert code == 0
-        assert "removed" in out
-        code, out = run_cli(["cache", "report", "--cache-dir",
-                             str(cache_dir)])
-        assert code == 0
-        assert "entries: 0" in out
 
 
 class TestExperiment:

@@ -1,13 +1,8 @@
-"""Parallel candidate costing and the persistent evaluation cache.
+"""Parallel candidate costing.
 
-Covers the engine's two hard guarantees:
-
-* **determinism** — a search with ``jobs=4`` produces a DesignResult
-  identical to the serial run (mapping digest, applied log, estimated
-  cost, configuration) on both bundled datasets;
-* **durability** — evaluations persisted by one run are served as warm
-  hits to the next, down to a warm full search performing zero exact
-  evaluations.
+The hard guarantee is **determinism**: a search with ``jobs=4``
+produces a DesignResult identical to the serial run (mapping digest,
+applied log, estimated cost, configuration) on both bundled datasets.
 
 Plus the greedy-loop regression (a round winner rejected by the exact
 re-check must stay eligible for later rounds) and the feasible/
@@ -21,9 +16,8 @@ import pytest
 from repro.experiments import DatasetBundle
 from repro.mapping import hybrid_inlining
 from repro.obs import Tracer, find_spans
-from repro.search import (CacheKey, EvaluationCache, GreedySearch,
-                          MappingEvaluator, NaiveGreedySearch,
-                          mapping_digest, problem_digest, resolve_jobs)
+from repro.search import (GreedySearch, MappingEvaluator, NaiveGreedySearch,
+                          mapping_digest, resolve_jobs)
 from repro.search.candidate_selection import CandidateSet
 from repro.workload import Workload
 
@@ -37,6 +31,13 @@ def problems():
         workload = bundle.workload_generator(seed=5).generate(4)
         out[name] = (bundle, workload)
     return out
+
+
+@pytest.fixture()
+def small_problem(problems):
+    bundle, _ = problems["dblp"]
+    workload = Workload.from_strings("w", ["/dblp/inproceedings/title"])
+    return bundle, workload
 
 
 def _result_fingerprint(result):
@@ -127,6 +128,13 @@ class TestPinnedSearch:
                 counters.tuner_calls, counters.optimizer_calls,
                 counters.derived_query_costs) == _PINNED_SEARCHES[dataset]
 
+    def test_greedy_remembers_only_within_its_run(self, small_problem,
+                                                  tmp_path):
+        bundle, workload = small_problem
+        GreedySearch(bundle.tree, workload, bundle.stats, cache=None)
+        with pytest.raises(TypeError, match="no persistent cache"):
+            GreedySearch(bundle.tree, workload, bundle.stats, cache=tmp_path)
+
 
 # ----------------------------------------------------------------------
 # REPRO_PARALLEL resolution
@@ -168,161 +176,6 @@ class TestResolveJobs:
     def test_garbage_env_means_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "many")
         assert resolve_jobs() == 1
-
-
-# ----------------------------------------------------------------------
-# Persistent cache round trips
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture()
-def small_problem(problems):
-    bundle, _ = problems["dblp"]
-    workload = Workload.from_strings("w", ["/dblp/inproceedings/title"])
-    return bundle, workload
-
-
-class TestEvaluationCache:
-    def test_cold_miss_then_warm_hit_then_clear(self, small_problem,
-                                                tmp_path):
-        bundle, workload = small_problem
-        mapping = hybrid_inlining(bundle.tree)
-
-        cold = EvaluationCache(tmp_path)
-        ev1 = MappingEvaluator(workload, bundle.stats,
-                               bundle.storage_bound, cache=cold)
-        first = ev1.evaluate(mapping)
-        assert first is not None
-        assert ev1.counters.mappings_evaluated == 1
-        assert ev1.counters.persistent_cache_hits == 0
-        assert len(cold.entries()) == 1
-
-        warm = EvaluationCache(tmp_path)
-        ev2 = MappingEvaluator(workload, bundle.stats,
-                               bundle.storage_bound, cache=warm)
-        second = ev2.evaluate(mapping)
-        assert second is not None
-        assert second.total_cost == first.total_cost
-        assert second.tuning.configuration.describe() == \
-            first.tuning.configuration.describe()
-        assert ev2.counters.mappings_evaluated == 0
-        assert ev2.counters.persistent_cache_hits == 1
-
-        assert warm.clear() == 1
-        assert warm.entries() == []
-        ev3 = MappingEvaluator(workload, bundle.stats,
-                               bundle.storage_bound,
-                               cache=EvaluationCache(tmp_path))
-        assert ev3.evaluate(mapping) is not None
-        assert ev3.counters.mappings_evaluated == 1  # re-costed
-
-    def test_invalidate_single_entry(self, small_problem, tmp_path):
-        bundle, workload = small_problem
-        mapping = hybrid_inlining(bundle.tree)
-        cache = EvaluationCache(tmp_path)
-        MappingEvaluator(workload, bundle.stats, bundle.storage_bound,
-                         cache=cache).evaluate(mapping)
-        key = CacheKey(problem=problem_digest(workload, bundle.stats,
-                                              bundle.storage_bound),
-                       mapping=mapping_digest(mapping))
-        assert cache.invalidate(key) is True
-        assert cache.invalidate(key) is False
-        assert cache.entries() == []
-
-    def test_different_problem_never_collides(self, small_problem,
-                                              tmp_path):
-        bundle, workload = small_problem
-        other = Workload.from_strings("w2", ["/dblp/book/publisher"])
-        mapping = hybrid_inlining(bundle.tree)
-        cache = EvaluationCache(tmp_path)
-        MappingEvaluator(workload, bundle.stats, bundle.storage_bound,
-                         cache=cache).evaluate(mapping)
-        ev = MappingEvaluator(other, bundle.stats, bundle.storage_bound,
-                              cache=EvaluationCache(tmp_path))
-        ev.evaluate(mapping)
-        assert ev.counters.persistent_cache_hits == 0
-        assert ev.counters.mappings_evaluated == 1
-        assert len(cache.entries()) == 2
-
-    def test_problem_digest_stable_across_processes(self, small_problem):
-        """The joint-presence stats are keyed by frozensets; their repr
-        order follows string hash randomization, so the digest must
-        canonicalize dict keys or warm cache hits (and checkpoint
-        resume) break across interpreter runs."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        bundle, workload = small_problem
-        local = problem_digest(workload, bundle.stats, bundle.storage_bound)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        script = (
-            "from repro.experiments import DatasetBundle\n"
-            "from repro.search import problem_digest\n"
-            "from repro.workload import Workload\n"
-            "bundle = DatasetBundle.dblp(scale=150, seed=11)\n"
-            "workload = Workload.from_strings('w', "
-            "['/dblp/inproceedings/title'])\n"
-            "print(problem_digest(workload, bundle.stats, "
-            "bundle.storage_bound))\n")
-        for hashseed in ("1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-c", script], capture_output=True,
-                text=True, check=True,
-                env={**os.environ, "PYTHONPATH": src,
-                     "PYTHONHASHSEED": hashseed})
-            assert proc.stdout.strip() == local
-
-    def test_corrupt_entry_is_a_miss(self, small_problem, tmp_path):
-        bundle, workload = small_problem
-        mapping = hybrid_inlining(bundle.tree)
-        cache = EvaluationCache(tmp_path)
-        MappingEvaluator(workload, bundle.stats, bundle.storage_bound,
-                         cache=cache).evaluate(mapping)
-        [entry] = cache.entries()
-        entry.write_bytes(b"not a pickle")
-        ev = MappingEvaluator(workload, bundle.stats, bundle.storage_bound,
-                              cache=EvaluationCache(tmp_path))
-        assert ev.evaluate(mapping) is not None
-        assert ev.counters.persistent_cache_hits == 0
-        assert ev.counters.mappings_evaluated == 1
-
-    def test_entry_file_names_are_pinned(self, problems, tmp_path):
-        """The on-disk name of an exact and of a partial entry are part
-        of the format: a cache directory stays warm for as long as
-        ``CACHE_VERSION`` does. The directory is the problem digest and
-        was re-pinned for version 3 (``ColumnSpec.features`` and the
-        dispatch entry's atoms changed the pickled layout, so entries
-        written before must be unreachable); the mapping and reuse
-        digests in the file names are the ones version 2 wrote."""
-        bundle, _ = problems["dblp"]
-        workload = Workload.from_strings("w", [
-            "/dblp/inproceedings/title", "/dblp/book/publisher"])
-        cache = EvaluationCache(tmp_path)
-        evaluator = MappingEvaluator(workload, bundle.stats,
-                                     bundle.storage_bound, cache=cache)
-        mapping = hybrid_inlining(bundle.tree)
-        full = evaluator.evaluate(mapping)
-        evaluator.evaluate_partial(
-            mapping, {0: full.tuning.reports[0].cost}, base=full)
-        assert [str(path.relative_to(tmp_path))
-                for path in cache.entries()] == [
-            "2f4d1a6ae0fc09f2/exact-bcefa41c5879.pkl",
-            "2f4d1a6ae0fc09f2/partial-bcefa41c5879-4d41e56cf757.pkl"]
-
-    def test_warm_full_search_performs_zero_evaluations(self, problems,
-                                                        tmp_path):
-        bundle, workload = problems["dblp"]
-        first = GreedySearch(bundle.tree, workload, bundle.stats,
-                             bundle.storage_bound,
-                             cache=EvaluationCache(tmp_path)).run()
-        second = GreedySearch(bundle.tree, workload, bundle.stats,
-                              bundle.storage_bound,
-                              cache=EvaluationCache(tmp_path)).run()
-        assert second.counters.mappings_evaluated == 0
-        assert second.counters.persistent_cache_hits > 0
-        assert _result_fingerprint(second) == _result_fingerprint(first)
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,7 @@ from repro.mapping import hybrid_inlining
 from repro.obs import Tracer
 from repro.resilience import (NULL_PLAN, FaultPlan, FaultRule, RetryPolicy,
                               classify, install_fault_plan)
-from repro.search import (CacheKey, EvaluationCache, GreedySearch,
-                          MappingEvaluator, mapping_digest)
+from repro.search import GreedySearch, MappingEvaluator, mapping_digest
 
 
 @pytest.fixture(autouse=True)
@@ -50,11 +49,11 @@ def _fingerprint(result):
 class TestFaultPlan:
     def test_spec_round_trip(self):
         plan = FaultPlan.from_spec(
-            "seed=42;evaluate:0.2:transient;cache.write:1:torn;"
+            "seed=42;evaluate:0.2:transient;checkpoint.write:1:torn;"
             "whatif:0.1:hang:0.5;advisor:1:fatal:0:7")
         assert plan.seed == 42
         assert plan.rules["evaluate"].rate == 0.2
-        assert plan.rules["cache.write"].kind == "torn"
+        assert plan.rules["checkpoint.write"].kind == "torn"
         assert plan.rules["whatif"].duration == 0.5
         assert plan.rules["advisor"].after == 7
         rebuilt = FaultPlan.from_spec(plan.to_spec())
@@ -123,6 +122,22 @@ class TestFaultPlan:
             FaultPlan.from_spec("evaluate:0.5:explode")
         with pytest.raises(ValueError):
             FaultPlan.from_spec("evaluate")
+
+    @pytest.mark.parametrize("spec", ["checkpoint.read:0.1", "evalute:1"])
+    def test_unknown_site_rejected_with_the_known_ones(self, spec):
+        """A rule for a site nothing consults would never fire; the
+        error names every site that does."""
+        with pytest.raises(ValueError, match="unknown fault site") as info:
+            FaultPlan.from_spec(spec)
+        for site in ("evaluate", "checkpoint.write", "backend.load.batch"):
+            assert site in str(info.value)
+
+    def test_known_sites_are_the_documented_table(self):
+        import re
+
+        from repro.resilience import faults
+        table = re.findall(r"^``([a-z.]+)``", faults.__doc__, re.M)
+        assert tuple(table) == faults._SITES
 
     def test_null_plan_never_fires(self):
         assert not NULL_PLAN.enabled
@@ -369,75 +384,6 @@ class TestBrokenPool:
             evaluator.close()
         assert _pool_fallbacks(tracer) == ["inline"]
         assert evaluator.counters.pool_degradations == 1
-
-
-# ----------------------------------------------------------------------
-# Persistent-cache resilience
-# ----------------------------------------------------------------------
-
-
-class TestCacheResilience:
-    def test_torn_write_recovers_as_miss(self, tmp_path):
-        cache = EvaluationCache(tmp_path)
-        key = CacheKey(problem="p" * 40, mapping="m" * 12)
-        install_fault_plan(FaultPlan(
-            [FaultRule("cache.write", 1.0, "torn")]))
-        cache.put(key, {"cost": 123.0})
-        install_fault_plan(NULL_PLAN)
-        found, value = cache.get(key)
-        assert not found and value is None
-        assert cache.recoveries() == 1
-        assert "corrupt entries recovered: 1" in cache.report()
-        # The torn entry was unlinked: a clean re-put heals the store.
-        cache.put(key, {"cost": 123.0})
-        assert cache.get(key) == (True, {"cost": 123.0})
-
-    def test_write_fault_degrades_to_noop(self, tmp_path):
-        cache = EvaluationCache(tmp_path)
-        key = CacheKey(problem="p" * 40, mapping="m" * 12)
-        install_fault_plan(FaultPlan([FaultRule("cache.write", 1.0)]))
-        cache.put(key, 1)
-        install_fault_plan(NULL_PLAN)
-        assert cache.get(key) == (False, None)
-
-    def test_read_fault_degrades_to_miss(self, tmp_path):
-        cache = EvaluationCache(tmp_path)
-        key = CacheKey(problem="p" * 40, mapping="m" * 12)
-        cache.put(key, 7)
-        install_fault_plan(FaultPlan([FaultRule("cache.read", 1.0)]))
-        assert cache.get(key) == (False, None)
-        install_fault_plan(NULL_PLAN)
-        assert cache.get(key) == (True, 7)
-
-    def test_clear_resets_recovery_accounting(self, tmp_path):
-        cache = EvaluationCache(tmp_path)
-        key = CacheKey(problem="p" * 40, mapping="m" * 12)
-        install_fault_plan(FaultPlan(
-            [FaultRule("cache.write", 1.0, "torn")]))
-        cache.put(key, 1)
-        install_fault_plan(NULL_PLAN)
-        cache.get(key)
-        assert cache.recoveries() == 1
-        cache.clear()
-        assert cache.recoveries() == 0
-
-    def test_torn_writes_never_poison_a_warm_search(self, problem,
-                                                    tmp_path):
-        """A cold run writing torn entries must not change the warm
-        rerun's result: corrupt entries read back as misses and are
-        recomputed."""
-        bundle, workload = problem
-        kwargs = dict(storage_bound=bundle.storage_bound)
-        clean = GreedySearch(bundle.tree, workload, bundle.stats,
-                             **kwargs).run()
-        install_fault_plan("seed=3;cache.write:0.5:torn")
-        cold = GreedySearch(bundle.tree, workload, bundle.stats,
-                            cache=EvaluationCache(tmp_path), **kwargs).run()
-        install_fault_plan(NULL_PLAN)
-        warm = GreedySearch(bundle.tree, workload, bundle.stats,
-                            cache=EvaluationCache(tmp_path), **kwargs).run()
-        assert _fingerprint(cold) == _fingerprint(clean)
-        assert _fingerprint(warm) == _fingerprint(clean)
 
 
 # ----------------------------------------------------------------------
