@@ -180,10 +180,11 @@ class EngineBackend:
         return list(self.db.catalog.table(name).rows or [])
 
     def index_names(self) -> list[str]:
-        # pk_* indexes are the engine's implicit primary keys, the
-        # counterpart of what the real engines build for PRIMARY KEY.
-        return sorted(n for n in self.db.catalog.indexes
-                      if not n.startswith("pk_"))
+        # Clustered indexes — the implicit pk_* ones, a clustered view's
+        # own — are the tables themselves, the counterpart of what the
+        # real engines build for PRIMARY KEY.
+        return sorted(name for name, index in self.db.catalog.indexes.items()
+                      if not index.clustered)
 
     def declared_type(self, sql_type: SQLType) -> str:
         return sql_type.name

@@ -168,7 +168,7 @@ def fill_query_estimates(point: DesignPoint, collected) -> None:
     for view in point.configuration.views:
         db.stats.set_table(view.name, derive_view_stats(
             view.table, view.definition, db.stats))
-    extra_indexes = list(point.configuration.indexes)
+    extra_indexes = point.configuration.all_indexes()
     extra_tables = point.configuration.extra_tables()
     point.queries = [
         QueryPoint(

@@ -609,9 +609,8 @@ class RelationalBackend:
         try:
             self._begin_write()
             for view in configuration.views:
-                self.connection.execute(
-                    self.dialect.create_view_table_sql(
-                        view.name, view.definition))
+                for statement in self.dialect.create_view_table_sql(view):
+                    self.connection.execute(statement)
                 self._metrics.incr("views_built")
             for index in configuration.indexes:
                 self.connection.execute(
@@ -636,10 +635,9 @@ class RelationalBackend:
         """Re-materialize one view table in place, inside the caller's
         write transaction."""
         name = self.dialect.quote(view.name)
+        rows = self.dialect.view_rows_sql(view.definition, view.cluster_key)
         self.connection.execute(f"DELETE FROM {name}")
-        self.connection.execute(
-            f"INSERT INTO {name} "
-            f"{self.dialect.view_rows_sql(view.definition)}")
+        self.connection.execute(f"INSERT INTO {name} {rows}")
         self._metrics.incr("views_refreshed")
 
     # ------------------------------------------------------------------

@@ -14,7 +14,9 @@ not good enough:
   covers the query.
 * **Materialized structures** — join views become populated tables
   (``CREATE TABLE ... AS SELECT``), matching how the engine's size and
-  cost accounting treats them.
+  cost accounting treats them; a view with a cluster key is written in
+  that key's order, and on SQLite stored as a ``WITHOUT ROWID`` table
+  whose primary key is the cluster key.
 
 :class:`SQLiteDialect` (the historical default — the module-level
 functions delegate to its singleton for backward compatibility):
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 from ..engine import Index, JoinViewDefinition, SQLType, Table
 from ..errors import ReproError
+from ..physdesign import ViewCandidate
 from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, Exists, IsNull,
                       Literal, Or, Parameter, Query, Scalar, Select,
                       SelectItem, TableRef)
@@ -207,27 +210,33 @@ class Dialect:
         return (f"CREATE INDEX {self.quote(index.name)} "
                 f"ON {self.quote(index.table_name)} ({columns})")
 
-    def view_rows_sql(self, definition: JoinViewDefinition) -> str:
-        """The join a view materializes, one row per child row in child
-        ``ID`` order — document order, so a scan of the view table yields
-        a parent's children as a scan of the child table does."""
+    def view_rows_sql(self, definition: JoinViewDefinition,
+                      order: tuple[str, ...] = ()) -> str:
+        """The join a view materializes, one row per child row, in the
+        order of the view columns ``order`` — else in child ``ID`` order:
+        document order, so a scan of the view table yields a parent's
+        children as a scan of the child table does."""
         items = []
         for view_col, (source_table, source_col) in definition.columns:
             alias = "P" if source_table == definition.parent_table else "C"
             items.append(f"{alias}.{self.quote(source_col)} "
                          f"AS {self.quote(view_col)}")
+        names = [view_col for view_col, _ in definition.columns]
+        by = (", ".join(str(names.index(column) + 1) for column in order)
+              if order else 'C."ID"')
         return (
             f"SELECT {', '.join(items)} "
             f"FROM {self.quote(definition.parent_table)} AS P, "
             f"{self.quote(definition.child_table)} AS C "
             f"WHERE C.{self.quote(definition.child_fk_column)} = P.\"ID\" "
-            f"ORDER BY C.\"ID\"")
+            f"ORDER BY {by}")
 
-    def create_view_table_sql(self, name: str,
-                              definition: JoinViewDefinition) -> str:
-        """A join view, materialized as a populated table."""
-        return (f"CREATE TABLE {self.quote(name)} AS "
-                f"{self.view_rows_sql(definition)}")
+    def create_view_table_sql(self, view: ViewCandidate) -> list[str]:
+        """The statements that materialize a join view as a populated
+        table: here one ``CREATE TABLE … AS``, written in the order of
+        its cluster key (a dialect with clustered tables overrides)."""
+        return [f"CREATE TABLE {self.quote(view.name)} AS "
+                f"{self.view_rows_sql(view.definition, view.cluster_key)}"]
 
 
 class SQLiteDialect(Dialect):
@@ -255,6 +264,24 @@ class SQLiteDialect(Dialect):
         # literal it replaces, so the column's affinity decides the
         # comparison either way (docs/serving.md, "Plan cache").
         return f"?{index}"
+
+    def create_view_table_sql(self, view: ViewCandidate) -> list[str]:
+        # A clustered view is a WITHOUT ROWID table: its rows are the
+        # leaves of the primary-key B-tree, which a SELECT filtering on
+        # the key's leading columns enters "USING PRIMARY KEY". The
+        # columns are declared with the affinities CREATE TABLE … AS
+        # would have given them.
+        if view.cluster is None:
+            return super().create_view_table_sql(view)
+        name = self.quote(view.name)
+        columns = ", ".join(
+            f"{self.quote(column.name)} {self.type_name(column.sql_type)}"
+            for column in view.table.columns)
+        key = ", ".join(self.quote(column) for column in view.cluster_key)
+        return [f"CREATE TABLE {name} ({columns}, PRIMARY KEY ({key})) "
+                f"WITHOUT ROWID",
+                f"INSERT INTO {name} "
+                f"{self.view_rows_sql(view.definition, view.cluster_key)}"]
 
 
 class DuckDBDialect(Dialect):
@@ -360,5 +387,5 @@ def create_index_sql(index: Index) -> str:
     return SQLITE.create_index_sql(index)
 
 
-def create_view_table_sql(name: str, definition: JoinViewDefinition) -> str:
-    return SQLITE.create_view_table_sql(name, definition)
+def create_view_table_sql(view: ViewCandidate) -> list[str]:
+    return SQLITE.create_view_table_sql(view)

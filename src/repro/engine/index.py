@@ -75,7 +75,9 @@ class Index:
 
     def entries_per_page(self, table: Table) -> int:
         usable = PAGE_SIZE * PAGE_FILL_FACTOR
-        return max(1, int(usable // self.entry_width(table)))
+        # A clustered index's leaf entries are the table's rows.
+        width = table.row_width if self.clustered else self.entry_width(table)
+        return max(1, int(usable // width))
 
     def leaf_page_count(self, table: Table) -> int:
         if self.clustered:

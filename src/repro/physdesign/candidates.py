@@ -10,7 +10,9 @@ and [Agrawal et al., VLDB'00]):
 * foreign-key join indexes (on the join column of the inner side), with
   and without covering includes,
 * two-table join views materializing exactly the query's join with its
-  referenced columns.
+  referenced columns, stored clustered on the query's seek key (then the
+  parent and child ``ID``) when the key has a NOT NULL column — an
+  indexed view, costed as a clustered seek — else as a heap.
 
 Candidates are deduplicated by signature across the workload.
 
@@ -117,23 +119,48 @@ class CandidateGenerator:
                 parent_alias, parent_table = la, ta
             else:
                 continue
+            sides = ((parent_alias, parent_table), (child_alias, child_table))
+
+            def keyable(keys: dict[str, tuple[str, ...]]) -> list:
+                # A stored key column holds no NULL: only the columns
+                # the mapped schema declares NOT NULL.
+                return [(alias, column) for alias, table in sides
+                        for column in keys[alias]
+                        if not self.db.catalog.table(table)
+                        .column(column).nullable]
+
+            # The seek key as _indexes_for_shape keys an index.
+            seek = (keyable(shape.key_eq)[:_MAX_KEY_COLUMNS]
+                    + keyable(shape.key_range)[:1])
+            required = dict(shape.required)
+            if seek:
+                # Rows are unique on (seek key, parent ID, child ID).
+                required[child_alias] = required[child_alias] | {"ID"}
             columns: list[tuple[str, tuple[str, str]]] = []
+            view_column: dict[tuple[str, str], str] = {}
             used_names: set[str] = set()
-            for alias, table in ((parent_alias, parent_table),
-                                 (child_alias, child_table)):
-                for column in sorted(shape.required[alias]):
+            for alias, table in sides:
+                for column in sorted(required[alias]):
                     name = column if column not in used_names else \
                         f"{table}_{column}"
                     used_names.add(name)
                     columns.append((name, (table, column)))
+                    view_column[alias, column] = name
+            cluster_key: tuple[str, ...] = ()
+            if seek:
+                # (Once each: the seek may be on an ID.)
+                ids = [(parent_alias, "ID"), (child_alias, "ID")]
+                cluster_key = tuple(dict.fromkeys(
+                    view_column[part] for part in seek + ids))
             definition = JoinViewDefinition(
                 parent_table=parent_table, child_table=child_table,
                 child_fk_column=fk, columns=tuple(columns))
             signature = (parent_table, child_table, fk,
-                         tuple(sorted(c for c, _ in columns)))
+                         tuple(sorted(c for c, _ in columns)), cluster_key)
             if signature in self._view_seen:
                 continue
             self._view_seen.add(signature)
             name = f"cand_view_{next(self._counter)}"
-            out.append(make_view_candidate(name, definition, self.db))
+            out.append(make_view_candidate(name, definition, self.db,
+                                           cluster_key))
         return out

@@ -107,7 +107,7 @@ class IndexTuningAdvisor:
         for view in configuration.views:
             definition = view.definition
             if {definition.parent_table, definition.child_table} <= tables:
-                parts.append(("view", definition))
+                parts.append(("view", definition, view.cluster_key))
         return frozenset(parts)
 
     def _cost_cached(self, query_key: str, query: Query,
@@ -346,7 +346,7 @@ class IndexTuningAdvisor:
               configuration: Configuration) -> tuple[float, frozenset[str]]:
         if self._what_if is None or self._what_if[0] is not configuration:
             self._what_if = (configuration, self.db.what_if(
-                configuration.indexes, configuration.extra_tables()))
+                configuration.all_indexes(), configuration.extra_tables()))
         try:
             planned = self.db.estimate_under(self._what_if[1], query)
         except PlanError as exc:
@@ -358,11 +358,12 @@ def materialize(db: Database, configuration: Configuration) -> None:
     """Build a recommended configuration on a database with real data."""
     for view in configuration.views:
         db.create_materialized_view(view.name, view.definition)
-    for index in configuration.indexes:
+    for index in configuration.all_indexes():
         table = db.catalog.table(index.table_name)
         built = Index(name=index.name, table_name=index.table_name,
                       key_columns=index.key_columns,
-                      included_columns=index.included_columns)
+                      included_columns=index.included_columns,
+                      clustered=index.clustered)
         db.catalog.add_index(built)
         if table.is_materialized:
             built.build(table)

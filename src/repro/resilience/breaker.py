@@ -59,6 +59,7 @@ class CircuitBreaker:
         self._lock = threading.Lock()
         self._state = CLOSED
         self._outcomes: deque[bool] = deque(maxlen=window)
+        self._failures = 0       # of the outcomes in the window
         self._arrivals = 0       # since the last trip (open state only)
         self.trips = 0
         self.probes = 0
@@ -95,6 +96,7 @@ class CircuitBreaker:
                 if success:
                     self._state = CLOSED
                     self._outcomes.clear()
+                    self._failures = 0
                 else:
                     self.probe_failures += 1
                 return
@@ -102,15 +104,20 @@ class CircuitBreaker:
                 # A request admitted before the trip finishing after it
                 # carries no information about the current state.
                 return
-            self._outcomes.append(success)
-            n = len(self._outcomes)
-            failures = sum(1 for ok in self._outcomes if not ok)
+            outcomes = self._outcomes
+            if len(outcomes) == self.window and not outcomes[0]:
+                self._failures -= 1     # the append below evicts it
+            outcomes.append(success)
+            if not success:
+                self._failures += 1
+            n = len(outcomes)
             if n >= self.min_requests and \
-                    failures / n >= self.failure_threshold:
+                    self._failures / n >= self.failure_threshold:
                 self._state = OPEN
                 self.trips += 1
                 self._arrivals = 0
-                self._outcomes.clear()
+                outcomes.clear()
+                self._failures = 0
 
     # ------------------------------------------------------------------
     @property

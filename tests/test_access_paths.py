@@ -365,7 +365,7 @@ def test_what_costing_says_was_used_is_what_the_built_plan_uses(dataset):
             for query, _ in result.sql_queries:
                 for planned in (
                         db.explain(query), db.estimate(query),
-                        db.estimate(query, config.indexes,
+                        db.estimate(query, config.all_indexes(),
                                     config.extra_tables())):
                     used = planned.objects_used()
                     assert "root" not in vars(planned) \
@@ -512,11 +512,11 @@ class TestNotPickled:
             config = mapping.tuning.configuration
             for (query, _), report in zip(mapping.sql_queries,
                                           mapping.tuning.reports):
-                planned = db.estimate(query, config.indexes,
+                planned = db.estimate(query, config.all_indexes(),
                                       config.extra_tables())
                 assert planned.est_cost == report.cost
                 assert planned.objects_used() == report.objects_used
-                again = db.estimate(query, config.indexes,
+                again = db.estimate(query, config.all_indexes(),
                                     config.extra_tables())
                 assert fingerprint(again) == fingerprint(planned)
             # A filled table adds nothing to the pickle.

@@ -26,8 +26,8 @@ from repro.engine.expressions import _comparator
 from repro.experiments import DatasetBundle
 from repro.mapping import (PRESETS, collect_statistics, derive_schema,
                            fully_split, hybrid_inlining)
-from repro.physdesign import Configuration, ViewCandidate
-from repro.search import GreedySearch, design_for
+from repro.physdesign import CandidateGenerator, Configuration, ViewCandidate
+from repro.search import GreedySearch, build_stats_only_database, design_for
 from repro.sqlast import (ColumnRef, Comparison, ComparisonOp, IsNull,
                           Literal, Or, Query, Select, SelectItem, TableRef)
 from repro.translate import Translator
@@ -408,6 +408,39 @@ class TestBackendBasics:
                 assert index.name in names
             for view in result.configuration.views:
                 assert view.name in names
+
+    def test_a_filter_on_an_optional_element_proposes_a_heap_view(
+            self, dblp_data):
+        """A WITHOUT ROWID key column holds no NULL, and ``editor`` is
+        optional in DBLP: a SELECT filtering on it gets a heap view,
+        which SQLite builds, while one on the required ``year`` gets a
+        view clustered on it. A view clustered on ``editor`` anyway is
+        refused by SQLite — the trap the NOT NULL rule keeps out."""
+        tree, docs = dblp_data
+        schema = derive_schema(hybrid_inlining(tree))
+        generator = CandidateGenerator(
+            build_stats_only_database(schema, collect_statistics(tree, docs)))
+        queries, views = [], []
+        for xpath in ('//inproceedings[editor = "Editor 3"]/author',
+                      '//inproceedings[year = "1990"]/author'):
+            queries.append(_translate(schema, xpath))
+            views += generator.for_query(queries[-1])[1]
+        by_editor, by_year = views
+        assert by_editor.cluster is None
+        assert by_year.cluster_key == ("year", "ID", "author_ID")
+        with SQLiteBackend() as plain, SQLiteBackend() as backend:
+            for each in (plain, backend):
+                each.load(schema, docs)
+            backend.apply_configuration(Configuration(views=views))
+            for query, view in zip(queries, views):
+                assert f'FROM "{view.name}"' in backend.sql_text(query)
+                assert not any(multiset_diff(plain.execute(query),
+                                             backend.execute(query)))
+            trap = _author_view(schema, "jv_editor", "editor")
+            trap.cluster = Index("jv_editor", "jv_editor",
+                                 ("editor", "ID"), clustered=True)
+            with pytest.raises(BackendError, match="NOT NULL"):
+                backend.apply_configuration(Configuration(views=[trap]))
 
     def test_queries_are_rendered_over_the_narrowest_covering_view(
             self, dblp_data):

@@ -19,6 +19,8 @@ The contracts under test (ISSUE 9 acceptance):
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InjectedFault
 from repro.experiments import DatasetBundle
@@ -330,6 +332,57 @@ class TestCircuitBreaker:
         assert breaker.state == OPEN
         breaker.record(True)  # a straggler admitted before the trip
         assert breaker.state == OPEN and breaker.trips == 1
+
+    @settings(deadline=None)
+    @given(window=st.integers(1, 12), min_requests=st.integers(1, 12),
+           threshold=st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]),
+           seed=st.integers(0, 3),
+           steps=st.lists(st.tuples(st.booleans(), st.booleans()),
+                          max_size=200))
+    def test_decisions_equal_the_windowed_sum_rule(self, window,
+                                                   min_requests, threshold,
+                                                   seed, steps):
+        """The running failure count decides exactly as re-counting the
+        last ``window`` outcomes on every record would: the same trips,
+        probes and closes, step for step. A step is one arrival (its
+        outcome recorded if admitted) or, with ``straggler``, one
+        outcome of a request admitted earlier."""
+        breaker = CircuitBreaker(window=window, min_requests=min_requests,
+                                 failure_threshold=threshold,
+                                 probe_rate=0.5, seed=seed)
+        state, outcomes = CLOSED, []
+
+        def sum_rule(success: bool, probe: bool) -> str:
+            if probe:
+                if success:
+                    outcomes.clear()
+                    return CLOSED
+                return state
+            if state == OPEN:
+                return OPEN
+            outcomes.append(success)
+            del outcomes[:-window]
+            if len(outcomes) >= min_requests and \
+                    outcomes.count(False) / len(outcomes) >= threshold:
+                outcomes.clear()
+                return OPEN
+            return CLOSED
+
+        trips = 0
+        for straggler, success in steps:
+            before = state
+            if straggler:
+                breaker.record(success)
+                state = sum_rule(success, False)
+            else:
+                decision = breaker.admit()
+                assert (decision == "allow") == (state == CLOSED)
+                if decision != "shed":
+                    breaker.record(success, probe=decision == "probe")
+                    state = sum_rule(success, decision == "probe")
+            trips += before == CLOSED and state == OPEN
+            assert (breaker.state, breaker.trips) == (state, trips)
+        assert breaker._failures == outcomes.count(False)
 
     def test_service_trips_and_recovers_deterministically(self,
                                                           dblp_serving):

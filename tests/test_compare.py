@@ -378,6 +378,17 @@ def tuned_cells():
     return cells
 
 
+@pytest.fixture(scope="module")
+def clustered_cells():
+    """design -> (bundle, result) on DBLP under a workload that filters
+    on NOT NULL columns (``booktitle``), so its views are clustered."""
+    bundle = DatasetBundle.named("dblp", scale=400, seed=SEED)
+    workload = bundle.workload_generator(SEED).generate(10)
+    return {design: (bundle, design_for(design, bundle.tree, workload,
+                                        bundle.stats, bundle.storage_bound))
+            for design in ("greedy", "hybrid")}
+
+
 def _views_used(bundle, result):
     """Per workload SELECT, the views of the engine's chosen plan — the
     paper's I(Q, M), branch by branch."""
@@ -389,9 +400,41 @@ def _views_used(bundle, result):
             view.table, view.definition, db.stats))
     names = {view.name for view in config.views}
     for query, _ in result.sql_queries:
-        planned = db.estimate(query, config.indexes, config.extra_tables())
+        planned = db.estimate(query, config.all_indexes(),
+                              config.extra_tables())
         for select, branch in zip(query.selects, planned.branch_plans):
             yield select, branch.objects_used() & names
+
+
+def _assert_views_read(bundle, result, backend_name: str) -> None:
+    """Every view of I(Q, M) is the one its SELECT is rendered over and
+    the one SQLite reads, and no other view is rendered."""
+    config = result.configuration
+    views = [view.name for view in config.views]
+    assert views, "the cell is meant to hold views"
+    pairs = converse = 0
+    with backend_factory(backend_name)() as backend:
+        backend.load(result.schema, bundle.docs)
+        backend.apply_configuration(config)
+        for select, used in _views_used(bundle, result):
+            text = backend.sql_text(Query((select,)))
+            rendered = {name for name in views if f'FROM "{name}"' in text}
+            assert used <= rendered, (used, text)
+            pairs += len(used)
+            converse += len(rendered - used)
+            if backend_name != "sqlite" or not rendered:
+                continue
+            # The view is aliased by its own name, which is what
+            # SQLite's plan prints; the child table is in neither.
+            plan = [row[-1] for row in backend.execute_sql(
+                f"EXPLAIN QUERY PLAN {text}")]
+            (name,) = rendered
+            assert text.split(" FROM ")[1].split(" WHERE ")[0] == \
+                f'"{name}"'
+            assert len(plan) == 1 and plan[0].split()[1] == name, plan
+    assert pairs >= 2
+    # A view rendered that the engine's plan did not use.
+    assert converse == 0
 
 
 class TestBackendReadsItsViews:
@@ -402,47 +445,55 @@ class TestBackendReadsItsViews:
     @pytest.mark.parametrize("cell", CELLS, ids="-".join)
     def test_every_view_of_iqm_is_rendered_and_read(self, tuned_cells, cell,
                                                     backend_name):
-        bundle, result = tuned_cells[cell]
-        config = result.configuration
-        views = [view.name for view in config.views]
-        assert views, "the cell is meant to hold views"
-        pairs = converse = 0
-        with backend_factory(backend_name)() as backend:
-            backend.load(result.schema, bundle.docs)
-            backend.apply_configuration(config)
-            for select, used in _views_used(bundle, result):
-                text = backend.sql_text(Query((select,)))
-                rendered = {name for name in views
-                            if f'FROM "{name}"' in text}
-                assert used <= rendered, (used, text)
-                pairs += len(used)
-                converse += len(rendered - used)
-                if backend_name != "sqlite" or not rendered:
-                    continue
-                # The view is aliased by its own name, which is what
-                # SQLite's plan prints; the child table is in neither.
-                plan = [row[-1] for row in backend.execute_sql(
-                    f"EXPLAIN QUERY PLAN {text}")]
-                (name,) = rendered
-                assert text.split(" FROM ")[1].split(" WHERE ")[0] == \
-                    f'"{name}"'
-                assert len(plan) == 1 and plan[0].split()[1] == name, plan
-        assert pairs >= 2
-        # A view rendered that the engine's plan did not use.
-        assert converse == 0
+        _assert_views_read(*tuned_cells[cell], backend_name)
 
-    def test_a_stale_view_table_is_a_mismatch(self, tuned_cells):
-        bundle, result = tuned_cells["dblp", "hybrid"]
+    @pytest.mark.parametrize("design", ["greedy", "hybrid"])
+    def test_a_clustered_view_is_entered_by_its_primary_key(
+            self, clustered_cells, design):
+        """The whole statement, ``ORDER BY`` included: each branch over
+        a clustered view is a ``SEARCH … USING PRIMARY KEY`` that needs
+        no sort — the workload's predicates are equalities, and the
+        key's next column after them is the ``ID`` the statement is
+        ordered by."""
+        bundle, result = clustered_cells[design]
+        _assert_views_read(bundle, result, "sqlite")
+        clustered = [view.name for view in result.configuration.views
+                     if view.cluster is not None]
+        assert clustered, "the cell is meant to hold clustered views"
+        entered = set()
+        with SQLiteBackend() as backend:
+            backend.load(result.schema, bundle.docs)
+            backend.apply_configuration(result.configuration)
+            for query, _ in result.sql_queries:
+                text = backend.sql_text(query)
+                plan = backend.execute_sql(f"EXPLAIN QUERY PLAN {text}")
+                for _, parent, _, detail in plan:
+                    words = detail.split()
+                    if len(words) < 2 or words[1] not in clustered:
+                        continue
+                    assert detail.startswith(
+                        f"SEARCH {words[1]} USING PRIMARY KEY ("), (text, plan)
+                    branch = [row[-1] for row in plan if row[1] == parent]
+                    assert not any(step.startswith("USE TEMP B-TREE")
+                                   for step in branch), (text, plan)
+                    entered.add(words[1])
+        assert entered == set(clustered)
+
+    def test_a_stale_view_table_is_a_mismatch(self, clustered_cells):
+        bundle, result = clustered_cells["hybrid"]
         config = result.configuration
-        view = config.views[0]
+        view = next(view for view in config.views if view.cluster is not None)
         queries = [query for query, _ in result.sql_queries]
         with SQLiteBackend() as a, SQLiteBackend() as b:
             for backend in (a, b):
                 backend.load(result.schema, bundle.docs)
                 backend.apply_configuration(config)
+            # A WITHOUT ROWID table has no rowid: delete by the key's
+            # last column, the child ID, which is unique.
             quoted = b.dialect.quote(view.name)
-            b.execute_sql(f"DELETE FROM {quoted} WHERE rowid = "
-                          f"(SELECT MIN(rowid) FROM {quoted})")
+            child_id = b.dialect.quote(view.cluster_key[-1])
+            b.execute_sql(f"DELETE FROM {quoted} WHERE {child_id} = "
+                          f"(SELECT MIN({child_id}) FROM {quoted})")
             b.connection.commit()
             report = compare_loaded(a, b, queries, schema=result.schema,
                                     configuration=config)

@@ -1,10 +1,13 @@
 """Unit tests for catalog, statistics, index model, and expressions."""
 
+import math
+
 import pytest
 
 from repro.engine import (Column, ColumnStats, Database, Index,
                           JoinViewDefinition, SQLType, Table, TableStats)
 from repro.engine.expressions import compile_predicate, compile_scalar
+from repro.engine.types import PAGE_FILL_FACTOR, PAGE_SIZE
 from repro.errors import CatalogError
 from repro.sqlast import (And, ColumnRef, Comparison, ComparisonOp, IsNull,
                           Literal, Or)
@@ -92,6 +95,19 @@ class TestIndexModel:
         ix = Index("pk", "t", ("ID",), clustered=True)
         assert ix.covers({"a", "b", "ID"}, table)
         assert ix.size_bytes(table) == 0
+
+    def test_clustered_leaves_are_the_rows(self):
+        """A clustered seek reads table pages: as many leaf entries fit
+        a page as rows do, so its leaves are the table's pages."""
+        table = self.table()
+        clustered = Index("pk", "t", ("ID",), clustered=True)
+        secondary = Index("ix", "t", ("ID",))
+        per_page = clustered.entries_per_page(table)
+        assert per_page == int(PAGE_SIZE * PAGE_FILL_FACTOR
+                               // table.row_width)
+        assert math.ceil(table.row_count / per_page) \
+            == clustered.leaf_page_count(table) == table.page_count
+        assert per_page < secondary.entries_per_page(table)
 
     def test_size_scales_with_columns(self):
         table = self.table()

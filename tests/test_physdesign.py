@@ -11,6 +11,10 @@ from repro.sqlast import parse_sql, shape_of
 
 @pytest.fixture
 def db():
+    return _make_db()
+
+
+def _make_db(venue_nullable: bool = True) -> Database:
     import random
     rng = random.Random(3)
     database = Database()
@@ -18,7 +22,7 @@ def db():
         Column("ID", SQLType.INTEGER, False),
         Column("PID", SQLType.INTEGER),
         Column("title", SQLType.VARCHAR),
-        Column("venue", SQLType.VARCHAR),
+        Column("venue", SQLType.VARCHAR, venue_nullable),
         Column("year", SQLType.INTEGER),
     ])
     database.create_table("person", [
@@ -78,6 +82,42 @@ class TestCandidateGeneration:
             "(SELECT A.ID FROM person A WHERE A.PID = P.ID "
             "AND A.name = 'n3')"))
         assert any(ix.key_columns[:1] == ("PID",) for ix in indexes)
+
+
+class TestClusteredViews:
+    """A join view is stored clustered on its SELECT's seek key — NOT
+    NULL columns only — then the parent and child ``ID``."""
+
+    def test_a_not_null_filter_column_keys_the_view(self):
+        db = _make_db(venue_nullable=False)
+        (view,) = CandidateGenerator(db).for_query(parse_sql(JOIN_SQL))[1]
+        # The child's ID joins the view so that the key is unique.
+        assert dict(view.definition.columns)["person_ID"] == ("person", "ID")
+        assert view.cluster_key == ("venue", "ID", "person_ID")
+        cluster = view.cluster
+        assert (cluster.name, cluster.table_name) == (view.name, view.name)
+        assert cluster.clustered and cluster.hypothetical
+        config = Configuration(views=[view])
+        assert config.all_indexes() == [cluster]
+        assert config.size_bytes(db) == view.size_bytes()   # 0 bytes more
+        assert config.describe().endswith(
+            "ON PID CLUSTERED (venue, ID, person_ID)")
+
+    def test_the_clustered_view_is_sought_and_built(self):
+        db = _make_db(venue_nullable=False)
+        (view,) = CandidateGenerator(db).for_query(parse_sql(JOIN_SQL))[1]
+        heap = db.estimate(JOIN_SQL, extra_tables=[view.table])
+        sought = db.estimate(JOIN_SQL, extra_indexes=[view.cluster],
+                             extra_tables=[view.table])
+        assert sought.objects_used() == {view.name}
+        assert sought.est_cost < heap.est_cost
+        before = sorted(db.execute(JOIN_SQL).rows)
+        materialize(db, Configuration(views=[view]))
+        assert db.catalog.indexes[view.name].clustered
+        assert db.catalog.indexes[view.name].is_built
+        executed = db.execute(JOIN_SQL)
+        assert "IndexSeek" in executed.plan.explain()
+        assert sorted(executed.rows) == before
 
 
 class TestAdvisor:
