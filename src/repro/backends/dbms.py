@@ -180,6 +180,9 @@ class RelationalBackend:
         self._local.connection = self.connection
         self._configure_primary()
         self._tables: list[str] = []
+        #: Each loaded table's primary key, as the mapped schema declares
+        #: it: what a covering index orders equal keys by.
+        self._primary_keys: dict[str, str | None] = {}
         #: Rows loaded per table across all load calls.
         self.row_counts: dict[str, int] = {}
         #: The join views this database holds, as ``apply_configuration``
@@ -342,6 +345,8 @@ class RelationalBackend:
             faults = active_fault_plan()
             digest = mapping_digest(schema.mapping)
             engine_tables = schema.to_engine_tables()
+            self._primary_keys.update(
+                (table.name, table.primary_key) for table in engine_tables)
             manifest = self.load_manifest()
             resuming = False
             skip: dict[str, int] = {}
@@ -613,8 +618,8 @@ class RelationalBackend:
                     self.connection.execute(statement)
                 self._metrics.incr("views_built")
             for index in configuration.indexes:
-                self.connection.execute(
-                    self.dialect.create_index_sql(index))
+                self.connection.execute(self.dialect.create_index_sql(
+                    index, self._primary_keys.get(index.table_name)))
                 self._metrics.incr("indexes_built")
             self._commit_write()
             for statement in self.post_ddl:

@@ -10,8 +10,13 @@ not good enough:
   :class:`~repro.engine.SQLType` maps onto physical column types (see
   the per-dialect notes below and docs/backends.md).
 * **Covering indexes** — neither SQLite nor DuckDB has an ``INCLUDE``
-  clause; included columns are appended to the key so the index still
-  covers the query.
+  clause, so included columns are appended to the key, after the
+  table's primary key: ``(key…, ID, included…)``. The index still
+  covers the query, and it orders equal keys by ``ID`` as the engine's
+  index (and SQL Server's, whose row locator follows the key) does, so
+  an equality seek on it delivers ``ID`` order and a statement's
+  ``ORDER BY 1`` needs no sort. A plain index needs no ``ID``: SQLite
+  already orders its equal keys by rowid.
 * **Materialized structures** — join views become populated tables
   (``CREATE TABLE ... AS SELECT``), matching how the engine's size and
   cost accounting treats them; a view with a cluster key is written in
@@ -203,10 +208,16 @@ class Dialect:
         return (f"INSERT INTO {self.quote(table.name)} ({names}) "
                 f"VALUES ({marks})")
 
-    def create_index_sql(self, index: Index) -> str:
-        # No INCLUDE clause: appending the included columns to the key
-        # preserves the covering property (at a modest key-width cost).
-        columns = ", ".join(self.quote(c) for c in index.all_columns)
+    def create_index_sql(self, index: Index, primary_key: str | None) -> str:
+        """``CREATE INDEX`` with the included columns appended to the
+        key — after ``primary_key``, the indexed table's key, when the
+        index includes columns and does not already name it."""
+        key = index.key_columns
+        if index.included_columns and primary_key is not None \
+                and primary_key not in index.all_columns:
+            key += (primary_key,)
+        columns = ", ".join(self.quote(c)
+                            for c in key + index.included_columns)
         return (f"CREATE INDEX {self.quote(index.name)} "
                 f"ON {self.quote(index.table_name)} ({columns})")
 
@@ -383,8 +394,8 @@ def insert_sql(table: Table) -> str:
     return SQLITE.insert_sql(table)
 
 
-def create_index_sql(index: Index) -> str:
-    return SQLITE.create_index_sql(index)
+def create_index_sql(index: Index, primary_key: str | None) -> str:
+    return SQLITE.create_index_sql(index, primary_key)
 
 
 def create_view_table_sql(view: ViewCandidate) -> list[str]:

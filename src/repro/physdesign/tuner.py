@@ -276,6 +276,13 @@ class IndexTuningAdvisor:
             reports.append(QueryReport(query=query, weight=weight,
                                        cost=cost, objects_used=objects))
             total += weight * cost
+        # A structure no final plan reads is dropped: one picked early
+        # stays chosen after later ones supersede it. No plan's cost
+        # moves, as none of them read it.
+        used = frozenset().union(*(report.objects_used for report in reports))
+        chosen = Configuration(
+            [index for index in chosen.indexes if index.name in used],
+            [view for view in chosen.views if view.name in used])
         # Update maintenance: base row-insert work plus per-structure
         # upkeep (extension; zero when no update load is declared).
         total += self._base_update_cost(update_load)

@@ -47,7 +47,7 @@ __all__ = ["CheckpointStore", "load_search_state", "save_search_state"]
 
 #: Bump when the snapshot layout changes; old checkpoints then fail the
 #: format check and are treated as absent instead of mis-unpickled.
-CHECKPOINT_VERSION = 5  # 5: ViewCandidate carries its cluster index
+CHECKPOINT_VERSION = 6  # 6: a tuned configuration holds only what plans read
 
 _FILENAME = "search.ckpt"
 

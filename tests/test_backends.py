@@ -262,9 +262,17 @@ class TestDialectRoundTrip:
         assert "TEXT" in ddl
         index = Index(name="ix", table_name="order",
                       key_columns=("group",), included_columns=("when",))
-        index_sql = create_index_sql(index)
-        # SQLite has no INCLUDE clause: included columns join the key.
-        assert '"group", "when"' in index_sql
+        index_sql = create_index_sql(index, table.primary_key)
+        # SQLite has no INCLUDE clause: included columns join the key,
+        # after the row ID, so equal keys come out in ID order.
+        assert '("group", "ID", "when")' in index_sql
+        # A plain index is ordered by rowid already; a key that names
+        # the ID does not repeat it.
+        plain = Index(name="ix", table_name="order", key_columns=("group",))
+        assert create_index_sql(plain, "ID").endswith('("group")')
+        keyed = Index(name="ix", table_name="order",
+                      key_columns=("group", "ID"), included_columns=("when",))
+        assert create_index_sql(keyed, "ID").endswith('("group", "ID", "when")')
         assert insert_sql(table).count("?") == 3
 
 

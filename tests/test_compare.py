@@ -8,6 +8,8 @@ DuckDB tests skip cleanly when the optional driver is absent — CI's
 ``backend-matrix`` job installs it and runs them for real.
 """
 
+import re
+
 import pytest
 
 from repro.backends import (DUCKDB, BackendError, DuckDBBackend,
@@ -389,19 +391,24 @@ def clustered_cells():
             for design in ("greedy", "hybrid")}
 
 
-def _views_used(bundle, result):
-    """Per workload SELECT, the views of the engine's chosen plan — the
-    paper's I(Q, M), branch by branch."""
+def _engine_plans(bundle, result):
+    """Per workload statement, the engine's plan under the design."""
     config = result.configuration
     db = build_stats_only_database(result.schema, bundle.stats)
     db.build_primary_key_indexes()
     for view in config.views:
         db.stats.set_table(view.name, derive_view_stats(
             view.table, view.definition, db.stats))
-    names = {view.name for view in config.views}
     for query, _ in result.sql_queries:
-        planned = db.estimate(query, config.all_indexes(),
-                              config.extra_tables())
+        yield query, db.estimate(query, config.all_indexes(),
+                                 config.extra_tables())
+
+
+def _views_used(bundle, result):
+    """Per workload SELECT, the views of the engine's chosen plan — the
+    paper's I(Q, M), branch by branch."""
+    names = {view.name for view in result.configuration.views}
+    for query, planned in _engine_plans(bundle, result):
         for select, branch in zip(query.selects, planned.branch_plans):
             yield select, branch.objects_used() & names
 
@@ -435,6 +442,56 @@ def _assert_views_read(bundle, result, backend_name: str) -> None:
     assert pairs >= 2
     # A view rendered that the engine's plan did not use.
     assert converse == 0
+
+
+#: A seek on equalities alone: ``SEARCH T USING … (a=? AND b=?)``.
+_EQUALITY_SEEK = re.compile(r"SEARCH .*\(([^=<>()\s]+=\? AND )*"
+                            r"[^=<>()\s]+=\?\)$")
+
+
+def _assert_indexes_read(bundle, result) -> tuple[int, int]:
+    """Statement by statement, ``ORDER BY`` included: every index of the
+    engine's plan is one SQLite's plan names, and a branch SQLite
+    answers with equality seeks alone needs no sort — the seek delivers
+    ``ID`` order, as the engine's index does. Returns the (statement,
+    index) pairs and the equality-seek branches checked."""
+    names = {index.name for index in result.configuration.indexes}
+    pairs = seeks = 0
+    with SQLiteBackend() as backend:
+        backend.load(result.schema, bundle.docs)
+        backend.apply_configuration(result.configuration)
+        for query, planned in _engine_plans(bundle, result):
+            text = backend.sql_text(query)
+            plan = backend.execute_sql(f"EXPLAIN QUERY PLAN {text}")
+            read = {words[words.index("INDEX") + 1]
+                    for words in (row[-1].split() for row in plan)
+                    if "INDEX" in words}
+            used = planned.objects_used() & names
+            assert used <= read, (used, text, plan)
+            pairs += len(used)
+            for parent in {row[1] for row in plan}:
+                branch = [row[-1] for row in plan if row[1] == parent]
+                access = [step for step in branch
+                          if step.startswith(("SCAN", "SEARCH"))]
+                if access and all(_EQUALITY_SEEK.match(step)
+                                  for step in access):
+                    seeks += 1
+                    assert not any(step.startswith("USE TEMP B-TREE")
+                                   for step in branch), (text, plan)
+    return pairs, seeks
+
+
+class TestBackendReadsItsIndexes:
+    @pytest.mark.parametrize("cell", CELLS, ids="-".join)
+    def test_every_index_of_the_plan_is_read(self, tuned_cells, cell):
+        bundle, result = tuned_cells[cell]
+        pairs, _ = _assert_indexes_read(bundle, result)
+        assert pairs or not result.configuration.indexes
+
+    @pytest.mark.parametrize("design", ["greedy", "hybrid"])
+    def test_an_equality_seek_needs_no_sort(self, clustered_cells, design):
+        pairs, seeks = _assert_indexes_read(*clustered_cells[design])
+        assert pairs and seeks
 
 
 class TestBackendReadsItsViews:

@@ -153,6 +153,20 @@ class TestAdvisor:
                  if o.startswith("cand_")}
         assert named <= config_names
 
+    @pytest.mark.parametrize("sqls", [
+        [JOIN_SQL],
+        [JOIN_SQL, "SELECT P.title FROM pub P WHERE P.year = 1999"]])
+    def test_recommends_only_what_some_plan_reads(self, db, sqls):
+        """A structure picked early and superseded later — the plain
+        ``(venue)`` index once the join view answers JOIN_SQL — is not
+        recommended: every structure is in some plan's I(Q)."""
+        result = IndexTuningAdvisor(db).tune(
+            [(parse_sql(sql), 1.0) for sql in sqls])
+        used = frozenset().union(*(report.objects_used
+                                   for report in result.reports))
+        assert len(result.configuration) >= 1
+        assert result.configuration.object_names() <= used
+
     def test_weights_steer_selection(self, db):
         q_cheap = parse_sql("SELECT P.title FROM pub P WHERE P.year = 1999")
         advisor = IndexTuningAdvisor(db)
