@@ -64,7 +64,7 @@ def _inputs(args, default_bound: int | None = None) -> DatasetBundle:
     ``default_bound``.
     """
     megabytes = getattr(args, "storage_bound_mb", None)
-    bound = megabytes * 1024 * 1024 if megabytes else default_bound
+    bound = default_bound if megabytes is None else megabytes * 1024 * 1024
     if getattr(args, "dataset", None):
         return DatasetBundle.named(args.dataset, scale=args.scale,
                                    seed=args.seed, storage_bound=bound,
@@ -694,17 +694,26 @@ def cmd_compare(args, out=None) -> int:
 # ----------------------------------------------------------------------
 
 
-def _jobs_argument(raw: str) -> int:
-    """Validate ``--jobs``: an explicit value below 1 is a loud error."""
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"--jobs must be >= 1 (got {jobs}); use --jobs 1 for a serial "
-            "run, or omit the flag to follow REPRO_PARALLEL")
-    return jobs
+def _at_least_one(flag: str, hint: str):
+    """An argparse ``type`` for an int flag: an explicit value below 1
+    is a loud error, which ``hint`` says how to avoid."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be >= 1 (got {value}); {hint}")
+        return value
+    return parse
+
+
+_jobs_argument = _at_least_one(
+    "--jobs", "use --jobs 1 for a serial run, or omit the flag to follow "
+    "REPRO_PARALLEL")
+_megabytes_argument = _at_least_one(
+    "--storage-bound-mb", "omit the flag for the default bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -753,7 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="workload file (one XPath per line)")
     p_advise.add_argument("--algorithm", choices=sorted(ALGORITHMS),
                           default="greedy")
-    p_advise.add_argument("--storage-bound-mb", type=int, default=None)
+    p_advise.add_argument("--storage-bound-mb",
+                           type=_megabytes_argument, default=None)
     p_advise.add_argument("--measure", action="store_true",
                           help="also load the data and measure the design")
     p_advise.add_argument("--trace", action="store_true",
@@ -836,7 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=["greedy", "two-step"],
                        help="design searches to calibrate (the "
                             "logical-only baseline always runs)")
-    p_cal.add_argument("--storage-bound-mb", type=int, default=None)
+    p_cal.add_argument("--storage-bound-mb", type=_megabytes_argument,
+                       default=None)
     p_cal.add_argument("--min-correlation", type=float, default=None,
                        metavar="R",
                        help="exit non-zero unless the design rank "

@@ -77,7 +77,9 @@ class ColumnStats:
         if is_string:
             # Round half up: int() truncation systematically underpriced
             # short string columns in storage-bound accounting.
-            mean = sum(len(str(v)) for v in non_null) / len(non_null)
+            lengths = (map(len, non_null) if kinds == {str}
+                       else (len(str(v)) for v in non_null))
+            mean = sum(lengths) / len(non_null)
             width = max(1, int(math.floor(mean + 0.5)))
         buckets = min(n_buckets, len(non_null))
         boundaries = []

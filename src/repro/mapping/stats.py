@@ -97,6 +97,8 @@ class _Collector:
         self.leaf_values: dict[int, list] = {}
         self.cardinality: dict[int, Counter] = {}
         self.joint: dict[int, Counter] = {}
+        self._tables: dict[int, dict[str, tuple]] = {}
+        self._counted_by_values: list[int] = []
 
     def run(self, docs) -> CollectedStats:
         if isinstance(docs, (Document, Element)):
@@ -108,6 +110,11 @@ class _Collector:
                     f"document root <{root.tag}> does not match schema")
             self._visit_tag(root, self.tree.plan(self.tree.root),
                             collectors_above=[])
+        # A leaf its parent's loop records has one value per instance.
+        for leaf_id in self._counted_by_values:
+            count = len(self.leaf_values[leaf_id])
+            self.instance_counts[leaf_id] = count
+            self.total_elements += count
         leaf_stats = {}
         for leaf_id, values in self.leaf_values.items():
             leaf = self.tree.node(leaf_id)
@@ -123,14 +130,32 @@ class _Collector:
         )
 
     # ------------------------------------------------------------------
+    def _table(self, plan: ElementPlan) -> dict[str, tuple]:
+        """Child tag -> (child plan, atoms, repetition id, leaf id), the
+        leaf id set only where the child is a leaf without attributes,
+        whose value its parent's loop records in place.
+
+        Where a region declares one name twice, the collector has always
+        counted every such child under the last declaration.
+        """
+        table = {}
+        for name, (node, atoms, _, _, rep_id) in plan.last_dispatch.items():
+            child = self.tree.plan(node)
+            leaf_id = (child.node_id
+                       if child.is_leaf and not child.attributes else None)
+            table[name] = (child, atoms, rep_id, leaf_id)
+        self._tables[plan.node_id] = table
+        return table
+
     def _visit_tag(self, element: Element, plan: ElementPlan,
                    collectors_above: list[set]) -> None:
         self.total_elements += 1
-        self.instance_counts[plan.node_id] += 1
+        counts = self.instance_counts
+        counts[plan.node_id] += 1
         for attr in plan.attributes:
             value = element.attributes.get(attr.name)
             if value is not None:
-                self.instance_counts[attr.node.node_id] += 1
+                counts[attr.node.node_id] += 1
                 self._record(attr.node.node_id, value)
         if plan.is_leaf:
             self._record(plan.node_id, element.text)
@@ -138,28 +163,38 @@ class _Collector:
         signature: set = set()
         collectors = collectors_above + [signature]
         rep_counts: dict[int, int] = dict.fromkeys(plan.repetitions, 0)
-        # Where a region declares one name twice, the collector has
-        # always counted every such child under the last declaration.
-        dispatch = plan.last_dispatch
-        plan_of = self.tree.plan
+        table = self._tables.get(plan.node_id)
+        if table is None:
+            table = self._table(plan)
+        leaf_values = self.leaf_values
         # Iterate the element itself (not .children) so a lazy root's
         # child list is streamed, never materialized.
         for child in element:
-            entry = dispatch.get(child.tag)
+            entry = table.get(child.tag)
             if entry is None:
                 raise MappingError(
                     f"unexpected element <{child.tag}> under "
                     f"<{element.tag}> while collecting statistics")
-            child_node, atoms, _, _, rep_id = entry
+            child_plan, atoms, rep_id, leaf_id = entry
             if atoms:
                 for target in collectors:
                     target |= atoms
             if rep_id is not None:
                 rep_counts[rep_id] += 1
-                self._visit_tag(child, plan_of(child_node),
-                                collectors_above=[])
+            if leaf_id is not None:
+                values = leaf_values.get(leaf_id)
+                if values is None:
+                    # Made at the leaf's first value, so ``leaf_stats``
+                    # and ``instance_counts`` list leaves in the order
+                    # they occur; ``run`` fills in the count.
+                    values = leaf_values[leaf_id] = []
+                    counts[leaf_id] = 0
+                    self._counted_by_values.append(leaf_id)
+                values.append(child.text)
+            elif rep_id is not None:
+                self._visit_tag(child, child_plan, collectors_above=[])
             else:
-                self._visit_tag(child, plan_of(child_node), collectors)
+                self._visit_tag(child, child_plan, collectors)
         for rep_id, count in rep_counts.items():
             histogram = self.cardinality.get(rep_id)
             if histogram is None:

@@ -171,6 +171,22 @@ def build_stats_only_database(schema: MappedSchema,
     return db
 
 
+def check_fits(base_mapping: Mapping, collected: CollectedStats,
+               storage_bound: int | None) -> None:
+    """Refuse, naming both, a storage bound below the base mapping's own
+    data (Definition 1's bound, in the bytes the tuning advisor compares
+    it with): no physical design can make that mapping fit. A search
+    calls it when it cannot cost the mapping it starts from."""
+    if storage_bound is None:
+        return
+    data_bytes = build_stats_only_database(
+        derive_schema(base_mapping), collected).catalog.total_data_bytes()
+    if data_bytes > storage_bound:
+        raise SearchError(
+            f"storage bound of {storage_bound} bytes is below the "
+            f"{data_bytes} bytes of data of the base mapping")
+
+
 def translate_workload(workload: Workload, schema: MappedSchema
                        ) -> list[tuple[Query, float]]:
     """The workload's queries as weighted SQL against ``schema``."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..errors import MappingError
+from ..errors import MappingError, SearchError
 from ..mapping import (CollectedStats, Mapping, RepetitionMerge,
                        Transformation, UnionDistribute, UnionFactorize,
                        enumerate_transformations, hybrid_inlining)
@@ -37,8 +37,8 @@ from ..xsd import SchemaTree
 from .candidate_merging import CandidateMerger
 from .candidate_selection import CandidateSelector, CandidateSet, apply_splits
 from .cost_derivation import CostDerivation
-from .evaluator import (EvaluatedMapping, MappingEvaluator, check_rewrite,
-                        mapping_digest, problem_digest)
+from .evaluator import (EvaluatedMapping, MappingEvaluator, check_fits,
+                        check_rewrite, mapping_digest, problem_digest)
 from .result import DesignResult, SearchCounters, timed_search
 
 
@@ -136,7 +136,11 @@ class GreedySearch:
                 # Fall back to the unsplit base mapping.
                 current = base_eval
                 applied_splits = []
-            assert current is not None
+            if current is None:
+                check_fits(self.base_mapping, self.collected,
+                           self.storage_bound)
+                raise SearchError(
+                    "base mapping is infeasible for the workload")
 
             pool = list(candidates.merges)
             for transformation in applied_splits:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..errors import MappingError
+from ..errors import MappingError, SearchError
 from ..mapping import (CollectedStats, Mapping, enumerate_transformations,
                        hybrid_inlining)
 from ..obs import NullTracer, Tracer, get_tracer
@@ -24,8 +24,8 @@ from ..resilience import (CheckpointStore, load_search_state,
                           note_suppressed, save_search_state)
 from ..workload import Workload
 from ..xsd import SchemaTree
-from .evaluator import (EvaluatedMapping, MappingEvaluator, check_rewrite,
-                        mapping_digest, problem_digest)
+from .evaluator import (EvaluatedMapping, MappingEvaluator, check_fits,
+                        check_rewrite, mapping_digest, problem_digest)
 from .result import DesignResult, SearchCounters, timed_search
 
 
@@ -98,7 +98,9 @@ class NaiveGreedySearch:
         else:
             current = evaluator.evaluate(self.base_mapping)
             if current is None:
-                raise RuntimeError(
+                check_fits(self.base_mapping, self.collected,
+                           self.storage_bound)
+                raise SearchError(
                     "base mapping is infeasible for the workload")
             applied = []
             rounds = 0

@@ -27,7 +27,7 @@ from ..resilience import note_suppressed
 from ..workload import Workload
 from ..xsd import SchemaTree
 from .evaluator import (MappingEvaluator, build_stats_only_database,
-                        check_rewrite, translate_workload)
+                        check_fits, check_rewrite, translate_workload)
 from .result import DesignResult, SearchCounters, timed_search
 
 
@@ -110,6 +110,7 @@ class TwoStepSearch:
         finally:
             evaluator.close()
         if final is None:
+            check_fits(self.base_mapping, self.collected, self.storage_bound)
             raise SearchError("chosen logical mapping became infeasible")
         return DesignResult(
             algorithm=self.algorithm,

@@ -170,6 +170,28 @@ def _new_child(parent: Element, tag: str, attributes: dict[str, str],
     return parent.append(child)
 
 
+def _new_leaves(parent: Element, leaves: list[tuple[str, str, str]]
+                ) -> None:
+    """Make a run of attribute-less leaves, each given as (character data
+    before it, tag, its text), the whole content so far of ``parent``,
+    which has none yet: what ``add_text`` and ``_new_child`` would build
+    one leaf at a time, at one call for the run."""
+    new = Element.__new__
+    children = []
+    texts = []
+    for before, tag, text in leaves:
+        child = new(Element)
+        child.tag = tag
+        child.attributes = {}
+        child._children = _LEAF
+        child._texts = text
+        children.append(child)
+        texts.append(before)
+    texts.append("")
+    parent._children = children
+    parent._texts = texts
+
+
 class Document:
     """An XML document: a root element plus optional declaration info."""
 

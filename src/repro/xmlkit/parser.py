@@ -14,10 +14,12 @@ with a line/column) because the shredder must never load garbage silently.
 
 Two readers share one grammar. Element content is cut into tokens by
 one compiled regex (:data:`_TOKEN`) and assembled on an explicit stack,
-so neither a character nor a nesting level costs a Python call. The
-character-at-a-time :class:`_Scanner` reads the prolog and whatever
-follows the root, and re-reads the one token the regex refused — it is
-what words every syntax error and finds its line and column.
+so neither a character nor a nesting level costs a Python call; the run
+of attribute-less leaves after a start tag (a record's fields) is one
+match of :data:`_LEAF_RUN`, attached whole. The character-at-a-time
+:class:`_Scanner` reads the prolog and whatever follows the root, and
+re-reads the one token the regex refused — it is what words every
+syntax error and finds its line and column.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import re
 from typing import NoReturn
 
 from ..errors import XMLParseError
-from .doc import Document, Element, _new_child
+from .doc import Document, Element, _new_child, _new_leaves
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 
@@ -233,6 +235,13 @@ _TOKEN = re.compile(
     re.DOTALL)
 _LEAF, _START_TAG, _END_TAG, _CDATA, _TEXT = 2, 5, 6, 7, 8
 _ATTRIBUTE = re.compile(rf"({_NAME}){_WS}={_WS}(?:\"([^\"]*)\"|'([^']*)')")
+# A run of attribute-less leaves, each after the character data before
+# it: what the token loop reads as _TEXT and _LEAF tokens, with no "&" in
+# it, so nothing to decode and nothing to refuse. ``_LEAVES`` cuts a span
+# ``_LEAF_RUN`` matched into (character data, tag, text) triples; there,
+# every "<" opens a tag and no tag holds a ">" before its end.
+_LEAF_RUN = re.compile(rf"(?:[^<&]*<({_NAME})>[^<&]*</\1{_WS}>)+")
+_LEAVES = re.compile(r"([^<]*)<([^>]*)>([^<]*)<[^>]*>")
 
 
 def _parse_tree(scanner: _Scanner) -> Element:
@@ -240,6 +249,8 @@ def _parse_tree(scanner: _Scanner) -> Element:
     and leave the scanner behind its end tag."""
     text = scanner.text
     match = _TOKEN.match
+    match_run = _LEAF_RUN.match
+    leaves = _LEAVES.findall
     pos = scanner.pos
     first = match(text, pos)
     if first is None or first.lastindex not in (_LEAF, _START_TAG):
@@ -278,6 +289,13 @@ def _parse_tree(scanner: _Scanner) -> Element:
                 stack.append(current)
                 current = element
                 pos = token.end()
+                # The leaves that follow, whole; the loop reads on from
+                # wherever the run stops.
+                run = match_run(text, pos)
+                if run is not None:
+                    end = run.end()
+                    _new_leaves(element, leaves(text, pos, end))
+                    pos = end
                 continue
         elif kind == _END_TAG:
             name = token.group(6)

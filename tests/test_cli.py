@@ -206,6 +206,16 @@ class TestAdvise:
         assert document["spans"][0]["name"] == "greedy"
         assert document["metrics"]["database"]["estimate_calls"] > 0
 
+    @pytest.mark.parametrize("megabytes", ["0", "-5"])
+    def test_advise_refuses_a_bound_that_is_not_positive(self, files,
+                                                          megabytes, capsys):
+        _, dtd, xml, _, workload = files
+        with pytest.raises(SystemExit):
+            run_cli(["advise", "--dtd", str(dtd), "--root", "shop",
+                     "--xml", str(xml), "--workload", str(workload),
+                     "--storage-bound-mb", megabytes])
+        assert "--storage-bound-mb must be >= 1" in capsys.readouterr().err
+
     def test_advise_without_trace_stays_quiet(self, files):
         _, dtd, xml, _, workload = files
         code, out = run_cli([

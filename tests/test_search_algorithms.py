@@ -15,6 +15,7 @@ import math
 import pytest
 
 from repro.backends import render_query
+from repro.errors import SearchError
 from repro.experiments import (DatasetBundle, measure_design,
                                tuned_hybrid_baseline)
 from repro.mapping import PRESETS
@@ -118,6 +119,21 @@ class TestTwoStep:
         greedy_measured = measure_design(greedy, bundle)
         twostep_measured = measure_design(twostep, bundle)
         assert greedy_measured < twostep_measured
+
+
+class TestInfeasibleBound:
+    """A storage bound below the base mapping's own data is refused by
+    name by every search, never by an ``assert`` or a bare error."""
+
+    @pytest.mark.parametrize("search", [GreedySearch, NaiveGreedySearch,
+                                        TwoStepSearch])
+    def test_names_the_bound_and_the_base_mappings_size(self, search):
+        small = DatasetBundle.dblp(scale=60, seed=7)
+        workload = small.workload_generator(seed=3).generate(3)
+        with pytest.raises(SearchError, match=(
+                r"^storage bound of 1000 bytes is below the \d+ bytes of "
+                r"data of the base mapping$")):
+            search(small.tree, workload, small.stats, 1000).run()
 
 
 def _fingerprint(schema, configuration, sql_queries):

@@ -10,7 +10,7 @@ from repro.mapping import (Shredder, UnionDistribution, collect_statistics,
                            derive_schema, derive_table_stats, fully_split,
                            hybrid_inlining, load_documents)
 from repro.xmlkit import parse
-from repro.xsd import NodeKind
+from repro.xsd import NodeKind, parse_dtd
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +189,25 @@ class TestCollectedStats:
         stats = CollectedStats(
             cardinality={1: Counter({i: 10 for i in range(10, 30)})})
         assert stats.suggest_split_count(1, cmax=5, coverage=0.8) is None
+
+    def test_a_declared_leaf_that_never_occurs_has_no_statistics(self):
+        tree = parse_dtd(
+            "<!ELEMENT shop (item*)><!ELEMENT item (name, note?, price)>"
+            "<!ELEMENT name (#PCDATA)><!ELEMENT note (#PCDATA)>"
+            "<!ELEMENT price (#PCDATA)>", root="shop")
+        doc = parse("<shop><item><name>a</name><price>1</price></item>"
+                    "<item><name>b</name><price>2</price></item></shop>")
+        stats = collect_statistics(tree, doc)
+        name, note, price = (tree.find_tag_by_path(("shop", "item", leaf))
+                             for leaf in ("name", "note", "price"))
+        # nothing for <note>: its values and counts start at its first one
+        assert list(stats.leaf_stats) == [name.node_id, price.node_id]
+        assert note.node_id not in stats.instance_counts
+        assert stats.instances(name.node_id) == 2
+        assert stats.total_elements == 7
+        column = derive_table_stats(
+            derive_schema(hybrid_inlining(tree)), stats)["item"].column("note")
+        assert column.row_count == column.null_count == 2
 
     def test_joint_presence_signatures(self, movie_doc):
         tree = movie_schema()

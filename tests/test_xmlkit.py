@@ -93,6 +93,25 @@ MALFORMED = [
     ('<a><!- x --></a>', 'expected a name', 1, 5),
     ('<a><![CDATA x]]></a>', 'expected a name', 1, 5),
     ('<a><!---></a>', 'unterminated comment', 1, 8),
+    # A run of attribute-less leaves, attached whole after a start tag,
+    # cut short by what only the token loop reads; recorded from the
+    # token loop before runs were attached whole.
+    ('<r><a>x</a><b>&bogus;</b><c>z</c></r>', 'unknown entity &bogus;', 1, 15),
+    ('<r><a>x</a>&nosuch;<b>y</b></r>', 'unknown entity &nosuch;', 1, 12),
+    ('<r><title>x</title  ><year>1</yea></r>',
+     'mismatched end tag </yea> for <year>', 1, 34),
+    ("<r><a>x</a><b k='1' k='2'>y</b><c>z</c></r>",
+     "duplicate attribute 'k'", 1, 24),
+    ('<r><a>x</a><!-- never closed<b>y</b></r>', 'unterminated comment', 1, 16),
+    ('<r><a>x</a><![CDATA[y<b>z</b></r>', 'unterminated CDATA section', 1, 21),
+    ('<r><a>x</a><n><b>y</b></r>', 'mismatched end tag </r> for <n>', 1, 26),
+    ('<r><a>x</a><b>y</c><d>z</d></r>', 'mismatched end tag </c> for <b>', 1, 19),
+    ('<r>\n  <a>x</a>\n  <b>y</b  \n>\n  <c>z</d>\n</r>',
+     'mismatched end tag </d> for <c>', 5, 10),
+    ('<r><a>x</a><b>y</b>', 'unterminated element <r>', 1, 20),
+    ('<r><a>x</a><b>y</b><c>1 < 2</c></r>', 'expected a name', 1, 26),
+    ('<r><a>x</a><b>y</b></r x>', "expected '>'", 1, 24),
+    ('<r><a>x</a><b>y</b ></r><s/>', 'content after root element', 1, 25),
 ]
 
 
@@ -312,6 +331,41 @@ class TestParser:
                 parse(f"<a>t</a{gap}>")
         assert parse("<a\r\n\tx\n=\n'1'\n/>").root.attributes == {"x": "1"}
 
+    @pytest.mark.parametrize("text, expected", [
+        # an entity inside a run
+        ("<r><a>x</a><b>&amp;</b><c>z</c></r>",
+         element("r", element("a", "x"), element("b", "&"),
+                 element("c", "z"))),
+        # white space inside the end tag of a leaf of the run
+        ("<r><title>x</title  ><year>1</year \n></r>",
+         element("r", element("title", "x"), element("year", "1"))),
+        # a leaf with attributes mid-run
+        ("<r><a>x</a><b k='1'>y</b><c>z</c></r>",
+         element("r", element("a", "x"),
+                 element("b", "y", attributes={"k": "1"}),
+                 element("c", "z"))),
+        # a comment, then CDATA, between leaves
+        ("<r><a>x</a><!-- c --><b>y</b><![CDATA[t]]><c>z</c></r>",
+         element("r", element("a", "x"), element("b", "y"), "t",
+                 element("c", "z"))),
+        # a nested element after a run, and a run after it
+        ("<r><a>x</a><n><b>y</b></n><c>z</c><d></d></r>",
+         element("r", element("a", "x"), element("n", element("b", "y")),
+                 element("c", "z"), element("d"))),
+        # character data around and between the leaves, and a leaf with
+        # a child that is itself a run
+        ("<r>\n  <a>x</a>\n  <b>y > 1</b>t\n<c><d>z</d></c></r>",
+         element("r", "\n  ", element("a", "x"), "\n  ",
+                 element("b", "y > 1"), "t\n",
+                 element("c", element("d", "z")))),
+    ])
+    def test_a_leaf_run_cut_short_gives_the_token_loops_tree(self, text,
+                                                            expected):
+        def shape(el):
+            return (el.tag, el.attributes, el.text_segments,
+                    [shape(child) for child in el.children])
+
+        assert shape(parse(text).root) == shape(expected)
 
 class TestWriter:
     def test_roundtrip_simple(self):

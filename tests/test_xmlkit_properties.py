@@ -1,6 +1,7 @@
-"""Property-based tests: serialize/parse round-trips for random trees,
-every spelling of a tree parses to that tree, and a node built by any
-sequence of calls reads like a plain pair of lists.
+"""Property-based tests: serialize/parse round-trips for random trees
+and records (runs of leaves), every spelling of a tree parses to that
+tree, and a node built by any sequence of calls reads like a plain pair
+of lists.
 
 The example budget is the active hypothesis profile's
 (``tests/conftest.py``): the default here, 1 000 in the CI step that
@@ -35,6 +36,25 @@ def elements(draw, depth=3):
     return el
 
 
+@st.composite
+def records(draw):
+    """Runs of attribute-less leaves, the parser's fast path, cut now and
+    then by character data, a leaf with attributes or a nested element."""
+    el = Element(draw(_tag_names))
+    for _ in range(draw(st.integers(1, 8))):
+        how = draw(st.integers(0, 5))
+        if how == 0:
+            el.append(draw(elements(depth=1)))
+        elif how == 1:
+            el.add_text(draw(_text | st.sampled_from(["\n  ", " "])))
+        else:
+            el.make_child(draw(_tag_names), draw(_text))
+    return el
+
+
+_trees = elements() | records()
+
+
 def same(a, b):
     assert a.tag == b.tag
     assert a.attributes == b.attributes
@@ -45,7 +65,7 @@ def same(a, b):
         same(ca, cb)
 
 
-@given(elements())
+@given(_trees)
 @settings(deadline=None)
 def test_serialize_parse_roundtrip(el):
     text = serialize(el)
@@ -54,7 +74,7 @@ def test_serialize_parse_roundtrip(el):
     same(el, reparsed)
 
 
-@given(elements())
+@given(_trees)
 @settings(deadline=None)
 def test_double_roundtrip_is_stable(el):
     once = serialize(parse(serialize(el)).root)
@@ -134,7 +154,7 @@ def _spell(el, rng):
     return f"<{head}>{''.join(body)}</{el.tag}{gap(_GAPS)}>"
 
 
-@given(elements(), st.randoms(use_true_random=False))
+@given(_trees, st.randoms(use_true_random=False))
 @settings(deadline=None)
 def test_every_spelling_parses_to_the_same_tree(el, rng):
     prolog = rng.choice(["", "<?xml version='1.0'?>", " \n"]) + rng.choice(
