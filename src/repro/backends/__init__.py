@@ -16,9 +16,7 @@ from .compare import (CheckResult, CompareReport, backend_factory,
                       multiset_diff, normalize_row)
 from .dbms import RelationalBackend
 from .dialect import (DUCKDB, SQLITE, Dialect, DialectError, DuckDBDialect,
-                      SQLiteDialect, create_index_sql, create_table_sql,
-                      create_view_table_sql, dialect_for, insert_sql,
-                      quote_identifier, render_query, sqlite_type)
+                      SQLiteDialect, render_query)
 from .duckdb import DuckDBBackend, duckdb_available
 from .sqlite import (MANIFEST_TABLE, BackendBusyError, BackendError,
                      LoadManifest, SQLiteBackend)
@@ -43,15 +41,8 @@ __all__ = [
     "DuckDBDialect",
     "SQLITE",
     "DUCKDB",
-    "dialect_for",
     "DialectError",
     "render_query",
-    "quote_identifier",
-    "sqlite_type",
-    "create_table_sql",
-    "create_index_sql",
-    "create_view_table_sql",
-    "insert_sql",
     "multiset_diff",
     "normalize_row",
     "CheckResult",

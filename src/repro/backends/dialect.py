@@ -23,8 +23,8 @@ not good enough:
   that key's order, and on SQLite stored as a ``WITHOUT ROWID`` table
   whose primary key is the cluster key.
 
-:class:`SQLiteDialect` (the historical default — the module-level
-functions delegate to its singleton for backward compatibility):
+:class:`SQLiteDialect` (the default; :func:`render_query` renders
+through its singleton):
 
 * DATE maps to TEXT affinity: the engine stores dates as strings, and
   SQLite's own NUMERIC affinity for ``DATE`` would coerce year-like
@@ -58,12 +58,7 @@ from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, Exists, IsNull,
 
 __all__ = [
     "Dialect", "SQLiteDialect", "DuckDBDialect", "DialectError",
-    "SQLITE", "DUCKDB", "dialect_for",
-    # Back-compat module-level functions (SQLite dialect).
-    "quote_identifier", "sqlite_type", "SQLITE_TYPES",
-    "render_scalar", "render_condition", "render_select", "render_query",
-    "create_table_sql", "insert_sql", "create_index_sql",
-    "create_view_table_sql",
+    "SQLITE", "DUCKDB", "render_query",
 ]
 
 
@@ -81,7 +76,7 @@ class Dialect:
     of types and constants differ.
     """
 
-    #: Dialect key as used by ``--backend`` / ``dialect_for``.
+    #: Dialect key as used by ``--backend``.
     name = "ansi"
 
     #: Logical :class:`SQLType` -> physical column type name.
@@ -341,62 +336,7 @@ class DuckDBDialect(Dialect):
 SQLITE = SQLiteDialect()
 DUCKDB = DuckDBDialect()
 
-_DIALECTS = {d.name: d for d in (SQLITE, DUCKDB)}
-
-
-def dialect_for(name: str) -> Dialect:
-    """The dialect registered under ``name`` (``sqlite`` / ``duckdb``)."""
-    try:
-        return _DIALECTS[name]
-    except KeyError:
-        known = ", ".join(sorted(_DIALECTS))
-        raise DialectError(
-            f"unknown SQL dialect {name!r} (known: {known})") from None
-
-
-# ----------------------------------------------------------------------
-# Backward-compatible module-level API (the SQLite dialect)
-# ----------------------------------------------------------------------
-
-SQLITE_TYPES = SQLiteDialect.types
-
-
-def quote_identifier(name: str) -> str:
-    return SQLITE.quote(name)
-
-
-def sqlite_type(sql_type: SQLType) -> str:
-    return SQLITE.type_name(sql_type)
-
-
-def render_scalar(expr: Scalar) -> str:
-    return SQLITE.render_scalar(expr)
-
-
-def render_condition(expr: BoolExpr) -> str:
-    return SQLITE.render_condition(expr)
-
-
-def render_select(select: Select) -> str:
-    return SQLITE.render_select(select)
-
 
 def render_query(query: Query) -> str:
     """One translated query as a single SQLite statement."""
     return SQLITE.render_query(query)
-
-
-def create_table_sql(table: Table) -> str:
-    return SQLITE.create_table_sql(table)
-
-
-def insert_sql(table: Table) -> str:
-    return SQLITE.insert_sql(table)
-
-
-def create_index_sql(index: Index, primary_key: str | None) -> str:
-    return SQLITE.create_index_sql(index, primary_key)
-
-
-def create_view_table_sql(view: ViewCandidate) -> list[str]:
-    return SQLITE.create_view_table_sql(view)

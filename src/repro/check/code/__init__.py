@@ -14,10 +14,10 @@ code that produces them. Three pass families, three code families:
 
 :func:`lint_source_tree` is the driver: it loads every module under a
 root (the installed ``repro`` package by default), runs all passes,
-honors inline ``# lint: allow(CODE)`` pragmas, deduplicates, sorts,
-and applies the committed baseline (:mod:`baseline`). The ``repro
-check --code`` CLI and the CI ``code-lint`` gate are thin wrappers
-around it. See docs/static-analysis.md.
+honors inline ``# lint: allow(CODE)`` pragmas (the one way to waive a
+finding), deduplicates and sorts. The ``repro check --code`` CLI and
+the CI ``code-lint`` gate are thin wrappers around it. See
+docs/static-analysis.md.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..findings import Findings
-from .baseline import (Baseline, BaselineEntry, finding_key, load_baseline,
-                       write_baseline)
 from .callgraph import LockOrderGraph, ModuleCallGraph
 from .conc import build_lock_order, check_concurrency, check_lock_order
 from .det import check_determinism
@@ -35,8 +33,6 @@ from .res import check_resources
 from .walker import SourceModule, load_module, load_source_tree
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "CodeReport",
     "LockOrderGraph",
     "ModuleCallGraph",
@@ -47,12 +43,9 @@ __all__ = [
     "check_lock_order",
     "check_resources",
     "default_source_root",
-    "finding_key",
     "lint_source_tree",
-    "load_baseline",
     "load_module",
     "load_source_tree",
-    "write_baseline",
 ]
 
 
@@ -66,7 +59,6 @@ class CodeReport:
     """Outcome of one source-tree lint."""
 
     findings: Findings = field(default_factory=Findings)
-    grandfathered: Findings = field(default_factory=Findings)
     modules_checked: int = 0
     inline_suppressed: int = 0
 
@@ -80,13 +72,8 @@ class CodeReport:
         status = "OK" if self.ok else "FAILED"
         line = (f"{status}: {self.modules_checked} module(s) linted, "
                 f"{errors} error(s), {warnings} warning(s)")
-        extras = []
-        if len(self.grandfathered):
-            extras.append(f"{len(self.grandfathered)} baselined")
         if self.inline_suppressed:
-            extras.append(f"{self.inline_suppressed} inline-suppressed")
-        if extras:
-            line += f" ({', '.join(extras)})"
+            line += f" ({self.inline_suppressed} inline-suppressed)"
         return line
 
 
@@ -100,8 +87,7 @@ def _sort_key(finding) -> tuple[str, int, str]:
     return (path, lineno, finding.code)
 
 
-def lint_source_tree(root: str | Path | None = None,
-                     baseline: Baseline | None = None) -> CodeReport:
+def lint_source_tree(root: str | Path | None = None) -> CodeReport:
     """Run every code pass over the tree rooted at ``root``."""
     modules = load_source_tree(root if root is not None
                                else default_source_root())
@@ -120,9 +106,6 @@ def lint_source_tree(root: str | Path | None = None,
                 else:
                     collected.items.append(finding)
     collected.extend(check_lock_order(modules))
-    deduped = collected.dedupe()
-    deduped.items.sort(key=_sort_key)
-    fresh, matched = (baseline or Baseline()).apply(deduped)
-    report.findings = fresh
-    report.grandfathered = matched
+    report.findings = collected.dedupe()
+    report.findings.items.sort(key=_sort_key)
     return report

@@ -341,26 +341,12 @@ def _emit_findings(report, counts: dict, args, out) -> int:
 
 
 def _cmd_check_code(args, out) -> int:
-    from .check.code import (Baseline, lint_source_tree, load_baseline,
-                             write_baseline)
+    from .check.code import lint_source_tree
 
-    baseline_path = Path(args.baseline) if args.baseline else None
-    baseline = load_baseline(baseline_path) if baseline_path else None
-    root = Path(args.path) if args.path else None
-    report = lint_source_tree(root, baseline=baseline)
-    if args.write_baseline:
-        target = baseline_path or Path("check_baseline.json")
-        # Re-baseline everything currently reported, keeping entries
-        # that still match. Justifications must be filled in by hand.
-        combined = report.grandfathered + report.findings
-        write_baseline(target, Baseline.from_findings(
-            combined, justification="TODO: justify or fix"))
-        print(f"wrote {len(combined)} entr(ies) to {target}", file=out)
-        return 0
+    report = lint_source_tree(Path(args.path) if args.path else None)
     return _emit_findings(report, {
         "modules_checked": report.modules_checked,
-        "inline_suppressed": report.inline_suppressed,
-        "grandfathered": report.grandfathered.to_dicts()}, args, out)
+        "inline_suppressed": report.inline_suppressed}, args, out)
 
 
 def cmd_check(args, out=None) -> int:
@@ -526,8 +512,11 @@ def cmd_serve(args, out=None) -> int:
 def cmd_loadgen(args, out=None) -> int:
     import json
 
+    if args.requests is None and args.duration is None:
+        raise SystemExit("loadgen needs a stop bound: give --requests, "
+                         "--duration, or both")
     out = out or sys.stdout
-    from .serve import LoadGenerator, write_run_report
+    from .serve import LoadGenerator
     from .workload import zipf_mix
     bundle, workload, schema, configuration = _serve_inputs(args, out)
     mix = zipf_mix(workload, skew=args.zipf)
@@ -560,13 +549,6 @@ def cmd_loadgen(args, out=None) -> int:
             if mismatches:
                 failures.append(f"{mismatches} queries diverge from the "
                                 f"engine oracle")
-        if args.report:
-            path = write_run_report(args.report, report, service,
-                                    meta={"dataset": args.dataset or "files",
-                                          "mapping": args.mapping,
-                                          "tuned": args.tune},
-                                    stats=service_stats)
-            print(f"wrote HTML report to {path}", file=out)
         if args.json:
             payload = report.to_dict()
             payload["plan_cache"] = service_stats.plan_cache
@@ -709,6 +691,21 @@ def _at_least_one(flag: str, hint: str):
     return parse
 
 
+def _positive(flag: str):
+    """An argparse ``type`` for a float flag that must be above 0."""
+    def parse(raw: str) -> float:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid float value: {raw!r}")
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be > 0 (got {raw})")
+        return value
+    return parse
+
+
 _jobs_argument = _at_least_one(
     "--jobs", "use --jobs 1 for a serial run, or omit the flag to follow "
     "REPRO_PARALLEL")
@@ -812,12 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--path", default=None,
                          help="source root for --code (default: the "
                               "installed repro package)")
-    p_check.add_argument("--baseline", default=None,
-                         help="baseline JSON for --code; matching "
-                              "findings are grandfathered, not fresh")
-    p_check.add_argument("--write-baseline", action="store_true",
-                         help="with --code: write all current findings "
-                              "to the baseline file and exit 0")
     p_check.set_defaults(func=cmd_check)
 
     p_exp = sub.add_parser("experiment", help="run a paper experiment")
@@ -904,13 +895,17 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run the physical-design advisor and "
                                  "serve its recommended configuration")
         svc = p.add_argument_group("service")
-        svc.add_argument("--workers", type=int, default=4,
+        svc.add_argument("--workers", default=4,
+                         type=_at_least_one("--workers",
+                                            "omit the flag for 4 threads"),
                          help="pool threads behind asynchronous "
                               "(open-loop) requests, and with "
                               "--max-queue the admission bound; "
                               "blocking requests run on the client's "
                               "own thread (default: 4)")
-        svc.add_argument("--plan-cache", type=int, default=128,
+        svc.add_argument("--plan-cache", default=128,
+                         type=_at_least_one("--plan-cache",
+                                            "omit the flag for 128 shapes"),
                          help="plan cache capacity, in query shapes "
                               "(default: 128)")
         svc.add_argument("--backend", choices=["sqlite", "duckdb"],
@@ -932,8 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "'seed=1;backend.execute:0.05:transient;"
                                 "serve.request:0.01:hang:0.2' "
                                 "(see docs/resilience.md)")
-        resil.add_argument("--deadline", type=float, default=None,
-                           metavar="SECONDS",
+        resil.add_argument("--deadline", type=_positive("--deadline"),
+                           default=None, metavar="SECONDS",
                            help="per-request deadline from admission, "
                                 "queue wait included (default: none)")
         resil.add_argument("--max-queue", type=int, default=None,
@@ -962,19 +957,23 @@ def build_parser() -> argparse.ArgumentParser:
                         default="closed",
                         help="closed loop (clients back-to-back) or "
                              "open loop (Poisson arrivals)")
-    p_load.add_argument("--clients", type=int, default=4,
+    p_load.add_argument("--clients", default=4,
+                        type=_at_least_one("--clients",
+                                           "omit the flag for 4 clients"),
                         help="closed-loop client threads (default: 4)")
-    p_load.add_argument("--rate", type=float, default=200.0,
+    p_load.add_argument("--rate", type=_positive("--rate"), default=200.0,
                         help="open-loop arrival rate in req/s "
                              "(default: 200)")
-    p_load.add_argument("--requests", type=int, default=None,
+    p_load.add_argument("--requests", default=None,
+                        type=_at_least_one("--requests",
+                                           "use --duration alone to stop "
+                                           "on time only"),
                         help="stop after this many requests")
-    p_load.add_argument("--duration", type=float, default=None,
+    p_load.add_argument("--duration", type=_positive("--duration"),
+                        default=None,
                         help="stop after this many seconds")
     p_load.add_argument("--zipf", type=float, default=1.0,
                         help="Zipf skew of the query mix (default: 1.0)")
-    p_load.add_argument("--report", metavar="FILE", default=None,
-                        help="write an HTML run report to FILE")
     p_load.add_argument("--json", metavar="FILE", default=None,
                         help="write a JSON run summary to FILE")
     p_load.add_argument("--verify", action="store_true",

@@ -1,10 +1,7 @@
-"""Plain-text tables and series, shaped like the paper's figures —
-plus minimal self-contained HTML building blocks for run reports
-(no external assets, safe to archive as a CI artifact)."""
+"""Plain-text tables and series, shaped like the paper's figures."""
 
 from __future__ import annotations
 
-import html as _html
 from io import StringIO
 
 
@@ -52,87 +49,3 @@ def format_series(title: str, x_label: str,
     rows = [[x] + [series[name].get(x, "") for name in series] for x in xs]
     return format_table(title, headers, rows)
 
-
-# ----------------------------------------------------------------------
-# HTML run reports
-# ----------------------------------------------------------------------
-
-_HTML_STYLE = """
-body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2rem auto; max-width: 60rem; color: #1a1a2e; }
-h1 { border-bottom: 2px solid #1a1a2e; padding-bottom: .3rem; }
-h2 { margin-top: 2rem; }
-table { border-collapse: collapse; margin: 1rem 0; }
-th, td { border: 1px solid #c5c5d6; padding: .35rem .7rem;
-         text-align: left; font-variant-numeric: tabular-nums; }
-th { background: #eceef6; }
-.kv dt { font-weight: 600; float: left; clear: left; width: 14rem; }
-.kv dd { margin: 0 0 .2rem 14.5rem; }
-.bar { display: flex; align-items: center; gap: .5rem;
-       font-size: .85rem; margin: .12rem 0; }
-.bar .label { width: 9rem; text-align: right;
-              font-variant-numeric: tabular-nums; }
-.bar .fill { background: #5560ab; height: .8rem; min-width: 1px; }
-.bar .count { color: #555; }
-"""
-
-
-def html_escape(value) -> str:
-    return _html.escape(_fmt(value) if isinstance(value, float)
-                        else str(value))
-
-
-def html_table(headers: list[str], rows: list[list]) -> str:
-    """A plain HTML table with escaped cells."""
-    out = ["<table>", "<tr>"]
-    out += [f"<th>{html_escape(h)}</th>" for h in headers]
-    out.append("</tr>")
-    for row in rows:
-        out.append("<tr>" + "".join(
-            f"<td>{html_escape(cell)}</td>" for cell in row) + "</tr>")
-    out.append("</table>")
-    return "".join(out)
-
-
-def html_definition_list(items: dict) -> str:
-    """Key/value pairs rendered as a definition list."""
-    out = ['<dl class="kv">']
-    for key, value in items.items():
-        out.append(f"<dt>{html_escape(key)}</dt>"
-                   f"<dd>{html_escape(value)}</dd>")
-    out.append("</dl>")
-    return "".join(out)
-
-
-def html_bar_chart(rows: list[tuple[str, float]],
-                   unit: str = "") -> str:
-    """Horizontal CSS bars: (label, value) scaled to the max value."""
-    if not rows:
-        return "<p>(no data)</p>"
-    peak = max(value for _, value in rows) or 1.0
-    out = []
-    for label, value in rows:
-        width = max(0.5, 100.0 * value / peak)
-        out.append(
-            f'<div class="bar"><span class="label">'
-            f"{html_escape(label)}</span>"
-            f'<span class="fill" style="width:{width:.1f}%"></span>'
-            f'<span class="count">{value:g}{html_escape(unit)}</span>'
-            f"</div>")
-    return "".join(out)
-
-
-def html_document(title: str, sections: list[tuple[str, str]]) -> str:
-    """A complete standalone HTML page from (heading, body-html) pairs."""
-    parts = ["<!DOCTYPE html>", "<html><head>",
-             '<meta charset="utf-8">',
-             f"<title>{html_escape(title)}</title>",
-             f"<style>{_HTML_STYLE}</style>",
-             "</head><body>",
-             f"<h1>{html_escape(title)}</h1>"]
-    for heading, body in sections:
-        if heading:
-            parts.append(f"<h2>{html_escape(heading)}</h2>")
-        parts.append(body)
-    parts.append("</body></html>")
-    return "\n".join(parts)

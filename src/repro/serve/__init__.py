@@ -6,13 +6,12 @@ once, translates XPath through an LRU :class:`PlanCache`, and answers
 queries on the caller's thread (``serve``) or from a thread pool
 (``submit``), one backend connection per executing thread. A
 :class:`LoadGenerator` drives it in closed- or open-loop mode with a
-seeded Zipf query mix and reports p50/p95/p99 latency and QPS; the
-HTML run report archives one run. See docs/serving.md.
+seeded Zipf query mix and reports p50/p95/p99 latency and QPS. See
+docs/serving.md.
 """
 
 from .loadgen import LoadGenerator, LoadReport, RequestRecord
 from .plan_cache import CachedPlan, PlanCache
-from .report import render_run_report, write_run_report
 from .service import (CircuitOpenError, QueryService, RequestTimeout,
                       ServeResult, ServiceError, ServiceOverloaded,
                       ServiceStats)
@@ -30,6 +29,4 @@ __all__ = [
     "LoadGenerator",
     "LoadReport",
     "RequestRecord",
-    "render_run_report",
-    "write_run_report",
 ]

@@ -143,6 +143,17 @@ class LoadReport:
         return dict(sorted(counts.items()))
 
     @property
+    def by_query(self) -> dict[str, dict[str, int]]:
+        """Requests and errors per query text, in query-text order."""
+        traffic = {xpath: {"requests": 0, "errors": 0}
+                   for xpath in sorted({r.xpath for r in self.records})}
+        for record in self.records:
+            counts = traffic[record.xpath]
+            counts["requests"] += 1
+            counts["errors"] += record.error is not None
+        return traffic
+
+    @property
     def shed(self) -> int:
         """Requests fast-failed by admission control or the breaker."""
         by_type = self.errors_by_type
@@ -197,6 +208,7 @@ class LoadReport:
             "shed": self.shed,
             "retries": self.total_retries,
             "errors_by_type": self.errors_by_type,
+            "by_query": self.by_query,
         }
 
     def describe(self) -> str:
@@ -283,13 +295,6 @@ class LoadGenerator:
         """The deterministic query-index schedule for ``requests``."""
         return MixSampler(self.mix, self.seed).sequence(requests)
 
-    def arrival_gaps(self, requests: int) -> list[float]:
-        """Deterministic exponential inter-arrival gaps (open loop)."""
-        # The arrival process gets its own RNG stream so adding or
-        # removing arrival draws can never shift the query sequence.
-        rng = random.Random(self.seed ^ 0x5DEECE66D)
-        return [rng.expovariate(self.rate) for _ in range(requests)]
-
     # ------------------------------------------------------------------
     def run(self, requests: int | None = None,
             duration: float | None = None) -> LoadReport:
@@ -341,6 +346,8 @@ class LoadGenerator:
         Latency runs from the scheduled arrival, not from the moment
         the dispatcher got round to submitting: a dispatcher running
         late is queueing the client sees (no coordinated omission)."""
+        # The arrival process gets its own RNG stream so adding or
+        # removing arrival draws can never shift the query sequence.
         arrival_rng = random.Random(self.seed ^ 0x5DEECE66D)
         futures = []
         due = 0.0

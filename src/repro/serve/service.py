@@ -208,8 +208,8 @@ class QueryService:
             raise ValueError("deadline must be > 0 (None = no deadline)")
         self.tracer = tracer if tracer is not None else get_tracer()
         # The counts are service state, not optional telemetry —
-        # stats() and the HTML report read them even under the
-        # (default) null tracer, whose registries discard increments.
+        # stats() reads them even under the (default) null tracer,
+        # whose registries discard increments.
         self._metrics = (self.tracer.metrics("serve.service")
                          if self.tracer.enabled
                          else MetricRegistry("serve.service"))
@@ -426,11 +426,6 @@ class QueryService:
         return self._handle_counted(request)
 
     # ------------------------------------------------------------------
-    @property
-    def latency_histogram(self):
-        """The per-request latency histogram metric (read-only use)."""
-        return self._latency
-
     def stats(self) -> ServiceStats:
         count = self._metrics.get
         latency = self._latency.snapshot()

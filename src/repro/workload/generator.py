@@ -70,7 +70,6 @@ class WorkloadGenerator:
                  seed: int = 0):
         self.tree = tree
         self.stats = stats
-        self.seed = seed
         self.rng = random.Random(seed)
         self.contexts = _context_elements(tree, stats)
         if not self.contexts:
@@ -94,18 +93,8 @@ class WorkloadGenerator:
         proj = "HP" if projections[1] >= 5 else "LP"
         return f"{proj}-{sel}-{n}"
 
-    def standard_suite(self, n_queries: int,
-                       seed_offset: int = 0) -> list[Workload]:
-        """The four LP/HP x LS/HS workloads of Section 5.1.3.
-
-        ``seed_offset`` (when non-zero) reseeds the generator's RNG to
-        ``seed + seed_offset`` before drawing, so two suites from the
-        same generator can be made disjoint yet reproducible. The
-        default 0 keeps drawing from the current RNG state, preserving
-        historical sequences.
-        """
-        if seed_offset:
-            self.rng = random.Random(self.seed + seed_offset)
+    def standard_suite(self, n_queries: int) -> list[Workload]:
+        """The four LP/HP x LS/HS workloads of Section 5.1.3."""
         out = []
         for projections in (LOW_PROJECTIONS, HIGH_PROJECTIONS):
             for selectivity in (LOW_SELECTIVITY, HIGH_SELECTIVITY):

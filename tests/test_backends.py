@@ -9,11 +9,10 @@ the class docstring); they pin the engine to SQLite's semantics.
 
 import pytest
 
-from repro.backends import (CalibrationReport, CheckResult, EngineBackend,
-                            QueryTiming, SQLBackend, SQLiteBackend,
-                            check_queries, compare_design, create_index_sql,
-                            create_table_sql, insert_sql, multiset_diff,
-                            normalize_row, quote_identifier, render_query,
+from repro.backends import (SQLITE, CalibrationReport, CheckResult,
+                            EngineBackend, QueryTiming, SQLBackend,
+                            SQLiteBackend, check_queries, compare_design,
+                            multiset_diff, normalize_row, render_query,
                             run_calibration, spearman, timed_runs)
 from repro.backends.compare import OK
 from repro.backends.sqlite import BackendError
@@ -245,8 +244,8 @@ class TestDialectRoundTrip:
                     backend.prepare(translator.translate(weighted.query))
 
     def test_quote_identifier_doubles_quotes(self):
-        assert quote_identifier('a"b') == '"a""b"'
-        assert quote_identifier("order") == '"order"'
+        assert SQLITE.quote('a"b') == '"a""b"'
+        assert SQLITE.quote("order") == '"order"'
 
     def test_ddl_keywords_and_includes(self):
         table = Table(name="order", columns=[
@@ -254,7 +253,7 @@ class TestDialectRoundTrip:
             Column("group", SQLType.VARCHAR),
             Column("when", SQLType.DATE),
         ], primary_key="ID")
-        ddl = create_table_sql(table)
+        ddl = SQLITE.create_table_sql(table)
         assert '"order"' in ddl and '"group"' in ddl and '"when"' in ddl
         assert "PRIMARY KEY" in ddl
         # DATE columns get TEXT affinity: the engine stores them as
@@ -262,18 +261,19 @@ class TestDialectRoundTrip:
         assert "TEXT" in ddl
         index = Index(name="ix", table_name="order",
                       key_columns=("group",), included_columns=("when",))
-        index_sql = create_index_sql(index, table.primary_key)
+        index_sql = SQLITE.create_index_sql(index, table.primary_key)
         # SQLite has no INCLUDE clause: included columns join the key,
         # after the row ID, so equal keys come out in ID order.
         assert '("group", "ID", "when")' in index_sql
         # A plain index is ordered by rowid already; a key that names
         # the ID does not repeat it.
         plain = Index(name="ix", table_name="order", key_columns=("group",))
-        assert create_index_sql(plain, "ID").endswith('("group")')
+        assert SQLITE.create_index_sql(plain, "ID").endswith('("group")')
         keyed = Index(name="ix", table_name="order",
                       key_columns=("group", "ID"), included_columns=("when",))
-        assert create_index_sql(keyed, "ID").endswith('("group", "ID", "when")')
-        assert insert_sql(table).count("?") == 3
+        assert SQLITE.create_index_sql(keyed, "ID").endswith(
+            '("group", "ID", "when")')
+        assert SQLITE.insert_sql(table).count("?") == 3
 
 
 class TestDifferentialSuite:

@@ -555,13 +555,12 @@ class TestChaosCli:
         from tests.test_serve import run_cli
 
         json_path = tmp_path / "chaos.json"
-        report_path = tmp_path / "chaos.html"
         args = ["loadgen", "--dataset", "dblp", "--scale", "60",
                 "--queries", "6", "--seed", "7", "--clients", "1",
                 "--requests", "40", "--deadline", "1.0",
                 "--max-queue", "64",
                 "--faults", "seed=7;backend.execute:0.2:transient",
-                "--json", str(json_path), "--report", str(report_path),
+                "--json", str(json_path),
                 "--verify", "--max-shed-rate", "0.1",
                 "--max-error-rate", "0.1"]
         code, out = run_cli(args)
@@ -571,8 +570,30 @@ class TestChaosCli:
         assert payload["resilience"]["retries"] > 0
         assert payload["errors"] == 0
         assert "results_digest" in payload
-        html = report_path.read_text()
-        assert "Resilience" in html and "breaker state" in html
+        assert payload["resilience"]["breaker"]["state"] == "closed"
+        assert sum(q["requests"]
+                   for q in payload["by_query"].values()) == 40
+
+    def test_by_query_adds_up_when_requests_fail(self, tmp_path):
+        """The per-query traffic in the JSON summary accounts for every
+        request and every error of a seeded run that loses some."""
+        import json
+
+        from tests.test_serve import run_cli
+
+        json_path = tmp_path / "lossy.json"
+        code, out = run_cli([
+            "loadgen", "--dataset", "dblp", "--scale", "60",
+            "--queries", "6", "--seed", "7", "--clients", "1",
+            "--requests", "40",
+            "--faults", "seed=3;backend.execute:0.3:fatal",
+            "--json", str(json_path)])
+        assert code == 0, out
+        payload = json.loads(json_path.read_text())
+        traffic = payload["by_query"].values()
+        assert 0 < payload["errors"] < payload["requests"] == 40
+        assert sum(q["requests"] for q in traffic) == payload["requests"]
+        assert sum(q["errors"] for q in traffic) == payload["errors"]
 
     def test_loadgen_gate_failure_exits_nonzero(self, tmp_path):
         from tests.test_serve import run_cli

@@ -71,20 +71,6 @@ class TestFindings:
             [("SQL001", "select[0]"), ("SQL001", "select[1]"),
              ("SQL009", "")]
 
-    def test_baseline_load_reemit_identical(self, tmp_path):
-        from repro.check.code import (Baseline, load_baseline,
-                                      write_baseline)
-        findings = Findings()
-        findings.add("DET001", "unseeded", "b.py:2")
-        findings.add("RES001", "swallowed", "a.py:9")
-        path = write_baseline(
-            tmp_path / "b.json",
-            Baseline.from_findings(findings, "legacy"))
-        original = path.read_text()
-        write_baseline(path, load_baseline(path))
-        assert path.read_text() == original
-        assert "legacy" in original
-
     def test_code_lint_strict_exit_codes(self, tmp_path):
         # Warnings pass by default; --strict turns them into failure;
         # errors fail either way.

@@ -19,8 +19,7 @@ from repro.errors import TranslationError, WorkloadError, XPathError
 from repro.experiments import DatasetBundle
 from repro.mapping import derive_schema, fully_split, hybrid_inlining
 from repro.obs import LatencyHistogram
-from repro.serve import (LoadGenerator, PlanCache, QueryService,
-                         ServiceError, render_run_report)
+from repro.serve import LoadGenerator, PlanCache, QueryService, ServiceError
 from repro.translate import Translator
 from repro.workload import MixSampler, Workload, zipf_mix
 from repro.workload.model import WeightedQuery
@@ -714,7 +713,6 @@ class TestSeedDeterminism:
             open_loop = LoadGenerator(service, mix, seed=9, mode="open",
                                       rate=5000.0)
             assert closed.schedule(30) == open_loop.schedule(30)
-            assert open_loop.arrival_gaps(30) == open_loop.arrival_gaps(30)
             report = open_loop.run(requests=30)
             assert report.sequence == closed.schedule(30)
             assert report.errors == 0
@@ -744,18 +742,6 @@ class TestSeedDeterminism:
         seconds = [r.seconds for r in report.records]
         assert seconds[-1] > 0.08
         assert min(seconds[20:]) > max(0.04, seconds[0])
-
-    def test_standard_suite_seed_offset_reseeds(self, dblp_bundle):
-        """Regression: seed_offset used to be dead — two generators must
-        produce identical suites for one offset, distinct for another."""
-        def suite(offset):
-            generator = dblp_bundle.workload_generator(seed=5)
-            return [[str(w.query) for w in workload.queries]
-                    for workload in generator.standard_suite(
-                        3, seed_offset=offset)]
-
-        assert suite(1) == suite(1)
-        assert suite(1) != suite(2)
 
     def test_workload_generator_is_seed_deterministic(self, dblp_bundle):
         first = dblp_bundle.workload_generator(seed=13).generate(6)
@@ -816,17 +802,16 @@ class TestLoadReport:
             assert 0 < report.cached_plan_rate <= 1.0
             assert report.latency(50) <= report.latency(95) \
                 <= report.latency(99) <= report.latency(100)
-            payload = report.to_dict()
+            payload = json.loads(json.dumps(report.to_dict()))
             assert payload["requests"] == 40
             assert payload["latency_seconds"]["p50"] >= 0
             assert payload["sequence_digest"] == report.sequence_digest
+            traffic = payload["by_query"]
+            assert set(traffic) == {r.xpath for r in report.records}
+            assert sum(q["requests"] for q in traffic.values()) == 40
+            assert sum(q["errors"] for q in traffic.values()) == 0
             text = report.describe()
             assert "40 requests" in text and "QPS" in text
-            html = render_run_report(report, service,
-                                     meta={"dataset": "dblp"})
-            assert html.startswith("<!DOCTYPE html>")
-            assert report.sequence_digest in html
-            assert "Plan cache" in html and "Traffic by query" in html
 
 
 class TestLatencyHistogram:
@@ -887,22 +872,61 @@ class TestServeCLI:
         assert "rows in" in out and "translated plan" in out
 
     def test_loadgen_smoke_verify_and_artifacts(self, tmp_path):
-        report_path = tmp_path / "run.html"
         json_path = tmp_path / "run.json"
         code, out = run_cli([
             "loadgen", "--dataset", "dblp", "--scale", "60",
             "--queries", "5", "--seed", "7", "--requests", "60",
             "--clients", "2", "--workers", "2",
-            "--smoke", "--verify",
-            "--report", str(report_path), "--json", str(json_path)])
+            "--smoke", "--verify", "--json", str(json_path)])
         assert code == 0
         assert "smoke OK" in out and "verify OK" in out
-        html = report_path.read_text(encoding="utf-8")
-        assert "Plan cache" in html
         payload = json.loads(json_path.read_text(encoding="utf-8"))
         assert payload["requests"] == 60 and payload["errors"] == 0
         assert payload["qps"] > 0
-        assert payload["plan_cache"]["hits"] > 0
+        cache = payload["plan_cache"]
+        assert cache["hits"] > 0
+        assert cache["hits"] + cache["misses"] == 60
+        assert sum(q["requests"]
+                   for q in payload["by_query"].values()) == 60
+
+    LOADGEN = ["loadgen", "--dataset", "dblp", "--scale", "30",
+               "--queries", "3", "--seed", "7"]
+
+    @pytest.fixture
+    def no_load(self, monkeypatch):
+        """Fails the test if the command gets as far as loading data."""
+        import repro.cli
+
+        def must_not_load(*args, **kwargs):
+            raise AssertionError("loaded data for a refused command")
+
+        monkeypatch.setattr(repro.cli, "_serve_inputs", must_not_load)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--clients", "0"], "--clients must be >= 1"),
+        (["--workers", "0"], "--workers must be >= 1"),
+        (["--plan-cache", "0"], "--plan-cache must be >= 1"),
+        (["--requests", "0"], "--requests must be >= 1"),
+        (["--mode", "open", "--rate", "0"], "--rate must be > 0"),
+        (["--duration", "0"], "--duration must be > 0"),
+        (["--deadline", "0"], "--deadline must be > 0"),
+    ], ids=["clients", "workers", "plan-cache", "requests", "rate",
+            "duration", "deadline"])
+    def test_loadgen_refuses_a_bad_number_before_loading(
+            self, flags, message, no_load, capsys):
+        """Each is refused by the argument parser, naming the flag,
+        before any data loads — not by the service or the generator
+        after the dataset is loaded, and ``--requests 0`` is not a run
+        that sends nothing and exits 0."""
+        argv = self.LOADGEN + ["--requests", "5"] + flags
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_loadgen_refuses_a_run_with_no_stop_bound(self, no_load):
+        with pytest.raises(SystemExit, match="--requests, --duration"):
+            run_cli(self.LOADGEN)
 
     def test_verify_does_not_leak_into_the_smoke_gate(self, tmp_path):
         """One request is one miss and no hit. ``--verify`` then serves
