@@ -12,9 +12,9 @@ from conftest import build_comparison
 
 
 def _check_shapes(comparison):
-    greedy = comparison.by_algorithm("greedy")
-    naive = comparison.by_algorithm("naive-greedy")
-    twostep = comparison.by_algorithm("two-step")
+    greedy = comparison.by_variant("greedy")
+    naive = comparison.by_variant("naive-greedy")
+    twostep = comparison.by_variant("two-step")
     # Greedy improves on (or at worst matches) hybrid inlining on the
     # large majority of workloads.
     improved = sum(1 for run in greedy.values()

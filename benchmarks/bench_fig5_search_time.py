@@ -12,9 +12,9 @@ from conftest import build_comparison
 
 
 def _check_shapes(comparison, naive_factor):
-    greedy = comparison.by_algorithm("greedy")
-    naive = comparison.by_algorithm("naive-greedy")
-    twostep = comparison.by_algorithm("two-step")
+    greedy = comparison.by_variant("greedy")
+    naive = comparison.by_variant("naive-greedy")
+    twostep = comparison.by_variant("two-step")
     ratios = [greedy[name].wall_time / max(twostep[name].wall_time, 1e-9)
               for name in greedy if name in twostep]
     assert statistics.median(ratios) < 25, \

@@ -12,8 +12,8 @@ from conftest import build_comparison
 
 
 def _ratios(comparison):
-    greedy = comparison.by_algorithm("greedy")
-    naive = comparison.by_algorithm("naive-greedy")
+    greedy = comparison.by_variant("greedy")
+    naive = comparison.by_variant("naive-greedy")
     return [naive[name].transformations / max(greedy[name].transformations, 1)
             for name in naive if name in greedy]
 

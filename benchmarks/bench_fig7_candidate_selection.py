@@ -9,7 +9,8 @@ import statistics
 
 from conftest import QUERIES
 
-from repro.experiments import fig7_table, run_fig7
+from repro.experiments import FIG7_VARIANTS, compare_algorithms, fig7_table
+from repro.experiments.ablations import SKIP_SUBSUMED, UNPRUNED
 
 
 def test_fig7_candidate_selection(benchmark, dblp_bundle, emit):
@@ -21,15 +22,22 @@ def test_fig7_candidate_selection(benchmark, dblp_bundle, emit):
         generator.generate(QUERIES, selectivity=(0.5, 1.0),
                            projections=(5, 20)),
     ]
-    rows = benchmark.pedantic(
-        lambda: run_fig7(dblp_bundle, workloads), rounds=1, iterations=1)
-    emit(fig7_table(rows, dblp_bundle.name))
-    subsumed = statistics.mean(r.subsumed_speedup for r in rows)
-    overall = statistics.mean(r.overall_speedup for r in rows)
-    assert subsumed > 1.5, "skipping subsumed transformations must pay"
-    assert overall > subsumed, \
+    comparison = benchmark.pedantic(
+        lambda: compare_algorithms(dblp_bundle, workloads, FIG7_VARIANTS,
+                                   naive_max_queries=QUERIES),
+        rounds=1, iterations=1)
+    emit(fig7_table(comparison))
+    subsumed = comparison.series("wall_time", [UNPRUNED],
+                                 per=SKIP_SUBSUMED)[UNPRUNED]
+    overall = comparison.series("wall_time", [UNPRUNED],
+                                per="greedy")[UNPRUNED]
+    subsumed_mean = statistics.mean(subsumed.values())
+    overall_mean = statistics.mean(overall.values())
+    assert subsumed_mean > 1.5, "skipping subsumed transformations must pay"
+    assert overall_mean > subsumed_mean, \
         "the full rule set must beat subsumed-skipping alone"
-    assert overall > 5, "candidate selection must be a large win overall"
-    for row in rows:
-        assert row.quality_full <= row.quality_unpruned * 1.5 + 0.1, \
+    assert overall_mean > 5, "candidate selection must be a large win overall"
+    quality = comparison.series("normalized_cost")
+    for name, full in quality["greedy"].items():
+        assert full <= quality[UNPRUNED][name] * 1.5 + 0.1, \
             "candidate selection must not lose (much) quality"

@@ -19,7 +19,7 @@ import time
 
 from conftest import QUERIES
 
-from repro.experiments import fig8_tables, run_fig8
+from repro.experiments import FIG8_VARIANTS, compare_algorithms, fig8_tables
 from repro.mapping import (UnionDistribution, collect_statistics,
                            hybrid_inlining)
 from repro.search import CandidateMerger
@@ -44,16 +44,19 @@ def test_fig8_merging(benchmark, movie_bundle, emit):
     workloads = [optional_heavy_workload()]
     generator = movie_bundle.workload_generator(seed=44)
     workloads.append(generator.generate(QUERIES * 2))
-    rows = benchmark.pedantic(
-        lambda: run_fig8(movie_bundle, workloads), rounds=1, iterations=1)
-    emit(fig8_tables(rows, movie_bundle.name))
-    for row in rows:
+    comparison = benchmark.pedantic(
+        lambda: compare_algorithms(movie_bundle, workloads, FIG8_VARIANTS),
+        rounds=1, iterations=1)
+    emit(fig8_tables(comparison))
+    quality = comparison.series("normalized_cost")
+    for name, greedy in quality["greedy"].items():
         # Greedy merging never loses to no-merging...
-        assert row.quality["greedy"] <= row.quality["none"] * 1.05
+        assert greedy <= quality["none"][name] * 1.05
         # ...and matches exhaustive merging's quality.
-        assert row.quality["greedy"] <= row.quality["exhaustive"] * 1.2
+        assert greedy <= quality["exhaustive"][name] * 1.2
     # On the optional-heavy workload, merging must show a real win.
-    assert rows[0].quality["greedy"] < rows[0].quality["none"]
+    optional = workloads[0].name
+    assert quality["greedy"][optional] < quality["none"][optional]
 
 
 def _wide_optional_case(n_optionals: int = 11, n_records: int = 150):

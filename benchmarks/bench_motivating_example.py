@@ -18,7 +18,8 @@ def test_motivating_example(benchmark, dblp_bundle, emit):
         ["mapping", "untuned cost", "tuned cost"], result.rows(),
         note=(f"tuned speed-up of Mapping 2: {result.tuned_speedup:.1f}x "
               f"(paper: ~20x at 100 MB); untuned ordering reverses: "
-              f"{result.ordering_reverses_untuned} (paper: yes)")))
+              f"{result.ordering_reverses_untuned} (paper: yes); "
+              f"{result.split}")))
     # Shape assertions.
     assert result.tuned_speedup >= 2.0, \
         "tuned repetition-split mapping must clearly win"

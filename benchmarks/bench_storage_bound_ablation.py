@@ -7,8 +7,8 @@ gracefully: measured workload cost is non-increasing as the bound
 relaxes, and the configuration always fits its bound.
 """
 
-from repro.experiments import format_table, measure_workload, realize
-from repro.search import MappingEvaluator
+from repro.experiments import format_table, measure_design
+from repro.search import MappingEvaluator, design_for
 from repro.mapping import hybrid_inlining
 
 
@@ -25,16 +25,12 @@ def test_storage_bound_sweep(benchmark, dblp_bundle, emit):
         points = []
         for factor in factors:
             bound = int(data_bytes * factor)
-            evaluator = MappingEvaluator(workload, dblp_bundle.stats,
-                                         storage_bound=bound)
-            evaluated = evaluator.evaluate(mapping)
-            db = realize(evaluated.schema, evaluated.tuning.configuration,
-                         dblp_bundle.docs)
-            measured = measure_workload(db, evaluated.sql_queries)
-            design_bytes = evaluated.tuning.configuration.size_bytes(
-                evaluated.database)
-            points.append((factor, bound, design_bytes, measured,
-                           len(evaluated.tuning.configuration)))
+            design = design_for("hybrid", dblp_bundle.tree, workload,
+                                dblp_bundle.stats, storage_bound=bound)
+            design_bytes = design.configuration.size_bytes(probe.database)
+            points.append((factor, bound, design_bytes,
+                           measure_design(design, dblp_bundle),
+                           len(design.configuration)))
         return data_bytes, points
 
     data_bytes, points = benchmark.pedantic(sweep, rounds=1, iterations=1)

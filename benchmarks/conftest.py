@@ -14,9 +14,11 @@ ratios, time per phase) is printed after the test, so the Fig. 5/7/8/9
 speed-up claims are auditable breakdowns rather than single wall-time
 numbers.
 
-The defaults keep the full benchmark suite in the tens of minutes;
-raising the scale sharpens the ratios (the paper's ran at 100 MB) at the
-price of run time. All benchmark output tables are printed uncaptured so
+At the defaults the eleven paper-shape files (Figs. 4-9, Table 1, the
+three ablations and E0) take 2-2.5 min together with
+``REPRO_BENCH_TRACE=0`` on a 2-CPU x86-64 machine; raising the scale
+sharpens the ratios (the paper's ran at 100 MB) at the price of run
+time. All benchmark output tables are printed uncaptured so
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` records
 the reproduced figures.
 """
@@ -91,7 +93,7 @@ def build_comparison(bundle, cache, emit=None):
     individually; pass ``emit`` to print the per-run trace report
     alongside the figure tables.
     """
-    from repro.experiments import compare_algorithms
+    from repro.experiments import FIG4_VARIANTS, compare_algorithms
 
     if bundle.name not in cache:
         generator = bundle.workload_generator(seed=41)
@@ -100,11 +102,12 @@ def build_comparison(bundle, cache, emit=None):
             # The paper also runs 2x-size workloads on DBLP
             # (Naive-Greedy is skipped there, as in the paper).
             workloads += generator.standard_suite(QUERIES * 2)
-        algorithms = ("greedy", "naive-greedy", "two-step") if RUN_NAIVE \
-            else ("greedy", "two-step")
+        variants = {label: variant
+                    for label, variant in FIG4_VARIANTS.items()
+                    if RUN_NAIVE or label != "naive-greedy"}
         cache[bundle.name] = compare_algorithms(
-            bundle, workloads, algorithms=algorithms,
-            naive_max_queries=QUERIES, trace=TRACE)
+            bundle, workloads, variants, naive_max_queries=QUERIES,
+            trace=TRACE)
     result = cache[bundle.name]
     if emit is not None and TRACE:
         report = result.trace_report()

@@ -8,8 +8,7 @@ See docs/backends.md.
 from .base import (EngineBackend, IntrospectableBackend, QueryTiming,
                    SQLBackend, Statement, timed_runs)
 from .calibrate import (CalibrationReport, DesignPoint, QueryPoint,
-                        logical_only_design, run_calibration, spearman,
-                        time_on_sqlite)
+                        logical_only_design, run_calibration, spearman)
 from .compare import (CheckResult, CompareReport, backend_factory,
                       check_queries, compare_datasets, compare_design,
                       compare_loaded, known_backends, loaded_backend,
@@ -58,7 +57,6 @@ __all__ = [
     "DesignPoint",
     "QueryPoint",
     "run_calibration",
-    "time_on_sqlite",
     "logical_only_design",
     "spearman",
 ]

@@ -132,9 +132,9 @@ class EngineBackend:
     """The in-memory cost-model engine behind the backend protocol.
 
     ``time_query`` reports the deterministic executed *cost* (not
-    seconds) so differential runs stay reproducible; the calibration
-    harness uses :meth:`estimate`/:meth:`executed_cost` explicitly and
-    never mixes the units.
+    seconds), one execution whatever ``repeat`` asks, so differential
+    runs and the experiment harness stay reproducible; calibration
+    times SQLite only and never mixes the units.
     """
 
     name = "engine"
@@ -156,10 +156,6 @@ class EngineBackend:
 
     def execute(self, query: Query) -> list[tuple]:
         return self.db.execute(query).rows
-
-    def executed_cost(self, query: Query) -> float:
-        """Deterministic executed cost (the engine's native measure)."""
-        return self.db.execute(query).cost
 
     def time_query(self, query: Query, repeat: int = 3,
                    warmup: int = 1) -> QueryTiming:

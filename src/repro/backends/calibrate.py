@@ -30,7 +30,6 @@ from ..search import (build_stats_only_database, design_for,
                       translate_workload)
 from ..sqlast import Query
 from ..workload import Workload
-from .base import QueryTiming
 from .compare import loaded_backend
 
 
@@ -180,25 +179,6 @@ def fill_query_estimates(point: DesignPoint, collected) -> None:
         for index, (query, weight) in enumerate(point.sql_queries)]
 
 
-def time_on_sqlite(schema: MappedSchema, configuration: Configuration,
-                   sql_queries: list[tuple[Query, float]], docs,
-                   repeat: int = 3, warmup: int = 1,
-                   tracer: Tracer | NullTracer | None = None
-                   ) -> list[QueryTiming]:
-    """Per-query timings of a workload on a fresh SQLite load.
-
-    A fresh in-memory SQLite database per call: bulk-load, build the
-    physical design for real, then time every query with warmup and
-    repetition (median run). Unlike the engine's executed cost this is
-    *not* deterministic — it is the real-DBMS ground truth the engine's
-    cost units are calibrated against. Callers weight and sum.
-    """
-    with loaded_backend("sqlite", schema, configuration, docs,
-                        tracer) as backend:
-        return [backend.time_query(query, repeat=repeat, warmup=warmup)
-                for query, _ in sql_queries]
-
-
 def run_calibration(bundle, workload: Workload,
                     algorithms: tuple[str, ...] = ("greedy", "two-step"),
                     repeat: int = 3, warmup: int = 1,
@@ -225,12 +205,14 @@ def run_calibration(bundle, workload: Workload,
                 estimated_cost=result.estimated_cost))
         for point in points:
             fill_query_estimates(point, bundle.stats)
-            timings = time_on_sqlite(point.schema, point.configuration,
-                                     point.sql_queries, bundle.docs,
-                                     repeat, warmup, tracer)
-            for query, timing in zip(point.queries, timings):
-                query.measured_seconds = timing.seconds
-                query.rows = timing.rows
+            with loaded_backend("sqlite", point.schema, point.configuration,
+                                bundle.docs, tracer) as backend:
+                for query, (sql, _) in zip(point.queries,
+                                           point.sql_queries):
+                    timing = backend.time_query(sql, repeat=repeat,
+                                                warmup=warmup)
+                    query.measured_seconds = timing.seconds
+                    query.rows = timing.rows
             point.measured_seconds = sum(q.weight * q.measured_seconds
                                          for q in point.queries)
         report.designs = points

@@ -383,18 +383,18 @@ def cmd_experiment(args, out=None) -> int:
         print(format_table(
             "Section 4.6 — repetition-split count sweep (DBLP)",
             ["k", "measured cost", "data size", ""], sweep.rows(),
-            note=f"suggested k = {sweep.suggested_k}; "
-                 f"best k = {sweep.best_k()}"), file=out)
+            note=f"{sweep.split}; best k = {sweep.best_k()}"), file=out)
         return 0
     if args.name == "comparison":
-        from .experiments import compare_algorithms
+        from .experiments import FIG4_VARIANTS, compare_algorithms
         bundle = DatasetBundle.dblp(scale=args.scale)
         workloads = [bundle.workload_generator(seed=41).generate(8),
                      bundle.workload_generator(seed=42).generate(
                          8, selectivity=(0.5, 1.0), projections=(5, 20))]
-        comparison = compare_algorithms(
-            bundle, workloads, algorithms=("greedy", "two-step"),
-            backend=backend)
+        variants = {label: FIG4_VARIANTS[label]
+                    for label in ("greedy", "two-step")}
+        comparison = compare_algorithms(bundle, workloads, variants,
+                                        backend=backend)
         if backend != "engine":
             print(f"(costs measured on the {backend} backend)", file=out)
         print(comparison.fig4(), file=out)
@@ -406,7 +406,8 @@ def cmd_experiment(args, out=None) -> int:
             "E0 (Section 1.1) — SIGMOD query under both mappings",
             ["mapping", "untuned", "tuned"], result.rows(),
             note=f"tuned speed-up {result.tuned_speedup:.1f}x; untuned "
-                 f"ordering reverses: {result.ordering_reverses_untuned}"),
+                 f"ordering reverses: {result.ordering_reverses_untuned}; "
+                 f"{result.split}"),
             file=out)
     elif args.name == "table1":
         rows = [characterize(DatasetBundle.named(name, scale=args.scale))

@@ -1,4 +1,4 @@
-"""Experiment harness: design realization and measurement.
+"""Experiment harness: design measurement.
 
 (:class:`~repro.datasets.DatasetBundle`, the input carrier, lives in
 ``repro.datasets`` and is re-exported from ``repro.experiments``.)
@@ -13,51 +13,29 @@ from __future__ import annotations
 
 import math
 
+from ..backends import SQLBackend, loaded_backend
 from ..datasets import DatasetBundle
-from ..engine import Database
-from ..mapping import MappedSchema, load_documents
-from ..physdesign import Configuration, materialize
 from ..search import DesignResult, design_for
 from ..sqlast import Query
 from ..workload import Workload
 
 
-def realize(schema: MappedSchema, configuration: Configuration,
-            docs) -> Database:
-    """Load documents under the mapping and build the physical design."""
-    db = Database(name="realized")
-    load_documents(db, schema, docs)
-    materialize(db, configuration)
-    return db
-
-
-def measure_workload(db: Database,
-                     sql_queries: list[tuple[Query, float]]) -> float:
-    """Weighted executed cost of the workload (deterministic)."""
-    total = 0.0
-    for sql, weight in sql_queries:
-        total += weight * db.execute(sql).cost
-    return total
+def workload_cost(backend: SQLBackend,
+                  sql_queries: list[tuple[Query, float]]) -> float:
+    """Weighted sum of ``time_query`` over a loaded backend: the
+    deterministic executed cost on the engine, the median of three
+    timed runs after one warm-up (seconds) on a DBMS."""
+    return sum(weight * backend.time_query(query).seconds
+               for query, weight in sql_queries)
 
 
 def measure_design(result: DesignResult, bundle: DatasetBundle,
                    backend: str = "engine") -> float:
-    """Realize a design on real data and measure the workload.
-
-    ``backend="engine"`` (default) reports deterministic cost units;
-    ``backend="sqlite"`` reports measured wall-clock seconds (weighted
-    sum of :func:`repro.backends.time_on_sqlite` — not deterministic).
-    """
-    if backend == "sqlite":
-        from ..backends import time_on_sqlite
-        timings = time_on_sqlite(result.schema, result.configuration,
-                                 result.sql_queries, bundle.docs)
-        return sum(weight * timing.seconds for (_, weight), timing
-                   in zip(result.sql_queries, timings))
-    if backend != "engine":
-        raise ValueError(f"unknown backend {backend!r}")
-    db = realize(result.schema, result.configuration, bundle.docs)
-    return measure_workload(db, result.sql_queries)
+    """Load a design on real data, build its structures, and measure
+    the workload on ``backend`` (see :func:`workload_cost`)."""
+    with loaded_backend(backend, result.schema, result.configuration,
+                        bundle.docs) as loaded:
+        return workload_cost(loaded, result.sql_queries)
 
 
 def tuned_hybrid_baseline(bundle: DatasetBundle, workload: Workload,

@@ -6,22 +6,18 @@ we find that splitting the first five authors achieves the best balance
 between performance and space."
 
 This driver sweeps k over the DBLP author repetition for the motivating
-query, measuring executed cost and storage, and reports where the
-suggested k (from :meth:`CollectedStats.suggest_split_count`) lands.
+query, measuring executed cost and the loaded data size, and reports
+where the k from :meth:`CollectedStats.suggest_split_count` (or the
+paper's k = 5 when it suggests none) lands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import Database
-from ..mapping import derive_schema, hybrid_inlining, load_documents
-from ..search import MappingEvaluator
-from ..workload import Workload
-from .harness import DatasetBundle, measure_workload, realize
-
-SWEEP_QUERY = ('/dblp/inproceedings[booktitle = "SIGMOD CONFERENCE"]'
-               '/(title | year | author)')
+from ..backends import loaded_backend
+from .harness import DatasetBundle, workload_cost
+from .motivating import SigmodAuthors, SplitCount
 
 
 @dataclass
@@ -34,7 +30,7 @@ class SplitCountPoint:
 @dataclass
 class SplitCountSweep:
     points: list[SplitCountPoint]
-    suggested_k: int
+    split: SplitCount
     baseline_cost: float      # k = 0, i.e. no repetition split
     baseline_bytes: int
 
@@ -42,48 +38,33 @@ class SplitCountSweep:
         return min(self.points, key=lambda p: p.measured_cost).k
 
     def point(self, k: int) -> SplitCountPoint:
-        for p in self.points:
-            if p.k == k:
-                return p
-        raise KeyError(k)
+        return {p.k: p for p in self.points}[k]
 
     def rows(self) -> list[list]:
-        out = [[0, self.baseline_cost, f"{self.baseline_bytes / 1024:.0f} KB",
-                ""]]
-        for p in self.points:
-            mark = "<- suggested" if p.k == self.suggested_k else ""
-            out.append([p.k, p.measured_cost,
-                        f"{p.data_bytes / 1024:.0f} KB", mark])
-        return out
+        baseline = SplitCountPoint(0, self.baseline_cost, self.baseline_bytes)
+        mark = "<- fallback" if self.split.fallback else "<- suggested"
+        return [[p.k, p.measured_cost, f"{p.data_bytes / 1024:.0f} KB",
+                 mark if p.k == self.split.k else ""]
+                for p in [baseline, *self.points]]
 
 
 def run_split_count_sweep(bundle: DatasetBundle | None = None,
                           ks: range = range(1, 11)) -> SplitCountSweep:
     bundle = bundle or DatasetBundle.dblp()
-    tree = bundle.tree
-    workload = Workload.from_strings("sweep", [SWEEP_QUERY])
-    author = tree.find_tag_by_path(("dblp", "inproceedings", "author"))
-    rep = tree.parent(author)
-    suggested = bundle.stats.suggest_split_count(rep.node_id, cmax=max(ks),
-                                                 coverage=0.99) or 5
-    evaluator = MappingEvaluator(workload, bundle.stats,
-                                 bundle.storage_bound)
-    base_mapping = hybrid_inlining(tree)
+    example = SigmodAuthors(bundle)
 
-    def measure(mapping) -> tuple[float, int]:
-        evaluated = evaluator.evaluate(mapping)
-        assert evaluated is not None
-        db = realize(evaluated.schema, evaluated.tuning.configuration,
-                     bundle.docs)
-        cost = measure_workload(db, evaluated.sql_queries)
-        return cost, db.catalog.total_data_bytes()
+    def measure(k: int) -> tuple[float, int]:
+        # The size is the loaded database's: the what-if statistics
+        # the advisor sized the design with report different bytes.
+        design = example.design(k)
+        with loaded_backend("engine", design.schema, design.configuration,
+                            bundle.docs) as engine:
+            return (workload_cost(engine, design.sql_queries),
+                    engine.db.catalog.total_data_bytes())
 
-    baseline_cost, baseline_bytes = measure(base_mapping)
-    points = []
-    for k in ks:
-        cost, size = measure(base_mapping.with_split(rep.node_id, k))
-        points.append(SplitCountPoint(k=k, measured_cost=cost,
-                                      data_bytes=size))
-    return SplitCountSweep(points=points, suggested_k=suggested,
+    baseline_cost, baseline_bytes = measure(0)
+    points = [SplitCountPoint(k, *measure(k)) for k in ks]
+    return SplitCountSweep(points=points,
+                           split=example.split_count(cmax=max(ks)),
                            baseline_cost=baseline_cost,
                            baseline_bytes=baseline_bytes)

@@ -64,8 +64,3 @@ def characterize(bundle: DatasetBundle) -> DatasetCharacteristics:
         shared_types=shared_types,
     )
 
-
-def run_table1(bundles: list[DatasetBundle] | None = None
-               ) -> list[DatasetCharacteristics]:
-    bundles = bundles or [DatasetBundle.dblp(), DatasetBundle.movie()]
-    return [characterize(bundle) for bundle in bundles]

@@ -317,7 +317,17 @@ class TestExperiment:
     def test_split_count(self):
         code, out = run_cli(["experiment", "split-count", "--scale", "200"])
         assert code == 0
-        assert "suggested k" in out
+        # At this scale the statistics suggest no k; the row and the
+        # note say that k = 5 is the fallback, not a suggestion.
+        assert "fallback k = 5 (the statistics suggest none)" in out
+        assert "<- fallback" in out and "<- suggested" not in out
+
+    def test_comparison_on_sqlite(self):
+        code, out = run_cli(["experiment", "comparison", "--scale", "150",
+                             "--backend", "sqlite"])
+        assert code == 0
+        assert "(costs measured on the sqlite backend)" in out
+        assert "Fig. 4 (DBLP)" in out and "Fig. 5 (DBLP)" in out
 
 
 class TestCheck:
