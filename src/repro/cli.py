@@ -712,6 +712,8 @@ _jobs_argument = _at_least_one(
     "REPRO_PARALLEL")
 _megabytes_argument = _at_least_one(
     "--storage-bound-mb", "omit the flag for the default bound")
+_queries_argument = _at_least_one(
+    "--queries", "omit the flag for a workload of 6 queries")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -778,9 +780,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_advise.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                           help="snapshot search state under DIR at every "
                                "round boundary (atomic; survives kills)")
-    p_advise.add_argument("--checkpoint-every", type=int, default=1,
-                          metavar="N", help="checkpoint every N rounds "
-                                            "(default: 1)")
+    p_advise.add_argument("--checkpoint-every", default=1, metavar="N",
+                          type=_at_least_one("--checkpoint-every",
+                                             "omit the flag to checkpoint "
+                                             "every round"),
+                          help="checkpoint every N rounds (default: 1)")
     p_advise.add_argument("--resume", action="store_true",
                           help="resume from the checkpoint in "
                                "--checkpoint-dir instead of starting over")
@@ -798,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--workload", default=None,
                          help="workload file (one XPath per line)")
     _dataset_arguments(p_check, None, scale=300)
-    p_check.add_argument("--queries", type=int, default=6,
+    p_check.add_argument("--queries", type=_queries_argument, default=6,
                          help="generated workload size for --dataset")
     p_check.add_argument("--json", action="store_true",
                          help="emit findings as JSON")
@@ -827,9 +831,11 @@ def build_parser() -> argparse.ArgumentParser:
         "calibrate",
         help="rank-correlate cost estimates with measured SQLite times")
     _dataset_arguments(p_cal, "dblp", scale=300)
-    p_cal.add_argument("--queries", type=int, default=6,
+    p_cal.add_argument("--queries", type=_queries_argument, default=6,
                        help="generated workload size (default: 6)")
-    p_cal.add_argument("--repeat", type=int, default=3,
+    p_cal.add_argument("--repeat", default=3,
+                       type=_at_least_one("--repeat",
+                                          "omit the flag for 3 timed runs"),
                        help="timed runs per query (median; default: 3)")
     p_cal.add_argument("--warmup", type=int, default=1,
                        help="untimed warmup runs per query (default: 1)")
@@ -862,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--backend-b", default="duckdb",
                        choices=known_backends(),
                        help="candidate backend (default: duckdb)")
-    p_cmp.add_argument("--queries", type=int, default=6,
+    p_cmp.add_argument("--queries", type=_queries_argument, default=6,
                        help="generated workload size (default: 6)")
     p_cmp.add_argument("--workload-seed", type=int, default=3,
                        help="workload generator seed (default: 3)")
@@ -884,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="generate the bundled dataset lazily and "
                                  "stream the bulk load (use with large "
                                  "--scale and --db)")
-        source.add_argument("--queries", type=int, default=6,
+        source.add_argument("--queries", type=_queries_argument, default=6,
                             help="generated workload size for --dataset "
                                  "(default: 6)")
         _file_arguments(source, xml_required=False)

@@ -129,7 +129,6 @@ class IndexTuningAdvisor:
     # ------------------------------------------------------------------
     def tune(self, workload: list[tuple[Query, float]],
              storage_bound: int | None = None,
-             extra_candidates: list[Index | ViewCandidate] | None = None,
              update_load: dict[str, float] | None = None
              ) -> TuningResult:
         """Recommend a configuration for the weighted SQL workload.
@@ -149,8 +148,7 @@ class IndexTuningAdvisor:
         before = paths.counters()
         with self.tracer.span("advisor.tune", queries=len(workload),
                               database=self.db.name) as span:
-            result = self._tune(workload, storage_bound, extra_candidates,
-                                update_load)
+            result = self._tune(workload, storage_bound, update_load)
             for name, count in paths.counters().items():
                 span.set(name, count - before[name])
             span.set("candidates", result.candidates_considered)
@@ -171,11 +169,10 @@ class IndexTuningAdvisor:
 
     def _tune(self, workload: list[tuple[Query, float]],
               storage_bound: int | None = None,
-              extra_candidates: list[Index | ViewCandidate] | None = None,
               update_load: dict[str, float] | None = None
               ) -> TuningResult:
         generator = CandidateGenerator(self.db)
-        candidates: list[Index | ViewCandidate] = list(extra_candidates or [])
+        candidates: list[Index | ViewCandidate] = []
         per_query_tables: list[frozenset[str]] = []
         per_query_keys: list[str] = []
         for query, _ in workload:

@@ -47,7 +47,7 @@ __all__ = ["CheckpointStore", "load_search_state", "save_search_state"]
 
 #: Bump when the snapshot layout changes; old checkpoints then fail the
 #: format check and are treated as absent instead of mis-unpickled.
-CHECKPOINT_VERSION = 6  # 6: a tuned configuration holds only what plans read
+CHECKPOINT_VERSION = 7  # 7: problem keys end in (max_rounds, *settings())
 
 _FILENAME = "search.ckpt"
 
@@ -126,8 +126,8 @@ def save_search_state(search, evaluator, **loop_state) -> None:
     """Snapshot ``search`` at a round boundary, if it checkpoints and
     ``loop_state["rounds"]`` falls on its ``checkpoint_every`` cadence.
 
-    ``search`` is a checkpointing search (``GreedySearch``,
-    ``NaiveGreedySearch``): its ``algorithm``, ``problem_key()``,
+    ``search`` is a checkpointing ``repro.search.Search`` (Greedy,
+    Naive-Greedy): its ``algorithm``, ``problem_key()``,
     ``counters`` and ``evaluator.snapshot()`` form the envelope around
     the loop state. Everything goes into one pickle, so references
     shared between the loop state and the evaluator's stores (e.g.

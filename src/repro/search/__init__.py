@@ -20,7 +20,7 @@ from .evaluator import (EvaluatedMapping, MappingEvaluator,
 from .greedy import GreedySearch
 from .naive import NaiveGreedySearch
 from .parallel import EvaluationPool, resolve_jobs
-from .result import DesignResult, SearchCounters, Stopwatch
+from .result import DesignResult, SearchCounters
 from .twostep import TwoStepSearch
 from .updates import update_load_for
 
@@ -61,10 +61,7 @@ def design_for(name: str, tree, workload, stats, storage_bound=None,
         return DesignResult(name, workload, mapping, schema, Configuration(),
                             translate_workload(workload, schema), math.inf,
                             evaluator.counters)
-    return DesignResult(name, workload, mapping, evaluated.schema,
-                        evaluated.tuning.configuration,
-                        evaluated.sql_queries, evaluated.total_cost,
-                        evaluator.counters)
+    return DesignResult.of(name, workload, evaluated, evaluator.counters)
 
 
 __all__ = [
@@ -78,7 +75,6 @@ __all__ = [
     "TwoStepSearch",
     "DesignResult",
     "SearchCounters",
-    "Stopwatch",
     "MappingEvaluator",
     "EvaluatedMapping",
     "build_stats_only_database",

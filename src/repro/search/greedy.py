@@ -16,53 +16,37 @@ Pipeline:
    the workload. The winning mapping of each round is re-costed without
    derivation, as the paper prescribes.
 
-Ablation switches (used by the Fig. 7–9 experiments):
-``use_selection``, ``merging`` ('greedy' | 'none' | 'exhaustive'),
-``use_cost_derivation``.
+Ablation switches (used by the Fig. 8–9 experiments): ``merging``
+('greedy' | 'none' | 'exhaustive') and ``use_cost_derivation``. Fig. 7's
+unpruned baselines are Naive-Greedy variants
+(``repro.experiments.FIG7_VARIANTS``), not Greedy switches.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..errors import MappingError, SearchError
-from ..mapping import (CollectedStats, Mapping, RepetitionMerge,
-                       Transformation, UnionDistribute, UnionFactorize,
-                       enumerate_transformations, hybrid_inlining)
-from ..obs import NullTracer, Tracer, get_tracer
-from ..resilience import (CheckpointStore, load_search_state,
-                          note_suppressed, save_search_state)
-from ..workload import Workload
-from ..xsd import SchemaTree
+from ..mapping import (Mapping, RepetitionMerge, RepetitionSplit,
+                       Transformation, TypeMerge, TypeSplit, UnionDistribute,
+                       UnionFactorize)
+from ..resilience import load_search_state, note_suppressed, save_search_state
+from .base import Search
 from .candidate_merging import CandidateMerger
 from .candidate_selection import CandidateSelector, CandidateSet, apply_splits
 from .cost_derivation import CostDerivation
 from .evaluator import (EvaluatedMapping, MappingEvaluator, check_fits,
-                        check_rewrite, mapping_digest, problem_digest)
-from .result import DesignResult, SearchCounters, timed_search
+                        check_rewrite)
+from .result import DesignResult
 
 
-class GreedySearch:
+class GreedySearch(Search):
     """The paper's workload-driven joint logical+physical design search."""
 
     algorithm = "greedy"
 
-    def __init__(self, tree: SchemaTree, workload: Workload,
-                 collected: CollectedStats,
-                 storage_bound: int | None = None,
-                 base_mapping: Mapping | None = None,
-                 use_selection: bool = True,
-                 include_subsumed: bool = False,
-                 merging: str = "greedy",
+    def __init__(self, *args, merging: str = "greedy",
                  use_cost_derivation: bool = True,
                  cmax: int = 5, coverage: float = 0.80,
-                 max_rounds: int = 25,
-                 tracer: Tracer | NullTracer | None = None,
-                 jobs: int | None = None,
-                 cache: None = None,
-                 checkpoint: CheckpointStore | str | Path | None = None,
-                 checkpoint_every: int = 1,
-                 resume: bool = False):
+                 cache: None = None, **options):
         if merging not in ("greedy", "none", "exhaustive"):
             raise ValueError(f"unknown merging mode {merging!r}")
         if cache is not None:
@@ -70,41 +54,15 @@ class GreedySearch:
             # spine passes it; a search remembers only within its run.
             raise TypeError("GreedySearch has no persistent cache; "
                             "pass cache=None or nothing")
-        self.tree = tree
-        self.workload = workload
-        self.collected = collected
-        self.storage_bound = storage_bound
-        self.base_mapping = base_mapping or hybrid_inlining(tree)
-        self.use_selection = use_selection
-        self.include_subsumed = include_subsumed
+        super().__init__(*args, **options)
         self.merging = merging
         self.derivation = CostDerivation(enabled=use_cost_derivation)
         self.cmax = cmax
         self.coverage = coverage
-        self.max_rounds = max_rounds
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.jobs = jobs
-        if isinstance(checkpoint, (str, Path)):
-            checkpoint = CheckpointStore(checkpoint, tracer=self.tracer)
-        self.checkpoint = checkpoint
-        self.checkpoint_every = max(1, int(checkpoint_every))
-        self.resume = resume
-        self.counters = SearchCounters()
 
-    # ------------------------------------------------------------------
-    def run(self) -> DesignResult:
-        return timed_search(self, self._run)
-
-    def _run(self) -> DesignResult:
-        evaluator = MappingEvaluator(self.workload, self.collected,
-                                     self.storage_bound,
-                                     counters=self.counters,
-                                     tracer=self.tracer,
-                                     jobs=self.jobs)
-        try:
-            return self._run_with(evaluator)
-        finally:
-            evaluator.close()
+    def settings(self) -> tuple:
+        return (self.merging, self.derivation.enabled, self.cmax,
+                self.coverage)
 
     def _run_with(self, evaluator: MappingEvaluator) -> DesignResult:
         resumed = load_search_state(self, evaluator)
@@ -236,54 +194,12 @@ class GreedySearch:
                 base_eval.total_cost < current.total_cost:
             current = base_eval
             applied_log = ["(reverted to base mapping)"]
-        return DesignResult(
-            algorithm=self.algorithm,
-            workload=self.workload,
-            mapping=current.mapping,
-            schema=current.schema,
-            configuration=current.tuning.configuration,
-            sql_queries=current.sql_queries,
-            estimated_cost=current.total_cost,
-            counters=self.counters,
-            rounds=rounds,
-            applied=applied_log,
-        )
+        return DesignResult.of(self.algorithm, self.workload, current,
+                               self.counters, rounds, applied_log)
 
-    # ------------------------------------------------------------------
-    # Checkpoint / resume
-    # ------------------------------------------------------------------
-    def problem_key(self) -> str:
-        """Everything that must match for a checkpoint to be resumable."""
-        settings = (self.use_selection, self.include_subsumed, self.merging,
-                    self.derivation.enabled, self.cmax, self.coverage,
-                    self.max_rounds)
-        return "|".join([
-            problem_digest(self.workload, self.collected, self.storage_bound),
-            mapping_digest(self.base_mapping), repr(settings)])
-
-    # ------------------------------------------------------------------
     def _select_candidates(self) -> CandidateSet:
-        if self.use_selection:
-            selector = CandidateSelector(self.base_mapping, self.collected,
-                                         self.cmax, self.coverage)
-            return selector.select(self.workload)
-        # Ablation: all applicable transformations, unselected. With
-        # ``include_subsumed`` the subsumed ones (outlining, inlining,
-        # associativity, commutativity) are searched too — the Fig. 7
-        # baseline.
-        candidates = CandidateSet()
-        for transformation in enumerate_transformations(
-                self.base_mapping, include_subsumed=self.include_subsumed,
-                default_split_count=self.cmax):
-            if transformation.is_merge:
-                candidates.merges.append(transformation)
-            else:
-                candidates.splits.append(transformation)
-                if isinstance(transformation, UnionDistribute) and \
-                        transformation.distribution.is_implicit:
-                    candidates.implicit_unions.append(
-                        transformation.distribution)
-        return candidates
+        return CandidateSelector(self.base_mapping, self.collected, self.cmax,
+                                 self.coverage).select(self.workload)
 
     def _merge_split_candidates(self, candidates: CandidateSet
                                 ) -> list[Transformation]:
@@ -303,7 +219,6 @@ class GreedySearch:
         return out
 
     def _inverse(self, transformation: Transformation) -> Transformation | None:
-        from ..mapping import RepetitionSplit, TypeMerge, TypeSplit
         if isinstance(transformation, UnionDistribute):
             return UnionFactorize(transformation.distribution)
         if isinstance(transformation, RepetitionSplit):

@@ -14,80 +14,32 @@ of-magnitude speed-up is measured (Figs. 5 and 6).
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from ..errors import MappingError, SearchError
-from ..mapping import (CollectedStats, Mapping, enumerate_transformations,
-                       hybrid_inlining)
-from ..obs import NullTracer, Tracer, get_tracer
-from ..resilience import (CheckpointStore, load_search_state,
-                          note_suppressed, save_search_state)
-from ..workload import Workload
-from ..xsd import SchemaTree
+from ..errors import SearchError
+from ..resilience import load_search_state, save_search_state
+from .base import Search
 from .evaluator import (EvaluatedMapping, MappingEvaluator, check_fits,
-                        check_rewrite, mapping_digest, problem_digest)
-from .result import DesignResult, SearchCounters, timed_search
+                        check_rewrite)
+from .result import DesignResult
 
 
-class NaiveGreedySearch:
+class NaiveGreedySearch(Search):
     """Exhaustive-per-round greedy over the full transformation space."""
 
     algorithm = "naive-greedy"
+    # Naive-Greedy does not deduplicate mappings: the cache is off.
+    use_cache = False
 
-    def __init__(self, tree: SchemaTree, workload: Workload,
-                 collected: CollectedStats,
-                 storage_bound: int | None = None,
-                 base_mapping: Mapping | None = None,
-                 default_split_count: int = 5,
-                 max_rounds: int = 25,
-                 include_subsumed: bool = True,
-                 tracer: Tracer | NullTracer | None = None,
-                 jobs: int | None = None,
-                 checkpoint: CheckpointStore | str | Path | None = None,
-                 checkpoint_every: int = 1,
-                 resume: bool = False):
-        self.tree = tree
-        self.workload = workload
-        self.collected = collected
-        self.storage_bound = storage_bound
-        self.base_mapping = base_mapping or hybrid_inlining(tree)
+    def __init__(self, *args, default_split_count: int = 5,
+                 include_subsumed: bool = True, **options):
+        super().__init__(*args, **options)
         self.default_split_count = default_split_count
-        self.max_rounds = max_rounds
         # include_subsumed=False gives the intermediate Fig. 7 variant:
         # the naive per-round enumeration, restricted to non-subsumed
         # transformations (subsumed-pruning without the other rules).
         self.include_subsumed = include_subsumed
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.jobs = jobs
-        if isinstance(checkpoint, (str, Path)):
-            checkpoint = CheckpointStore(checkpoint, tracer=self.tracer)
-        self.checkpoint = checkpoint
-        self.checkpoint_every = max(1, int(checkpoint_every))
-        self.resume = resume
-        self.counters = SearchCounters()
 
-    def run(self) -> DesignResult:
-        return timed_search(self, self._run)
-
-    def _run(self) -> DesignResult:
-        # Naive-Greedy does not deduplicate mappings: the cache is off.
-        evaluator = MappingEvaluator(self.workload, self.collected,
-                                     self.storage_bound, use_cache=False,
-                                     counters=self.counters,
-                                     tracer=self.tracer, jobs=self.jobs)
-        try:
-            return self._run_with(evaluator)
-        finally:
-            evaluator.close()
-
-    def problem_key(self) -> str:
-        """Everything that must match for a checkpoint to be resumable
-        (see docs/resilience.md)."""
-        settings = (self.default_split_count, self.max_rounds,
-                    self.include_subsumed)
-        return "|".join([
-            problem_digest(self.workload, self.collected, self.storage_bound),
-            mapping_digest(self.base_mapping), repr(settings)])
+    def settings(self) -> tuple:
+        return (self.default_split_count, self.include_subsumed)
 
     def _run_with(self, evaluator: MappingEvaluator) -> DesignResult:
         resumed = load_search_state(self, evaluator)
@@ -110,21 +62,11 @@ class NaiveGreedySearch:
             rounds += 1
             with self.tracer.span("round", index=rounds) as round_span:
                 best: tuple[float, str, EvaluatedMapping] | None = None
-                transformations = enumerate_transformations(
-                    current.mapping,
-                    include_subsumed=self.include_subsumed,
-                    default_split_count=self.default_split_count)
-                enumerated = 0
-                work: list[tuple[object, Mapping]] = []
-                for transformation in transformations:
-                    enumerated += 1
-                    self.counters.transformations_searched += 1
-                    try:
-                        mapping = transformation.apply(current.mapping)
-                    except MappingError as exc:
-                        note_suppressed(exc, "naive.apply", self.tracer)
-                        continue
-                    work.append((transformation, mapping))
+                searched = self.counters.transformations_searched
+                work = list(self._neighbours(
+                    current.mapping, self.include_subsumed,
+                    self.default_split_count, "naive.apply"))
+                enumerated = self.counters.transformations_searched - searched
                 evaluations = evaluator.evaluate_many(
                     [mapping for _, mapping in work])
                 for (transformation, _), evaluated in zip(work, evaluations):
@@ -147,15 +89,5 @@ class NaiveGreedySearch:
                 round_span.set("improved", True)
                 round_span.set("winner", name)
                 round_span.set("cost", evaluated.total_cost)
-        return DesignResult(
-            algorithm=self.algorithm,
-            workload=self.workload,
-            mapping=current.mapping,
-            schema=current.schema,
-            configuration=current.tuning.configuration,
-            sql_queries=current.sql_queries,
-            estimated_cost=current.total_cost,
-            counters=self.counters,
-            rounds=rounds,
-            applied=applied,
-        )
+        return DesignResult.of(self.algorithm, self.workload, current,
+                               self.counters, rounds, applied)

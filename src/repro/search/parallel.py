@@ -51,7 +51,7 @@ _MAIN_PROCESS_ONLY = frozenset({"timeouts", "pool_degradations",
 
 #: SearchCounters fields a worker evaluation can advance: every integer
 #: counter that is not main-process-only. ``wall_time`` (the one float)
-#: is excluded: the search's Stopwatch measures real elapsed time in
+#: is excluded: ``Search.run`` measures real elapsed time in
 #: the main process, and summing worker times would double-count.
 _COUNTER_FIELDS = tuple(
     counter.name for counter in fields(SearchCounters)

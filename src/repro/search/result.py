@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..mapping import MappedSchema, Mapping
 from ..obs import Span
@@ -42,11 +41,6 @@ class SearchCounters:
     checkpoints_written: int = 0
     wall_time: float = 0.0
 
-    def merge(self, other: "SearchCounters") -> None:
-        for counter in fields(self):
-            setattr(self, counter.name, getattr(self, counter.name)
-                    + getattr(other, counter.name))
-
 
 @dataclass
 class DesignResult:
@@ -66,6 +60,16 @@ class DesignResult:
     #: with an enabled :class:`repro.obs.Tracer`.
     trace: Span | None = None
 
+    @classmethod
+    def of(cls, algorithm: str, workload: Workload, evaluated,
+           counters: SearchCounters, rounds: int = 0,
+           applied: list[str] | None = None) -> "DesignResult":
+        """The design an ``EvaluatedMapping`` stands for: its mapping,
+        schema, tuned configuration, SQL and cost."""
+        return cls(algorithm, workload, evaluated.mapping, evaluated.schema,
+                   evaluated.tuning.configuration, evaluated.sql_queries,
+                   evaluated.total_cost, counters, rounds, applied or [])
+
     def describe(self) -> str:
         lines = [
             f"algorithm: {self.algorithm}",
@@ -81,36 +85,3 @@ class DesignResult:
                   for line in self.configuration.describe().splitlines()]
         return "\n".join(lines)
 
-
-class Stopwatch:
-    """Tiny context manager adding elapsed time to a counters object."""
-
-    def __init__(self, counters: SearchCounters):
-        self.counters = counters
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.counters.wall_time += time.perf_counter() - self._start
-        return False
-
-
-def timed_search(search, body) -> DesignResult:
-    """Run a search's ``body()`` under its stopwatch and root span.
-
-    The root span is named after ``search.algorithm``; once the search
-    is done it carries the round count and the estimated cost, and (with
-    an enabled tracer) becomes ``result.trace``.
-    """
-    tracer, workload = search.tracer, search.workload
-    with Stopwatch(search.counters):
-        with tracer.span(search.algorithm, workload=workload.name,
-                         queries=len(workload)) as span:
-            result = body()
-    if tracer.enabled:
-        span.set("rounds", result.rounds)
-        span.set("estimated_cost", result.estimated_cost)
-        result.trace = span
-    return result

@@ -20,46 +20,31 @@ from __future__ import annotations
 
 from ..engine import Index
 from ..errors import MappingError, SearchError, SQLError, TranslationError
-from ..mapping import (CollectedStats, Mapping, derive_schema,
-                       enumerate_transformations, hybrid_inlining)
-from ..obs import NullTracer, Tracer, get_tracer
+from ..mapping import Mapping, derive_schema
 from ..resilience import note_suppressed
-from ..workload import Workload
-from ..xsd import SchemaTree
+from .base import Search
 from .evaluator import (MappingEvaluator, build_stats_only_database,
                         check_fits, check_rewrite, translate_workload)
-from .result import DesignResult, SearchCounters, timed_search
+from .result import DesignResult
 
 
-class TwoStepSearch:
+class TwoStepSearch(Search):
     """Logical design first, physical design after."""
 
     algorithm = "two-step"
 
-    def __init__(self, tree: SchemaTree, workload: Workload,
-                 collected: CollectedStats,
-                 storage_bound: int | None = None,
-                 base_mapping: Mapping | None = None,
-                 default_split_count: int = 5,
-                 max_rounds: int = 25,
-                 tracer: Tracer | NullTracer | None = None,
-                 jobs: int | None = None):
-        self.tree = tree
-        self.workload = workload
-        self.collected = collected
-        self.storage_bound = storage_bound
-        self.base_mapping = base_mapping or hybrid_inlining(tree)
+    def __init__(self, *args, default_split_count: int = 5, **options):
+        refused = sorted({"checkpoint", "checkpoint_every", "resume"}
+                         & options.keys())
+        if refused:
+            # Step 1 re-enumerates from scratch each round, with no
+            # costly per-round state worth snapshotting.
+            raise TypeError(f"TwoStepSearch does not checkpoint; it "
+                            f"takes no {', '.join(refused)}")
+        super().__init__(*args, **options)
         self.default_split_count = default_split_count
-        self.max_rounds = max_rounds
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.jobs = jobs
-        self.counters = SearchCounters()
 
-    # ------------------------------------------------------------------
-    def run(self) -> DesignResult:
-        return timed_search(self, self._run)
-
-    def _run(self) -> DesignResult:
+    def _run_with(self, evaluator: MappingEvaluator) -> DesignResult:
         current_mapping = self.base_mapping
         with self.tracer.span("logical_step") as logical_span:
             current_cost = self._logical_cost(current_mapping)
@@ -71,15 +56,9 @@ class TwoStepSearch:
             while rounds < self.max_rounds:
                 rounds += 1
                 best: tuple[float, str, Mapping] | None = None
-                for transformation in enumerate_transformations(
-                        current_mapping, include_subsumed=True,
-                        default_split_count=self.default_split_count):
-                    self.counters.transformations_searched += 1
-                    try:
-                        mapping = transformation.apply(current_mapping)
-                    except MappingError as exc:
-                        note_suppressed(exc, "twostep.apply", self.tracer)
-                        continue
+                for transformation, mapping in self._neighbours(
+                        current_mapping, True, self.default_split_count,
+                        "twostep.apply"):
                     cost = self._logical_cost(mapping)
                     if cost is None:
                         continue
@@ -99,31 +78,13 @@ class TwoStepSearch:
             logical_span.set("applied", len(applied))
 
         # Step 2: physical design once, on the chosen logical mapping.
-        evaluator = MappingEvaluator(self.workload, self.collected,
-                                     self.storage_bound,
-                                     counters=self.counters,
-                                     tracer=self.tracer,
-                                     jobs=self.jobs)
-        try:
-            with self.tracer.span("physical_step"):
-                final = evaluator.evaluate_many([current_mapping])[0]
-        finally:
-            evaluator.close()
+        with self.tracer.span("physical_step"):
+            final = evaluator.evaluate(current_mapping)
         if final is None:
             check_fits(self.base_mapping, self.collected, self.storage_bound)
             raise SearchError("chosen logical mapping became infeasible")
-        return DesignResult(
-            algorithm=self.algorithm,
-            workload=self.workload,
-            mapping=final.mapping,
-            schema=final.schema,
-            configuration=final.tuning.configuration,
-            sql_queries=final.sql_queries,
-            estimated_cost=final.total_cost,
-            counters=self.counters,
-            rounds=rounds,
-            applied=applied,
-        )
+        return DesignResult.of(self.algorithm, self.workload, final,
+                               self.counters, rounds, applied)
 
     # ------------------------------------------------------------------
     def _logical_cost(self, mapping: Mapping) -> float | None:

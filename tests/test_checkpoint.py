@@ -228,3 +228,15 @@ class TestCheckpointWriteFaults:
         assert _fingerprint(sparse) == _fingerprint(baselines["dblp"])
         assert 1 <= sparse.counters.checkpoints_written \
             <= dense.counters.checkpoints_written
+
+    @pytest.mark.parametrize("every", [0, -2])
+    @pytest.mark.parametrize("make", [_greedy, _naive],
+                             ids=["greedy", "naive"])
+    def test_checkpoint_every_below_one_is_refused(self, problems, make,
+                                                   every, tmp_path):
+        """Refused by name, not clamped to 1 without a word."""
+        with pytest.raises(ValueError,
+                           match=f"checkpoint_every must be >= 1 "
+                                 f"\\(got {every}\\)"):
+            make(problems["dblp"], checkpoint=tmp_path,
+                 checkpoint_every=every)

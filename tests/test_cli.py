@@ -330,6 +330,50 @@ class TestExperiment:
         assert "Fig. 4 (DBLP)" in out and "Fig. 5 (DBLP)" in out
 
 
+class TestCountsBelowOne:
+    """A count flag below 1 is refused by the argument parser, naming the
+    flag, before any data loads. Each used to run: ``--queries 0`` gave
+    a gate with nothing to check that passed (``compare --strict``,
+    ``calibrate --min-correlation``), ``calibrate --repeat 0`` still
+    timed one run, and ``--checkpoint-every 0`` was clamped to 1."""
+
+    @pytest.fixture
+    def no_load(self, monkeypatch):
+        """Fails the test if the command gets as far as loading data."""
+        import repro.backends
+        import repro.cli
+
+        def must_not_load(*args, **kwargs):
+            raise AssertionError("loaded data for a refused command")
+
+        monkeypatch.setattr(repro.cli, "_inputs", must_not_load)
+        monkeypatch.setattr(repro.backends, "compare_datasets",
+                            must_not_load)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["advise", "--dtd", "shop.dtd", "--root", "shop", "--xml",
+          "shop.xml", "--workload", "workload.txt", "--checkpoint-dir",
+          "ckpt", "--checkpoint-every", "0"], "--checkpoint-every"),
+        (["check", "--dataset", "dblp", "--queries", "0"], "--queries"),
+        (["calibrate", "--queries", "0", "--min-correlation", "0.0"],
+         "--queries"),
+        (["calibrate", "--repeat", "0"], "--repeat"),
+        (["compare", "--backend-b", "sqlite", "--strict", "--queries",
+          "0"], "--queries"),
+        (["serve", "--dataset", "dblp", "--queries", "0", "--xpath",
+          "//title"], "--queries"),
+        (["loadgen", "--dataset", "dblp", "--queries", "-1",
+          "--requests", "5"], "--queries"),
+    ], ids=["advise-checkpoint-every", "check-queries", "calibrate-queries",
+            "calibrate-repeat", "compare-queries", "serve-queries",
+            "loadgen-queries"])
+    def test_refused_before_loading(self, argv, flag, no_load, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_file_mode_clean(self, files):
         _, dtd, xml, _, workload = files

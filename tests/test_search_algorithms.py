@@ -10,6 +10,7 @@ These assert the paper's qualitative claims at small scale:
   workloads.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -20,7 +21,8 @@ from repro.experiments import (DatasetBundle, measure_design,
                                tuned_hybrid_baseline)
 from repro.mapping import PRESETS
 from repro.search import (ALGORITHMS, GreedySearch, MappingEvaluator,
-                          NaiveGreedySearch, TwoStepSearch, design_for)
+                          NaiveGreedySearch, TwoStepSearch, design_for,
+                          mapping_digest)
 from repro.workload import Workload
 
 
@@ -119,6 +121,81 @@ class TestTwoStep:
         greedy_measured = measure_design(greedy, bundle)
         twostep_measured = measure_design(twostep, bundle)
         assert greedy_measured < twostep_measured
+
+
+#: What each search returns on DBLP and Movie at scale 150 (seed 7,
+#: workload seed 3, four queries): estimated cost, rounds, applied
+#: transformations, mapping digest and the counters that are not zero.
+PINNED = {
+    ("greedy", "dblp"): (
+        11.726356147871893, 1, "9c74625808eb",
+        ["type_split(#10 -> author_s10)",
+         "union_distribute(implicit #17,#23)",
+         "repetition_split(#20, k=5)", "repetition_split(#9, k=3)"],
+        dict(transformations_searched=7, mappings_evaluated=8,
+             cache_hits=1, tuner_calls=8, optimizer_calls=466,
+             derived_query_costs=6)),
+    ("naive-greedy", "dblp"): (
+        18.696107311337357, 3, "eed2c142b835",
+        ["outline(#3 as title)", "type_split(#10 -> author_s10)"],
+        dict(transformations_searched=86, mappings_evaluated=87,
+             tuner_calls=87, optimizer_calls=4518)),
+    ("two-step", "dblp"): (
+        12.921373089502694, 4, "32ce45e38d32",
+        ["union_distribute(implicit #23)", "repetition_split(#9, k=5)",
+         "type_split(#10 -> author_s10)"],
+        dict(transformations_searched=115, mappings_evaluated=117,
+             tuner_calls=1, optimizer_calls=532)),
+    ("greedy", "movie"): (
+        11.6972253876157, 2, "82d19a8ade05",
+        ["union_distribute(choice #14)", "union_distribute(implicit #5)",
+         "repetition_split(#8, k=2)", "union_factorize(implicit #5)"],
+        dict(transformations_searched=8, mappings_evaluated=9,
+             cache_hits=2, tuner_calls=9, optimizer_calls=444,
+             derived_query_costs=12)),
+    ("naive-greedy", "movie"): (
+        15.058991807808168, 2, "efa343d114ec",
+        ["union_distribute(choice #14)"],
+        dict(transformations_searched=22, mappings_evaluated=23,
+             tuner_calls=23, optimizer_calls=1312)),
+    ("two-step", "movie"): (
+        15.058991807808168, 2, "efa343d114ec",
+        ["union_distribute(choice #14)"],
+        dict(transformations_searched=22, mappings_evaluated=24,
+             tuner_calls=1, optimizer_calls=158)),
+}
+
+
+class TestPinnedResults:
+    """What each search returns and counts, pinned, so a change to the
+    skeleton the three share cannot move a design or a count unseen."""
+
+    @pytest.fixture(scope="class", params=["dblp", "movie"])
+    def problem(self, request):
+        small = DatasetBundle.named(request.param, scale=150, seed=7)
+        return request.param, small, \
+            small.workload_generator(seed=3).generate(4)
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_result_and_counters(self, problem, algorithm):
+        dataset, small, workload = problem
+        cost, rounds, digest, applied, nonzero = PINNED[algorithm, dataset]
+        result = ALGORITHMS[algorithm](small.tree, workload, small.stats,
+                                       small.storage_bound, jobs=1).run()
+        assert result.estimated_cost == pytest.approx(cost, rel=1e-12)
+        assert result.rounds == rounds
+        assert result.applied == applied
+        assert mapping_digest(result.mapping) == digest
+        counters = dataclasses.asdict(result.counters)
+        del counters["wall_time"]
+        assert counters == {**dict.fromkeys(counters, 0), **nonzero}
+
+    def test_two_step_refuses_checkpoint_options(self, problem, tmp_path):
+        _, small, workload = problem
+        for options in ({"checkpoint": tmp_path}, {"resume": True},
+                        {"checkpoint_every": 2}):
+            with pytest.raises(TypeError):
+                TwoStepSearch(small.tree, workload, small.stats, **options)
 
 
 class TestInfeasibleBound:
