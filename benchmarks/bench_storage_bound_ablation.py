@@ -5,11 +5,24 @@ by the physical design tool" (Table 1). This bench sweeps S from
 data-size-only up to unconstrained and checks the advisor degrades
 gracefully: measured workload cost is non-increasing as the bound
 relaxes, and the configuration always fits its bound.
+
+A second sweep runs the searches under a bound that binds: Greedy's
+estimated cost against Naive-Greedy's without subsumed transformations,
+on both datasets and the four standard workloads, at bounds just above
+the hybrid mapping's data.
 """
 
+from conftest import QUERIES
+
 from repro.experiments import format_table, measure_design
-from repro.search import MappingEvaluator, design_for
-from repro.mapping import hybrid_inlining
+from repro.search import (GreedySearch, MappingEvaluator, NaiveGreedySearch,
+                          build_stats_only_database, design_for)
+from repro.mapping import derive_schema, hybrid_inlining
+
+#: Bound factors (x the hybrid mapping's data) of the search sweep, and
+#: the ones at which Greedy must stay within 5 % of Naive-Greedy.
+SEARCH_FACTORS = (1.02, 1.10, 1.25, 2.0)
+ASSERTED_FACTORS = (1.02, 1.10)
 
 
 def test_storage_bound_sweep(benchmark, dblp_bundle, emit):
@@ -49,3 +62,40 @@ def test_storage_bound_sweep(benchmark, dblp_bundle, emit):
         assert looser <= tighter * 1.10
     # The relaxed end uses the space to go meaningfully faster.
     assert costs[-1] <= costs[0]
+
+
+def test_search_under_a_binding_bound(benchmark, dblp_bundle, movie_bundle,
+                                      emit):
+    def sweep():
+        ratios = {}
+        for bundle in (dblp_bundle, movie_bundle):
+            data_bytes = build_stats_only_database(
+                derive_schema(hybrid_inlining(bundle.tree)),
+                bundle.stats).catalog.total_data_bytes()
+            generator = bundle.workload_generator(seed=43)
+            for workload in generator.standard_suite(QUERIES):
+                for factor in SEARCH_FACTORS:
+                    bound = int(data_bytes * factor)
+                    greedy = GreedySearch(bundle.tree, workload,
+                                          bundle.stats, bound).run()
+                    naive = NaiveGreedySearch(
+                        bundle.tree, workload, bundle.stats, bound,
+                        include_subsumed=False).run()
+                    ratios[bundle.name, workload.name, factor] = \
+                        greedy.estimated_cost / naive.estimated_cost
+        return ratios
+
+    ratios = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    problems = sorted({(dataset, name) for dataset, name, _ in ratios})
+    emit(format_table(
+        "Ablation — Greedy / Naive-Greedy (no subsumed) under a binding "
+        "bound (estimated cost)",
+        ["dataset", "workload"] + [f"{f:.2f} x data" for f in SEARCH_FACTORS],
+        [[dataset, name] + [f"{ratios[dataset, name, f]:.3f}"
+                            for f in SEARCH_FACTORS]
+         for dataset, name in problems],
+        note="bound = factor x the hybrid mapping's data; asserted <= 1.05 "
+             f"at {', '.join(f'{f:.2f}' for f in ASSERTED_FACTORS)}"))
+    for (dataset, name, factor), ratio in ratios.items():
+        if factor in ASSERTED_FACTORS:
+            assert ratio <= 1.05, (dataset, name, factor, ratio)

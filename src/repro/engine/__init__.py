@@ -1,13 +1,13 @@
 """In-memory relational engine with a cost-based optimizer.
 
-Substitutes for the paper's Microsoft SQL Server 2000 instance: B+-tree
-indexes, covering indexes, materialized join views, hash / index-nested-
-loop / nested-loop joins, histogram statistics, and a page-I/O + CPU cost
-model applied identically by the optimizer (estimates) and the executor
-(measurements).
+Substitutes for the paper's Microsoft SQL Server 2000 instance: indexes
+over sorted entries, covering indexes, materialized join views, hash /
+index-nested-loop / nested-loop joins, histogram statistics, and a
+page-I/O + CPU cost model applied identically by the optimizer
+(estimates) and the executor (measurements).
 """
 
-from .btree import BPlusTree, encode_key
+from .btree import SortedEntries, encode_key
 from .cost import CostCounter
 from .database import Database, ExecutionResult
 from .index import Index, primary_key_index
@@ -19,7 +19,7 @@ from .statistics import ColumnStats, StatisticsCatalog, TableStats
 from .types import PAGE_SIZE, SQLType
 
 __all__ = [
-    "BPlusTree",
+    "SortedEntries",
     "encode_key",
     "CostCounter",
     "Database",

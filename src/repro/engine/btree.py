@@ -1,25 +1,27 @@
-"""A from-scratch B+-tree used by all indexes.
+"""The engine's index structure: entries sorted by key.
+
+What a DBMS keeps in a B+-tree is kept here as two parallel lists,
+encoded keys and payloads, sorted once when the index is built and
+searched with ``bisect``. The cost model never reads the structure's
+shape (``Index.height`` is arithmetic on the statistics), so a seek
+returns the same rows at the same charged cost as a tree would.
 
 * multi-column (tuple) keys with NULLs ordered first,
-* duplicate keys allowed (each entry carries its own payload),
-* point lookup, range scan, and full ordered scan,
-* bulk loading from sorted entries (used when building an index),
-* incremental insert (used by tests and future update support).
+* duplicate keys allowed, in build order: the sort is stable on the key
+  alone, so an index over a table returns equal keys in row order,
+* lazy range scan with prefix bounds, and full ordered scan.
 
-Payloads are opaque to the tree; indexes store row positions or whole
-covered tuples.
+Payloads are opaque; indexes store row positions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Any, Iterator
 
-DEFAULT_ORDER = 64
-
-# ----------------------------------------------------------------------
-# Key encoding: make heterogenous/None-containing tuples totally ordered.
-# ----------------------------------------------------------------------
+#: Sorts after every encoded value, so ``prefix + _AFTER`` sorts after
+#: every key that starts with ``prefix`` and before every greater key.
+_AFTER = ((3,),)
 
 
 def encode_key(values: tuple) -> tuple:
@@ -37,177 +39,15 @@ def encode_key(values: tuple) -> tuple:
     return tuple(out)
 
 
-def _first_key(node: "_Node") -> tuple:
-    """Smallest key under a node (separator for bulk-loaded internals)."""
-    while not node.leaf:
-        node = node.children[0]  # type: ignore[attr-defined]
-    return node.keys[0]
+class SortedEntries:
+    """(encoded key, payload) entries in key order, equal keys in build order."""
 
-
-class _Node:
-    __slots__ = ("keys", "leaf")
-
-    def __init__(self, leaf: bool):
-        self.keys: list[tuple] = []
-        self.leaf = leaf
-
-
-class _Leaf(_Node):
-    __slots__ = ("payloads", "next")
-
-    def __init__(self):
-        super().__init__(leaf=True)
-        self.payloads: list[Any] = []
-        self.next: "_Leaf | None" = None
-
-
-class _Internal(_Node):
-    __slots__ = ("children",)
-
-    def __init__(self):
-        super().__init__(leaf=False)
-        self.children: list[_Node] = []
-
-
-class BPlusTree:
-    """B+-tree over encoded tuple keys."""
-
-    def __init__(self, order: int = DEFAULT_ORDER):
-        if order < 4:
-            raise ValueError("order must be at least 4")
-        self.order = order
-        self.root: _Node = _Leaf()
-        self.height = 1
-        self.entry_count = 0
-        self.node_count = 1
-
-    # ------------------------------------------------------------------
-    # Build
-    # ------------------------------------------------------------------
-    @classmethod
-    def bulk_load(cls, entries: list[tuple[tuple, Any]],
-                  order: int = DEFAULT_ORDER) -> "BPlusTree":
-        """Build a tree from (raw_key, payload) pairs (need not be sorted)."""
-        tree = cls(order)
-        encoded = sorted(
-            ((encode_key(key), payload) for key, payload in entries),
-            key=lambda pair: pair[0])
-        if not encoded:
-            return tree
-        # Fill leaves.
-        per_leaf = max(2, int(order * 0.7))
-        leaves: list[_Leaf] = []
-        for start in range(0, len(encoded), per_leaf):
-            leaf = _Leaf()
-            chunk = encoded[start:start + per_leaf]
-            leaf.keys = [k for k, _ in chunk]
-            leaf.payloads = [p for _, p in chunk]
-            if leaves:
-                leaves[-1].next = leaf
-            leaves.append(leaf)
-        tree.entry_count = len(encoded)
-        tree.node_count = len(leaves)
-        # Build internal levels bottom-up.
-        level: list[_Node] = list(leaves)
-        height = 1
-        while len(level) > 1:
-            parents: list[_Node] = []
-            per_node = max(2, int(order * 0.7))
-            for start in range(0, len(level), per_node):
-                node = _Internal()
-                group = level[start:start + per_node]
-                node.children = group
-                node.keys = [_first_key(child) for child in group[1:]]
-                parents.append(node)
-            tree.node_count += len(parents)
-            level = parents
-            height += 1
-        tree.root = level[0]
-        tree.height = height
-        return tree
-
-    # ------------------------------------------------------------------
-    # Insert
-    # ------------------------------------------------------------------
-    def insert(self, key: tuple, payload: Any) -> None:
-        """Insert one entry (duplicates allowed)."""
-        encoded = encode_key(key)
-        split = self._insert(self.root, encoded, payload)
-        if split is not None:
-            sep, right = split
-            new_root = _Internal()
-            new_root.keys = [sep]
-            new_root.children = [self.root, right]
-            self.root = new_root
-            self.height += 1
-            self.node_count += 1
-        self.entry_count += 1
-
-    def _insert(self, node: _Node, key: tuple, payload: Any):
-        if node.leaf:
-            assert isinstance(node, _Leaf)
-            pos = bisect_right(node.keys, key)
-            node.keys.insert(pos, key)
-            node.payloads.insert(pos, payload)
-            if len(node.keys) > self.order:
-                return self._split_leaf(node)
-            return None
-        assert isinstance(node, _Internal)
-        pos = bisect_right(node.keys, key)
-        split = self._insert(node.children[pos], key, payload)
-        if split is None:
-            return None
-        sep, right = split
-        node.keys.insert(pos, sep)
-        node.children.insert(pos + 1, right)
-        if len(node.children) > self.order:
-            return self._split_internal(node)
-        return None
-
-    def _split_leaf(self, leaf: _Leaf):
-        mid = len(leaf.keys) // 2
-        right = _Leaf()
-        right.keys = leaf.keys[mid:]
-        right.payloads = leaf.payloads[mid:]
-        leaf.keys = leaf.keys[:mid]
-        leaf.payloads = leaf.payloads[:mid]
-        right.next = leaf.next
-        leaf.next = right
-        self.node_count += 1
-        return right.keys[0], right
-
-    def _split_internal(self, node: _Internal):
-        mid = len(node.children) // 2
-        right = _Internal()
-        sep = node.keys[mid - 1]
-        right.keys = node.keys[mid:]
-        right.children = node.children[mid:]
-        node.keys = node.keys[:mid - 1]
-        node.children = node.children[:mid]
-        self.node_count += 1
-        return sep, right
-
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-    def _find_leaf(self, key: tuple) -> _Leaf:
-        """Leftmost leaf that can contain ``key``.
-
-        Uses ``bisect_left`` so that duplicate keys spanning several
-        leaves are found from their first occurrence (separators equal
-        to the key route left).
-        """
-        node = self.root
-        while not node.leaf:
-            assert isinstance(node, _Internal)
-            pos = bisect_left(node.keys, key)
-            node = node.children[pos]
-        assert isinstance(node, _Leaf)
-        return node
-
-    def search(self, key: tuple) -> list[Any]:
-        """All payloads with key exactly equal to ``key``."""
-        return [p for _, p in self.range_scan(key, key)]
+    def __init__(self, entries: list[tuple[tuple, Any]]):
+        """Sort (raw_key, payload) pairs, which need not be sorted."""
+        keys = [encode_key(key) for key, _ in entries]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.keys = [keys[i] for i in order]
+        self.payloads = [entries[i][1] for i in order]
 
     def range_scan(self, lo: tuple | None, hi: tuple | None,
                    lo_inclusive: bool = True,
@@ -218,43 +58,22 @@ class BPlusTree:
         bound tuple may be a *prefix* of the full key: prefix semantics
         are applied (all keys starting with the prefix are inside).
         """
-        lo_enc = encode_key(lo) if lo is not None else None
-        hi_enc = encode_key(hi) if hi is not None else None
-        if lo_enc is not None:
-            leaf = self._find_leaf(lo_enc)
-            start = bisect_left(leaf.keys, lo_enc)
-        else:
-            leaf = self._leftmost_leaf()
-            start = 0
-        index = start
-        while leaf is not None:
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                if lo_enc is not None and not lo_inclusive and key[:len(lo_enc)] == lo_enc:
-                    index += 1
-                    continue
-                if hi_enc is not None:
-                    prefix = key[:len(hi_enc)]
-                    if prefix > hi_enc:
-                        return
-                    if not hi_inclusive and prefix == hi_enc:
-                        return
-                yield key, leaf.payloads[index]
-                index += 1
-            leaf = leaf.next
-            index = 0
+        keys = self.keys
+        start, stop = 0, len(keys)
+        if lo is not None:
+            lo_enc = encode_key(lo)
+            start = bisect_left(keys, lo_enc if lo_inclusive
+                                else lo_enc + _AFTER)
+        if hi is not None:
+            hi_enc = encode_key(hi)
+            stop = bisect_left(keys, hi_enc + _AFTER if hi_inclusive
+                               else hi_enc)
+        for index in range(start, stop):
+            yield keys[index], self.payloads[index]
 
     def scan_all(self) -> Iterator[tuple[tuple, Any]]:
         """All entries in key order."""
-        return self.range_scan(None, None)
-
-    def _leftmost_leaf(self) -> _Leaf:
-        node = self.root
-        while not node.leaf:
-            assert isinstance(node, _Internal)
-            node = node.children[0]
-        assert isinstance(node, _Leaf)
-        return node
+        return zip(self.keys, self.payloads)
 
     def __len__(self) -> int:
-        return self.entry_count
+        return len(self.keys)

@@ -53,8 +53,8 @@ def _comparator(op: ComparisonOp) -> Callable[[object, object], bool]:
         # literal from XPath) coerce to float when possible. When they
         # cannot (a number against non-numeric text), fall back to the
         # engine's total order — numbers before text — which is also
-        # SQLite's storage-class order and what the B+-tree uses for
-        # index seeks; a textual fallback here used to make seq-scan
+        # SQLite's storage-class order and what the index entries sort
+        # by; a textual fallback here used to make seq-scan
         # filters disagree with both.
         if type(a) is not type(b) and not (
                 isinstance(a, (int, float)) and isinstance(b, (int, float))):

@@ -1,4 +1,4 @@
-"""Index objects: definitions, size model, and B+-tree builds.
+"""Index objects: definitions, size model, and sorted-entry builds.
 
 An index is defined by its key columns plus optional *included* columns
 (non-key columns stored in the leaves). An index **covers** a query's
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import CatalogError
-from .btree import BPlusTree
+from .btree import SortedEntries
 from .schema import Table
 from .types import INDEX_ENTRY_OVERHEAD, PAGE_FILL_FACTOR, PAGE_SIZE
 
@@ -33,7 +33,7 @@ class Index:
     included_columns: tuple[str, ...] = ()
     clustered: bool = False
     hypothetical: bool = False
-    _tree: BPlusTree | None = field(default=None, repr=False, compare=False)
+    _tree: SortedEntries | None = field(default=None, repr=False, compare=False)
     _table: Table | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -114,7 +114,7 @@ class Index:
     # Materialization
     # ------------------------------------------------------------------
     def build(self, table: Table) -> None:
-        """Materialize the B+-tree over the table's rows."""
+        """Materialize the index's entries over the table's rows."""
         if table.rows is None:
             raise CatalogError(
                 f"cannot build index {self.name!r}: table {table.name!r} "
@@ -124,7 +124,7 @@ class Index:
             (tuple(row[p] for p in positions), i)
             for i, row in enumerate(table.rows)
         ]
-        self._tree = BPlusTree.bulk_load(entries)
+        self._tree = SortedEntries(entries)
         self._table = table
         self.hypothetical = False
 
@@ -133,7 +133,7 @@ class Index:
         return self._tree is not None
 
     @property
-    def tree(self) -> BPlusTree:
+    def tree(self) -> SortedEntries:
         if self._tree is None:
             raise CatalogError(f"index {self.name!r} is not built")
         return self._tree

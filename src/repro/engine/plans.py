@@ -108,7 +108,7 @@ class SeqScan(PlanNode):
 
 
 class IndexSeek(PlanNode):
-    """B+-tree lookup: equality prefix plus optional range on next column.
+    """Index lookup: equality prefix plus optional range on next column.
 
     ``eq_exprs`` produce the leading key values from the environment (so
     the same operator serves constant seeks and index-nested-loop inner

@@ -47,7 +47,8 @@ __all__ = ["CheckpointStore", "load_search_state", "save_search_state"]
 
 #: Bump when the snapshot layout changes; old checkpoints then fail the
 #: format check and are treated as absent instead of mis-unpickled.
-CHECKPOINT_VERSION = 7  # 7: problem keys end in (max_rounds, *settings())
+#: 8: a Greedy run whose M0 is infeasible pools its splits.
+CHECKPOINT_VERSION = 8
 
 _FILENAME = "search.ckpt"
 

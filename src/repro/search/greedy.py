@@ -6,10 +6,13 @@ Pipeline:
    transformations into split-type ``C2`` and merge-type ``C1``;
    subsumed transformations are never considered.
 2. The initial mapping ``M0`` applies every split candidate to the base
-   (hybrid-inlining) mapping.
+   (hybrid-inlining) mapping. When ``M0`` is infeasible (over the
+   storage bound, or a workload query it cannot translate) the search
+   starts from the base mapping instead, and the splits join the
+   candidate pool as forward moves.
 3. **Candidate merging** (Section 4.7) replaces pairs of implicit-union
    candidates with merged ones before building ``M0``.
-4. The greedy loop repeatedly applies the merge-type candidate with the
+4. The greedy loop repeatedly applies the pool's candidate with the
    lowest resulting cost — costing each enumerated mapping through the
    physical design tool, with **cost derivation** (Section 4.8) reusing
    per-query costs where the rules allow — until no candidate improves
@@ -90,9 +93,13 @@ class GreedySearch(Search):
             with self.tracer.span("evaluate_m0",
                                   splits_applied=len(applied_splits)):
                 current = evaluator.evaluate(m0)
+            pool = list(candidates.merges)
             if current is None:
-                # Fall back to the unsplit base mapping.
+                # M0 is infeasible (over the bound, or a query it
+                # cannot translate): start from the unsplit base
+                # mapping, with the selected splits as forward moves.
                 current = base_eval
+                pool += applied_splits
                 applied_splits = []
             if current is None:
                 check_fits(self.base_mapping, self.collected,
@@ -100,7 +107,6 @@ class GreedySearch(Search):
                 raise SearchError(
                     "base mapping is infeasible for the workload")
 
-            pool = list(candidates.merges)
             for transformation in applied_splits:
                 inverse = self._inverse(transformation)
                 if inverse is not None:

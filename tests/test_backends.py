@@ -104,7 +104,7 @@ class TestComparatorRegression:
     ``year < '!x'`` on an INTEGER column matched nothing (``"1995" >
     "!x"`` textually) while SQLite — which orders the INTEGER storage
     class strictly below TEXT — matched every row. The engine's own
-    B+-tree ``encode_key`` already used numeric-below-text order, so
+    index key order (``encode_key``) already put numbers below text, so
     index seeks and sequential-scan filters disagreed *within* the
     engine too. The comparator now follows ``encode_key``.
     """

@@ -1,96 +1,102 @@
-"""Unit + property tests for the B+-tree."""
+"""Unit + property tests for the engine's index entries (SortedEntries)."""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import BPlusTree, encode_key
+from repro.engine import Column, Index, SortedEntries, Table, encode_key
+from repro.engine.types import SQLType
+
+
+def lookup(entries: SortedEntries, key: tuple) -> list:
+    """Payloads whose key equals ``key`` (or starts with it)."""
+    return [p for _, p in entries.range_scan(key, key)]
 
 
 class TestBasics:
     def test_empty_tree(self):
-        tree = BPlusTree()
-        assert len(tree) == 0
-        assert tree.search(("x",)) == []
-        assert list(tree.scan_all()) == []
-
-    def test_insert_and_search(self):
-        tree = BPlusTree(order=4)
-        for i in range(100):
-            tree.insert((i,), f"v{i}")
-        assert tree.search((42,)) == ["v42"]
-        assert tree.search((1000,)) == []
-        assert len(tree) == 100
+        entries = SortedEntries([])
+        assert len(entries) == 0
+        assert lookup(entries, ("x",)) == []
+        assert list(entries.range_scan(None, None)) == []
+        assert list(entries.scan_all()) == []
 
     def test_duplicates(self):
-        tree = BPlusTree(order=4)
-        for i in range(50):
-            tree.insert(("dup",), i)
-        assert sorted(tree.search(("dup",))) == list(range(50))
-
-    def test_bulk_load_matches_inserts(self):
-        data = [((i % 17,), i) for i in range(200)]
-        bulk = BPlusTree.bulk_load(data)
-        incremental = BPlusTree(order=8)
-        for key, value in data:
-            incremental.insert(key, value)
-        for key in range(17):
-            assert sorted(bulk.search((key,))) == \
-                sorted(incremental.search((key,)))
+        entries = SortedEntries([(("dup",), i) for i in range(50)])
+        assert lookup(entries, ("dup",)) == list(range(50))
 
     def test_bulk_load_duplicates_across_leaves(self):
-        # Regression: duplicate keys spanning several leaves must all be
-        # found from the leftmost occurrence.
+        # A long run of duplicates is found whole, from its first
+        # entry, in build order.
         entries = [(("A",), i) for i in range(500)]
         entries += [(("B",), i) for i in range(10)]
-        tree = BPlusTree.bulk_load(entries)
-        assert len(tree.search(("A",))) == 500
-        assert len(tree.search(("B",))) == 10
+        random.Random(3).shuffle(entries)
+        found = SortedEntries(entries)
+        assert lookup(found, ("A",)) == \
+            [p for k, p in entries if k == ("A",)]
+        assert len(lookup(found, ("B",))) == 10
 
     def test_range_scan_bounds(self):
-        tree = BPlusTree.bulk_load([((i,), i) for i in range(100)])
-        got = [p for _, p in tree.range_scan((10,), (20,))]
+        entries = SortedEntries([((i,), i) for i in range(100)])
+        got = [p for _, p in entries.range_scan((10,), (20,))]
         assert got == list(range(10, 21))
-        got = [p for _, p in tree.range_scan((10,), (20,),
-                                             lo_inclusive=False,
-                                             hi_inclusive=False)]
+        got = [p for _, p in entries.range_scan((10,), (20,),
+                                                lo_inclusive=False,
+                                                hi_inclusive=False)]
         assert got == list(range(11, 20))
 
     def test_range_scan_open_bounds(self):
-        tree = BPlusTree.bulk_load([((i,), i) for i in range(50)])
-        assert [p for _, p in tree.range_scan(None, (5,))] == list(range(6))
-        assert [p for _, p in tree.range_scan((45,), None)] == list(range(45, 50))
+        entries = SortedEntries([((i,), i) for i in range(50)])
+        assert [p for _, p in entries.range_scan(None, (5,))] == \
+            list(range(6))
+        assert [p for _, p in entries.range_scan((45,), None)] == \
+            list(range(45, 50))
 
     def test_prefix_range_on_composite_key(self):
-        entries = [((c, i), (c, i)) for c in "abc" for i in range(10)]
-        tree = BPlusTree.bulk_load(entries)
-        got = [p for _, p in tree.range_scan(("b",), ("b",))]
+        entries = SortedEntries([((c, i), (c, i))
+                                 for c in "abc" for i in range(10)])
+        assert lookup(entries, ("b",)) == [("b", i) for i in range(10)]
+        got = [p for _, p in entries.range_scan(("a",), ("c",),
+                                                lo_inclusive=False,
+                                                hi_inclusive=False)]
         assert got == [("b", i) for i in range(10)]
 
     def test_none_sorts_first(self):
-        tree = BPlusTree.bulk_load([((None,), "null"), ((1,), "one"),
-                                    (("z",), "str")])
-        scan = [p for _, p in tree.scan_all()]
-        assert scan == ["null", "one", "str"]
+        entries = SortedEntries([((None,), "null"), ((1,), "one"),
+                                 (("z",), "str")])
+        assert [p for _, p in entries.scan_all()] == ["null", "one", "str"]
 
     def test_mixed_type_keys(self):
-        tree = BPlusTree.bulk_load([((1,), "int"), (("1",), "str")])
-        assert tree.search((1,)) == ["int"]
-        assert tree.search(("1",)) == ["str"]
-
-    def test_order_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            BPlusTree(order=2)
+        entries = SortedEntries([((1,), "int"), (("1",), "str")])
+        assert lookup(entries, (1,)) == ["int"]
+        assert lookup(entries, ("1",)) == ["str"]
 
     def test_scan_all_is_sorted(self):
         values = random.Random(7).sample(range(10000), 1000)
-        tree = BPlusTree(order=8)
-        for v in values:
-            tree.insert((v,), v)
-        scanned = [p for _, p in tree.scan_all()]
-        assert scanned == sorted(values)
+        entries = SortedEntries([((v,), v) for v in values])
+        assert [p for _, p in entries.scan_all()] == sorted(values)
+
+    def test_range_scan_is_lazy(self):
+        # An EXISTS probe stops at its first match, so a scan is an
+        # iterator, not a list of every match.
+        entries = SortedEntries([((i % 3,), i) for i in range(30)])
+        scan = entries.range_scan((1,), (1,))
+        assert iter(scan) is scan
+        assert next(scan) == (encode_key((1,)), 1)
+
+
+class TestIndexBuild:
+    def test_equal_keys_come_back_in_row_order(self):
+        table = Table("t", [Column("ID", SQLType.INTEGER, False),
+                            Column("k", SQLType.VARCHAR)])
+        keys = ["b", "a", None, "b", "a", "b", None, "a"]
+        table.set_rows([(i, k) for i, k in enumerate(keys)])
+        index = Index("ix", "t", ("k",))
+        index.build(table)
+        assert [p for _, p in index.tree.scan_all()] == [2, 6, 1, 4, 7,
+                                                          0, 3, 5]
+        assert lookup(index.tree, ("b",)) == [0, 3, 5]
 
 
 class TestEncodeKey:
@@ -104,26 +110,49 @@ class TestEncodeKey:
         assert encode_key((True,)) == encode_key((1,))
 
 
-@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 10**6))))
-@settings(max_examples=100, deadline=None)
-def test_property_insert_then_search(pairs):
-    tree = BPlusTree(order=5)
-    for key, value in pairs:
-        tree.insert((key,), value)
-    by_key: dict[int, list[int]] = {}
-    for key, value in pairs:
-        by_key.setdefault(key, []).append(value)
-    for key, values in by_key.items():
-        assert sorted(tree.search((key,))) == sorted(values)
-    assert len(tree) == len(pairs)
-
-
 @given(st.lists(st.integers(-100, 100), min_size=1),
        st.integers(-100, 100), st.integers(-100, 100))
 @settings(max_examples=100, deadline=None)
 def test_property_range_scan_equals_filter(values, a, b):
     lo, hi = min(a, b), max(a, b)
-    tree = BPlusTree.bulk_load([((v,), v) for v in values])
-    got = sorted(p for _, p in tree.range_scan((lo,), (hi,)))
+    entries = SortedEntries([((v,), v) for v in values])
+    got = sorted(p for _, p in entries.range_scan((lo,), (hi,)))
     expected = sorted(v for v in values if lo <= v <= hi)
+    assert got == expected
+
+
+def _inside(prefix: tuple, bound: tuple | None, inclusive: bool,
+            below: bool) -> bool:
+    """Whether a key prefix is on the inside of one end of a scan."""
+    if bound is None:
+        return True
+    cut = encode_key(prefix[:len(bound)])
+    edge = encode_key(bound)
+    if cut == edge:
+        return inclusive
+    return cut < edge if below else cut > edge
+
+
+@given(st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 5)),
+                          st.integers(-5, 5)), min_size=1),
+       st.one_of(st.none(), st.integers(0, 5)),
+       st.one_of(st.none(), st.integers(-5, 5)),
+       st.one_of(st.none(), st.integers(0, 5)),
+       st.one_of(st.none(), st.integers(-5, 5)),
+       st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_property_two_column_range_scan_equals_filter(
+        keys, lo_head, lo_tail, hi_head, hi_tail, lo_inc, hi_inc):
+    # A bound is absent, a one-column prefix, or a whole two-column key.
+    lo = None if lo_head is None else \
+        (lo_head,) if lo_tail is None else (lo_head, lo_tail)
+    hi = None if hi_head is None else \
+        (hi_head,) if hi_tail is None else (hi_head, hi_tail)
+    entries = SortedEntries([(key, i) for i, key in enumerate(keys)])
+    got = [p for _, p in entries.range_scan(lo, hi, lo_inc, hi_inc)]
+    expected = sorted(
+        (i for i, key in enumerate(keys)
+         if _inside(key, lo, lo_inc, below=False)
+         and _inside(key, hi, hi_inc, below=True)),
+        key=lambda i: (encode_key(keys[i]), i))
     assert got == expected

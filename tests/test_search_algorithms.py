@@ -19,9 +19,10 @@ from repro.backends import render_query
 from repro.errors import SearchError
 from repro.experiments import (DatasetBundle, measure_design,
                                tuned_hybrid_baseline)
-from repro.mapping import PRESETS
+from repro.mapping import PRESETS, derive_schema, hybrid_inlining
 from repro.search import (ALGORITHMS, GreedySearch, MappingEvaluator,
-                          NaiveGreedySearch, TwoStepSearch, design_for,
+                          NaiveGreedySearch, TwoStepSearch,
+                          build_stats_only_database, design_for,
                           mapping_digest)
 from repro.workload import Workload
 
@@ -211,6 +212,25 @@ class TestInfeasibleBound:
                 r"^storage bound of 1000 bytes is below the \d+ bytes of "
                 r"data of the base mapping$")):
             search(small.tree, workload, small.stats, 1000).run()
+
+
+class TestBindingBound:
+    """A bound that M0 (every selected split applied) exceeds: Greedy
+    starts from the base mapping and tries the splits as forward moves,
+    so it is not left with the untransformed design."""
+
+    def test_greedy_keeps_up_with_naive_greedy_when_m0_does_not_fit(self):
+        big = DatasetBundle.dblp(scale=2000, seed=7)
+        workload = big.workload_generator(seed=43).generate(10)
+        base_bytes = build_stats_only_database(
+            derive_schema(hybrid_inlining(big.tree)),
+            big.stats).catalog.total_data_bytes()
+        bound = int(1.02 * base_bytes)
+        greedy = GreedySearch(big.tree, workload, big.stats, bound).run()
+        naive = NaiveGreedySearch(big.tree, workload, big.stats, bound,
+                                  include_subsumed=False).run()
+        assert greedy.estimated_cost <= naive.estimated_cost * 1.05
+        assert greedy.applied
 
 
 def _fingerprint(schema, configuration, sql_queries):
