@@ -10,23 +10,25 @@ thin subclasses that supply a :class:`~repro.backends.dialect.Dialect`
 plus the driver hooks (connect, catalog introspection, busy-error
 classification, transaction bracketing).
 
-Data loading streams in chunked ``executemany`` calls inside sized
-transactions, so both engines see byte-identical shredded rows, any
-result divergence is a semantics bug rather than a loading artifact,
-and peak load memory is bounded by the batch size, not the document
-(docs/scaling.md).
+A database is loaded once: one ``load()`` writes every mapped table
+and a second is refused, so the physical design applied afterwards
+never has to be kept current. The load streams in chunked
+``executemany`` calls inside sized transactions, so both engines see
+byte-identical shredded rows, any result divergence is a semantics bug
+rather than a loading artifact, and peak load memory is bounded by the
+batch size, not the document (docs/scaling.md).
 
 Crash safety
 ------------
 
 ``load`` maintains a **load manifest** — a ``_repro_load_manifest``
 key/value table inside the target database holding the mapped schema's
-digest, the load mode, a per-table committed-row watermark, and a
-``complete`` marker. The manifest header commits *before* the first
-mapped table is created, and watermark updates join every data
-transaction, so after a crash (even ``SIGKILL``) the database always
-holds a consistent prefix of the load *and* a manifest describing it
-exactly. A fresh backend reopening the file detects the interrupted
+digest, the load mode (``fresh``), a per-table committed-row
+watermark, and a ``complete`` marker. The manifest header commits
+*before* the first mapped table is created, and watermark updates join
+every data transaction, so after a crash (even ``SIGKILL``) the
+database always holds a consistent prefix of the load *and* a manifest
+describing it exactly. A fresh backend reopening the file detects the interrupted
 load via :meth:`load_manifest` and ``load()`` either **resumes** from
 the last committed batch (``resume=True`` — shredding is deterministic,
 so re-streaming and skipping the watermarked prefix reproduces the
@@ -74,7 +76,7 @@ from typing import Any
 
 from ..engine import SQLType, select_over_view
 from ..errors import PlanError, ReproError
-from ..mapping import MappedSchema, Shredder, shred_typed_batches
+from ..mapping import MappedSchema, shred_typed_batches
 from ..obs import NullTracer, Tracer, get_tracer
 from ..physdesign import Configuration, ViewCandidate
 from ..resilience import active_fault_plan
@@ -113,7 +115,9 @@ class LoadManifest:
     """What a (possibly interrupted) bulk load left in the database."""
 
     schema_digest: str
-    mode: str                 # "fresh" or "append"
+    #: ``"fresh"``; ``"append"`` in a file an earlier version's
+    #: interrupted append left behind, which ``load()`` refuses.
+    mode: str
     complete: bool
     watermarks: dict[str, int] = field(default_factory=dict)
 
@@ -179,15 +183,13 @@ class RelationalBackend:
         self.connection = self._register(self._open_primary())
         self._local.connection = self.connection
         self._configure_primary()
-        self._tables: list[str] = []
         #: Each loaded table's primary key, as the mapped schema declares
         #: it: what a covering index orders equal keys by.
         self._primary_keys: dict[str, str | None] = {}
-        #: Rows loaded per table across all load calls.
+        #: Rows loaded per table.
         self.row_counts: dict[str, int] = {}
         #: The join views this database holds, as ``apply_configuration``
-        #: built or found them, narrowest first: what ``sql_text`` reads
-        #: and what an append re-materializes.
+        #: built or found them, narrowest first: what ``sql_text`` reads.
         self._views: list[ViewCandidate] = []
 
     # ------------------------------------------------------------------
@@ -313,34 +315,30 @@ class RelationalBackend:
     def load(self, schema: MappedSchema, docs, *,
              batch_size: int = DEFAULT_LOAD_BATCH,
              txn_rows: int = DEFAULT_TXN_ROWS,
-             append: bool = False,
              resume: bool = False) -> None:
         """Shred the documents and bulk-load every mapped table.
 
         Rows stream through :func:`repro.mapping.shred_typed_batches`
         in ``batch_size`` chunks fed to ``executemany``, with a commit
         every ``txn_rows`` rows — so peak memory is bounded by the
-        batch size, never the document size. A second ``load()`` on the
-        same backend raises :class:`BackendError` unless
-        ``append=True``, which keeps the existing tables and appends
-        (the caller owns ID continuity — see the shredder's
-        ``continue_ids`` contract).
+        batch size, never the document size. A database is loaded
+        once: a ``load()`` onto a database that already holds a mapped
+        table raises :class:`BackendError`.
 
         Crash safety: the load maintains a manifest (see the module
-        docstring). If the database holds an **interrupted** fresh load
-        — the manifest exists but lacks its ``complete`` marker — the
-        default is a clean rollback (drop the partial tables, reload
+        docstring). If the database holds an **interrupted** load — the
+        manifest exists but lacks its ``complete`` marker — the default
+        is a clean rollback (drop the partial tables, reload
         everything); ``resume=True`` instead skips each table's
         committed watermark and loads only the missing suffix, which
         reproduces the exact rows a crash-free load would have stored
         because shredding is deterministic. After a resumed load,
         ``row_counts`` reports the table totals (committed prefix plus
-        the resumed suffix). An interrupted *append* load is refused
-        outright — appended rows cannot be told apart from base data.
+        the resumed suffix). A manifest whose mode is not ``fresh`` —
+        an interrupted append onto a loaded database, which earlier
+        versions could run — is refused outright: its rows cannot be
+        told apart from the base data, so a rollback would drop both.
         """
-        if append and resume:
-            raise BackendError("append=True and resume=True are "
-                               "mutually exclusive")
         with self.tracer.span("backend.load", backend=self.name) as span:
             faults = active_fault_plan()
             digest = mapping_digest(schema.mapping)
@@ -367,50 +365,31 @@ class RelationalBackend:
                     self._metrics.incr("load_resumes")
                 else:
                     self._rollback_incomplete(manifest)
-            inserts: dict[str, str] = {}
-            stored: dict[str, int] = {}
+            stored = {table.name: skip.get(table.name, 0)
+                      for table in engine_tables}
             if resuming:
                 for table in engine_tables:
-                    if self._table_on_disk(table.name):
-                        if table.name not in self._tables:
-                            self._tables.append(table.name)
-                    else:
-                        # The crash may have landed between the manifest
-                        # header and this table's CREATE.
+                    # The crash may have landed between the manifest
+                    # header and this table's CREATE.
+                    if not self._table_on_disk(table.name):
                         self._create_table(table)
-                    stored[table.name] = skip.get(table.name, 0)
                     self.row_counts[table.name] = stored[table.name]
-                    inserts[table.name] = self.dialect.insert_sql(table)
             else:
                 # Conflict check first — nothing is written unless the
                 # whole load is admissible.
                 for table in engine_tables:
-                    self._register_on_disk(table.name)
-                    if table.name in self._tables and not append:
+                    if self._table_on_disk(table.name):
                         raise BackendError(
                             f"table {table.name!r} already exists on this "
                             f"backend; load() is one-shot per database — "
-                            f"pass append=True to append rows, or use a "
-                            f"fresh backend/database")
-                for table in engine_tables:
-                    stored[table.name] = (self._stored_rows(table.name)
-                                          if append else 0)
+                            f"use a fresh backend/database")
                 # Header before any CREATE: a crash at any later point
                 # leaves a manifest naming every table to roll back.
-                self._write_manifest_header(
-                    digest, engine_tables,
-                    mode="append" if append else "fresh", stored=stored)
+                self._write_manifest_header(digest, engine_tables)
                 for table in engine_tables:
-                    if table.name not in self._tables:
-                        self._create_table(table)
-                    self.row_counts.setdefault(table.name, 0)
-                    inserts[table.name] = self.dialect.insert_sql(table)
-            shredder = Shredder(schema)
-            if append:
-                # Continue element-ID numbering above everything already
-                # stored, so appended rows keep globally unique IDs (and
-                # valid PID references) even across backend instances.
-                shredder.reset_ids(self._max_stored_id(engine_tables) + 1)
+                    self._create_table(table)
+            inserts = {table.name: self.dialect.insert_sql(table)
+                       for table in engine_tables}
             # BOOLEAN is the one type a dialect may bind differently from
             # the typed row's value; a table without such a column goes
             # to the driver as shredded.
@@ -423,9 +402,7 @@ class RelationalBackend:
             remaining = dict(skip)
             try:
                 for name, rows in shred_typed_batches(schema, docs,
-                                                      batch_size,
-                                                      continue_ids=append,
-                                                      shredder=shredder):
+                                                      batch_size):
                     faults.maybe_raise("backend.load.batch")
                     if remaining.get(name):
                         drop = min(remaining[name], len(rows))
@@ -454,34 +431,12 @@ class RelationalBackend:
                         pending = 0
                 self._begin_write()
                 self._update_watermarks(stored)
-                # A view table is a snapshot of its join: the rows just
-                # appended reach it in the transaction that completes
-                # the load, so no reader sees one without the other.
-                for view in self._views:
-                    self._refresh_view(view)
                 self._mark_complete()
                 self._commit_write()
             except self._driver_error as exc:
                 raise BackendError(f"bulk load failed: {exc}") from exc
             span.set("rows", loaded)
             self._metrics.incr("rows_loaded", loaded)
-
-    def _max_stored_id(self, tables) -> int:
-        """Largest element ID currently stored in any mapped table."""
-        best = 0
-        for table in tables:
-            if not any(c.name == "ID" for c in table.columns):
-                continue
-            try:
-                row = self.connection.execute(
-                    f'SELECT MAX("ID") FROM "{table.name}"').fetchone()
-            except self._driver_error as exc:
-                raise BackendError(
-                    f"reading max ID of {table.name!r} failed: "
-                    f"{exc}") from exc
-            if row and row[0] is not None:
-                best = max(best, int(row[0]))
-        return best
 
     # ------------------------------------------------------------------
     # Load manifest (crash safety — see the module docstring)
@@ -507,8 +462,7 @@ class RelationalBackend:
             complete=str(entries.get("complete", "0")) == "1",
             watermarks=watermarks)
 
-    def _write_manifest_header(self, digest: str, tables,
-                               mode: str, stored: dict[str, int]) -> None:
+    def _write_manifest_header(self, digest: str, tables) -> None:
         """Commit the manifest naming every table, *before* any CREATE."""
         try:
             self._begin_write()
@@ -516,9 +470,9 @@ class RelationalBackend:
                 f'CREATE TABLE IF NOT EXISTS "{MANIFEST_TABLE}" '
                 f'("key" TEXT PRIMARY KEY, "value" TEXT NOT NULL)')
             self.connection.execute(f'DELETE FROM "{MANIFEST_TABLE}"')
-            entries = [("schema", digest), ("mode", mode), ("complete", "0")]
-            entries += [(f"rows:{table.name}", str(stored[table.name]))
-                        for table in tables]
+            entries = [("schema", digest), ("mode", "fresh"),
+                       ("complete", "0")]
+            entries += [(f"rows:{table.name}", "0") for table in tables]
             self.connection.executemany(
                 f'INSERT INTO "{MANIFEST_TABLE}" ("key", "value") '
                 f'VALUES (?, ?)', entries)
@@ -553,39 +507,18 @@ class RelationalBackend:
             raise BackendError(
                 f"rolling back the interrupted load failed: {exc}") from exc
         for name in manifest.watermarks:
-            if name in self._tables:
-                self._tables.remove(name)
             self.row_counts.pop(name, None)
         self._metrics.incr("load_rollbacks")
-
-    def _stored_rows(self, name: str) -> int:
-        if not self._table_on_disk(name):
-            return 0
-        try:
-            row = self.connection.execute(
-                f'SELECT COUNT(*) FROM "{name}"').fetchone()
-        except self._driver_error as exc:
-            raise BackendError(
-                f"counting rows of {name!r} failed: {exc}") from exc
-        return int(row[0]) if row else 0
 
     # ------------------------------------------------------------------
     # Table DDL
     # ------------------------------------------------------------------
-    def _register_on_disk(self, name: str) -> None:
-        """Adopt a table already present in the database file."""
-        if name not in self._tables and self._table_on_disk(name):
-            self._tables.append(name)
-            self.row_counts.setdefault(name, 0)
-
     def _create_table(self, table) -> None:
         try:
             self.connection.execute(self.dialect.create_table_sql(table))
         except self._driver_error as exc:
             raise BackendError(
                 f"creating table {table.name!r} failed: {exc}") from exc
-        if table.name not in self._tables:
-            self._tables.append(table.name)
         self.row_counts.setdefault(table.name, 0)
         self._metrics.incr("tables_loaded")
 
@@ -595,7 +528,7 @@ class RelationalBackend:
     def apply_configuration(self, configuration: Configuration) -> None:
         """CREATE INDEX / materialize join views, then ``post_ddl``;
         the views are remembered, so queries are rendered over them
-        (:meth:`sql_text`) and an append re-materializes them.
+        (:meth:`sql_text`).
 
         A read-only backend — a tuned database file reopened to serve —
         runs no DDL: it registers the view tables the file holds.
@@ -635,15 +568,6 @@ class RelationalBackend:
         return (self._table_on_disk(view.name)
                 and [name for name, _ in self.table_columns(view.name)]
                 == [name for name, _ in view.definition.columns])
-
-    def _refresh_view(self, view: ViewCandidate) -> None:
-        """Re-materialize one view table in place, inside the caller's
-        write transaction."""
-        name = self.dialect.quote(view.name)
-        rows = self.dialect.view_rows_sql(view.definition, view.cluster_key)
-        self.connection.execute(f"DELETE FROM {name}")
-        self.connection.execute(f"INSERT INTO {name} {rows}")
-        self._metrics.incr("views_refreshed")
 
     # ------------------------------------------------------------------
     # Execution (the serve path: concurrent, per-thread connections)

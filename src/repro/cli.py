@@ -18,7 +18,6 @@ Workload files for ``advise`` contain one entry per line::
     # comments and blank lines are skipped
     //inproceedings[booktitle = "VLDB"]/(title | author)
     3.5 | //inproceedings[year >= "1995"]/title      # weighted query
-    insert 0.5 | //inproceedings                      # insert load
 """
 
 from __future__ import annotations
@@ -31,11 +30,11 @@ from pathlib import Path
 
 from .datasets import DATASETS, DEFAULT_STORAGE_BOUND, DatasetBundle
 from .engine import Database
-from .errors import ReproError
+from .errors import ReproError, WorkloadError, XPathError
 from .obs import NULL_TRACER, Tracer, render_tree, to_json
 from .mapping import (DEFAULT_BATCH_SIZE, PRESETS, derive_schema,
                       load_documents)
-from .search import ALGORITHMS, design_for
+from .search import ALGORITHMS, build_stats_only_database, design_for
 from .sqlast import render
 from .translate import translate_xpath
 from .workload import Workload
@@ -239,18 +238,15 @@ def _strip_comment(line: str) -> str:
 
 
 def parse_workload_file(path: str, name: str = "workload") -> Workload:
-    """Parse the advise command's workload file format."""
+    """Parse the advise command's workload file format; an entry that
+    is not a query is refused as ``{path}:{lineno}: …``."""
     workload = Workload(name)
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
+        for lineno, raw in enumerate(handle, 1):
             line = _strip_comment(raw).strip()
             if not line:
                 continue
             weight = 1.0
-            is_update = False
-            if line.lower().startswith("insert "):
-                is_update = True
-                line = line[len("insert "):].strip()
             if "|" in line:
                 head, rest = line.split("|", 1)
                 try:
@@ -258,10 +254,10 @@ def parse_workload_file(path: str, name: str = "workload") -> Workload:
                     line = rest.strip()
                 except ValueError:
                     pass  # the '|' belongs to a projection group
-            if is_update:
-                workload.add_update(line, weight)
-            else:
+            try:
                 workload.add(line, weight)
+            except (XPathError, WorkloadError) as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     if not workload.queries:
         raise SystemExit(f"workload file {path!r} contains no queries")
     return workload
@@ -291,6 +287,14 @@ def cmd_advise(args, out=None) -> int:
     result = design_for(args.algorithm, bundle.tree, workload, bundle.stats,
                         bundle.storage_bound, tracer, **kwargs)
     print(result.describe(), file=out)
+    db = build_stats_only_database(result.schema, bundle.stats)
+    data = db.catalog.total_data_bytes()
+    structures = result.configuration.size_bytes(db)
+    bound = ("unbounded" if bundle.storage_bound is None
+             else f"{bundle.storage_bound} cost-model bytes")
+    print(f"storage bound: {bound}; design size: {data + structures} "
+          f"cost-model bytes (data {data} + structures {structures})",
+          file=out)
     counters = result.counters
     print(f"\nsearch: {counters.transformations_searched} transformations, "
           f"{counters.tuner_calls} tuner calls, "

@@ -33,10 +33,8 @@ ID contract
 Element IDs restart at 1 on every ``shred*`` call, so reusing one
 :class:`Shredder` produces exactly the rows a fresh instance would —
 the invariant :func:`shred_typed_rows` and the execution backends rely
-on. An *incremental* shred (several calls loading into one database)
-passes ``continue_ids=True`` to keep numbering where the previous call
-stopped; a multi-document list inside one call always numbers
-continuously across the documents.
+on. A multi-document list inside one call numbers continuously across
+the documents; a database is loaded by one call, once.
 """
 
 from __future__ import annotations
@@ -154,32 +152,25 @@ class Shredder:
         self._next_id = 1
 
     # ------------------------------------------------------------------
-    def shred(self, docs, *,
-              continue_ids: bool = False) -> dict[str, list[tuple]]:
+    def shred(self, docs) -> dict[str, list[tuple]]:
         """Shred one document or a list; returns rows per table name."""
         rows: dict[str, list[tuple]] = {name: []
                                         for name in self.schema.table_names}
-        for table_name, row in self.shred_rows(docs,
-                                               continue_ids=continue_ids):
+        for table_name, row in self.shred_rows(docs):
             rows[table_name].append(row)
         return rows
 
-    def shred_rows(self, docs, *,
-                   continue_ids: bool = False) -> Iterator[RowEvent]:
+    def shred_rows(self, docs) -> Iterator[RowEvent]:
         """Yield ``(table_name, row)`` pairs in emission order.
 
         The streaming core: child rows are emitted while their owner's
         region is being filled, and the owner's own row once its region
         is complete, so memory is bounded by the open root-to-leaf path
         (plus the current child subtree), never the document.
-
-        IDs restart at 1 unless ``continue_ids=True`` (see the module
-        docstring for the contract).
         """
-        return self._events(docs, continue_ids, typed=False)
+        return self._events(docs, typed=False)
 
-    def shred_iter(self, docs, batch_size: int = DEFAULT_BATCH_SIZE, *,
-                   continue_ids: bool = False
+    def shred_iter(self, docs, batch_size: int = DEFAULT_BATCH_SIZE
                    ) -> Iterator[tuple[str, list[tuple]]]:
         """Yield ``(table_name, rows)`` batches with bounded memory.
 
@@ -188,20 +179,15 @@ class Shredder:
         table order at the end. Concatenating the batches per table
         reproduces :meth:`shred` exactly (same rows, same order).
         """
-        return self._batches(docs, batch_size, continue_ids, typed=False)
-
-    def reset_ids(self, start: int = 1) -> None:
-        """Restart ID numbering (``start`` seeds an append-load that must
-        continue above the IDs already stored — see SQLiteBackend.load)."""
-        self._next_id = start
+        return self._batches(docs, batch_size, typed=False)
 
     # ------------------------------------------------------------------
-    def _batches(self, docs, batch_size: int, continue_ids: bool,
+    def _batches(self, docs, batch_size: int,
                  typed: bool) -> Iterator[tuple[str, list[tuple]]]:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1 (got {batch_size})")
         buffers: dict[str, list[tuple]] = {}
-        for table_name, row in self._events(docs, continue_ids, typed):
+        for table_name, row in self._events(docs, typed):
             buffer = buffers.setdefault(table_name, [])
             buffer.append(row)
             if len(buffer) >= batch_size:
@@ -212,12 +198,10 @@ class Shredder:
             if buffer:
                 yield table_name, buffer
 
-    def _events(self, docs, continue_ids: bool,
-                typed: bool) -> Iterator[RowEvent]:
+    def _events(self, docs, typed: bool) -> Iterator[RowEvent]:
         """The one row stream; ``typed`` rows carry column-typed values
         (what a backend loads), untyped rows the document's text."""
-        if not continue_ids:
-            self.reset_ids()
+        self._next_id = 1
         if isinstance(docs, (Document, Element)):
             docs = [docs]
         out: list[RowEvent] = []
@@ -410,9 +394,7 @@ class Shredder:
 
 
 def shred_typed_batches(schema: MappedSchema, docs,
-                        batch_size: int = DEFAULT_BATCH_SIZE, *,
-                        continue_ids: bool = False,
-                        shredder: Shredder | None = None
+                        batch_size: int = DEFAULT_BATCH_SIZE
                         ) -> Iterator[tuple[str, list[tuple]]]:
     """Stream *typed* row batches per table with bounded memory.
 
@@ -423,9 +405,7 @@ def shred_typed_batches(schema: MappedSchema, docs,
     share this code path, which is what keeps eager and streaming loads
     byte-identical at the data layer.
     """
-    if shredder is None:
-        shredder = Shredder(schema)
-    return shredder._batches(docs, batch_size, continue_ids, typed=True)
+    return Shredder(schema)._batches(docs, batch_size, typed=True)
 
 
 def shred_typed_rows(schema: MappedSchema, docs) -> dict[str, list[tuple]]:

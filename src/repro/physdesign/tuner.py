@@ -128,15 +128,8 @@ class IndexTuningAdvisor:
 
     # ------------------------------------------------------------------
     def tune(self, workload: list[tuple[Query, float]],
-             storage_bound: int | None = None,
-             update_load: dict[str, float] | None = None
-             ) -> TuningResult:
-        """Recommend a configuration for the weighted SQL workload.
-
-        ``update_load`` (extension) maps table name to expected row
-        inserts per unit of workload time; candidate structures on
-        loaded tables are charged a maintenance penalty.
-        """
+             storage_bound: int | None = None) -> TuningResult:
+        """Recommend a configuration for the weighted SQL workload."""
         from ..resilience import active_fault_plan
         active_fault_plan().maybe_raise("advisor")
         self.stats.invocations += 1
@@ -148,7 +141,7 @@ class IndexTuningAdvisor:
         before = paths.counters()
         with self.tracer.span("advisor.tune", queries=len(workload),
                               database=self.db.name) as span:
-            result = self._tune(workload, storage_bound, update_load)
+            result = self._tune(workload, storage_bound)
             for name, count in paths.counters().items():
                 span.set(name, count - before[name])
             span.set("candidates", result.candidates_considered)
@@ -168,9 +161,7 @@ class IndexTuningAdvisor:
         return result
 
     def _tune(self, workload: list[tuple[Query, float]],
-              storage_bound: int | None = None,
-              update_load: dict[str, float] | None = None
-              ) -> TuningResult:
+              storage_bound: int | None = None) -> TuningResult:
         generator = CandidateGenerator(self.db)
         candidates: list[Index | ViewCandidate] = []
         per_query_tables: list[frozenset[str]] = []
@@ -199,8 +190,6 @@ class IndexTuningAdvisor:
                                         per_query_tables[i], chosen)
             current_costs.append(cost)
 
-        update_load = update_load or {}
-
         # Lazy greedy selection: a candidate's benefit-per-byte can only
         # shrink as the configuration grows (diminishing returns), so we
         # keep stale scores in a max-heap and only re-evaluate the
@@ -220,7 +209,7 @@ class IndexTuningAdvisor:
             trial = chosen.extended(candidate)
             affected_table = self._candidate_table(candidate)
             new_costs = list(base_costs)
-            benefit = -self._maintenance_cost(candidate, update_load)
+            benefit = 0.0
             for i, (query, weight) in enumerate(workload):
                 if affected_table is not None and \
                         affected_table not in per_query_tables[i]:
@@ -280,13 +269,6 @@ class IndexTuningAdvisor:
         chosen = Configuration(
             [index for index in chosen.indexes if index.name in used],
             [view for view in chosen.views if view.name in used])
-        # Update maintenance: base row-insert work plus per-structure
-        # upkeep (extension; zero when no update load is declared).
-        total += self._base_update_cost(update_load)
-        for index in chosen.indexes:
-            total += self._maintenance_cost(index, update_load)
-        for view in chosen.views:
-            total += self._maintenance_cost(view, update_load)
         self.stats.optimizer_calls += self._optimizer_calls
         self.stats.cost_cache_lookups += self._cache_lookups
         self.stats.cost_cache_hits += self._cache_hits
@@ -298,40 +280,6 @@ class IndexTuningAdvisor:
             optimizer_calls=self._optimizer_calls,
             candidates_considered=len(candidates),
         )
-
-    # ------------------------------------------------------------------
-    # Update maintenance model (extension)
-    # ------------------------------------------------------------------
-    def _maintenance_cost(self, candidate: Index | ViewCandidate,
-                          update_load: dict[str, float]) -> float:
-        """Upkeep cost per unit time for one structure under the load."""
-        if not update_load:
-            return 0.0
-        from ..engine.cost import CPU_TUPLE_COST, RANDOM_PAGE_COST
-
-        if isinstance(candidate, Index):
-            rate = update_load.get(candidate.table_name, 0.0)
-            if rate == 0.0:
-                return 0.0
-            table = self.db.catalog.table(candidate.table_name)
-            # One tree descent plus a leaf write per inserted row.
-            return rate * (candidate.height(table) * RANDOM_PAGE_COST
-                           + RANDOM_PAGE_COST + CPU_TUPLE_COST)
-        definition = candidate.definition
-        child_rate = update_load.get(definition.child_table, 0.0)
-        parent_rate = update_load.get(definition.parent_table, 0.0)
-        # Each child insert adds a view row (parent lookup + write);
-        # parent inserts alone add nothing (no matching child rows yet).
-        return child_rate * (2 * RANDOM_PAGE_COST + CPU_TUPLE_COST) \
-            + parent_rate * CPU_TUPLE_COST
-
-    def _base_update_cost(self, update_load: dict[str, float]) -> float:
-        """Row-insert work independent of the chosen structures."""
-        if not update_load:
-            return 0.0
-        from ..engine.cost import CPU_TUPLE_COST, RANDOM_PAGE_COST
-        return sum(rate * (RANDOM_PAGE_COST + CPU_TUPLE_COST)
-                   for rate in update_load.values())
 
     # ------------------------------------------------------------------
     def _candidate_size(self, candidate: Index | ViewCandidate) -> int:

@@ -22,7 +22,6 @@ from .naive import NaiveGreedySearch
 from .parallel import EvaluationPool, resolve_jobs
 from .result import DesignResult, SearchCounters
 from .twostep import TwoStepSearch
-from .updates import update_load_for
 
 #: The algorithm table, in the order the paper's figures list them.
 ALGORITHMS = {
@@ -86,5 +85,4 @@ __all__ = [
     "CandidateMerger",
     "CostDerivation",
     "affected_annotations",
-    "update_load_for",
 ]

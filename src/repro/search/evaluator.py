@@ -122,10 +122,9 @@ def _canonical(value) -> str:
 
 
 def workload_digest(workload: Workload) -> str:
-    """Digest of the queries, weights, and insert loads (not the name)."""
-    parts = [f"{q.weight!r}|{q.query}" for q in workload.queries]
-    parts += [f"insert|{u.weight!r}|{u.target}" for u in workload.updates]
-    return _sha("\n".join(parts))
+    """Digest of the queries and weights (not the name)."""
+    return _sha("\n".join(f"{q.weight!r}|{q.query}"
+                           for q in workload.queries))
 
 
 def stats_digest(collected: CollectedStats) -> str:
@@ -491,13 +490,6 @@ class MappingEvaluator:
         enforce(check_schema(schema), self.tracer,
                 context=f"mapping:{mapping_digest(mapping)}")
 
-    def _update_load(self, schema: MappedSchema) -> dict[str, float]:
-        """Row-insert rates per table for this mapping (extension)."""
-        if not self.workload.updates:
-            return {}
-        from .updates import update_load_for
-        return update_load_for(schema, self.collected, self.workload)
-
     @staticmethod
     def _carried_objects(reuse: dict[int, float],
                          base: EvaluatedMapping | None
@@ -534,8 +526,7 @@ class MappingEvaluator:
             advisor = IndexTuningAdvisor(
                 db, tracer=self.tracer, cost_cache=self._advisor_cost_cache)
             try:
-                tuning = advisor.tune(remaining, self.storage_bound,
-                                      update_load=self._update_load(schema))
+                tuning = advisor.tune(remaining, self.storage_bound)
             except SearchError:
                 span.set("outcome", "tuning_failed")
                 self._metrics.incr("tuning_failures")

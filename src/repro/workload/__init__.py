@@ -4,12 +4,11 @@ load-harness query-mix sampler."""
 from .generator import (HIGH_PROJECTIONS, HIGH_SELECTIVITY, LOW_PROJECTIONS,
                         LOW_SELECTIVITY, WorkloadGenerator)
 from .mix import MixSampler, QueryMix, zipf_mix
-from .model import WeightedQuery, WeightedUpdate, Workload
+from .model import WeightedQuery, Workload
 
 __all__ = [
     "Workload",
     "WeightedQuery",
-    "WeightedUpdate",
     "WorkloadGenerator",
     "QueryMix",
     "MixSampler",

@@ -20,37 +20,12 @@ class WeightedQuery:
             raise WorkloadError("query weights must be positive")
 
 
-@dataclass(frozen=True)
-class WeightedUpdate:
-    """An insertion load: new elements arriving at the target path.
-
-    ``weight`` is the insert rate relative to query weights (e.g. 2.0 =
-    two new ``//inproceedings`` elements per unit of workload time).
-    This extends the paper (its conclusion lists update queries as
-    future work): physical structures on frequently-updated tables pay a
-    maintenance penalty, so update-heavy workloads receive leaner
-    designs.
-    """
-
-    target: XPathQuery
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise WorkloadError("update weights must be positive")
-        if self.target.predicate is not None or self.target.projections:
-            raise WorkloadError(
-                "update targets are plain element paths (no predicates "
-                "or projections)")
-
-
 @dataclass
 class Workload:
-    """A named set of weighted XPath queries (plus optional insert load)."""
+    """A named set of weighted XPath queries."""
 
     name: str
     queries: list[WeightedQuery] = field(default_factory=list)
-    updates: list[WeightedUpdate] = field(default_factory=list)
 
     @classmethod
     def from_strings(cls, name: str, xpaths: list[str],
@@ -68,13 +43,6 @@ class Workload:
             xpath = parse_xpath(xpath)
         self.queries.append(WeightedQuery(xpath, weight))
 
-    def add_update(self, target: str | XPathQuery,
-                   weight: float = 1.0) -> None:
-        """Declare an insertion load at the target element path."""
-        if isinstance(target, str):
-            target = parse_xpath(target)
-        self.updates.append(WeightedUpdate(target, weight))
-
     def __len__(self) -> int:
         return len(self.queries)
 
@@ -85,6 +53,4 @@ class Workload:
         return sum(q.weight for q in self.queries)
 
     def describe(self) -> str:
-        lines = [f"[{q.weight:g}] {q.query}" for q in self.queries]
-        lines += [f"[insert {u.weight:g}] {u.target}" for u in self.updates]
-        return "\n".join(lines)
+        return "\n".join(f"[{q.weight:g}] {q.query}" for q in self.queries)

@@ -481,25 +481,6 @@ class TestBackendBasics:
                 assert not any(multiset_diff(plain.execute(query), rows))
             assert backend.execute(by_year)
 
-    def test_an_append_rematerializes_every_view(self, dblp_data):
-        tree, docs = dblp_data
-        schema = derive_schema(hybrid_inlining(tree))
-        view = _author_view(schema, "jv_author", "year")
-        query = _translate(schema, '//inproceedings[year >= "0"]/author')
-        with SQLiteBackend() as backend:
-            backend.load(schema, docs)
-            backend.apply_configuration(Configuration(views=[view]))
-            before = backend.execute(query)
-            assert 'FROM "jv_author"' in backend.sql_text(query)
-            backend.load(schema, generate_dblp(20, seed=9), append=True)
-            # Each view's rows == its definition evaluated now, in child
-            # ID (document) order.
-            now = backend.execute_sql(
-                backend.dialect.view_rows_sql(view.definition))
-            assert backend.execute_sql(
-                'SELECT * FROM "jv_author" ORDER BY rowid') == now
-            assert len(backend.execute(query)) > len(before)
-
     def test_a_read_only_reopen_registers_the_views_it_finds(
             self, dblp_data, tmp_path):
         tree, docs = dblp_data
@@ -699,29 +680,30 @@ class TestCrashSafeLoad:
             with pytest.raises(BackendError, match="different mapped"):
                 backend.load(other, docs, resume=True)
 
-    def test_append_and_resume_are_exclusive(self, dblp_data):
-        schema, docs = self._schema(dblp_data)
-        with SQLiteBackend() as backend:
-            with pytest.raises(BackendError, match="mutually exclusive"):
-                backend.load(schema, docs, append=True, resume=True)
-
     def test_interrupted_append_load_is_refused(self, dblp_data, tmp_path):
-        from repro.errors import InjectedFault
-        from repro.resilience import NULL_PLAN, install_fault_plan
+        """A file holding an interrupted append-load (manifest mode
+        ``append``, not complete) is refused, never rolled back: a
+        rollback would drop the base data along with the appended rows."""
+        from repro.backends.dbms import MANIFEST_TABLE
         schema, docs = self._schema(dblp_data)
         path = tmp_path / "appended.db"
         with SQLiteBackend(str(path)) as backend:
             backend.load(schema, docs)
-        install_fault_plan("backend.load.batch:1:fatal:0:2")
-        backend = SQLiteBackend(str(path))
-        with pytest.raises(InjectedFault):
-            backend.load(schema, docs, batch_size=40, txn_rows=40,
-                         append=True)
-        backend.close()
-        install_fault_plan(NULL_PLAN)
+            counts = dict(backend.row_counts)
+            backend.execute_sql(
+                f'UPDATE "{MANIFEST_TABLE}" SET "value" = CASE "key" '
+                f"WHEN 'mode' THEN 'append' ELSE '0' END "
+                f"WHERE \"key\" IN ('mode', 'complete')")
+            backend.connection.commit()
         with SQLiteBackend(str(path)) as backend:
+            manifest = backend.load_manifest()
+            assert manifest.mode == "append" and not manifest.complete
             with pytest.raises(BackendError, match="append-load"):
                 backend.load(schema, docs)
+            with pytest.raises(BackendError, match="append-load"):
+                backend.load(schema, docs, resume=True)
+            for name, rows in counts.items():
+                assert len(backend.table_rows(name)) == rows
 
     def test_busy_error_classification(self, dblp_data):
         from repro.backends import BackendBusyError

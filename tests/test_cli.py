@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import re
 
 import pytest
 
@@ -39,8 +40,7 @@ def files(tmp_path):
     workload.write_text(
         "# shop workload\n"
         '//item[kind = "x"]/(name | price)\n'
-        "2.0 | //item/label\n"
-        "insert 0.5 | //item\n")
+        "2.0 | //item/label\n")
     return tmp_path, dtd, xml, bad, workload
 
 
@@ -134,8 +134,6 @@ class TestWorkloadFile:
         parsed = parse_workload_file(str(workload))
         assert len(parsed.queries) == 2
         assert parsed.queries[1].weight == 2.0
-        assert len(parsed.updates) == 1
-        assert parsed.updates[0].weight == 0.5
 
     def test_hash_inside_a_quoted_literal_is_not_a_comment(self, tmp_path):
         path = tmp_path / "w.txt"
@@ -143,7 +141,6 @@ class TestWorkloadFile:
             '//inproceedings[booktitle = "C#"]/title\n'
             "//article[journal = 'F# Weekly']/title   # trailing comment\n"
             '2.5 | //book[publisher = "#1 Press"]/(title | year) # why\n'
-            'insert 0.5 | //inproceedings   # weighted insert load\n'
             "   # a comment line with a \"quote\n")
         workload = parse_workload_file(str(path))
         assert [str(q.query) for q in workload.queries] == [
@@ -151,9 +148,24 @@ class TestWorkloadFile:
             '//article[journal = "F# Weekly"]/title',
             '//book[publisher = "#1 Press"]/(title | year)']
         assert [q.weight for q in workload.queries] == [1.0, 1.0, 2.5]
-        [update] = workload.updates
-        assert str(update.target) == "//inproceedings"
-        assert update.weight == 0.5
+
+    @pytest.mark.parametrize("entry, lineno", [
+        ("insert 0.5 | //item", 3),     # no insert load: not a query
+        ("-1 | //item/name", 2),        # a weight must be positive
+    ])
+    def test_a_bad_entry_is_refused_by_file_and_line(self, files, entry,
+                                                     lineno, capsys):
+        tmp, dtd, xml, _, _ = files
+        path = tmp / "bad_workload.txt"
+        lines = ["//item/name", "# comment", "2.0 | //item/label"]
+        lines.insert(lineno - 1, entry)
+        path.write_text("\n".join(lines) + "\n")
+        code, out = run_cli([
+            "advise", "--dtd", str(dtd), "--root", "shop",
+            "--xml", str(xml), "--workload", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:{lineno}: ")
 
     def test_empty_rejected(self, tmp_path):
         empty = tmp_path / "w.txt"
@@ -171,6 +183,9 @@ class TestAdvise:
         assert code == 0
         assert "algorithm: greedy" in out
         assert "relational schema" in out
+        assert re.search(r"^storage bound: unbounded; design size: \d+ "
+                         r"cost-model bytes \(data \d+ \+ structures \d+\)$",
+                         out, re.MULTILINE)
 
     def test_advise_measured(self, files):
         _, dtd, xml, _, workload = files

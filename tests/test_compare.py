@@ -558,28 +558,3 @@ class TestBackendReadsItsViews:
         assert views.status == MISMATCH and view.name in views.detail
         assert views.data["samples"][f"b:{view.name}"]["missing"]
 
-    @pytest.mark.parametrize("cell", CELLS, ids="-".join)
-    def test_compare_is_ok_again_after_an_append(self, tuned_cells, cell):
-        """Engine loaded with both batches at once vs SQLite loaded,
-        tuned, then appended to: same tables, current views, same
-        answers — and the views check is what notices a snapshot."""
-        bundle, result = tuned_cells[cell]
-        config = result.configuration
-        more = DatasetBundle.named(cell[0], scale=60, seed=SEED + 2).docs
-        queries = [query for query, _ in result.sql_queries]
-        engine = EngineBackend()
-        engine.load(result.schema, [bundle.docs, more])
-        engine.apply_configuration(config)
-        with SQLiteBackend() as sqlite:
-            sqlite.load(result.schema, bundle.docs)
-            sqlite.apply_configuration(config)
-            before = {view.name: len(sqlite.table_rows(view.name))
-                      for view in config.views}
-            sqlite.load(result.schema, more, append=True)
-            report = compare_loaded(engine, sqlite, queries,
-                                    schema=result.schema,
-                                    configuration=config)
-            assert report.status == OK, report.describe()
-            assert _check(report, "views").status == OK
-            assert any(len(sqlite.table_rows(name)) > rows
-                       for name, rows in before.items())

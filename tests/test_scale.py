@@ -7,7 +7,7 @@ Pins the scaling contracts of docs/scaling.md:
   byte-identical to the eager path, in bounded batches, and genuinely
   stream (rows are emitted before the document is fully generated);
 * shredder error paths behave identically mid-stream;
-* ``SQLiteBackend.load`` chunked/append semantics, per-table row
+* ``SQLiteBackend.load`` chunked, load-once semantics, per-table row
   counters, and WAL journaling on file-backed databases.
 """
 
@@ -201,17 +201,6 @@ class TestChunkedBackendLoad:
             with pytest.raises(BackendError, match="already exists"):
                 backend.load(dblp_mapped, doc)
 
-    def test_append_load_keeps_ids_globally_unique(self, dblp_mapped):
-        with SQLiteBackend() as backend:
-            backend.load(dblp_mapped, generate_dblp(50, seed=3))
-            backend.load(dblp_mapped, generate_dblp(20, seed=9),
-                         append=True)
-            ids = [row[0]
-                   for name in dblp_mapped.table_names
-                   for row in backend.execute_sql(
-                       f'SELECT "ID" FROM "{name}"')]
-            assert len(ids) == len(set(ids))
-
     def test_append_load_across_backend_instances(self, tmp_path,
                                                   dblp_mapped):
         path = str(tmp_path / "scale.db")
@@ -219,14 +208,12 @@ class TestChunkedBackendLoad:
         first.load(dblp_mapped, generate_dblp(50, seed=3))
         first.close()
         second = SQLiteBackend(path)
-        # Without append: a clear error, not a raw sqlite one.
-        with pytest.raises(BackendError, match="already exists"):
+        # A second load from another instance: a clear error, not a raw
+        # sqlite one.
+        with pytest.raises(BackendError, match="already exists on this "
+                           "backend; load.. is one-shot per database — "
+                           "use a fresh backend/database$"):
             second.load(dblp_mapped, generate_dblp(20, seed=9))
-        second.load(dblp_mapped, generate_dblp(20, seed=9), append=True)
-        ids = [row[0]
-               for name in dblp_mapped.table_names
-               for row in second.execute_sql(f'SELECT "ID" FROM "{name}"')]
-        assert len(ids) == len(set(ids))
         second.close()
 
     def test_file_backed_load_uses_wal(self, tmp_path, dblp_mapped):

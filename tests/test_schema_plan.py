@@ -221,19 +221,6 @@ class TestIdentityWithParent:
                 joined[table].extend(rows)
             assert joined == whole
 
-    def test_continue_ids_on_a_lazy_root(self):
-        schema = derive_schema(hybrid_inlining(dblp_schema()))
-        lazy = generate_dblp(60, seed=9, stream=True)
-        shredder = Shredder(schema)
-        first = shredder.shred(lazy)
-        again = shredder.shred(lazy, continue_ids=True)
-        count = sum(map(len, first.values()))
-        assert count == max(r[0] for rows in first.values() for r in rows)
-        for table, rows in first.items():
-            shifted = [(r[0] + count, r[1] and r[1] + count) + r[2:]
-                       for r in rows]
-            assert again[table] == shifted
-        assert shredder.shred(lazy) == first    # and restarts at 1 again
 
 
 # ----------------------------------------------------------------------

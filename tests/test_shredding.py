@@ -125,16 +125,6 @@ class TestShredder:
         assert first == second
         assert second == Shredder(schema).shred(dblp_doc)
 
-    def test_continue_ids_numbers_above_previous_call(self, dblp_doc):
-        schema = derive_schema(hybrid_inlining(dblp_schema()))
-        shredder = Shredder(schema)
-        first = shredder.shred(dblp_doc)
-        continued = shredder.shred(dblp_doc, continue_ids=True)
-        max_first = max(row[0] for rows in first.values() for row in rows)
-        min_continued = min(row[0] for rows in continued.values()
-                            for row in rows)
-        assert min_continued == max_first + 1
-
     def test_load_documents_types_values(self, dblp_doc):
         db = Database()
         schema = derive_schema(hybrid_inlining(dblp_schema()))
