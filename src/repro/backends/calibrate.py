@@ -165,16 +165,13 @@ def fill_query_estimates(point: DesignPoint, collected) -> None:
                                    name=f"calibrate:{point.label}")
     db.build_primary_key_indexes()
     for view in point.configuration.views:
-        db.stats.set_table(view.name, derive_view_stats(
-            view.table, view.definition, db.stats))
-    extra_indexes = point.configuration.all_indexes()
-    extra_tables = point.configuration.extra_tables()
+        db.stats.set_table(view.name, derive_view_stats(view, db.stats))
+    what_if = db.what_if(point.configuration.indexes,
+                         point.configuration.views)
     point.queries = [
         QueryPoint(
             design=point.label, query_index=index, weight=weight,
-            estimated_cost=db.estimate(
-                query, extra_indexes=extra_indexes,
-                extra_tables=extra_tables).est_cost,
+            estimated_cost=db.estimate_under(what_if, query).est_cost,
             measured_seconds=0.0, rows=0)
         for index, (query, weight) in enumerate(point.sql_queries)]
 

@@ -60,7 +60,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..datasets import DEFAULT_STORAGE_BOUND, DatasetBundle
-from ..engine import JoinViewDefinition
+from ..engine import Table
 from ..mapping import MappedSchema
 from ..obs import NullTracer, Tracer, get_tracer
 from ..physdesign import Configuration
@@ -361,8 +361,10 @@ def _check_indexes(a: IntrospectableBackend,
 
 
 def _view_rows_now(backend: IntrospectableBackend,
-                   definition: JoinViewDefinition) -> list[tuple]:
-    """``definition`` evaluated over ``backend``'s base tables."""
+                   view: Table) -> list[tuple]:
+    """``view``'s definition evaluated over ``backend``'s base tables."""
+    definition = view.view_def
+    assert definition is not None
     parent, child = definition.parent_table, definition.child_table
     position = {table: {column: at for at, (column, _)
                         in enumerate(backend.table_columns(table))}
@@ -385,7 +387,7 @@ def _check_views(a: IntrospectableBackend, b: IntrospectableBackend,
     for side, backend in (("a", a), ("b", b)):
         for view in configuration.views:
             stored = backend.table_rows(view.name)
-            now = _view_rows_now(backend, view.definition)
+            now = _view_rows_now(backend, view)
             count, digest = _row_digest(stored)
             digests.setdefault(view.name, {}).update(
                 {f"{side}_rows": count, f"{side}_digest": digest})

@@ -74,11 +74,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..engine import SQLType, select_over_view
+from ..engine import SQLType, Table, select_over_view
 from ..errors import PlanError, ReproError
 from ..mapping import MappedSchema, shred_typed_batches
 from ..obs import NullTracer, Tracer, get_tracer
-from ..physdesign import Configuration, ViewCandidate
+from ..physdesign import Configuration
 from ..resilience import active_fault_plan
 from ..search import mapping_digest
 from ..sqlast import Query, Select
@@ -190,7 +190,7 @@ class RelationalBackend:
         self.row_counts: dict[str, int] = {}
         #: The join views this database holds, as ``apply_configuration``
         #: built or found them, narrowest first: what ``sql_text`` reads.
-        self._views: list[ViewCandidate] = []
+        self._views: list[Table] = []
 
     # ------------------------------------------------------------------
     # Driver hooks
@@ -534,23 +534,25 @@ class RelationalBackend:
         runs no DDL: it registers the view tables the file holds.
         """
         with self.tracer.span("backend.ddl", backend=self.name,
-                              indexes=len(configuration.indexes),
-                              views=len(configuration.views)):
+                              structures=len(configuration)):
             if not self.read_only:
                 self._build(configuration)
             self._views = sorted(
                 self._views + [view for view in configuration.views
                                if self._holds_view(view)],
-                key=lambda view: view.table.row_width)
+                key=lambda view: view.row_width)
 
     def _build(self, configuration: Configuration) -> None:
         try:
             self._begin_write()
             for view in configuration.views:
-                for statement in self.dialect.create_view_table_sql(view):
+                for statement in self.dialect.create_view_table_sql(
+                        view, configuration.cluster_of(view)):
                     self.connection.execute(statement)
                 self._metrics.incr("views_built")
             for index in configuration.indexes:
+                if index.clustered:
+                    continue    # built with its view
                 self.connection.execute(self.dialect.create_index_sql(
                     index, self._primary_keys.get(index.table_name)))
                 self._metrics.incr("indexes_built")
@@ -562,12 +564,12 @@ class RelationalBackend:
             raise BackendError(
                 f"applying configuration failed: {exc}") from exc
 
-    def _holds_view(self, view: ViewCandidate) -> bool:
+    def _holds_view(self, view: Table) -> bool:
         """Whether the database holds ``view``'s table, column for
         column as defined."""
         return (self._table_on_disk(view.name)
                 and [name for name, _ in self.table_columns(view.name)]
-                == [name for name, _ in view.definition.columns])
+                == view.column_names())
 
     # ------------------------------------------------------------------
     # Execution (the serve path: concurrent, per-thread connections)
@@ -591,7 +593,7 @@ class RelationalBackend:
     def _over_view(self, select: Select) -> Select:
         for view in self._views:
             try:
-                return select_over_view(select, view.table)
+                return select_over_view(select, view)
             except PlanError:
                 continue
         return select

@@ -49,9 +49,8 @@ engine's ``encode_key`` order, and ``ORDER BY <position>`` after
 
 from __future__ import annotations
 
-from ..engine import Index, JoinViewDefinition, SQLType, Table
+from ..engine import Index, SQLType, Table
 from ..errors import ReproError
-from ..physdesign import ViewCandidate
 from ..sqlast import (And, BoolExpr, ColumnRef, Comparison, Exists, IsNull,
                       Literal, Or, Parameter, Query, Scalar, Select,
                       SelectItem, TableRef)
@@ -216,20 +215,22 @@ class Dialect:
         return (f"CREATE INDEX {self.quote(index.name)} "
                 f"ON {self.quote(index.table_name)} ({columns})")
 
-    def view_rows_sql(self, definition: JoinViewDefinition,
-                      order: tuple[str, ...] = ()) -> str:
-        """The join a view materializes, one row per child row, in the
-        order of the view columns ``order`` — else in child ``ID`` order:
-        document order, so a scan of the view table yields a parent's
-        children as a scan of the child table does."""
+    def view_rows_sql(self, view: Table, cluster: Index | None) -> str:
+        """The join the view table ``view`` materializes, one row per
+        child row, in the order of its ``cluster`` key — else in child
+        ``ID`` order: document order, so a scan of the view table yields
+        a parent's children as a scan of the child table does."""
+        definition = view.view_def
+        assert definition is not None
         items = []
         for view_col, (source_table, source_col) in definition.columns:
             alias = "P" if source_table == definition.parent_table else "C"
             items.append(f"{alias}.{self.quote(source_col)} "
                          f"AS {self.quote(view_col)}")
-        names = [view_col for view_col, _ in definition.columns]
-        by = (", ".join(str(names.index(column) + 1) for column in order)
-              if order else 'C."ID"')
+        names = view.column_names()
+        by = (", ".join(str(names.index(column) + 1)
+                        for column in cluster.key_columns)
+              if cluster is not None else 'C."ID"')
         return (
             f"SELECT {', '.join(items)} "
             f"FROM {self.quote(definition.parent_table)} AS P, "
@@ -237,12 +238,14 @@ class Dialect:
             f"WHERE C.{self.quote(definition.child_fk_column)} = P.\"ID\" "
             f"ORDER BY {by}")
 
-    def create_view_table_sql(self, view: ViewCandidate) -> list[str]:
-        """The statements that materialize a join view as a populated
-        table: here one ``CREATE TABLE … AS``, written in the order of
-        its cluster key (a dialect with clustered tables overrides)."""
+    def create_view_table_sql(self, view: Table,
+                              cluster: Index | None) -> list[str]:
+        """The statements that materialize the join view table ``view``
+        as a populated table: here one ``CREATE TABLE … AS``, written in
+        the order of its ``cluster`` key (a dialect with clustered
+        tables overrides)."""
         return [f"CREATE TABLE {self.quote(view.name)} AS "
-                f"{self.view_rows_sql(view.definition, view.cluster_key)}"]
+                f"{self.view_rows_sql(view, cluster)}"]
 
 
 class SQLiteDialect(Dialect):
@@ -271,23 +274,23 @@ class SQLiteDialect(Dialect):
         # comparison either way (docs/serving.md, "Plan cache").
         return f"?{index}"
 
-    def create_view_table_sql(self, view: ViewCandidate) -> list[str]:
+    def create_view_table_sql(self, view: Table,
+                              cluster: Index | None) -> list[str]:
         # A clustered view is a WITHOUT ROWID table: its rows are the
         # leaves of the primary-key B-tree, which a SELECT filtering on
         # the key's leading columns enters "USING PRIMARY KEY". The
         # columns are declared with the affinities CREATE TABLE … AS
         # would have given them.
-        if view.cluster is None:
-            return super().create_view_table_sql(view)
+        if cluster is None:
+            return super().create_view_table_sql(view, cluster)
         name = self.quote(view.name)
         columns = ", ".join(
             f"{self.quote(column.name)} {self.type_name(column.sql_type)}"
-            for column in view.table.columns)
-        key = ", ".join(self.quote(column) for column in view.cluster_key)
+            for column in view.columns)
+        key = ", ".join(self.quote(column) for column in cluster.key_columns)
         return [f"CREATE TABLE {name} ({columns}, PRIMARY KEY ({key})) "
                 f"WITHOUT ROWID",
-                f"INSERT INTO {name} "
-                f"{self.view_rows_sql(view.definition, view.cluster_key)}"]
+                f"INSERT INTO {name} {self.view_rows_sql(view, cluster)}"]
 
 
 class DuckDBDialect(Dialect):

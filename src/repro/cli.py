@@ -53,17 +53,18 @@ def _load_schema(args) -> SchemaTree:
     raise SystemExit("provide --schema <file.xsd> or --dtd <file.dtd>")
 
 
-def _inputs(args, default_bound: int | None = None) -> DatasetBundle:
+def _inputs(args) -> DatasetBundle:
     """The command's inputs, assembled in one place.
 
     Either a bundled dataset (``--dataset``/``--scale``/``--seed``) or
     schema + XML files, parsed and validated. The bundle collects
     statistics when a command first reads them; its storage bound is
     ``--storage-bound-mb`` where the command has it, else
-    ``default_bound``.
+    ``DEFAULT_STORAGE_BOUND``.
     """
     megabytes = getattr(args, "storage_bound_mb", None)
-    bound = default_bound if megabytes is None else megabytes * 1024 * 1024
+    bound = (DEFAULT_STORAGE_BOUND if megabytes is None
+             else megabytes * 1024 * 1024)
     if getattr(args, "dataset", None):
         return DatasetBundle.named(args.dataset, scale=args.scale,
                                    seed=args.seed, storage_bound=bound,
@@ -290,11 +291,9 @@ def cmd_advise(args, out=None) -> int:
     db = build_stats_only_database(result.schema, bundle.stats)
     data = db.catalog.total_data_bytes()
     structures = result.configuration.size_bytes(db)
-    bound = ("unbounded" if bundle.storage_bound is None
-             else f"{bundle.storage_bound} cost-model bytes")
-    print(f"storage bound: {bound}; design size: {data + structures} "
-          f"cost-model bytes (data {data} + structures {structures})",
-          file=out)
+    print(f"storage bound: {bundle.storage_bound} cost-model bytes; design "
+          f"size: {data + structures} cost-model bytes (data {data} + "
+          f"structures {structures})", file=out)
     counters = result.counters
     print(f"\nsearch: {counters.transformations_searched} transformations, "
           f"{counters.tuner_calls} tuner calls, "
@@ -486,7 +485,7 @@ def cmd_serve(args, out=None) -> int:
     service = _make_service(args, schema, configuration, bundle.docs)
     try:
         print(f"serving {len(schema.table_names)} tables "
-              f"({len(configuration.indexes)} indexes, "
+              f"({len(configuration) - len(configuration.views)} indexes, "
               f"{len(configuration.views)} views) on {args.workers} "
               f"workers; plan cache {args.plan_cache}", file=out)
         if args.xpath:
@@ -625,7 +624,7 @@ def _verify_against_engine(service, schema, docs, mix, out) -> int:
 def cmd_calibrate(args, out=None) -> int:
     out = out or sys.stdout
     from .backends import run_calibration
-    bundle = _inputs(args, DEFAULT_STORAGE_BOUND)
+    bundle = _inputs(args)
     report = run_calibration(bundle, _workload(args, bundle),
                              algorithms=tuple(args.algorithms),
                              repeat=args.repeat, warmup=args.warmup)

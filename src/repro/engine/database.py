@@ -114,8 +114,7 @@ class Database:
             populate_view(view, parent, child)
             self.stats.analyze_table(view)
         else:
-            self.stats.set_table(name, derive_view_stats(view, definition,
-                                                         self.stats))
+            self.stats.set_table(name, derive_view_stats(view, self.stats))
         return view
 
     # ------------------------------------------------------------------

@@ -7,9 +7,11 @@ included, or the table's primary key — exactly the covering-index notion
 of the paper's footnote 2: the query "can be evaluated from the index
 only, without accessing the table".
 
-Indexes may be *hypothetical* ("what-if"): fully costable from statistics
-but never built. The tuning advisor works exclusively with hypothetical
-indexes and only materializes the final recommendation.
+An index is *hypothetical* ("what-if") until :meth:`Index.build` runs —
+exactly when it is not :attr:`Index.is_built`: fully costable from
+statistics, but holding no entries. The tuning advisor works
+exclusively with hypothetical indexes and only materializes the final
+recommendation.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class Index:
     key_columns: tuple[str, ...]
     included_columns: tuple[str, ...] = ()
     clustered: bool = False
-    hypothetical: bool = False
     _tree: SortedEntries | None = field(default=None, repr=False, compare=False)
     _table: Table | None = field(default=None, repr=False, compare=False)
 
@@ -126,7 +127,6 @@ class Index:
         ]
         self._tree = SortedEntries(entries)
         self._table = table
-        self.hypothetical = False
 
     @property
     def is_built(self) -> bool:

@@ -125,14 +125,15 @@ def select_over_view(select: Select, view: Table) -> Select:
                     for conjunct in conjuncts))
 
 
-def derive_view_stats(view: Table, definition: JoinViewDefinition,
-                      stats: StatisticsCatalog) -> TableStats:
-    """Estimate view statistics from the source tables' statistics.
+def derive_view_stats(view: Table, stats: StatisticsCatalog) -> TableStats:
+    """Estimate the view table's statistics from its source tables'.
 
     Each child row joins exactly one parent (FK semantics), so the view
     has the child's cardinality; parent-sourced columns keep their value
     distribution but are re-scaled to the child row count.
     """
+    definition = view.view_def
+    assert definition is not None
     child_stats = stats.table(definition.child_table)
     child_rows = child_stats.row_count if child_stats else 0
     view_stats = TableStats(row_count=child_rows)

@@ -14,7 +14,8 @@ and [Agrawal et al., VLDB'00]):
   parent and child ``ID``) when the key has a NOT NULL column — an
   indexed view, costed as a clustered seek — else as a heap.
 
-Candidates are deduplicated by signature across the workload.
+Each candidate is a one-structure :class:`Configuration` (a view comes
+with its cluster), deduplicated by signature across the workload.
 
 Filter columns, join edges and EXISTS correlations are read from the
 query's :class:`~repro.sqlast.SelectShape` — the classification the
@@ -27,7 +28,7 @@ import itertools
 
 from ..engine import Database, Index, JoinViewDefinition
 from ..sqlast import Query, SelectShape, shape_of
-from .config import ViewCandidate, make_view_candidate
+from .config import Configuration, make_view_candidate
 
 _MAX_KEY_COLUMNS = 3
 
@@ -37,8 +38,7 @@ class CandidateGenerator:
 
     def __init__(self, db: Database):
         self.db = db
-        self._seen: set[tuple] = set()
-        self._view_seen: set[tuple] = set()
+        self._seen: set[tuple] = set()      # index and view signatures
         self._counter = itertools.count()
 
     def _index(self, table: str, keys: tuple[str, ...],
@@ -55,17 +55,19 @@ class CandidateGenerator:
             table_name=table,
             key_columns=keys,
             included_columns=included,
-            hypothetical=True,
         )
 
-    def for_query(self, query: Query) -> tuple[list[Index], list[ViewCandidate]]:
-        indexes: list[Index] = []
-        views: list[ViewCandidate] = []
+    def for_query(self, query: Query) -> list[Configuration]:
+        """The query's new candidates, one structure each: every
+        SELECT's indexes, then every SELECT's views."""
+        indexes: list[Configuration] = []
+        views: list[Configuration] = []
         for select in query.selects:
             shape = shape_of(select)
-            indexes.extend(self._indexes_for_shape(shape))
-            views.extend(self._views_for_shape(shape))
-        return indexes, views
+            indexes += (Configuration([index])
+                        for index in self._indexes_for_shape(shape))
+            views += self._views_for_shape(shape)
+        return indexes + views
 
     # ------------------------------------------------------------------
     def _indexes_for_shape(self, shape: SelectShape) -> list[Index]:
@@ -106,8 +108,8 @@ class CandidateGenerator:
                 out.append(probe)
         return out
 
-    def _views_for_shape(self, shape: SelectShape) -> list[ViewCandidate]:
-        out: list[ViewCandidate] = []
+    def _views_for_shape(self, shape: SelectShape) -> list[Configuration]:
+        out: list[Configuration] = []
         for la, lc, ra, rc in shape.joins:
             ta, tb = shape.alias_tables[la], shape.alias_tables[ra]
             # Orient: child carries the FK (the non-ID side of the join).
@@ -157,9 +159,9 @@ class CandidateGenerator:
                 child_fk_column=fk, columns=tuple(columns))
             signature = (parent_table, child_table, fk,
                          tuple(sorted(c for c, _ in columns)), cluster_key)
-            if signature in self._view_seen:
+            if signature in self._seen:
                 continue
-            self._view_seen.add(signature)
+            self._seen.add(signature)
             name = f"cand_view_{next(self._counter)}"
             out.append(make_view_candidate(name, definition, self.db,
                                            cluster_key))

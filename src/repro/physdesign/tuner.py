@@ -17,15 +17,15 @@ database holding real data to build the final recommendation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..engine import Database, Index
+from ..engine import Database, JoinViewDefinition
 from ..engine.optimizer import Optimizer
 from ..errors import PlanError, SearchError
 from ..obs import NullTracer, Tracer, get_tracer
 from ..sqlast import Query
 from .candidates import CandidateGenerator
-from .config import Configuration, ViewCandidate
+from .config import Configuration
 
 
 @dataclass
@@ -52,17 +52,6 @@ class TuningResult:
         return self.reports[index].cost
 
 
-@dataclass
-class AdvisorStats:
-    """Cumulative instrumentation across advisor invocations."""
-
-    invocations: int = 0
-    optimizer_calls: int = 0
-    cost_cache_lookups: int = 0
-    cost_cache_hits: int = 0
-    heap_reevaluations: int = 0
-
-
 class IndexTuningAdvisor:
     """Greedy what-if physical design advisor."""
 
@@ -73,7 +62,6 @@ class IndexTuningAdvisor:
         self.db = db
         self.max_rounds = max_rounds
         self.min_benefit = min_benefit
-        self.stats = AdvisorStats()
         self.tracer = tracer if tracer is not None else get_tracer()
         # What-if cost cache: (database name, rendered query, signatures
         # of the structures relevant to it) -> (cost, objects used). A
@@ -100,14 +88,23 @@ class IndexTuningAdvisor:
     @staticmethod
     def _relevant_signature(tables: frozenset[str],
                             configuration: Configuration) -> frozenset:
+        """What of ``configuration`` can move the plan of a query over
+        ``tables``, by content: the what-if cost cache's key, and empty
+        for a candidate that cannot matter to the query."""
+        views: dict[str, JoinViewDefinition] = {}
+        for view in configuration.views:
+            definition = view.view_def
+            assert definition is not None
+            if {definition.parent_table, definition.child_table} <= tables:
+                views[view.name] = definition
         parts: list = []
         for index in configuration.indexes:
             if index.table_name in tables:
                 parts.append(index.signature())
-        for view in configuration.views:
-            definition = view.definition
-            if {definition.parent_table, definition.child_table} <= tables:
-                parts.append(("view", definition, view.cluster_key))
+            elif index.table_name in views:     # a view's cluster
+                parts.append(("view", views.pop(index.table_name),
+                              index.key_columns))
+        parts += (("view", definition, ()) for definition in views.values())
         return frozenset(parts)
 
     def _cost_cached(self, query_key: str, query: Query,
@@ -132,7 +129,6 @@ class IndexTuningAdvisor:
         """Recommend a configuration for the weighted SQL workload."""
         from ..resilience import active_fault_plan
         active_fault_plan().maybe_raise("advisor")
-        self.stats.invocations += 1
         self._cache_lookups = 0
         self._cache_hits = 0
         self._heap_reevaluations = 0
@@ -151,9 +147,7 @@ class IndexTuningAdvisor:
             span.set("cost_cache_hit_ratio",
                      round(self._cache_hits / max(self._cache_lookups, 1), 4))
             span.set("heap_reevaluations", self._heap_reevaluations)
-            span.set("structures_selected",
-                     len(result.configuration.indexes)
-                     + len(result.configuration.views))
+            span.set("structures_selected", len(result.configuration))
             span.set("total_cost", result.total_cost)
         # The candidates this tune tried are garbage now, and with them
         # nearly every choice the database remembers for a SELECT.
@@ -163,13 +157,11 @@ class IndexTuningAdvisor:
     def _tune(self, workload: list[tuple[Query, float]],
               storage_bound: int | None = None) -> TuningResult:
         generator = CandidateGenerator(self.db)
-        candidates: list[Index | ViewCandidate] = []
+        candidates: list[Configuration] = []
         per_query_tables: list[frozenset[str]] = []
         per_query_keys: list[str] = []
         for query, _ in workload:
-            indexes, views = generator.for_query(query)
-            candidates.extend(indexes)
-            candidates.extend(views)
+            candidates += generator.for_query(query)
             per_query_tables.append(query.referenced_tables)
             per_query_keys.append(str(query))
 
@@ -198,35 +190,32 @@ class IndexTuningAdvisor:
         import heapq
 
         # Candidate sizes never change during selection, so each is
-        # computed exactly once (size estimation walks the table's
-        # column widths); the accepted configuration's size is tracked
-        # as a running sum — re-deriving ``chosen.size_bytes`` on every
-        # heap pop made selection quadratic in configuration size.
-        sizes: dict[int, int] = {}
+        # computed exactly once; the accepted configuration's size is a
+        # running sum — re-deriving ``chosen.size_bytes`` on every heap
+        # pop made selection quadratic in configuration size.
+        sizes = [candidate.size_bytes(self.db) for candidate in candidates]
         chosen_size = 0
 
         def evaluate(candidate, base_costs, size):
-            trial = chosen.extended(candidate)
-            affected_table = self._candidate_table(candidate)
+            trial = chosen | candidate
             new_costs = list(base_costs)
             benefit = 0.0
             for i, (query, weight) in enumerate(workload):
-                if affected_table is not None and \
-                        affected_table not in per_query_tables[i]:
+                if not self._relevant_signature(per_query_tables[i],
+                                                candidate):
                     continue
                 cost, _ = self._cost_cached(per_query_keys[i], query,
                                             per_query_tables[i], trial)
                 benefit += weight * (base_costs[i] - cost)
                 new_costs[i] = cost
-            return benefit / max(size, 1), benefit, new_costs, size
+            return benefit / max(size, 1), benefit, new_costs
 
         heap: list = []
-        for order, candidate in enumerate(candidates):
-            size = sizes[order] = self._candidate_size(candidate)
+        for order, (candidate, size) in enumerate(zip(candidates, sizes)):
             if budget is not None and size > budget:
                 continue
-            score, benefit, new_costs, _ = evaluate(candidate, current_costs,
-                                                    size)
+            score, benefit, new_costs = evaluate(candidate, current_costs,
+                                                 size)
             if benefit <= self.min_benefit:
                 continue
             heapq.heappush(heap, (-score, 0, order, candidate, new_costs))
@@ -241,14 +230,14 @@ class IndexTuningAdvisor:
             if generation != rounds:
                 # Stale score: re-evaluate against the current config.
                 self._heap_reevaluations += 1
-                score, benefit, new_costs, _ = evaluate(candidate,
-                                                        current_costs, size)
+                score, benefit, new_costs = evaluate(candidate,
+                                                     current_costs, size)
                 if benefit <= self.min_benefit:
                     continue
                 heapq.heappush(heap, (-score, rounds, order, candidate,
                                       new_costs))
                 continue
-            chosen = chosen.extended(candidate)
+            chosen = chosen | candidate
             chosen_size += size
             current_costs = new_costs
             rounds += 1
@@ -269,10 +258,6 @@ class IndexTuningAdvisor:
         chosen = Configuration(
             [index for index in chosen.indexes if index.name in used],
             [view for view in chosen.views if view.name in used])
-        self.stats.optimizer_calls += self._optimizer_calls
-        self.stats.cost_cache_lookups += self._cache_lookups
-        self.stats.cost_cache_hits += self._cache_hits
-        self.stats.heap_reevaluations += self._heap_reevaluations
         return TuningResult(
             configuration=chosen,
             total_cost=total,
@@ -282,23 +267,11 @@ class IndexTuningAdvisor:
         )
 
     # ------------------------------------------------------------------
-    def _candidate_size(self, candidate: Index | ViewCandidate) -> int:
-        if isinstance(candidate, Index):
-            table = self.db.catalog.table(candidate.table_name)
-            return candidate.size_bytes(table)
-        return candidate.size_bytes()
-
-    @staticmethod
-    def _candidate_table(candidate: Index | ViewCandidate) -> str | None:
-        if isinstance(candidate, Index):
-            return candidate.table_name
-        return None  # views affect both tables; never skip
-
     def _cost(self, query: Query,
               configuration: Configuration) -> tuple[float, frozenset[str]]:
         if self._what_if is None or self._what_if[0] is not configuration:
             self._what_if = (configuration, self.db.what_if(
-                configuration.all_indexes(), configuration.extra_tables()))
+                configuration.indexes, configuration.views))
         try:
             planned = self.db.estimate_under(self._what_if[1], query)
         except PlanError as exc:
@@ -309,13 +282,11 @@ class IndexTuningAdvisor:
 def materialize(db: Database, configuration: Configuration) -> None:
     """Build a recommended configuration on a database with real data."""
     for view in configuration.views:
-        db.create_materialized_view(view.name, view.definition)
-    for index in configuration.all_indexes():
+        assert view.view_def is not None
+        db.create_materialized_view(view.name, view.view_def)
+    for index in configuration.indexes:
         table = db.catalog.table(index.table_name)
-        built = Index(name=index.name, table_name=index.table_name,
-                      key_columns=index.key_columns,
-                      included_columns=index.included_columns,
-                      clustered=index.clustered)
+        built = replace(index)      # the configuration's stays unbuilt
         db.catalog.add_index(built)
         if table.is_materialized:
             built.build(table)

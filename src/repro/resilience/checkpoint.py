@@ -48,7 +48,8 @@ __all__ = ["CheckpointStore", "load_search_state", "save_search_state"]
 #: Bump when the snapshot layout changes; old checkpoints then fail the
 #: format check and are treated as absent instead of mis-unpickled.
 #: 8: a Greedy run whose M0 is infeasible pools its splits.
-CHECKPOINT_VERSION = 8
+#: 9: configurations hold view tables; Greedy keeps its net design.
+CHECKPOINT_VERSION = 9
 
 _FILENAME = "search.ckpt"
 
@@ -104,6 +105,10 @@ class CheckpointStore:
             return None
         try:
             state = pickle.loads(payload)
+        except (AttributeError, ImportError) as exc:
+            # It names a class this code no longer has: an older layout.
+            note_suppressed(exc, "checkpoint.load", self.tracer)
+            state = None
         except Exception as exc:
             # Torn/corrupt checkpoint: recoverable — start fresh.
             note_suppressed(exc, "checkpoint.load", self.tracer)

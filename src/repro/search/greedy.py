@@ -75,7 +75,7 @@ class GreedySearch(Search):
             base_eval = resumed["base_eval"]
             pool: list[Transformation] = resumed["pool"]
             rejected_here: list[Transformation] = resumed["rejected_here"]
-            applied_log = resumed["applied_log"]
+            applied: list[Transformation] = resumed["applied"]
             exact_rescue_used = resumed["exact_rescue_used"]
         else:
             with self.tracer.span("select_candidates") as span:
@@ -111,7 +111,7 @@ class GreedySearch(Search):
                 inverse = self._inverse(transformation)
                 if inverse is not None:
                     pool.append(inverse)
-            applied_log = [str(t) for t in applied_splits]
+            applied = list(applied_splits)
             rounds = 0
             exact_rescue_used = False
             # Candidates whose round win was overturned by the exact
@@ -127,7 +127,7 @@ class GreedySearch(Search):
             save_search_state(
                 self, evaluator, rounds=rounds, current=current,
                 base_eval=base_eval, pool=pool,
-                rejected_here=rejected_here, applied_log=applied_log,
+                rejected_here=rejected_here, applied=applied,
                 exact_rescue_used=exact_rescue_used)
             rounds += 1
             with self.tracer.span("round", index=rounds,
@@ -187,7 +187,13 @@ class GreedySearch(Search):
                         continue
                     evaluated = exact
                 current = evaluated
-                applied_log.append(str(winner))
+                # ``applied`` is the net design (the trace keeps the path).
+                undone = next((t for t in applied
+                               if self._inverse(t) == winner), None)
+                if undone is None:
+                    applied.append(winner)
+                else:
+                    applied.remove(undone)
                 pool = [c for c in pool if c is not winner]
                 rejected_here = []
                 round_span.set("improved", True)
@@ -196,6 +202,7 @@ class GreedySearch(Search):
         # Never return a design costlier than the base mapping's tuned
         # design: if the split-everything start landed in a bad local
         # minimum the merges could not escape, fall back.
+        applied_log = [str(t) for t in applied]
         if base_eval is not None and \
                 base_eval.total_cost < current.total_cost:
             current = base_eval

@@ -102,7 +102,7 @@ class TwoStepSearch(Search):
             if table.has_column("PID"):
                 default_indexes.append(Index(
                     name=f"defix_pid_{table.name}", table_name=table.name,
-                    key_columns=("PID",), hypothetical=True))
+                    key_columns=("PID",)))
         try:
             translator_queries = translate_workload(self.workload, schema)
         except TranslationError:

@@ -165,8 +165,7 @@ class Scenario:
             included = tuple(c for c in db.catalog.table(table).column_names()
                              if covering and c not in keys and c != "ID")
             self.what_if_indexes.append(Index(
-                f"hyp_{next(self.names)}", table, keys, included,
-                hypothetical=True))
+                f"hyp_{next(self.names)}", table, keys, included))
         elif kind == "reissue_what_if_index":
             # Another object with the signature (and name) of one that
             # is dropped: told apart, or indistinguishable in effect.
@@ -176,8 +175,8 @@ class Scenario:
                     replace(self.what_if_indexes.pop(at)))
                 gc.collect()
         elif kind == "what_if_view":
-            self.what_if_views.append(make_view_candidate(
-                f"hyp_view_{next(self.names)}", VIEW, db))
+            self.what_if_views += make_view_candidate(
+                f"hyp_view_{next(self.names)}", VIEW, db).views
         elif kind == "drop_what_if_view":
             if self.what_if_views:
                 self.what_if_views.pop(step[1] % len(self.what_if_views))
@@ -199,13 +198,13 @@ class Scenario:
                 else:
                     self.what_if_indexes.append(Index(
                         f"hyp_{next(self.names)}", name, keys,
-                        tuple(included), hypothetical=True))
+                        tuple(included)))
 
     def check(self) -> None:
         # A database that has never planned: same catalog, rows and
         # statistics, no access-path table (see TestNotPickled).
         fresh = pickle.loads(pickle.dumps(self.db))
-        tables = [view.table for view in self.what_if_views]
+        tables = self.what_if_views
         # (An index on a view that is not offered is on no table.)
         for query in QUERIES:
             assert fingerprint(self.db.explain(query)) == \
@@ -248,7 +247,7 @@ def test_each_listed_mutation_moves_the_plan_it_should():
     seen by the very next plan of a database that has planned before."""
     db = make_db()
     query = QUERIES[0]
-    hyp = Index("hyp_k", "p", ("k",), hypothetical=True)
+    hyp = Index("hyp_k", "p", ("k",))
     before = fingerprint(db.estimate(query, [hyp]))
     costed = db.access_paths.costed
     db.estimate(query, [hyp])
@@ -283,13 +282,11 @@ def test_an_index_no_access_path_can_enter_by_costs_nothing():
     with override_checks(False):
         bare = db.estimate(query)
         assert (paths.selects_planned, paths.selects_costed) == (2, 2)
-        deaf = db.estimate(query, [Index("hyp_id", "c", ("ID", "w"),
-                                         hypothetical=True)])
+        deaf = db.estimate(query, [Index("hyp_id", "c", ("ID", "w"))])
         assert (paths.selects_planned, paths.selects_costed) == (4, 2)
         assert deaf.choices == bare.choices
         # P.v is a filter of the second branch; the first joins on P.ID.
-        one = db.estimate(query, [Index("hyp_v", "p", ("v",), ("k",),
-                                        hypothetical=True)])
+        one = db.estimate(query, [Index("hyp_v", "p", ("v",), ("k",))])
         assert (paths.selects_planned, paths.selects_costed) == (6, 3)
         assert one.choices[0] is bare.choices[0]
         assert one.objects_used() == {"p", "c", "hyp_v"}
@@ -302,7 +299,7 @@ def test_an_index_no_access_path_can_enter_by_costs_nothing():
 def test_every_plan_registers_its_own_exists_probes():
     db = make_db()
     query = QUERIES[4]
-    probe_index = Index("hyp_c_pid", "c", ("PID", "w"), hypothetical=True)
+    probe_index = Index("hyp_c_pid", "c", ("PID", "w"))
     for _ in range(2):
         bare = db.estimate(query)
         tuned = db.estimate(query, extra_indexes=[probe_index])
@@ -359,21 +356,20 @@ def test_what_costing_says_was_used_is_what_the_built_plan_uses(dataset):
         db = build_stats_only_database(result.schema, bundle.stats)
         db.build_primary_key_indexes()
         for view in config.views:
-            db.stats.set_table(view.name, derive_view_stats(
-                view.table, view.definition, db.stats))
+            db.stats.set_table(view.name, derive_view_stats(view, db.stats))
         with override_checks(False):
             for query, _ in result.sql_queries:
                 for planned in (
                         db.explain(query), db.estimate(query),
-                        db.estimate(query, config.all_indexes(),
-                                    config.extra_tables())):
+                        db.estimate(query, config.indexes, config.views)):
                     used = planned.objects_used()
                     assert "root" not in vars(planned) \
                         and "_built" not in vars(planned)
                     assert used == walked(planned)
                     assert planned.est_cost == planned.root.est_cost
                     checked += 1
-                    indexed += bool(used & {ix.name for ix in config.indexes})
+                    indexed += bool(used & {ix.name for ix in config.indexes
+                                            if not ix.clustered})
                     viewed += bool(used & {v.name for v in config.views})
     # (Movie's designs at this scale hold views only.)
     assert checked == 60 and viewed and (indexed or dataset == "movie")
@@ -444,8 +440,7 @@ def test_equal_signature_indexes_never_share_an_entry():
     seen = set()
     costs = []
     for round_ in range(50):
-        index = Index(f"hyp_{round_}", "p", ("k",), ("v",),
-                      hypothetical=True)
+        index = Index(f"hyp_{round_}", "p", ("k",), ("v",))
         assert id(index) not in seen    # its entry keeps it alive
         seen.add(id(index))
         costs.append(seek_of(index))
@@ -454,7 +449,7 @@ def test_equal_signature_indexes_never_share_an_entry():
     assert len(set(costs)) == 1
     assert db.access_paths.seeks_costed == 50
     # Same object again: one more lookup, no more costing.
-    index = Index("hyp_again", "p", ("k",), ("v",), hypothetical=True)
+    index = Index("hyp_again", "p", ("k",), ("v",))
     seek_of(index), seek_of(index)
     assert db.access_paths.seeks_costed == 51
 
@@ -462,11 +457,11 @@ def test_equal_signature_indexes_never_share_an_entry():
 def test_a_narrower_covering_index_is_not_mistaken_for_a_wider_one():
     db = make_db(p_count=5000)
     query = QUERIES[0]
-    plain = Index("hyp", "p", ("k",), hypothetical=True)
+    plain = Index("hyp", "p", ("k",))
     first = db.estimate(query, extra_indexes=[plain])
     del plain
     gc.collect()
-    covering = Index("hyp", "p", ("k",), ("v",), hypothetical=True)
+    covering = Index("hyp", "p", ("k",), ("v",))
     second = db.estimate(query, extra_indexes=[covering])
     assert second.objects_used() == {"hyp"}
     assert second.est_cost < first.est_cost
@@ -512,12 +507,10 @@ class TestNotPickled:
             config = mapping.tuning.configuration
             for (query, _), report in zip(mapping.sql_queries,
                                           mapping.tuning.reports):
-                planned = db.estimate(query, config.all_indexes(),
-                                      config.extra_tables())
+                planned = db.estimate(query, config.indexes, config.views)
                 assert planned.est_cost == report.cost
                 assert planned.objects_used() == report.objects_used
-                again = db.estimate(query, config.all_indexes(),
-                                    config.extra_tables())
+                again = db.estimate(query, config.indexes, config.views)
                 assert fingerprint(again) == fingerprint(planned)
             # A filled table adds nothing to the pickle.
             assert db.access_paths.costed > 0
@@ -594,12 +587,12 @@ class TestSelectOverView:
 
     def test_the_optimizer_costs_and_builds_that_select(self):
         db = make_db()
-        view = make_view_candidate("jv", VIEW, db)
+        (view,) = make_view_candidate("jv", VIEW, db).views
         query = QUERIES[2]
-        scan = db.access_paths.view_scan(query.selects[0], view.table)
-        assert scan.select == select_over_view(query.selects[0], view.table)
+        scan = db.access_paths.view_scan(query.selects[0], view)
+        assert scan.select == select_over_view(query.selects[0], view)
         assert scan.filters.eq == {"k": 3} and not scan.filters.other
-        planned = db.estimate(query, extra_tables=[view.table])
+        planned = db.estimate(query, extra_tables=[view])
         # Plan text, cost and I(Q, M) as before the rewrite was shared.
         assert fingerprint(planned) == (
             "Project(2 cols)  (rows=17 cost=1.4)\n"

@@ -25,7 +25,7 @@ from repro.engine.expressions import _comparator
 from repro.experiments import DatasetBundle
 from repro.mapping import (PRESETS, collect_statistics, derive_schema,
                            fully_split, hybrid_inlining)
-from repro.physdesign import CandidateGenerator, Configuration, ViewCandidate
+from repro.physdesign import CandidateGenerator, Configuration
 from repro.search import GreedySearch, build_stats_only_database, design_for
 from repro.sqlast import (ColumnRef, Comparison, ComparisonOp, IsNull,
                           Literal, Or, Query, Select, SelectItem, TableRef)
@@ -75,15 +75,15 @@ def _translate(schema, xpath: str) -> Query:
     return Translator(schema).translate(parse_xpath(xpath))
 
 
-def _author_view(schema, name: str, *parent_columns: str) -> ViewCandidate:
+def _author_view(schema, name: str, *parent_columns: str) -> Table:
     """``inproc JOIN author`` of the hybrid DBLP schema, carrying the
     named ``inproc`` columns and ``author``'s ``ID`` and ``author``."""
     tables = {table.name: table for table in schema.to_engine_tables()}
     definition = JoinViewDefinition("inproc", "author", "PID", tuple(
         [(column, ("inproc", column)) for column in parent_columns]
         + [(column, ("author", column)) for column in ("ID", "author")]))
-    return ViewCandidate(name, definition, make_view_table(
-        name, definition, tables["inproc"], tables["author"]))
+    return make_view_table(name, definition, tables["inproc"],
+                           tables["author"])
 
 
 def _agree(engine, sqlite_backend, query: Query) -> tuple[int, int]:
@@ -432,23 +432,27 @@ class TestBackendBasics:
         for xpath in ('//inproceedings[editor = "Editor 3"]/author',
                       '//inproceedings[year = "1990"]/author'):
             queries.append(_translate(schema, xpath))
-            views += generator.for_query(queries[-1])[1]
+            views += [candidate
+                      for candidate in generator.for_query(queries[-1])
+                      if candidate.views]
         by_editor, by_year = views
-        assert by_editor.cluster is None
-        assert by_year.cluster_key == ("year", "ID", "author_ID")
+        assert by_editor.indexes == []
+        assert by_year.indexes[0].key_columns == ("year", "ID", "author_ID")
         with SQLiteBackend() as plain, SQLiteBackend() as backend:
             for each in (plain, backend):
                 each.load(schema, docs)
-            backend.apply_configuration(Configuration(views=views))
+            backend.apply_configuration(by_editor | by_year)
             for query, view in zip(queries, views):
-                assert f'FROM "{view.name}"' in backend.sql_text(query)
+                assert f'FROM "{view.views[0].name}"' \
+                    in backend.sql_text(query)
                 assert not any(multiset_diff(plain.execute(query),
                                              backend.execute(query)))
-            trap = _author_view(schema, "jv_editor", "editor")
-            trap.cluster = Index("jv_editor", "jv_editor",
-                                 ("editor", "ID"), clustered=True)
+            trap = Configuration(
+                [Index("jv_editor", "jv_editor", ("editor", "ID"),
+                       clustered=True)],
+                [_author_view(schema, "jv_editor", "editor")])
             with pytest.raises(BackendError, match="NOT NULL"):
-                backend.apply_configuration(Configuration(views=[trap]))
+                backend.apply_configuration(trap)
 
     def test_queries_are_rendered_over_the_narrowest_covering_view(
             self, dblp_data):

@@ -358,7 +358,7 @@ class TestPlanChecker:
         db = build_stats_only_database(schema, dblp_bundle.stats)
         table = sorted(db.catalog.tables)[0]
         hyp = Index(name="hyp_id", table_name=table,
-                    key_columns=("ID",), hypothetical=True)
+                    key_columns=("ID",))
         query = parse_sql(f"SELECT t.ID FROM {table} t WHERE t.ID = '5'")
         with override_checks(False):
             plan = db.estimate(query, extra_indexes=[hyp])

@@ -11,6 +11,7 @@ serial/parallel identity is proven in test_parallel.py, and
 """
 
 import pickle
+import sys
 
 import pytest
 
@@ -58,6 +59,10 @@ def _naive(problem, **kwargs):
 def baselines(problems):
     return {name: _greedy(problem).run()
             for name, problem in problems.items()}
+
+
+class _Removed:
+    """A class a later version of the code deletes."""
 
 
 def _fingerprint(result):
@@ -163,6 +168,20 @@ class TestCheckpointValidation:
         assert _fingerprint(result) == _fingerprint(baselines["dblp"])
         assert result.counters.mappings_evaluated == \
             baselines["dblp"].counters.mappings_evaluated
+
+    def test_a_snapshot_naming_a_removed_class_is_an_old_layout(
+            self, tmp_path, monkeypatch):
+        """A snapshot pickling a class the code has since deleted (an
+        older tuned configuration's ``ViewCandidate``) loads as absent
+        under ``version_mismatches``, not as a corrupt file."""
+        store = CheckpointStore(tmp_path, tracer=Tracer())
+        store.root.mkdir(parents=True, exist_ok=True)
+        store.path.write_bytes(pickle.dumps({"version": 8,
+                                             "views": [_Removed()]}))
+        monkeypatch.delattr(sys.modules[_Removed.__module__], "_Removed")
+        assert store.load() is None
+        assert store.tracer.metric_snapshot()["checkpoint"] == {
+            "version_mismatches": 1}
 
     def test_problem_digest_stable_across_processes(self, problems):
         """The joint-presence stats are keyed by frozensets; their repr

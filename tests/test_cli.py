@@ -183,7 +183,8 @@ class TestAdvise:
         assert code == 0
         assert "algorithm: greedy" in out
         assert "relational schema" in out
-        assert re.search(r"^storage bound: unbounded; design size: \d+ "
+        assert re.search(r"^storage bound: 536870912 cost-model bytes; "
+                         r"design size: \d+ "
                          r"cost-model bytes \(data \d+ \+ structures \d+\)$",
                          out, re.MULTILINE)
 

@@ -397,11 +397,9 @@ def _engine_plans(bundle, result):
     db = build_stats_only_database(result.schema, bundle.stats)
     db.build_primary_key_indexes()
     for view in config.views:
-        db.stats.set_table(view.name, derive_view_stats(
-            view.table, view.definition, db.stats))
+        db.stats.set_table(view.name, derive_view_stats(view, db.stats))
     for query, _ in result.sql_queries:
-        yield query, db.estimate(query, config.all_indexes(),
-                                 config.extra_tables())
+        yield query, db.estimate(query, config.indexes, config.views)
 
 
 def _views_used(bundle, result):
@@ -455,7 +453,8 @@ def _assert_indexes_read(bundle, result) -> tuple[int, int]:
     answers with equality seeks alone needs no sort — the seek delivers
     ``ID`` order, as the engine's index does. Returns the (statement,
     index) pairs and the equality-seek branches checked."""
-    names = {index.name for index in result.configuration.indexes}
+    names = {index.name for index in result.configuration.indexes
+             if not index.clustered}     # a view's cluster is the view
     pairs = seeks = 0
     with SQLiteBackend() as backend:
         backend.load(result.schema, bundle.docs)
@@ -486,7 +485,8 @@ class TestBackendReadsItsIndexes:
     def test_every_index_of_the_plan_is_read(self, tuned_cells, cell):
         bundle, result = tuned_cells[cell]
         pairs, _ = _assert_indexes_read(bundle, result)
-        assert pairs or not result.configuration.indexes
+        assert pairs or not any(not index.clustered
+                                for index in result.configuration.indexes)
 
     @pytest.mark.parametrize("design", ["greedy", "hybrid"])
     def test_an_equality_seek_needs_no_sort(self, clustered_cells, design):
@@ -514,8 +514,8 @@ class TestBackendReadsItsViews:
         ordered by."""
         bundle, result = clustered_cells[design]
         _assert_views_read(bundle, result, "sqlite")
-        clustered = [view.name for view in result.configuration.views
-                     if view.cluster is not None]
+        clustered = [index.name for index in result.configuration.indexes
+                     if index.clustered]
         assert clustered, "the cell is meant to hold clustered views"
         entered = set()
         with SQLiteBackend() as backend:
@@ -539,7 +539,7 @@ class TestBackendReadsItsViews:
     def test_a_stale_view_table_is_a_mismatch(self, clustered_cells):
         bundle, result = clustered_cells["hybrid"]
         config = result.configuration
-        view = next(view for view in config.views if view.cluster is not None)
+        cluster = next(index for index in config.indexes if index.clustered)
         queries = [query for query, _ in result.sql_queries]
         with SQLiteBackend() as a, SQLiteBackend() as b:
             for backend in (a, b):
@@ -547,14 +547,14 @@ class TestBackendReadsItsViews:
                 backend.apply_configuration(config)
             # A WITHOUT ROWID table has no rowid: delete by the key's
             # last column, the child ID, which is unique.
-            quoted = b.dialect.quote(view.name)
-            child_id = b.dialect.quote(view.cluster_key[-1])
+            quoted = b.dialect.quote(cluster.name)
+            child_id = b.dialect.quote(cluster.key_columns[-1])
             b.execute_sql(f"DELETE FROM {quoted} WHERE {child_id} = "
                           f"(SELECT MIN({child_id}) FROM {quoted})")
             b.connection.commit()
             report = compare_loaded(a, b, queries, schema=result.schema,
                                     configuration=config)
         views = _check(report, "views")
-        assert views.status == MISMATCH and view.name in views.detail
-        assert views.data["samples"][f"b:{view.name}"]["missing"]
+        assert views.status == MISMATCH and cluster.name in views.detail
+        assert views.data["samples"][f"b:{cluster.name}"]["missing"]
 

@@ -214,7 +214,7 @@ class TestEstimates:
         sql = "SELECT I.ID, I.year FROM inproc I WHERE I.booktitle = 'VLDB'"
         base = db.estimate(sql).est_cost
         hypothetical = Index("hyp", "inproc", ("booktitle",),
-                             included_columns=("year",), hypothetical=True)
+                             included_columns=("year",))
         tuned = db.estimate(sql, extra_indexes=[hypothetical]).est_cost
         assert tuned < base
 

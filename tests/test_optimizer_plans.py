@@ -90,9 +90,8 @@ class TestAccessPaths:
             db.catalog.drop_index("ix_cov")
 
     def test_non_covering_costlier_than_covering(self, db):
-        covering = Index("h1", "big", ("k",), included_columns=("wide",),
-                         hypothetical=True)
-        plain = Index("h2", "big", ("k",), hypothetical=True)
+        covering = Index("h1", "big", ("k",), included_columns=("wide",))
+        plain = Index("h2", "big", ("k",))
         sql = "SELECT b.wide FROM big b WHERE b.k = 'key5'"
         with_covering = db.estimate(sql, extra_indexes=[covering]).est_cost
         with_plain = db.estimate(sql, extra_indexes=[plain]).est_cost

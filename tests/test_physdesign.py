@@ -45,6 +45,13 @@ JOIN_SQL = ("SELECT P.ID, A.name FROM pub P, person A "
             "WHERE P.venue = 'V3' AND P.ID = A.PID")
 
 
+def _split(candidates):
+    """The indexes and the view candidates of ``for_query``'s
+    one-structure configurations, in generation order."""
+    return ([c.indexes[0] for c in candidates if not c.views],
+            [c for c in candidates if c.views])
+
+
 class TestCandidateGeneration:
     def test_shape_analysis(self, db):
         query = parse_sql(JOIN_SQL)
@@ -55,32 +62,32 @@ class TestCandidateGeneration:
 
     def test_candidates_include_covering_and_view(self, db):
         generator = CandidateGenerator(db)
-        indexes, views = generator.for_query(parse_sql(JOIN_SQL))
+        candidates = generator.for_query(parse_sql(JOIN_SQL))
+        assert all(len(candidate) == 1 for candidate in candidates)
+        indexes, views = _split(candidates)
         assert any(set(ix.included_columns) for ix in indexes)
         assert any(ix.key_columns == ("venue",) for ix in indexes)
         assert any(ix.key_columns[0] == "PID" for ix in indexes)
         assert len(views) == 1
-        assert views[0].definition.child_fk_column == "PID"
+        assert views[0].views[0].view_def.child_fk_column == "PID"
 
     def test_candidates_deduplicated(self, db):
         generator = CandidateGenerator(db)
-        first, _ = generator.for_query(parse_sql(JOIN_SQL))
-        second, second_views = generator.for_query(parse_sql(JOIN_SQL))
-        assert second == []
-        assert second_views == []
+        assert generator.for_query(parse_sql(JOIN_SQL))
+        assert generator.for_query(parse_sql(JOIN_SQL)) == []
 
     def test_range_predicate_candidates(self, db):
         generator = CandidateGenerator(db)
-        indexes, _ = generator.for_query(parse_sql(
-            "SELECT P.title FROM pub P WHERE P.year >= 2000"))
+        indexes, _ = _split(generator.for_query(parse_sql(
+            "SELECT P.title FROM pub P WHERE P.year >= 2000")))
         assert any(ix.key_columns == ("year",) for ix in indexes)
 
     def test_exists_probe_candidate(self, db):
         generator = CandidateGenerator(db)
-        indexes, _ = generator.for_query(parse_sql(
+        indexes, _ = _split(generator.for_query(parse_sql(
             "SELECT P.ID FROM pub P WHERE EXISTS "
             "(SELECT A.ID FROM person A WHERE A.PID = P.ID "
-            "AND A.name = 'n3')"))
+            "AND A.name = 'n3')")))
         assert any(ix.key_columns[:1] == ("PID",) for ix in indexes)
 
 
@@ -90,29 +97,32 @@ class TestClusteredViews:
 
     def test_a_not_null_filter_column_keys_the_view(self):
         db = _make_db(venue_nullable=False)
-        (view,) = CandidateGenerator(db).for_query(parse_sql(JOIN_SQL))[1]
+        (config,) = _split(
+            CandidateGenerator(db).for_query(parse_sql(JOIN_SQL)))[1]
+        (view,), (cluster,) = config.views, config.indexes
         # The child's ID joins the view so that the key is unique.
-        assert dict(view.definition.columns)["person_ID"] == ("person", "ID")
-        assert view.cluster_key == ("venue", "ID", "person_ID")
-        cluster = view.cluster
+        assert dict(view.view_def.columns)["person_ID"] == ("person", "ID")
+        assert cluster.key_columns == ("venue", "ID", "person_ID")
         assert (cluster.name, cluster.table_name) == (view.name, view.name)
-        assert cluster.clustered and cluster.hypothetical
-        config = Configuration(views=[view])
-        assert config.all_indexes() == [cluster]
-        assert config.size_bytes(db) == view.size_bytes()   # 0 bytes more
+        assert cluster.clustered and not cluster.is_built
+        assert config.cluster_of(view) is cluster
+        assert len(config) == 1
+        assert config.size_bytes(db) == view.size_bytes   # 0 bytes more
         assert config.describe().endswith(
             "ON PID CLUSTERED (venue, ID, person_ID)")
 
     def test_the_clustered_view_is_sought_and_built(self):
         db = _make_db(venue_nullable=False)
-        (view,) = CandidateGenerator(db).for_query(parse_sql(JOIN_SQL))[1]
-        heap = db.estimate(JOIN_SQL, extra_tables=[view.table])
-        sought = db.estimate(JOIN_SQL, extra_indexes=[view.cluster],
-                             extra_tables=[view.table])
+        (config,) = _split(
+            CandidateGenerator(db).for_query(parse_sql(JOIN_SQL)))[1]
+        (view,) = config.views
+        heap = db.estimate(JOIN_SQL, extra_tables=[view])
+        sought = db.estimate(JOIN_SQL, extra_indexes=config.indexes,
+                             extra_tables=[view])
         assert sought.objects_used() == {view.name}
         assert sought.est_cost < heap.est_cost
         before = sorted(db.execute(JOIN_SQL).rows)
-        materialize(db, Configuration(views=[view]))
+        materialize(db, config)
         assert db.catalog.indexes[view.name].clustered
         assert db.catalog.indexes[view.name].is_built
         executed = db.execute(JOIN_SQL)
@@ -148,7 +158,9 @@ class TestAdvisor:
         result = IndexTuningAdvisor(db).tune(workload)
         report = result.reports[0]
         assert report.objects_used
-        config_names = result.configuration.object_names()
+        config_names = {structure.name for structure in
+                        result.configuration.indexes
+                        + result.configuration.views}
         named = {o for o in report.objects_used
                  if o.startswith("cand_")}
         assert named <= config_names
@@ -165,7 +177,8 @@ class TestAdvisor:
         used = frozenset().union(*(report.objects_used
                                    for report in result.reports))
         assert len(result.configuration) >= 1
-        assert result.configuration.object_names() <= used
+        assert {structure.name for structure in result.configuration.indexes
+                + result.configuration.views} <= used
 
     def test_weights_steer_selection(self, db):
         q_cheap = parse_sql("SELECT P.title FROM pub P WHERE P.year = 1999")
@@ -205,8 +218,8 @@ class TestAdvisor:
 class TestConfiguration:
     def test_extended_is_persistent(self):
         config = Configuration()
-        index = Index("x", "pub", ("venue",), hypothetical=True)
-        extended = config.extended(index)
+        index = Index("x", "pub", ("venue",))
+        extended = config | Configuration([index])
         assert len(config) == 0
         assert len(extended) == 1
 
@@ -220,23 +233,17 @@ class TestAdvisorEfficiency:
         configuration's size (``Configuration.size_bytes``) on every
         heap pop, making selection quadratic in configuration size.
         Candidate sizes are now computed once each and the accepted
-        size is a running sum."""
+        size is a running sum: ``size_bytes`` runs once per candidate
+        and never on the chosen design."""
         advisor = IndexTuningAdvisor(db)
         size_calls = []
-        original_size = IndexTuningAdvisor._candidate_size
+        original_size = Configuration.size_bytes
 
-        def counting_size(self, candidate):
-            size_calls.append(candidate)
-            return original_size(self, candidate)
+        def counting_size(self, database):
+            size_calls.append(self)
+            return original_size(self, database)
 
-        monkeypatch.setattr(IndexTuningAdvisor, "_candidate_size",
-                            counting_size)
-
-        def forbidden(self, *args, **kwargs):
-            raise AssertionError(
-                "Configuration.size_bytes called during tuning")
-
-        monkeypatch.setattr(Configuration, "size_bytes", forbidden)
+        monkeypatch.setattr(Configuration, "size_bytes", counting_size)
         data = db.catalog.total_data_bytes()
         result = advisor.tune([(parse_sql(JOIN_SQL), 1.0)],
                               storage_bound=data + 1 << 30)

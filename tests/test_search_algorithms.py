@@ -20,6 +20,7 @@ from repro.errors import SearchError
 from repro.experiments import (DatasetBundle, measure_design,
                                tuned_hybrid_baseline)
 from repro.mapping import PRESETS, derive_schema, hybrid_inlining
+from repro.obs import Tracer
 from repro.search import (ALGORITHMS, GreedySearch, MappingEvaluator,
                           NaiveGreedySearch, TwoStepSearch,
                           build_stats_only_database, design_for,
@@ -149,8 +150,9 @@ PINNED = {
              tuner_calls=1, optimizer_calls=532)),
     ("greedy", "movie"): (
         11.6972253876157, 2, "82d19a8ade05",
-        ["union_distribute(choice #14)", "union_distribute(implicit #5)",
-         "repetition_split(#8, k=2)", "union_factorize(implicit #5)"],
+        # The net design: union_factorize(implicit #5) won round 2 and
+        # took M0's union_distribute(implicit #5) off.
+        ["union_distribute(choice #14)", "repetition_split(#8, k=2)"],
         dict(transformations_searched=8, mappings_evaluated=9,
              cache_hits=2, tuner_calls=9, optimizer_calls=444,
              derived_query_costs=12)),
@@ -219,18 +221,37 @@ class TestBindingBound:
     starts from the base mapping and tries the splits as forward moves,
     so it is not left with the untransformed design."""
 
-    def test_greedy_keeps_up_with_naive_greedy_when_m0_does_not_fit(self):
+    @pytest.fixture(scope="class")
+    def problem(self):
+        """(bundle, workload, model bytes of the hybrid mapping's data)"""
         big = DatasetBundle.dblp(scale=2000, seed=7)
-        workload = big.workload_generator(seed=43).generate(10)
         base_bytes = build_stats_only_database(
             derive_schema(hybrid_inlining(big.tree)),
             big.stats).catalog.total_data_bytes()
+        return big, big.workload_generator(seed=43).generate(10), base_bytes
+
+    def test_greedy_keeps_up_with_naive_greedy_when_m0_does_not_fit(
+            self, problem):
+        big, workload, base_bytes = problem
         bound = int(1.02 * base_bytes)
         greedy = GreedySearch(big.tree, workload, big.stats, bound).run()
         naive = NaiveGreedySearch(big.tree, workload, big.stats, bound,
                                   include_subsumed=False).run()
         assert greedy.estimated_cost <= naive.estimated_cost * 1.05
         assert greedy.applied
+
+    def test_applied_is_the_net_design(self, problem):
+        """At 1.10 x M0 fits, and round 1's winner merges back M0's
+        repetition split: ``applied`` names the design that is left —
+        the one 1.02 x reaches — and the trace keeps the path."""
+        big, workload, base_bytes = problem
+        greedy = GreedySearch(big.tree, workload, big.stats,
+                              int(1.10 * base_bytes), tracer=Tracer()).run()
+        assert greedy.applied == ["union_distribute(implicit #23)"]
+        assert mapping_digest(greedy.mapping) == "06d77e105b12"
+        assert [span.attributes.get("winner")
+                for span in greedy.trace.children
+                if span.name == "round"][0] == "repetition_merge(#20)"
 
 
 def _fingerprint(schema, configuration, sql_queries):

@@ -8,8 +8,8 @@ Three parts:
     (``tests/fixtures/select_shape_digests.json``; ``python -m
     tests.test_select_shape`` re-records — an entry a change moves on
     purpose is re-recorded with that change, and named in CHANGES.md;
-    since views are clustered the tuned plans are costed under
-    ``Configuration.all_indexes()``, which the parent lacks);
+    since views are clustered the tuned plans are costed under each
+    view's clustered index, which the parent lacks);
 (b) the shape of every WHERE form the translator emits, and ``qualify``;
 (c) a shape is computed once per ``Select`` object and never shows in
     ``==``, ``hash``, ``repr`` or a pickle.
@@ -106,8 +106,8 @@ def plan_digest(db, sql_queries, config) -> str:
     lines = []
     for query, _ in sql_queries:
         for planned in (db.estimate(query),
-                        db.estimate(query, extra_indexes=config.all_indexes(),
-                                    extra_tables=config.extra_tables())):
+                        db.estimate(query, extra_indexes=config.indexes,
+                                    extra_tables=config.views)):
             lines += [planned.explain(), repr(planned.est_cost),
                       repr(sorted(planned.objects_used()))]
     return _sha(lines)
@@ -119,12 +119,15 @@ def candidate_digest(db, sql_queries) -> str:
     generator = CandidateGenerator(db)
     lines = []
     for query, _ in sql_queries:
-        indexes, views = generator.for_query(query)
-        lines += [repr(index.signature()) for index in indexes]
-        lines += [repr(view.definition)
-                  + (f" CLUSTERED {view.cluster_key}" if view.cluster_key
-                     else "")
-                  for view in views]
+        for candidate in generator.for_query(query):   # indexes, then views
+            if not candidate.views:
+                lines.append(repr(candidate.indexes[0].signature()))
+                continue
+            (view,) = candidate.views
+            cluster = candidate.cluster_of(view)
+            lines.append(repr(view.view_def)
+                         + (f" CLUSTERED {cluster.key_columns}" if cluster
+                            else ""))
     return _sha(lines)
 
 
@@ -390,15 +393,18 @@ class TestDriftedClassifiers:
                           "(SELECT C.ID FROM c C WHERE C.PID < A.ID)")
         (exists,) = sqlast.shape_of(query.selects[0]).exists
         assert exists.corr_column is None and exists.owner == "A"
-        indexes, _ = CandidateGenerator(db).for_query(query)
+        indexes = [ix for candidate in CandidateGenerator(db).for_query(query)
+                   for ix in candidate.indexes]
         assert [ix for ix in indexes if ix.table_name == "c"] == []
         with pytest.raises(PlanError, match="EXISTS subquery must have a "
                                             "correlation equality"):
             db.estimate(query)
         # The equality form still gets its probe index.
-        indexes, _ = CandidateGenerator(db).for_query(parse_sql(
-            "SELECT A.ID FROM a A WHERE EXISTS "
-            "(SELECT C.ID FROM c C WHERE C.PID = A.ID AND C.ID = 1)"))
+        indexes = [ix for candidate in CandidateGenerator(db).for_query(
+            parse_sql("SELECT A.ID FROM a A WHERE EXISTS "
+                      "(SELECT C.ID FROM c C WHERE C.PID = A.ID "
+                      "AND C.ID = 1)"))
+                   for ix in candidate.indexes]
         assert [ix.key_columns for ix in indexes
                 if ix.table_name == "c"] == [("PID", "ID")]
 
