@@ -25,9 +25,12 @@ def test_fig9_cost_derivation(benchmark, dblp_bundle, emit):
     emit(fig9_tables(comparison))
     speedups = comparison.series("wall_time", ["without derivation"],
                                  per="with derivation")["without derivation"]
-    # The paper reports 4-10x; here the advisor's per-query cost cache
-    # already absorbs most of the redundant optimizer work, so the
-    # residual speed-up is smaller but must stay positive on average.
+    # The paper reports 4-10x. Here derivation carries over only the
+    # costs of queries a transformation leaves untouched (138 on
+    # LP-LS-20, 25 on HP-HS-20 at the default scale), and each round's
+    # winner is re-checked by an exact evaluation that the run without
+    # derivation does not pay, so the speed-up is smaller (below 1 on
+    # HP-HS-20) but must stay positive on average.
     assert statistics.mean(speedups.values()) > 1.05, \
         "cost derivation must reduce search time on average"
     quality = comparison.series("normalized_cost")

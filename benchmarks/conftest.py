@@ -9,8 +9,8 @@ Scale knobs (environment variables):
 
 Tracing (docs/observability.md) is on by default: an ambient
 :class:`repro.obs.Tracer` is installed around every benchmark and its
-aggregated per-phase summary (advisor calls, optimizer calls, cache hit
-ratios, time per phase) is printed after the test, so the Fig. 5/7/8/9
+aggregated per-phase summary (advisor calls, optimizer calls, SELECTs
+planned and costed, time per phase) is printed after the test, so the Fig. 5/7/8/9
 speed-up claims are auditable breakdowns rather than single wall-time
 numbers.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..engine import Database, JoinViewDefinition
+from ..engine import Database
 from ..engine.optimizer import Optimizer
 from ..errors import PlanError, SearchError
 from ..obs import NullTracer, Tracer, get_tracer
@@ -57,27 +57,12 @@ class IndexTuningAdvisor:
 
     def __init__(self, db: Database, max_rounds: int = 12,
                  min_benefit: float = 1e-6,
-                 tracer: Tracer | NullTracer | None = None,
-                 cost_cache: dict | None = None):
+                 tracer: Tracer | NullTracer | None = None):
         self.db = db
         self.max_rounds = max_rounds
         self.min_benefit = min_benefit
         self.tracer = tracer if tracer is not None else get_tracer()
-        # What-if cost cache: (database name, rendered query, signatures
-        # of the structures relevant to it) -> (cost, objects used). A
-        # candidate index on a table the query never touches cannot
-        # change its plan, so most greedy-round evaluations hit here.
-        # Pass ``cost_cache`` to share the cache across advisor
-        # invocations (the search layer shares one per evaluator, so an
-        # exact re-check after a partial tune of the same mapping does
-        # not re-pay optimizer calls for unchanged query/configuration
-        # pairs); keys carry the database name, so entries never collide
-        # across the stats-only databases of different mappings.
-        self._cost_cache: dict[tuple, tuple[float, frozenset[str]]] = \
-            cost_cache if cost_cache is not None else {}
         self._optimizer_calls = 0
-        self._cache_lookups = 0
-        self._cache_hits = 0
         self._heap_reevaluations = 0
         # The configuration last costed under and the database's
         # optimizer for it: a trial configuration costs every query it
@@ -86,42 +71,17 @@ class IndexTuningAdvisor:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _relevant_signature(tables: frozenset[str],
-                            configuration: Configuration) -> frozenset:
-        """What of ``configuration`` can move the plan of a query over
-        ``tables``, by content: the what-if cost cache's key, and empty
-        for a candidate that cannot matter to the query."""
-        views: dict[str, JoinViewDefinition] = {}
-        for view in configuration.views:
+    def _matters(tables: frozenset[str], candidate: Configuration) -> bool:
+        """Whether ``candidate`` can move the plan of a query over
+        ``tables``: an index on one of them, or a view joining two."""
+        if any(index.table_name in tables for index in candidate.indexes):
+            return True
+        for view in candidate.views:
             definition = view.view_def
             assert definition is not None
             if {definition.parent_table, definition.child_table} <= tables:
-                views[view.name] = definition
-        parts: list = []
-        for index in configuration.indexes:
-            if index.table_name in tables:
-                parts.append(index.signature())
-            elif index.table_name in views:     # a view's cluster
-                parts.append(("view", views.pop(index.table_name),
-                              index.key_columns))
-        parts += (("view", definition, ()) for definition in views.values())
-        return frozenset(parts)
-
-    def _cost_cached(self, query_key: str, query: Query,
-                     tables: frozenset[str],
-                     configuration: Configuration
-                     ) -> tuple[float, frozenset[str]]:
-        key = (self.db.name, query_key,
-               self._relevant_signature(tables, configuration))
-        self._cache_lookups += 1
-        hit = self._cost_cache.get(key)
-        if hit is not None:
-            self._cache_hits += 1
-            return hit
-        result = self._cost(query, configuration)
-        self._optimizer_calls += 1
-        self._cost_cache[key] = result
-        return result
+                return True
+        return False
 
     # ------------------------------------------------------------------
     def tune(self, workload: list[tuple[Query, float]],
@@ -129,8 +89,7 @@ class IndexTuningAdvisor:
         """Recommend a configuration for the weighted SQL workload."""
         from ..resilience import active_fault_plan
         active_fault_plan().maybe_raise("advisor")
-        self._cache_lookups = 0
-        self._cache_hits = 0
+        self._optimizer_calls = 0
         self._heap_reevaluations = 0
         self._what_if = None    # the catalog may have moved since
         paths = self.db.access_paths
@@ -142,10 +101,6 @@ class IndexTuningAdvisor:
                 span.set(name, count - before[name])
             span.set("candidates", result.candidates_considered)
             span.set("optimizer_calls", result.optimizer_calls)
-            span.set("cost_cache_lookups", self._cache_lookups)
-            span.set("cost_cache_hits", self._cache_hits)
-            span.set("cost_cache_hit_ratio",
-                     round(self._cache_hits / max(self._cache_lookups, 1), 4))
             span.set("heap_reevaluations", self._heap_reevaluations)
             span.set("structures_selected", len(result.configuration))
             span.set("total_cost", result.total_cost)
@@ -158,12 +113,9 @@ class IndexTuningAdvisor:
               storage_bound: int | None = None) -> TuningResult:
         generator = CandidateGenerator(self.db)
         candidates: list[Configuration] = []
-        per_query_tables: list[frozenset[str]] = []
-        per_query_keys: list[str] = []
         for query, _ in workload:
             candidates += generator.for_query(query)
-            per_query_tables.append(query.referenced_tables)
-            per_query_keys.append(str(query))
+        tables = [query.referenced_tables for query, _ in workload]
 
         data_bytes = self.db.catalog.total_data_bytes()
         budget = None
@@ -174,13 +126,9 @@ class IndexTuningAdvisor:
                     f"storage bound {storage_bound} is below the data size "
                     f"{data_bytes}")
 
-        self._optimizer_calls = 0
         chosen = Configuration()
-        current_costs: list[float] = []
-        for i, (query, _) in enumerate(workload):
-            cost, _ = self._cost_cached(per_query_keys[i], query,
-                                        per_query_tables[i], chosen)
-            current_costs.append(cost)
+        current_costs = [self._cost(query, chosen)[0]
+                         for query, _ in workload]
 
         # Lazy greedy selection: a candidate's benefit-per-byte can only
         # shrink as the configuration grows (diminishing returns), so we
@@ -201,11 +149,9 @@ class IndexTuningAdvisor:
             new_costs = list(base_costs)
             benefit = 0.0
             for i, (query, weight) in enumerate(workload):
-                if not self._relevant_signature(per_query_tables[i],
-                                                candidate):
+                if not self._matters(tables[i], candidate):
                     continue
-                cost, _ = self._cost_cached(per_query_keys[i], query,
-                                            per_query_tables[i], trial)
+                cost, _ = self._cost(query, trial)
                 benefit += weight * (base_costs[i] - cost)
                 new_costs[i] = cost
             return benefit / max(size, 1), benefit, new_costs
@@ -245,9 +191,8 @@ class IndexTuningAdvisor:
 
         reports: list[QueryReport] = []
         total = 0.0
-        for i, (query, weight) in enumerate(workload):
-            cost, objects = self._cost_cached(per_query_keys[i], query,
-                                              per_query_tables[i], chosen)
+        for query, weight in workload:
+            cost, objects = self._cost(query, chosen)
             reports.append(QueryReport(query=query, weight=weight,
                                        cost=cost, objects_used=objects))
             total += weight * cost
@@ -272,6 +217,7 @@ class IndexTuningAdvisor:
         if self._what_if is None or self._what_if[0] is not configuration:
             self._what_if = (configuration, self.db.what_if(
                 configuration.indexes, configuration.views))
+        self._optimizer_calls += 1
         try:
             planned = self.db.estimate_under(self._what_if[1], query)
         except PlanError as exc:

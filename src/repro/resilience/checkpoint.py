@@ -16,9 +16,9 @@ full loop state through a :class:`CheckpointStore`:
   "no checkpoint" (counted on the ``checkpoint`` metrics) and the
   search starts fresh rather than crashing or resuming wrong state;
 * **complete** — a snapshot includes the evaluator's own snapshot (its
-  in-memory memo and what-if cost cache), so every cache-hit/derivation
-  decision after resume matches the uninterrupted run and the final
-  :class:`DesignResult` is identical.
+  in-memory memo), so every cache-hit/derivation decision after resume
+  matches the uninterrupted run and the final :class:`DesignResult` is
+  identical.
 
 :func:`save_search_state` / :func:`load_search_state` are the one codec
 every checkpointing search goes through: they assemble and validate the
@@ -49,7 +49,8 @@ __all__ = ["CheckpointStore", "load_search_state", "save_search_state"]
 #: format check and are treated as absent instead of mis-unpickled.
 #: 8: a Greedy run whose M0 is infeasible pools its splits.
 #: 9: configurations hold view tables; Greedy keeps its net design.
-CHECKPOINT_VERSION = 9
+#: 10: the evaluator's snapshot is its memo alone.
+CHECKPOINT_VERSION = 10
 
 _FILENAME = "search.ckpt"
 

@@ -17,21 +17,15 @@ workload indices to already-known per-query costs (Section 4.8) and
 evaluation is the one with nothing reused; spans and metrics are named
 ``exact``/``partial`` after whether ``reuse`` is empty.
 
-Evaluations are memoized at two layers, both living as long as the
-evaluator (one search run):
-
-* **in-memory memo** per evaluator, keyed ``(mapping signature, reuse
-  key, carried key)`` — this implements the paper's "carefully avoids
-  searching duplicated mappings";
-* the advisor's **what-if cost cache** is shared across all advisor
-  invocations of one evaluator, so a partial evaluation followed by an
-  exact re-check of the same mapping does not re-pay optimizer calls
-  for unchanged (query, configuration) pairs.
+Evaluations are memoized per evaluator (one search run), keyed
+``(mapping signature, reuse key, carried key)`` — this implements the
+paper's "carefully avoids searching duplicated mappings". Every advisor
+gets a fresh stats-only database whose access-path table remembers the
+plan choice of each SELECT for the length of one tune.
 
 :meth:`MappingEvaluator.snapshot` / :meth:`~MappingEvaluator.restore`
-hand the memo and the what-if cost cache to the checkpoint codec
-(``repro.resilience.checkpoint``); nothing outside this module reads
-the stores directly.
+hand the memo to the checkpoint codec (``repro.resilience.checkpoint``);
+nothing outside this module reads it directly.
 
 Independent candidates are costed concurrently by
 :meth:`MappingEvaluator.evaluate_many` /
@@ -234,11 +228,6 @@ class MappingEvaluator:
         self.jobs = resolve_jobs(jobs)
         self.policy = policy if policy is not None else RetryPolicy.from_env()
         self._memo: dict[tuple, EvaluatedMapping | None] = {}
-        # What-if cost cache shared across every advisor invocation of
-        # this evaluator (keys carry the what-if database name, which is
-        # derived from the mapping digest, so entries never collide
-        # across mappings).
-        self._advisor_cost_cache: dict = {}
         self._pool: EvaluationPool | None = None
 
     # ------------------------------------------------------------------
@@ -273,20 +262,18 @@ class MappingEvaluator:
         return self._pool
 
     def snapshot(self) -> dict:
-        """The stores a checkpoint must carry: the memo and the what-if
-        cost cache, so every cache-hit (and thus derivation) decision
-        after :meth:`restore` matches the uninterrupted run.
+        """What a checkpoint must carry: the memo, so every cache-hit
+        (and thus derivation) decision after :meth:`restore` matches the
+        uninterrupted run.
 
-        The dicts are the live ones, not copies — pickled in one go with
-        the search's loop state, objects they share stay shared.
+        The dict is the live one, not a copy — pickled in one go with
+        the search's loop state, objects it shares stay shared.
         """
-        return {"memo": self._memo,
-                "advisor_costs": self._advisor_cost_cache}
+        return {"memo": self._memo}
 
     def restore(self, state: dict) -> None:
-        """Adopt the stores of a :meth:`snapshot`."""
+        """Adopt the memo of a :meth:`snapshot`."""
         self._memo = state["memo"]
-        self._advisor_cost_cache = state["advisor_costs"]
 
     # ------------------------------------------------------------------
     # Single-mapping API
@@ -523,8 +510,7 @@ class MappingEvaluator:
                          if i not in reuse]
             if reuse:
                 span.set("remaining", len(remaining))
-            advisor = IndexTuningAdvisor(
-                db, tracer=self.tracer, cost_cache=self._advisor_cost_cache)
+            advisor = IndexTuningAdvisor(db, tracer=self.tracer)
             try:
                 tuning = advisor.tune(remaining, self.storage_bound)
             except SearchError:

@@ -155,8 +155,7 @@ class TestCheckpointValidation:
         state = pickle.loads(store.path.read_bytes())
         evaluator_state = state.pop("evaluator")
         state.update(version=1, memo=evaluator_state["memo"],
-                     partial_memo={},
-                     advisor_costs=evaluator_state["advisor_costs"])
+                     partial_memo={})
         store.path.write_bytes(pickle.dumps(state))
 
         tracer = Tracer()

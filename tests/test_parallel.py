@@ -2,7 +2,8 @@
 
 The hard guarantee is **determinism**: a search with ``jobs=4``
 produces a DesignResult identical to the serial run (mapping digest,
-applied log, estimated cost, configuration) on both bundled datasets.
+applied log, estimated cost, configuration, and every counter a worker
+advances) on both bundled datasets.
 
 Plus the greedy-loop regression (a round winner rejected by the exact
 re-check must stay eligible for later rounds) and the feasible/
@@ -19,6 +20,7 @@ from repro.obs import Tracer, find_spans
 from repro.search import (GreedySearch, MappingEvaluator, NaiveGreedySearch,
                           mapping_digest, resolve_jobs)
 from repro.search.candidate_selection import CandidateSet
+from repro.search.parallel import _COUNTER_FIELDS
 from repro.workload import Workload
 
 
@@ -41,8 +43,12 @@ def small_problem(problems):
 
 
 def _result_fingerprint(result):
+    """The design and every counter a pool worker advances: a worker
+    must do exactly the work the serial run does."""
     return (mapping_digest(result.mapping), tuple(result.applied),
-            result.estimated_cost, result.configuration.describe())
+            result.estimated_cost, result.configuration.describe(),
+            {name: getattr(result.counters, name)
+             for name in _COUNTER_FIELDS})
 
 
 # ----------------------------------------------------------------------
@@ -96,20 +102,22 @@ class TestParallelDeterminism:
 
 #: ``(mapping digest, applied, estimated_cost, mappings_evaluated,
 #: cache_hits, cache_hits_infeasible, tuner_calls, optimizer_calls,
-#: derived_query_costs)`` of the serial greedy search on the ``problems``
-#: fixture, as produced before the evaluator's two costing bodies and two
-#: memos were folded into one; ``applied`` is the net design (a winner
-#: that undoes an applied transformation takes it off the list).
+#: derived_query_costs)`` of the greedy search on the ``problems``
+#: fixture, serial or through the worker pool, as produced before the
+#: evaluator's two costing bodies and two memos were folded into one;
+#: ``applied`` is the net design (a winner that undoes an applied
+#: transformation takes it off the list), and ``optimizer_calls`` counts
+#: every what-if costing the advisor makes.
 _PINNED_SEARCHES = {
     "dblp": ("87d177982c01",
              ("type_split(#10 -> author_s10)",
               "union_distribute(implicit #17,#23)",
               "repetition_split(#9, k=3)"),
-             15.650063232812752, 11, 2, 0, 11, 309, 14),
+             15.650063232812752, 11, 2, 0, 11, 347, 14),
     "movie": ("82d19a8ade05",
               ("union_distribute(choice #14)",
                "repetition_split(#8, k=2)"),
-              6.968164966240575, 9, 2, 0, 9, 240, 12),
+              6.968164966240575, 9, 2, 0, 9, 264, 12),
 }
 
 
@@ -118,7 +126,7 @@ class TestPinnedSearch:
     def test_greedy_does_the_same_work(self, problems, dataset):
         bundle, workload = problems[dataset]
         result = GreedySearch(bundle.tree, workload, bundle.stats,
-                              bundle.storage_bound, jobs=1).run()
+                              bundle.storage_bound).run()
         counters = result.counters
         assert (mapping_digest(result.mapping), tuple(result.applied),
                 result.estimated_cost, counters.mappings_evaluated,

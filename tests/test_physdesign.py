@@ -252,16 +252,3 @@ class TestAdvisorEfficiency:
         # repeated across greedy passes.
         assert len(size_calls) == result.candidates_considered
         assert len(size_calls) == len(set(map(id, size_calls)))
-
-    def test_shared_cost_cache_across_invocations(self, db):
-        """A second tune of the same workload against the same database
-        is served entirely from the shared what-if cost cache."""
-        shared: dict = {}
-        workload = [(parse_sql(JOIN_SQL), 1.0)]
-        first = IndexTuningAdvisor(db, cost_cache=shared).tune(workload)
-        second = IndexTuningAdvisor(db, cost_cache=shared).tune(workload)
-        assert second.total_cost == first.total_cost
-        assert second.configuration.describe() == \
-            first.configuration.describe()
-        assert first.optimizer_calls > 0
-        assert second.optimizer_calls == 0

@@ -16,6 +16,7 @@ import math
 import pytest
 
 from repro.backends import render_query
+from repro.engine import derive_view_stats
 from repro.errors import SearchError
 from repro.experiments import (DatasetBundle, measure_design,
                                tuned_hybrid_baseline)
@@ -128,6 +129,7 @@ class TestTwoStep:
 #: What each search returns on DBLP and Movie at scale 150 (seed 7,
 #: workload seed 3, four queries): estimated cost, rounds, applied
 #: transformations, mapping digest and the counters that are not zero.
+#: ``optimizer_calls`` counts every what-if costing the advisor makes.
 PINNED = {
     ("greedy", "dblp"): (
         11.726356147871893, 1, "9c74625808eb",
@@ -135,37 +137,37 @@ PINNED = {
          "union_distribute(implicit #17,#23)",
          "repetition_split(#20, k=5)", "repetition_split(#9, k=3)"],
         dict(transformations_searched=7, mappings_evaluated=8,
-             cache_hits=1, tuner_calls=8, optimizer_calls=466,
+             cache_hits=1, tuner_calls=8, optimizer_calls=559,
              derived_query_costs=6)),
     ("naive-greedy", "dblp"): (
         18.696107311337357, 3, "eed2c142b835",
         ["outline(#3 as title)", "type_split(#10 -> author_s10)"],
         dict(transformations_searched=86, mappings_evaluated=87,
-             tuner_calls=87, optimizer_calls=4518)),
+             tuner_calls=87, optimizer_calls=6117)),
     ("two-step", "dblp"): (
         12.921373089502694, 4, "32ce45e38d32",
         ["union_distribute(implicit #23)", "repetition_split(#9, k=5)",
          "type_split(#10 -> author_s10)"],
         dict(transformations_searched=115, mappings_evaluated=117,
-             tuner_calls=1, optimizer_calls=532)),
+             tuner_calls=1, optimizer_calls=538)),
     ("greedy", "movie"): (
         11.6972253876157, 2, "82d19a8ade05",
         # The net design: union_factorize(implicit #5) won round 2 and
         # took M0's union_distribute(implicit #5) off.
         ["union_distribute(choice #14)", "repetition_split(#8, k=2)"],
         dict(transformations_searched=8, mappings_evaluated=9,
-             cache_hits=2, tuner_calls=9, optimizer_calls=444,
+             cache_hits=2, tuner_calls=9, optimizer_calls=470,
              derived_query_costs=12)),
     ("naive-greedy", "movie"): (
         15.058991807808168, 2, "efa343d114ec",
         ["union_distribute(choice #14)"],
         dict(transformations_searched=22, mappings_evaluated=23,
-             tuner_calls=23, optimizer_calls=1312)),
+             tuner_calls=23, optimizer_calls=1731)),
     ("two-step", "movie"): (
         15.058991807808168, 2, "efa343d114ec",
         ["union_distribute(choice #14)"],
         dict(transformations_searched=22, mappings_evaluated=24,
-             tuner_calls=1, optimizer_calls=158)),
+             tuner_calls=1, optimizer_calls=162)),
 }
 
 
@@ -184,7 +186,7 @@ class TestPinnedResults:
         dataset, small, workload = problem
         cost, rounds, digest, applied, nonzero = PINNED[algorithm, dataset]
         result = ALGORITHMS[algorithm](small.tree, workload, small.stats,
-                                       small.storage_bound, jobs=1).run()
+                                       small.storage_bound).run()
         assert result.estimated_cost == pytest.approx(cost, rel=1e-12)
         assert result.rounds == rounds
         assert result.applied == applied
@@ -192,6 +194,27 @@ class TestPinnedResults:
         counters = dataclasses.asdict(result.counters)
         del counters["wall_time"]
         assert counters == {**dict.fromkeys(counters, 0), **nonzero}
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "naive-greedy"])
+    def test_the_design_holds_every_structure_its_cost_assumed(
+            self, problem, algorithm):
+        """Re-costing the returned design from scratch gives the cost
+        the search reports: no structure a query's cost assumed was
+        left out of the configuration. (DBLP 300 Greedy once reported
+        19.0243 for a design that re-costs at 20.2216.)"""
+        dataset = problem[0]
+        larger = DatasetBundle.named(dataset, scale=300, seed=7)
+        result = ALGORITHMS[algorithm](
+            larger.tree, larger.workload_generator(seed=3).generate(6),
+            larger.stats, larger.storage_bound, max_rounds=3).run()
+        configuration = result.configuration
+        db = build_stats_only_database(result.schema, larger.stats)
+        for view in configuration.views:
+            db.stats.set_table(view.name, derive_view_stats(view, db.stats))
+        what_if = db.what_if(configuration.indexes, configuration.views)
+        assert sum(weight * db.estimate_under(what_if, query).est_cost
+                   for query, weight in result.sql_queries) == \
+            pytest.approx(result.estimated_cost, rel=1e-9)
 
     def test_two_step_refuses_checkpoint_options(self, problem, tmp_path):
         _, small, workload = problem
