@@ -31,15 +31,13 @@ gate can fail on:
   missing/extra rows — enough to turn it into a regression test.
 * **timings** (optional, ``include_timings=True``) — measured medians
   per query on both backends. Wall-clock is inherently noisy, so this
-  check can only ever be OK or REVIEW — never MISMATCH — and it is
-  **off by default** precisely so that two runs of the same comparison
-  render byte-identical reports.
+  check is advisory and always OK, and it is **off by default**
+  precisely so that two runs of the same comparison render
+  byte-identical reports.
 
-Statuses escalate ``OK < REVIEW < MISMATCH``: REVIEW means "a human
-should look" (non-comparable metadata, suspicious timing skew);
-MISMATCH means "the backends disagree on data or semantics" and fails
-the gate. See docs/backends.md ("Backend matrix") for the report
-format.
+A check is OK or MISMATCH; MISMATCH means "the backends disagree on
+data or semantics" and fails the gate. See docs/backends.md ("Backend
+matrix") for the report format.
 
 Entry points, from most to least assembled: :func:`compare_datasets`
 (bundled dataset + design name), :func:`compare_design` (a schema, a
@@ -72,13 +70,10 @@ from .dbms import MANIFEST_TABLE
 __all__ = ["CheckResult", "CompareReport", "check_queries",
            "compare_loaded", "compare_design", "compare_datasets",
            "loaded_backend", "backend_factory", "known_backends",
-           "normalize_row", "multiset_diff", "OK", "REVIEW", "MISMATCH"]
+           "normalize_row", "multiset_diff", "OK", "MISMATCH"]
 
 OK = "OK"
-REVIEW = "REVIEW"
 MISMATCH = "MISMATCH"
-
-_SEVERITY = {OK: 0, REVIEW: 1, MISMATCH: 2}
 
 _SAMPLE_ROWS = 5
 
@@ -104,11 +99,7 @@ class CompareReport:
 
     @property
     def status(self) -> str:
-        worst = OK
-        for check in self.checks:
-            if _SEVERITY[check.status] > _SEVERITY[worst]:
-                worst = check.status
-        return worst
+        return MISMATCH if self.mismatches() else OK
 
     @property
     def ok(self) -> bool:
@@ -449,11 +440,11 @@ def _check_timings(a: IntrospectableBackend, b: IntrospectableBackend,
                                  warmup=warmup).seconds
         timings.append({"query": index, "a_seconds": seconds_a,
                         "b_seconds": seconds_b})
-    # Wall-clock comparisons are advisory by construction: REVIEW, so
-    # a slow CI runner can never turn into a gate failure — and this
+    # Wall-clock comparisons are advisory by construction: OK, so a
+    # slow CI runner can never turn into a gate failure — and this
     # check is excluded entirely unless asked for, to keep the report
     # deterministic.
-    return CheckResult("timings", REVIEW,
+    return CheckResult("timings", OK,
                        f"measured {len(queries)} queries on both "
                        f"backends (advisory)", {"timings": timings})
 

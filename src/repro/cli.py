@@ -23,6 +23,7 @@ Workload files for ``advise`` contain one entry per line::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -33,7 +34,7 @@ from .engine import Database
 from .errors import ReproError, WorkloadError, XPathError
 from .obs import NULL_TRACER, Tracer, render_tree, to_json
 from .mapping import (DEFAULT_BATCH_SIZE, PRESETS, derive_schema,
-                      load_documents)
+                      load_documents, shred_typed_batches)
 from .search import ALGORITHMS, build_stats_only_database, design_for
 from .sqlast import render
 from .translate import translate_xpath
@@ -144,64 +145,37 @@ def cmd_validate(args, out=None) -> int:
     return 1 if failures else 0
 
 
-def _shred_streaming(schema, docs, args, out) -> None:
-    """Stream-shred a bundled dataset at scale: per-table row counts
-    (and optional CSV dumps) with memory bounded by the batch size."""
-    from .mapping import shred_typed_batches
-    counts = {name: 0 for name in schema.table_names}
-    handles: list = []
-    writers: dict[str, csv.writer] = {}
-    try:
-        if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for table in schema.to_engine_tables():
-                handle = open(out_dir / f"{table.name}.csv", "w",
-                              newline="", encoding="utf-8")
-                handles.append(handle)
-                writer = csv.writer(handle)
-                writer.writerow(table.column_names())
-                writers[table.name] = writer
-        for name, batch in shred_typed_batches(schema, docs,
-                                               args.batch_size):
-            counts[name] += len(batch)
-            if writers:
-                writers[name].writerows(batch)
-    finally:
-        for handle in handles:
-            handle.close()
-    for name in sorted(counts):
-        print(f"{name}: {counts[name]} rows", file=out)
-    if args.out:
-        print(f"\nwrote CSV files to {args.out}/", file=out)
-
-
 def cmd_shred(args, out=None) -> int:
+    """Stream-shred the documents: per-table row counts (and optional
+    CSV dumps) with memory bounded by the batch size."""
     out = out or sys.stdout
     bundle = _inputs(args)
     schema = derive_schema(PRESETS[args.mapping](bundle.tree))
     print("relational schema:", file=out)
     print(schema.describe(), file=out)
     print(file=out)
-    if args.dataset:
-        _shred_streaming(schema, bundle.docs, args, out)
-        return 0
-    db = Database()
-    load_documents(db, schema, bundle.docs)
-    for name in sorted(db.catalog.tables):
-        table = db.catalog.table(name)
-        print(f"{name}: {table.row_count} rows "
-              f"({table.size_bytes / 1024:.1f} KB)", file=out)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, table in db.catalog.tables.items():
-            with open(out_dir / f"{name}.csv", "w", newline="",
-                      encoding="utf-8") as handle:
+    counts = {name: 0 for name in schema.table_names}
+    writers: dict[str, csv.writer] = {}
+    with contextlib.ExitStack() as files:
+        if args.out:
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for table in schema.to_engine_tables():
+                handle = open(out_dir / f"{table.name}.csv", "w",
+                              newline="", encoding="utf-8")
+                files.enter_context(handle)
                 writer = csv.writer(handle)
                 writer.writerow(table.column_names())
-                writer.writerows(table.rows or [])
-        print(f"\nwrote CSV files to {out_dir}/", file=out)
+                writers[table.name] = writer
+        for name, batch in shred_typed_batches(schema, bundle.docs,
+                                               args.batch_size):
+            counts[name] += len(batch)
+            if writers:
+                writers[name].writerows(batch)
+    for name in sorted(counts):
+        print(f"{name}: {counts[name]} rows", file=out)
+    if args.out:
+        print(f"\nwrote CSV files to {args.out}/", file=out)
     return 0
 
 
@@ -646,7 +620,7 @@ def cmd_compare(args, out=None) -> int:
 
     out = out or sys.stdout
     from .backends import compare_datasets, duckdb_available
-    from .backends.compare import MISMATCH, REVIEW
+    from .backends.compare import MISMATCH
     needs_duckdb = "duckdb" in (args.backend_a, args.backend_b)
     if needs_duckdb and not duckdb_available():
         print("duckdb is not installed; skipping the backend comparison "
@@ -663,10 +637,7 @@ def cmd_compare(args, out=None) -> int:
             include_timings=args.timings)
         print(report.describe(), file=out)
         reports.append(report.to_json())
-        if report.status == MISMATCH:
-            failed = True
-        elif report.status == REVIEW and args.strict:
-            failed = True
+        failed = failed or report.status == MISMATCH
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(reports, handle, indent=2, sort_keys=True,
@@ -745,8 +716,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="generate and shred lazily: peak memory "
                               "bounded by --batch-size, not --scale "
                               "(supports --scale 10^6+)")
-    dataset.add_argument("--batch-size", type=int,
-                         default=DEFAULT_BATCH_SIZE,
+    p_shred.add_argument("--batch-size", default=DEFAULT_BATCH_SIZE,
+                         type=_at_least_one("--batch-size",
+                                            "omit the flag for the "
+                                            "default"),
                          help="rows per streamed batch (default: "
                               f"{DEFAULT_BATCH_SIZE})")
     p_shred.add_argument("--out", help="directory for CSV dumps")
@@ -882,11 +855,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload generator seed (default: 3)")
     p_cmp.add_argument("--timings", action="store_true",
                        help="also measure per-query wall-clock on both "
-                            "backends (advisory REVIEW check; makes the "
+                            "backends (advisory, never fails; makes the "
                             "report nondeterministic)")
     p_cmp.add_argument("--strict", action="store_true",
-                       help="fail on REVIEW too, and on a missing "
-                            "optional backend")
+                       help="fail when an optional backend is "
+                            "missing")
     p_cmp.add_argument("--json", metavar="FILE", default=None,
                        help="write all reports to FILE as JSON")
     p_cmp.set_defaults(func=cmd_compare)

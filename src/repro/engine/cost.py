@@ -69,11 +69,3 @@ class CostCounter:
                 + self.cpu_operations * CPU_OPERATOR_COST
                 + self.hash_tuples * HASH_TUPLE_COST
                 + self.sort_comparisons * SORT_FACTOR)
-
-    def merge(self, other: "CostCounter") -> None:
-        self.seq_pages += other.seq_pages
-        self.random_pages += other.random_pages
-        self.cpu_tuples += other.cpu_tuples
-        self.cpu_operations += other.cpu_operations
-        self.hash_tuples += other.hash_tuples
-        self.sort_comparisons += other.sort_comparisons

@@ -92,25 +92,23 @@ class Database:
 
     def create_index(self, name: str, table_name: str,
                      key_columns: list[str],
-                     included_columns: list[str] | None = None,
-                     build: bool = True) -> Index:
+                     included_columns: list[str] | None = None) -> Index:
         index = Index(name=name, table_name=table_name,
                       key_columns=tuple(key_columns),
                       included_columns=tuple(included_columns or ()))
         self.catalog.add_index(index)
         table = self.catalog.table(table_name)
-        if build and table.is_materialized:
+        if table.is_materialized:
             index.build(table)
         return index
 
     def create_materialized_view(self, name: str,
-                                 definition: JoinViewDefinition,
-                                 populate: bool = True) -> Table:
+                                 definition: JoinViewDefinition) -> Table:
         parent = self.catalog.table(definition.parent_table)
         child = self.catalog.table(definition.child_table)
         view = make_view_table(name, definition, parent, child)
         self.catalog.add_table(view)
-        if populate and parent.is_materialized and child.is_materialized:
+        if parent.is_materialized and child.is_materialized:
             populate_view(view, parent, child)
             self.stats.analyze_table(view)
         else:

@@ -271,44 +271,6 @@ class HashJoin(PlanNode):
                     yield merged
 
 
-class SemiJoinExists(PlanNode):
-    """EXISTS: pass outer environments with at least one inner match.
-
-    The inner side is either an :class:`IndexSeek` probed per outer row,
-    or an arbitrary plan whose join keys are materialized into a set.
-    """
-
-    def __init__(self, outer: PlanNode, inner: PlanNode,
-                 outer_keys: list[Callable[[Environment], object]] | None = None,
-                 inner_keys: list[Callable[[Environment], object]] | None = None):
-        self.outer = outer
-        self.inner = inner
-        self.outer_keys = outer_keys
-        self.inner_keys = inner_keys
-
-    def label(self) -> str:
-        return "SemiJoinExists"
-
-    def children(self) -> list[PlanNode]:
-        return [self.outer, self.inner]
-
-    def execute(self, runtime: Runtime) -> Iterator[Environment]:
-        if isinstance(self.inner, IndexSeek):
-            for env in self.outer.execute(runtime):
-                if next(self.inner.execute(runtime, env), None) is not None:
-                    yield env
-            return
-        assert self.outer_keys is not None and self.inner_keys is not None
-        keys: set[tuple] = set()
-        for env in self.inner.execute(runtime):
-            runtime.counter.charge_hash(1)
-            keys.add(tuple(k(env) for k in self.inner_keys))
-        for env in self.outer.execute(runtime):
-            runtime.counter.charge_hash(1)
-            if tuple(k(env) for k in self.outer_keys) in keys:
-                yield env
-
-
 # ----------------------------------------------------------------------
 # Shaping
 # ----------------------------------------------------------------------

@@ -8,8 +8,9 @@ Statistics mirror what the paper's architecture (Section 4.1) collects:
 
 Value distributions are equi-depth histograms. The same objects support
 *derived* statistics: the mapping layer collects stats once on the
-fully-split schema and scales/merges them for any other mapping — the
-``scaled`` and ``merged`` constructors implement that derivation.
+fully-split schema and derives them for any other mapping from
+joint-presence counts — the ``scaled`` constructor implements that
+derivation.
 """
 
 from __future__ import annotations
@@ -120,75 +121,6 @@ class ColumnStats:
             bucket_rows=(self.bucket_rows * new_non_null / non_null_old
                          if self.boundaries else 0.0),
             avg_width=self.avg_width,
-        )
-
-    @classmethod
-    def merged(cls, parts: list["ColumnStats"],
-               n_buckets: int = _DEFAULT_BUCKETS) -> "ColumnStats":
-        """Combine stats of the same logical column split across tables.
-
-        The parts are treated as a *disjoint partition* of the merged
-        rows — the shape produced by repetition splits, type splits, and
-        union distributions — so distinct counts add (capped at the
-        non-null rows), widths average weighted by each part's non-null
-        row count, and the histogram is re-bucketed into equi-depth
-        buckets via quantiles over the parts' (boundary, mass) points.
-        """
-        parts = [p for p in parts if p is not None]
-        if not parts:
-            return cls(row_count=0)
-        row_count = sum(p.row_count for p in parts)
-        null_count = sum(p.null_count for p in parts)
-        non_null = row_count - null_count
-        with_min = [p for p in parts if p.min_value is not None]
-        # Row-weighted width: an unweighted mean let a tiny overflow
-        # table drag a large inline column's width around (and vice
-        # versa). Weight by non-null rows, rounding half up.
-        weighted = [(p.avg_width, max(0, p.row_count - p.null_count))
-                    for p in parts if p.avg_width is not None]
-        width_mass = sum(w for _, w in weighted)
-        avg_width = (max(1, int(math.floor(
-            sum(a * w for a, w in weighted) / width_mass + 0.5)))
-            if width_mass else None)
-        # Each part boundary stands for ~bucket_rows rows of its part;
-        # re-bucketing via quantiles over that weighted point set keeps
-        # the merged histogram equi-depth even when the parts differ in
-        # size (concatenating boundaries did not).
-        points = sorted(
-            ((_sort_key(b), b, p.bucket_rows)
-             for p in parts for b in p.boundaries),
-            key=lambda point: point[0])
-        boundaries: list = []
-        bucket_rows = 0.0
-        if points:
-            mass = sum(w for _, _, w in points)
-            buckets = min(n_buckets, len(points))
-            if mass > 0:
-                cumulative = 0.0
-                filled = 0
-                for _, value, weight in points:
-                    cumulative += weight
-                    while (filled < buckets and
-                           cumulative >= (filled + 1) * mass / buckets - 1e-9):
-                        boundaries.append(value)
-                        filled += 1
-                while filled < buckets:  # float residue on the last bucket
-                    boundaries.append(points[-1][1])
-                    filled += 1
-            else:  # all-zero masses (degenerate scaled parts)
-                boundaries = [value for _, value, _ in points]
-            bucket_rows = non_null / len(boundaries) if boundaries else 0.0
-        return cls(
-            row_count=row_count,
-            null_count=null_count,
-            n_distinct=min(non_null, sum(p.n_distinct for p in parts)),
-            min_value=(min((p.min_value for p in with_min), key=_sort_key)
-                       if with_min else None),
-            max_value=(max((p.max_value for p in with_min), key=_sort_key)
-                       if with_min else None),
-            boundaries=boundaries,
-            bucket_rows=bucket_rows,
-            avg_width=avg_width,
         )
 
     # ------------------------------------------------------------------

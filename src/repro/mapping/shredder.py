@@ -17,12 +17,11 @@ path of open row contexts. Everything else is a view over that stream:
 
 * :meth:`Shredder.shred` drains it into ``{table: [rows]}`` (the eager
   form — unchanged behaviour);
-* :meth:`Shredder.shred_iter` groups it into per-table batches of at
-  most ``batch_size`` rows, so peak memory is bounded by the batch
-  size, not the document size;
-* :func:`shred_typed_batches` is the same batching over *typed* rows —
-  each value coerced to its column's SQL type as it is written into its
-  row — and :func:`shred_typed_rows` drains it eagerly.
+* :func:`shred_typed_batches` groups it into per-table batches of at
+  most ``batch_size`` *typed* rows — each value coerced to its column's
+  SQL type as it is written into its row — so peak memory is bounded by
+  the batch size, not the document size; :func:`shred_typed_rows`
+  drains it eagerly.
 
 Because eager and streaming forms consume the *same* generator, their
 rows (values, IDs, and per-table order) are identical by construction.
@@ -169,17 +168,6 @@ class Shredder:
         (plus the current child subtree), never the document.
         """
         return self._events(docs, typed=False)
-
-    def shred_iter(self, docs, batch_size: int = DEFAULT_BATCH_SIZE
-                   ) -> Iterator[tuple[str, list[tuple]]]:
-        """Yield ``(table_name, rows)`` batches with bounded memory.
-
-        A batch is emitted as soon as one table accumulates
-        ``batch_size`` rows; the remainders are flushed in mapped-schema
-        table order at the end. Concatenating the batches per table
-        reproduces :meth:`shred` exactly (same rows, same order).
-        """
-        return self._batches(docs, batch_size, typed=False)
 
     # ------------------------------------------------------------------
     def _batches(self, docs, batch_size: int,

@@ -16,7 +16,7 @@ hence the same plan and cost. The rules deciding this:
 
 Queries that pass reuse their previous cost; only the rest are handed to
 the physical design tool (see
-:meth:`repro.search.evaluator.MappingEvaluator.evaluate_partial`).
+:meth:`repro.search.evaluator.MappingEvaluator.evaluate_partial_many`).
 """
 
 from __future__ import annotations

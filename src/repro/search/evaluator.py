@@ -283,22 +283,6 @@ class MappingEvaluator:
         translated under it (infeasible mapping)."""
         return self.evaluate_many([mapping])[0]
 
-    def evaluate_partial(self, mapping: Mapping,
-                         reuse: dict[int, float],
-                         base: EvaluatedMapping | None = None
-                         ) -> EvaluatedMapping | None:
-        """Cost a mapping, reusing known per-query costs (Section 4.8).
-
-        ``reuse`` maps workload indices to already-known costs; only the
-        remaining queries are passed to the physical design tool, which
-        is what makes cost derivation cheaper. ``base`` is the
-        evaluation the reused costs came from — its per-query reports
-        supply the carried-over ``objects_used`` so the synthesized
-        full-workload reports stay usable by a later derivation pass.
-        With nothing reused this *is* :meth:`evaluate`.
-        """
-        return self.evaluate_partial_many([(mapping, reuse, base)])[0]
-
     def cached(self, mapping: Mapping) -> EvaluatedMapping | None:
         """An already-computed exact evaluation, if any (no work done)."""
         if not self.use_cache:
@@ -323,7 +307,17 @@ class MappingEvaluator:
             self, items: list[tuple[Mapping, dict[int, float],
                                     EvaluatedMapping | None]]
             ) -> list[EvaluatedMapping | None]:
-        """Batch form of :meth:`evaluate_partial`."""
+        """Cost mappings, reusing known per-query costs (Section 4.8).
+
+        Each item is ``(mapping, reuse, base)``. ``reuse`` maps workload
+        indices to already-known costs; only the remaining queries are
+        passed to the physical design tool, which is what makes cost
+        derivation cheaper. ``base`` is the evaluation the reused costs
+        came from — its per-query reports supply the carried-over
+        ``objects_used`` so the synthesized full-workload reports stay
+        usable by a later derivation pass. With nothing reused an item
+        *is* :meth:`evaluate`.
+        """
         return self._evaluate_batch(
             [(mapping, dict(reuse), self._carried_objects(reuse, base))
              for mapping, reuse, base in items])

@@ -2,55 +2,27 @@
 
 ``str(query)`` already yields valid single-line SQL; :func:`render`
 produces a multi-line layout like the listings in the paper, which the
-examples print for the user.
-
-Both functions take an optional ``dialect`` — any object with the
-structural shape of :class:`repro.backends.dialect.Dialect` (the
-protocol is duck-typed here so ``sqlast`` stays below ``backends`` in
-the layering). With a dialect, identifiers are quoted and constants
-spelled the way that engine expects; without one, the plain ``str()``
-forms are used, exactly as before.
+examples print for the user. It uses the plain ``str()`` forms; SQL for
+a particular engine (quoted identifiers, its constants) is rendered by
+``repro.backends.dialect.Dialect.render_query``.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
-
-from .ast import BoolExpr, Query, Select, SelectItem, TableRef
+from .ast import Query, Select
 
 
-class SQLDialect(Protocol):
-    """The slice of ``repro.backends.dialect.Dialect`` render() needs."""
-
-    def render_item(self, item: SelectItem) -> str: ...
-
-    def render_table_ref(self, ref: TableRef) -> str: ...
-
-    def render_condition(self, expr: BoolExpr) -> str: ...
-
-
-def render_select(select: Select, indent: str = "",
-                  dialect: SQLDialect | None = None) -> str:
-    if dialect is None:
-        items = ", ".join(str(i) for i in select.items)
-        tables = ", ".join(str(t) for t in select.from_tables)
-        where = str(select.where) if select.where is not None else None
-    else:
-        items = ", ".join(dialect.render_item(i) for i in select.items)
-        tables = ", ".join(dialect.render_table_ref(t)
-                           for t in select.from_tables)
-        where = (dialect.render_condition(select.where)
-                 if select.where is not None else None)
-    lines = [indent + "SELECT " + items, indent + "FROM " + tables]
-    if where is not None:
-        lines.append(indent + "WHERE " + where)
+def render_select(select: Select, indent: str = "") -> str:
+    lines = [indent + "SELECT " + ", ".join(str(i) for i in select.items),
+             indent + "FROM " + ", ".join(str(t) for t in select.from_tables)]
+    if select.where is not None:
+        lines.append(indent + "WHERE " + str(select.where))
     return "\n".join(lines)
 
 
-def render(query: Query, indent: str = "",
-           dialect: SQLDialect | None = None) -> str:
+def render(query: Query, indent: str = "") -> str:
     """Multi-line SQL text for a query."""
-    blocks = [render_select(s, indent, dialect) for s in query.selects]
+    blocks = [render_select(s, indent) for s in query.selects]
     body = ("\n" + indent + "UNION ALL\n").join(blocks)
     if query.order_by:
         body += "\n" + indent + "ORDER BY " + ", ".join(

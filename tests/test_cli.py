@@ -93,6 +93,24 @@ class TestShred:
         assert content.splitlines()[0] == "ID,PID,name,kind,price"
         assert len(content.splitlines()) == 4
 
+    def test_file_mode_streams_in_batches(self, files):
+        """File mode streams like dataset mode: ``--batch-size`` is
+        honoured and does not change what is written."""
+        tmp_path, dtd, xml, _, _ = files
+        dumps = {}
+        for batch_size in (None, "1"):
+            out_dir = tmp_path / f"csv-{batch_size}"
+            argv = ["shred", "--dtd", str(dtd), "--root", "shop",
+                    "--xml", str(xml), "--mapping", "fully-split",
+                    "--out", str(out_dir)]
+            code, _ = run_cli(argv + (["--batch-size", batch_size]
+                                      if batch_size else []))
+            assert code == 0
+            dumps[batch_size] = {p.name: p.read_bytes()
+                                 for p in sorted(out_dir.iterdir())}
+        assert dumps["1"] == dumps[None]
+        assert len(dumps[None]["label.csv"].splitlines()) == 4
+
     def test_mapping_choice(self, files):
         _, dtd, xml, _, _ = files
         code, out = run_cli(["shred", "--dtd", str(dtd), "--root", "shop",
@@ -374,6 +392,8 @@ class TestCountsBelowOne:
         (["calibrate", "--queries", "0", "--min-correlation", "0.0"],
          "--queries"),
         (["calibrate", "--repeat", "0"], "--repeat"),
+        (["shred", "--dataset", "dblp", "--batch-size", "0"],
+         "--batch-size"),
         (["compare", "--backend-b", "sqlite", "--strict", "--queries",
           "0"], "--queries"),
         (["serve", "--dataset", "dblp", "--queries", "0", "--xpath",
@@ -381,7 +401,7 @@ class TestCountsBelowOne:
         (["loadgen", "--dataset", "dblp", "--queries", "-1",
           "--requests", "5"], "--queries"),
     ], ids=["advise-checkpoint-every", "check-queries", "calibrate-queries",
-            "calibrate-repeat", "compare-queries", "serve-queries",
+            "calibrate-repeat", "shred-batch-size", "compare-queries", "serve-queries",
             "loadgen-queries"])
     def test_refused_before_loading(self, argv, flag, no_load, capsys):
         with pytest.raises(SystemExit) as exit_info:

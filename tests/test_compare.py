@@ -284,6 +284,19 @@ class TestCompareDatasets:
         assert report.context["dataset"] == "dblp"
         assert report.context["design"] == "hybrid"
 
+    def test_timings_are_advisory_under_strict(self, capsys):
+        """``--timings`` adds a wall-clock check that never fails the
+        gate, ``--strict`` included: every check OK, exit 0."""
+        from repro.cli import main
+        code = main(["compare", "--dataset", "dblp", "--design", "hybrid",
+                     "--backend-a", "engine", "--backend-b", "sqlite",
+                     "--scale", str(SCALE), "--queries", "2",
+                     "--timings", "--strict"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert re.search(r"^  OK +timings: ", out, re.M), out
+        assert "MISMATCH" not in out
+
     def test_unknown_dataset_and_design_raise(self):
         with pytest.raises(ValueError):
             compare_datasets("web", "hybrid", "engine", "sqlite")

@@ -170,15 +170,6 @@ class TestColumnStats:
         assert scaled.range_selectivity("<", 50) == \
             pytest.approx(stats.range_selectivity("<", 50), abs=0.02)
 
-    def test_merged_combines(self):
-        low = ColumnStats.from_values(list(range(0, 100)))
-        high = ColumnStats.from_values(list(range(100, 200)))
-        merged = ColumnStats.merged([low, high])
-        assert merged.row_count == 200
-        assert merged.min_value == 0
-        assert merged.max_value == 199
-        assert merged.range_selectivity("<", 100) == pytest.approx(0.5, abs=0.06)
-
     def test_skewed_histogram(self):
         values = [1] * 900 + list(range(2, 102))
         stats = ColumnStats.from_values(values)
@@ -260,6 +251,5 @@ class TestMaterializedView:
                               Column("PID", SQLType.INTEGER),
                               Column("val", SQLType.INTEGER)])
         db.set_table_stats("c", TableStats(row_count=500))
-        view = db.create_materialized_view("v", self.definition(),
-                                           populate=False)
+        view = db.create_materialized_view("v", self.definition())
         assert db.stats.table("v").row_count == 500

@@ -4,8 +4,7 @@ import pytest
 
 from repro.engine import Column, Database, SQLType
 from repro.engine.cost import CostCounter
-from repro.engine.plans import (IndexSeek, NestedLoopJoin, Runtime,
-                                SemiJoinExists, SeqScan)
+from repro.engine.plans import IndexSeek, NestedLoopJoin, Runtime, SeqScan
 from repro.errors import ExecutionError
 
 
@@ -94,27 +93,6 @@ class TestJoins:
                        if trow[0] == urow[1])
         assert len(rows) == expected
 
-    def test_semijoin_with_materialized_keys(self, db):
-        semi = SemiJoinExists(
-            SeqScan("t", "t"), SeqScan("u", "u"),
-            outer_keys=[lambda env: env["t"][0]],
-            inner_keys=[lambda env: env["u"][1]])
-        rows = list(semi.execute(runtime(db)))
-        pids = {urow[1] for urow in db.catalog.table("u").rows}
-        assert len(rows) == sum(1 for trow in db.catalog.table("t").rows
-                                if trow[0] in pids)
-
-    def test_semijoin_with_index_probe(self, db):
-        index = db.create_index("ix_pid", "u", ["PID"])
-        probe = IndexSeek(index, "u", "u",
-                          [lambda env: env["t"][0]])
-        semi = SemiJoinExists(SeqScan("t", "t"), probe)
-        rows = list(semi.execute(runtime(db)))
-        pids = {urow[1] for urow in db.catalog.table("u").rows}
-        assert len(rows) == sum(1 for trow in db.catalog.table("t").rows
-                                if trow[0] in pids)
-        db.catalog.drop_index("ix_pid")
-
 
 class TestCostCounter:
     def test_total_combines_components(self):
@@ -123,15 +101,6 @@ class TestCostCounter:
         counter.charge_random_pages(2)
         counter.charge_tuples(100)
         assert counter.total > 10 + 8
-
-    def test_merge(self):
-        a, b = CostCounter(), CostCounter()
-        a.charge_seq_pages(5)
-        b.charge_seq_pages(7)
-        b.charge_hash(3)
-        a.merge(b)
-        assert a.seq_pages == 12
-        assert a.hash_tuples == 3
 
     def test_determinism(self, db):
         costs = {db.execute("SELECT t.ID FROM t WHERE t.v = 'v1'").cost

@@ -3,7 +3,7 @@
 Pins the scaling contracts of docs/scaling.md:
 
 * lazy (``stream=True``) documents contain exactly the eager content;
-* ``Shredder.shred_iter`` / ``shred_typed_batches`` produce rows
+* ``shred_typed_batches`` produces rows
   byte-identical to the eager path, in bounded batches, and genuinely
   stream (rows are emitted before the document is fully generated);
 * shredder error paths behave identically mid-stream;
@@ -86,8 +86,8 @@ class TestLazyDatasets:
 class TestStreamingShred:
     def test_batches_match_eager_dblp(self, dblp_mapped):
         doc = generate_dblp(SCALE, seed=3)
-        eager = Shredder(dblp_mapped).shred(doc)
-        batched = drain(Shredder(dblp_mapped).shred_iter(doc, batch_size=37))
+        eager = shred_typed_rows(dblp_mapped, doc)
+        batched = drain(shred_typed_batches(dblp_mapped, doc, 37))
         assert batched == {k: v for k, v in eager.items() if v}
 
     def test_batches_match_eager_movie(self, movie_mapped):
@@ -95,21 +95,19 @@ class TestStreamingShred:
         # streaming path, on the lazy document form.
         eager_doc = generate_movies(SCALE, seed=5)
         lazy_doc = generate_movies(SCALE, seed=5, stream=True)
-        eager = Shredder(movie_mapped).shred(eager_doc)
-        batched = drain(
-            Shredder(movie_mapped).shred_iter(lazy_doc, batch_size=41))
+        eager = shred_typed_rows(movie_mapped, eager_doc)
+        batched = drain(shred_typed_batches(movie_mapped, lazy_doc, 41))
         assert batched == {k: v for k, v in eager.items() if v}
 
     def test_batch_size_is_respected(self, dblp_mapped):
         doc = generate_dblp(SCALE, seed=3)
-        for name, batch in Shredder(dblp_mapped).shred_iter(doc,
-                                                            batch_size=50):
+        for name, batch in shred_typed_batches(dblp_mapped, doc, 50):
             assert 1 <= len(batch) <= 50, name
 
     def test_invalid_batch_size(self, dblp_mapped):
         with pytest.raises(ValueError):
-            list(Shredder(dblp_mapped).shred_iter(
-                generate_dblp(5, seed=3), batch_size=0))
+            list(shred_typed_batches(
+                dblp_mapped, generate_dblp(5, seed=3), batch_size=0))
 
     def test_rows_emitted_before_generation_finishes(self, dblp_mapped):
         """The streaming proof: the first batch arrives while most of
@@ -123,7 +121,7 @@ class TestStreamingShred:
                 yield pub
 
         doc = Document(LazyElement("dblp", counting_factory))
-        batches = Shredder(dblp_mapped).shred_iter(doc, batch_size=100)
+        batches = shred_typed_batches(dblp_mapped, doc, 100)
         next(batches)
         assert 0 < generated < 500
         batches.close()
@@ -138,14 +136,14 @@ class TestStreamingShred:
         from repro.xmlkit import parse
         doc = parse("<dblp><bogus/></dblp>")
         with pytest.raises(ShreddingError, match="unexpected element"):
-            list(Shredder(dblp_mapped).shred_iter(doc))
+            list(shred_typed_batches(dblp_mapped, doc))
 
     def test_partition_routing_failure_mid_stream(self, movie_mapped):
         # A movie with neither choice branch matches no partition.
         from repro.xmlkit import parse
         doc = parse("<movies><movie><title>T</title></movie></movies>")
         with pytest.raises(ShreddingError, match="no partition"):
-            list(Shredder(movie_mapped).shred_iter(doc))
+            list(shred_typed_batches(movie_mapped, doc))
 
     def test_split_leaf_overflow_rows_stream(self, movie_mapped):
         from repro.xmlkit import parse
@@ -154,7 +152,7 @@ class TestStreamingShred:
             "<aka_title>a</aka_title><aka_title>b</aka_title>"
             "<aka_title>c</aka_title><aka_title>d</aka_title>"
             "<box_office>5</box_office></movie></movies>")
-        rows = drain(Shredder(movie_mapped).shred_iter(doc, batch_size=1))
+        rows = drain(shred_typed_batches(movie_mapped, doc, 1))
         assert [r[-1] for r in rows["aka_title"]] == ["c", "d"]
 
     def test_load_documents_streams_and_materializes_empty_tables(

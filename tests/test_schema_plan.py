@@ -210,16 +210,11 @@ class TestIdentityWithParent:
         lazy = generate_dblp(120, seed=9, stream=True)
         eager = generate_dblp(120, seed=9)
         assert Shredder(schema).shred(lazy) == Shredder(schema).shred(eager)
-        for whole, batches in (
-                (Shredder(schema).shred(eager),
-                 Shredder(schema).shred_iter(lazy, batch_size)),
-                (shred_typed_rows(schema, eager),
-                 shred_typed_batches(schema, lazy, batch_size))):
-            joined: dict[str, list] = {n: [] for n in schema.table_names}
-            for table, rows in batches:
-                assert 0 < len(rows) <= batch_size
-                joined[table].extend(rows)
-            assert joined == whole
+        joined: dict[str, list] = {n: [] for n in schema.table_names}
+        for table, rows in shred_typed_batches(schema, lazy, batch_size):
+            assert 0 < len(rows) <= batch_size
+            joined[table].extend(rows)
+        assert joined == shred_typed_rows(schema, eager)
 
 
 

@@ -66,14 +66,14 @@ class TestEvaluator:
         evaluator = MappingEvaluator(wl, stats)
         mapping = hybrid_inlining(tree)
         full = evaluator.evaluate(mapping)
-        partial = evaluator.evaluate_partial(
-            mapping, reuse={0: full.tuning.reports[0].cost})
+        partial = evaluator.evaluate_partial_many(
+            [(mapping, {0: full.tuning.reports[0].cost}, None)])[0]
         assert partial is not None
         assert partial.total_cost == pytest.approx(full.total_cost, rel=0.25)
 
     def test_partial_with_nothing_reused_is_the_exact_evaluation(
             self, dblp_bundle):
-        """One memo: ``evaluate_partial(m, {})`` asks for exactly what
+        """One memo: a partial item ``(m, {}, …)`` asks for exactly what
         ``evaluate(m)`` already answered, so it is a memo hit on the
         same object rather than a second costing."""
         tree, stats = dblp_bundle
@@ -82,8 +82,10 @@ class TestEvaluator:
         evaluator = MappingEvaluator(wl, stats)
         mapping = hybrid_inlining(tree)
         full = evaluator.evaluate(mapping)
-        assert evaluator.evaluate_partial(mapping, {}) is full
-        assert evaluator.evaluate_partial(mapping, {}, base=full) is full
+        assert evaluator.evaluate_partial_many(
+            [(mapping, {}, None)])[0] is full
+        assert evaluator.evaluate_partial_many(
+            [(mapping, {}, full)])[0] is full
         assert evaluator.counters.mappings_evaluated == 1
         assert evaluator.counters.cache_hits == 2
 
@@ -100,7 +102,8 @@ class TestEvaluator:
         mapping = hybrid_inlining(tree)
         full = evaluator.evaluate(mapping)
         reuse = {1: full.tuning.reports[1].cost}
-        partial = evaluator.evaluate_partial(mapping, reuse, base=full)
+        partial = evaluator.evaluate_partial_many(
+            [(mapping, reuse, full)])[0]
         assert partial is not None
         # One report per workload query, aligned by position.
         assert len(partial.tuning.reports) == len(partial.sql_queries)
@@ -137,8 +140,8 @@ class TestEvaluator:
         mapping = hybrid_inlining(tree)
         full = evaluator.evaluate(mapping)
         before = full.tuning.total_cost
-        evaluator.evaluate_partial(
-            mapping, reuse={0: full.tuning.reports[0].cost}, base=full)
+        evaluator.evaluate_partial_many(
+            [(mapping, {0: full.tuning.reports[0].cost}, full)])
         assert full.tuning.total_cost == before
 
 

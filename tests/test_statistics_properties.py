@@ -74,105 +74,6 @@ def test_scaled_preserves_probability_bounds(values, new_rows):
     assert 0.0 <= stats.eq_selectivity(0) <= 1.0
 
 
-@given(st.lists(values_strategy, min_size=1, max_size=4))
-@settings(max_examples=100, deadline=None)
-def test_merged_row_accounting(parts_values):
-    parts = [ColumnStats.from_values(v) for v in parts_values]
-    merged = ColumnStats.merged(parts)
-    assert merged.row_count == sum(p.row_count for p in parts)
-    assert merged.null_count == sum(p.null_count for p in parts)
-    for op in ("<", ">="):
-        assert 0.0 <= merged.range_selectivity(op, 0) <= 1.0
-
-
-# ----------------------------------------------------------------------
-# Disjoint-partition round trips: merging the per-partition statistics
-# of a horizontally split column must agree with analyzing the unsplit
-# column directly. This pins the merged() bugfixes (n_distinct used to
-# take the max over parts; avg_width ignored partition sizes; the
-# histogram concatenated boundaries without re-bucketing).
-# ----------------------------------------------------------------------
-
-disjoint_parts = st.lists(
-    st.lists(st.one_of(st.integers(0, 999), st.none()),
-             min_size=1, max_size=120),
-    min_size=1, max_size=4)
-
-
-def _shift_parts(parts_values):
-    """Offset each partition into its own value range (disjoint sets)."""
-    return [[None if v is None else v + 10_000 * i for v in part]
-            for i, part in enumerate(parts_values)]
-
-
-@given(disjoint_parts)
-@settings(max_examples=100, deadline=None)
-def test_merged_disjoint_n_distinct_is_additive(parts_values):
-    shifted = _shift_parts(parts_values)
-    parts = [ColumnStats.from_values(v) for v in shifted]
-    merged = ColumnStats.merged(parts)
-    union = [v for part in shifted for v in part]
-    assert merged.n_distinct == ColumnStats.from_values(union).n_distinct
-
-
-@given(disjoint_parts)
-@settings(max_examples=100, deadline=None)
-def test_merged_round_trips_against_unsplit_column(parts_values):
-    shifted = _shift_parts(parts_values)
-    parts = [ColumnStats.from_values(v) for v in shifted]
-    merged = ColumnStats.merged(parts)
-    union = [v for part in shifted for v in part]
-    direct = ColumnStats.from_values(union)
-    assert merged.row_count == direct.row_count
-    assert merged.null_count == direct.null_count
-    assert merged.min_value == direct.min_value
-    assert merged.max_value == direct.max_value
-    # The re-bucketed histogram estimates must track the unsplit ones.
-    non_null = sorted(v for v in union if v is not None)
-    if non_null:
-        probe = non_null[len(non_null) // 2]
-        assert abs(merged.range_selectivity("<=", probe)
-                   - direct.range_selectivity("<=", probe)) <= 0.25
-
-
-@given(st.lists(st.lists(st.text(min_size=1, max_size=12), min_size=1,
-                         max_size=60), min_size=2, max_size=4))
-@settings(max_examples=100, deadline=None)
-def test_merged_avg_width_is_row_weighted(parts_values):
-    parts = [ColumnStats.from_values(v, is_string=True)
-             for v in parts_values]
-    merged = ColumnStats.merged(parts)
-    union = [v for part in parts_values for v in part]
-    mean = sum(len(v) for v in union) / len(union)
-    # Partition widths are already rounded, so the reconstruction can
-    # sit one byte off the unsplit mean — never proportional to the
-    # largest partition's width as the old max/uniform logic allowed.
-    assert abs(merged.avg_width - mean) <= 1.5
-
-
-def test_merged_avg_width_weighted_example():
-    wide = ColumnStats.from_values(["aaaa"] * 3, is_string=True)
-    narrow = ColumnStats.from_values(["x"], is_string=True)
-    merged = ColumnStats.merged([wide, narrow])
-    # (4*3 + 1*1) / 4 = 3.25 -> 3; an unweighted mean would say 2.5 -> 3,
-    # but reversing the part sizes separates the two rules:
-    assert merged.avg_width == 3
-    flipped = ColumnStats.merged([
-        ColumnStats.from_values(["aaaa"], is_string=True),
-        ColumnStats.from_values(["x"] * 3, is_string=True)])
-    assert flipped.avg_width == 2  # (4 + 3*1) / 4 = 1.75 -> 2
-
-
-def test_merged_n_distinct_capped_by_non_null_rows():
-    parts = [ColumnStats.from_values([1, 2, None]),
-             ColumnStats.from_values([3, 4])]
-    merged = ColumnStats.merged(parts)
-    assert merged.n_distinct == 4  # additive, not max(2, 2) = 2
-    overlapping_cap = ColumnStats.merged([
-        ColumnStats.from_values([1]), ColumnStats.from_values([2])])
-    assert overlapping_cap.n_distinct <= 2
-
-
 # ----------------------------------------------------------------------
 # from_values width rounding: regression pinning the storage estimates
 # that consume Column.avg_width. int() truncation used to floor the
