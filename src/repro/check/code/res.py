@@ -10,7 +10,8 @@
   closed on all paths: not used as a ``with`` context manager, never
   ``.close()``-d in its function, and not handed off (returned,
   yielded, stored on ``self``/a module global, or passed to another
-  call — e.g. appended to a pool that closes it later).
+  call, by name or as the opener itself — e.g. appended to a pool or
+  entered on an ``ExitStack`` that closes it later).
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ def _check_openers(module: SourceModule, findings: Findings) -> None:
                 continue  # escapes into an object/container
         if isinstance(parent, ast.Return):
             continue  # ownership transferred to the caller
+        if isinstance(parent, ast.Call) and parent.func is not node:
+            continue  # handed to a call: enter_context(open(...)), …
         findings.add(
             "RES002",
             f"{_opener_label(node)} result is consumed inline and never "

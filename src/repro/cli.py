@@ -161,10 +161,9 @@ def cmd_shred(args, out=None) -> int:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
             for table in schema.to_engine_tables():
-                handle = open(out_dir / f"{table.name}.csv", "w",
-                              newline="", encoding="utf-8")
-                files.enter_context(handle)
-                writer = csv.writer(handle)
+                writer = csv.writer(files.enter_context(open(
+                    out_dir / f"{table.name}.csv", "w", newline="",
+                    encoding="utf-8")))
                 writer.writerow(table.column_names())
                 writers[table.name] = writer
         for name, batch in shred_typed_batches(schema, bundle.docs,

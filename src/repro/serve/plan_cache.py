@@ -8,11 +8,13 @@ sequence of the request text with its literal lifted out
 (:func:`repro.xpath.lex`) — and a long-lived service pays parsing and
 translation once per shape, not once per request or per distinct value:
 
-* a **hit** never parses, digests or renders anything. One lexer pass
-  yields shape and value; the shape is the key; the cached SQL text,
-  rendered once by the serving backend (``sql_text``: its dialect, over
-  the join views it built) with a placeholder where the value goes, is
-  paired with the value for the backend to bind. A text is a hit only
+* a **hit** never parses, digests or renders anything. The lexer
+  splits the literal off the text once and tokenises the rest once per
+  process (it remembers it), which yields shape and value; the shape
+  is the key; the cached SQL text, rendered once by the serving
+  backend (``sql_text``: its dialect, over the join views it built)
+  with a placeholder where the value goes, is paired with the value
+  for the backend to bind. A text is a hit only
   if the lexer consumed all of it and its tokens equal a cached
   shape's, and what parses is decided by the tokens alone, so a hit is
   never a text the parser would refuse.

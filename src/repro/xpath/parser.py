@@ -13,17 +13,25 @@ Grammar, over token kinds (whitespace may separate any two tokens)::
 At most one predicate is allowed per query (the paper's queries have a
 single selection path); more than one raises ``XPathError``.
 
-:func:`lex` is the only reader of query text: one regex pass splits it
-into a *shape* — the token sequence with every literal lifted out —
-and the lifted values. The grammar never looks inside a literal, so
-whether a text parses, and into which tree, depends on its shape alone:
+:func:`lex` is the only reader of query text: it splits it into a
+*shape* — the token sequence with every literal lifted out — and the
+lifted values. The grammar never looks inside a literal, so whether a
+text parses, and into which tree, depends on its shape alone:
 :func:`parse_tokens` builds the tree from a shape, and the serving
 layer's plan cache keys on the shape to recognise a text as valid
 without parsing it (``repro.serve.plan_cache``).
+
+Texts that differ only inside their quotes tokenise alike, so the text
+is split once around its quoted literals, what is left (each literal
+emptied) is tokenised once and remembered, and the literals' contents
+go back into its quoted slots. :func:`tokenise`, the one regex pass,
+is what such a text costs on first sight and the reference :func:`lex`
+must equal.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from ..errors import XPathError
@@ -48,10 +56,10 @@ _END = "end of query"   # no token: junk is one character long
 _OPS = frozenset(op.value for op in CompareOp)
 
 
-def lex(text: str) -> tuple[Shape, tuple[str, ...]]:
-    """``(shape, values)`` of ``text``: its tokens without their
-    literals, and the literals' values (quotes stripped; a number is
-    its own text) in source order."""
+def tokenise(text: str) -> tuple[Shape, tuple[str, ...]]:
+    """``(shape, values)`` of ``text`` in one pass of the token regex:
+    its tokens without their literals, and the literals' values (quotes
+    stripped; a number is its own text) in source order."""
     found = _TOKEN_RE.findall(text)
     if not found:
         return ((), ()), ()
@@ -59,6 +67,38 @@ def lex(text: str) -> tuple[Shape, tuple[str, ...]]:
     return (names, symbols), tuple(
         [source[1:-1] if source[0] in "\"'" else source
          for source in filter(None, literals)])
+
+
+#: A quoted literal. No name or number holds a quote, and a quote with
+#: no partner after it is a symbol of its own; so the leftmost such
+#: span, and each next one, is exactly where the token regex reads one.
+_QUOTED_RE = re.compile(r"""("[^"]*"|'[^']*')""")
+
+#: Templates remembered: the plan cache's default capacity (128 shapes)
+#: times the spelling variants (spacing, quote kind) of each it should
+#: absorb. A text's numbers stay in its template (a digit can be part
+#: of a name), so each distinct unquoted number takes an entry too.
+_TEMPLATES = 128 * 8
+
+_tokenise_template = functools.lru_cache(maxsize=_TEMPLATES)(tokenise)
+
+
+def lex(text: str) -> tuple[Shape, tuple[str, ...]]:
+    """:func:`tokenise` of ``text``, tokenising only its *template*:
+    the text with each quoted literal emptied (an empty literal of the
+    same quote kind, so an unpartnered quote elsewhere cannot pair with
+    it)."""
+    pieces = _QUOTED_RE.split(text)
+    if len(pieces) == 1:
+        return _tokenise_template(text)
+    quoted = pieces[1::2]
+    pieces[1::2] = [literal[0] * 2 for literal in quoted]
+    shape, slots = _tokenise_template("".join(pieces))
+    if len(slots) == 1:     # the one literal the grammar allows
+        return shape, (quoted[0][1:-1],)
+    # A number is never empty, so the empty slots are the quoted ones.
+    contents = iter([literal[1:-1] for literal in quoted])
+    return shape, tuple([slot or next(contents) for slot in slots])
 
 
 class _Tokens:

@@ -315,6 +315,10 @@ class TestResources:
                 return open(path)
             def escapes(self, path):
                 self.handle = open(path)
+            def stacked(paths):
+                with contextlib.ExitStack() as stack:
+                    return [stack.enter_context(open(path))
+                            for path in paths]
         """)
         assert codes(check_resources(module)) == []
 

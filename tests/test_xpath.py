@@ -13,6 +13,7 @@ from repro.xmlkit import element, parse
 from repro.xpath import (Axis, CompareOp, Predicate, Step, XPathQuery,
                          evaluate, evaluate_values, lex, parse_tokens,
                          parse_xpath)
+from repro.xpath.parser import _tokenise_template, tokenise
 
 
 class TestParser:
@@ -187,6 +188,37 @@ def _near_queries(draw):
         if edit != "delete":
             pieces.insert(at, draw(st.sampled_from(_PIECES)))
     return "".join(draw(_GAPS) + piece for piece in pieces) + draw(_GAPS)
+
+
+#: Pieces that make quoting hard: a quote of either kind alone (with no
+#: partner, or pairing with a later one), empty and adjacent literals,
+#: a literal holding the other quote kind, numbers against names.
+_QUOTE_PIECES = ['"', "'", '""', "''", '"a b"', "'w'", "'c\"d'", '"x\'y"',
+                 "1", "12", "-1.5", "1.", "a", "a1", "x-1", "@x", ".", "-",
+                 "[", "]", "=", ">", "<=", "/", "//", " ", "\n"]
+
+
+@given(st.one_of(
+    _near_queries(),
+    st.lists(st.sampled_from(_QUOTE_PIECES), max_size=12).map("".join),
+    st.text(st.sampled_from("\"'a1 -.@[]=/>"), max_size=16)))
+@example(']"@x>@x\'w\'')
+@example('\'c"d\'1."')
+@example('"a""b"')
+@example("x-1 = 12")
+@example('""')
+@example("")
+def test_lex_equals_one_pass_of_the_token_regex(text):
+    assert lex(text) == tokenise(text)
+
+
+def test_a_new_quoted_literal_is_not_tokenised_again():
+    assert lex('//article[title = "first"]/year')[1] == ("first",)
+    misses = _tokenise_template.cache_info().misses
+    shape, values = lex('//article[title = "second"]/year')
+    assert values == ("second",)
+    assert shape == lex('//article[title = "first"]/year')[0]
+    assert _tokenise_template.cache_info().misses == misses
 
 
 @pytest.fixture(scope="module")
