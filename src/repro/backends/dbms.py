@@ -82,6 +82,7 @@ from ..physdesign import Configuration
 from ..resilience import active_fault_plan
 from ..search import mapping_digest
 from ..sqlast import Query, Select
+from ..xmlkit import collection_paused
 from .base import QueryTiming, Statement, timed_runs
 from .dialect import Dialect, SQLITE
 
@@ -401,34 +402,36 @@ class RelationalBackend:
             loaded = pending = 0
             remaining = dict(skip)
             try:
-                for name, rows in shred_typed_batches(schema, docs,
-                                                      batch_size):
-                    faults.maybe_raise("backend.load.batch")
-                    if remaining.get(name):
-                        drop = min(remaining[name], len(rows))
-                        remaining[name] -= drop
-                        rows = rows[drop:]
-                        self._metrics.incr("rows_skipped_on_resume", drop)
-                        if not rows:
-                            continue
-                    if booleans[name]:
-                        rows = [_rebound(row, booleans[name], storable)
-                                for row in rows]
-                    self._begin_write()
-                    self.connection.executemany(inserts[name], rows)
-                    stored[name] += len(rows)
-                    self.row_counts[name] = (self.row_counts.get(name, 0)
-                                             + len(rows))
-                    loaded += len(rows)
-                    pending += len(rows)
-                    if pending >= txn_rows:
-                        # Watermarks ride in the same transaction as the
-                        # rows they count — atomically consistent at
-                        # every commit point.
-                        self._update_watermarks(stored)
-                        self._commit_write()
-                        self._metrics.incr("load_commits")
-                        pending = 0
+                # The rows are tuples of scalars; see collection_paused.
+                with collection_paused():
+                    for name, rows in shred_typed_batches(schema, docs,
+                                                          batch_size):
+                        faults.maybe_raise("backend.load.batch")
+                        if remaining.get(name):
+                            drop = min(remaining[name], len(rows))
+                            remaining[name] -= drop
+                            rows = rows[drop:]
+                            self._metrics.incr("rows_skipped_on_resume", drop)
+                            if not rows:
+                                continue
+                        if booleans[name]:
+                            rows = [_rebound(row, booleans[name], storable)
+                                    for row in rows]
+                        self._begin_write()
+                        self.connection.executemany(inserts[name], rows)
+                        stored[name] += len(rows)
+                        self.row_counts[name] = (self.row_counts.get(name, 0)
+                                                 + len(rows))
+                        loaded += len(rows)
+                        pending += len(rows)
+                        if pending >= txn_rows:
+                            # Watermarks ride in the same transaction as the
+                            # rows they count — atomically consistent at
+                            # every commit point.
+                            self._update_watermarks(stored)
+                            self._commit_write()
+                            self._metrics.incr("load_commits")
+                            pending = 0
                 self._begin_write()
                 self._update_watermarks(stored)
                 self._mark_complete()

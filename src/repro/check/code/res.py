@@ -9,9 +9,11 @@
 * **RES002** — an ``open()`` / ``*.connect()`` result that is not
   closed on all paths: not used as a ``with`` context manager, never
   ``.close()``-d in its function, and not handed off (returned,
-  yielded, stored on ``self``/a module global, or passed to another
-  call, by name or as the opener itself — e.g. appended to a pool or
-  entered on an ``ExitStack`` that closes it later).
+  yielded, stored on ``self``/a module global, or passed — by name or
+  as the opener itself — to a call whose name says it takes ownership:
+  ``enter_context`` on an ``ExitStack``, ``closing``, ``append`` onto a
+  pool, ``register``). Any other call only reads the handle, so
+  ``json.load(open(path))`` leaks as surely as ``open(path).read()``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ from ..findings import Findings
 from .walker import SourceModule
 
 __all__ = ["check_resources"]
+
+
+def _call_name(call: ast.Call) -> str:
+    func = call.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else "")
 
 
 def _is_broad_handler(handler: ast.ExceptHandler) -> bool:
@@ -44,13 +52,9 @@ def _handler_routes_failure(handler: ast.ExceptHandler) -> bool:
     for node in ast.walk(handler):
         if isinstance(node, ast.Raise):
             return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute)
-                    else "")
-            if name == "note_suppressed":
-                return True
+        if isinstance(node, ast.Call) and \
+                _call_name(node) == "note_suppressed":
+            return True
         if handler.name is not None and isinstance(node, ast.Name) and \
                 node.id == handler.name and isinstance(node.ctx, ast.Load):
             return True
@@ -76,6 +80,10 @@ def _check_handlers(module: SourceModule, findings: Findings) -> None:
 # ----------------------------------------------------------------------
 # RES002
 # ----------------------------------------------------------------------
+#: Calls that take ownership of a handle passed to them.
+_OWNERS = frozenset({"enter_context", "closing", "append", "register"})
+
+
 def _is_opener(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Name) and func.id == "open":
@@ -99,10 +107,7 @@ def _in_with_items(module: SourceModule, call: ast.Call) -> bool:
     node: ast.AST = call
     parent = module.parent(call)
     if isinstance(parent, ast.Call):
-        func = parent.func
-        name = (func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else "")
-        if name == "closing" and call in parent.args:
+        if _call_name(parent) == "closing" and call in parent.args:
             node, parent = parent, module.parent(parent)
     if isinstance(parent, ast.withitem) and parent.context_expr is node:
         return True
@@ -132,10 +137,12 @@ def _escapes_or_closes(module: SourceModule, call: ast.Call,
                     isinstance(func.value, ast.Name) and \
                     func.value.id == name:
                 return True
-            # handed to another call: append(x), closing(x), register(x)…
-            for arg in list(node.args) + [k.value for k in node.keywords]:
-                if isinstance(arg, ast.Name) and arg.id == name:
-                    return True
+            # handed to an owner: append(x), closing(x), register(x)…
+            if _call_name(node) in _OWNERS:
+                for arg in list(node.args) + [k.value
+                                              for k in node.keywords]:
+                    if isinstance(arg, ast.Name) and arg.id == name:
+                        return True
         elif isinstance(node, ast.Return) and \
                 isinstance(node.value, ast.Name) and node.value.id == name:
             return True
@@ -175,8 +182,9 @@ def _check_openers(module: SourceModule, findings: Findings) -> None:
                 continue  # escapes into an object/container
         if isinstance(parent, ast.Return):
             continue  # ownership transferred to the caller
-        if isinstance(parent, ast.Call) and parent.func is not node:
-            continue  # handed to a call: enter_context(open(...)), …
+        if isinstance(parent, ast.Call) and parent.func is not node and \
+                _call_name(parent) in _OWNERS:
+            continue  # handed to an owner: enter_context(open(...)), …
         findings.add(
             "RES002",
             f"{_opener_label(node)} result is consumed inline and never "

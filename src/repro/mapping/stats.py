@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from ..engine import ColumnStats, TableStats
 from ..errors import MappingError
-from ..xmlkit import Document, Element
+from ..xmlkit import Document, Element, collection_paused
 from ..xsd import BaseType, ElementPlan, SchemaTree
 from .relschema import MappedSchema, conditions_hold
 
@@ -228,7 +228,8 @@ def _typed(base: BaseType, values: list[str]) -> list:
 
 def collect_statistics(tree: SchemaTree, docs) -> CollectedStats:
     """Collect finest-granularity statistics from documents."""
-    return _Collector(tree).run(docs)
+    with collection_paused():
+        return _Collector(tree).run(docs)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """XML document model, parser, and serializer (built from scratch)."""
 
-from .doc import Document, Element, LazyElement, count_elements, element
+from .doc import (Document, Element, LazyElement, collection_paused,
+                  count_elements, element)
 from .parser import parse, parse_file
 from .writer import escape_attribute, escape_text, serialize
 
@@ -10,6 +11,7 @@ __all__ = [
     "LazyElement",
     "element",
     "count_elements",
+    "collection_paused",
     "parse",
     "parse_file",
     "serialize",

@@ -28,7 +28,8 @@ import re
 from typing import NoReturn
 
 from ..errors import XMLParseError
-from .doc import Document, Element, _new_child, _new_leaves
+from .doc import (Document, Element, _new_child, _new_leaves,
+                  collection_paused)
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 
@@ -195,7 +196,8 @@ def parse(text: str) -> Document:
     _skip_misc(scanner)
     if scanner.peek() != "<":
         raise scanner.error("expected root element")
-    root = _parse_tree(scanner)
+    with collection_paused():
+        root = _parse_tree(scanner)
     _skip_misc(scanner)
     if not scanner.at_end():
         raise scanner.error("content after root element")

@@ -25,7 +25,7 @@ refuses is matched again, by the same code, to word the violation.
 from __future__ import annotations
 
 from ..errors import ValidationError
-from ..xmlkit import Document, Element
+from ..xmlkit import Document, Element, collection_paused
 from .nodes import UNBOUNDED
 from .tree import (M_CHOICE, M_OPTION, M_REPETITION, M_SEQUENCE, M_TAG,
                    ElementPlan, SchemaTree)
@@ -84,8 +84,9 @@ class Validator:
         try:
             # The memo lives in this call's frame: two threads, or two
             # documents, never share it, and it is gone with the call.
-            self._validate_siblings(
-                (root,), {root.tag: self.tree.plan(schema_root)}, set())
+            with collection_paused():
+                self._validate_siblings(
+                    (root,), {root.tag: self.tree.plan(schema_root)}, set())
         except _Violation as found:
             raise ValidationError(
                 found.before + _path(found.trail) + found.after

@@ -322,6 +322,37 @@ class TestResources:
         """)
         assert codes(check_resources(module)) == []
 
+    def test_a_call_that_only_reads_the_handle_does_not_own_it(
+            self, tmp_path):
+        module = lint_module(tmp_path, """
+            import json
+            def inline(path):
+                return json.load(open(path))
+            def bound(path):
+                handle = open(path)
+                return json.load(handle)
+        """)
+        found = check_resources(module)
+        assert codes(found) == ["RES002", "RES002"]
+        assert sorted(item.location for item in found.items) == [
+            "mod_under_test.py:4", "mod_under_test.py:6"]
+
+    def test_a_call_named_for_ownership_takes_the_handle(self, tmp_path):
+        module = lint_module(tmp_path, """
+            import contextlib
+            def entered(stack, path):
+                return stack.enter_context(open(path))
+            def closed(path):
+                return contextlib.closing(open(path))
+            def pooled(pool, factory):
+                conn = factory.connect()
+                pool.append(conn)
+            def registered(registry, path):
+                handle = open(path)
+                registry.register(handle)
+        """)
+        assert codes(check_resources(module)) == []
+
 
 # ----------------------------------------------------------------------
 # Driver (an inline pragma is the one way to waive a finding)
