@@ -603,7 +603,7 @@ class RelationalBackend:
 
     def execute(self, query: Query | Statement) -> list[tuple]:
         if isinstance(query, Statement):
-            return self.execute_sql(*query)
+            return self.execute_sql(query.sql, query.params)
         return self.execute_sql(self.sql_text(query))
 
     def execute_sql(self, sql: str, params: tuple = ()) -> list[tuple]:
@@ -621,7 +621,6 @@ class RelationalBackend:
                     raise BackendBusyError(
                         f"database busy: {detail}") from exc
                 raise BackendError(f"query failed: {detail}") from exc
-        self._metrics.incr("queries_executed")
         return self._native_rows(rows)
 
     def prepare(self, query: Query) -> None:

@@ -120,6 +120,15 @@ class Tracer:
             registry = self._registries[component] = MetricRegistry(component)
         return registry
 
+    def own_metrics(self, component: str) -> MetricRegistry:
+        """A registry no one else holds: ``component``, else
+        ``component#2``, ``#3``… (counts that are one owner's state)."""
+        name, n = component, 1
+        while name in self._registries:
+            n += 1
+            name = f"{component}#{n}"
+        return self.metrics(name)
+
     def metric_snapshot(self) -> dict[str, dict[str, float]]:
         """All registries, components and counters sorted by name."""
         return {name: self._registries[name].snapshot()

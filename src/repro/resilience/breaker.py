@@ -21,7 +21,10 @@ recovers at exactly the same points on every run — the same hashing
 idiom as :class:`~repro.resilience.faults.FaultPlan`, so chaos-serve
 runs are reproducible in CI. The class is thread-safe; under
 concurrent arrivals the *decisions* stay a pure function of each
-arrival's position in the serialized order the lock imposes.
+arrival's position in the serialized order the lock imposes. A
+closed-state ``admit`` takes no lock: it changes nothing, so it has no
+place in that order, and its ``"allow"`` is what a locked read of the
+state the last ``record`` left would decide at the same moment.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ class CircuitBreaker:
         executing it; ``probe`` means execute it and report the outcome
         with ``record(..., probe=True)`` — it is the half-open trial.
         """
+        if self._state == CLOSED:
+            return "allow"      # decides nothing: no lock (module doc)
         with self._lock:
             if self._state == CLOSED:
                 return "allow"

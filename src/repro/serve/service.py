@@ -15,8 +15,9 @@ XPath queries from many concurrent clients. Per request it:
 3. records a ``serve.request`` span and a latency-histogram
    observation on the service's metric registry.
 
-Every count has one store. The ``serve.service``
-:class:`~repro.obs.MetricRegistry` (the tracer's, or a private one
+Every count has one store. The service's own ``serve.service``
+:class:`~repro.obs.MetricRegistry` (the tracer's — ``serve.service#2``
+and so on for a second service on the same tracer — or a private one
 under the null tracer) holds ``errors``, ``requests_shed``,
 ``request_retries``, ``request_timeouts``, ``breaker_fast_fails``, the
 ``request_seconds`` histogram, whose count *is* the number of served
@@ -32,7 +33,7 @@ more than a warm point query; :meth:`submit` is asynchronous, returns a
 future, and runs the request on the service's thread pool (``workers``
 threads, started on first use). Both go through one admission
 (:meth:`QueryService._admit`) and one request path
-(:meth:`QueryService._handle_counted`), so the fault site, deadline
+(:meth:`QueryService._handle`), so the fault site, deadline
 checks, retries, breaker accounting and error counts are the same code
 for both, and every answer — cached plan or not — is the
 plan-cache-translated, real-DBMS-executed result.
@@ -65,6 +66,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..backends import RelationalBackend, backend_factory
 from ..errors import ReproError
@@ -96,8 +98,7 @@ class CircuitOpenError(ServiceError):
     """The circuit breaker is open; the request was fast-failed."""
 
 
-@dataclass(frozen=True)
-class ServeResult:
+class ServeResult(NamedTuple):
     """One served request: rows plus request-level metadata."""
 
     xpath: str
@@ -108,8 +109,7 @@ class ServeResult:
     retries: int = 0       # transparent transient-fault re-attempts
 
 
-@dataclass(frozen=True)
-class _Request:
+class _Request(NamedTuple):
     """One admitted request, on its way to the thread that runs it."""
 
     xpath: XPathQuery | str
@@ -209,8 +209,9 @@ class QueryService:
         self.tracer = tracer if tracer is not None else get_tracer()
         # The counts are service state, not optional telemetry —
         # stats() reads them even under the (default) null tracer,
-        # whose registries discard increments.
-        self._metrics = (self.tracer.metrics("serve.service")
+        # whose registries discard increments — and each service's
+        # own: two services on one tracer must not count each other.
+        self._metrics = (self.tracer.own_metrics("serve.service")
                          if self.tracer.enabled
                          else MetricRegistry("serve.service"))
         self._latency = self._metrics.histogram("request_seconds")
@@ -294,78 +295,66 @@ class QueryService:
                 f"request exceeded its {self.deadline:.3f}s deadline "
                 f"({elapsed:.3f}s elapsed, queue wait included)")
 
-    def _execute_with_retry(self, plan, enqueued: float
-                            ) -> tuple[list[tuple], int]:
-        """Execute the plan's statement, retrying transient faults in
-        place.
-
-        Only :data:`~repro.resilience.RETRYABLE_CATEGORIES` failures
-        (injected transients, ``SQLITE_BUSY`` wrapped as
-        ``BackendBusyError``) are re-attempted, never timeouts — a
-        request over its deadline is dead however retryable the error.
-        """
-        retries = 0
-        attempt = 0
-        while True:
-            attempt += 1
-            self._check_deadline(enqueued)
-            try:
-                return self.backend.execute(plan.statement), retries
-            except Exception as exc:
-                if (classify(exc) not in RETRYABLE_CATEGORIES
-                        or attempt >= self.retry_policy.max_attempts):
-                    raise
-                note_suppressed(exc, "serve.retry", self.tracer)
-                retries += 1
-                self._metrics.incr("request_retries")
-                time.sleep(self.retry_policy.backoff_for(attempt))
-
-    def _handle(self, request: "_Request") -> ServeResult:
-        with self.tracer.span("serve.request") as span:
-            # The injection point for request-level chaos: a ``hang``
-            # rule here overruns the deadline, a ``transient`` fails
-            # the request before the backend is touched.
-            active_fault_plan().maybe_raise("serve.request")
-            self._check_deadline(request.enqueued)
-            plan, was_cached = self.plan_cache.get_or_translate(
-                request.xpath)
-            rows, retries = self._execute_with_retry(plan, request.enqueued)
-            seconds = time.perf_counter() - request.enqueued
-            span.set("plan_key", plan.key)
-            span.set("cached_plan", was_cached)
-            span.set("rows", len(rows))
-            span.set("seconds", seconds)
-        self._latency.observe(seconds)
-        return ServeResult(xpath=plan.xpath, rows=rows,
-                           seconds=seconds, plan_key=plan.key,
-                           cached_plan=was_cached, retries=retries)
-
-    def _handle_counted(self, request: "_Request") -> ServeResult:
+    def _handle(self, request: _Request,
+                pooled: bool = False) -> ServeResult:
+        """The one request path: :meth:`serve` runs it on the caller,
+        the pool as :meth:`submit`'s entry (``pooled``: the queue wait
+        is noted first). It records every outcome here, so the counts
+        survive callers that drop their futures, and releases
+        ``_inflight``; a failure is re-raised to the caller or Future."""
+        xpath, enqueued, probe = request
+        if pooled:
+            self._queue_wait.observe(time.perf_counter() - enqueued)
         try:
-            result = self._handle(request)
+            with self.tracer.span("serve.request") as span:
+                # The injection point for request-level chaos: a
+                # ``hang`` rule here overruns the deadline, a
+                # ``transient`` fails the request before the backend
+                # is touched.
+                active_fault_plan().maybe_raise("serve.request")
+                self._check_deadline(enqueued)
+                plan, was_cached = self.plan_cache.get_or_translate(xpath)
+                # Retried in place: only RETRYABLE_CATEGORIES failures
+                # (injected transients, SQLITE_BUSY as BackendBusyError),
+                # never a timeout — a request over its deadline is dead
+                # however retryable the error.
+                retries = 0
+                while True:
+                    self._check_deadline(enqueued)
+                    try:
+                        rows = self.backend.execute(plan.statement)
+                        break
+                    except Exception as exc:
+                        if (classify(exc) not in RETRYABLE_CATEGORIES
+                                or retries + 1
+                                >= self.retry_policy.max_attempts):
+                            raise
+                        note_suppressed(exc, "serve.retry", self.tracer)
+                        retries += 1
+                        self._metrics.incr("request_retries")
+                        time.sleep(self.retry_policy.backoff_for(retries))
+                seconds = time.perf_counter() - enqueued
+                span.set("plan_key", plan.key)
+                span.set("cached_plan", was_cached)
+                span.set("rows", len(rows))
+                span.set("seconds", seconds)
+            self._latency.observe(seconds)
         except Exception as exc:
-            # The failure is re-raised to the caller (or its Future), but
-            # it is also classified and counted here so per-service error
-            # accounting survives callers that drop their futures.
             note_suppressed(exc, "serve.request", self.tracer)
             self._metrics.incr("errors")
-            self.breaker.record(False, probe=request.probe)
+            self.breaker.record(False, probe=probe)
             raise
         else:
-            self.breaker.record(True, probe=request.probe)
-            return result
+            self.breaker.record(True, probe=probe)
+            return ServeResult(plan.xpath, rows, seconds, plan.key,
+                               was_cached, retries)
         finally:
             with self._admission_lock:
                 self._inflight -= 1
                 if self._closed:
                     self._drained.notify_all()
 
-    def _handle_pooled(self, request: "_Request") -> ServeResult:
-        """A pool worker's entry: note how long the request queued."""
-        self._queue_wait.observe(time.perf_counter() - request.enqueued)
-        return self._handle_counted(request)
-
-    def _admit(self, xpath: XPathQuery | str) -> "_Request":
+    def _admit(self, xpath: XPathQuery | str) -> _Request:
         """Admit one request or raise; the caller holds
         ``_admission_lock``.
 
@@ -374,8 +363,8 @@ class QueryService:
         scheduled probe), and a full queue :class:`ServiceOverloaded` —
         in that order, without touching the backend or the pool, so
         rejection stays microseconds even when the backend is wedged.
-        An admitted request counts as in flight until
-        :meth:`_handle_counted` releases it.
+        An admitted request counts as in flight until :meth:`_handle`
+        releases it.
         """
         if self._closed:
             raise ServiceError("query service is closed")
@@ -390,10 +379,8 @@ class QueryService:
             raise ServiceOverloaded(
                 f"admission queue is full ({self._inflight} in "
                 f"flight, max_queue={self.max_queue})")
-        request = _Request(xpath=xpath, enqueued=time.perf_counter(),
-                           probe=decision == "probe")
         self._inflight += 1
-        return request
+        return _Request(xpath, time.perf_counter(), decision == "probe")
 
     def submit(self, xpath: XPathQuery | str) -> "Future[ServeResult]":
         """Asynchronously serve one query on the service's thread pool
@@ -405,7 +392,7 @@ class QueryService:
         with self._admission_lock:
             request = self._admit(xpath)
             try:
-                return self._pool.submit(self._handle_pooled, request)
+                return self._pool.submit(self._handle, request, True)
             except RuntimeError as exc:
                 # close() raced us to the executor; surface the
                 # library's error type, not the pool's internal one.
@@ -423,7 +410,7 @@ class QueryService:
         """
         with self._admission_lock:
             request = self._admit(xpath)
-        return self._handle_counted(request)
+        return self._handle(request)
 
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:

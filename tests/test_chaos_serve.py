@@ -277,6 +277,41 @@ class TestDeadlinesAndRetries:
         assert "requests" not in counters  # derived, not kept twice
         assert "serve.plan_cache" not in tracer.metric_snapshot()
 
+    def test_services_on_one_tracer_keep_their_own_counts(
+            self, dblp_serving):
+        """Two services on one tracer — passed in, or the ambient one —
+        each count their own requests and errors: the first keeps the
+        ``serve.service`` registry, the second gets one of its own."""
+        from repro.obs import Tracer, get_tracer, set_tracer
+        bundle, schema, _ = dblp_serving
+        tracer = Tracer()
+        for ambient in (False, True):
+            previous = get_tracer()
+            set_tracer(tracer if ambient else None)
+            try:
+                first, second = (
+                    QueryService(schema, bundle.docs, workers=1,
+                                 tracer=None if ambient else tracer)
+                    for _ in range(2))
+            finally:
+                set_tracer(previous)
+            try:
+                for _ in range(5):
+                    first.serve(QUERY)
+                with pytest.raises(Exception):
+                    second.serve("//no_such_element/anywhere")
+                assert (first.stats().requests, first.stats().errors) \
+                    == (5, 0)
+                assert (second.stats().requests, second.stats().errors) \
+                    == (0, 1)
+            finally:
+                first.close()
+                second.close()
+        registries = tracer.metric_snapshot()
+        assert registries["serve.service"]["request_seconds.count"] == 5
+        assert registries["serve.service#2"]["errors"] == 1
+        assert registries["serve.service#4"]["errors"] == 1
+
 
 # ----------------------------------------------------------------------
 # Circuit breaker

@@ -266,6 +266,45 @@ class TestSameSafetyOnBothPaths:
             assert service._inflight == 0
 
 
+class TestHowOftenTheStatementRuns:
+    """What a request counts is not enough: a path that ran an attempt
+    twice could still count right. These pin the runs themselves, one
+    recorded thread name per call of ``backend.execute``."""
+
+    @BOTH
+    def test_a_fatal_fault_runs_the_statement_once(self, dblp, call):
+        with make_service(dblp) as service:
+            calls = record_executing_thread(service)
+            install_fault_plan("backend.execute:1:fatal")
+            with pytest.raises(InjectedFault):
+                call(service, QUERY)
+            assert len(calls) == 1
+            assert service.stats().retries == 0
+
+    @BOTH
+    def test_an_always_transient_fault_runs_it_max_attempts_times(
+            self, dblp, call):
+        policy = RetryPolicy(max_attempts=3, backoff=0.0)
+        with make_service(dblp, retry_policy=policy) as service:
+            calls = record_executing_thread(service)
+            install_fault_plan("backend.execute:1:transient")
+            with pytest.raises(InjectedFault):
+                call(service, QUERY)
+            stats = service.stats()
+            assert len(calls) == policy.max_attempts
+            assert stats.retries == policy.max_attempts - 1
+            assert stats.errors == 1
+
+    @BOTH
+    def test_a_deadline_overrun_runs_it_zero_times(self, dblp, call):
+        install_fault_plan("serve.request:1:hang:0.3")
+        with make_service(dblp, deadline=0.05) as service:
+            calls = record_executing_thread(service)
+            with pytest.raises(RequestTimeout):
+                call(service, QUERY)
+            assert calls == []
+
+
 # ----------------------------------------------------------------------
 # What the pool used to do on the side
 # ----------------------------------------------------------------------
