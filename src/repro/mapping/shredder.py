@@ -224,7 +224,7 @@ class Shredder:
         values[0] = self._next_id   # ID, PID lead every table group
         values[1] = parent_id
         self._next_id += 1
-        if owner.attrs and element.attributes:
+        if owner.attrs and element.attribute_map:
             self._write_attributes(element, owner.attrs, values)
         return values
 
@@ -268,7 +268,7 @@ class Shredder:
                 coerce = entry.coerce
                 text = child.text
                 values[slot] = text if coerce is None else coerce(text)
-                if entry.attrs and child.attributes:
+                if entry.attrs and child.attribute_map:
                     self._write_attributes(child, entry.attrs, values)
             elif kind == _ANNOTATED:
                 if entry.target is None:
@@ -295,7 +295,7 @@ class Shredder:
                     self._next_id += 1
                     out.append(self._route(target, row, None))
             else:  # _INLINE_COMPLEX: the child's region fills this row too
-                if entry.attrs and child.attributes:
+                if entry.attrs and child.attribute_map:
                     self._write_attributes(child, entry.attrs, values)
                 if entry.region is None:
                     entry.region = self._region(entry.plan, entry.owner)
@@ -304,7 +304,7 @@ class Shredder:
 
     @staticmethod
     def _write_attributes(element: Element, writes, values: list) -> None:
-        attributes = element.attributes
+        attributes = element.attribute_map
         for name, slot, coerce in writes:
             value = attributes.get(name)
             if value is not None:

@@ -153,7 +153,7 @@ class _Collector:
         counts = self.instance_counts
         counts[plan.node_id] += 1
         for attr in plan.attributes:
-            value = element.attributes.get(attr.name)
+            value = element.attribute_map.get(attr.name)
             if value is not None:
                 counts[attr.node.node_id] += 1
                 self._record(attr.node.node_id, value)

@@ -22,11 +22,34 @@ from __future__ import annotations
 import gc
 import threading
 from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 #: The child list of every leaf: an empty tuple, shared, which the
 #: collector does not track. A leaf is one tracked object, not three.
 _LEAF: tuple[()] = ()
+
+
+class _NoAttributes(dict):
+    """The empty mapping that every element without attributes shares,
+    so that such an element stores no dict of its own. A dict, so it
+    reads as fast as an element's own; it refuses every write, and a
+    pickle or copy of it is itself."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("attribute_map is read-only: write through "
+                        "Element.attributes")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self) -> str:
+        return "NO_ATTRIBUTES"
+
+
+#: The ``attribute_map`` of every element without attributes.
+NO_ATTRIBUTES: Mapping[str, str] = _NoAttributes()
 
 
 _pause_lock = threading.Lock()
@@ -88,19 +111,35 @@ class Element:
         The element name.
     attributes:
         Mapping of attribute name to string value.
+
+    An element without attributes stores no dict: ``attribute_map`` is
+    then the shared, empty :data:`NO_ATTRIBUTES`, and ``attributes`` —
+    the element's own mutable dict — is created on first access, as
+    ElementTree's ``attrib`` is. Code that only reads attributes reads
+    ``attribute_map``, which allocates nothing.
     """
 
-    __slots__ = ("tag", "attributes", "_children", "_texts")
+    __slots__ = ("tag", "attribute_map", "_children", "_texts")
 
     def __init__(self, tag: str, attributes: dict[str, str] | None = None):
         self.tag = tag
-        self.attributes: dict[str, str] = dict(attributes or {})
+        self.attribute_map: Mapping[str, str] = (
+            dict(attributes) if attributes else NO_ATTRIBUTES)
         # A leaf holds no list: _children is _LEAF and _texts its text.
         # From the first child on, _children[i] is preceded by _texts[i]
         # and _texts has one extra trailing entry, so text after the last
         # child is representable.
         self._children: list[Element] | tuple[()] = _LEAF
         self._texts: list[str] | str = ""
+
+    @property
+    def attributes(self) -> dict[str, str]:
+        """The attributes, a dict that writes go through; made on the
+        first access of an element that has none."""
+        attributes = self.attribute_map
+        if attributes is NO_ATTRIBUTES:
+            attributes = self.attribute_map = {}
+        return attributes
 
     # ------------------------------------------------------------------
     # Construction
@@ -214,14 +253,15 @@ class Element:
         return len(self._children)
 
 
-def _new_child(parent: Element, tag: str, attributes: dict[str, str],
+def _new_child(parent: Element, tag: str, attributes: Mapping[str, str],
                text: str) -> Element:
     """``parent.make_child(tag, text, attributes)`` as the parser needs
-    it, once per element of a file: ``attributes`` is kept, not copied,
-    and the child is built as a leaf without ``__init__``."""
+    it, once per element of a file: ``attributes`` — a non-empty dict,
+    or :data:`NO_ATTRIBUTES` — is kept, not copied, and the child is
+    built as a leaf without ``__init__``."""
     child = Element.__new__(Element)
     child.tag = tag
-    child.attributes = attributes
+    child.attribute_map = attributes
     child._children = _LEAF
     child._texts = text
     return parent.append(child)
@@ -239,7 +279,7 @@ def _new_leaves(parent: Element, leaves: list[tuple[str, str, str]]
     for before, tag, text in leaves:
         child = new(Element)
         child.tag = tag
-        child.attributes = {}
+        child.attribute_map = NO_ATTRIBUTES
         child._children = _LEAF
         child._texts = text
         children.append(child)

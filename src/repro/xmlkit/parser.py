@@ -28,7 +28,7 @@ import re
 from typing import NoReturn
 
 from ..errors import XMLParseError
-from .doc import (Document, Element, _new_child, _new_leaves,
+from .doc import (NO_ATTRIBUTES, Document, Element, _new_child, _new_leaves,
                   collection_paused)
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
@@ -271,14 +271,16 @@ def _parse_tree(scanner: _Scanner) -> Element:
             raw = token.group(2)
             if "&" in raw:
                 raw = _decode_entities(raw, scanner, token.start(2))
-            _new_child(current, token.group(1), {}, raw)
+            _new_child(current, token.group(1), NO_ATTRIBUTES, raw)
         elif kind == _TEXT:
             current.add_text(_decode_entities(token.group(8), scanner, pos))
             pos = token.end()
             continue
         elif kind == _START_TAG:
-            attributes: dict[str, str] = {}
-            for found in _ATTRIBUTE.finditer(text, *token.span(4)):
+            # an element without attributes keeps the shared empty map
+            start, end = token.span(4)
+            attributes = {} if start < end else NO_ATTRIBUTES
+            for found in _ATTRIBUTE.finditer(text, start, end):
                 name = found.group(1)
                 value = 2 if found.start(2) >= 0 else 3
                 if name in attributes:

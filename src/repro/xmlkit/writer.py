@@ -43,7 +43,7 @@ def serialize_element(element: Element, out: StringIO, indent: int | None,
     if indent is not None and depth > 0:
         out.write(pad)
     out.write(f"<{element.tag}")
-    for name, value in element.attributes.items():
+    for name, value in element.attribute_map.items():
         out.write(f' {name}="{escape_attribute(value)}"')
     texts = element.text_segments
     children = element.children

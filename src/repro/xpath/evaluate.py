@@ -14,7 +14,7 @@ from .ast import Axis, Predicate, Step, XPathQuery
 
 def _attribute_elements(context: Element, name: str) -> list[Element]:
     """Synthetic leaf elements carrying attribute values."""
-    value = context.attributes.get(name)
+    value = context.attribute_map.get(name)
     if value is None:
         return []
     synthetic = Element(f"@{name}")

@@ -40,8 +40,8 @@ def _local(name: str) -> str:
 
 
 def _occurs(el: Element) -> tuple[int, int]:
-    min_occurs = int(el.attributes.get("minOccurs", "1"))
-    raw_max = el.attributes.get("maxOccurs", "1")
+    min_occurs = int(el.attribute_map.get("minOccurs", "1"))
+    raw_max = el.attribute_map.get("maxOccurs", "1")
     max_occurs = UNBOUNDED if raw_max == "unbounded" else int(raw_max)
     if max_occurs != UNBOUNDED and max_occurs < min_occurs:
         raise XSDError(f"maxOccurs < minOccurs on <{el.tag}>")
@@ -49,7 +49,7 @@ def _occurs(el: Element) -> tuple[int, int]:
 
 
 def _table_annotation(el: Element) -> str | None:
-    for name, value in el.attributes.items():
+    for name, value in el.attribute_map.items():
         if _local(name) == "table":
             return value
     return None
@@ -68,7 +68,7 @@ class _XSDReader:
     def _collect_named_types(self) -> None:
         for child in self.schema_el.children:
             if _local(child.tag) == "complexType":
-                type_name = child.attributes.get("name")
+                type_name = child.attribute_map.get("name")
                 if not type_name:
                     raise XSDError("top-level complexType requires a name")
                 if type_name in self.named_types:
@@ -84,7 +84,7 @@ class _XSDReader:
 
     # ------------------------------------------------------------------
     def _read_element(self, el: Element, parent: SchemaNode | None) -> SchemaNode:
-        name = el.attributes.get("name")
+        name = el.attribute_map.get("name")
         if not name:
             raise XSDError("xs:element requires a name")
         min_occurs, max_occurs = _occurs(el)
@@ -98,7 +98,7 @@ class _XSDReader:
         return tag
 
     def _read_element_content(self, el: Element, tag: SchemaNode) -> None:
-        type_ref = el.attributes.get("type")
+        type_ref = el.attribute_map.get("type")
         inline = [c for c in el.children if _local(c.tag) == "complexType"]
         if type_ref and inline:
             raise XSDError(f"element {tag.name!r} has both type= and inline complexType")
@@ -141,15 +141,15 @@ class _XSDReader:
             self.builder.simple(tag, BaseType.STRING)
 
     def _read_attribute(self, el: Element, tag: SchemaNode) -> None:
-        name = el.attributes.get("name")
+        name = el.attribute_map.get("name")
         if not name:
             raise XSDError(f"xs:attribute on {tag.name!r} requires a name")
-        type_ref = _local(el.attributes.get("type", "xs:string"))
+        type_ref = _local(el.attribute_map.get("type", "xs:string"))
         base = _BASE_TYPES.get(type_ref)
         if base is None:
             raise XSDError(
                 f"unsupported attribute type {type_ref!r} on {tag.name!r}")
-        required = el.attributes.get("use") == "required"
+        required = el.attribute_map.get("use") == "required"
         self.builder.attribute(name, tag, base, required=required)
 
     def _read_compositor(self, el: Element, parent: SchemaNode) -> None:

@@ -102,7 +102,7 @@ class Validator:
         ``plans`` has the plan of each by tag."""
         for el in elements:
             plan = plans[el.tag]
-            if el.attributes or plan.required_attributes:
+            if el.attribute_map or plan.required_attributes:
                 self._validate_attributes(el, plan)
             if plan.is_leaf:
                 if len(el):
@@ -148,7 +148,7 @@ class Validator:
     @staticmethod
     def _validate_attributes(el: Element, plan: ElementPlan) -> None:
         declared = plan.attribute_by_name
-        for name, value in el.attributes.items():
+        for name, value in el.attribute_map.items():
             decl = declared.get(name)
             if decl is None:
                 raise _Violation(el, f"unexpected attribute {name!r} at ")
@@ -157,7 +157,7 @@ class Validator:
                     el, f"value {value!r} at ",
                     f"/@{name} is not a valid {decl.base_type.value}")
         for name in plan.required_attributes:
-            if name not in el.attributes:
+            if name not in el.attribute_map:
                 raise _Violation(
                     el, f"missing required attribute {name!r} at ")
 

@@ -1,10 +1,13 @@
 """Unit tests for the XML document model, parser, and writer."""
 
+import copy
 import gc
 import os
+import pickle
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +21,11 @@ from repro.resilience import NULL_PLAN, install_fault_plan
 from repro.xmlkit import (Document, Element, collection_paused,
                           count_elements, element, parse, parse_file,
                           serialize)
-from repro.xsd import parse_dtd, validate
+from repro.xmlkit.doc import NO_ATTRIBUTES
+from repro.xpath import evaluate, parse_xpath
+from repro.xsd import parse_dtd, parse_xsd, validate
+from tests.test_schema_plan import orders_document, orders_schema
+from tests.test_xsd import MOVIE_XSD
 
 # (input, message, line, column) as raised by the recursive-descent,
 # character-at-a-time parser the token loop replaced; recorded from it
@@ -186,6 +193,34 @@ class TestNodeLayout:
         # the element, plus a child and a text list per inner element
         assert tracked / count_elements([doc.root]) <= 1.3
 
+    @pytest.mark.parametrize("source", ["parsed", "generated", "streamed"])
+    def test_an_element_without_attributes_holds_no_dict(self, dblp_text,
+                                                         source):
+        if source == "parsed":
+            elements = list(parse(dblp_text).iter())
+        elif source == "generated":
+            elements = list(generate_dblp(2000, seed=7).iter())
+        else:
+            root = generate_dblp(2000, seed=7, stream=True).root
+            elements = [root] + [el for child in root for el in child.iter()]
+        assert len(elements) > 15000
+        assert all(el.attribute_map is NO_ATTRIBUTES for el in elements)
+
+    @pytest.mark.parametrize("source, bound", [("parsed", 225),
+                                               ("generated", 145)])
+    def test_retained_bytes_per_element(self, dblp_text, source, bound):
+        # tracemalloc on CPython 3.11: 211 B parsed, 132 B generated; an
+        # empty dict per element adds 64 B to each (275 and 196)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            doc = (parse(dblp_text) if source == "parsed"
+                   else generate_dblp(2000, seed=7))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / count_elements([doc.root]) <= bound
+
     def test_dropping_a_very_deep_document_keeps_the_c_stack(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         script = ("from repro.xmlkit import parse\n"
@@ -196,6 +231,87 @@ class TestNodeLayout:
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert (proc.returncode, proc.stdout) == (0, "dropped\n"), proc.stderr
+
+
+def _dicts_without_attributes(root: Element) -> int:
+    """Elements below ``root`` that have no attributes and hold a dict
+    anyway."""
+    return sum(1 for el in root.iter()
+               if not el.attribute_map and el.attribute_map is not NO_ATTRIBUTES)
+
+
+_ATTRIBUTE_QUERIES = {"dblp": "//@key", "movie": "//@id",
+                      "orders": "//@lang"}
+
+
+class TestReadersAllocateNothing:
+    """Every reader on the ingest and serve paths reads attributes
+    through ``attribute_map``, so no walk gives a bare element the dict
+    it does not store; ``attributes`` still makes one to write into."""
+
+    @pytest.fixture(scope="class", params=["dblp", "movie", "orders"])
+    def dataset(self, request):
+        if request.param == "dblp":
+            tree, text = dblp_schema(), serialize(generate_dblp(200, seed=7))
+        elif request.param == "movie":
+            tree = movie_schema()
+            text = serialize(generate_movies(200, seed=7))
+        else:
+            tree, text = orders_schema(), serialize(orders_document())
+        return request.param, tree, text
+
+    @pytest.mark.parametrize("reader", ["validate", "collect_statistics",
+                                        "load", "serialize", "evaluate"])
+    def test_a_reader_makes_no_dict(self, dataset, reader):
+        name, tree, text = dataset
+        doc = parse(text)
+        if reader == "validate":
+            validate(doc, tree)
+        elif reader == "collect_statistics":
+            collect_statistics(tree, doc)
+        elif reader == "load":
+            with SQLiteBackend(":memory:") as backend:
+                backend.load(derive_schema(hybrid_inlining(tree)), doc)
+        elif reader == "serialize":
+            assert serialize(doc) == text
+        else:
+            evaluate(parse_xpath(_ATTRIBUTE_QUERIES[name]), doc)
+        assert _dicts_without_attributes(doc.root) == 0
+
+    def test_the_xsd_reader_makes_no_dict(self):
+        doc = parse(MOVIE_XSD)
+        parse_xsd(doc, name="movie")
+        assert _dicts_without_attributes(doc.root) == 0
+
+    def test_the_shared_map_refuses_writes_and_survives_a_copy(self):
+        doc = orders_document(3)
+        with pytest.raises(TypeError):
+            doc.root.attribute_map["k"] = "v"
+        for copied in (pickle.loads(pickle.dumps(doc)), copy.deepcopy(doc)):
+            assert serialize(copied) == serialize(doc)
+            assert copied.root.attribute_map is NO_ATTRIBUTES
+            assert _dicts_without_attributes(copied.root) == 0
+
+    @pytest.mark.parametrize("case", ["parsed leaf", "parsed root",
+                                      "generated", "constructed"])
+    def test_writing_through_attributes_round_trips(self, case):
+        if case.startswith("parsed"):
+            root = parse("<r><a>x</a><b/></r>").root
+            target = root if case == "parsed root" else root.find("a")
+        elif case == "generated":
+            root = generate_dblp(3, seed=7).root
+            target = root.children[0].children[0]
+        else:
+            root = element("r", element("a", "x"))
+            target = root.children[0]
+        assert target.attribute_map is NO_ATTRIBUTES
+        target.attributes["k"] = 'v "1" & <2>'
+        target.attributes["m"] = ""
+        assert target.attribute_map == {"k": 'v "1" & <2>', "m": ""}
+        again = parse(serialize(root)).root
+        assert serialize(again) == serialize(root)
+        written = [el.attributes for el in again.iter() if el.attribute_map]
+        assert written == [{"k": 'v "1" & <2>', "m": ""}]
 
 
 @pytest.fixture
