@@ -29,11 +29,10 @@ gate can fail on:
   the ORDER BY key, so equal-key rows may legally interleave
   differently); a mismatch carries the query's SQL and sample
   missing/extra rows — enough to turn it into a regression test.
-* **timings** (optional, ``include_timings=True``) — measured medians
-  per query on both backends. Wall-clock is inherently noisy, so this
-  check is advisory and always OK, and it is **off by default**
-  precisely so that two runs of the same comparison render
-  byte-identical reports.
+
+No check reads a clock, so two runs of the same comparison render
+byte-identical reports; ``benchmarks/bench_backend_matrix.py`` times
+the backends next to the comparator's verdict.
 
 A check is OK or MISMATCH; MISMATCH means "the backends disagree on
 data or semantics" and fails the gate. See docs/backends.md ("Backend
@@ -57,7 +56,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..datasets import DEFAULT_STORAGE_BOUND, DatasetBundle
+from ..datasets import DatasetBundle
 from ..engine import Table
 from ..mapping import MappedSchema
 from ..obs import NullTracer, Tracer, get_tracer
@@ -429,26 +428,6 @@ def check_queries(a: IntrospectableBackend, b: IntrospectableBackend,
                        {"queries": results})
 
 
-def _check_timings(a: IntrospectableBackend, b: IntrospectableBackend,
-                   queries: list[Query], repeat: int,
-                   warmup: int) -> CheckResult:
-    timings: list[dict] = []
-    for index, query in enumerate(queries):
-        seconds_a = a.time_query(query, repeat=repeat,
-                                 warmup=warmup).seconds
-        seconds_b = b.time_query(query, repeat=repeat,
-                                 warmup=warmup).seconds
-        timings.append({"query": index, "a_seconds": seconds_a,
-                        "b_seconds": seconds_b})
-    # Wall-clock comparisons are advisory by construction: OK, so a
-    # slow CI runner can never turn into a gate failure — and this
-    # check is excluded entirely unless asked for, to keep the report
-    # deterministic.
-    return CheckResult("timings", OK,
-                       f"measured {len(queries)} queries on both "
-                       f"backends (advisory)", {"timings": timings})
-
-
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
@@ -457,8 +436,6 @@ def compare_loaded(a: IntrospectableBackend, b: IntrospectableBackend,
                    queries: list[Query], *,
                    schema: MappedSchema | None = None,
                    configuration: Configuration | None = None,
-                   include_timings: bool = False,
-                   timing_repeat: int = 3, timing_warmup: int = 1,
                    context: dict | None = None,
                    tracer: Tracer | NullTracer | None = None
                    ) -> CompareReport:
@@ -483,10 +460,6 @@ def compare_loaded(a: IntrospectableBackend, b: IntrospectableBackend,
         if configuration is not None:
             report.checks.append(_check_views(a, b, configuration))
         report.checks.append(check_queries(a, b, queries))
-        if include_timings:
-            report.checks.append(_check_timings(a, b, queries,
-                                                timing_repeat,
-                                                timing_warmup))
         span.set("status", report.status)
     return report
 
@@ -494,7 +467,6 @@ def compare_loaded(a: IntrospectableBackend, b: IntrospectableBackend,
 def compare_design(schema: MappedSchema, configuration: Configuration,
                    docs, queries: list[Query],
                    backend_a: str = "engine", backend_b: str = "sqlite", *,
-                   include_timings: bool = False,
                    context: dict | None = None,
                    tracer: Tracer | NullTracer | None = None
                    ) -> CompareReport:
@@ -508,7 +480,6 @@ def compare_design(schema: MappedSchema, configuration: Configuration,
           loaded_backend(backend_b, schema, configuration, docs, tracer) as b):
         return compare_loaded(a, b, queries, schema=schema,
                               configuration=configuration,
-                              include_timings=include_timings,
                               context=context, tracer=tracer)
 
 
@@ -516,8 +487,6 @@ def compare_datasets(dataset: str = "dblp", design: str = "hybrid",
                      backend_a: str = "sqlite", backend_b: str = "duckdb",
                      *, scale: int = 60, seed: int = 7,
                      workload_size: int = 6, workload_seed: int = 3,
-                     storage_bound: int = DEFAULT_STORAGE_BOUND,
-                     include_timings: bool = False,
                      tracer: Tracer | NullTracer | None = None
                      ) -> CompareReport:
     """Build, load, and compare two backends end to end.
@@ -528,7 +497,7 @@ def compare_datasets(dataset: str = "dblp", design: str = "hybrid",
     advisor, or a search such as ``greedy``), and hand it to
     :func:`compare_design`.
     """
-    bundle = DatasetBundle.named(dataset, scale, seed, storage_bound)
+    bundle = DatasetBundle.named(dataset, scale, seed)
     workload = bundle.workload_generator(workload_seed).generate(
         workload_size)
     result = design_for(design, bundle.tree, workload, bundle.stats,
@@ -536,6 +505,6 @@ def compare_datasets(dataset: str = "dblp", design: str = "hybrid",
     return compare_design(
         result.schema, result.configuration, bundle.docs,
         [query for query, _ in result.sql_queries], backend_a, backend_b,
-        include_timings=include_timings, tracer=tracer,
+        tracer=tracer,
         context={"dataset": dataset, "design": design, "scale": scale,
                  "seed": seed, "workload": workload_size})

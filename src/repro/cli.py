@@ -131,8 +131,8 @@ def _print_rows(rows, limit: int, out) -> None:
 # ----------------------------------------------------------------------
 
 
-def cmd_validate(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_validate(args) -> int:
+    out = sys.stdout
     tree = _load_schema(args)
     failures = 0
     for path in args.xml:
@@ -145,10 +145,10 @@ def cmd_validate(args, out=None) -> int:
     return 1 if failures else 0
 
 
-def cmd_shred(args, out=None) -> int:
+def cmd_shred(args) -> int:
     """Stream-shred the documents: per-table row counts (and optional
     CSV dumps) with memory bounded by the batch size."""
-    out = out or sys.stdout
+    out = sys.stdout
     bundle = _inputs(args)
     schema = derive_schema(PRESETS[args.mapping](bundle.tree))
     print("relational schema:", file=out)
@@ -178,8 +178,8 @@ def cmd_shred(args, out=None) -> int:
     return 0
 
 
-def cmd_query(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_query(args) -> int:
+    out = sys.stdout
     bundle = _inputs(args)
     schema = derive_schema(PRESETS[args.mapping](bundle.tree))
     db = Database()
@@ -211,10 +211,10 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-def parse_workload_file(path: str, name: str = "workload") -> Workload:
+def parse_workload_file(path: str) -> Workload:
     """Parse the advise command's workload file format; an entry that
     is not a query is refused as ``{path}:{lineno}: …``."""
-    workload = Workload(name)
+    workload = Workload("workload")
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = _strip_comment(raw).strip()
@@ -237,8 +237,8 @@ def parse_workload_file(path: str, name: str = "workload") -> Workload:
     return workload
 
 
-def cmd_advise(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_advise(args) -> int:
+    out = sys.stdout
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
     bundle = _inputs(args)
@@ -325,10 +325,10 @@ def _cmd_check_code(args, out) -> int:
         "inline_suppressed": report.inline_suppressed}, args, out)
 
 
-def cmd_check(args, out=None) -> int:
+def cmd_check(args) -> int:
     from .check import lint_bundle
 
-    out = out or sys.stdout
+    out = sys.stdout
     if args.code:
         return _cmd_check_code(args, out)
     bundle = _inputs(args)
@@ -341,8 +341,8 @@ def cmd_check(args, out=None) -> int:
         "queries_failed": report.queries_failed}, args, out)
 
 
-def cmd_experiment(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_experiment(args) -> int:
+    out = sys.stdout
     from .experiments import (TABLE1_HEADERS, characterize, format_table,
                               run_motivating_example)
     backend = getattr(args, "backend", "engine")
@@ -350,7 +350,7 @@ def cmd_experiment(args, out=None) -> int:
         for name in ("table1", "e0", "split-count", "comparison"):
             sub = argparse.Namespace(name=name, scale=args.scale,
                                      backend=backend)
-            cmd_experiment(sub, out)
+            cmd_experiment(sub)
             print(file=out)
         return 0
     if args.name == "split-count":
@@ -452,8 +452,8 @@ def _install_cli_faults(args):
     return lambda: install_fault_plan(previous)
 
 
-def cmd_serve(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_serve(args) -> int:
+    out = sys.stdout
     bundle, _, schema, configuration = _serve_inputs(args, out)
     service = _make_service(args, schema, configuration, bundle.docs)
     try:
@@ -486,13 +486,13 @@ def cmd_serve(args, out=None) -> int:
     return 0
 
 
-def cmd_loadgen(args, out=None) -> int:
+def cmd_loadgen(args) -> int:
     import json
 
     if args.requests is None and args.duration is None:
         raise SystemExit("loadgen needs a stop bound: give --requests, "
                          "--duration, or both")
-    out = out or sys.stdout
+    out = sys.stdout
     from .serve import LoadGenerator
     from .workload import zipf_mix
     bundle, workload, schema, configuration = _serve_inputs(args, out)
@@ -594,8 +594,8 @@ def _verify_against_engine(service, schema, docs, mix, out) -> int:
     return mismatches
 
 
-def cmd_calibrate(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_calibrate(args) -> int:
+    out = sys.stdout
     from .backends import run_calibration
     bundle = _inputs(args)
     report = run_calibration(bundle, _workload(args, bundle),
@@ -614,10 +614,10 @@ def cmd_calibrate(args, out=None) -> int:
     return 0
 
 
-def cmd_compare(args, out=None) -> int:
+def cmd_compare(args) -> int:
     import json
 
-    out = out or sys.stdout
+    out = sys.stdout
     from .backends import compare_datasets, duckdb_available
     from .backends.compare import MISMATCH
     needs_duckdb = "duckdb" in (args.backend_a, args.backend_b)
@@ -632,8 +632,7 @@ def cmd_compare(args, out=None) -> int:
             args.dataset, design, args.backend_a, args.backend_b,
             scale=args.scale, seed=args.seed,
             workload_size=args.queries,
-            workload_seed=args.workload_seed,
-            include_timings=args.timings)
+            workload_seed=args.workload_seed)
         print(report.describe(), file=out)
         reports.append(report.to_json())
         failed = failed or report.status == MISMATCH
@@ -650,17 +649,17 @@ def cmd_compare(args, out=None) -> int:
 # ----------------------------------------------------------------------
 
 
-def _at_least_one(flag: str, hint: str):
-    """An argparse ``type`` for an int flag: an explicit value below 1
-    is a loud error, which ``hint`` says how to avoid."""
+def _at_least(low: int, flag: str, hint: str):
+    """An argparse ``type`` for an int flag: an explicit value below
+    ``low`` is a loud error, which ``hint`` says how to avoid."""
     def parse(raw: str) -> int:
         try:
             value = int(raw)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
-        if value < 1:
+        if value < low:
             raise argparse.ArgumentTypeError(
-                f"{flag} must be >= 1 (got {value}); {hint}")
+                f"{flag} must be >= {low} (got {value}); {hint}")
         return value
     return parse
 
@@ -680,13 +679,13 @@ def _positive(flag: str):
     return parse
 
 
-_jobs_argument = _at_least_one(
-    "--jobs", "use --jobs 1 for a serial run, or omit the flag to follow "
+_jobs_argument = _at_least(
+    1, "--jobs", "use --jobs 1 for a serial run, or omit the flag to follow "
     "REPRO_PARALLEL")
-_megabytes_argument = _at_least_one(
-    "--storage-bound-mb", "omit the flag for the default bound")
-_queries_argument = _at_least_one(
-    "--queries", "omit the flag for a workload of 6 queries")
+_megabytes_argument = _at_least(
+    1, "--storage-bound-mb", "omit the flag for the default bound")
+_queries_argument = _at_least(
+    1, "--queries", "omit the flag for a workload of 6 queries")
 _STORAGE_BOUND_HELP = (
     "the storage bound of Definition 1 in MB, counted in the cost "
     "model's bytes (data, indexes and views), not the database's: "
@@ -716,9 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "bounded by --batch-size, not --scale "
                               "(supports --scale 10^6+)")
     p_shred.add_argument("--batch-size", default=DEFAULT_BATCH_SIZE,
-                         type=_at_least_one("--batch-size",
-                                            "omit the flag for the "
-                                            "default"),
+                         type=_at_least(1, "--batch-size",
+                                        "omit the flag for the "
+                                        "default"),
                          help="rows per streamed batch (default: "
                               f"{DEFAULT_BATCH_SIZE})")
     p_shred.add_argument("--out", help="directory for CSV dumps")
@@ -761,9 +760,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="snapshot search state under DIR at every "
                                "round boundary (atomic; survives kills)")
     p_advise.add_argument("--checkpoint-every", default=1, metavar="N",
-                          type=_at_least_one("--checkpoint-every",
-                                             "omit the flag to checkpoint "
-                                             "every round"),
+                          type=_at_least(1, "--checkpoint-every",
+                                         "omit the flag to checkpoint "
+                                         "every round"),
                           help="checkpoint every N rounds (default: 1)")
     p_advise.add_argument("--resume", action="store_true",
                           help="resume from the checkpoint in "
@@ -814,8 +813,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--queries", type=_queries_argument, default=6,
                        help="generated workload size (default: 6)")
     p_cal.add_argument("--repeat", default=3,
-                       type=_at_least_one("--repeat",
-                                          "omit the flag for 3 timed runs"),
+                       type=_at_least(1, "--repeat",
+                                      "omit the flag for 3 timed runs"),
                        help="timed runs per query (median; default: 3)")
     p_cal.add_argument("--warmup", type=int, default=1,
                        help="untimed warmup runs per query (default: 1)")
@@ -852,10 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generated workload size (default: 6)")
     p_cmp.add_argument("--workload-seed", type=int, default=3,
                        help="workload generator seed (default: 3)")
-    p_cmp.add_argument("--timings", action="store_true",
-                       help="also measure per-query wall-clock on both "
-                            "backends (advisory, never fails; makes the "
-                            "report nondeterministic)")
     p_cmp.add_argument("--strict", action="store_true",
                        help="fail when an optional backend is "
                             "missing")
@@ -883,16 +878,16 @@ def build_parser() -> argparse.ArgumentParser:
                                  "serve its recommended configuration")
         svc = p.add_argument_group("service")
         svc.add_argument("--workers", default=4,
-                         type=_at_least_one("--workers",
-                                            "omit the flag for 4 threads"),
+                         type=_at_least(1, "--workers",
+                                        "omit the flag for 4 threads"),
                          help="pool threads behind asynchronous "
                               "(open-loop) requests, and with "
                               "--max-queue the admission bound; "
                               "blocking requests run on the client's "
                               "own thread (default: 4)")
         svc.add_argument("--plan-cache", default=128,
-                         type=_at_least_one("--plan-cache",
-                                            "omit the flag for 128 shapes"),
+                         type=_at_least(1, "--plan-cache",
+                                        "omit the flag for 128 shapes"),
                          help="plan cache capacity, in query shapes "
                               "(default: 128)")
         svc.add_argument("--backend", choices=["sqlite", "duckdb"],
@@ -904,8 +899,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve from this database file (workers "
                               "reopen it read-only; default: shared "
                               "in-memory database)")
-        svc.add_argument("--load-batch", type=int, default=None,
-                         metavar="ROWS",
+        svc.add_argument("--load-batch", default=None, metavar="ROWS",
+                         type=_at_least(1, "--load-batch",
+                                        "omit the flag for the backend's "
+                                        "default"),
                          help="rows per streamed bulk-load chunk "
                               "(default: backend default)")
         resil = p.add_argument_group("resilience")
@@ -918,8 +915,9 @@ def build_parser() -> argparse.ArgumentParser:
                            default=None, metavar="SECONDS",
                            help="per-request deadline from admission, "
                                 "queue wait included (default: none)")
-        resil.add_argument("--max-queue", type=int, default=None,
-                           metavar="N",
+        resil.add_argument("--max-queue", default=None, metavar="N",
+                           type=_at_least(-1, "--max-queue",
+                                          "use -1 for an unbounded queue"),
                            help="queued requests admitted past the "
                                 "workers before shedding; -1 = unbounded "
                                 "(default: 1024)")
@@ -945,16 +943,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="closed loop (clients back-to-back) or "
                              "open loop (Poisson arrivals)")
     p_load.add_argument("--clients", default=4,
-                        type=_at_least_one("--clients",
-                                           "omit the flag for 4 clients"),
+                        type=_at_least(1, "--clients",
+                                       "omit the flag for 4 clients"),
                         help="closed-loop client threads (default: 4)")
     p_load.add_argument("--rate", type=_positive("--rate"), default=200.0,
                         help="open-loop arrival rate in req/s "
                              "(default: 200)")
     p_load.add_argument("--requests", default=None,
-                        type=_at_least_one("--requests",
-                                           "use --duration alone to stop "
-                                           "on time only"),
+                        type=_at_least(1, "--requests",
+                                       "use --duration alone to stop "
+                                       "on time only"),
                         help="stop after this many requests")
     p_load.add_argument("--duration", type=_positive("--duration"),
                         default=None,

@@ -38,6 +38,8 @@ CONFERENCES = [
 
 PUBLISHERS = ["Springer", "ACM Press", "Morgan Kaufmann", "IEEE CS",
               "Addison-Wesley", "MIT Press", "Prentice Hall"]
+#: The share of publications that are books; the rest are inproceedings.
+BOOK_FRACTION = 0.12
 
 _WORDS = [
     "efficient", "scalable", "adaptive", "parallel", "distributed",
@@ -121,18 +123,18 @@ def _author_pool(rng: random.Random, size: int) -> list[str]:
             for i in range(size)]
 
 
-def iter_dblp_publications(n_publications: int = 2000, seed: int = 7,
-                           book_fraction: float = 0.12) -> Iterator[Element]:
+def iter_dblp_publications(n_publications: int = 2000, seed: int = 7
+                           ) -> Iterator[Element]:
     """Yield DBLP publication elements one at a time.
 
     This is the streaming core shared by the eager and lazy document
     forms: the RNG is created inside the generator, so every fresh
-    iterator over the same ``(n_publications, seed, book_fraction)``
-    produces an identical element sequence, and only one publication
-    subtree is alive at a time.
+    iterator over the same ``(n_publications, seed)`` produces an
+    identical element sequence, and only one publication subtree is
+    alive at a time.
     """
     rng = random.Random(seed)
-    n_books = int(n_publications * book_fraction)
+    n_books = int(n_publications * BOOK_FRACTION)
     n_inproc = n_publications - n_books
     author_pool = _author_pool(rng, max(200, n_publications // 3))
     for i in range(n_inproc):
@@ -168,7 +170,6 @@ def iter_dblp_publications(n_publications: int = 2000, seed: int = 7,
 
 
 def generate_dblp(n_publications: int = 2000, seed: int = 7,
-                  book_fraction: float = 0.12,
                   stream: bool = False) -> Document:
     """Generate a synthetic DBLP document.
 
@@ -182,9 +183,8 @@ def generate_dblp(n_publications: int = 2000, seed: int = 7,
     if stream:
         return Document(LazyElement(
             "dblp",
-            lambda: iter_dblp_publications(n_publications, seed,
-                                           book_fraction)))
+            lambda: iter_dblp_publications(n_publications, seed)))
     root = Element("dblp")
-    for pub in iter_dblp_publications(n_publications, seed, book_fraction):
+    for pub in iter_dblp_publications(n_publications, seed):
         root.append(pub)
     return Document(root)

@@ -19,6 +19,8 @@ _ADJECTIVES = ["Lost", "Dark", "Silent", "Golden", "Broken", "Hidden",
                "Final", "Eternal", "Burning", "Frozen"]
 _NOUNS = ["Empire", "River", "Garden", "Station", "Horizon", "Signal",
           "Harbor", "Crown", "Mirror", "Island"]
+#: The share of movies that are TV shows (``seasons``, not ``box_office``).
+TV_FRACTION = 0.35
 
 
 def movie_schema() -> SchemaTree:
@@ -37,8 +39,8 @@ def movie_schema() -> SchemaTree:
     return b.build(movies)
 
 
-def iter_movie_elements(n_movies: int = 2000, seed: int = 11,
-                        tv_fraction: float = 0.35) -> Iterator[Element]:
+def iter_movie_elements(n_movies: int = 2000, seed: int = 11
+                        ) -> Iterator[Element]:
     """Yield movie elements one at a time (the streaming core).
 
     The RNG lives inside the generator, so a fresh iterator over the
@@ -58,7 +60,7 @@ def iter_movie_elements(n_movies: int = 2000, seed: int = 11,
             movie.make_child("aka_title", f"AKA {title} #{rng.randint(1, 9)}")
         if rng.random() < 0.60:
             movie.make_child("avg_rating", f"{rng.uniform(1.0, 10.0):.1f}")
-        if rng.random() < tv_fraction:
+        if rng.random() < TV_FRACTION:
             movie.make_child("seasons", str(rng.randint(1, 12)))
         else:
             movie.make_child("box_office", str(rng.randint(10_000,
@@ -67,7 +69,6 @@ def iter_movie_elements(n_movies: int = 2000, seed: int = 11,
 
 
 def generate_movies(n_movies: int = 2000, seed: int = 11,
-                    tv_fraction: float = 0.35,
                     stream: bool = False) -> Document:
     """Generate a synthetic movie document with uniform distributions.
 
@@ -77,8 +78,8 @@ def generate_movies(n_movies: int = 2000, seed: int = 11,
     if stream:
         return Document(LazyElement(
             "movies",
-            lambda: iter_movie_elements(n_movies, seed, tv_fraction)))
+            lambda: iter_movie_elements(n_movies, seed)))
     root = Element("movies")
-    for movie in iter_movie_elements(n_movies, seed, tv_fraction):
+    for movie in iter_movie_elements(n_movies, seed):
         root.append(movie)
     return Document(root)

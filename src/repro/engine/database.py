@@ -81,9 +81,8 @@ class Database:
     # DDL
     # ------------------------------------------------------------------
     def create_table(self, name: str, columns: list[Column],
-                     primary_key: str | None = "ID",
                      foreign_keys: list[ForeignKey] | None = None) -> Table:
-        table = Table(name, columns, primary_key, foreign_keys)
+        table = Table(name, columns, "ID", foreign_keys)
         return self.catalog.add_table(table)
 
     def register_table(self, table: Table) -> Table:

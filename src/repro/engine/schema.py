@@ -42,11 +42,10 @@ class Column:
 
 @dataclass(frozen=True)
 class ForeignKey:
-    """``child.column`` references ``parent.column``."""
+    """``child.column`` references the parent table's ``ID``."""
 
     column: str
     parent_table: str
-    parent_column: str = "ID"
 
 
 @dataclass(frozen=True)

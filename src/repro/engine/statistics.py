@@ -234,7 +234,7 @@ class StatisticsCatalog:
             return None
         return table_stats.column(column)
 
-    def analyze_table(self, table, n_buckets: int = _DEFAULT_BUCKETS) -> TableStats:
+    def analyze_table(self, table) -> TableStats:
         """Compute statistics from a materialized table's rows."""
         from .types import SQLType  # local import to avoid a cycle
 
@@ -243,7 +243,6 @@ class StatisticsCatalog:
         for pos, column in enumerate(table.columns):
             values = [row[pos] for row in rows]
             stats.columns[column.name] = ColumnStats.from_values(
-                values, n_buckets=n_buckets,
-                is_string=(column.sql_type == SQLType.VARCHAR))
+                values, is_string=(column.sql_type == SQLType.VARCHAR))
         self.tables[table.name] = stats
         return stats

@@ -283,9 +283,13 @@ class RepetitionMerge(Transformation):
 # ----------------------------------------------------------------------
 
 
+#: The k of every repetition split the unpruned enumeration proposes.
+DEFAULT_SPLIT_COUNT = 5
+
+
 def enumerate_transformations(mapping: Mapping,
                               include_subsumed: bool = True,
-                              default_split_count: int = 5
+                              default_split_count: int = DEFAULT_SPLIT_COUNT
                               ) -> list[Transformation]:
     """All transformations applicable to the mapping (validated).
 

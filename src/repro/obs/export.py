@@ -52,10 +52,9 @@ def find_spans(root, name: str) -> list[Span]:
     return [span for span in iter_spans(root) if span.name == name]
 
 
-def sum_attribute(spans: Iterable[Span], key: str,
-                  default: float = 0) -> float:
+def sum_attribute(spans: Iterable[Span], key: str) -> float:
     """Sum one numeric attribute over spans that carry it."""
-    return sum(span.attributes.get(key, default) for span in spans)
+    return sum(span.attributes.get(key, 0) for span in spans)
 
 
 # ----------------------------------------------------------------------
@@ -140,15 +139,13 @@ def trace_to_dicts(tracer: Tracer | NullTracer,
     }
 
 
-def to_json(tracer: Tracer | NullTracer, include_times: bool = True,
-            indent: int | None = 2) -> str:
+def to_json(tracer: Tracer | NullTracer) -> str:
     """The trace as a machine-readable JSON document."""
     def _default(value):
         if isinstance(value, frozenset):
             return sorted(value)
         return str(value)
-    return json.dumps(trace_to_dicts(tracer, include_times),
-                      indent=indent, default=_default)
+    return json.dumps(trace_to_dicts(tracer), indent=2, default=_default)
 
 
 # ----------------------------------------------------------------------

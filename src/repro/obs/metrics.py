@@ -18,31 +18,30 @@ __all__ = ["LatencyHistogram", "MetricRegistry", "NullMetricRegistry",
            "NULL_METRICS"]
 
 
-def _log_bucket_bounds(lo: float, hi: float, per_decade: int) -> list[float]:
-    """Log-spaced upper bounds from ``lo`` to ``hi`` (inclusive)."""
-    decades = math.log10(hi / lo)
-    n = max(1, round(decades * per_decade))
+def _log_bucket_bounds(lo: float, hi: float) -> list[float]:
+    """Log-spaced upper bounds from ``lo`` to ``hi`` (inclusive), ten
+    per decade."""
+    n = max(1, round(math.log10(hi / lo) * 10))
     return [lo * (hi / lo) ** (i / n) for i in range(n + 1)]
 
 
 class LatencyHistogram:
     """Fixed log-scale buckets over seconds; thread-safe to observe.
 
-    Buckets span 10 µs .. 100 s with a configurable resolution per
-    decade; observations outside the range land in the first/last
-    bucket. Percentiles are estimated by linear interpolation inside
-    the winning bucket — good to bucket resolution, which is what a
-    load report needs (the raw per-request latencies stay available to
-    callers that want exact order statistics).
+    Buckets span 10 µs .. 100 s, ten per decade; observations outside
+    the range land in the first/last bucket. Percentiles are estimated
+    by linear interpolation inside the winning bucket — good to bucket
+    resolution, which is what a load report needs (the raw per-request
+    latencies stay available to callers that want exact order
+    statistics).
     """
 
     __slots__ = ("name", "bounds", "counts", "count", "total", "_max",
                  "_lock")
 
-    def __init__(self, name: str, lo: float = 1e-5, hi: float = 100.0,
-                 per_decade: int = 10):
+    def __init__(self, name: str, lo: float = 1e-5, hi: float = 100.0):
         self.name = name
-        self.bounds = _log_bucket_bounds(lo, hi, per_decade)
+        self.bounds = _log_bucket_bounds(lo, hi)
         self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
@@ -208,14 +207,11 @@ class MetricRegistry:
 class _NullHistogram(LatencyHistogram):
     """The disabled histogram: observations vanish."""
 
-    def __init__(self):
-        super().__init__("null", per_decade=1)
-
     def observe(self, seconds: float) -> None:
         pass
 
 
-_NULL_HISTOGRAM = _NullHistogram()
+_NULL_HISTOGRAM = _NullHistogram("null")
 
 
 class NullMetricRegistry(MetricRegistry):

@@ -27,6 +27,11 @@ from ..sqlast import Query
 from .candidates import CandidateGenerator
 from .config import Configuration
 
+#: Structures accepted per tuning, at most.
+MAX_ROUNDS = 12
+#: A structure must save more than this much weighted cost to be kept.
+MIN_BENEFIT = 1e-6
+
 
 @dataclass
 class QueryReport:
@@ -55,12 +60,9 @@ class TuningResult:
 class IndexTuningAdvisor:
     """Greedy what-if physical design advisor."""
 
-    def __init__(self, db: Database, max_rounds: int = 12,
-                 min_benefit: float = 1e-6,
+    def __init__(self, db: Database,
                  tracer: Tracer | NullTracer | None = None):
         self.db = db
-        self.max_rounds = max_rounds
-        self.min_benefit = min_benefit
         self.tracer = tracer if tracer is not None else get_tracer()
         self._optimizer_calls = 0
         self._heap_reevaluations = 0
@@ -162,12 +164,12 @@ class IndexTuningAdvisor:
                 continue
             score, benefit, new_costs = evaluate(candidate, current_costs,
                                                  size)
-            if benefit <= self.min_benefit:
+            if benefit <= MIN_BENEFIT:
                 continue
             heapq.heappush(heap, (-score, 0, order, candidate, new_costs))
 
         rounds = 0
-        while heap and rounds < self.max_rounds:
+        while heap and rounds < MAX_ROUNDS:
             neg_score, generation, order, candidate, new_costs = \
                 heapq.heappop(heap)
             size = sizes[order]
@@ -178,7 +180,7 @@ class IndexTuningAdvisor:
                 self._heap_reevaluations += 1
                 score, benefit, new_costs = evaluate(candidate,
                                                      current_costs, size)
-                if benefit <= self.min_benefit:
+                if benefit <= MIN_BENEFIT:
                     continue
                 heapq.heappush(heap, (-score, rounds, order, candidate,
                                       new_costs))

@@ -48,6 +48,12 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if self.backoff < 0:
+            raise ValueError(f"backoff must be >= 0 seconds "
+                             f"(got {self.backoff})")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError(f"timeout must be > 0 seconds, or None for "
+                             f"no deadline (got {self.timeout})")
 
     def backoff_for(self, attempt: int) -> float:
         """Sleep before re-attempt number ``attempt`` (1-based)."""
@@ -55,23 +61,22 @@ class RetryPolicy:
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
-        def _float(name: str) -> float | None:
+        """The policy the ``REPRO_RETRY_*`` / ``REPRO_EVAL_TIMEOUT``
+        variables set; an unset or empty one keeps its default, and a
+        value that does not parse is refused, naming the variable."""
+        def read(name: str, parse, default):
             raw = os.environ.get(name, "").strip()
             if not raw:
-                return None
+                return default
             try:
-                return float(raw)
+                return parse(raw)
             except ValueError:
-                return None
+                raise ValueError(f"{name}={raw!r} is not a valid "
+                                 f"{parse.__name__}") from None
 
-        attempts = _float("REPRO_RETRY_ATTEMPTS")
-        backoff = _float("REPRO_RETRY_BACKOFF")
-        timeout = _float("REPRO_EVAL_TIMEOUT")
-        return cls(
-            max_attempts=int(attempts) if attempts and attempts >= 1 else 3,
-            backoff=backoff if backoff is not None else 0.01,
-            timeout=timeout,
-        )
+        return cls(max_attempts=read("REPRO_RETRY_ATTEMPTS", int, 3),
+                   backoff=read("REPRO_RETRY_BACKOFF", float, 0.01),
+                   timeout=read("REPRO_EVAL_TIMEOUT", float, None))
 
 
 def note_suppressed(exc: BaseException, site: str,

@@ -5,9 +5,10 @@ round-based greedy over mappings that differ in which neighbours a
 round costs and how. :class:`Search` holds what they share, so a search
 class holds only its own settings and its ``_run_with(evaluator)`` loop:
 
-* the problem — tree, workload, statistics, storage bound, base
-  mapping — and the run's knobs: ``max_rounds``, tracer, ``jobs`` and
-  the checkpoint store, cadence and resume flag;
+* the problem — tree, workload, statistics, storage bound, and the
+  tree's hybrid inlining as the base mapping — and the run's knobs:
+  ``max_rounds``, tracer, ``jobs`` and the checkpoint store, cadence
+  and resume flag;
 * :meth:`Search.run` — the stopwatch, the root span named after the
   algorithm, and one :class:`MappingEvaluator` for the run's lifetime;
 * :meth:`Search.problem_key` — what a checkpoint must match to resume,
@@ -44,7 +45,6 @@ class Search:
     def __init__(self, tree: SchemaTree, workload: Workload,
                  collected: CollectedStats,
                  storage_bound: int | None = None,
-                 base_mapping: Mapping | None = None,
                  max_rounds: int = 25,
                  tracer: Tracer | NullTracer | None = None,
                  jobs: int | None = None,
@@ -58,7 +58,7 @@ class Search:
         self.workload = workload
         self.collected = collected
         self.storage_bound = storage_bound
-        self.base_mapping = base_mapping or hybrid_inlining(tree)
+        self.base_mapping = hybrid_inlining(tree)
         self.max_rounds = max_rounds
         self.tracer = tracer if tracer is not None else get_tracer()
         self.jobs = jobs
@@ -107,14 +107,12 @@ class Search:
             repr((self.max_rounds, *self.settings()))])
 
     def _neighbours(self, mapping: Mapping, include_subsumed: bool,
-                    split_count: int, site: str
-                    ) -> Iterator[tuple[Transformation, Mapping]]:
+                    site: str) -> Iterator[tuple[Transformation, Mapping]]:
         """Every transformation applicable to ``mapping``, with the
         mapping it leads to. Each one enumerated counts as searched; one
         that does not apply is noted under ``site`` and skipped."""
         for transformation in enumerate_transformations(
-                mapping, include_subsumed=include_subsumed,
-                default_split_count=split_count):
+                mapping, include_subsumed=include_subsumed):
             self.counters.transformations_searched += 1
             try:
                 neighbour = transformation.apply(mapping)

@@ -35,15 +35,11 @@ class CandidateMerger:
     """Greedy (or exhaustive) merging of implicit-union candidates."""
 
     def __init__(self, mapping: Mapping, stats: CollectedStats,
-                 workload: Workload,
-                 base_costs: dict[int, float] | None = None):
+                 workload: Workload):
         self.mapping = mapping
         self.tree = mapping.tree
         self.stats = stats
         self.workload = workload
-        # cost(Q) under the current mapping; uniform when not provided.
-        self.base_costs = base_costs or {
-            i: 1.0 for i in range(len(workload))}
 
     # ------------------------------------------------------------------
     def merge_greedy(self, candidates: list[UnionDistribution]
@@ -122,10 +118,12 @@ class CandidateMerger:
     # The heuristic I/O-saving benefit model
     # ------------------------------------------------------------------
     def total_benefit(self, candidate: UnionDistribution) -> float:
+        """The weighted sum of ``s(c, Q)`` over the workload, with every
+        query's ``cost(Q)`` taken as 1."""
         total = 0.0
-        for i, weighted in enumerate(self.workload):
-            saving = self.query_benefit(candidate, weighted.query)
-            total += weighted.weight * saving * self.base_costs.get(i, 1.0)
+        for weighted in self.workload:
+            total += weighted.weight * self.query_benefit(candidate,
+                                                          weighted.query)
         return total
 
     def query_benefit(self, candidate: UnionDistribution,

@@ -30,6 +30,11 @@ from ..workload import Workload
 from ..xpath import XPathQuery
 from ..xsd import SchemaNode, SchemaTree
 
+#: Section 4.6: a repetition split gets the smallest k <= CMAX columns
+#: that hold COVERAGE of the repetition's instances.
+CMAX = 5
+COVERAGE = 0.80
+
 
 @dataclass
 class CandidateSet:
@@ -66,13 +71,10 @@ def _referenced_leaves(tree: SchemaTree, query: XPathQuery,
 class CandidateSelector:
     """Runs the Section 4.5 rules over a workload."""
 
-    def __init__(self, base_mapping: Mapping, stats: CollectedStats,
-                 cmax: int = 5, coverage: float = 0.80):
+    def __init__(self, base_mapping: Mapping, stats: CollectedStats):
         self.mapping = base_mapping
         self.tree = base_mapping.tree
         self.stats = stats
-        self.cmax = cmax
-        self.coverage = coverage
 
     # ------------------------------------------------------------------
     def select(self, workload: Workload) -> CandidateSet:
@@ -157,8 +159,7 @@ class CandidateSelector:
                 continue
             if rep.node_id in self.mapping.split_map:
                 continue
-            k = self.stats.suggest_split_count(rep.node_id, self.cmax,
-                                               self.coverage)
+            k = self.stats.suggest_split_count(rep.node_id, CMAX, COVERAGE)
             if k is not None:
                 add_split(RepetitionSplit(rep.node_id, k))
 

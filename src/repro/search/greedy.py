@@ -34,7 +34,8 @@ from ..mapping import (Mapping, RepetitionMerge, RepetitionSplit,
 from ..resilience import load_search_state, note_suppressed, save_search_state
 from .base import Search
 from .candidate_merging import CandidateMerger
-from .candidate_selection import CandidateSelector, CandidateSet, apply_splits
+from .candidate_selection import (CMAX, COVERAGE, CandidateSelector,
+                                  CandidateSet, apply_splits)
 from .cost_derivation import CostDerivation
 from .evaluator import (EvaluatedMapping, MappingEvaluator, check_fits,
                         check_rewrite)
@@ -48,7 +49,6 @@ class GreedySearch(Search):
 
     def __init__(self, *args, merging: str = "greedy",
                  use_cost_derivation: bool = True,
-                 cmax: int = 5, coverage: float = 0.80,
                  cache: None = None, **options):
         if merging not in ("greedy", "none", "exhaustive"):
             raise ValueError(f"unknown merging mode {merging!r}")
@@ -60,12 +60,10 @@ class GreedySearch(Search):
         super().__init__(*args, **options)
         self.merging = merging
         self.derivation = CostDerivation(enabled=use_cost_derivation)
-        self.cmax = cmax
-        self.coverage = coverage
 
     def settings(self) -> tuple:
-        return (self.merging, self.derivation.enabled, self.cmax,
-                self.coverage)
+        # The §4.6 constants stay in the key: checkpoints already carry it.
+        return (self.merging, self.derivation.enabled, CMAX, COVERAGE)
 
     def _run_with(self, evaluator: MappingEvaluator) -> DesignResult:
         resumed = load_search_state(self, evaluator)
@@ -211,8 +209,8 @@ class GreedySearch(Search):
                                self.counters, rounds, applied_log)
 
     def _select_candidates(self) -> CandidateSet:
-        return CandidateSelector(self.base_mapping, self.collected, self.cmax,
-                                 self.coverage).select(self.workload)
+        return CandidateSelector(self.base_mapping,
+                                 self.collected).select(self.workload)
 
     def _merge_split_candidates(self, candidates: CandidateSet
                                 ) -> list[Transformation]:

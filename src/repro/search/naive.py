@@ -15,6 +15,7 @@ of-magnitude speed-up is measured (Figs. 5 and 6).
 from __future__ import annotations
 
 from ..errors import SearchError
+from ..mapping.transforms import DEFAULT_SPLIT_COUNT
 from ..resilience import load_search_state, save_search_state
 from .base import Search
 from .evaluator import (EvaluatedMapping, MappingEvaluator, check_fits,
@@ -29,17 +30,16 @@ class NaiveGreedySearch(Search):
     # Naive-Greedy does not deduplicate mappings: the cache is off.
     use_cache = False
 
-    def __init__(self, *args, default_split_count: int = 5,
-                 include_subsumed: bool = True, **options):
+    def __init__(self, *args, include_subsumed: bool = True, **options):
         super().__init__(*args, **options)
-        self.default_split_count = default_split_count
         # include_subsumed=False gives the intermediate Fig. 7 variant:
         # the naive per-round enumeration, restricted to non-subsumed
         # transformations (subsumed-pruning without the other rules).
         self.include_subsumed = include_subsumed
 
     def settings(self) -> tuple:
-        return (self.default_split_count, self.include_subsumed)
+        # The split count stays in the key: checkpoints already carry it.
+        return (DEFAULT_SPLIT_COUNT, self.include_subsumed)
 
     def _run_with(self, evaluator: MappingEvaluator) -> DesignResult:
         resumed = load_search_state(self, evaluator)
@@ -64,8 +64,7 @@ class NaiveGreedySearch(Search):
                 best: tuple[float, str, EvaluatedMapping] | None = None
                 searched = self.counters.transformations_searched
                 work = list(self._neighbours(
-                    current.mapping, self.include_subsumed,
-                    self.default_split_count, "naive.apply"))
+                    current.mapping, self.include_subsumed, "naive.apply"))
                 enumerated = self.counters.transformations_searched - searched
                 evaluations = evaluator.evaluate_many(
                     [mapping for _, mapping in work])

@@ -33,7 +33,7 @@ class TwoStepSearch(Search):
 
     algorithm = "two-step"
 
-    def __init__(self, *args, default_split_count: int = 5, **options):
+    def __init__(self, *args, **options):
         refused = sorted({"checkpoint", "checkpoint_every", "resume"}
                          & options.keys())
         if refused:
@@ -42,7 +42,6 @@ class TwoStepSearch(Search):
             raise TypeError(f"TwoStepSearch does not checkpoint; it "
                             f"takes no {', '.join(refused)}")
         super().__init__(*args, **options)
-        self.default_split_count = default_split_count
 
     def _run_with(self, evaluator: MappingEvaluator) -> DesignResult:
         current_mapping = self.base_mapping
@@ -57,8 +56,7 @@ class TwoStepSearch(Search):
                 rounds += 1
                 best: tuple[float, str, Mapping] | None = None
                 for transformation, mapping in self._neighbours(
-                        current_mapping, True, self.default_split_count,
-                        "twostep.apply"):
+                        current_mapping, True, "twostep.apply"):
                     cost = self._logical_cost(mapping)
                     if cost is None:
                         continue

@@ -290,9 +290,6 @@ class Query:
         return frozenset(names)
 
 
-def single_select(items, from_tables, where=None, order_by=()) -> Query:
+def single_select(items, from_tables, where=None) -> Query:
     """Convenience constructor for one-block queries."""
-    return Query(
-        selects=(Select(tuple(items), tuple(from_tables), where),),
-        order_by=tuple(order_by),
-    )
+    return Query(selects=(Select(tuple(items), tuple(from_tables), where),))

@@ -78,10 +78,9 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     def generate(self, n_queries: int,
                  selectivity: tuple[float, float] = LOW_SELECTIVITY,
-                 projections: tuple[int, int] = LOW_PROJECTIONS,
-                 name: str | None = None) -> Workload:
-        label = name or self._name(n_queries, selectivity, projections)
-        workload = Workload(label)
+                 projections: tuple[int, int] = LOW_PROJECTIONS
+                 ) -> Workload:
+        workload = Workload(self._name(n_queries, selectivity, projections))
         for _ in range(n_queries):
             workload.queries.append(
                 WeightedQuery(self._one_query(selectivity, projections)))

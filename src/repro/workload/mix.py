@@ -67,8 +67,7 @@ class QueryMix:
         return "\n".join(lines)
 
 
-def zipf_mix(workload: Workload, skew: float = 1.0,
-             name: str | None = None) -> QueryMix:
+def zipf_mix(workload: Workload, skew: float = 1.0) -> QueryMix:
     """Zipf-distribute a workload's queries by their weight rank.
 
     Queries are ranked by descending workload weight (ties broken by
@@ -83,7 +82,7 @@ def zipf_mix(workload: Workload, skew: float = 1.0,
     queries = tuple(weighted.query for _, weighted in ranked)
     probabilities = tuple(1.0 / (rank + 1) ** skew
                           for rank in range(len(queries)))
-    return QueryMix(name=name or f"{workload.name}-zipf{skew:g}",
+    return QueryMix(name=f"{workload.name}-zipf{skew:g}",
                     queries=queries, probabilities=probabilities)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import gc
 import threading
 from contextlib import contextmanager
+from sys import intern
 from typing import Iterable, Iterator, Mapping
 
 #: The child list of every leaf: an empty tuple, shared, which the
@@ -272,13 +273,14 @@ def _new_leaves(parent: Element, leaves: list[tuple[str, str, str]]
     """Make a run of attribute-less leaves, each given as (character data
     before it, tag, its text), the whole content so far of ``parent``,
     which has none yet: what ``add_text`` and ``_new_child`` would build
-    one leaf at a time, at one call for the run."""
+    one leaf at a time, at one call for the run. Each tag is interned, so
+    the elements of one name share one string."""
     new = Element.__new__
     children = []
     texts = []
     for before, tag, text in leaves:
         child = new(Element)
-        child.tag = tag
+        child.tag = intern(tag)
         child.attribute_map = NO_ATTRIBUTES
         child._children = _LEAF
         child._texts = text
@@ -328,9 +330,8 @@ class LazyElement(Element):
 
     __slots__ = ("_factory",)
 
-    def __init__(self, tag: str, factory,
-                 attributes: dict[str, str] | None = None):
-        super().__init__(tag, attributes)
+    def __init__(self, tag: str, factory):
+        super().__init__(tag)
         self._factory = factory
 
     # -- construction is disabled: content comes from the factory ------

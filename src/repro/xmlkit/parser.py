@@ -25,6 +25,7 @@ syntax error and finds its line and column.
 from __future__ import annotations
 
 import re
+from sys import intern
 from typing import NoReturn
 
 from ..errors import XMLParseError
@@ -248,7 +249,8 @@ _LEAVES = re.compile(r"([^<]*)<([^>]*)>([^<]*)<[^>]*>")
 
 def _parse_tree(scanner: _Scanner) -> Element:
     """Parse the element at the scanner's position, with all its content,
-    and leave the scanner behind its end tag."""
+    and leave the scanner behind its end tag. Tags are interned, so the
+    elements of one name share one string."""
     text = scanner.text
     match = _TOKEN.match
     match_run = _LEAF_RUN.match
@@ -271,7 +273,7 @@ def _parse_tree(scanner: _Scanner) -> Element:
             raw = token.group(2)
             if "&" in raw:
                 raw = _decode_entities(raw, scanner, token.start(2))
-            _new_child(current, token.group(1), NO_ATTRIBUTES, raw)
+            _new_child(current, intern(token.group(1)), NO_ATTRIBUTES, raw)
         elif kind == _TEXT:
             current.add_text(_decode_entities(token.group(8), scanner, pos))
             pos = token.end()
@@ -288,7 +290,8 @@ def _parse_tree(scanner: _Scanner) -> Element:
                                         found.start(value))
                 attributes[name] = _decode_entities(
                     found.group(value), scanner, found.start(value))
-            element = _new_child(current, token.group(3), attributes, "")
+            element = _new_child(current, intern(token.group(3)), attributes,
+                                 "")
             if not token.group(5):
                 stack.append(current)
                 current = element

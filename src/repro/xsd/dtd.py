@@ -104,7 +104,7 @@ class _ModelParser:
         return atom
 
 
-def parse_dtd(text: str, root: str, name: str = "dtd-schema") -> SchemaTree:
+def parse_dtd(text: str, root: str) -> SchemaTree:
     """Parse DTD text and build the schema tree rooted at ``root``."""
     models: dict[str, object] = {}
     for match in _ELEMENT_RE.finditer(text):
@@ -120,7 +120,7 @@ def parse_dtd(text: str, root: str, name: str = "dtd-schema") -> SchemaTree:
     if root not in models:
         raise XSDError(f"root element {root!r} not declared in DTD")
 
-    builder = TreeBuilder(name)
+    builder = TreeBuilder("dtd-schema")
     in_progress: list[str] = []
 
     def build_element(element_name: str, parent: SchemaNode | None,

@@ -197,7 +197,7 @@ def parse_xsd(source: str | Document, name: str = "schema") -> SchemaTree:
     return _XSDReader(doc.root, name).read()
 
 
-def parse_xsd_file(path: str, name: str | None = None) -> SchemaTree:
-    """Parse an XSD file into a schema tree."""
+def parse_xsd_file(path: str) -> SchemaTree:
+    """Parse an XSD file into a schema tree named after the path."""
     with open(path, encoding="utf-8") as handle:
-        return parse_xsd(handle.read(), name=name or path)
+        return parse_xsd(handle.read(), name=path)

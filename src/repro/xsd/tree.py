@@ -547,12 +547,11 @@ class TreeBuilder:
         return self.leaf(name, option, base_type)
 
     def repeated_leaf(self, name: str, parent: SchemaNode,
-                      base_type: BaseType = BaseType.STRING,
-                      annotation: str | None = None,
-                      max_occurs: int = UNBOUNDED) -> SchemaNode:
-        """Create ``<name>*`` — returns the TAG node (annotated)."""
-        rep = self.rep(parent, max_occurs=max_occurs)
-        return self.leaf(name, rep, base_type, annotation=annotation or name)
+                      annotation: str | None = None) -> SchemaNode:
+        """Create ``<name>*`` of strings — returns the TAG node
+        (annotated)."""
+        return self.leaf(name, self.rep(parent), BaseType.STRING,
+                         annotation=annotation or name)
 
     def build(self, root: SchemaNode) -> SchemaTree:
         tree = SchemaTree(self._nodes, root.node_id, name=self.name)

@@ -400,14 +400,27 @@ class TestCountsBelowOne:
           "//title"], "--queries"),
         (["loadgen", "--dataset", "dblp", "--queries", "-1",
           "--requests", "5"], "--queries"),
+        (["serve", "--dataset", "dblp", "--load-batch", "-5", "--xpath",
+          "//title"], "--load-batch"),
+        (["loadgen", "--dataset", "dblp", "--load-batch", "0",
+          "--requests", "5"], "--load-batch"),
     ], ids=["advise-checkpoint-every", "check-queries", "calibrate-queries",
             "calibrate-repeat", "shred-batch-size", "compare-queries", "serve-queries",
-            "loadgen-queries"])
+            "loadgen-queries", "serve-load-batch", "loadgen-load-batch"])
     def test_refused_before_loading(self, argv, flag, no_load, capsys):
         with pytest.raises(SystemExit) as exit_info:
             run_cli(argv)
         assert exit_info.value.code == 2
         assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_a_queue_bound_below_minus_one_is_refused(self, command,
+                                                      no_load, capsys):
+        # -1 alone means unbounded; -3 used to mean it too
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([command, "--dataset", "dblp", "--max-queue", "-3"])
+        assert exit_info.value.code == 2
+        assert "--max-queue must be >= -1" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -77,8 +77,8 @@ def test_examples_are_importable_and_run(script, monkeypatch, capsys):
     import repro.datasets.movie as movie_module
     original = movie_module.generate_movies
 
-    def small(n_movies=2000, seed=11, tv_fraction=0.35):
-        return original(min(n_movies, 200), seed, tv_fraction)
+    def small(n_movies=2000, seed=11, stream=False):
+        return original(min(n_movies, 200), seed, stream)
 
     monkeypatch.setattr("repro.datasets.movie.generate_movies", small)
     monkeypatch.setattr("repro.datasets.generate_movies", small)

@@ -8,6 +8,7 @@ but never crash the search or poison a cache.
 """
 
 import dataclasses
+import re
 import threading
 
 import pytest
@@ -222,6 +223,33 @@ class TestRetryPolicy:
         # attempt: retries only ever show up under fault_retries.
         assert chaotic.counters.mappings_evaluated == attempts
         assert chaotic.counters.fault_retries >= 1
+
+    @pytest.mark.parametrize("settings, field", [
+        ({"max_attempts": 0}, "max_attempts"), ({"backoff": -1.0}, "backoff"),
+        ({"timeout": 0.0}, "timeout"), ({"timeout": -5.0}, "timeout")])
+    def test_refuses_values_it_cannot_use(self, settings, field):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**settings)
+
+    @pytest.mark.parametrize("name, raw, message", [
+        ("REPRO_RETRY_BACKOFF", "-1", "backoff must be >= 0"),
+        ("REPRO_EVAL_TIMEOUT", "-5", "timeout must be > 0"),
+        ("REPRO_RETRY_ATTEMPTS", "abc", "REPRO_RETRY_ATTEMPTS='abc'"),
+        ("REPRO_RETRY_ATTEMPTS", "2.5", "REPRO_RETRY_ATTEMPTS='2.5'"),
+        ("REPRO_RETRY_BACKOFF", "soon", "REPRO_RETRY_BACKOFF='soon'"),
+        ("REPRO_EVAL_TIMEOUT", "1s", "REPRO_EVAL_TIMEOUT='1s'")])
+    def test_from_env_refuses_what_it_cannot_use(self, monkeypatch, name,
+                                                 raw, message):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RetryPolicy.from_env()
+
+    def test_from_env_reads_what_the_chaos_job_sets(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "8")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setenv("REPRO_EVAL_TIMEOUT", "")
+        assert RetryPolicy.from_env() == RetryPolicy(max_attempts=8,
+                                                     backoff=0.0)
 
     def test_fatal_faults_propagate(self, problem):
         bundle, workload = problem

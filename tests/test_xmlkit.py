@@ -206,11 +206,22 @@ class TestNodeLayout:
         assert len(elements) > 15000
         assert all(el.attribute_map is NO_ATTRIBUTES for el in elements)
 
-    @pytest.mark.parametrize("source, bound", [("parsed", 225),
+    @pytest.mark.parametrize("text", [
+        "dblp", "<list><item key='1'><name>t</name></item><item/>"
+                "t<name>&amp;</name><name>u</name></list>"],
+        ids=["dblp", "every-site"])
+    def test_one_tag_string_per_name(self, dblp_text, text):
+        # a start tag, a leaf token and a run of leaves each intern
+        elements = list(parse(dblp_text if text == "dblp" else text).iter())
+        assert len({id(el.tag) for el in elements}) == \
+            len({el.tag for el in elements})
+
+    @pytest.mark.parametrize("source, bound", [("parsed", 170),
                                                ("generated", 145)])
     def test_retained_bytes_per_element(self, dblp_text, source, bound):
-        # tracemalloc on CPython 3.11: 211 B parsed, 132 B generated; an
-        # empty dict per element adds 64 B to each (275 and 196)
+        # tracemalloc on CPython 3.11: 156 B parsed, 132 B generated; a
+        # string per parsed tag adds 55 B (211), and an empty dict per
+        # element 64 B to each (275 and 196)
         gc.collect()
         tracemalloc.start()
         try:
